@@ -214,28 +214,42 @@ def canonical_sign(vector: np.ndarray, tol: float = 1e-12) -> float:
 def dedup_rows(points: np.ndarray, tol: float) -> np.ndarray:
     """Merge rows closer than `tol`, keeping the first occurrence in input order.
 
-    Two passes: a conservative grid hash collapses exact-ish duplicates in
-    O(V), then an explicit distance check handles grid-straddling pairs.
+    A row is dropped when it lies within `tol` of an earlier kept row.  Two
+    passes: a conservative grid hash collapses exact-ish duplicates, then the
+    remaining close pairs are found by sorting the rows along one fixed
+    direction and testing only neighbours inside a `tol` window, which also
+    catches pairs straddling a grid cell.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return pts.copy()
     grid = np.round(pts / (tol / 16.0)).astype(np.int64)
-    first = {}
-    order = []
-    for i, key in enumerate(map(bytes, grid)):
-        if key not in first:
-            first[key] = i
-            order.append(i)
-    survivors = pts[order]
-    kept: list[np.ndarray] = []
-    kept_arr = np.empty((0, pts.shape[1]))
-    for row in survivors:
-        if len(kept) and float(np.min(np.sum((kept_arr - row) ** 2, axis=1))) <= tol * tol:
-            continue
-        kept.append(row)
-        kept_arr = np.vstack([kept_arr, row[None, :]])
-    return kept_arr
+    by_cell = np.lexsort(grid.T[::-1])  # stable: each cell's first row leads its run
+    cells = grid[by_cell]
+    fresh = np.ones(len(cells), dtype=bool)
+    fresh[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    first = by_cell[fresh]
+    survivors = pts[np.sort(first)]
+    # |<d, p - q>| <= |p - q| for a unit d, so every close pair shares a window
+    d = np.sqrt(np.arange(1.0, pts.shape[1] + 1.0))
+    proj = survivors @ (d / np.linalg.norm(d))
+    order = np.argsort(proj, kind="stable")
+    sproj = proj[order]
+    slack = 4.0 * np.finfo(float).eps * (np.abs(sproj) + np.abs(survivors).sum(axis=1)[order])
+    hi = np.searchsorted(sproj, sproj + tol + slack, side="right")
+    width = hi - np.arange(len(sproj)) - 1
+    a = np.repeat(np.arange(len(sproj)), width)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(width) - width, width)
+    i, j = order[a], order[b]
+    close = np.sum((survivors[i] - survivors[j]) ** 2, axis=1) <= tol * tol
+    lo, hi_row = np.minimum(i, j)[close], np.maximum(i, j)[close]
+    keep = np.ones(len(survivors), dtype=bool)
+    # in input order: a row with a close earlier row survives only if none of those was kept
+    by_row = np.lexsort((lo, hi_row))
+    for row, earlier in zip(hi_row[by_row], lo[by_row]):
+        if keep[earlier]:
+            keep[row] = False
+    return survivors[keep]
 
 
 def isotropy_residuals(directions: np.ndarray, weights: np.ndarray) -> tuple[float, float]:

@@ -6,9 +6,15 @@ volume, shadows) is computed by explicit brute-force geometry:
 
 * vertices by solving every invertible ``n``-subset of the signed constraint
   hyperplanes and filtering by feasibility;
-* facet measures by a recursive cone decomposition inside each face's own
-  orthonormal chart, bottoming out at polygon area, with faces memoised by
-  their vertex sets so ridges shared between facets are measured once;
+* the face lattice from the vertex-hyperplane incidence, each face named by
+  the bitmask of the hyperplanes tight on all its vertices and found as an
+  inclusion-minimal closure at the vertices of the face one level up, down
+  to the 2-faces;
+* 2-face areas by angular sort and the shoelace formula, then facet
+  measures by Lasserre's pyramid recursion unrolled over the lattice, one
+  dimension level at a time over whole arrays: a face's measure is the sum
+  over its own facets of (in-face height from its vertex centroid) x
+  (facet measure) / (face dimension);
 * volume as ``sum(offset * facet measure) / n`` over the facet fan;
 * shadow area in direction theta as ``0.5 * sum |<theta, n_F>| * |F|``.
 
@@ -24,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, dedup_rows, hyperplane_basis, sample_unit_sphere
+from .kernel import CapacityError, RandomSource, dedup_rows, sample_unit_sphere
 
 __all__ = [
     "FacetData",
@@ -68,15 +74,209 @@ class FacetData:
     owners: tuple[tuple[int, int], ...]
 
 
-def _polygon_area(coords: np.ndarray) -> float:
-    # vertices of a 2-face are in convex position: angular sort + shoelace
-    d = coords - coords.mean(axis=0)
-    order = np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")
-    x, y = d[order, 0], d[order, 1]
-    xn, yn = np.empty_like(x), np.empty_like(y)
-    xn[:-1], xn[-1] = x[1:], x[0]
-    yn[:-1], yn[-1] = y[1:], y[0]
-    return 0.5 * abs(float(x @ yn - y @ xn))
+def _set_bits(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bit) index pairs of the set bits among the low `width` bits of each code."""
+    return np.nonzero((codes[:, None] >> np.arange(width, dtype=np.int64)) & 1)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries that differ from their predecessor (the first always does)."""
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
+
+
+def _argmax_per_group(groups: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Index of the first highest-scoring entry in each run of equal, sorted `groups`."""
+    starts = _run_starts(groups)
+    top = np.maximum.reduceat(score, np.flatnonzero(starts))
+    hit = np.flatnonzero(score == top[np.cumsum(starts) - 1])
+    return hit[_run_starts(groups[hit])]
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The faces of one codimension k, each named by its closure code.
+
+    A closure code is the bitmask of every signed hyperplane tight on all of
+    the face's vertices.  Faces come in antipodal pairs F, -F of equal
+    measure, and only the member with the smaller code is kept.
+    ``face``/``vertex`` list its vertex incidences, sorted by face.
+    ``parent``/``child``/``sign`` list the pairs in which ``sign * child``
+    is a facet of the face ``parent`` of codimension k - 1, sorted by child.
+    """
+
+    codes: np.ndarray
+    face: np.ndarray
+    vertex: np.ndarray
+    parent: np.ndarray
+    child: np.ndarray
+    sign: np.ndarray
+
+
+def _mirror(codes: np.ndarray, half: int) -> np.ndarray:
+    """Codes of the antipodal faces: hyperplane j+ and j- trade places."""
+    return ((codes & ((1 << half) - 1)) << half) | (codes >> half)
+
+
+def _canonical(codes: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller code of each antipodal pair, and whether that is the mirror."""
+    mirrored = _mirror(codes, half)
+    flip = mirrored < codes
+    return np.where(flip, mirrored, codes), flip
+
+
+def _facets_of(level: _Level, tcode: np.ndarray, tight_at: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The facets of every face of `level`, as (parent, closure code, face, vertex).
+
+    At a vertex w of a face F every hyperplane h tight at w but not on all of
+    F cuts out the face of F whose vertices are those of F tight on h; its
+    closure code is the AND of their incidence codes.  The facets of F are
+    the inclusion-minimal closures among these.  ``face``/``vertex`` list
+    the vertex incidences of the facets, ``face`` indexing the result rows.
+    `tight_at` lists the hyperplanes tight at each vertex, as (offsets, flat
+    list) with the list of vertex v from offsets[v] to offsets[v + 1].
+    """
+    offsets, listed = tight_at
+    count = np.diff(offsets)[level.vertex]
+    before = np.cumsum(count) - count
+    h = listed[np.arange(count.sum()) + np.repeat(offsets[level.vertex] - before, count)]
+    f, w = np.repeat(level.face, count), np.repeat(level.vertex, count)
+    cutting = ((level.codes[f] >> h) & 1) == 0
+    key = f[cutting] * 64 + h[cutting]  # h < 64: codes are int64
+    order = np.argsort(key)
+    f, w, key = f[cutting][order], w[cutting][order], key[order]
+    starts = _run_starts(key)
+    cut = np.cumsum(starts) - 1  # the (face, hyperplane) group of each incidence
+    start = np.flatnonzero(starts)
+    parent, closed = f[start], np.bitwise_and.reduceat(tcode[w], start)
+    # one group per distinct (parent, closure): hyperplanes that cut out the same face
+    order = np.lexsort((closed, parent))
+    first = order[_run_starts(parent[order]) | _run_starts(closed[order])]
+    parent, closed = parent[first], closed[first]
+    # compare every candidate with every other candidate of the same parent
+    group_start = np.flatnonzero(_run_starts(parent))
+    size = np.diff(np.append(group_start, len(parent)))
+    group_size = np.repeat(size, size)
+    a = np.repeat(np.arange(len(parent)), group_size)
+    offset = np.arange(len(a)) - np.repeat(np.cumsum(group_size) - group_size, group_size)
+    b = np.repeat(np.repeat(group_start, size), group_size) + offset
+    dominated = ((closed[b] & closed[a]) == closed[b]) & (closed[b] != closed[a])
+    keep = np.bincount(a, weights=dominated, minlength=len(parent)) == 0
+    row_of = np.full(len(start), -1)
+    row_of[first[keep]] = np.arange(np.count_nonzero(keep))
+    member = row_of[cut] >= 0
+    return parent[keep], closed[keep], row_of[cut[member]], w[member]
+
+
+def _face_lattice(tight: np.ndarray, depth: int, neg_index: np.ndarray) -> list[_Level]:
+    """The faces of codimension 0..depth of a symmetric polytope.
+
+    `tight` is the (vertices x 2m) boolean vertex-hyperplane incidence,
+    columns j and j + m holding the two sides of slab j, and `neg_index`
+    maps each vertex to its antipode.  Entry k of the result holds the
+    faces of codimension k, from the body itself (k = 0) down: the facets
+    of the faces of entry k - 1 (:func:`_facets_of`).  Closures need no rank
+    test, so vertices on more than n hyperplanes (the octahedron, coinciding
+    or touching slabs) take the same path as simple ones.
+    """
+    num_v, width = tight.shape
+    tcode = tight.astype(np.int64) @ np.left_shift(np.int64(1), np.arange(width, dtype=np.int64))
+    tight_at = np.append(0, np.cumsum(tight.sum(axis=1))), np.nonzero(tight)[1]
+    none = np.zeros(0, dtype=np.intp)
+    levels = [_Level(np.zeros(1, dtype=np.int64), np.zeros(num_v, dtype=np.intp), np.arange(num_v), none, none, none)]
+    for _ in range(depth):
+        parent, found, row, vertex = _facets_of(levels[-1], tcode, tight_at)
+        found, flip = _canonical(found, width // 2)
+        codes, first, child = np.unique(found, return_index=True, return_inverse=True)
+        # each face's vertices from one of its finds, mirrored if that find was -F
+        use = first[child[row]] == row
+        face = child[row[use]]
+        vertex = np.where(flip[row[use]], neg_index[vertex[use]], vertex[use])
+        by_face = np.argsort(face, kind="stable")
+        by_child = np.argsort(child, kind="stable")
+        sign = np.where(flip[by_child], -1, 1)
+        levels.append(_Level(codes, face[by_face], vertex[by_face], parent[by_child], child[by_child], sign))
+    return levels
+
+
+def _flat_measures(points: np.ndarray, centroids: np.ndarray, level: _Level, dim: int) -> np.ndarray:
+    """Measures of the faces of `level`, of dimension `dim` <= 2, read off their vertices.
+
+    Points measure 1.  Segments and polygons are charted by the offset of
+    their farthest vertex from the centroid and the farthest residual from
+    that; segments measure their extent and polygons their area, by angular
+    sort about the centroid and the shoelace formula.
+    """
+    num_f = len(level.codes)
+    if dim == 0:
+        return np.ones(num_f)
+    starts = np.flatnonzero(_run_starts(level.face))
+    d = points[level.vertex] - centroids[level.face]
+    coords = []
+    for _ in range(dim):
+        length = np.linalg.norm(d, axis=1)
+        far = _argmax_per_group(level.face, length)
+        axis = d[far] / np.maximum(length[far], 1e-300)[:, None]
+        x = np.einsum("ri,ri->r", d, axis[level.face])
+        d = d - x[:, None] * axis[level.face]
+        coords.append(x)
+    if dim == 1:
+        return np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+    x, y = coords
+    order = np.lexsort((np.arctan2(y, x), level.face))
+    x, y = x[order], y[order]
+    succ = np.arange(1, len(order) + 1)
+    succ[np.append(starts[1:], len(order)) - 1] = starts
+    return 0.5 * np.abs(np.bincount(level.face, weights=x * y[succ] - y * x[succ], minlength=num_f))
+
+
+def _facet_measures(points: np.ndarray, normals: np.ndarray, levels: list[_Level]) -> np.ndarray:
+    """(n-1)-measures of the codimension-1 faces of `levels`, in code order.
+
+    The faces of the last level, of dimension at most 2, are measured from
+    their vertices (:func:`_flat_measures`).  Above them Lasserre's pyramid
+    identity |F| = sum_G h(c_F, G) |G| / dim F over the facets G of F, with
+    c_F the centroid of F's vertices, runs one level at a time up to the
+    facets.  The in-face height of G is the component of c_G - c_F along the
+    unit in-face normal of G, the residual of a cutting hyperplane's normal
+    against an orthonormal basis of F's normal space (shared by F and -F).
+    """
+    n = points.shape[1]
+    half = len(normals) // 2
+    centroids = [np.zeros((1, n))]  # the body's, at the origin
+    for lv in levels[1:]:
+        nf = len(lv.codes)
+        slots = (lv.face[:, None] * n + np.arange(n)).ravel()
+        sums = np.bincount(slots, weights=points[lv.vertex].ravel(), minlength=nf * n).reshape(nf, n)
+        centroids.append(sums / np.bincount(lv.face, minlength=nf)[:, None])
+    facet_rows, facet_bits = _set_bits(levels[1].codes, len(normals))
+    basis = normals[facet_bits[_run_starts(facet_rows)]][:, :, None]
+    heights = {}
+    for k in range(2, len(levels)):
+        lv, above = levels[k], levels[k - 1]
+        delta = lv.sign[:, None] * centroids[k][lv.child] - centroids[k - 1][lv.parent]
+        child_codes = np.where(lv.sign < 0, _mirror(lv.codes[lv.child], half), lv.codes[lv.child])
+        rows, cut = _set_bits(child_codes & ~above.codes[lv.parent], len(normals))
+        q = basis[lv.parent[rows]]
+        a = normals[cut]
+        for _ in range(2):  # Gram-Schmidt, twice for orthogonality to working precision
+            a = a - np.einsum("rij,rj->ri", q, np.einsum("rij,ri->rj", q, a))
+        norm = np.linalg.norm(a, axis=1)
+        best = _argmax_per_group(rows, norm)  # the best-conditioned cutting hyperplane
+        a, norm = a[best], norm[best]
+        if len(best) != len(lv.child) or np.any(norm <= 1e-12):
+            raise ValueError("degenerate face lattice: a facet pair has no cutting hyperplane")
+        unit = a / norm[:, None]
+        heights[k] = np.abs(np.einsum("ri,ri->r", unit, delta))
+        pick = _argmax_per_group(lv.child, norm)
+        basis = np.concatenate([basis[lv.parent[pick]], unit[pick][:, :, None]], axis=2)
+    measure = _flat_measures(points, centroids[-1], levels[-1], n + 1 - len(levels))
+    for k in range(len(levels) - 1, 1, -1):
+        lv = levels[k]
+        pyramids = np.bincount(lv.parent, weights=heights[k] * measure[lv.child], minlength=len(levels[k - 1].codes))
+        measure = pyramids / (n - k + 1)
+    return measure
 
 
 class SymmetricHPolytope:
@@ -213,85 +413,35 @@ class SymmetricHPolytope:
     def facets(self) -> tuple[FacetData, ...]:
         """Geometric facets with their (n-1)-measures.
 
-        Faces are measured by recursive cone decomposition in their own
-        orthonormal charts (polygon area at dimension two, segment length at
-        one), memoised by vertex set.  Facets of negligible measure
-        (< 1e-12) are omitted.  Coinciding slabs share one facet entry whose
-        ``owners`` field lists all of them.
+        The face lattice is read off the vertex-hyperplane incidence down to
+        the 2-faces, which are measured from their vertices, and the measures
+        are carried up one dimension level at a time over whole arrays (see
+        :func:`_face_lattice` and :func:`_facet_measures`).  Facets of
+        negligible measure (< 1e-12) are omitted.  Coinciding slabs share
+        one facet entry whose ``owners`` field lists all of them.
         """
         verts = self.vertices.points
         neg_index = self._negation_index
         u, t = self._directions, self._offsets
         m, n = u.shape
         dots = verts @ u.T
-        active = np.stack([np.abs(dots - t) <= FEASIBILITY_TOL, np.abs(dots + t) <= FEASIBILITY_TOL], axis=2)
-        # a face and its mirror image have equal measure: memoise with a
-        # sign-canonical key, tagged by the face dimension
-        memo: dict[tuple[int, bytes], float] = {}
-
-        def face_key(d: int, vidx: np.ndarray) -> tuple[int, bytes]:
-            a = vidx.tobytes()
-            b = np.sort(neg_index[vidx]).tobytes()
-            return (d, a if a <= b else b)
-
-        def measure_of(vidx: np.ndarray, chart: np.ndarray) -> float:
-            # chart: orthonormal basis (n x d) of the face's affine hull direction
-            d = chart.shape[1]
-            key = face_key(d, vidx)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            val = 0.0
-            if len(vidx) >= d + 1:
-                pts = verts[vidx]
-                centroid = pts.mean(axis=0)
-                coords = (pts - centroid) @ chart
-                if d == 1:
-                    val = float(coords[:, 0].max() - coords[:, 0].min())
-                elif d == 2:
-                    val = _polygon_area(coords)
-                else:
-                    sub_active = active[vidx]
-                    seen: set[bytes] = set()
-                    # chart-projected slab normals and boundary-vertex counts
-                    # for the whole cut search at once
-                    projected = chart.T @ u.T
-                    gns = np.linalg.norm(projected, axis=0)
-                    counts = sub_active.sum(axis=0)
-                    bases = centroid @ u.T
-                    for j in range(m):
-                        gn = float(gns[j])
-                        if gn <= 1e-12:
-                            continue  # slab parallel to the face: no cut
-                        for s_idx, sgn in ((0, 1.0), (1, -1.0)):
-                            cnt = int(counts[j, s_idx])
-                            if cnt < d or cnt == len(vidx):
-                                continue
-                            sub = vidx[sub_active[:, j, s_idx]]
-                            skey = sub.tobytes()
-                            if skey in seen:
-                                continue
-                            seen.add(skey)
-                            sub_measure = memo.get(face_key(d - 1, sub))
-                            if sub_measure is None:
-                                sub_chart = chart @ hyperplane_basis(sgn / gn * projected[:, j])
-                                sub_measure = measure_of(sub, sub_chart)
-                            if sub_measure <= 0.0:
-                                continue
-                            dist = abs(float(t[j]) - sgn * float(bases[j])) / gn
-                            val += dist * sub_measure / d
-            memo[key] = val
-            return val
+        tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL, np.abs(dots + t) <= FEASIBILITY_TOL])
+        levels = _face_lattice(tight, max(n - 2, 1), neg_index)
+        measures = _facet_measures(verts, np.vstack([u, -u]), levels)
+        # the facet (or its mirror image, of equal measure) on slab j, if any
+        facet_rows, facet_bits = _set_bits(levels[1].codes, 2 * m)
+        facet_of = np.full(m, -1)
+        facet_of[facet_bits % m] = facet_rows
 
         entries: dict[bytes, list] = {}
         order: list[bytes] = []
         for j in range(m):
-            vpos = np.flatnonzero(active[:, j, 0])
-            if len(vpos) < n:
+            if facet_of[j] < 0:
                 continue
-            meas = measure_of(vpos, hyperplane_basis(u[j]))
+            meas = float(measures[facet_of[j]])
             if meas < MEASURE_FLOOR:
                 continue
+            vpos = np.flatnonzero(tight[:, j])
             vneg = np.sort(neg_index[vpos])
             for vidx, sgn in ((vpos, 1), (vneg, -1)):
                 key = vidx.tobytes()
@@ -303,9 +453,8 @@ class SymmetricHPolytope:
         out = []
         for key in order:
             normal, offset, meas, owners, vidx = entries[key]
-            normal = normal.copy()
             normal.setflags(write=False)
-            out.append(FacetData(normal, offset, meas, tuple(int(i) for i in vidx), tuple(owners)))
+            out.append(FacetData(normal, offset, meas, tuple(vidx.tolist()), tuple(owners)))
         return tuple(out)
 
     # -- measures ----------------------------------------------------------

@@ -94,6 +94,30 @@ def zonotope_volume_oracle(generators: np.ndarray) -> float:
     return hull_volume(zonotope_vertex_cloud(generators))
 
 
+def dedup_rows_reference(points: np.ndarray, tol: float) -> np.ndarray:
+    """Row merging by a grid hash, then a row-by-row scan of the kept rows.
+
+    The quadratic reference for ``kernel.dedup_rows``: a row is dropped when
+    it lies within `tol` of an earlier kept row.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        return pts.copy()
+    grid = np.round(pts / (tol / 16.0)).astype(np.int64)
+    first = {}
+    order = []
+    for i, key in enumerate(map(bytes, grid)):
+        if key not in first:
+            first[key] = i
+            order.append(i)
+    kept_arr = np.empty((0, pts.shape[1]))
+    for row in pts[order]:
+        if len(kept_arr) and float(np.min(np.sum((kept_arr - row) ** 2, axis=1))) <= tol * tol:
+            continue
+        kept_arr = np.vstack([kept_arr, row[None, :]])
+    return kept_arr
+
+
 def monte_carlo_volume(
     directions: np.ndarray,
     offsets: np.ndarray,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import dedup_rows_reference
 from shadowgeom.kernel import (
     CapacityError,
     RandomSource,
@@ -144,6 +145,29 @@ class TestCanonicalForms:
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0 + 1e-10, 1.0], [2.0, 0.0]])
         out = dedup_rows(pts, tol=1e-8)
         assert len(out) == 3
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 30, 500, 4000])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_dedup_rows_matches_reference_scan(self, k, n):
+        tol = 1e-8
+        gen = RandomSource(k + n).generator()
+        base = gen.standard_normal((k, n))
+        if k:
+            pick = gen.integers(0, k, size=k // 3 + 1)
+            # planted near-duplicates, some chained within tol of each other
+            near = base[pick] + gen.uniform(-0.4, 0.4, size=(len(pick), n)) * tol / math.sqrt(n)
+            chain = near + gen.uniform(-0.4, 0.4, size=near.shape) * tol / math.sqrt(n)
+            # pairs straddling a grid cell boundary (cell size tol / 16)
+            cell = tol / 16.0
+            edge = (np.floor(base[pick] / cell) + 0.5) * cell
+            straddle = np.vstack([edge - 1e-3 * cell, edge + 1e-3 * cell])
+            # pairs just outside tol, which must both stay
+            apart = base[pick] + np.eye(n)[0] * tol * 1.001
+            pts = np.vstack([base, near, chain, straddle, apart])
+            pts = pts[gen.permutation(len(pts))]
+        else:
+            pts = base
+        assert np.array_equal(dedup_rows(pts, tol), dedup_rows_reference(pts, tol))
 
     @given(st.integers(min_value=0, max_value=2**32))
     def test_dedup_idempotent(self, seed):
