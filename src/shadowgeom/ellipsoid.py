@@ -1,10 +1,14 @@
 """Minimum-volume enclosing ellipsoids of symmetric point sets.
 
 The MVEE of a symmetric set is origin-centered, so the problem is the
-D-optimal design: maximize ``log det sum_k lambda_k v_k v_k^T`` over the
-probability simplex.  It is solved by Frank-Wolfe ascent with Wolfe-Atwood
-away steps (linear convergence, and the iterate doubles as an optimality
-certificate).  The ellipsoid is ``{x : x^T (n M)^{-1} x <= 1}``.
+D-optimal design: maximize ``log det M`` with ``M = sum_k lambda_k v_k v_k^T``
+over the probability simplex.  It is solved by Frank-Wolfe ascent with
+Wolfe-Atwood away steps (linear convergence, and the iterate doubles as an
+optimality certificate).  Each step is a rank-one change of M, so ``M^{-1}``
+and the leverages ``g_k = v_k^T M^{-1} v_k`` are updated in O(mn) (Khachiyan
+1996; Todd and Yildirim 2007) and rebuilt from scratch every
+``REBUILD_INTERVAL`` steps and before the solve stops, which keeps the
+certificate exact.  The ellipsoid is ``{x : x^T (n M)^{-1} x <= 1}``.
 
 From an optimal design the contact-point decomposition is extracted: after
 mapping by ``(n M)^{-1/2}`` the support points become unit vectors ``u_i``
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, canonical_sign, dedup_rows, isotropy_residuals, jacobi_eigh, unit_ball_volume
+from .kernel import CapacityError, canonical_signs, dedup_rows, isotropy_residuals, jacobi_eigh, unit_ball_volume
 
 __all__ = [
     "Ellipsoid",
@@ -33,6 +37,8 @@ __all__ = [
 
 MAX_MVEE_ITERATIONS = 1_000_000
 DEFAULT_EPS = 1e-8
+#: Rank-one steps between two rebuilds of M, M^{-1} and g from the weights.
+REBUILD_INTERVAL = 64
 
 
 @dataclass(frozen=True)
@@ -92,18 +98,24 @@ def _canonicalize_symmetric(points: np.ndarray) -> np.ndarray:
     keep = pts[norms > 1e-12]
     if len(keep) == 0:
         raise ValueError("no nonzero points given")
-    signs = np.array([canonical_sign(p) for p in keep])
-    return dedup_rows(keep * signs[:, None], 1e-12)
+    return dedup_rows(keep * canonical_signs(keep)[:, None], 1e-12)
 
 
 def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     """MVEE of the symmetric set ``{+/- v_k}`` via the D-optimal design problem.
 
     Antipodal pairs are collapsed to canonical representatives first (the
-    design is even).  Terminates when every point satisfies
+    design is even).  Each Wolfe-Atwood step moves weight toward the point of
+    largest ``g_k = v_k^T M^{-1} v_k`` or away from the support point of
+    smallest, which changes ``M`` by a rank-one term: ``M^{-1}`` follows by
+    Sherman-Morrison and every ``g_k`` by one matrix-vector product, O(mn)
+    per step.  Every ``REBUILD_INTERVAL`` steps, and before any stop, the
+    weights are renormalised and ``M``, ``M^{-1}`` and ``g`` are rebuilt from
+    scratch, so the stopping test and the returned kappa range are exact for
+    the returned weights.  Terminates when every point satisfies
     ``v^T (nM)^{-1} v <= 1 + eps`` and every support point satisfies
     ``>= 1 - eps``; raises :class:`CapacityError` with the best iterate
-    attached after 10^6 steps.
+    attached after ``MAX_MVEE_ITERATIONS`` steps.
     """
     if not (1e-10 <= eps <= 1e-2):
         raise ValueError("eps must lie in [1e-10, 1e-2]")
@@ -112,39 +124,44 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     if np.linalg.matrix_rank(v, tol=1e-10) < n:
         raise ValueError("points do not span R^n: the MVEE is degenerate")
     lam = np.full(m, 1.0 / m)
-    outer = v[:, :, None] * v[:, None, :]  # (m, n, n)
     iterations = 0
-    while True:
-        mat = np.tensordot(lam, outer, axes=1)
+    final = False
+    while not final:
+        lam /= lam.sum()
+        mat = (v.T * lam) @ v
         inv = np.linalg.inv(mat)
         g = np.einsum("ij,jk,ik->i", v, inv, v)
-        sup = lam > 0.0
-        k_max = float(np.max(g))
-        k_min = float(np.min(g[sup]))
-        if (k_max <= n * (1.0 + eps) and k_min >= n * (1.0 - eps)) or iterations >= MAX_MVEE_ITERATIONS:
-            break
-        if k_max - n >= n - k_min:
-            j = int(np.argmax(g))
-            kappa = k_max
-            beta = (kappa - n) / (n * (kappa - 1.0))
-        else:
-            masked = np.where(sup, g, np.inf)
-            j = int(np.argmin(masked))
-            kappa = k_min
-            drop = -lam[j] / (1.0 - lam[j])
-            if kappa <= 1.0 + 1e-12:
-                beta = drop  # unconstrained optimum is past removal: drop the point
+        for step in range(REBUILD_INTERVAL):
+            j_max = int(np.argmax(g))
+            support_g = np.where(lam > 0.0, g, np.inf)
+            j_min = int(np.argmin(support_g))
+            k_max, k_min = float(g[j_max]), float(support_g[j_min])
+            converged = k_max <= n * (1.0 + eps) and k_min >= n * (1.0 - eps)
+            if converged or iterations >= MAX_MVEE_ITERATIONS:
+                final = step == 0  # only a test on freshly rebuilt g ends the solve
+                break
+            if k_max - n >= n - k_min:
+                j = j_max
+                beta = (k_max - n) / (n * (k_max - 1.0))
             else:
-                beta = max((kappa - n) / (n * (kappa - 1.0)), drop)
-        lam *= 1.0 - beta
-        lam[j] += beta
-        lam = np.maximum(lam, 0.0)
-        lam /= lam.sum()
-        iterations += 1
+                j = j_min
+                drop = -lam[j] / (1.0 - lam[j])
+                if k_min <= 1.0 + 1e-12:
+                    beta = drop  # unconstrained optimum is past removal: drop the point
+                else:
+                    beta = max((k_min - n) / (n * (k_min - 1.0)), drop)
+            # M <- (1 - beta) M + beta v_j v_j^T, by Sherman-Morrison
+            w = inv @ v[j]
+            scale = beta / (1.0 - beta + beta * g[j])
+            inv = (inv - scale * np.outer(w, w)) / (1.0 - beta)
+            g = (g - scale * (v @ w) ** 2) / (1.0 - beta)
+            lam *= 1.0 - beta
+            lam[j] = max(lam[j] + beta, 0.0)
+            iterations += 1
     shape = np.linalg.inv(n * mat)
     shape = 0.5 * (shape + shape.T)
     result = MveeResult(Ellipsoid(shape), v, lam, iterations, k_max, k_min, eps)
-    if iterations >= MAX_MVEE_ITERATIONS and not (k_max <= n * (1.0 + eps) and k_min >= n * (1.0 - eps)):
+    if not converged:
         err = CapacityError(f"MVEE did not converge in {MAX_MVEE_ITERATIONS} iterations (kappa range [{k_min:.6g}, {k_max:.6g}], target n={n})")
         err.best = result
         raise err

@@ -16,7 +16,7 @@ import numpy as np
 __all__ = [
     "CapacityError",
     "RandomSource",
-    "canonical_sign",
+    "canonical_signs",
     "dedup_rows",
     "hyperplane_basis",
     "isotropy_residuals",
@@ -203,12 +203,15 @@ def nullspace_basis(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return vt[rank:].T.copy() if rank < n else np.zeros((n, 0))
 
 
-def canonical_sign(vector: np.ndarray, tol: float = 1e-12) -> float:
-    """Sign that makes the first non-negligible coordinate positive (+1.0 / -1.0)."""
-    for x in np.asarray(vector, dtype=float):
-        if abs(x) > tol:
-            return 1.0 if x > 0 else -1.0
-    return 1.0
+def canonical_signs(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Per row, the sign (+1.0 / -1.0) that makes its first coordinate above `tol` in magnitude positive.
+
+    Rows with no such coordinate get +1.0.
+    """
+    a = np.atleast_2d(np.asarray(rows, dtype=float))
+    significant = np.abs(a) > tol
+    lead = a[np.arange(len(a)), np.argmax(significant, axis=1)]
+    return np.where(significant.any(axis=1) & (lead < 0.0), -1.0, 1.0)
 
 
 def dedup_rows(points: np.ndarray, tol: float) -> np.ndarray:

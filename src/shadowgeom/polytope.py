@@ -18,19 +18,22 @@ volume, shadows) is computed by explicit brute-force geometry:
 * volume as ``sum(offset * facet measure) / n`` over the facet fan;
 * shadow area in direction theta as ``0.5 * sum |<theta, n_F>| * |F|``.
 
-The enumeration cost is combinatorial, so hard desk-scale guards reject
+The feasibility, merge and sign tolerances and the negligible-facet floor
+are given at unit scale and scaled with the body (see ``_scale``).  The
+enumeration cost is combinatorial, so hard desk-scale guards reject
 ``m > 24`` slabs or dimension ``n > 7``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, dedup_rows, sample_unit_sphere
+from .kernel import CapacityError, RandomSource, canonical_signs, dedup_rows, sample_unit_sphere
 
 __all__ = [
     "FacetData",
@@ -333,6 +336,18 @@ class SymmetricHPolytope:
     def __repr__(self) -> str:
         return f"SymmetricHPolytope(n={self.dim}, m={self.num_slabs})"
 
+    @cached_property
+    def _scale(self) -> float:
+        """The largest offset rounded down to a power of two.
+
+        The vertex and facet tolerances are multiplied by it (the measure
+        floor by its (n-1)-th power), so that they scale with the body; a
+        power of two scales them without rounding, and bodies whose largest
+        offset lies in [1, 2) keep the unscaled tolerances.
+        """
+        _, exponent = math.frexp(float(self._offsets.max()))
+        return math.ldexp(1.0, exponent - 1)
+
     def _guard(self) -> None:
         if self.num_slabs > MAX_SLABS or self.dim > MAX_DIM:
             raise CapacityError(
@@ -362,7 +377,7 @@ class SymmetricHPolytope:
         afterwards, so the set is exactly closed under negation.
         """
         self._guard()
-        u, t = self._directions, self._offsets
+        u, t, s = self._directions, self._offsets, self._scale
         m, n = u.shape
         patterns = np.array(list(itertools.product([1.0, -1.0], repeat=n - 1)))
         patterns = np.hstack([np.ones((len(patterns), 1)), patterns])  # (P, n)
@@ -379,23 +394,14 @@ class SymmetricHPolytope:
             rhs = patterns[None, :, :] * toff[:, None, :]  # (B, P, n)
             sols = np.linalg.solve(mats, rhs.transpose(0, 2, 1))  # (B, n, P)
             cand = sols.transpose(0, 2, 1).reshape(-1, n)
-            feas = np.all(np.abs(cand @ u.T) <= t + FEASIBILITY_TOL, axis=1)
+            feas = np.all(np.abs(cand @ u.T) <= t + FEASIBILITY_TOL * s, axis=1)
             if np.any(feas):
                 found.append(cand[feas])
         if not found:
             raise ValueError("no vertices found; body is numerically degenerate")
         raw = np.vstack(found)
         # canonicalise sign so each antipodal pair is represented once
-        flip = np.ones(len(raw))
-        for j in range(n):
-            undecided = flip == 1.0
-            sig = np.abs(raw[:, j]) > 1e-9
-            neg = undecided & sig & (raw[:, j] < 0)
-            flip[neg] = -1.0
-            undecided &= ~sig
-            if not np.any(undecided):
-                break
-        canon = dedup_rows(raw * np.where(flip < 0, -1.0, 1.0)[:, None], VERTEX_MERGE_TOL)
+        canon = dedup_rows(raw * canonical_signs(raw, 1e-9 * s)[:, None], VERTEX_MERGE_TOL * s)
         both = np.vstack([canon, -canon])
         order = np.lexsort(both.T[::-1])
         pts = both[order]
@@ -417,15 +423,15 @@ class SymmetricHPolytope:
         the 2-faces, which are measured from their vertices, and the measures
         are carried up one dimension level at a time over whole arrays (see
         :func:`_face_lattice` and :func:`_facet_measures`).  Facets of
-        negligible measure (< 1e-12) are omitted.  Coinciding slabs share
-        one facet entry whose ``owners`` field lists all of them.
+        negligible measure (< 1e-12 at unit scale) are omitted.  Coinciding
+        slabs share one facet entry whose ``owners`` field lists all of them.
         """
         verts = self.vertices.points
         neg_index = self._negation_index
-        u, t = self._directions, self._offsets
+        u, t, s = self._directions, self._offsets, self._scale
         m, n = u.shape
         dots = verts @ u.T
-        tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL, np.abs(dots + t) <= FEASIBILITY_TOL])
+        tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL * s, np.abs(dots + t) <= FEASIBILITY_TOL * s])
         levels = _face_lattice(tight, max(n - 2, 1), neg_index)
         measures = _facet_measures(verts, np.vstack([u, -u]), levels)
         # the facet (or its mirror image, of equal measure) on slab j, if any
@@ -439,7 +445,7 @@ class SymmetricHPolytope:
             if facet_of[j] < 0:
                 continue
             meas = float(measures[facet_of[j]])
-            if meas < MEASURE_FLOOR:
+            if meas < MEASURE_FLOOR * s ** (n - 1):
                 continue
             vpos = np.flatnonzero(tight[:, j])
             vneg = np.sort(neg_index[vpos])

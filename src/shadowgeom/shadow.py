@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsoid import JohnDecomposition, extract_john_decomposition, mvee_symmetric
-from .kernel import CapacityError, RandomSource, canonical_sign, dedup_rows, psd_sqrt, sample_unit_sphere
+from .kernel import CapacityError, RandomSource, canonical_signs, dedup_rows, psd_sqrt, sample_unit_sphere
 from .polytope import SymmetricHPolytope
 from .zonotope import WeightedDirections, Zonotope, projection_body
 
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 MAX_NORMAL_GENERATORS = 20
-MAX_NORMAL_DIM = 6
+MAX_NORMAL_DIM = 7
 EXACT_PATTERN_LIMIT = 16
 SAMPLING_COUNT = 100_000
 REFINE_STARTS = 200
@@ -62,7 +62,7 @@ def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
         return np.array([[1.0]])
     if m > MAX_NORMAL_GENERATORS or n > MAX_NORMAL_DIM:
         raise CapacityError(f"facet-normal guard exceeded: m={m} (max {MAX_NORMAL_GENERATORS}), n={n} (max {MAX_NORMAL_DIM})")
-    subsets = np.array(list(itertools.combinations(range(m), n - 1)), dtype=np.intp)
+    subsets = np.array(list(itertools.combinations(range(m), n - 1)), dtype=np.intp).reshape(-1, n - 1)
     mats = w[subsets]  # (S, n-1, n)
     # normal by cofactor expansion: component k = (-1)^k det(minor without column k)
     cols = np.arange(n)
@@ -75,8 +75,7 @@ def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
     if not np.any(keep):
         raise ValueError("generators do not span: no facet normals")
     unit = normals[keep] / norms[keep][:, None]
-    signs = np.array([canonical_sign(v) for v in unit])
-    return dedup_rows(unit * signs[:, None], 1e-10)
+    return dedup_rows(unit * canonical_signs(unit)[:, None], 1e-10)
 
 
 @dataclass(frozen=True)
@@ -166,41 +165,26 @@ def _refine_support_minima(gens: np.ndarray, starts: np.ndarray, steps: int = 60
 def _minimize_zonotope_support(z: Zonotope, rng: RandomSource) -> MinShadowReport:
     """Global minimum of the support function over the unit sphere.
 
-    With at most 16 generators the search is exhaustive ("exact"): all
-    self-consistent sign-pattern directions, every candidate facet normal
-    (the true minimizer is always one of these), and 200 refined random
-    starts.  Beyond 16 generators a 10^5-sample sweep with refinement is
-    returned, labeled "estimate".  Ties resolve to the earliest candidate,
-    so the result is deterministic.
+    The minimum of ``h_Z`` over the sphere is the inradius of the symmetric
+    body Z, and a polytope's inradius is attained at a facet normal.  Every
+    facet of a zonotope is spanned by n-1 generators, so with at most
+    ``EXACT_PATTERN_LIMIT`` generators (and n <= ``MAX_NORMAL_DIM``) the
+    normals of all full-rank (n-1)-generator subsets are the candidates and
+    the minimum is exact.  Otherwise a 10^5-sample sweep with 200 refined
+    starts is returned, labeled "estimate".  Ties resolve to the earliest
+    candidate, so the result is deterministic.
     """
     gens = z.generators
     m, n = gens.shape
-    candidates: list[np.ndarray] = []
-    if m <= EXACT_PATTERN_LIMIT:
+    if m <= EXACT_PATTERN_LIMIT and n <= MAX_NORMAL_DIM:
         branch = "exact"
-        patterns = np.array(list(itertools.product([1.0, -1.0], repeat=m - 1)))
-        patterns = np.hstack([np.ones((len(patterns), 1)), patterns])
-        dirs = patterns @ gens
-        norms = np.linalg.norm(dirs, axis=1)
-        ok = norms > 1e-12
-        dirs = dirs[ok] / norms[ok][:, None]
-        # self-consistency: the sign of <theta, w_j> matches the pattern (or vanishes)
-        inner = dirs @ gens.T
-        pat = patterns[ok]
-        consistent = np.all((np.abs(inner) <= 1e-12) | (np.sign(inner) == pat), axis=1)
-        candidates.append(dirs[consistent])
-        if n <= MAX_NORMAL_DIM and m <= MAX_NORMAL_GENERATORS:
-            candidates.append(zonotope_facet_normals(z))
-        starts = sample_unit_sphere(n, rng.fork(_REFINE_SEED), count=REFINE_STARTS)
-        candidates.append(_refine_support_minima(gens, starts))
+        cand = zonotope_facet_normals(z)
     else:
         branch = "estimate"
         samples = sample_unit_sphere(n, rng.fork(_REFINE_SEED), count=SAMPLING_COUNT)
         values = np.sum(np.abs(samples @ gens.T), axis=1)
         best = np.argsort(values, kind="stable")[:REFINE_STARTS]
-        candidates.append(samples)
-        candidates.append(_refine_support_minima(gens, samples[best]))
-    cand = np.vstack(candidates)
+        cand = np.vstack([samples, _refine_support_minima(gens, samples[best])])
     values = np.sum(np.abs(cand @ gens.T), axis=1)
     idx = int(np.argmin(values))  # numpy argmin returns the first minimum: lowest index wins
     return MinShadowReport(cand[idx].copy(), float(values[idx]), branch, len(cand))
@@ -209,8 +193,10 @@ def _minimize_zonotope_support(z: Zonotope, rng: RandomSource) -> MinShadowRepor
 def minimize_support(z: Zonotope, rng: RandomSource | None = None) -> MinShadowReport:
     """Global minimum of a zonotope's support function over the unit sphere.
 
-    Exhaustive ("exact") for at most 16 generators, sampled ("estimate")
-    beyond; see :func:`min_shadow_direction` for the shadow specialization.
+    Exact for at most 16 generators in dimension at most 7: the smallest
+    support over the zonotope's facet normals, which is its inradius.
+    Sampled and refined ("estimate") beyond; `rng` seeds only that branch.
+    See :func:`min_shadow_direction` for the shadow specialization.
     """
     if rng is None:
         rng = RandomSource(0x51AD_0D20)
@@ -236,7 +222,11 @@ class ShadowPositionReport:
     (a numerical failure: the transform is guaranteed to achieve 1), in
     which case ``diagnostics`` says what was measured.  The attached
     decomposition certifies the position: its contact directions all attain
-    the minimal shadow.
+    the minimal shadow.  ``mvee_iterations`` and the kappa range are the
+    ellipsoid solve's step count and certificate (every polar vertex has
+    ``v^T M^{-1} v <= kappa_max``, every support point ``>= kappa_min``,
+    both within ``n (1 +/- eps)``); ``candidates_checked`` counts the
+    directions searched for the minimal shadow.
     """
 
     transform: np.ndarray
@@ -246,6 +236,10 @@ class ShadowPositionReport:
     volume: float
     ratio: float
     branch: str
+    mvee_iterations: int
+    kappa_min: float
+    kappa_max: float
+    candidates_checked: int
     john: JohnDecomposition
     residuals: dict[str, float]
     ok: bool
@@ -259,6 +253,10 @@ class ShadowPositionReport:
             "volume": self.volume,
             "transform": self.transform.tolist(),
             "branch": self.branch,
+            "mvee_iterations": self.mvee_iterations,
+            "kappa_min": self.kappa_min,
+            "kappa_max": self.kappa_max,
+            "candidates_checked": self.candidates_checked,
             "residuals": dict(self.residuals),
             "ok": self.ok,
             "diagnostics": self.diagnostics,
@@ -314,6 +312,10 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
         volume=volume,
         ratio=ratio,
         branch=report.branch,
+        mvee_iterations=mvee.iterations,
+        kappa_min=mvee.kappa_min,
+        kappa_max=mvee.kappa_max,
+        candidates_checked=report.candidates_checked,
         john=john,
         residuals=residuals,
         ok=ok,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, canonical_sign, hyperplane_basis, isotropy_residuals, random_orthogonal, sample_unit_sphere
+from .kernel import CapacityError, RandomSource, canonical_signs, hyperplane_basis, isotropy_residuals, random_orthogonal, sample_unit_sphere
 from .polytope import SymmetricHPolytope
 
 __all__ = [
@@ -283,11 +283,10 @@ def projection_body(body: SymmetricHPolytope) -> Zonotope:
     ``support(result, theta) = shadow_area(body, theta)`` for every theta —
     the defining contract, checked in tests on sampled directions.
     """
-    gens = []
-    for facet in body.facets:
-        if canonical_sign(facet.normal) > 0:
-            gens.append(facet.measure * facet.normal)
-    return Zonotope(np.array(gens))
+    normals = np.array([facet.normal for facet in body.facets])
+    measures = np.array([facet.measure for facet in body.facets])
+    keep = canonical_signs(normals) > 0
+    return Zonotope(measures[keep, None] * normals[keep])
 
 
 def mixed_volume_vn1(body: SymmetricHPolytope, z: Zonotope) -> float:

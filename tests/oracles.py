@@ -2,9 +2,11 @@
 
 Everything here avoids the library's own computational paths: vertex sets
 come from direct constraint intersection, volumes and shadow areas from
-scipy's convex hull, gradients from central differences, and support minima
-from plain sphere sampling.  Keep dimensions at 6 or below — qhull becomes
-unreliable past that at these point counts.
+scipy's convex hull, gradients from central differences, support minima
+from plain sphere sampling or the exhaustive sign-pattern search (which
+reuses only the library's subgradient refinement), and minimal ellipsoids
+from the full-rebuild design loop.  Keep hull-based oracles at dimension 6
+or below — qhull becomes unreliable past that at these point counts.
 """
 
 from __future__ import annotations
@@ -94,6 +96,18 @@ def zonotope_volume_oracle(generators: np.ndarray) -> float:
     return hull_volume(zonotope_vertex_cloud(generators))
 
 
+def canonical_sign_reference(vector: np.ndarray, tol: float = 1e-12) -> float:
+    """Sign (+1.0 / -1.0) that makes the first coordinate above `tol` in magnitude positive.
+
+    The per-row loop reference for ``kernel.canonical_signs``; +1.0 when no
+    coordinate is above `tol`.
+    """
+    for x in np.asarray(vector, dtype=float):
+        if abs(x) > tol:
+            return 1.0 if x > 0 else -1.0
+    return 1.0
+
+
 def dedup_rows_reference(points: np.ndarray, tol: float) -> np.ndarray:
     """Row merging by a grid hash, then a row-by-row scan of the kept rows.
 
@@ -116,6 +130,55 @@ def dedup_rows_reference(points: np.ndarray, tol: float) -> np.ndarray:
             continue
         kept_arr = np.vstack([kept_arr, row[None, :]])
     return kept_arr
+
+
+def mvee_reference(points: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    """Wolfe-Atwood MVEE of the symmetric set ``{+/- v_k}``, rebuilding M every step.
+
+    The full-rebuild reference for ``ellipsoid.mvee_symmetric``: the same
+    step rule, with ``M = sum lam_k v_k v_k^T``, its inverse and every
+    ``g_k = v_k^T M^{-1} v_k`` recomputed from scratch at each iteration.
+    `points` must already be one canonical representative per antipodal
+    pair.  Returns the shape of the ellipsoid ``{x : x^T shape x <= 1}``.
+    """
+    v = np.asarray(points, dtype=float)
+    m, n = v.shape
+    lam = np.full(m, 1.0 / m)
+    outer = v[:, :, None] * v[:, None, :]
+    while True:
+        mat = np.tensordot(lam, outer, axes=1)
+        g = np.einsum("ij,jk,ik->i", v, np.linalg.inv(mat), v)
+        sup = lam > 0.0
+        k_max = float(np.max(g))
+        k_min = float(np.min(g[sup]))
+        if k_max <= n * (1.0 + eps) and k_min >= n * (1.0 - eps):
+            break
+        if k_max - n >= n - k_min:
+            j = int(np.argmax(g))
+            beta = (k_max - n) / (n * (k_max - 1.0))
+        else:
+            j = int(np.argmin(np.where(sup, g, np.inf)))
+            drop = -lam[j] / (1.0 - lam[j])
+            beta = drop if k_min <= 1.0 + 1e-12 else max((k_min - n) / (n * (k_min - 1.0)), drop)
+        lam *= 1.0 - beta
+        lam[j] += beta
+        lam = np.maximum(lam, 0.0)
+        lam /= lam.sum()
+    shape = np.linalg.inv(n * mat)
+    return 0.5 * (shape + shape.T)
+
+
+def kappa_range(points: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """``(min over the support, max over all)`` of ``g_k = v_k^T M^{-1} v_k`` for a design.
+
+    Recomputed from the weights alone: ``M = sum w_k v_k v_k^T`` with the
+    weights renormalised, and the minimum taken over positive weights.
+    """
+    v = np.asarray(points, dtype=float)
+    lam = np.asarray(weights, dtype=float) / float(np.sum(weights))
+    mat = sum(l * np.outer(p, p) for l, p in zip(lam, v))
+    g = np.array([p @ np.linalg.solve(mat, p) for p in v])
+    return float(np.min(g[lam > 0.0])), float(np.max(g))
 
 
 def monte_carlo_volume(
@@ -145,6 +208,40 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         step[i] = h
         g[i] = (f(x + step) - f(x - step)) / (2.0 * h)
     return g
+
+
+def support_minimum_reference(generators: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exhaustive minimum of ``theta -> sum_j |<theta, w_j>|`` on the unit sphere.
+
+    Three candidate families, the smallest value winning: every
+    self-consistent sign-pattern direction (``sum_j s_j w_j`` normalised,
+    whose inner products with the generators have the pattern's signs), the
+    unit normal of every full-rank (n-1)-subset of generators (from its SVD,
+    not a cofactor expansion), and the given `starts` descended by the
+    library's projected-subgradient refinement.  Returns
+    ``(direction, value)``; 2^(m-1) patterns, so keep m <= 16 and n >= 2.
+    """
+    from shadowgeom.shadow import _refine_support_minima
+
+    g = np.asarray(generators, dtype=float)
+    m, n = g.shape
+    patterns = np.array(list(itertools.product([1.0, -1.0], repeat=m - 1)))
+    patterns = np.hstack([np.ones((len(patterns), 1)), patterns])
+    dirs = patterns @ g
+    norms = np.linalg.norm(dirs, axis=1)
+    ok = norms > 1e-12
+    dirs = dirs[ok] / norms[ok][:, None]
+    inner = dirs @ g.T
+    consistent = np.all((np.abs(inner) <= 1e-12) | (np.sign(inner) == patterns[ok]), axis=1)
+    candidates = [dirs[consistent], _refine_support_minima(g, np.asarray(starts, dtype=float))]
+    subsets = np.array(list(itertools.combinations(range(m), n - 1)), dtype=np.intp).reshape(-1, n - 1)
+    if len(subsets):
+        _, sv, vt = np.linalg.svd(g[subsets])
+        candidates.append(vt[sv[:, -1] > 1e-10 * sv[:, 0], -1, :])
+    cand = np.vstack(candidates)
+    values = np.sum(np.abs(cand @ g.T), axis=1)
+    best = int(np.argmin(values))
+    return cand[best], float(values[best])
 
 
 def support_minimum_sampled(generators: np.ndarray, gen: np.random.Generator, samples: int = 200_000) -> float:

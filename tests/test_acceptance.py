@@ -81,7 +81,7 @@ def test_criterion_2_shadow_floor_sweep(shadow_sweep):
         2,
         worst >= 1.0 - 1e-4 and all_exact and elapsed < 300.0,
         f"20 random bodies: min ratio {worst:.10f} (floor 1 - 1e-4), "
-        f"all minima from the exact sign-pattern branch, {elapsed:.1f}s (< 300s)",
+        f"all minima exact (over every facet normal of the projection body), {elapsed:.1f}s (< 300s)",
     )
 
 

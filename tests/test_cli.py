@@ -137,6 +137,12 @@ class TestRunsAndExitCodes:
         report = json.loads((tmp_path / "shadow_position.json").read_text())
         assert report["schema"] == 1
         assert abs(report["results"]["ratio"] - 1.0) <= 1e-6
+        # the cube's polar vertices are the 6 points +-e_i / 4: already isotropic
+        results = report["results"]
+        assert results["mvee_iterations"] == 0
+        assert results["kappa_min"] == pytest.approx(3.0, rel=1e-12)
+        assert results["kappa_max"] == pytest.approx(3.0, rel=1e-12)
+        assert results["candidates_checked"] == 3
         assert report["passed"] is True
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import shadowgeom.ellipsoid as ellipsoid_mod
+from oracles import kappa_range, mvee_reference
 from shadowgeom.ellipsoid import (
     Ellipsoid,
     JohnDecomposition,
@@ -12,8 +14,10 @@ from shadowgeom.ellipsoid import (
     john_residual,
     mvee_symmetric,
 )
-from shadowgeom.kernel import RandomSource, random_orthogonal, unit_ball_volume
+from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, unit_ball_volume
 from shadowgeom.polytope import random_symmetric_polytope
+from shadowgeom.shadow import polar_vertices
+from shadowgeom.zonotope import projection_body
 
 
 def cube_vertices(n: int) -> np.ndarray:
@@ -91,6 +95,58 @@ class TestMveeProperties:
             h = result.ellipsoid.shape / scale[:, None] / scale[None, :]
             quad = np.einsum("ij,jk,ik->i", pts, h, pts)
             assert float(quad.max()) > 1.0, f"axis {k} tightening kept all points: not minimal"
+
+
+def symmetric_cloud(n: int, seed: int) -> np.ndarray:
+    gen = RandomSource(seed).generator()
+    pts = gen.standard_normal((30 * n, n)) * gen.uniform(0.2, 3.0, size=n)
+    return np.vstack([pts, -pts])
+
+
+def polar_cloud(n: int, m: int, seed: int) -> np.ndarray:
+    return polar_vertices(projection_body(random_symmetric_polytope(n, m, RandomSource(seed)))).vertices
+
+
+class TestMveeAgainstReference:
+    """Rank-one updates against the full-rebuild loop, and the certificate read back."""
+
+    def check(self, pts: np.ndarray, eps: float = 1e-8) -> None:
+        result = mvee_symmetric(pts, eps)
+        n = result.ellipsoid.dim
+        shape = mvee_reference(result.points, eps)
+        assert np.max(np.abs(result.ellipsoid.shape - shape)) <= 1e-10 * np.max(np.abs(shape))
+        k_min, k_max = kappa_range(result.points, result.weights)
+        assert n * (1.0 - eps) <= k_min and k_max <= n * (1.0 + eps)
+        assert result.kappa_min == pytest.approx(k_min, rel=1e-12)
+        assert result.kappa_max == pytest.approx(k_max, rel=1e-12)
+        # every point of the input, not only the canonical ones, is enclosed
+        quad = np.einsum("ij,jk,ik->i", pts, result.ellipsoid.shape, pts)
+        assert float(quad.max()) <= 1.0 + eps * (1.0 + 1e-6)
+        dec = extract_john_decomposition(result)
+        dec.validate()
+        frob, gap = dec.residuals()
+        assert frob <= 1e-12 and abs(gap) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_symmetric_clouds(self, n):
+        self.check(symmetric_cloud(n, 540 + n))
+
+    @pytest.mark.parametrize("n,m,seed", [(3, 7, 550), (4, 10, 551), (5, 12, 552), (6, 14, 553)])
+    def test_polar_vertices_of_projection_bodies(self, n, m, seed):
+        self.check(polar_cloud(n, m, seed))
+
+    @pytest.mark.parametrize("n,m,seed", [(2, 0, 560), (4, 9, 561), (6, 12, 562)])
+    def test_capacity_error_carries_exact_kappa_range(self, monkeypatch, n, m, seed):
+        pts = symmetric_cloud(n, seed) if m == 0 else polar_cloud(n, m, seed)
+        monkeypatch.setattr(ellipsoid_mod, "MAX_MVEE_ITERATIONS", 5)
+        with pytest.raises(CapacityError) as info:
+            mvee_symmetric(pts)
+        best = info.value.best
+        assert best.iterations == 5
+        k_min, k_max = kappa_range(best.points, best.weights)
+        assert best.kappa_min == pytest.approx(k_min, rel=1e-12)
+        assert best.kappa_max == pytest.approx(k_max, rel=1e-12)
+        assert not (k_max <= n * (1.0 + best.eps) and k_min >= n * (1.0 - best.eps))
 
 
 class TestJohnDecomposition:

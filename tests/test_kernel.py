@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import dedup_rows_reference
+from oracles import canonical_sign_reference, dedup_rows_reference
 from shadowgeom.kernel import (
     CapacityError,
     RandomSource,
-    canonical_sign,
+    canonical_signs,
     dedup_rows,
     hyperplane_basis,
     isotropy_residuals,
@@ -137,9 +137,26 @@ class TestCharts:
 class TestCanonicalForms:
     def test_canonical_sign_flips_consistently(self):
         v = np.array([0.0, -2.0, 1.0])
-        assert canonical_sign(v) == -1.0
-        assert canonical_sign(-v) == 1.0
-        assert canonical_sign(np.zeros(3)) == 1.0
+        assert canonical_signs(np.array([v, -v, np.zeros(3)])).tolist() == [-1.0, 1.0, 1.0]
+        assert canonical_signs(v).tolist() == [-1.0]
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    def test_canonical_signs_match_row_by_row_reference(self, tol):
+        gen = RandomSource(17).generator()
+        rows = gen.standard_normal((400, 5))
+        # zero out, or shrink to around tol, a random set of leading entries
+        rows[gen.random(rows.shape) < 0.5] = 0.0
+        small = gen.random(rows.shape) < 0.2
+        rows[small] *= tol * gen.choice([0.5, 2.0], size=int(small.sum()))
+        expected = [canonical_sign_reference(r, tol) for r in rows]
+        assert canonical_signs(rows, tol).tolist() == expected
+
+    def test_canonical_signs_pair_antipodes(self):
+        # a row decided by its first coordinate stays decided, whatever its
+        # later coordinates and whatever the other rows
+        rows = np.array([[0.0, 1.0], [1.0, -0.5], [-1.0, 0.5]])
+        canon = rows * canonical_signs(rows, 1e-9)[:, None]
+        assert canon.tolist() == [[0.0, 1.0], [1.0, -0.5], [1.0, -0.5]]
 
     def test_dedup_rows_merges_near_duplicates(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0 + 1e-10, 1.0], [2.0, 0.0]])

@@ -120,6 +120,18 @@ class TestExactFixtures:
         body = SymmetricHPolytope(u, np.ones(3))
         assert body.volume == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
 
+    def test_vertex_on_several_slabs_is_listed_once(self):
+        # a fourth slab touches the hexagon at the vertex (1, -1/sqrt(3)), so
+        # subsets of different slabs find that vertex with opposite signs,
+        # and another vertex has a zero first coordinate
+        angles = np.array([0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, -math.pi / 6.0])
+        u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        body = SymmetricHPolytope(u, np.array([1.0, 1.0, 1.0, 2.0 / math.sqrt(3.0)]))
+        verts = body.vertices.points
+        assert len(verts) == 6
+        assert np.min(np.linalg.norm(verts[:, None] - verts[None], axis=2) + 9.0 * np.eye(6)) > 1.1
+        assert body.volume == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
+
     def test_cube_shadow_along_diagonal(self):
         theta = np.ones(3) / math.sqrt(3.0)
         assert cube(3).shadow_area(theta) == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-12)
@@ -287,6 +299,18 @@ class TestTransforms:
         body = random_symmetric_polytope(3, 6, RandomSource(47))
         q = random_orthogonal(3, RandomSource(seed).generator())
         assert body.affine_image(q).volume == pytest.approx(body.volume, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("n,m,seed", [(2, 5, 48), (3, 7, 49), (4, 9, 50), (5, 9, 51)])
+    def test_volume_and_shadows_scale_with_the_body(self, n, m, seed, scale):
+        # ROADMAP item 5 probe (a): at scale 1e-6 the absolute tolerances
+        # merged vertices and read every facet as negligible (volume 0.0)
+        body = random_symmetric_polytope(n, m, RandomSource(seed))
+        scaled = SymmetricHPolytope(body.directions, scale * body.offsets)
+        thetas = sample_unit_sphere(n, RandomSource(seed + 100), count=12)
+        assert len(scaled.vertices) == len(body.vertices)
+        assert scaled.volume == pytest.approx(scale**n * body.volume, rel=1e-9)
+        assert np.allclose(scaled.shadow_areas(thetas), scale ** (n - 1) * body.shadow_areas(thetas), rtol=1e-9, atol=0.0)
 
     def test_support_and_contains(self):
         body = cube(3)

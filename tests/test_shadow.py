@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import shadowgeom.shadow as shadow_mod
-from oracles import support_minimum_sampled
+from oracles import support_minimum_reference, support_minimum_sampled
 from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
 from shadowgeom.polytope import SymmetricHPolytope, random_symmetric_polytope
 from shadowgeom.shadow import (
@@ -43,6 +43,11 @@ class TestFacetNormals:
         normals = zonotope_facet_normals(z)
         heights = z.supports(normals)
         assert np.all(heights > 0.0)
+
+    @pytest.mark.parametrize("gens", [[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]])
+    def test_generators_spanning_less_than_a_hyperplane_are_rejected(self, gens):
+        with pytest.raises(ValueError, match="no facet normals"):
+            zonotope_facet_normals(Zonotope(np.array(gens)))
 
     def test_capacity_guard(self):
         gen = RandomSource(701).generator()
@@ -108,8 +113,58 @@ class TestMinimizeSupport:
         assert rep.value <= oracle + 1e-9
 
 
+def assert_matches_exhaustive_minimum(gens: np.ndarray, seed: int) -> None:
+    z = Zonotope(gens)
+    rep = minimize_support(z, rng=RandomSource(seed))
+    starts = sample_unit_sphere(z.dim, RandomSource(seed + 1), count=50)
+    _, ref = support_minimum_reference(z.generators, starts)
+    scale = float(np.sum(np.linalg.norm(z.generators, axis=1)))
+    assert rep.branch == "exact"
+    assert abs(rep.value - ref) <= 1e-12 * max(ref, 1e-3 * scale)
+    assert float(np.linalg.norm(rep.direction)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(z.support(rep.direction) - rep.value) <= 1e-12 * max(rep.value, 1e-3 * scale)
+
+
+class TestMinimumSupportOracle:
+    """The facet-normal minimum against the exhaustive search it replaced."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_random_zonotopes(self, n):
+        for m in range(n, 17):
+            gens = RandomSource(900 + 20 * n + m).generator().standard_normal((m, n))
+            assert_matches_exhaustive_minimum(gens, 1000 + m)
+
+    def test_cube(self):
+        assert_matches_exhaustive_minimum(np.eye(4), 1)
+        assert minimize_support(Zonotope(np.eye(4))).value == pytest.approx(1.0, rel=1e-15)
+
+    def test_hexagon(self):
+        angles = np.array([0.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
+        gens = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        assert_matches_exhaustive_minimum(gens, 2)
+        assert minimize_support(Zonotope(gens)).value == pytest.approx(math.sqrt(3.0), rel=1e-15)
+
+    def test_parallel_and_repeated_generators(self):
+        base = RandomSource(930).generator().standard_normal((5, 3))
+        gens = np.vstack([base, 2.0 * base[0], -base[1], base[2], base[2]])
+        assert_matches_exhaustive_minimum(gens, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rank_deficient_zonotope_has_zero_minimum(self, n):
+        # generators in a hyperplane: the normal of the hyperplane supports 0
+        gen = RandomSource(940 + n).generator()
+        gens = gen.standard_normal((n + 3, n))
+        normal = gen.standard_normal(n)
+        normal /= np.linalg.norm(normal)
+        gens -= np.outer(gens @ normal, normal)
+        assert_matches_exhaustive_minimum(gens, 4)
+        rep = minimize_support(Zonotope(gens))
+        assert rep.value <= 1e-12 * float(np.sum(np.abs(gens)))
+        assert abs(float(rep.direction @ normal)) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestShadowPosition:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_cube_is_fixed_point(self, n):
         rep = shadow_position(cube(n), rng=RandomSource(720 + n))
         assert rep.ok
