@@ -13,7 +13,8 @@ Subcommands
     and the isotropic volume floor, with the orthonormal equality case.
 ``minkowski-solve``
     Constrained volume maximization over a slab family, with the KKT
-    stationarity certificate and the shadow/support projection identity.
+    stationarity certificate, the shadow/support projection identity, and
+    each start's Newton iterations and volume evaluations.
 ``pathological``
     Seeded sweep of large-shadow body constructions; every row must clear
     both certified floors.
@@ -489,7 +490,7 @@ def _run_minkowski_solve(cfg: ExperimentConfig):
         _check(
             "solver_converged",
             details.converged,
-            f"projected gradient norm {details.gradient_norm:.3e} after {details.iterations} iterations",
+            f"projected gradient norm {details.gradient_norm:.3e} after {details.iterations} Newton iterations",
         ),
         _check(
             "kkt_stationarity",

@@ -4,12 +4,13 @@ A slab family fixes m unit directions u_i spanning R^n and positive budget
 weights g_i; its members are the symmetric bodies {x : |<x, u_i>| <= t_i}
 with positive offsets constrained by sum_i g_i t_i = 1.  Because the
 n-th root of the volume is concave in the offsets (Brunn-Minkowski applied
-to the Minkowski-additive slab description), projected gradient ascent on
-the budget slice certifies a global maximum.  At that maximum each facet
-measure is proportional to its budget weight, which makes every shadow of
-the optimal body a fixed multiple of a weighted direction sum; the
-verifiers below check the stationarity certificate and that projection
-identity directly.
+to the Minkowski-additive slab description), log-volume is concave too,
+and a damped Newton ascent on the budget slice, with the Hessian read off
+the ridge measures (``SymmetricHPolytope.volume_hessian``), converges to
+the global maximum.  At that maximum each facet measure is proportional to
+its budget weight, which makes every shadow of the optimal body a fixed
+multiple of a weighted direction sum; the verifiers below check the
+stationarity certificate and that projection identity directly.
 
 On top of the solver this module builds the large-shadow construction: with
 2n random directions and uniform budget weights, the optimal body has
@@ -52,9 +53,11 @@ __all__ = [
 
 OFFSET_FLOOR = 1e-9
 MAX_ASCENT_ITERATIONS = 600
-_LINE_SEARCH_SHRINK = 0.5
-_ARMIJO_SLOPE = 0.5
-_MAX_BACKTRACKS = 45
+_COINCIDENCE_TOL = 1e-12
+#: Clamp for the slice curvature's eigenvalues, relative to the largest.
+_CURVATURE_FLOOR = 1e-6
+#: A gain in log-volume below this is lost in its rounding.
+_LOG_ROUNDING = 1e-13
 _START_SEED = 0xFA417_0001
 _IDENTITY_SEED = 0xFA417_0002
 _PATHOLOGY_SEED = 0xFA7A_0001
@@ -143,43 +146,35 @@ class SlabFamilySpec:
         raise ValueError("projection failed to settle on an active set")
 
 
-def _volume_gradient(body: SymmetricHPolytope, count: int) -> np.ndarray:
+def _volume_gradient(body: SymmetricHPolytope, weights: np.ndarray) -> np.ndarray:
     """d(volume)/d(offsets): per-slab sums of facet measures.
 
     Both facets of an antipodal pair carry the same slab index, so a clean
     slab receives twice its one-sided facet measure.  A facet shared by
-    coinciding slabs is split evenly among them (a symmetric subgradient
-    choice at the nondifferentiable point).
+    coinciding slabs is split among them in proportion to their budget
+    weights, the split under which the maximizer is stationary.
     """
-    grad = np.zeros(count)
+    grad = np.zeros(len(weights))
     for facet in body.facets:
-        share = facet.measure / len(facet.owners)
-        for slab, _sign in facet.owners:
-            grad[slab] += share
+        slabs = [slab for slab, _sign in facet.owners]
+        np.add.at(grad, slabs, facet.measure * weights[slabs] / weights[slabs].sum())
     return grad
 
 
-def _tangent_component(grad: np.ndarray, weights: np.ndarray, at_floor: np.ndarray) -> np.ndarray:
-    """Projection of a gradient onto the feasible ascent directions.
+def _merge_coinciding(spec: SlabFamilySpec) -> tuple[SlabFamilySpec, np.ndarray]:
+    """The family with each set of coinciding slabs as one slab of their summed weight.
 
-    Feasible directions keep the budget (weights @ d = 0) and do not push
-    floor-active coordinates further down.  Floor-active coordinates whose
-    projected component points below the floor are frozen and the affine
-    projection is recomputed; the frozen set only grows.
+    Slabs coincide when ``|u_i . u_j| >= 1 - 1e-12``.  Only the smaller of
+    their offsets bounds the body, so every maximizer gives them equal
+    offsets: the merged family's, read back through the returned index of
+    each slab's merged slab.
     """
-    frozen = np.zeros(len(grad), dtype=bool)
-    for _ in range(len(grad) + 1):
-        free = ~frozen
-        if not free.any():
-            return np.zeros_like(grad)
-        wf = weights[free]
-        shift = float(grad[free] @ wf) / float(wf @ wf)
-        d = np.where(free, grad - shift * weights, 0.0)
-        newly = free & at_floor & (d < 0.0)
-        if not newly.any():
-            return d
-        frozen |= newly
-    return np.zeros_like(grad)
+    u = spec.directions
+    first = np.argmax(np.abs(u @ u.T) >= 1.0 - _COINCIDENCE_TOL, axis=1)
+    kept, index = np.unique(first, return_inverse=True)
+    if len(kept) == spec.count:
+        return spec, index
+    return SlabFamilySpec(u[kept], np.bincount(index, weights=spec.weights)), index
 
 
 @dataclass(frozen=True)
@@ -189,190 +184,69 @@ class _AscentResult:
     iterations: int
     gradient_norm: float
     converged: bool
+    volume_evals: int
 
 
-def _ascend(
-    spec: SlabFamilySpec,
-    start: np.ndarray,
-    tol: float,
-    max_iterations: int,
-    jac_cache: dict | None = None,
-) -> _AscentResult:
-    """Projected gradient ascent on log-volume over the budget slice."""
-    t = spec.project_to_budget(start)
-    body = spec.body(t)
-    volume = body.volume
-    for _ in range(60):
-        # a start pinned to the offset floor is numerically degenerate;
-        # blend toward the uniform point (the slice is convex) until the
-        # body has measurable volume, then ascend from there
-        if volume > 0.0:
-            break
-        t = 0.5 * (t + spec.uniform_offsets())
-        body = spec.body(t)
-        volume = body.volume
-    if volume <= 0.0:
-        raise ValueError("could not find a start of positive volume")
-    step = None
-    prev_t = None
-    prev_grad_log = None
-    iterations = 0
-    newton_allowed = True
-    for iterations in range(1, max_iterations + 1):
-        grad = _volume_gradient(body, spec.count)
-        at_floor = t <= OFFSET_FLOOR * (1.0 + 1e-6)
-        tangent = _tangent_component(grad, spec.weights, at_floor)
-        gradient_norm = float(np.linalg.norm(tangent))
-        if gradient_norm <= tol * volume:
-            return _AscentResult(t, volume, iterations, gradient_norm, True)
-        if newton_allowed and gradient_norm <= 1e-4 * volume and float(t.min()) > 16.0 * OFFSET_FLOOR:
-            # close enough for the quadratic phase: two Newton rounds beat
-            # the long linear tail of the gradient ascent
-            polished = _newton_polish(spec, t, tol, iterations, jac_cache)
-            if polished.converged:
-                return polished
-            # Newton could not contract (combinatorics changing nearby):
-            # resume the monotone ascent from its best iterate
-            newton_allowed = False
-            t = spec.project_to_budget(polished.offsets)
-            body = spec.body(t)
-            volume = body.volume
-            step = None
-            prev_t = None
-            prev_grad_log = None
-            continue
-        grad_log = grad / volume
-        if step is None:
-            step = 0.3 / max(float(np.linalg.norm(tangent / volume)), 1e-12)
-        elif prev_t is not None and prev_grad_log is not None:
-            dt = t - prev_t
-            dy = prev_grad_log - grad_log
-            denom = float(dt @ dy)
-            if denom > 1e-18:
-                step = float(dt @ dt) / denom
-            else:
-                step = step * 2.0
-        step = float(np.clip(step, 1e-12, 1e6))
-        prev_t, prev_grad_log = t, grad_log
-        accepted = False
-        trial = step
-        log_volume = math.log(volume)
-        for _ in range(_MAX_BACKTRACKS):
-            t_new = spec.project_to_budget(t + trial * grad_log)
-            move = t_new - t
-            if float(np.linalg.norm(move)) <= 1e-16 * max(1.0, float(np.linalg.norm(t))):
-                break
-            body_new = spec.body(t_new)
-            volume_new = body_new.volume
-            if volume_new > 0.0 and math.log(volume_new) >= log_volume + _ARMIJO_SLOPE * float(grad_log @ move):
-                t, body, volume = t_new, body_new, volume_new
-                step = trial
-                accepted = True
-                break
-            trial *= _LINE_SEARCH_SHRINK
-        if not accepted:
-            if not newton_allowed:
-                break
-            # the line search has hit the double-precision noise floor of
-            # log-volume differences; finish with Newton steps on the
-            # stationarity system, which do not compare volumes at all
-            return _newton_polish(spec, t, tol, iterations, jac_cache)
-    grad = _volume_gradient(body, spec.count)
-    tangent = _tangent_component(grad, spec.weights, t <= OFFSET_FLOOR * (1.0 + 1e-6))
-    gradient_norm = float(np.linalg.norm(tangent))
-    return _AscentResult(t, volume, iterations, gradient_norm, gradient_norm <= tol * volume)
+def _newton(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations: int) -> _AscentResult:
+    """Damped Newton ascent of log-volume over the budget slice {weights @ t = 1}.
 
-
-def _newton_polish(
-    spec: SlabFamilySpec,
-    t: np.ndarray,
-    tol: float,
-    iterations: int,
-    jac_cache: dict | None = None,
-) -> _AscentResult:
-    """Damped Newton refinement of the stationarity system on the budget slice.
-
-    Parametrizes the slice {weights @ t = 1} by an orthonormal tangent
-    basis and drives the reduced log-volume gradient to zero with a
-    finite-difference Jacobian.  Quadratic convergence takes over exactly
-    where volume-comparison line searches lose their signal, so the
-    combination reaches stationarity levels far below volume noise.  If a
-    slab offset approaches the floor (where the geometry degenerates) the
-    current iterate is returned unpolished.
-
-    ``jac_cache`` lets multistart runs share one Jacobian: every start
-    polishes near the same (unique) optimum, so a cached Jacobian from a
-    nearby point keeps contracting and is recomputed only when damping
-    fails on it.
+    Each iterate takes one build of the facets, which gives the volume V,
+    its gradient g and its Hessian H in the offsets.  In an orthonormal
+    basis of the slice, the Newton system is that of H/V - g g^T / V^2 with
+    its eigenvalues clamped below zero, so the step ascends.  log V is
+    concave and tends to -inf as any offset tends to 0, so the maximizer is
+    interior: the step is halved only to keep every offset above the floor
+    and to make log V increase, and is taken whole once the gain it
+    predicts is below the rounding of log V.  Converged when the gradient's
+    component in the slice is at most ``tol * V``.
     """
-    weights = spec.weights
-    basis = hyperplane_basis(weights / float(np.linalg.norm(weights)))
+    basis = hyperplane_basis(spec.weights)
 
-    def reduced(tv: np.ndarray):
-        body = spec.body(tv)
-        volume = body.volume
-        grad = _volume_gradient(body, spec.count)
-        return body, volume, basis.T @ (grad / volume)
+    def evaluate(offsets: np.ndarray):
+        body = spec.body(offsets)
+        hess = body.volume_hessian  # first, so that the one build of the facets also measures the ridges
+        return body.volume, _volume_gradient(body, spec.weights), hess
 
-    def fd_jacobian(tv: np.ndarray, base_residual: np.ndarray) -> np.ndarray:
-        h = 1e-6 * max(float(np.linalg.norm(tv)) / math.sqrt(spec.count), 1e-3)
-        jac = np.empty((len(base_residual), len(base_residual)))
-        for j in range(len(base_residual)):
-            _, _, shifted = reduced(tv + h * basis[:, j])
-            jac[:, j] = (shifted - base_residual) / h
-        return 0.5 * (jac + jac.T)
-
-    body, volume, residual = reduced(t)
-    force_fresh = False
-    for _ in range(12):
-        rnorm = float(np.linalg.norm(residual))
-        # residual is the reduced gradient of log-volume, so the projected
-        # volume-gradient norm is rnorm * volume: compare against tol directly
-        if rnorm <= tol:
-            return _AscentResult(t, volume, iterations, rnorm * volume, True)
-        if float(t.min()) <= 16.0 * OFFSET_FLOOR:
+    t = start
+    volume, grad, hess = evaluate(t)
+    evals = 1
+    iterations = 0
+    while True:
+        projected = basis.T @ grad
+        gradient_norm = float(np.linalg.norm(projected))
+        if gradient_norm <= tol * volume or iterations == max_iterations:
             break
-        cached = (
-            not force_fresh
-            and jac_cache is not None
-            and "t" in jac_cache
-            and float(np.linalg.norm(t - jac_cache["t"])) <= 1e-3 * (1.0 + float(np.linalg.norm(jac_cache["t"])))
-        )
-        if cached:
-            jac = jac_cache["jac"]
-        else:
-            jac = fd_jacobian(t, residual)
-            force_fresh = False
-            if jac_cache is not None:
-                jac_cache["t"] = t.copy()
-                jac_cache["jac"] = jac
-        try:
-            delta = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError:
-            break
-        accepted = False
-        damp = 1.0
-        for _ in range(20):
-            t_try = t + basis @ (damp * delta)
-            if float(t_try.min()) > OFFSET_FLOOR:
-                body_try, volume_try, residual_try = reduced(t_try)
-                if volume_try > 0.0 and float(np.linalg.norm(residual_try)) <= (1.0 - 0.25 * damp) * rnorm:
-                    t, body, volume, residual = t_try, body_try, volume_try, residual_try
-                    accepted = True
-                    break
-            damp *= 0.5
-        if not accepted:
-            if cached:
-                force_fresh = True
-                continue
-            break
-    rnorm = float(np.linalg.norm(residual))
-    return _AscentResult(t, volume, iterations, rnorm * volume, rnorm <= tol)
+        iterations += 1
+        slope = projected / volume
+        curvature = basis.T @ (hess / volume - np.outer(grad, grad) / volume**2) @ basis
+        lam, vecs = np.linalg.eigh(curvature)
+        lam = np.minimum(lam, -_CURVATURE_FLOOR * float(np.abs(lam).max()))
+        delta = vecs @ ((vecs.T @ slope) / -lam)
+        step = basis @ delta
+        gain = float(slope @ delta)  # the first-order gain of the whole step
+        alpha = 1.0
+        while float((t + alpha * step).min()) <= OFFSET_FLOOR:
+            alpha *= 0.5
+        log_volume = math.log(volume)
+        while True:
+            trial = t + alpha * step
+            trial_volume, trial_grad, trial_hess = evaluate(trial)
+            evals += 1
+            if trial_volume > 0.0 and (alpha * gain <= _LOG_ROUNDING or math.log(trial_volume) > log_volume):
+                break
+            alpha *= 0.5
+        t, volume, grad, hess = trial, trial_volume, trial_grad, trial_hess
+    return _AscentResult(t, volume, iterations, gradient_norm, gradient_norm <= tol * volume, evals)
 
 
 @dataclass(frozen=True)
 class FamilyOptimumReport:
-    """Best family member found, with the multistart agreement evidence."""
+    """Best family member found, with the multistart agreement evidence.
+
+    ``iterations`` counts the Newton steps of the best start;
+    ``start_iterations`` and ``start_volume_evals`` count, for every start,
+    its Newton steps and its volume evaluations (builds of the facets).
+    """
 
     body: SymmetricHPolytope
     offsets: np.ndarray
@@ -382,6 +256,8 @@ class FamilyOptimumReport:
     converged: bool
     start_volumes: tuple[float, ...]
     start_offsets: tuple[tuple[float, ...], ...]
+    start_iterations: tuple[int, ...]
+    start_volume_evals: tuple[int, ...]
 
     @property
     def volume_agreement(self) -> float:
@@ -407,6 +283,8 @@ class FamilyOptimumReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "start_volumes": list(self.start_volumes),
+            "start_iterations": list(self.start_iterations),
+            "start_volume_evals": list(self.start_volume_evals),
             "volume_agreement": self.volume_agreement,
             "offset_agreement": self.offset_agreement,
         }
@@ -419,12 +297,14 @@ def maximize_volume_details(
     rng: RandomSource | None = None,
     max_iterations: int = MAX_ASCENT_ITERATIONS,
 ) -> FamilyOptimumReport:
-    """Multistart projected gradient ascent with full diagnostics.
+    """Multistart damped Newton ascent with full diagnostics.
 
     Concavity of volume^(1/n) in the offsets makes every converged start a
     global maximizer; the multistart spread is reported as the uniqueness
-    evidence.  Raises :class:`CapacityError` carrying the best body found
-    when no start converges within the iteration cap.
+    evidence.  Coinciding slabs are solved as one slab of their summed
+    weight and get equal offsets.  ``max_iterations`` caps the Newton steps
+    of each start.  Raises :class:`CapacityError` carrying the best body
+    found when no start converges within that cap.
     """
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValueError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}]")
@@ -432,36 +312,34 @@ def maximize_volume_details(
         raise ValueError("at least one start is required")
     if rng is None:
         rng = RandomSource(_START_SEED)
+    merged, index = _merge_coinciding(spec)
     results = []
-    jac_cache: dict = {}
     for k in range(starts):
-        if k == 0:
-            start = spec.uniform_offsets()
-        else:
-            # positive rescale onto the budget keeps every start strictly
-            # interior; Euclidean projection could pin coordinates to the
-            # floor, where bodies are numerically degenerate
-            scale = rng.fork(_START_SEED + k).generator().uniform(0.25, 4.0, size=spec.count)
-            raw = spec.uniform_offsets() * scale
-            start = raw / float(spec.weights @ raw)
-        results.append(_ascend(spec, start, tol, max_iterations, jac_cache))
+        start = merged.uniform_offsets()
+        if k > 0:
+            # a positive rescale onto the budget keeps every start interior
+            start = start * rng.fork(_START_SEED + k).generator().uniform(0.25, 4.0, size=merged.count)
+            start = start / float(merged.weights @ start)
+        results.append(_newton(merged, start, tol, max_iterations))
     converged = [r for r in results if r.converged]
     if not converged:
         fallback = max(results, key=lambda r: r.volume)
         raise CapacityError(
-            "volume ascent hit the iteration cap before reaching stationarity",
-            best=spec.body(fallback.offsets),
+            "Newton ascent of the volume hit the iteration cap before reaching stationarity",
+            best=spec.body(fallback.offsets[index]),
         )
     best = max(converged, key=lambda r: r.volume)
     return FamilyOptimumReport(
-        body=spec.body(best.offsets),
-        offsets=best.offsets,
+        body=spec.body(best.offsets[index]),
+        offsets=best.offsets[index],
         volume=best.volume,
         gradient_norm=best.gradient_norm,
         iterations=best.iterations,
         converged=best.converged,
         start_volumes=tuple(r.volume for r in results),
-        start_offsets=tuple(tuple(float(v) for v in r.offsets) for r in results),
+        start_offsets=tuple(tuple(float(v) for v in r.offsets[index]) for r in results),
+        start_iterations=tuple(r.iterations for r in results),
+        start_volume_evals=tuple(r.volume_evals for r in results),
     )
 
 
@@ -499,7 +377,7 @@ def kkt_report(body: SymmetricHPolytope, spec: SlabFamilySpec) -> KKTReport:
     floor-active coordinates where the bound is one-sided.
     """
     offsets = body.offsets
-    grad = _volume_gradient(body, spec.count)
+    grad = _volume_gradient(body, spec.weights)
     multiplier = body.dim * body.volume
     target = multiplier * spec.weights
     residual = np.abs(grad - target) / target

@@ -203,6 +203,14 @@ def _face_lattice(tight: np.ndarray, depth: int, neg_index: np.ndarray) -> list[
     return levels
 
 
+def _centroids(points: np.ndarray, level: _Level) -> np.ndarray:
+    """The centroid of the vertices of each face of `level`."""
+    nf, n = len(level.codes), points.shape[1]
+    slots = (level.face[:, None] * n + np.arange(n)).ravel()
+    sums = np.bincount(slots, weights=points[level.vertex].ravel(), minlength=nf * n).reshape(nf, n)
+    return sums / np.bincount(level.face, minlength=nf)[:, None]
+
+
 def _flat_measures(points: np.ndarray, centroids: np.ndarray, level: _Level, dim: int) -> np.ndarray:
     """Measures of the faces of `level`, of dimension `dim` <= 2, read off their vertices.
 
@@ -234,8 +242,8 @@ def _flat_measures(points: np.ndarray, centroids: np.ndarray, level: _Level, dim
     return 0.5 * np.abs(np.bincount(level.face, weights=x * y[succ] - y * x[succ], minlength=num_f))
 
 
-def _facet_measures(points: np.ndarray, normals: np.ndarray, levels: list[_Level]) -> np.ndarray:
-    """(n-1)-measures of the codimension-1 faces of `levels`, in code order.
+def _face_measures(points: np.ndarray, normals: np.ndarray, levels: list[_Level]) -> list[np.ndarray]:
+    """Measures of the faces of ``levels[1:]``, one array per level in code order.
 
     The faces of the last level, of dimension at most 2, are measured from
     their vertices (:func:`_flat_measures`).  Above them Lasserre's pyramid
@@ -247,12 +255,7 @@ def _facet_measures(points: np.ndarray, normals: np.ndarray, levels: list[_Level
     """
     n = points.shape[1]
     half = len(normals) // 2
-    centroids = [np.zeros((1, n))]  # the body's, at the origin
-    for lv in levels[1:]:
-        nf = len(lv.codes)
-        slots = (lv.face[:, None] * n + np.arange(n)).ravel()
-        sums = np.bincount(slots, weights=points[lv.vertex].ravel(), minlength=nf * n).reshape(nf, n)
-        centroids.append(sums / np.bincount(lv.face, minlength=nf)[:, None])
+    centroids = [np.zeros((1, n))] + [_centroids(points, lv) for lv in levels[1:]]  # the body's is the origin
     facet_rows, facet_bits = _set_bits(levels[1].codes, len(normals))
     basis = normals[facet_bits[_run_starts(facet_rows)]][:, :, None]
     heights = {}
@@ -274,12 +277,45 @@ def _facet_measures(points: np.ndarray, normals: np.ndarray, levels: list[_Level
         heights[k] = np.abs(np.einsum("ri,ri->r", unit, delta))
         pick = _argmax_per_group(lv.child, norm)
         basis = np.concatenate([basis[lv.parent[pick]], unit[pick][:, :, None]], axis=2)
-    measure = _flat_measures(points, centroids[-1], levels[-1], n + 1 - len(levels))
+    measures = [_flat_measures(points, centroids[-1], levels[-1], n + 1 - len(levels))]
     for k in range(len(levels) - 1, 1, -1):
         lv = levels[k]
-        pyramids = np.bincount(lv.parent, weights=heights[k] * measure[lv.child], minlength=len(levels[k - 1].codes))
-        measure = pyramids / (n - k + 1)
-    return measure
+        above = np.bincount(lv.parent, weights=heights[k] * measures[0][lv.child], minlength=len(levels[k - 1].codes))
+        measures.insert(0, above / (n - k + 1))
+    return measures
+
+
+def _volume_hessian(facets: _Level, ridges: _Level, ridge_measures: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """d^2(volume)/dt_i dt_j from the ridges, the faces of codimension 2.
+
+    Moving slab j out by dt moves each ridge R = F_i & F_j that a facet F_i
+    of slab i shares with a facet of slab j by dt / sin(theta) within F_i,
+    and moving F_i itself moves each of its ridges by -dt cot(theta), theta
+    the angle between the two outward normals.  So d|F_i|/dt_j sums
+    |R| / sin(theta) over those ridges and d|F_i|/dt_i sums -|R| cot(theta)
+    over all ridges of F_i (Klain, "The Minkowski problem for polytopes",
+    Adv. Math. 2004; Schneider, *Convex Bodies*).  The volume gradient is
+    twice the one-sided facet measure per slab, and R and -R are alike, so
+    every ridge of `ridges` (one of each antipodal pair) counts twice.  A
+    facet of coinciding slabs is charged to the first of them.
+    """
+    m = len(normals) // 2
+    rows, bits = _set_bits(facets.codes, 2 * m)
+    plane = bits[_run_starts(rows)]  # one signed hyperplane per facet
+    if np.any(np.bincount(ridges.child, minlength=len(ridges.codes)) != 2):
+        raise ValueError("degenerate face lattice: a ridge does not lie on exactly two facets")
+    # entries are sorted by ridge, two per ridge: the facets sign * parent that hold it
+    pair = plane[ridges.parent].reshape(-1, 2)
+    sign = ridges.sign.reshape(-1, 2)
+    cos = sign[:, 0] * sign[:, 1] * np.einsum("ri,ri->r", normals[pair[:, 0]], normals[pair[:, 1]])
+    sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
+    a, b = (pair % m).T
+    across = 2.0 * ridge_measures / sin
+    along = -across * cos
+    hess = np.zeros((m, m))
+    rows, cols = np.concatenate([a, b, a, b]), np.concatenate([b, a, a, b])
+    np.add.at(hess, (rows, cols), np.concatenate([across, across, along, along]))
+    return hess
 
 
 class SymmetricHPolytope:
@@ -314,6 +350,8 @@ class SymmetricHPolytope:
         t.setflags(write=False)
         self._directions = u
         self._offsets = t
+        self._hessian: np.ndarray | None = None  # kept only by a build of facets that volume_hessian asked for
+        self._keep_hessian = False
 
     # -- basic accessors -------------------------------------------------
 
@@ -422,7 +460,7 @@ class SymmetricHPolytope:
         The face lattice is read off the vertex-hyperplane incidence down to
         the 2-faces, which are measured from their vertices, and the measures
         are carried up one dimension level at a time over whole arrays (see
-        :func:`_face_lattice` and :func:`_facet_measures`).  Facets of
+        :func:`_face_lattice` and :func:`_face_measures`).  Facets of
         negligible measure (< 1e-12 at unit scale) are omitted.  Coinciding
         slabs share one facet entry whose ``owners`` field lists all of them.
         """
@@ -432,8 +470,18 @@ class SymmetricHPolytope:
         m, n = u.shape
         dots = verts @ u.T
         tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL * s, np.abs(dots + t) <= FEASIBILITY_TOL * s])
-        levels = _face_lattice(tight, max(n - 2, 1), neg_index)
-        measures = _facet_measures(verts, np.vstack([u, -u]), levels)
+        normals = np.vstack([u, -u])
+        # the ridges are a level of the lattice from n = 4 on; below, one level more
+        levels = _face_lattice(tight, max(n - 2, 2 if self._keep_hessian else 1), neg_index)
+        level_measures = _face_measures(verts, normals, levels[: max(n - 1, 2)])
+        measures = level_measures[0]
+        if self._keep_hessian:
+            ridges = levels[2]
+            if n >= 4:
+                ridge_measures = level_measures[1]
+            else:
+                ridge_measures = _flat_measures(verts, _centroids(verts, ridges), ridges, max(n - 2, 0))
+            self._hessian = _volume_hessian(levels[1], ridges, ridge_measures, normals)
         # the facet (or its mirror image, of equal measure) on slab j, if any
         facet_rows, facet_bits = _set_bits(levels[1].codes, 2 * m)
         facet_of = np.full(m, -1)
@@ -469,6 +517,25 @@ class SymmetricHPolytope:
     def volume(self) -> float:
         """Lebesgue volume via the cone decomposition over the facet fan."""
         return float(sum(f.offset * f.measure for f in self.facets)) / self.dim
+
+    @cached_property
+    def volume_hessian(self) -> np.ndarray:
+        """The (m, m) Hessian of the volume in the offsets, read off the ridge measures.
+
+        The build of :attr:`facets` that this asks for measures the ridges
+        too (see :func:`_volume_hessian`); a body that never asks for it
+        keeps no ridge data.  If the facets were built already, they are
+        built again.  Where the combinatorial type changes, or slabs
+        coincide, the volume is not twice differentiable, and this is the
+        Hessian of the current type.
+        """
+        if self._hessian is None:
+            self.__dict__.pop("facets", None)
+            self._keep_hessian = True
+            self.facets
+        hess = self._hessian
+        hess.setflags(write=False)
+        return hess
 
     @cached_property
     def surface_area(self) -> float:

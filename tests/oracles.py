@@ -2,11 +2,12 @@
 
 Everything here avoids the library's own computational paths: vertex sets
 come from direct constraint intersection, volumes and shadow areas from
-scipy's convex hull, gradients from central differences, support minima
-from plain sphere sampling or the exhaustive sign-pattern search (which
-reuses only the library's subgradient refinement), and minimal ellipsoids
-from the full-rebuild design loop.  Keep hull-based oracles at dimension 6
-or below — qhull becomes unreliable past that at these point counts.
+scipy's convex hull, gradients and Jacobians from central differences,
+support minima from plain sphere sampling or the exhaustive sign-pattern
+search (which reuses only the library's subgradient refinement), and
+minimal ellipsoids from the full-rebuild design loop.  Keep hull-based
+oracles at dimension 6 or below — qhull becomes unreliable past that at
+these point counts.
 """
 
 from __future__ import annotations
@@ -208,6 +209,17 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         step[i] = h
         g[i] = (f(x + step) - f(x - step)) / (2.0 * h)
     return g
+
+
+def fd_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central finite-difference Jacobian of a vector function, column j = df/dx_j."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(len(x)):
+        step = np.zeros_like(x)
+        step[j] = h
+        cols.append((np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2.0 * h))
+    return np.stack(cols, axis=1)
 
 
 def support_minimum_reference(generators: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, float]:

@@ -153,7 +153,7 @@ def test_criterion_6_family_solver_certificates():
         ident = verify_projection_identity(details.body, spec, sample_count=1000, rng=src.fork(4))
         worst_identity = max(worst_identity, ident.max_relative_error)
         worst_agreement = max(worst_agreement, details.volume_agreement)
-        grad = _volume_gradient(details.body, spec.count)
+        grad = _volume_gradient(details.body, spec.weights)
         ref = fd_gradient(lambda x: spec.body(x).volume, details.offsets, h=1e-5)
         worst_fd = max(worst_fd, float(np.max(np.abs(grad - ref)) / np.max(np.abs(ref))))
     record(

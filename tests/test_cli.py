@@ -199,21 +199,29 @@ class TestRunsAndExitCodes:
 
 
 class TestOutputsAndDeterminism:
-    def test_rerun_is_byte_identical_outside_meta(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"samples": 2})
+    @pytest.mark.parametrize(
+        "command, samples, csv_stem",
+        [("verify-t3", 2, "verify_t3"), ("minkowski-solve", 50, "minkowski_starts")],
+        ids=["verify-t3", "minkowski-solve"],
+    )
+    def test_rerun_is_byte_identical_outside_meta(self, tmp_path, capsys, command, samples, csv_stem):
+        cfg = write_config(tmp_path, {"samples": samples})
         for sub in ("a", "b"):
-            assert main(["verify-t3", "--config", cfg, "--seed", "8",
+            assert main([command, "--config", cfg, "--seed", "8",
                          "--out", str(tmp_path / sub), "--format", "both"]) == EXIT_PASS
         capsys.readouterr()
         reports = []
         for sub in ("a", "b"):
-            rep = json.loads((tmp_path / sub / "verify_t3.json").read_text())
+            rep = json.loads((tmp_path / sub / f"{command.replace('-', '_')}.json").read_text())
             assert rep.pop("meta")["wall_time_seconds"] >= 0.0
             reports.append(json.dumps(rep, sort_keys=True))
         assert reports[0] == reports[1]
-        assert (tmp_path / "a" / "verify_t3.csv").read_bytes() == (
-            tmp_path / "b" / "verify_t3.csv"
+        assert (tmp_path / "a" / f"{csv_stem}.csv").read_bytes() == (
+            tmp_path / "b" / f"{csv_stem}.csv"
         ).read_bytes()
+        if command == "minkowski-solve":
+            results = json.loads(reports[0])["results"]
+            assert len(results["start_iterations"]) == len(results["start_volume_evals"]) == 5
 
     def test_different_seed_changes_results(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"samples": 2})

@@ -1,6 +1,7 @@
 """Slab-family volume maximization, certified floors, pathological bodies."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from shadowgeom.family import (
     verify_projection_identity,
 )
 from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
+from shadowgeom.polytope import SymmetricHPolytope
 from shadowgeom.shadow import ball_shadow_ratio
 
 
@@ -140,13 +142,57 @@ class TestSolverFixtures:
         assert details.volume_agreement <= 1e-10
 
 
+class TestCoincidingSlabs:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pair_with_unequal_weights(self, sign):
+        # u_1 = +-u_0 is one slab bounded by the smaller offset, so the
+        # maximizer gives both the same offset and the facet's measure is
+        # split between them by weight
+        u = np.array(sample_unit_sphere(3, RandomSource(555), count=6))
+        u[1] = sign * u[0]
+        w = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0]) / 7.0
+        spec = SlabFamilySpec(u, w)
+        details = maximize_volume_details(spec)
+        assert details.converged
+        assert details.offsets[0] == details.offsets[1]
+        assert kkt_report(details.body, spec).max_relative_residual <= 1e-6
+        ident = verify_projection_identity(details.body, spec, sample_count=500, rng=RandomSource(557))
+        assert ident.max_relative_error <= 1e-6
+        assert details.volume_agreement <= 1e-10
+        single = SlabFamilySpec(np.delete(u, 1, axis=0), np.r_[w[0] + w[1], w[2:]])
+        assert details.volume == pytest.approx(maximize_volume_details(single).volume, rel=1e-12)
+
+
+class TestDiagnostics:
+    def test_per_start_counters(self, monkeypatch):
+        builds = []
+        facets = SymmetricHPolytope.__dict__["facets"]
+
+        def counted(body):
+            builds.append(body)
+            return facets.func(body)
+
+        traced = cached_property(counted)
+        traced.__set_name__(SymmetricHPolytope, "facets")
+        monkeypatch.setattr(SymmetricHPolytope, "facets", traced)
+        details = maximize_volume_details(random_spec(4200), starts=4, rng=RandomSource(4201))
+        record = details.to_dict()
+        assert record["start_iterations"] == list(details.start_iterations)
+        assert record["start_volume_evals"] == list(details.start_volume_evals)
+        assert len(details.start_iterations) == len(details.start_volume_evals) == 4
+        assert details.iterations in details.start_iterations
+        # one evaluation per Newton iterate plus the start's, each a build of the facets
+        assert all(e > i >= 1 for e, i in zip(details.start_volume_evals, details.start_iterations))
+        assert len(builds) == sum(details.start_volume_evals)
+
+
 class TestGradient:
     def test_matches_finite_differences_at_interior_point(self):
         spec = random_spec(4120)
         t = spec.uniform_offsets() * np.linspace(0.8, 1.3, spec.count)
         from shadowgeom.family import _volume_gradient
 
-        grad = _volume_gradient(spec.body(t), spec.count)
+        grad = _volume_gradient(spec.body(t), spec.weights)
         ref = fd_gradient(lambda x: spec.body(x).volume, t, h=1e-5)
         # a slab can be redundant at this point (both gradients zero), so
         # normalize by the gradient's overall scale
@@ -157,7 +203,7 @@ class TestGradient:
         details = maximize_volume_details(spec, tol=1e-8, rng=RandomSource(4122))
         from shadowgeom.family import _volume_gradient
 
-        grad = _volume_gradient(details.body, spec.count)
+        grad = _volume_gradient(details.body, spec.weights)
         ref = fd_gradient(lambda x: spec.body(x).volume, details.offsets, h=1e-5)
         assert np.max(np.abs(grad - ref) / np.abs(ref)) <= 1e-2
 

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from oracles import (
     body_volume_oracle,
     complement_chart,
+    fd_jacobian,
     hull_surface_area,
     hull_volume,
     intersection_vertices,
     monte_carlo_volume,
     shadow_area_oracle,
 )
-from shadowgeom.family import OFFSET_FLOOR
+from shadowgeom.family import OFFSET_FLOOR, _volume_gradient
 from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
     SymmetricHPolytope,
@@ -285,6 +286,34 @@ class TestFacets:
         touched = {o[0] for f in body.facets for o in f.owners}
         assert 2 not in touched
         assert body.volume == pytest.approx(4.0, rel=1e-12)
+
+
+class TestVolumeHessian:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_finite_differences_of_gradient(self, n, seed):
+        body = random_symmetric_polytope(n, 2 * n, RandomSource(80 + 10 * n + seed))
+        u, weights = body.directions, np.ones(body.num_slabs)
+        ref = fd_jacobian(lambda t: _volume_gradient(SymmetricHPolytope(u, t), weights), body.offsets)
+        hess = body.volume_hessian
+        assert np.max(np.abs(hess - ref)) <= 1e-5 * np.max(np.abs(ref))
+        assert np.array_equal(hess, hess.T)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cube_closed_form(self, n):
+        # V = prod(2 t_i): d2V/dt_i dt_j = 2^n off the diagonal and 0 on it at t = 1
+        expected = 2.0**n * (np.ones((n, n)) - np.eye(n))
+        assert np.allclose(cube(n).volume_hessian, expected, rtol=1e-12, atol=1e-12)
+
+    def test_facets_alone_keep_no_ridges_and_are_unchanged(self):
+        body = random_symmetric_polytope(3, 6, RandomSource(90))
+        facets = body.facets
+        assert body._hessian is None
+        # asking afterwards builds the facets again, with the ridges
+        hess = body.volume_hessian
+        assert body.facets is not facets
+        assert [f.measure for f in body.facets] == [f.measure for f in facets]
+        assert np.array_equal(hess, SymmetricHPolytope(body.directions, body.offsets).volume_hessian)
 
 
 class TestTransforms:
