@@ -7,10 +7,9 @@ shadow-position normal forms, and volume maximization over slab families.
 
 __version__ = "0.1.0"
 
-from .kernel import CapacityError, RandomSource
+from .kernel import CapacityError, RandomSource, WeightedDirections
 from .polytope import SymmetricHPolytope, cauchy_surface_check, random_symmetric_polytope
 from .zonotope import (
-    WeightedDirections,
     Zonotope,
     dominance_volume_bound,
     minkowski_inequality_check,
@@ -19,7 +18,7 @@ from .zonotope import (
     volume_formula_check,
     zonotope_volume_floor,
 )
-from .ellipsoid import Ellipsoid, JohnDecomposition, extract_john_decomposition, mvee_symmetric
+from .ellipsoid import Ellipsoid, extract_john_decomposition, mvee_symmetric
 from .shadow import (
     ball_shadow_ratio,
     loomis_whitney_check,
@@ -44,7 +43,6 @@ from .family import (
 __all__ = [
     "CapacityError",
     "Ellipsoid",
-    "JohnDecomposition",
     "RandomSource",
     "SlabFamilySpec",
     "SymmetricHPolytope",

@@ -133,7 +133,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """The effective config as echoed into the report (defaults explicit)."""
         out: dict = {"experiment": self.experiment, "seed": self.seed}
-        for key in _ALLOWED_KEYS[self.command]:
+        for key in _SCHEMA[self.command]:
             out[key] = getattr(self, key)
         return out
 
@@ -142,44 +142,29 @@ class ExperimentConfig:
         return RandomSource(self.seed ^ COMPONENT_SALTS[self.command])
 
 
-# Config keys each subcommand accepts beyond the common {experiment, seed, out}.
-_ALLOWED_KEYS = {
-    "shadow-position": ("n", "m", "body"),
-    "verify-t3": ("n", "m", "samples", "body", "decomposition"),
-    "zonotope": ("n", "m", "samples"),
-    "minkowski-solve": ("n", "m", "samples", "tolerance"),
-    "pathological": ("n", "sweep"),
-    "ball-ratio": ("n",),
-    "cauchy-check": ("samples",),
+#: Per subcommand, each config key beyond the common {experiment, seed} with
+#: its default and inclusive range.  A key's type is its default's: int,
+#: float (any finite number), or None for a path (a non-empty string, no range).
+_SCHEMA = {
+    "shadow-position": {"n": (3, (2, 6)), "m": (8, (2, 20)), "body": (None, None)},
+    "verify-t3": {
+        "n": (3, (2, 6)),
+        "m": (6, (2, 20)),
+        "samples": (10, (1, 500)),
+        "body": (None, None),
+        "decomposition": (None, None),
+    },
+    "zonotope": {"n": (3, (2, 6)), "m": (8, (2, 20)), "samples": (20, (1, 500))},
+    "minkowski-solve": {
+        "n": (3, (2, 6)),
+        "m": (6, (2, 16)),
+        "samples": (1000, (1, 1_000_000)),
+        "tolerance": (1e-8, (1e-10, 1e-3)),
+    },
+    "pathological": {"n": (4, (2, 6)), "sweep": (10, (1, 64))},
+    "ball-ratio": {"n": (200, (2, 200))},
+    "cauchy-check": {"samples": (100_000, (1, 10_000_000))},
 }
-
-_DEFAULTS = {
-    "shadow-position": {"n": 3, "m": 8},
-    "verify-t3": {"n": 3, "m": 6, "samples": 10},
-    "zonotope": {"n": 3, "m": 8, "samples": 20},
-    "minkowski-solve": {"n": 3, "m": 6, "samples": 1000, "tolerance": 1e-8},
-    "pathological": {"n": 4, "sweep": 10},
-    "ball-ratio": {"n": 200},
-    "cauchy-check": {"samples": 100_000},
-}
-
-# Inclusive numeric guards; anything outside is a config violation.
-_RANGES = {
-    "shadow-position": {"n": (2, 6), "m": (2, 20)},
-    "verify-t3": {"n": (2, 6), "m": (2, 20), "samples": (1, 500)},
-    "zonotope": {"n": (2, 6), "m": (2, 20), "samples": (1, 500)},
-    "minkowski-solve": {"n": (2, 6), "m": (2, 16), "samples": (1, 1_000_000), "tolerance": (1e-10, 1e-3)},
-    "pathological": {"n": (2, 6), "sweep": (1, 64)},
-    "ball-ratio": {"n": (2, 200)},
-    "cauchy-check": {"samples": (1, 10_000_000)},
-}
-
-_INT_KEYS = frozenset({"seed", "n", "m", "samples", "sweep"})
-_STR_KEYS = frozenset({"experiment", "out", "body", "decomposition"})
-
-
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
 
 
 def _read_json(path: str, kind: str) -> dict:
@@ -187,14 +172,23 @@ def _read_json(path: str, kind: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _fail(f"{kind} file {path!r}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"{kind} file {path!r}: {exc.strerror or exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"{kind} file {path!r}, line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ConfigError(f"{kind} file {path!r}, line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(payload, dict):
-        raise _fail(f"{kind} file {path!r}: top level must be a JSON object")
+        raise ConfigError(f"{kind} file {path!r}: top level must be a JSON object")
     return payload
+
+
+def _read_document(path: str, kind: str, cls):
+    """``cls.from_dict`` of a JSON file; its ValueError becomes a ConfigError naming the file."""
+    payload = _read_json(path, kind)
+    try:
+        return cls.from_dict(payload)
+    except ValueError as exc:
+        raise ConfigError(f"{kind} file {path!r}: {exc}") from exc
 
 
 def load_body(path: str) -> SymmetricHPolytope:
@@ -205,11 +199,7 @@ def load_body(path: str) -> SymmetricHPolytope:
     normalized, anything further off is rejected, and non-spanning
     direction sets are rejected as unbounded bodies.
     """
-    payload = _read_json(path, "body")
-    try:
-        return SymmetricHPolytope.from_dict(payload)
-    except ValueError as exc:
-        raise _fail(f"body file {path!r}: {exc}") from exc
+    return _read_document(path, "body", SymmetricHPolytope)
 
 
 def load_decomposition(path: str) -> WeightedDirections:
@@ -220,77 +210,51 @@ def load_decomposition(path: str) -> WeightedDirections:
     deliberately perturbed fixtures surface as assertion failures rather
     than config errors.
     """
-    payload = _read_json(path, "decomposition")
-    extra = set(payload) - {"n", "directions", "weights"}
-    if extra:
-        raise _fail(f"decomposition file {path!r}: unknown keys {sorted(extra)}")
-    missing = {"n", "directions", "weights"} - set(payload)
-    if missing:
-        raise _fail(f"decomposition file {path!r}: missing keys {sorted(missing)}")
-    n = payload["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise _fail(f"decomposition file {path!r}: 'n' must be a positive integer")
-    u = np.asarray(payload["directions"], dtype=float)
-    c = np.asarray(payload["weights"], dtype=float)
-    if u.ndim != 2 or u.shape[1] != n:
-        raise _fail(f"decomposition file {path!r}: 'directions' must be a list of length-{n} vectors")
-    if c.shape != (len(u),):
-        raise _fail(f"decomposition file {path!r}: need one weight per direction")
-    norms = np.linalg.norm(u, axis=1)
-    if np.any(norms <= 1e-12):
-        raise _fail(f"decomposition file {path!r}: 'directions' contains a zero vector")
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        bad = int(np.argmax(np.abs(norms - 1.0)))
-        raise _fail(
-            f"decomposition file {path!r}: direction {bad} has norm {norms[bad]:.8f}; expected unit within 1e-6"
-        )
-    return WeightedDirections(u / norms[:, None], c)
+    return _read_document(path, "decomposition", WeightedDirections)
 
 
 def parse_config(command: str, config_path: str | None, seed_flag: int | None) -> ExperimentConfig:
     """Merge defaults, the config file, and the seed flag; validate strictly."""
-    if command not in _ALLOWED_KEYS:
-        raise _fail(f"unknown subcommand {command!r}")
+    if command not in _SCHEMA:
+        raise ConfigError(f"unknown subcommand {command!r}")
+    schema = _SCHEMA[command]
     values: dict = {"experiment": command, "seed": 0}
-    values.update(_DEFAULTS[command])
+    values.update({key: default for key, (default, _) in schema.items()})
 
     if config_path is not None:
         payload = _read_json(config_path, "config")
-        allowed = {"experiment", "seed"} | set(_ALLOWED_KEYS[command])
-        unknown = set(payload) - allowed
+        unknown = set(payload) - set(values)
         if unknown:
-            raise _fail(
+            raise ConfigError(
                 f"config file {config_path!r}: unknown keys {sorted(unknown)} "
-                f"(allowed for {command}: {sorted(allowed)})"
+                f"(allowed for {command}: {sorted(values)})"
             )
         for key, raw in payload.items():
-            if key in _INT_KEYS:
-                if not isinstance(raw, int) or isinstance(raw, bool):
-                    raise _fail(f"config key {key!r} must be an integer, got {raw!r}")
-            elif key in _STR_KEYS:
+            default = values[key]  # a key's type is its default's
+            if default is None or isinstance(default, str):
                 if not isinstance(raw, str) or not raw:
-                    raise _fail(f"config key {key!r} must be a non-empty string, got {raw!r}")
-            elif key == "tolerance":
-                if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
-                    raise _fail(f"config key 'tolerance' must be a finite number, got {raw!r}")
+                    raise ConfigError(f"config key {key!r} must be a non-empty string, got {raw!r}")
+            elif isinstance(default, int):
+                if not isinstance(raw, int) or isinstance(raw, bool):
+                    raise ConfigError(f"config key {key!r} must be an integer, got {raw!r}")
+            elif isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
+                raise ConfigError(f"config key {key!r} must be a finite number, got {raw!r}")
+            else:
                 raw = float(raw)
             values[key] = raw
 
     if seed_flag is not None:
         values["seed"] = seed_flag
     if not (0 <= values["seed"] <= _MAX_SEED):
-        raise _fail(f"seed must lie in [0, 2^64), got {values['seed']}")
+        raise ConfigError(f"seed must lie in [0, 2^64), got {values['seed']}")
 
-    for key, (lo, hi) in _RANGES[command].items():
-        val = values[key]
-        if not (lo <= val <= hi):
-            raise _fail(f"config key {key!r} must lie in [{lo}, {hi}] for {command}, got {val}")
-    if "m" in _RANGES[command] and values["m"] < values["n"]:
-        raise _fail(f"config key 'm' must be at least n={values['n']}, got {values['m']}")
-
-    field_names = {"command", "experiment", "seed"} | set(_ALLOWED_KEYS[command])
-    kwargs = {k: v for k, v in values.items() if k in field_names}
-    return ExperimentConfig(command=command, **kwargs)
+    for key, (_, bounds) in schema.items():
+        if bounds is not None and not (bounds[0] <= values[key] <= bounds[1]):
+            lo, hi = bounds
+            raise ConfigError(f"config key {key!r} must lie in [{lo}, {hi}] for {command}, got {values[key]}")
+    if "m" in schema and values["m"] < values["n"]:
+        raise ConfigError(f"config key 'm' must be at least n={values['n']}, got {values['m']}")
+    return ExperimentConfig(command=command, **values)
 
 
 def _check(name: str, passed, detail: str) -> dict:
@@ -306,7 +270,7 @@ def _spanning_directions(n: int, m: int, rng: RandomSource) -> np.ndarray:
         u = sample_unit_sphere(n, rng.fork(attempt), count=m)
         if np.linalg.matrix_rank(u, tol=1e-10) == n:
             return u
-    raise _fail(f"failed to sample {m} spanning directions in dimension {n}")
+    raise ConfigError(f"failed to sample {m} spanning directions in dimension {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +290,7 @@ def _run_shadow_position(cfg: ExperimentConfig):
     results["body"] = {"n": body.dim, "slabs": int(len(body.offsets))}
     results["john"] = {
         "weights": [float(w) for w in rep.john.weights],
-        "contacts": rep.john.contacts.tolist(),
+        "contacts": rep.john.directions.tolist(),
     }
     res = rep.residuals
     assertions = [
@@ -362,7 +326,7 @@ def _run_verify_t3(cfg: ExperimentConfig):
         dec = load_decomposition(cfg.decomposition)
         body = load_body(cfg.body) if cfg.body is not None else _cube(dec.dim)
         if body.dim != dec.dim:
-            raise _fail(f"body dimension {body.dim} does not match decomposition dimension {dec.dim}")
+            raise ConfigError(f"body dimension {body.dim} does not match decomposition dimension {dec.dim}")
         frob, gap = dec.residuals()
         try:
             dec.validate()
@@ -730,7 +694,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 seed_flag = int(args.seed, 0)
             except ValueError:
-                raise _fail(f"--seed must be an integer, got {args.seed!r}") from None
+                raise ConfigError(f"--seed must be an integer, got {args.seed!r}") from None
         cfg = parse_config(args.command, args.config, seed_flag)
         report, written = run(args.command, cfg, Path(args.out), args.format)
     except ConfigError as exc:

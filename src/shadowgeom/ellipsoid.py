@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, canonical_signs, dedup_rows, isotropy_residuals, jacobi_eigh, unit_ball_volume
+from .kernel import CapacityError, WeightedDirections, canonical_signs, dedup_rows, jacobi_eigh, unit_ball_volume
 
 __all__ = [
     "Ellipsoid",
-    "JohnDecomposition",
     "JohnResidualReport",
     "MveeResult",
     "extract_john_decomposition",
@@ -168,54 +167,8 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     return result
 
 
-@dataclass(frozen=True)
-class JohnDecomposition:
-    """Contact unit vectors with weights resolving the identity matrix.
-
-    Invariants (checked by :meth:`validate`, not at construction):
-    ``sum c_i u_i (x) u_i = I`` within Frobenius 1e-6, ``sum c_i = n`` within
-    1e-8, unit contacts within 1e-8.
-    """
-
-    contacts: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(self.contacts, dtype=float)
-        c = np.array(self.weights, dtype=float)
-        if u.ndim != 2 or c.ndim != 1 or len(u) != len(c):
-            raise ValueError("need matching contact rows and weight entries")
-        u.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "contacts", u)
-        object.__setattr__(self, "weights", c)
-
-    @property
-    def directions(self) -> np.ndarray:
-        return self.contacts
-
-    @property
-    def dim(self) -> int:
-        return self.contacts.shape[1]
-
-    def residuals(self) -> tuple[float, float]:
-        return isotropy_residuals(self.contacts, self.weights)
-
-    def validate(self, frobenius_tol: float = 1e-6, trace_tol: float = 1e-8) -> None:
-        norms = np.linalg.norm(self.contacts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
-            raise ValueError("contacts must be unit vectors (within 1e-8)")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        frob, gap = self.residuals()
-        if frob > frobenius_tol:
-            raise ValueError(f"contacts do not resolve the identity: residual {frob:.3e} > {frobenius_tol:.1e}")
-        if abs(gap) > trace_tol:
-            raise ValueError(f"weights do not sum to the dimension: gap {gap:.3e} > {trace_tol:.1e}")
-
-
-def extract_john_decomposition(result: MveeResult) -> JohnDecomposition:
-    """Contact decomposition from a solved design.
+def extract_john_decomposition(result: MveeResult) -> WeightedDirections:
+    """Contact decomposition from a solved design, as weighted directions.
 
     Support points are those with design weight above ``max(eps, 1e-9)``.
     The support weights are renormalized and the whitening map recomputed
@@ -240,7 +193,7 @@ def extract_john_decomposition(result: MveeResult) -> JohnDecomposition:
     lengths = np.linalg.norm(tv, axis=1)
     contacts = tv / lengths[:, None]
     weights = n * lam_hat * lengths**2
-    return JohnDecomposition(contacts, weights)
+    return WeightedDirections(contacts, weights)
 
 
 @dataclass(frozen=True)
@@ -252,7 +205,7 @@ class JohnResidualReport:
     quadratic_max_relative: float
 
 
-def john_residual(decomposition: JohnDecomposition, check_points: int = 20) -> JohnResidualReport:
+def john_residual(decomposition: WeightedDirections, check_points: int = 20) -> JohnResidualReport:
     """Frobenius and trace residuals plus the quadratic identity spot-check.
 
     The identity ``|x|^2 = sum c_i <u_i, x>^2`` is evaluated at a fixed set
@@ -262,7 +215,7 @@ def john_residual(decomposition: JohnDecomposition, check_points: int = 20) -> J
     frob, gap = decomposition.residuals()
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0x5EED_1DE4)))
     xs = gen.standard_normal((check_points, decomposition.dim))
-    sq = np.sum((xs @ decomposition.contacts.T) ** 2 * decomposition.weights, axis=1)
+    sq = np.sum((xs @ decomposition.directions.T) ** 2 * decomposition.weights, axis=1)
     norms = np.sum(xs**2, axis=1)
     quad = float(np.max(np.abs(sq - norms) / norms))
     return JohnResidualReport(frob, gap, quad)

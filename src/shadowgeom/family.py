@@ -121,30 +121,6 @@ class SlabFamilySpec:
         """The budget-feasible point with all offsets equal."""
         return np.full(self.count, 1.0 / float(self.weights.sum()))
 
-    def project_to_budget(self, offsets: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto {t : weights @ t = 1, t >= floor}.
-
-        Active-set water-filling: coordinates clipped at the floor by the
-        unconstrained slice projection stay clipped in the solution, so the
-        active set only grows and the loop ends after at most m rounds.
-        """
-        t = np.asarray(offsets, dtype=float)
-        w = self.weights
-        active = np.zeros(self.count, dtype=bool)
-        for _ in range(self.count + 1):
-            free = ~active
-            if not free.any():
-                raise ValueError("projection infeasible: all offsets at the floor")
-            wf = w[free]
-            target = 1.0 - OFFSET_FLOOR * float(w[active].sum())
-            shift = (float(wf @ t[free]) - target) / float(wf @ wf)
-            candidate = np.where(free, t - shift * w, OFFSET_FLOOR)
-            violated = free & (candidate < OFFSET_FLOOR)
-            if not violated.any():
-                return np.maximum(candidate, OFFSET_FLOOR)
-            active |= violated
-        raise ValueError("projection failed to settle on an active set")
-
 
 def _volume_gradient(body: SymmetricHPolytope, weights: np.ndarray) -> np.ndarray:
     """d(volume)/d(offsets): per-slab sums of facet measures.
@@ -442,9 +418,9 @@ def direction_spread(directions: np.ndarray, rng: RandomSource | None = None) ->
     """Worst-case weighted alignment of a direction set, normalized by sqrt(n).
 
     The minimized sum is the support function of the zonotope generated by
-    the directions, so the exhaustive sign-pattern search applies whenever
-    there are at most 16 directions ("exact" branch); beyond that the value
-    is a sampled estimate.  Duplicated directions count with multiplicity.
+    the directions, so :func:`minimize_support` gives it exactly over the
+    zonotope's facet normals whenever there are at most 20 directions and
+    n <= 7 ("exact" branch); beyond that the value is a sampled estimate.  Duplicated directions count with multiplicity.
     A non-spanning set has spread zero (witnessed by a normal direction).
     """
     u = np.array(directions, dtype=float)

@@ -3,7 +3,10 @@
 Everything here is a pure function of its inputs.  The only object carrying
 state is :class:`RandomSource`, which owns a seed and hands out freshly
 seeded generators, so any computation that received the same source replays
-bit-identically.
+bit-identically.  :class:`WeightedDirections` is the one type for an
+isotropic decomposition (the MVEE's contact points included), and
+``_read_unit_rows`` the one validator for the JSON documents that carry
+unit direction rows.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ import numpy as np
 __all__ = [
     "CapacityError",
     "RandomSource",
+    "WeightedDirections",
     "canonical_signs",
     "dedup_rows",
     "hyperplane_basis",
-    "isotropy_residuals",
     "jacobi_eigh",
-    "nullspace_basis",
     "psd_sqrt",
     "random_orthogonal",
     "sample_unit_sphere",
@@ -194,15 +196,6 @@ def hyperplane_basis(direction: np.ndarray) -> np.ndarray:
     return h[:, 1:]
 
 
-def nullspace_basis(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of the given row vectors."""
-    a = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = a.shape[1]
-    _, sv, vt = np.linalg.svd(a)
-    rank = int(np.sum(sv > tol * max(1.0, sv[0] if len(sv) else 0.0)))
-    return vt[rank:].T.copy() if rank < n else np.zeros((n, 0))
-
-
 def canonical_signs(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Per row, the sign (+1.0 / -1.0) that makes its first coordinate above `tol` in magnitude positive.
 
@@ -255,14 +248,96 @@ def dedup_rows(points: np.ndarray, tol: float) -> np.ndarray:
     return survivors[keep]
 
 
-def isotropy_residuals(directions: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """Diagnostics for a weighted direction set resolving the identity.
+@dataclass(frozen=True)
+class WeightedDirections:
+    """Unit directions with positive weights resolving the identity matrix.
 
-    Returns ``(frobenius, trace_gap)``: the Frobenius norm of
-    ``sum_i c_i u_i u_i^T - I`` and the signed gap ``sum_i c_i - n``.
+    The defining invariant ``sum c_i u_i (x) u_i = I`` (and hence
+    ``sum c_i = n``) is checked by :meth:`validate`, not at construction, so
+    deliberately perturbed instances can be built for fault-injection tests.
+    A contact decomposition of an MVEE is one of these, with its contact
+    points as the directions (also readable as ``contacts``).
     """
-    u = np.asarray(directions, dtype=float)
-    c = np.asarray(weights, dtype=float)
-    n = u.shape[1]
-    outer = (u * c[:, None]).T @ u
-    return float(np.linalg.norm(outer - np.eye(n))), float(c.sum() - n)
+
+    directions: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        u = np.array(self.directions, dtype=float)
+        c = np.array(self.weights, dtype=float)
+        if u.ndim != 2:
+            raise ValueError("directions must be a 2-d array (m, n)")
+        if c.shape != (len(u),):
+            raise ValueError("need one weight per direction")
+        u.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "directions", u)
+        object.__setattr__(self, "weights", c)
+
+    @property
+    def contacts(self) -> np.ndarray:
+        return self.directions
+
+    @property
+    def dim(self) -> int:
+        return self.directions.shape[1]
+
+    def residuals(self) -> tuple[float, float]:
+        """``(frobenius, trace_gap)``: ``|sum_i c_i u_i u_i^T - I|_F`` and ``sum_i c_i - n``."""
+        u, c = self.directions, self.weights
+        outer = (u * c[:, None]).T @ u
+        return float(np.linalg.norm(outer - np.eye(self.dim))), float(c.sum() - self.dim)
+
+    def validate(self, frobenius_tol: float = 1e-6, trace_tol: float = 1e-8) -> None:
+        """Raise ValueError unless the isotropy invariants hold at tolerance."""
+        norms = np.linalg.norm(self.directions, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-8):
+            raise ValueError("directions must be unit vectors (within 1e-8)")
+        if np.any(self.weights <= 0.0):
+            raise ValueError("weights must be strictly positive")
+        frob, gap = self.residuals()
+        if frob > frobenius_tol:
+            raise ValueError(f"weighted directions do not resolve the identity: residual {frob:.3e} > {frobenius_tol:.1e}")
+        if abs(gap) > trace_tol:
+            raise ValueError(f"weights do not sum to the dimension: gap {gap:.3e} > {trace_tol:.1e}")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "WeightedDirections":
+        """Read ``{"n", "directions", "weights"}``, checking shapes and unit rows only.
+
+        The isotropy invariants are left to :meth:`validate`, so a perturbed
+        document still loads.
+        """
+        return cls(*_read_unit_rows(data, "decomposition", "weights"))
+
+
+def _read_unit_rows(data: dict, kind: str, values_key: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check a ``{"n", "directions", values_key}`` document; return (unit rows, values).
+
+    ``n`` must be a positive integer (not a boolean) and every direction a
+    nonzero row of width n within 1e-6 of unit length; the rows come back
+    normalised.  The values are returned as a float array for the caller
+    to check.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} document must be a JSON object")
+    keys = {"n", "directions", values_key}
+    missing = keys - set(data)
+    if missing:
+        raise ValueError(f"{kind} document is missing keys: {sorted(missing)}")
+    extra = set(data) - keys
+    if extra:
+        raise ValueError(f"{kind} document has unknown keys: {sorted(extra)}")
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("'n' must be a positive integer")
+    u = np.asarray(data["directions"], dtype=float)
+    if u.ndim != 2 or u.shape[1] != n:
+        raise ValueError(f"'directions' must be a list of length-{n} vectors")
+    norms = np.linalg.norm(u, axis=1)
+    if np.any(norms <= 1e-12):
+        raise ValueError("'directions' contains a zero vector")
+    if np.any(np.abs(norms - 1.0) > 1e-6):
+        bad = int(np.argmax(np.abs(norms - 1.0)))
+        raise ValueError(f"direction {bad} has norm {norms[bad]:.8f}; expected unit within 1e-6")
+    return u / norms[:, None], np.asarray(data[values_key], dtype=float)

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, canonical_signs, dedup_rows, sample_unit_sphere
+from .kernel import CapacityError, RandomSource, _read_unit_rows, canonical_signs, dedup_rows, sample_unit_sphere
 
 __all__ = [
     "FacetData",
@@ -594,28 +594,8 @@ class SymmetricHPolytope:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SymmetricHPolytope":
-        if not isinstance(data, dict):
-            raise ValueError("body document must be a JSON object")
-        missing = {"n", "directions", "offsets"} - set(data)
-        if missing:
-            raise ValueError(f"body document is missing keys: {sorted(missing)}")
-        extra = set(data) - {"n", "directions", "offsets"}
-        if extra:
-            raise ValueError(f"body document has unknown keys: {sorted(extra)}")
-        n = data["n"]
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("'n' must be a positive integer")
-        u = np.asarray(data["directions"], dtype=float)
-        t = np.asarray(data["offsets"], dtype=float)
-        if u.ndim != 2 or u.shape[1] != n:
-            raise ValueError(f"'directions' must be a list of length-{n} vectors")
-        norms = np.linalg.norm(u, axis=1)
-        if np.any(norms <= 1e-12):
-            raise ValueError("'directions' contains a zero vector")
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            bad = int(np.argmax(np.abs(norms - 1.0)))
-            raise ValueError(f"direction {bad} has norm {norms[bad]:.8f}; expected unit within 1e-6")
-        return cls(u / norms[:, None], t)
+        """Read ``{"n", "directions", "offsets"}``; rows within 1e-6 of unit length are normalised."""
+        return cls(*_read_unit_rows(data, "body", "offsets"))
 
 
 def random_symmetric_polytope(

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import JohnDecomposition, extract_john_decomposition, mvee_symmetric
-from .kernel import CapacityError, RandomSource, canonical_signs, dedup_rows, psd_sqrt, sample_unit_sphere
+from .ellipsoid import extract_john_decomposition, mvee_symmetric
+from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, dedup_rows, psd_sqrt, sample_unit_sphere
 from .polytope import SymmetricHPolytope
-from .zonotope import WeightedDirections, Zonotope, projection_body
+from .zonotope import Zonotope, projection_body
 
 __all__ = [
     "MinShadowReport",
@@ -42,7 +42,6 @@ __all__ = [
 
 MAX_NORMAL_GENERATORS = 20
 MAX_NORMAL_DIM = 7
-EXACT_PATTERN_LIMIT = 16
 SAMPLING_COUNT = 100_000
 REFINE_STARTS = 200
 _REFINE_SEED = 0x51AD0_0001
@@ -162,45 +161,36 @@ def _refine_support_minima(gens: np.ndarray, starts: np.ndarray, steps: int = 60
     return thetas
 
 
-def _minimize_zonotope_support(z: Zonotope, rng: RandomSource) -> MinShadowReport:
-    """Global minimum of the support function over the unit sphere.
+def minimize_support(z: Zonotope, rng: RandomSource | None = None) -> MinShadowReport:
+    """Global minimum of a zonotope's support function over the unit sphere.
 
     The minimum of ``h_Z`` over the sphere is the inradius of the symmetric
     body Z, and a polytope's inradius is attained at a facet normal.  Every
-    facet of a zonotope is spanned by n-1 generators, so with at most
-    ``EXACT_PATTERN_LIMIT`` generators (and n <= ``MAX_NORMAL_DIM``) the
+    facet of a zonotope is spanned by n-1 generators, so whenever
+    :func:`zonotope_facet_normals` accepts Z (at most
+    ``MAX_NORMAL_GENERATORS`` generators, n <= ``MAX_NORMAL_DIM``) the
     normals of all full-rank (n-1)-generator subsets are the candidates and
-    the minimum is exact.  Otherwise a 10^5-sample sweep with 200 refined
-    starts is returned, labeled "estimate".  Ties resolve to the earliest
-    candidate, so the result is deterministic.
+    the minimum is exact.  Beyond its guard a 10^5-sample sweep with 200
+    refined starts is returned, labeled "estimate"; `rng` seeds only that
+    branch.  Ties resolve to the earliest candidate, so the result is
+    deterministic.  See :func:`min_shadow_direction` for the shadow
+    specialization.
     """
     gens = z.generators
-    m, n = gens.shape
-    if m <= EXACT_PATTERN_LIMIT and n <= MAX_NORMAL_DIM:
-        branch = "exact"
+    branch = "exact"
+    try:
         cand = zonotope_facet_normals(z)
-    else:
+    except CapacityError:
+        if rng is None:
+            rng = RandomSource(0x51AD_0D20)
         branch = "estimate"
-        samples = sample_unit_sphere(n, rng.fork(_REFINE_SEED), count=SAMPLING_COUNT)
+        samples = sample_unit_sphere(z.dim, rng.fork(_REFINE_SEED), count=SAMPLING_COUNT)
         values = np.sum(np.abs(samples @ gens.T), axis=1)
         best = np.argsort(values, kind="stable")[:REFINE_STARTS]
         cand = np.vstack([samples, _refine_support_minima(gens, samples[best])])
     values = np.sum(np.abs(cand @ gens.T), axis=1)
     idx = int(np.argmin(values))  # numpy argmin returns the first minimum: lowest index wins
     return MinShadowReport(cand[idx].copy(), float(values[idx]), branch, len(cand))
-
-
-def minimize_support(z: Zonotope, rng: RandomSource | None = None) -> MinShadowReport:
-    """Global minimum of a zonotope's support function over the unit sphere.
-
-    Exact for at most 16 generators in dimension at most 7: the smallest
-    support over the zonotope's facet normals, which is its inradius.
-    Sampled and refined ("estimate") beyond; `rng` seeds only that branch.
-    See :func:`min_shadow_direction` for the shadow specialization.
-    """
-    if rng is None:
-        rng = RandomSource(0x51AD_0D20)
-    return _minimize_zonotope_support(z, rng)
 
 
 def min_shadow_direction(body: SymmetricHPolytope, rng: RandomSource | None = None) -> MinShadowReport:
@@ -211,7 +201,7 @@ def min_shadow_direction(body: SymmetricHPolytope, rng: RandomSource | None = No
     """
     if rng is None:
         rng = RandomSource(0x51AD_0D1F)
-    return _minimize_zonotope_support(projection_body(body), rng)
+    return minimize_support(projection_body(body), rng)
 
 
 @dataclass(frozen=True)
@@ -240,7 +230,7 @@ class ShadowPositionReport:
     kappa_min: float
     kappa_max: float
     candidates_checked: int
-    john: JohnDecomposition
+    john: WeightedDirections
     residuals: dict[str, float]
     ok: bool
     diagnostics: str
@@ -286,10 +276,10 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     john = extract_john_decomposition(mvee)
     # contacts were whitened with the same matrix up to the determinant
     # factor, so they are unit directions in the image frame already
-    report = _minimize_zonotope_support(projection_body(image), rng)
+    report = minimize_support(projection_body(image), rng)
     volume = image.volume
     ratio = report.value / volume ** ((n - 1) / n)
-    contact_shadows = image.shadow_areas(john.contacts)
+    contact_shadows = image.shadow_areas(john.directions)
     contact_err = float(np.max(np.abs(contact_shadows - report.value)) / report.value)
     frob, trace_gap = john.residuals()
     det_residual = abs(abs(float(np.linalg.det(transform))) - 1.0)
@@ -332,14 +322,13 @@ class ProductInequalityReport:
     ratio: float
 
 
-def verify_product_inequality(body: SymmetricHPolytope, decomposition) -> ProductInequalityReport:
+def verify_product_inequality(body: SymmetricHPolytope, decomposition: WeightedDirections) -> ProductInequalityReport:
     """Evaluate the product-of-shadows inequality for an isotropic decomposition.
 
-    ``decomposition`` is any object with unit ``directions``, positive
-    ``weights`` summing to n, and a ``validate`` method (contact
-    decompositions and standalone weighted directions both qualify).  Both
-    sides are computed in log space; the report carries rhs/lhs, which the
-    inequality guarantees to be at least one.
+    ``decomposition`` is validated first (unit directions, positive weights
+    resolving the identity); an MVEE's contact decomposition is one such.
+    Both sides are computed in log space; the report carries rhs/lhs, which
+    the inequality guarantees to be at least one.
     """
     decomposition.validate()
     u = decomposition.directions

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, canonical_signs, hyperplane_basis, isotropy_residuals, random_orthogonal, sample_unit_sphere
+from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, hyperplane_basis, random_orthogonal, sample_unit_sphere
 from .polytope import SymmetricHPolytope
 
 __all__ = [
-    "DominanceWitness",
     "MinkowskiInequalityReport",
     "VolumeFloorReport",
     "VolumeFormulaReport",
-    "WeightedDirections",
     "Zonotope",
     "dominance_volume_bound",
     "minkowski_inequality_check",
@@ -159,68 +157,6 @@ class Zonotope:
     def to_dict(self) -> dict:
         return {"n": self.dim, "generators": self._generators.tolist()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Zonotope":
-        if not isinstance(data, dict):
-            raise ValueError("zonotope document must be a JSON object")
-        missing = {"n", "generators"} - set(data)
-        if missing:
-            raise ValueError(f"zonotope document is missing keys: {sorted(missing)}")
-        extra = set(data) - {"n", "generators"}
-        if extra:
-            raise ValueError(f"zonotope document has unknown keys: {sorted(extra)}")
-        n = data["n"]
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("'n' must be a positive integer")
-        w = np.asarray(data["generators"], dtype=float)
-        if w.ndim != 2 or w.shape[1] != n:
-            raise ValueError(f"'generators' must be a list of length-{n} vectors")
-        return cls(w)
-
-
-@dataclass(frozen=True)
-class WeightedDirections:
-    """Unit directions with positive weights resolving the identity matrix.
-
-    The defining invariant ``sum c_i u_i (x) u_i = I`` (and hence
-    ``sum c_i = n``) is checked by :meth:`validate`, not at construction, so
-    deliberately perturbed instances can be built for fault-injection tests.
-    """
-
-    directions: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(self.directions, dtype=float)
-        c = np.array(self.weights, dtype=float)
-        if u.ndim != 2 or c.ndim != 1 or len(u) != len(c):
-            raise ValueError("need matching direction rows and weight entries")
-        u.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "directions", u)
-        object.__setattr__(self, "weights", c)
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-    def residuals(self) -> tuple[float, float]:
-        """(Frobenius residual of the identity resolution, trace gap)."""
-        return isotropy_residuals(self.directions, self.weights)
-
-    def validate(self, frobenius_tol: float = 1e-6, trace_tol: float = 1e-8) -> None:
-        """Raise ValueError unless the isotropy invariants hold at tolerance."""
-        norms = np.linalg.norm(self.directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
-            raise ValueError("directions must be unit vectors (within 1e-8)")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        frob, gap = self.residuals()
-        if frob > frobenius_tol:
-            raise ValueError(f"weighted directions do not resolve the identity: residual {frob:.3e} > {frobenius_tol:.1e}")
-        if abs(gap) > trace_tol:
-            raise ValueError(f"weights do not sum to the dimension: gap {gap:.3e} > {trace_tol:.1e}")
-
 
 @dataclass(frozen=True)
 class VolumeFormulaReport:
@@ -316,15 +252,6 @@ def minkowski_inequality_check(body: SymmetricHPolytope, z: Zonotope) -> Minkows
     lhs = body.volume ** ((n - 1) / n) * z.volume ** (1.0 / n)
     rhs = mixed_volume_vn1(body, z)
     return MinkowskiInequalityReport(lhs, rhs, rhs - lhs)
-
-
-@dataclass(frozen=True)
-class DominanceWitness:
-    """Where the containment check Z inside C was tightest."""
-
-    worst_margin: float
-    checked_vertices: int
-    checked_directions: int
 
 
 def dominance_volume_bound(

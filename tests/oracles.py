@@ -231,7 +231,7 @@ def support_minimum_reference(generators: np.ndarray, starts: np.ndarray) -> tup
     unit normal of every full-rank (n-1)-subset of generators (from its SVD,
     not a cofactor expansion), and the given `starts` descended by the
     library's projected-subgradient refinement.  Returns
-    ``(direction, value)``; 2^(m-1) patterns, so keep m <= 16 and n >= 2.
+    ``(direction, value)``; 2^(m-1) patterns, so keep m <= 20 and n >= 2.
     """
     from shadowgeom.shadow import _refine_support_minima
 

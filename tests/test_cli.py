@@ -200,12 +200,16 @@ class TestRunsAndExitCodes:
 
 class TestOutputsAndDeterminism:
     @pytest.mark.parametrize(
-        "command, samples, csv_stem",
-        [("verify-t3", 2, "verify_t3"), ("minkowski-solve", 50, "minkowski_starts")],
-        ids=["verify-t3", "minkowski-solve"],
+        "command, config, csv_stem",
+        [
+            ("verify-t3", {"samples": 2}, "verify_t3"),
+            ("minkowski-solve", {"samples": 50}, "minkowski_starts"),
+            ("shadow-position", {"n": 4, "m": 7}, None),
+        ],
+        ids=["verify-t3", "minkowski-solve", "shadow-position"],
     )
-    def test_rerun_is_byte_identical_outside_meta(self, tmp_path, capsys, command, samples, csv_stem):
-        cfg = write_config(tmp_path, {"samples": samples})
+    def test_rerun_is_byte_identical_outside_meta(self, tmp_path, capsys, command, config, csv_stem):
+        cfg = write_config(tmp_path, config)
         for sub in ("a", "b"):
             assert main([command, "--config", cfg, "--seed", "8",
                          "--out", str(tmp_path / sub), "--format", "both"]) == EXIT_PASS
@@ -216,12 +220,20 @@ class TestOutputsAndDeterminism:
             assert rep.pop("meta")["wall_time_seconds"] >= 0.0
             reports.append(json.dumps(rep, sort_keys=True))
         assert reports[0] == reports[1]
-        assert (tmp_path / "a" / f"{csv_stem}.csv").read_bytes() == (
-            tmp_path / "b" / f"{csv_stem}.csv"
-        ).read_bytes()
+        if csv_stem is not None:
+            assert (tmp_path / "a" / f"{csv_stem}.csv").read_bytes() == (
+                tmp_path / "b" / f"{csv_stem}.csv"
+            ).read_bytes()
+        results = json.loads(reports[0])["results"]
         if command == "minkowski-solve":
-            results = json.loads(reports[0])["results"]
             assert len(results["start_iterations"]) == len(results["start_volume_evals"]) == 5
+        if command == "shadow-position":
+            # the contact decomposition, written from WeightedDirections
+            contacts = np.array(results["john"]["contacts"])
+            weights = np.array(results["john"]["weights"])
+            assert contacts.shape == (len(weights), 4)
+            assert np.allclose(np.linalg.norm(contacts, axis=1), 1.0, atol=1e-12)
+            assert float(weights.sum()) == pytest.approx(4.0, abs=1e-8)
 
     def test_different_seed_changes_results(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"samples": 2})

@@ -9,12 +9,11 @@ import shadowgeom.ellipsoid as ellipsoid_mod
 from oracles import kappa_range, mvee_reference
 from shadowgeom.ellipsoid import (
     Ellipsoid,
-    JohnDecomposition,
     extract_john_decomposition,
     john_residual,
     mvee_symmetric,
 )
-from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, unit_ball_volume
+from shadowgeom.kernel import CapacityError, RandomSource, WeightedDirections, random_orthogonal, unit_ball_volume
 from shadowgeom.polytope import random_symmetric_polytope
 from shadowgeom.shadow import polar_vertices
 from shadowgeom.zonotope import projection_body
@@ -180,13 +179,13 @@ class TestJohnDecomposition:
         assert rep.quadratic_max_relative <= 1e-6
 
     def test_perturbed_weight_reports_trace_gap(self):
-        dec = JohnDecomposition(np.eye(3), np.array([1.0, 1.0, 1.0 + 1e-3]))
+        dec = WeightedDirections(np.eye(3), np.array([1.0, 1.0, 1.0 + 1e-3]))
         frob, gap = dec.residuals()
         assert gap == pytest.approx(1e-3, rel=1e-9)
         with pytest.raises(ValueError):
             dec.validate()
 
     def test_validate_rejects_non_unit_contacts(self):
-        dec = JohnDecomposition(1.1 * np.eye(3), np.ones(3))
+        dec = WeightedDirections(1.1 * np.eye(3), np.ones(3))
         with pytest.raises(ValueError, match="unit"):
             dec.validate()

@@ -5,13 +5,10 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import shadowgeom.shadow as shadow_mod
 from oracles import fd_gradient
 from shadowgeom.family import (
-    OFFSET_FLOOR,
     FloorViolationError,
     SlabFamilySpec,
     construct_pathological,
@@ -65,40 +62,6 @@ class TestSlabFamilySpec:
         spec = hexagon_spec()
         body = spec.body(np.ones(3))
         assert body.volume == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
-
-
-class TestBudgetProjection:
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_projection_is_feasible(self, seed):
-        spec = random_spec(4101)
-        raw = RandomSource(seed).generator().uniform(-0.5, 2.0, size=spec.count)
-        t = spec.project_to_budget(raw)
-        assert float(spec.weights @ t) == pytest.approx(1.0, abs=1e-10)
-        assert np.all(t >= OFFSET_FLOOR - 1e-15)
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_projection_idempotent(self, seed):
-        spec = random_spec(4102)
-        raw = RandomSource(seed).generator().uniform(0.0, 2.0, size=spec.count)
-        once = spec.project_to_budget(raw)
-        twice = spec.project_to_budget(once)
-        assert np.allclose(once, twice, atol=1e-10)
-
-    def test_feasible_point_is_fixed(self):
-        spec = hexagon_spec()
-        t = np.array([1.0, 1.0, 1.0])
-        assert np.allclose(spec.project_to_budget(t), t, atol=1e-12)
-
-    def test_projection_is_euclidean_nearest(self):
-        spec = hexagon_spec()
-        raw = np.array([1.4, 0.9, 0.8])
-        proj = spec.project_to_budget(raw)
-        # compare against a dense feasible sweep on the budget plane
-        gen = RandomSource(4103).generator()
-        for _ in range(200):
-            cand = gen.uniform(0.0, 2.0, size=3)
-            cand = cand / float(spec.weights @ cand)
-            assert np.linalg.norm(proj - raw) <= np.linalg.norm(cand - raw) + 1e-9
 
 
 class TestSolverFixtures:
@@ -224,7 +187,8 @@ class TestProjectionIdentity:
         # the identity is a certificate of optimality: a non-optimal member
         # of the family must violate it
         spec = random_spec(4131)
-        t = spec.project_to_budget(spec.uniform_offsets() * np.linspace(0.5, 1.6, spec.count))
+        t = spec.uniform_offsets() * np.linspace(0.5, 1.6, spec.count)
+        t = t / (spec.weights @ t)
         rep = verify_projection_identity(spec.body(t), spec, sample_count=500, rng=RandomSource(4132))
         assert rep.max_relative_error > 1e-3
 
@@ -251,7 +215,7 @@ class TestDirectionSpread:
         exact = direction_spread(u, rng=RandomSource(4143))
         assert exact.branch == "exact"
         assert exact.value == pytest.approx(0.9348148444080459, rel=1e-12)
-        monkeypatch.setattr(shadow_mod, "EXACT_PATTERN_LIMIT", 4)
+        monkeypatch.setattr(shadow_mod, "MAX_NORMAL_GENERATORS", 4)
         est = direction_spread(u, rng=RandomSource(4143))
         assert est.branch == "estimate"
         assert est.value == pytest.approx(exact.value, rel=1e-9)

@@ -11,12 +11,11 @@ from oracles import canonical_sign_reference, dedup_rows_reference
 from shadowgeom.kernel import (
     CapacityError,
     RandomSource,
+    WeightedDirections,
     canonical_signs,
     dedup_rows,
     hyperplane_basis,
-    isotropy_residuals,
     jacobi_eigh,
-    nullspace_basis,
     psd_sqrt,
     random_orthogonal,
     sample_unit_sphere,
@@ -122,12 +121,6 @@ class TestCharts:
             assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
             assert np.allclose(basis.T @ v, 0.0, atol=1e-10 * np.linalg.norm(v))
 
-    def test_nullspace_basis(self):
-        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        ns = nullspace_basis(rows)
-        assert ns.shape == (3, 1)
-        assert np.allclose(rows @ ns, 0.0, atol=1e-12)
-
     def test_random_orthogonal(self):
         gen = RandomSource(13).generator()
         q = random_orthogonal(4, gen)
@@ -196,14 +189,14 @@ class TestCanonicalForms:
 
 class TestIsotropyResiduals:
     def test_orthonormal_frame_is_exact(self):
-        frob, gap = isotropy_residuals(np.eye(4), np.ones(4))
+        frob, gap = WeightedDirections(np.eye(4), np.ones(4)).residuals()
         assert frob <= 1e-15
         assert abs(gap) <= 1e-15
 
     def test_perturbed_weight_reports_linearly(self):
         w = np.ones(3)
         w[2] += 1e-3
-        frob, gap = isotropy_residuals(np.eye(3), w)
+        frob, gap = WeightedDirections(np.eye(3), w).residuals()
         assert frob == pytest.approx(1e-3, rel=1e-9)
         assert gap == pytest.approx(1e-3, rel=1e-9)
 

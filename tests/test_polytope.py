@@ -86,6 +86,11 @@ class TestFromDict:
         with pytest.raises(ValueError, match="zero"):
             SymmetricHPolytope.from_dict(doc)
 
+    def test_rejects_boolean_n(self):
+        # JSON true is a Python bool, which is an int: it must not read as n = 1
+        with pytest.raises(ValueError, match="positive integer"):
+            SymmetricHPolytope.from_dict({"n": True, "directions": [[1.0]], "offsets": [1.0]})
+
 
 class TestExactFixtures:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -99,7 +99,7 @@ class TestMinimizeSupport:
         z = projection_body(random_symmetric_polytope(3, 6, RandomSource(709)))
         exact = minimize_support(z, rng=RandomSource(710))
         assert exact.branch == "exact"
-        monkeypatch.setattr(shadow_mod, "EXACT_PATTERN_LIMIT", 2)
+        monkeypatch.setattr(shadow_mod, "MAX_NORMAL_GENERATORS", 2)
         est = minimize_support(z, rng=RandomSource(710))
         assert est.branch == "estimate"
         assert est.value == pytest.approx(exact.value, rel=1e-6)
@@ -133,6 +133,13 @@ class TestMinimumSupportOracle:
         for m in range(n, 17):
             gens = RandomSource(900 + 20 * n + m).generator().standard_normal((m, n))
             assert_matches_exhaustive_minimum(gens, 1000 + m)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("m", range(17, 21))
+    def test_up_to_the_facet_normal_guard(self, n, m):
+        # up to MAX_NORMAL_GENERATORS the exact branch still takes the minimum
+        gens = RandomSource(900 + 20 * n + m).generator().standard_normal((m, n))
+        assert_matches_exhaustive_minimum(gens, 1000 + m)
 
     def test_cube(self):
         assert_matches_exhaustive_minimum(np.eye(4), 1)

@@ -117,6 +117,29 @@ class TestWeightedDirections:
         assert frob == pytest.approx(1e-3, rel=1e-9)
         assert gap == pytest.approx(1e-3, rel=1e-9)
 
+    def test_from_dict_normalizes_and_keeps_perturbed_weights(self):
+        doc = {"n": 2, "directions": [[1.0 + 5e-7, 0.0], [0.0, 1.0]], "weights": [1.0, 1.5]}
+        wd = WeightedDirections.from_dict(doc)
+        assert np.allclose(np.linalg.norm(wd.directions, axis=1), 1.0, atol=1e-15)
+        assert wd.weights.tolist() == [1.0, 1.5]
+        with pytest.raises(ValueError, match="identity"):
+            wd.validate()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n": 2, "directions": [[1, 0], [0, 1]]}, "missing keys"),
+            ({"n": True, "directions": [[1]], "weights": [1]}, "positive integer"),
+            ({"n": 2, "directions": [[1, 0, 0]], "weights": [1]}, "length-2"),
+            ({"n": 2, "directions": [[0, 0], [0, 1]], "weights": [1, 1]}, "zero"),
+            ({"n": 2, "directions": [[1.1, 0], [0, 1]], "weights": [1, 1]}, "norm"),
+        ],
+        ids=["missing", "bool-n", "width", "zero", "norm"],
+    )
+    def test_from_dict_rejects(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedDirections.from_dict(doc)
+
 
 class TestProjectionBody:
     def test_cube_projection_body_is_scaled_cube(self):
