@@ -2,13 +2,17 @@
 
 The MVEE of a symmetric set is origin-centered, so the problem is the
 D-optimal design: maximize ``log det M`` with ``M = sum_k lambda_k v_k v_k^T``
-over the probability simplex.  It is solved by Frank-Wolfe ascent with
-Wolfe-Atwood away steps (linear convergence, and the iterate doubles as an
-optimality certificate).  Each step is a rank-one change of M, so ``M^{-1}``
-and the leverages ``g_k = v_k^T M^{-1} v_k`` are updated in O(mn) (Khachiyan
-1996; Todd and Yildirim 2007) and rebuilt from scratch every
-``REBUILD_INTERVAL`` steps and before the solve stops, which keeps the
-certificate exact.  The ellipsoid is ``{x : x^T (n M)^{-1} x <= 1}``.
+over the probability simplex.  It is solved by an active-set Newton method
+(Sun and Freund 2004; Todd 2016, ch. 3).  On a small active set S the
+gradient is ``g_k = v_k^T M^{-1} v_k`` and the Hessian ``-(V_S M^{-1}
+V_S^T)**2`` entrywise, so a Newton step under ``sum lambda = 1`` is one
+small linear solve; ``log det`` is self-concordant, so damping the step by
+``1/(1 + delta)`` (delta the Newton decrement) needs no line search.  The
+solve starts from n points spanning R^n (the Kumar-Yildirim core set) and,
+whenever the Newton solve on S has converged, reads g over every point and
+brings the worst violators into S by Frank-Wolfe steps.  The iterate doubles
+as an optimality certificate over all points.  The ellipsoid is
+``{x : x^T (n M)^{-1} x <= 1}``.
 
 From an optimal design the contact-point decomposition is extracted: after
 mapping by ``(n M)^{-1/2}`` the support points become unit vectors ``u_i``
@@ -34,10 +38,13 @@ __all__ = [
     "mvee_symmetric",
 ]
 
+#: Cap on Newton steps.
 MAX_MVEE_ITERATIONS = 1_000_000
 DEFAULT_EPS = 1e-8
-#: Rank-one steps between two rebuilds of M, M^{-1} and g from the weights.
-REBUILD_INTERVAL = 64
+#: A Newton step with a decrement below this, and no weight reaching 0, ends
+#: the solve on the active set: by quadratic convergence the next decrement
+#: would be below its square, so the weights are exact to rounding.
+_NEWTON_DONE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,11 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class MveeResult:
-    """Solved design: the ellipsoid, canonical points, weights, and certificate data."""
+    """Solved design: the ellipsoid, canonical points, weights, and certificate data.
+
+    ``weights`` has one entry per point, zero off the support;
+    ``iterations`` counts Newton steps.
+    """
 
     ellipsoid: Ellipsoid
     points: np.ndarray
@@ -90,78 +101,142 @@ class MveeResult:
 
 
 def _canonicalize_symmetric(points: np.ndarray) -> np.ndarray:
+    """One representative per antipodal pair, zero rows dropped; tolerances relative to the largest norm."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array (m, n)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     norms = np.linalg.norm(pts, axis=1)
-    keep = pts[norms > 1e-12]
+    tol = 1e-12 * float(norms.max(initial=0.0))
+    keep = pts[norms > tol]
     if len(keep) == 0:
         raise ValueError("no nonzero points given")
-    return dedup_rows(keep * canonical_signs(keep)[:, None], 1e-12)
+    return dedup_rows(keep * canonical_signs(keep, tol)[:, None], tol)
+
+
+def _spanning_basis(v: np.ndarray) -> np.ndarray:
+    """Indices of n rows, each the farthest from the span of those before.
+
+    Pivoted Gram-Schmidt: the Kumar-Yildirim core set of a centered set, on
+    which uniform weights give a nonsingular design.
+    """
+    rest = v.copy()
+    picked = []
+    for _ in range(v.shape[1]):
+        sq = np.einsum("ij,ij->i", rest, rest)
+        j = int(np.argmax(sq))
+        picked.append(j)
+        q = rest[j] / np.sqrt(sq[j])
+        rest -= np.outer(rest @ q, q)
+    return np.array(picked)
+
+
+def _newton_step(k: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """One damped Newton step of ``log det M`` in the weights of the active set.
+
+    `k` is ``V_S M^{-1} V_S^T``: the gradient is its diagonal and the Hessian
+    ``-(k * k)``.  The step keeps ``sum lam = 1`` by a bordered system,
+    solved by least squares because ``k * k`` is singular when the outer
+    products of S are dependent (the design is then not unique, M is).  It
+    is damped by ``1/(1 + delta)`` and cut where the first weight reaches 0;
+    every weight that reaches 0 in it comes back as 0.  Returns the new
+    weights and the Newton decrement delta.
+    """
+    s = len(lam)
+    hess = k * k
+    kkt = np.ones((s + 1, s + 1))
+    kkt[:s, :s] = hess
+    kkt[s, s] = 0.0
+    d = np.linalg.lstsq(kkt, np.append(np.diag(k), 0.0), rcond=None)[0][:s]
+    delta = float(np.sqrt(max(d @ hess @ d, 0.0)))
+    step = 1.0 / (1.0 + delta)
+    falling = d < 0.0
+    reach = np.full(s, np.inf)
+    reach[falling] = -lam[falling] / d[falling]
+    step = min(step, float(reach.min()))
+    new = lam + step * d
+    new[reach <= step * (1.0 + 1e-12)] = 0.0
+    return np.maximum(new, 0.0), delta
+
+
+def _add_violators(v: np.ndarray, g: np.ndarray, active: np.ndarray, lam: np.ndarray, bound: float):
+    """Bring the n points of largest g above `bound` into the design by Frank-Wolfe steps.
+
+    Each step moves weight toward the worst of them under the current
+    design, by the exact line search ``beta = (g_j - n) / (n (g_j - 1))``,
+    after which that point has ``g_j = n``.
+    """
+    n = v.shape[1]
+    worst = np.argsort(g)[::-1][:n]
+    worst = worst[g[worst] > bound]
+    for _ in range(len(worst)):
+        w = v[active]
+        gw = np.einsum("ij,jk,ik->i", v[worst], np.linalg.inv((w.T * lam) @ w), v[worst])
+        i = int(np.argmax(gw))
+        if gw[i] <= bound:
+            break
+        beta = (gw[i] - n) / (n * (gw[i] - 1.0))
+        lam = lam * (1.0 - beta)
+        active, lam = np.append(active, worst[i]), np.append(lam, beta)
+        worst = np.delete(worst, i)
+    return active, lam
 
 
 def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     """MVEE of the symmetric set ``{+/- v_k}`` via the D-optimal design problem.
 
     Antipodal pairs are collapsed to canonical representatives first (the
-    design is even).  Each Wolfe-Atwood step moves weight toward the point of
-    largest ``g_k = v_k^T M^{-1} v_k`` or away from the support point of
-    smallest, which changes ``M`` by a rank-one term: ``M^{-1}`` follows by
-    Sherman-Morrison and every ``g_k`` by one matrix-vector product, O(mn)
-    per step.  Every ``REBUILD_INTERVAL`` steps, and before any stop, the
-    weights are renormalised and ``M``, ``M^{-1}`` and ``g`` are rebuilt from
-    scratch, so the stopping test and the returned kappa range are exact for
-    the returned weights.  Terminates when every point satisfies
-    ``v^T (nM)^{-1} v <= 1 + eps`` and every support point satisfies
-    ``>= 1 - eps``; raises :class:`CapacityError` with the best iterate
-    attached after ``MAX_MVEE_ITERATIONS`` steps.
+    design is even); the zero-row and duplicate tolerances and the span test
+    are relative to the largest point norm, so scaling the points by s
+    scales the shape by ``1/s**2`` and changes nothing else.  Non-finite
+    points raise ValueError.  The weights start uniform on n spanning points
+    and are solved by damped Newton steps on the active set S, dropping
+    every point whose weight reaches 0.  When that solve has converged, g is
+    read over every point: the solve ends when every point satisfies
+    ``v^T (nM)^{-1} v <= 1 + eps`` and every support point ``>= 1 - eps``;
+    otherwise the worst violators enter S by Frank-Wolfe steps and the
+    Newton solve resumes.  The stopping test and the returned kappa range
+    are exact over every point for the returned weights.
+    ``MveeResult.iterations`` counts Newton steps; after
+    ``MAX_MVEE_ITERATIONS`` of them :class:`CapacityError` is raised with
+    the current iterate attached.
     """
     if not (1e-10 <= eps <= 1e-2):
         raise ValueError("eps must lie in [1e-10, 1e-2]")
     v = _canonicalize_symmetric(points)
     m, n = v.shape
-    if np.linalg.matrix_rank(v, tol=1e-10) < n:
+    if np.linalg.matrix_rank(v, tol=1e-10 * float(np.linalg.norm(v, axis=1).max())) < n:
         raise ValueError("points do not span R^n: the MVEE is degenerate")
-    lam = np.full(m, 1.0 / m)
+    active = _spanning_basis(v)
+    lam = np.full(n, 1.0 / n)  # optimal on n points: det M is then prod(lam) det(V_S)^2
     iterations = 0
-    final = False
-    while not final:
-        lam /= lam.sum()
-        mat = (v.T * lam) @ v
+    settled = True  # the Newton solve on the active set has converged
+    while True:
+        w = v[active]
+        mat = (w.T * lam) @ w
         inv = np.linalg.inv(mat)
-        g = np.einsum("ij,jk,ik->i", v, inv, v)
-        for step in range(REBUILD_INTERVAL):
-            j_max = int(np.argmax(g))
-            support_g = np.where(lam > 0.0, g, np.inf)
-            j_min = int(np.argmin(support_g))
-            k_max, k_min = float(g[j_max]), float(support_g[j_min])
+        if settled or iterations >= MAX_MVEE_ITERATIONS:
+            g = np.einsum("ij,jk,ik->i", v, inv, v)
+            k_max, k_min = float(g.max()), float(g[active].min())
             converged = k_max <= n * (1.0 + eps) and k_min >= n * (1.0 - eps)
             if converged or iterations >= MAX_MVEE_ITERATIONS:
-                final = step == 0  # only a test on freshly rebuilt g ends the solve
                 break
-            if k_max - n >= n - k_min:
-                j = j_max
-                beta = (k_max - n) / (n * (k_max - 1.0))
-            else:
-                j = j_min
-                drop = -lam[j] / (1.0 - lam[j])
-                if k_min <= 1.0 + 1e-12:
-                    beta = drop  # unconstrained optimum is past removal: drop the point
-                else:
-                    beta = max((k_min - n) / (n * (k_min - 1.0)), drop)
-            # M <- (1 - beta) M + beta v_j v_j^T, by Sherman-Morrison
-            w = inv @ v[j]
-            scale = beta / (1.0 - beta + beta * g[j])
-            inv = (inv - scale * np.outer(w, w)) / (1.0 - beta)
-            g = (g - scale * (v @ w) ** 2) / (1.0 - beta)
-            lam *= 1.0 - beta
-            lam[j] = max(lam[j] + beta, 0.0)
-            iterations += 1
+            active, lam = _add_violators(v, g, active, lam, n * (1.0 + eps))
+            settled = False
+            continue
+        lam, delta = _newton_step(w @ inv @ w.T, lam)
+        iterations += 1
+        kept = lam > 0.0
+        settled = delta <= _NEWTON_DONE and bool(kept.all())
+        active, lam = active[kept], lam[kept] / lam[kept].sum()
+    weights = np.zeros(m)
+    weights[active] = lam
     shape = np.linalg.inv(n * mat)
     shape = 0.5 * (shape + shape.T)
-    result = MveeResult(Ellipsoid(shape), v, lam, iterations, k_max, k_min, eps)
+    result = MveeResult(Ellipsoid(shape), v, weights, iterations, k_max, k_min, eps)
     if not converged:
-        err = CapacityError(f"MVEE did not converge in {MAX_MVEE_ITERATIONS} iterations (kappa range [{k_min:.6g}, {k_max:.6g}], target n={n})")
+        err = CapacityError(f"MVEE did not converge in {MAX_MVEE_ITERATIONS} Newton steps (kappa range [{k_min:.6g}, {k_max:.6g}], target n={n})")
         err.best = result
         raise err
     return result

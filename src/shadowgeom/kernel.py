@@ -211,21 +211,19 @@ def dedup_rows(points: np.ndarray, tol: float) -> np.ndarray:
     """Merge rows closer than `tol`, keeping the first occurrence in input order.
 
     A row is dropped when it lies within `tol` of an earlier kept row.  Two
-    passes: a conservative grid hash collapses exact-ish duplicates, then the
-    remaining close pairs are found by sorting the rows along one fixed
-    direction and testing only neighbours inside a `tol` window, which also
-    catches pairs straddling a grid cell.
+    passes: exact duplicates are collapsed by one lexicographic sort, then
+    the remaining close pairs are found by sorting the rows along one fixed
+    direction and testing only neighbours inside a `tol` window.  Nothing is
+    rounded to a grid, so the result holds at any magnitude of the rows.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return pts.copy()
-    grid = np.round(pts / (tol / 16.0)).astype(np.int64)
-    by_cell = np.lexsort(grid.T[::-1])  # stable: each cell's first row leads its run
-    cells = grid[by_cell]
-    fresh = np.ones(len(cells), dtype=bool)
-    fresh[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-    first = by_cell[fresh]
-    survivors = pts[np.sort(first)]
+    by_row = np.lexsort(pts.T[::-1])  # stable: each distinct row's first copy leads its run
+    rows = pts[by_row]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    survivors = pts[np.sort(by_row[fresh])]
     # |<d, p - q>| <= |p - q| for a unit d, so every close pair shares a window
     d = np.sqrt(np.arange(1.0, pts.shape[1] + 1.0))
     proj = survivors @ (d / np.linalg.norm(d))
@@ -290,15 +288,16 @@ class WeightedDirections:
 
     def validate(self, frobenius_tol: float = 1e-6, trace_tol: float = 1e-8) -> None:
         """Raise ValueError unless the isotropy invariants hold at tolerance."""
+        # every test is written so that NaN fails it
         norms = np.linalg.norm(self.directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
+        if not np.all(np.abs(norms - 1.0) <= 1e-8):
             raise ValueError("directions must be unit vectors (within 1e-8)")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
+            raise ValueError("weights must be finite and strictly positive")
         frob, gap = self.residuals()
-        if frob > frobenius_tol:
+        if not frob <= frobenius_tol:
             raise ValueError(f"weighted directions do not resolve the identity: residual {frob:.3e} > {frobenius_tol:.1e}")
-        if abs(gap) > trace_tol:
+        if not abs(gap) <= trace_tol:
             raise ValueError(f"weights do not sum to the dimension: gap {gap:.3e} > {trace_tol:.1e}")
 
     @classmethod
@@ -316,8 +315,9 @@ def _read_unit_rows(data: dict, kind: str, values_key: str) -> tuple[np.ndarray,
 
     ``n`` must be a positive integer (not a boolean) and every direction a
     nonzero row of width n within 1e-6 of unit length; the rows come back
-    normalised.  The values are returned as a float array for the caller
-    to check.
+    normalised.  Every entry, values included, must be finite (Python's
+    ``json`` reads ``NaN`` and ``Infinity``); the values are returned as a
+    float array for the caller to check otherwise.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{kind} document must be a JSON object")
@@ -334,10 +334,14 @@ def _read_unit_rows(data: dict, kind: str, values_key: str) -> tuple[np.ndarray,
     u = np.asarray(data["directions"], dtype=float)
     if u.ndim != 2 or u.shape[1] != n:
         raise ValueError(f"'directions' must be a list of length-{n} vectors")
+    values = np.asarray(data[values_key], dtype=float)
+    for key, arr in (("directions", u), (values_key, values)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{key!r} must be finite numbers")
     norms = np.linalg.norm(u, axis=1)
     if np.any(norms <= 1e-12):
         raise ValueError("'directions' contains a zero vector")
     if np.any(np.abs(norms - 1.0) > 1e-6):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise ValueError(f"direction {bad} has norm {norms[bad]:.8f}; expected unit within 1e-6")
-    return u / norms[:, None], np.asarray(data[values_key], dtype=float)
+    return u / norms[:, None], values

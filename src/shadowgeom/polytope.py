@@ -323,8 +323,8 @@ class SymmetricHPolytope:
 
     Directions must be unit vectors (within 1e-12) spanning R^n — otherwise
     the body would be unbounded and construction is rejected.  Offsets must
-    be strictly positive.  Instances are immutable; vertices and facets are
-    computed on first use and cached.
+    be finite and strictly positive.  Instances are immutable; vertices and
+    facets are computed on first use and cached.
     """
 
     def __init__(self, directions: np.ndarray, offsets: np.ndarray):
@@ -339,11 +339,12 @@ class SymmetricHPolytope:
             raise ValueError("offsets must have one entry per direction")
         if m < n:
             raise ValueError(f"need at least n={n} slabs to bound the body, got {m}")
+        # each test is written so that NaN fails it
         norms = np.linalg.norm(u, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("directions must be unit vectors (within 1e-12)")
-        if np.any(t <= 0.0):
-            raise ValueError("offsets must be strictly positive")
+        if not np.all((t > 0.0) & np.isfinite(t)):
+            raise ValueError("offsets must be finite and strictly positive")
         if np.linalg.matrix_rank(u, tol=1e-10) < n:
             raise ValueError("directions do not span R^n: the body is unbounded")
         u.setflags(write=False)

@@ -212,11 +212,11 @@ class ShadowPositionReport:
     (a numerical failure: the transform is guaranteed to achieve 1), in
     which case ``diagnostics`` says what was measured.  The attached
     decomposition certifies the position: its contact directions all attain
-    the minimal shadow.  ``mvee_iterations`` and the kappa range are the
-    ellipsoid solve's step count and certificate (every polar vertex has
-    ``v^T M^{-1} v <= kappa_max``, every support point ``>= kappa_min``,
-    both within ``n (1 +/- eps)``); ``candidates_checked`` counts the
-    directions searched for the minimal shadow.
+    the minimal shadow.  ``mvee_iterations`` counts the Newton steps of the
+    ellipsoid solve, and the kappa range is its certificate (every polar
+    vertex has ``v^T M^{-1} v <= kappa_max``, every support point
+    ``>= kappa_min``, both within ``n (1 +/- eps)``); ``candidates_checked``
+    counts the directions searched for the minimal shadow.
     """
 
     transform: np.ndarray

@@ -5,7 +5,7 @@ come from direct constraint intersection, volumes and shadow areas from
 scipy's convex hull, gradients and Jacobians from central differences,
 support minima from plain sphere sampling or the exhaustive sign-pattern
 search (which reuses only the library's subgradient refinement), and
-minimal ellipsoids from the full-rebuild design loop.  Keep hull-based
+minimal ellipsoids from the Wolfe-Atwood design loop.  Keep hull-based
 oracles at dimension 6 or below — qhull becomes unreliable past that at
 these point counts.
 """
@@ -110,35 +110,31 @@ def canonical_sign_reference(vector: np.ndarray, tol: float = 1e-12) -> float:
 
 
 def dedup_rows_reference(points: np.ndarray, tol: float) -> np.ndarray:
-    """Row merging by a grid hash, then a row-by-row scan of the kept rows.
+    """Row merging by a plain row-by-row scan.
 
     The quadratic reference for ``kernel.dedup_rows``: a row is dropped when
-    it lies within `tol` of an earlier kept row.
+    it lies within `tol` of an earlier kept row.  Every row is compared with
+    every kept row, with no hashing or rounding, so the result holds at any
+    magnitude.
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) == 0:
-        return pts.copy()
-    grid = np.round(pts / (tol / 16.0)).astype(np.int64)
-    first = {}
-    order = []
-    for i, key in enumerate(map(bytes, grid)):
-        if key not in first:
-            first[key] = i
-            order.append(i)
-    kept_arr = np.empty((0, pts.shape[1]))
-    for row in pts[order]:
-        if len(kept_arr) and float(np.min(np.sum((kept_arr - row) ** 2, axis=1))) <= tol * tol:
+    kept = np.empty_like(pts)
+    count = 0
+    for row in pts:
+        if count and float(np.min(np.sum((kept[:count] - row) ** 2, axis=1))) <= tol * tol:
             continue
-        kept_arr = np.vstack([kept_arr, row[None, :]])
-    return kept_arr
+        kept[count] = row
+        count += 1
+    return kept[:count].copy()
 
 
 def mvee_reference(points: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     """Wolfe-Atwood MVEE of the symmetric set ``{+/- v_k}``, rebuilding M every step.
 
-    The full-rebuild reference for ``ellipsoid.mvee_symmetric``: the same
-    step rule, with ``M = sum lam_k v_k v_k^T``, its inverse and every
-    ``g_k = v_k^T M^{-1} v_k`` recomputed from scratch at each iteration.
+    The reference for ``ellipsoid.mvee_symmetric``, by another algorithm:
+    Frank-Wolfe toward the point of largest ``g_k = v_k^T M^{-1} v_k`` or
+    away from the support point of smallest, with ``M = sum lam_k v_k v_k^T``,
+    its inverse and every ``g_k`` recomputed from scratch at each iteration.
     `points` must already be one canonical representative per antipodal
     pair.  Returns the shape of the ellipsoid ``{x : x^T shape x <= 1}``.
     """

@@ -147,6 +147,26 @@ class TestRunsAndExitCodes:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("offsets", [float("nan"), 1.0, 1.0]), ("offsets", [float("inf"), 1.0, 1.0]),
+         ("directions", [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+         ("directions", [[float("inf"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+    )
+    def test_non_finite_body_is_a_config_error(self, tmp_path, capsys, field, value):
+        body = {"n": 3, "directions": np.eye(3).tolist(), "offsets": [1.0, 1.0, 1.0], field: value}
+        cfg = write_config(tmp_path, {"body": write_config(tmp_path, body, "body.json")})
+        assert main(["shadow-position", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_a_config_error(self, tmp_path, capsys, weight):
+        dec = {"n": 2, "directions": [[1.0, 0.0], [0.0, 1.0]], "weights": [weight, 1.0]}
+        cfg = write_config(tmp_path, {"decomposition": write_config(tmp_path, dec, "dec.json")})
+        assert main(["verify-t3", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert "[PASS]" not in out and "nan" not in out
+
     def test_perturbed_decomposition_fails_assertion(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"decomposition": str(FIXTURES / "perturbed_decomposition.json")}

@@ -107,12 +107,12 @@ def polar_cloud(n: int, m: int, seed: int) -> np.ndarray:
 
 
 class TestMveeAgainstReference:
-    """Rank-one updates against the full-rebuild loop, and the certificate read back."""
+    """Active-set Newton against Wolfe-Atwood run to eps = 1e-12, and the certificate read back."""
 
     def check(self, pts: np.ndarray, eps: float = 1e-8) -> None:
         result = mvee_symmetric(pts, eps)
         n = result.ellipsoid.dim
-        shape = mvee_reference(result.points, eps)
+        shape = mvee_reference(result.points, 1e-12)
         assert np.max(np.abs(result.ellipsoid.shape - shape)) <= 1e-10 * np.max(np.abs(shape))
         k_min, k_max = kappa_range(result.points, result.weights)
         assert n * (1.0 - eps) <= k_min and k_max <= n * (1.0 + eps)
@@ -137,15 +137,48 @@ class TestMveeAgainstReference:
     @pytest.mark.parametrize("n,m,seed", [(2, 0, 560), (4, 9, 561), (6, 12, 562)])
     def test_capacity_error_carries_exact_kappa_range(self, monkeypatch, n, m, seed):
         pts = symmetric_cloud(n, seed) if m == 0 else polar_cloud(n, m, seed)
-        monkeypatch.setattr(ellipsoid_mod, "MAX_MVEE_ITERATIONS", 5)
+        cap = 3 if m == 0 else 5  # the n = 2 cloud converges in 4 Newton steps
+        monkeypatch.setattr(ellipsoid_mod, "MAX_MVEE_ITERATIONS", cap)
         with pytest.raises(CapacityError) as info:
             mvee_symmetric(pts)
         best = info.value.best
-        assert best.iterations == 5
+        assert best.iterations == cap
         k_min, k_max = kappa_range(best.points, best.weights)
         assert best.kappa_min == pytest.approx(k_min, rel=1e-12)
         assert best.kappa_max == pytest.approx(k_max, rel=1e-12)
         assert not (k_max <= n * (1.0 + best.eps) and k_min >= n * (1.0 - best.eps))
+
+
+class TestMveeNewtonSolve:
+    """Step counts, scale invariance and input checks of the active-set Newton solve."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_step_bound_on_heavy_tailed_sets(self, seed):
+        # first-order step counts on these sets are heavy-tailed: 6104 Wolfe-Atwood steps at seed 29
+        pts = polar_cloud(5, 8, seed)
+        result = mvee_symmetric(pts)
+        assert result.iterations <= 100
+        k_min, k_max = kappa_range(result.points, result.weights)
+        assert 5 * (1.0 - result.eps) <= k_min and k_max <= 5 * (1.0 + result.eps)
+        assert result.kappa_min == pytest.approx(k_min, rel=1e-12)
+        assert result.kappa_max == pytest.approx(k_max, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_scaling_the_points_scales_the_shape(self, n):
+        pts = polar_cloud(n, n + 3, 3)
+        base = mvee_symmetric(pts)
+        for s in 10.0 ** np.arange(-12, 13, 3):
+            scaled = mvee_symmetric(s * pts)
+            expected = base.ellipsoid.shape / s**2
+            assert np.max(np.abs(scaled.ellipsoid.shape - expected)) <= 1e-9 * np.max(np.abs(expected)), s
+            assert scaled.iterations == base.iterations, s
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        pts = polar_cloud(3, 6, 3).copy()
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mvee_symmetric(pts)
 
 
 class TestJohnDecomposition:

@@ -186,6 +186,16 @@ class TestCanonicalForms:
         twice = dedup_rows(once, tol=1e-8)
         assert np.array_equal(once, twice)
 
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8, 1e9])
+    def test_dedup_rows_matches_reference_at_large_magnitude(self, scale):
+        # |x| / tol up to 1e21: far past where a grid of tol-sized cells fits in int64
+        tol = 1e-12
+        pts = RandomSource(31).generator().standard_normal((50, 6)) * scale
+        pts = np.vstack([pts, pts[:5]])
+        out = dedup_rows(pts, tol)
+        assert len(out) == 50
+        assert np.array_equal(out, dedup_rows_reference(pts, tol))
+
 
 class TestIsotropyResiduals:
     def test_orthonormal_frame_is_exact(self):
@@ -199,6 +209,24 @@ class TestIsotropyResiduals:
         frob, gap = WeightedDirections(np.eye(3), w).residuals()
         assert frob == pytest.approx(1e-3, rel=1e-9)
         assert gap == pytest.approx(1e-3, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_validate_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights"):
+            WeightedDirections(np.eye(2), np.array([bad, 1.0])).validate()
+
+    def test_validate_rejects_nan_direction(self):
+        with pytest.raises(ValueError, match="unit"):
+            WeightedDirections(np.array([[math.nan, 0.0], [0.0, 1.0]]), np.ones(2)).validate()
+
+    @pytest.mark.parametrize("key,value", [
+        ("weights", [math.nan, 1.0]), ("weights", [1.0, -math.inf]),
+        ("directions", [[math.nan, 0.0], [0.0, 1.0]]), ("directions", [[math.inf, 0.0], [0.0, 1.0]]),
+    ])
+    def test_reader_rejects_non_finite_entries(self, key, value):
+        doc = {"n": 2, "directions": [[1.0, 0.0], [0.0, 1.0]], "weights": [1.0, 1.0], key: value}
+        with pytest.raises(ValueError, match="finite"):
+            WeightedDirections.from_dict(doc)
 
 
 def test_capacity_error_carries_best():

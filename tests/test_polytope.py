@@ -50,6 +50,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="slabs"):
             SymmetricHPolytope(np.eye(3)[:2], np.ones(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_offsets(self, bad):
+        with pytest.raises(ValueError, match="offsets"):
+            SymmetricHPolytope(np.eye(2), np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_directions(self, bad):
+        with pytest.raises(ValueError, match="directions"):
+            SymmetricHPolytope(np.array([[bad, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.ones(3))
+
 
 class TestFromDict:
     def test_round_trip(self):
