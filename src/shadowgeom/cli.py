@@ -285,7 +285,7 @@ def _run_shadow_position(cfg: ExperimentConfig):
         body = load_body(cfg.body)
     else:
         body = random_symmetric_polytope(cfg.n, cfg.m, rng.fork(1))
-    rep = shadow_position(body, rng=rng.fork(2))
+    rep = shadow_position(body)
     results = rep.to_dict()
     results["body"] = {"n": body.dim, "slabs": int(len(body.offsets))}
     results["john"] = {

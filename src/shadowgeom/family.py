@@ -414,14 +414,15 @@ class DirectionSpreadReport:
         return {"value": self.value, "branch": self.branch}
 
 
-def direction_spread(directions: np.ndarray, rng: RandomSource | None = None) -> DirectionSpreadReport:
+def direction_spread(directions: np.ndarray) -> DirectionSpreadReport:
     """Worst-case weighted alignment of a direction set, normalized by sqrt(n).
 
     The minimized sum is the support function of the zonotope generated by
     the directions, so :func:`minimize_support` gives it exactly over the
-    zonotope's facet normals whenever there are at most 20 directions and
-    n <= 7 ("exact" branch); beyond that the value is a sampled estimate.  Duplicated directions count with multiplicity.
-    A non-spanning set has spread zero (witnessed by a normal direction).
+    zonotope's facet normals, for at most 24 directions and n <= 7 (the
+    zonotope's capacity guard).  Duplicated directions count with
+    multiplicity.  A non-spanning set has spread zero (witnessed by a
+    normal direction).
     """
     u = np.array(directions, dtype=float)
     if u.ndim != 2:
@@ -433,7 +434,7 @@ def direction_spread(directions: np.ndarray, rng: RandomSource | None = None) ->
     if np.linalg.matrix_rank(u, tol=1e-10) < n:
         _, _, vt = np.linalg.svd(u)
         return DirectionSpreadReport(0.0, vt[-1].copy(), "exact")
-    report = minimize_support(Zonotope(u), rng)
+    report = minimize_support(Zonotope(u))
     return DirectionSpreadReport(report.value / math.sqrt(n), report.direction, report.branch)
 
 
@@ -534,8 +535,8 @@ def construct_pathological(
     details = maximize_volume_details(spec, tol=1e-8, rng=rng.fork(0x501))
     body = details.body
     volume = details.volume
-    spread = direction_spread(u, rng=rng.fork(0x5BE))
-    shadow = min_shadow_direction(body, rng=rng.fork(0x51A))
+    spread = direction_spread(u)
+    shadow = min_shadow_direction(body)
     vol_nth_root = volume ** (1.0 / n)
     ratio = shadow.value / volume ** ((n - 1.0) / n)
     floor = spread.value * math.sqrt(n) / (2.0 * math.sqrt(2.0))
@@ -602,7 +603,7 @@ def shephard_demonstration(
     volume = body.volume
     radius = (volume / unit_ball_volume(n)) ** (1.0 / n)
     ball_shadow = unit_ball_volume(n - 1) * radius ** (n - 1)
-    shadow = min_shadow_direction(body, rng=rng.fork(0x51B))
+    shadow = min_shadow_direction(body)
     return ShephardReport(
         n=n,
         volume=volume,

@@ -14,16 +14,15 @@ and the Euclidean ball's shadow ratio.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ellipsoid import extract_john_decomposition, mvee_symmetric
-from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, dedup_rows, psd_sqrt, sample_unit_sphere
+from .kernel import RandomSource, WeightedDirections, canonical_signs, dedup_rows, psd_sqrt
 from .polytope import SymmetricHPolytope
-from .zonotope import Zonotope, projection_body
+from .zonotope import Zonotope, _check_capacity, _subset_blocks, projection_body
 
 __all__ = [
     "MinShadowReport",
@@ -40,40 +39,34 @@ __all__ = [
     "zonotope_facet_normals",
 ]
 
-MAX_NORMAL_GENERATORS = 20
-MAX_NORMAL_DIM = 7
-SAMPLING_COUNT = 100_000
-REFINE_STARTS = 200
-_REFINE_SEED = 0x51AD0_0001
-
-
 def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
     """Unit normals of all full-rank (n-1)-generator subsets, deduplicated up to sign.
 
     Every facet normal of the zonotope appears in the output (facets of a
     zonotope are spanned by generator subsets); the list may also contain
     directions that touch lower-dimensional faces, which is harmless for
-    support minimization.
+    support minimization.  The subsets are enumerated in blocks under the
+    zonotope's own capacity guard.
     """
     w = z.generators
     m, n = w.shape
     if n == 1:
         return np.array([[1.0]])
-    if m > MAX_NORMAL_GENERATORS or n > MAX_NORMAL_DIM:
-        raise CapacityError(f"facet-normal guard exceeded: m={m} (max {MAX_NORMAL_GENERATORS}), n={n} (max {MAX_NORMAL_DIM})")
-    subsets = np.array(list(itertools.combinations(range(m), n - 1)), dtype=np.intp).reshape(-1, n - 1)
-    mats = w[subsets]  # (S, n-1, n)
-    # normal by cofactor expansion: component k = (-1)^k det(minor without column k)
+    _check_capacity(m, n)
     cols = np.arange(n)
-    normals = np.empty((len(subsets), n))
-    for k in range(n):
-        minor = mats[:, :, cols != k]
-        normals[:, k] = (-1.0) ** k * np.linalg.det(minor)
-    norms = np.linalg.norm(normals, axis=1)
-    keep = norms > 1e-10
-    if not np.any(keep):
+    blocks = [np.empty((0, n))]
+    for subsets in _subset_blocks(m, n - 1):
+        mats = w[subsets]  # (S, n-1, n)
+        # normal by cofactor expansion: component k = (-1)^k det(minor without column k)
+        normals = np.empty((len(subsets), n))
+        for k in range(n):
+            normals[:, k] = (-1.0) ** k * np.linalg.det(mats[:, :, cols != k])
+        norms = np.linalg.norm(normals, axis=1)
+        keep = norms > 1e-10
+        blocks.append(normals[keep] / norms[keep][:, None])
+    unit = np.vstack(blocks)
+    if len(unit) == 0:
         raise ValueError("generators do not span: no facet normals")
-    unit = normals[keep] / norms[keep][:, None]
     return dedup_rows(unit * canonical_signs(unit)[:, None], 1e-10)
 
 
@@ -114,94 +107,32 @@ class MinShadowReport:
     candidates_checked: int
 
 
-def _refine_support_minima(gens: np.ndarray, starts: np.ndarray, steps: int = 60) -> np.ndarray:
-    """Projected subgradient descent for ``theta -> sum_j |<theta, w_j>|`` on the sphere.
-
-    All starts evolve together through batched array ops; each start follows
-    the same iterates it would follow alone (descent step 0.5 * value / |gradient|
-    with up to 40 halvings, stopping at the first failed line search or a
-    vanishing tangent), so the result per row is independent of the batch.
-    """
-    thetas = starts / np.linalg.norm(starts, axis=1)[:, None]
-    values = np.sum(np.abs(thetas @ gens.T), axis=1)
-    active = np.ones(len(thetas), dtype=bool)
-    for _ in range(steps):
-        if not np.any(active):
-            break
-        th = thetas[active]
-        grads = np.sign(th @ gens.T) @ gens
-        tangents = grads - np.sum(grads * th, axis=1)[:, None] * th
-        tnorms = np.linalg.norm(tangents, axis=1)
-        vals = values[active]
-        moving = tnorms > 1e-14 * np.maximum(1.0, vals)
-        idx = np.flatnonzero(active)
-        active[idx[~moving]] = False
-        idx = idx[moving]
-        if idx.size == 0:
-            break
-        dirs = tangents[moving] / tnorms[moving][:, None]
-        steps_now = 0.5 * vals[moving] / tnorms[moving]
-        pending = np.ones(idx.size, dtype=bool)
-        for _ in range(40):
-            rows = np.flatnonzero(pending)
-            if rows.size == 0:
-                break
-            cand = thetas[idx[rows]] - steps_now[rows][:, None] * dirs[rows]
-            cand /= np.linalg.norm(cand, axis=1)[:, None]
-            cvals = np.sum(np.abs(cand @ gens.T), axis=1)
-            vref = values[idx[rows]]
-            better = cvals < vref - 1e-15 * vref
-            take = rows[better]
-            thetas[idx[take]] = cand[better]
-            values[idx[take]] = cvals[better]
-            pending[take] = False
-            steps_now[rows[~better]] *= 0.5
-        # starts whose line search never improved are finished
-        active[idx[pending]] = False
-    return thetas
-
-
-def minimize_support(z: Zonotope, rng: RandomSource | None = None) -> MinShadowReport:
+def minimize_support(z: Zonotope) -> MinShadowReport:
     """Global minimum of a zonotope's support function over the unit sphere.
 
     The minimum of ``h_Z`` over the sphere is the inradius of the symmetric
     body Z, and a polytope's inradius is attained at a facet normal.  Every
-    facet of a zonotope is spanned by n-1 generators, so whenever
-    :func:`zonotope_facet_normals` accepts Z (at most
-    ``MAX_NORMAL_GENERATORS`` generators, n <= ``MAX_NORMAL_DIM``) the
-    normals of all full-rank (n-1)-generator subsets are the candidates and
-    the minimum is exact.  Beyond its guard a 10^5-sample sweep with 200
-    refined starts is returned, labeled "estimate"; `rng` seeds only that
-    branch.  Ties resolve to the earliest candidate, so the result is
-    deterministic.  See :func:`min_shadow_direction` for the shadow
-    specialization.
+    facet of a zonotope is spanned by n-1 generators, so the normals of all
+    full-rank (n-1)-generator subsets (:func:`zonotope_facet_normals`) are
+    the candidates and the minimum is exact for every zonotope within the
+    capacity guard (24 generators, n <= 7); beyond it CapacityError is
+    raised.  ``branch`` is always "exact".  Ties resolve to the earliest
+    candidate, so the result is deterministic.  See
+    :func:`min_shadow_direction` for the shadow specialization.
     """
-    gens = z.generators
-    branch = "exact"
-    try:
-        cand = zonotope_facet_normals(z)
-    except CapacityError:
-        if rng is None:
-            rng = RandomSource(0x51AD_0D20)
-        branch = "estimate"
-        samples = sample_unit_sphere(z.dim, rng.fork(_REFINE_SEED), count=SAMPLING_COUNT)
-        values = np.sum(np.abs(samples @ gens.T), axis=1)
-        best = np.argsort(values, kind="stable")[:REFINE_STARTS]
-        cand = np.vstack([samples, _refine_support_minima(gens, samples[best])])
-    values = np.sum(np.abs(cand @ gens.T), axis=1)
+    cand = zonotope_facet_normals(z)
+    values = np.sum(np.abs(cand @ z.generators.T), axis=1)
     idx = int(np.argmin(values))  # numpy argmin returns the first minimum: lowest index wins
-    return MinShadowReport(cand[idx].copy(), float(values[idx]), branch, len(cand))
+    return MinShadowReport(cand[idx].copy(), float(values[idx]), "exact", len(cand))
 
 
-def min_shadow_direction(body: SymmetricHPolytope, rng: RandomSource | None = None) -> MinShadowReport:
+def min_shadow_direction(body: SymmetricHPolytope) -> MinShadowReport:
     """Direction of the smallest (n-1)-dimensional shadow of the body.
 
     The shadow area is the support function of the projection body, so the
     problem reduces to minimizing a zonotope support over the sphere.
     """
-    if rng is None:
-        rng = RandomSource(0x51AD_0D1F)
-    return minimize_support(projection_body(body), rng)
+    return minimize_support(projection_body(body))
 
 
 @dataclass(frozen=True)
@@ -262,10 +193,9 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     Pipeline: projection body -> polar vertices -> minimal enclosing
     ellipsoid -> whitening transform (determinant normalized to one).  The
     ellipsoid's contact decomposition is attached; each contact direction
-    attains the minimal shadow of the repositioned body.
+    attains the minimal shadow of the repositioned body.  ``rng`` is
+    unused: the pipeline draws no random numbers.
     """
-    if rng is None:
-        rng = RandomSource(0x51AD_0005)
     n = body.dim
     pv = polar_vertices(projection_body(body))
     mvee = mvee_symmetric(pv.vertices, eps)
@@ -276,7 +206,7 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     john = extract_john_decomposition(mvee)
     # contacts were whitened with the same matrix up to the determinant
     # factor, so they are unit directions in the image frame already
-    report = minimize_support(projection_body(image), rng)
+    report = minimize_support(projection_body(image))
     volume = image.volume
     ratio = report.value / volume ** ((n - 1) / n)
     contact_shadows = image.shadow_areas(john.directions)

@@ -17,6 +17,7 @@ Everything here is exact desk-scale arithmetic:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,23 +46,36 @@ GENERATOR_FLOOR = 1e-12
 _SUBSET_CHUNK = 8192
 
 
+def _check_capacity(m: int, n: int) -> None:
+    """The guard on every generator-subset enumeration: at most 24 generators in dimension at most 7."""
+    if m > MAX_GENERATORS or n > MAX_DIM:
+        raise CapacityError(f"zonotope guard exceeded: m={m} (max {MAX_GENERATORS}), n={n} (max {MAX_DIM})")
+
+
+def _subset_blocks(m: int, k: int) -> Iterator[np.ndarray]:
+    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``_SUBSET_CHUNK`` rows at a time.
+
+    Peak memory is one block, whatever C(m, k) is.
+    """
+    combos = itertools.combinations(range(m), k)
+    while True:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _SUBSET_CHUNK)), dtype=np.intp)
+        if block.size == 0:
+            return
+        yield block.reshape(-1, k)
+
+
 def _volume_of_generators(gens: np.ndarray) -> float:
     """``2^n sum over n-subsets |det|``; 0 if the generators do not span."""
     m, n = gens.shape
     if m < n:
         return 0.0
-    if m > MAX_GENERATORS or n > MAX_DIM:
-        raise CapacityError(f"zonotope volume guard exceeded: m={m} (max {MAX_GENERATORS}), n={n} (max {MAX_DIM})")
+    _check_capacity(m, n)
     if n == 1:
         return 2.0 * float(np.sum(np.abs(gens[:, 0])))
-    subsets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(m), n)),
-        dtype=np.intp,
-    ).reshape(-1, n)
     total = 0.0
-    for lo in range(0, len(subsets), _SUBSET_CHUNK):
-        mats = gens[subsets[lo : lo + _SUBSET_CHUNK]]
-        total += float(np.sum(np.abs(np.linalg.det(mats))))
+    for subsets in _subset_blocks(m, n):
+        total += float(np.sum(np.abs(np.linalg.det(gens[subsets]))))
     return (2.0**n) * total
 
 

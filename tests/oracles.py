@@ -4,7 +4,7 @@ Everything here avoids the library's own computational paths: vertex sets
 come from direct constraint intersection, volumes and shadow areas from
 scipy's convex hull, gradients and Jacobians from central differences,
 support minima from plain sphere sampling or the exhaustive sign-pattern
-search (which reuses only the library's subgradient refinement), and
+search with its own subgradient refinement, and
 minimal ellipsoids from the Wolfe-Atwood design loop.  Keep hull-based
 oracles at dimension 6 or below — qhull becomes unreliable past that at
 these point counts.
@@ -218,6 +218,62 @@ def fd_jacobian(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _refine_support_minima(gens: np.ndarray, starts: np.ndarray, steps: int = 60) -> np.ndarray:
+    """Projected subgradient descent for ``theta -> sum_j |<theta, w_j>|`` on the sphere.
+
+    All starts evolve together through batched array ops; each start follows
+    the same iterates it would follow alone (descent step 0.5 * value / |gradient|
+    with up to 40 halvings, stopping at the first failed line search or a
+    vanishing tangent), so the result per row is independent of the batch.
+    """
+    thetas = starts / np.linalg.norm(starts, axis=1)[:, None]
+    values = np.sum(np.abs(thetas @ gens.T), axis=1)
+    active = np.ones(len(thetas), dtype=bool)
+    for _ in range(steps):
+        if not np.any(active):
+            break
+        th = thetas[active]
+        grads = np.sign(th @ gens.T) @ gens
+        tangents = grads - np.sum(grads * th, axis=1)[:, None] * th
+        tnorms = np.linalg.norm(tangents, axis=1)
+        vals = values[active]
+        moving = tnorms > 1e-14 * np.maximum(1.0, vals)
+        idx = np.flatnonzero(active)
+        active[idx[~moving]] = False
+        idx = idx[moving]
+        if idx.size == 0:
+            break
+        dirs = tangents[moving] / tnorms[moving][:, None]
+        steps_now = 0.5 * vals[moving] / tnorms[moving]
+        pending = np.ones(idx.size, dtype=bool)
+        for _ in range(40):
+            rows = np.flatnonzero(pending)
+            if rows.size == 0:
+                break
+            cand = thetas[idx[rows]] - steps_now[rows][:, None] * dirs[rows]
+            cand /= np.linalg.norm(cand, axis=1)[:, None]
+            cvals = np.sum(np.abs(cand @ gens.T), axis=1)
+            vref = values[idx[rows]]
+            better = cvals < vref - 1e-15 * vref
+            take = rows[better]
+            thetas[idx[take]] = cand[better]
+            values[idx[take]] = cvals[better]
+            pending[take] = False
+            steps_now[rows[~better]] *= 0.5
+        # starts whose line search never improved are finished
+        active[idx[pending]] = False
+    return thetas
+
+
+#: sign patterns are enumerated 2^PATTERN_BITS at a time
+PATTERN_BITS = 16
+
+
+def _sign_table(count: int, k: int) -> np.ndarray:
+    """Row c holds the signs ``1 - 2 * bit_j(c)`` for j < k, for each c < count."""
+    return 1.0 - 2.0 * ((np.arange(count)[:, None] >> np.arange(k)) & 1)
+
+
 def support_minimum_reference(generators: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, float]:
     """Exhaustive minimum of ``theta -> sum_j |<theta, w_j>|`` on the unit sphere.
 
@@ -225,26 +281,35 @@ def support_minimum_reference(generators: np.ndarray, starts: np.ndarray) -> tup
     self-consistent sign-pattern direction (``sum_j s_j w_j`` normalised,
     whose inner products with the generators have the pattern's signs), the
     unit normal of every full-rank (n-1)-subset of generators (from its SVD,
-    not a cofactor expansion), and the given `starts` descended by the
-    library's projected-subgradient refinement.  Returns
-    ``(direction, value)``; 2^(m-1) patterns, so keep m <= 20 and n >= 2.
+    not a cofactor expansion), and the given `starts` descended by
+    projected-subgradient refinement.  Returns ``(direction, value)``.  The
+    2^(m-1) sign patterns (s_0 = +1) are taken as one fixed table over the
+    next ``PATTERN_BITS`` generators, combined with each pattern of the
+    rest in turn, and the subsets in blocks of the same size, so memory
+    stays bounded up to m = 24; needs n >= 2.
     """
-    from shadowgeom.shadow import _refine_support_minima
-
     g = np.asarray(generators, dtype=float)
     m, n = g.shape
-    patterns = np.array(list(itertools.product([1.0, -1.0], repeat=m - 1)))
-    patterns = np.hstack([np.ones((len(patterns), 1)), patterns])
-    dirs = patterns @ g
-    norms = np.linalg.norm(dirs, axis=1)
-    ok = norms > 1e-12
-    dirs = dirs[ok] / norms[ok][:, None]
-    inner = dirs @ g.T
-    consistent = np.all((np.abs(inner) <= 1e-12) | (np.sign(inner) == patterns[ok]), axis=1)
-    candidates = [dirs[consistent], _refine_support_minima(g, np.asarray(starts, dtype=float))]
-    subsets = np.array(list(itertools.combinations(range(m), n - 1)), dtype=np.intp).reshape(-1, n - 1)
-    if len(subsets):
-        _, sv, vt = np.linalg.svd(g[subsets])
+    low = min(m - 1, PATTERN_BITS)
+    table = np.hstack([np.ones((1 << low, 1)), _sign_table(1 << low, low)])
+    base = table @ g[: low + 1]
+    candidates = []
+    for rest in _sign_table(1 << (m - 1 - low), m - 1 - low):
+        dirs = base + rest @ g[low + 1 :]
+        inner = dirs @ g.T
+        norms = np.linalg.norm(dirs, axis=1)
+        # every <dir, w_j> has the sign s_j or vanishes, relative to |dir|
+        tol = -1e-12 * norms[:, None]
+        consistent = (
+            (norms > 1e-12)
+            & np.all(inner[:, : low + 1] * table >= tol, axis=1)
+            & np.all(inner[:, low + 1 :] * rest >= tol, axis=1)
+        )
+        candidates.append(dirs[consistent] / norms[consistent][:, None])
+    candidates.append(_refine_support_minima(g, np.asarray(starts, dtype=float)))
+    combos = itertools.combinations(range(m), n - 1)
+    while subsets := list(itertools.islice(combos, 1 << PATTERN_BITS)):
+        _, sv, vt = np.linalg.svd(g[np.array(subsets, dtype=np.intp)])
         candidates.append(vt[sv[:, -1] > 1e-10 * sv[:, 0], -1, :])
     cand = np.vstack(candidates)
     values = np.sum(np.abs(cand @ g.T), axis=1)

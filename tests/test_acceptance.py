@@ -55,7 +55,7 @@ def shadow_sweep():
         n = 3 + seed % 3
         m = min(12, n + 2 + seed % 7)
         body = random_symmetric_polytope(n, m, RandomSource(1000 + seed))
-        reports.append(shadow_position(body, rng=RandomSource(2000 + seed)))
+        reports.append(shadow_position(body))
     return reports, time.perf_counter() - started
 
 
@@ -63,7 +63,7 @@ def test_criterion_1_cube_fixed_point():
     started = time.perf_counter()
     worst = 0.0
     for n in (3, 4):
-        rep = shadow_position(cube(n), rng=RandomSource(3000 + n))
+        rep = shadow_position(cube(n))
         worst = max(worst, abs(rep.ratio - 1.0))
     elapsed = time.perf_counter() - started
     record(

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import shadowgeom.shadow as shadow_mod
 from oracles import support_minimum_reference, support_minimum_sampled
 from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
 from shadowgeom.polytope import SymmetricHPolytope, random_symmetric_polytope
@@ -52,7 +51,7 @@ class TestFacetNormals:
     def test_capacity_guard(self):
         gen = RandomSource(701).generator()
         with pytest.raises(CapacityError):
-            zonotope_facet_normals(Zonotope(gen.standard_normal((21, 3))))
+            zonotope_facet_normals(Zonotope(gen.standard_normal((25, 3))))
 
 
 class TestPolarVertices:
@@ -76,18 +75,18 @@ class TestPolarVertices:
 
 class TestMinimizeSupport:
     def test_cube_minimum_is_axis_shadow(self):
-        rep = min_shadow_direction(cube(3), rng=RandomSource(704))
+        rep = min_shadow_direction(cube(3))
         assert rep.branch == "exact"
         assert rep.value == pytest.approx(4.0, rel=1e-12)
         assert np.max(np.abs(rep.direction)) == pytest.approx(1.0, abs=1e-9)
 
     def test_hexagon_minimum_width(self):
-        rep = min_shadow_direction(hexagon(), rng=RandomSource(705))
+        rep = min_shadow_direction(hexagon())
         assert rep.value == pytest.approx(2.0, rel=1e-12)
 
     def test_reported_value_is_attained_and_global(self):
         body = random_symmetric_polytope(3, 6, RandomSource(706))
-        rep = min_shadow_direction(body, rng=RandomSource(707))
+        rep = min_shadow_direction(body)
         assert rep.branch == "exact"
         assert body.shadow_area(rep.direction) == pytest.approx(rep.value, rel=1e-9)
         sampled = float(
@@ -95,27 +94,17 @@ class TestMinimizeSupport:
         )
         assert rep.value <= sampled + 1e-9
 
-    def test_estimate_branch_matches_exact(self, monkeypatch):
-        z = projection_body(random_symmetric_polytope(3, 6, RandomSource(709)))
-        exact = minimize_support(z, rng=RandomSource(710))
-        assert exact.branch == "exact"
-        monkeypatch.setattr(shadow_mod, "MAX_NORMAL_GENERATORS", 2)
-        est = minimize_support(z, rng=RandomSource(710))
-        assert est.branch == "estimate"
-        assert est.value == pytest.approx(exact.value, rel=1e-6)
-        assert est.value >= exact.value - 1e-12
-
     def test_estimate_upper_bounds_sampled_oracle(self):
         gens = RandomSource(711).generator().standard_normal((6, 3))
         z = Zonotope(gens)
-        rep = minimize_support(z, rng=RandomSource(712))
+        rep = minimize_support(z)
         oracle = support_minimum_sampled(gens, RandomSource(713).generator())
         assert rep.value <= oracle + 1e-9
 
 
 def assert_matches_exhaustive_minimum(gens: np.ndarray, seed: int) -> None:
     z = Zonotope(gens)
-    rep = minimize_support(z, rng=RandomSource(seed))
+    rep = minimize_support(z)
     starts = sample_unit_sphere(z.dim, RandomSource(seed + 1), count=50)
     _, ref = support_minimum_reference(z.generators, starts)
     scale = float(np.sum(np.linalg.norm(z.generators, axis=1)))
@@ -137,7 +126,12 @@ class TestMinimumSupportOracle:
     @pytest.mark.parametrize("n", [3, 5, 7])
     @pytest.mark.parametrize("m", range(17, 21))
     def test_up_to_the_facet_normal_guard(self, n, m):
-        # up to MAX_NORMAL_GENERATORS the exact branch still takes the minimum
+        gens = RandomSource(900 + 20 * n + m).generator().standard_normal((m, n))
+        assert_matches_exhaustive_minimum(gens, 1000 + m)
+
+    @pytest.mark.parametrize(("n", "m"), [(3, 21), (5, 24), (7, 24)])
+    def test_up_to_the_generator_guard(self, n, m):
+        # past the facet-normal enumeration's old 20-generator limit, up to the zonotope's 24
         gens = RandomSource(900 + 20 * n + m).generator().standard_normal((m, n))
         assert_matches_exhaustive_minimum(gens, 1000 + m)
 
@@ -173,7 +167,7 @@ class TestMinimumSupportOracle:
 class TestShadowPosition:
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_cube_is_fixed_point(self, n):
-        rep = shadow_position(cube(n), rng=RandomSource(720 + n))
+        rep = shadow_position(cube(n))
         assert rep.ok
         assert rep.ratio == pytest.approx(1.0, abs=1e-9)
         assert rep.volume == pytest.approx(2.0**n, rel=1e-9)
@@ -182,7 +176,7 @@ class TestShadowPosition:
     def test_random_bodies_reach_the_floor(self, seed):
         n = 3 + seed % 2
         body = random_symmetric_polytope(n, n + 3 + seed, RandomSource(730 + seed))
-        rep = shadow_position(body, rng=RandomSource(740 + seed))
+        rep = shadow_position(body)
         assert rep.ok
         assert rep.ratio >= 1.0 - 1e-4
         assert rep.branch == "exact"
@@ -191,22 +185,31 @@ class TestShadowPosition:
 
     def test_john_residuals_within_contract(self):
         body = random_symmetric_polytope(3, 7, RandomSource(750))
-        rep = shadow_position(body, rng=RandomSource(751))
+        rep = shadow_position(body)
         assert rep.residuals["john_frobenius"] <= 1e-6
         assert abs(rep.residuals["john_trace_gap"]) <= 1e-8
 
     def test_contact_directions_attain_minimum(self):
         body = random_symmetric_polytope(3, 6, RandomSource(752))
-        rep = shadow_position(body, rng=RandomSource(753))
+        rep = shadow_position(body)
         shadows = rep.body.shadow_areas(rep.john.contacts)
         assert np.max(np.abs(shadows - rep.min_shadow)) <= 1e-6 * rep.min_shadow
 
     def test_affine_invariance_of_result(self):
         body = random_symmetric_polytope(3, 6, RandomSource(754))
         skew = np.array([[1.0, 0.7, 0.0], [0.0, 1.0, -0.4], [0.0, 0.0, 1.0]])
-        rep_a = shadow_position(body, rng=RandomSource(755))
-        rep_b = shadow_position(body.affine_image(skew), rng=RandomSource(755))
+        rep_a = shadow_position(body)
+        rep_b = shadow_position(body.affine_image(skew))
         assert rep_b.ratio == pytest.approx(rep_a.ratio, rel=1e-6)
+
+    def test_body_with_more_than_twenty_facet_pairs(self):
+        # 24 slabs, 21 of them facets: past the facet-normal enumeration's old 20-generator guard
+        body = random_symmetric_polytope(5, 24, RandomSource(4))
+        assert len(projection_body(body).generators) > 20
+        rep = shadow_position(body)
+        assert rep.ok
+        assert rep.ratio >= 1.0 - 1e-4
+        assert rep.branch == "exact"
 
 
 class TestProductInequality:
