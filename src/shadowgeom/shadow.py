@@ -39,6 +39,7 @@ __all__ = [
     "zonotope_facet_normals",
 ]
 
+
 def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
     """Unit normals of all full-rank (n-1)-generator subsets, deduplicated up to sign.
 
@@ -48,7 +49,7 @@ def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
     support minimization.  The subsets are enumerated in blocks under the
     zonotope's own capacity guard.
     """
-    w = z.generators
+    w = z.unit_directions  # unit generators: the cofactors, and their threshold, are free of scale
     m, n = w.shape
     if n == 1:
         return np.array([[1.0]])
@@ -89,7 +90,7 @@ def polar_vertices(z: Zonotope) -> PolarVertexSet:
     """
     normals = zonotope_facet_normals(z)
     heights = z.supports(normals)
-    if np.any(heights <= 1e-12):
+    if np.any(heights <= 1e-12 * np.max(heights)):
         raise ValueError("zonotope is degenerate: zero support height")
     verts = normals / heights[:, None]
     out = np.vstack([verts, -verts])

@@ -47,7 +47,7 @@ _SUBSET_CHUNK = 8192
 
 
 def _check_capacity(m: int, n: int) -> None:
-    """The guard on every generator-subset enumeration: at most 24 generators in dimension at most 7."""
+    """The guard on every generator-subset enumeration: m <= MAX_GENERATORS, n <= MAX_DIM."""
     if m > MAX_GENERATORS or n > MAX_DIM:
         raise CapacityError(f"zonotope guard exceeded: m={m} (max {MAX_GENERATORS}), n={n} (max {MAX_DIM})")
 
@@ -82,8 +82,9 @@ def _volume_of_generators(gens: np.ndarray) -> float:
 class Zonotope:
     """Minkowski sum of centered segments ``[-w_j, w_j]``.
 
-    Generators of norm below 1e-12 are dropped at construction (they
-    contribute nothing to support, volume, or shadows).  The decomposition
+    Generators of norm at most 1e-12 times the largest are dropped at
+    construction (they contribute nothing to support, volume, or shadows
+    at that relative precision).  The decomposition
     views ``alphas[j] = |w_j|`` and ``unit_directions[j] = w_j/|w_j|`` are
     exposed for the weighted-volume identities.
     """
@@ -94,10 +95,12 @@ class Zonotope:
             raise ValueError("generators must be a 2-d array (m, n)")
         if w.shape[1] < 1:
             raise ValueError("dimension must be at least 1")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("generators must be finite")
         norms = np.linalg.norm(w, axis=1)
-        w = w[norms > GENERATOR_FLOOR]
+        w = w[norms > GENERATOR_FLOOR * np.max(norms, initial=0.0)]
         if len(w) == 0:
-            raise ValueError("no generators of norm above 1e-12")
+            raise ValueError("no nonzero generators")
         w.setflags(write=False)
         self._generators = w
 

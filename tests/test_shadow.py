@@ -1,5 +1,6 @@
 """Shadow minimization, repositioning pipeline, product inequality, ball ratio."""
 
+import functools
 import math
 
 import numpy as np
@@ -210,6 +211,28 @@ class TestShadowPosition:
         assert rep.ok
         assert rep.ratio >= 1.0 - 1e-4
         assert rep.branch == "exact"
+
+
+@functools.lru_cache(maxsize=None)
+def unit_scale_results(n: int, m: int):
+    body = random_symmetric_polytope(n, m, RandomSource(3))
+    return body, shadow_position(body), min_shadow_direction(body).value, projection_body(body).volume
+
+
+class TestScaleInvariance:
+    """The shadow position is scale-free; shadows scale as s^(n-1), the projection body's volume as s^(n(n-1))."""
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("extra", [1, 3])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_scaled_body(self, n, extra, s):
+        body, ref, ref_min, ref_volume = unit_scale_results(n, n + extra)
+        scaled = SymmetricHPolytope(body.directions, s * body.offsets)
+        rep = shadow_position(scaled)
+        assert abs(rep.ratio - ref.ratio) <= 1e-9
+        assert np.max(np.abs(rep.transform - ref.transform)) <= 1e-8 * np.max(np.abs(ref.transform))
+        assert min_shadow_direction(scaled).value == pytest.approx(s ** (n - 1) * ref_min, rel=1e-9)
+        assert projection_body(scaled).volume == pytest.approx(s ** (n * (n - 1)) * ref_volume, rel=1e-9)
 
 
 class TestProductInequality:

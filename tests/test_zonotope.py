@@ -40,7 +40,16 @@ class TestZonotopeBasics:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Zonotope(np.array([[1e-15, 0.0]]))
+            Zonotope(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_generators(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Zonotope(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+    def test_floor_is_relative_to_the_largest_generator(self):
+        assert Zonotope(np.array([[1e-15, 0.0]])).num_generators == 1
+        assert Zonotope(np.array([[1e6, 0.0], [0.0, 1e6], [1e-7, 0.0]])).num_generators == 2
 
     def test_support_is_sum_of_absolute_inner_products(self):
         gen = RandomSource(60).generator()
