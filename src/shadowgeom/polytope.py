@@ -573,12 +573,17 @@ class SymmetricHPolytope:
         """The body ``A P`` for an invertible matrix A.
 
         Slab normals map by the inverse transpose and are re-normalised;
-        offsets are rescaled accordingly.
+        offsets are rescaled accordingly.  A is refused as singular when its
+        smallest singular value is at most 1e-12 times its largest, a test
+        that does not depend on the scale of A.
         """
         a = np.asarray(matrix, dtype=float)
         if a.shape != (self.dim, self.dim):
             raise ValueError("transform has wrong shape")
-        if abs(float(np.linalg.det(a))) <= 1e-12:
+        if not np.all(np.isfinite(a)):
+            raise ValueError("transform must be finite")
+        sv = np.linalg.svd(a, compute_uv=False)
+        if not sv[-1] > 1e-12 * sv[0]:
             raise ValueError("transform is numerically singular")
         w = np.linalg.solve(a.T, self._directions.T).T  # rows A^{-T} u_i
         norms = np.linalg.norm(w, axis=1)

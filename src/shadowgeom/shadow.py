@@ -9,7 +9,12 @@ shadows.  In that position every (n-1)-dimensional shadow is at least
 
 This module builds that pipeline end to end and provides the verifiers for
 the product-of-shadows inequality (its orthonormal special case included)
-and the Euclidean ball's shadow ratio.
+and the Euclidean ball's shadow ratio.  The polytope is enumerated once per
+pipeline run: a linear map T keeps the face lattice, the projection body
+transforms as ``Pi(TC) = |det T| T^{-T} Pi C`` (Petty, "Projection bodies",
+1967; Schneider, *Convex Bodies*, section 10.9) and ``|TC| = |det T| |C|``,
+so the certificate of the repositioned body is read off the input body's
+projection body and polar vertices.
 """
 
 from __future__ import annotations
@@ -73,7 +78,12 @@ def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarVertexSet:
-    """Vertices of the polar of a zonotope: normals scaled to shadow-norm one."""
+    """Vertices of the polar of a zonotope: normals scaled to shadow-norm one.
+
+    The first half of the rows are the candidates of
+    :func:`zonotope_facet_normals`, in its order, and the second half their
+    negatives.
+    """
 
     vertices: np.ndarray
 
@@ -117,14 +127,29 @@ def minimize_support(z: Zonotope) -> MinShadowReport:
     full-rank (n-1)-generator subsets (:func:`zonotope_facet_normals`) are
     the candidates and the minimum is exact for every zonotope within the
     capacity guard (24 generators, n <= 7); beyond it CapacityError is
-    raised.  ``branch`` is always "exact".  Ties resolve to the earliest
-    candidate, so the result is deterministic.  See
+    raised.  ``branch`` is always "exact".  Values within ``TIE_TOLERANCE``
+    relative of the least one tie, and the earliest tied candidate is
+    reported, so the direction is deterministic.  See
     :func:`min_shadow_direction` for the shadow specialization.
     """
-    cand = zonotope_facet_normals(z)
-    values = np.sum(np.abs(cand @ z.generators.T), axis=1)
-    idx = int(np.argmin(values))  # numpy argmin returns the first minimum: lowest index wins
-    return MinShadowReport(cand[idx].copy(), float(values[idx]), "exact", len(cand))
+    return _least_support(z, zonotope_facet_normals(z))
+
+
+TIE_TOLERANCE = 1e-12
+
+
+def _least_support(z: Zonotope, candidates: np.ndarray) -> MinShadowReport:
+    """The least support of ``z`` over unit candidate directions.
+
+    Candidates within ``TIE_TOLERANCE`` relative of the least value tie, and
+    the first of them is reported, in canonical sign, so the direction does
+    not depend on the last bits of the values.
+    """
+    values = z.supports(candidates)
+    least = float(np.min(values))
+    idx = int(np.argmax(values <= least * (1.0 + TIE_TOLERANCE)))
+    direction = candidates[idx] * canonical_signs(candidates[idx])[0]
+    return MinShadowReport(direction, least, "exact", len(candidates))
 
 
 def min_shadow_direction(body: SymmetricHPolytope) -> MinShadowReport:
@@ -144,7 +169,11 @@ class ShadowPositionReport:
     (a numerical failure: the transform is guaranteed to achieve 1), in
     which case ``diagnostics`` says what was measured.  The attached
     decomposition certifies the position: its contact directions all attain
-    the minimal shadow.  ``mvee_iterations`` counts the Newton steps of the
+    the minimal shadow.  ``volume``, ``min_shadow``, ``min_direction`` and the
+    contact shadows are those of ``body``, computed from the input body
+    through the linear-image identities; ``body`` itself is enumerated only
+    if a caller asks for its vertices, facets or measures.
+    ``mvee_iterations`` counts the Newton steps of the
     ellipsoid solve, and the kappa range is its certificate (every polar
     vertex has ``v^T M^{-1} v <= kappa_max``, every support point
     ``>= kappa_min``, both within ``n (1 +/- eps)``); ``candidates_checked``
@@ -192,28 +221,37 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     """Volume-preserving linear map after which every shadow is >= vol^{(n-1)/n}.
 
     Pipeline: projection body -> polar vertices -> minimal enclosing
-    ellipsoid -> whitening transform (determinant normalized to one).  The
+    ellipsoid -> whitening transform T (determinant normalized to one).  The
     ellipsoid's contact decomposition is attached; each contact direction
-    attains the minimal shadow of the repositioned body.  ``rng`` is
-    unused: the pipeline draws no random numbers.
+    attains the minimal shadow of the repositioned body TC.
+
+    The body is enumerated once.  The certificate of TC comes from the
+    identities ``Pi(TC) = |det T| T^{-T} Pi C`` and ``|TC| = |det T| |C|``:
+    shadows of TC are supports of the mapped generators, and since a facet
+    normal nu of ``Pi C`` becomes ``T nu`` (up to scale) on ``T^{-T} Pi C``,
+    the minimal shadow is searched over the polar vertices mapped by T.
+    ``rng`` is unused: the pipeline draws no random numbers.
     """
     n = body.dim
-    pv = polar_vertices(projection_body(body))
+    zono = projection_body(body)
+    pv = polar_vertices(zono)
     mvee = mvee_symmetric(pv.vertices, eps)
     root = psd_sqrt(mvee.ellipsoid.shape)
     det = float(np.linalg.det(root))
     transform = root / det ** (1.0 / n)
-    image = body.affine_image(transform)
     john = extract_john_decomposition(mvee)
     # contacts were whitened with the same matrix up to the determinant
     # factor, so they are unit directions in the image frame already
-    report = minimize_support(projection_body(image))
-    volume = image.volume
+    det_t = abs(float(np.linalg.det(transform)))
+    image_zono = Zonotope(det_t * np.linalg.solve(transform.T, zono.generators.T).T)  # rows |det T| T^{-T} g
+    normals = pv.vertices[: len(pv) // 2] @ transform.T
+    report = _least_support(image_zono, normals / np.linalg.norm(normals, axis=1)[:, None])
+    volume = det_t * body.volume
     ratio = report.value / volume ** ((n - 1) / n)
-    contact_shadows = image.shadow_areas(john.directions)
+    contact_shadows = image_zono.supports(john.directions)
     contact_err = float(np.max(np.abs(contact_shadows - report.value)) / report.value)
     frob, trace_gap = john.residuals()
-    det_residual = abs(abs(float(np.linalg.det(transform))) - 1.0)
+    det_residual = abs(det_t - 1.0)
     residuals = {
         "transform_det": det_residual,
         "john_frobenius": frob,
@@ -227,7 +265,7 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     )
     return ShadowPositionReport(
         transform=transform,
-        body=image,
+        body=body.affine_image(transform),
         min_shadow=report.value,
         min_direction=report.direction,
         volume=volume,

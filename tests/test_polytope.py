@@ -338,6 +338,20 @@ class TestTransforms:
         image = body.affine_image(mat)
         assert image.volume == pytest.approx(abs(np.linalg.det(mat)) * body.volume, rel=1e-9)
 
+    @pytest.mark.parametrize("s", [1e-5, 1e5])
+    def test_affine_image_of_a_scaled_identity(self, s):
+        # a multiple of the identity is perfectly conditioned at any scale
+        body = random_symmetric_polytope(3, 6, RandomSource(46))
+        assert body.affine_image(s * np.eye(3)).volume == pytest.approx(s**3 * body.volume, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-5, 1.0, 1e5])
+    def test_rank_deficient_transform_rejected_at_every_scale(self, s):
+        body = random_symmetric_polytope(3, 6, RandomSource(46))
+        rows = np.array([[0.3, 0.7, 1.1], [0.9, 0.1, 0.7]])
+        mat = s * np.vstack([rows, rows[0] / 3.0 + 2.0 * rows[1] / 3.0])  # its rounded determinant is 0.087 at s = 1e5
+        with pytest.raises(ValueError, match="transform is numerically singular"):
+            body.affine_image(mat)
+
     @given(st.integers(min_value=0, max_value=10**6))
     def test_volume_invariant_under_rotation(self, seed):
         body = random_symmetric_polytope(3, 6, RandomSource(47))

@@ -165,6 +165,9 @@ class TestMinimumSupportOracle:
         assert abs(float(rep.direction @ normal)) == pytest.approx(1.0, abs=1e-12)
 
 
+SKEW = np.array([[1.0, 0.7, 0.0], [0.0, 1.0, -0.4], [0.0, 0.0, 1.0]])
+
+
 class TestShadowPosition:
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_cube_is_fixed_point(self, n):
@@ -198,9 +201,8 @@ class TestShadowPosition:
 
     def test_affine_invariance_of_result(self):
         body = random_symmetric_polytope(3, 6, RandomSource(754))
-        skew = np.array([[1.0, 0.7, 0.0], [0.0, 1.0, -0.4], [0.0, 0.0, 1.0]])
         rep_a = shadow_position(body)
-        rep_b = shadow_position(body.affine_image(skew))
+        rep_b = shadow_position(body.affine_image(SKEW))
         assert rep_b.ratio == pytest.approx(rep_a.ratio, rel=1e-6)
 
     def test_body_with_more_than_twenty_facet_pairs(self):
@@ -211,6 +213,48 @@ class TestShadowPosition:
         assert rep.ok
         assert rep.ratio >= 1.0 - 1e-4
         assert rep.branch == "exact"
+
+
+CERTIFICATE_BODIES = {
+    **{f"cube-{n}": functools.partial(cube, n) for n in (2, 3, 4, 7)},
+    **{f"random-{n}": functools.partial(random_symmetric_polytope, n, n + 3, RandomSource(760 + n)) for n in range(3, 7)},
+    "skewed": lambda: random_symmetric_polytope(3, 6, RandomSource(754)).affine_image(SKEW),
+}
+
+
+class TestCertificateOracle:
+    """The report's certificate against a fresh enumeration of the repositioned body."""
+
+    @pytest.mark.parametrize("name", CERTIFICATE_BODIES)
+    def test_fields_match_a_fresh_enumeration(self, name):
+        rep = shadow_position(CERTIFICATE_BODIES[name]())
+        # the certificate comes from the input body; the image is enumerated only on demand
+        assert "vertices" not in rep.body.__dict__
+        fresh = min_shadow_direction(rep.body)
+        assert rep.volume == pytest.approx(rep.body.volume, rel=1e-12)
+        assert rep.min_shadow == pytest.approx(fresh.value, rel=1e-12)
+        gap = min(np.linalg.norm(rep.min_direction - fresh.direction), np.linalg.norm(rep.min_direction + fresh.direction))
+        assert gap <= 1e-12
+
+
+class TestTiedMinima:
+    """Minima that tie to rounding resolve by candidate order, never by their last bits."""
+
+    def test_ulp_perturbed_cube_zonotope(self):
+        gen = np.random.default_rng(11)
+        directions = set()
+        for _ in range(20):
+            gens = 4.0 * np.eye(3) * (1.0 + 1e-15 * gen.standard_normal(3))
+            directions.add(tuple(minimize_support(Zonotope(gens)).direction))
+        assert len(directions) == 1
+
+    def test_ulp_perturbed_box_position(self):
+        gen = np.random.default_rng(12)
+        directions = set()
+        for _ in range(20):
+            rep = shadow_position(SymmetricHPolytope(np.eye(3), 1.0 + 1e-15 * gen.standard_normal(3)))
+            directions.add(tuple(np.round(rep.min_direction, 12)))
+        assert len(directions) == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,6 +277,15 @@ class TestScaleInvariance:
         assert np.max(np.abs(rep.transform - ref.transform)) <= 1e-8 * np.max(np.abs(ref.transform))
         assert min_shadow_direction(scaled).value == pytest.approx(s ** (n - 1) * ref_min, rel=1e-9)
         assert projection_body(scaled).volume == pytest.approx(s ** (n * (n - 1)) * ref_volume, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_product_inequality_ratio(self, n, s):
+        # the repositioned body against its own contact decomposition
+        _, ref, _, _ = unit_scale_results(n, n + 3)
+        scaled = SymmetricHPolytope(ref.body.directions, s * ref.body.offsets)
+        ratio = verify_product_inequality(ref.body, ref.john).ratio
+        assert verify_product_inequality(scaled, ref.john).ratio == pytest.approx(ratio, rel=1e-12)
 
 
 class TestProductInequality:
