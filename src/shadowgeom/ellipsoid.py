@@ -247,8 +247,10 @@ def extract_john_decomposition(result: MveeResult) -> WeightedDirections:
 
     Support points are those with design weight above ``max(eps, 1e-9)``.
     The support weights are renormalized and the whitening map recomputed
-    from the support-only design, so the output satisfies the identity
+    from the support-only design D, so the output satisfies the identity
     resolution to machine precision regardless of the solver tolerance.
+    The weights ``c_i = n lam_i v_i^T D^{-1} v_i`` come from one linear
+    solve, so their sum ``tr(D^{-1} D) = n`` holds to rounding.
     """
     lam = result.weights
     v = result.points
@@ -265,9 +267,8 @@ def extract_john_decomposition(result: MveeResult) -> WeightedDirections:
         raise ValueError("support design is rank-deficient")
     whiten = q @ np.diag(w**-0.5) @ q.T
     tv = vs @ whiten
-    lengths = np.linalg.norm(tv, axis=1)
-    contacts = tv / lengths[:, None]
-    weights = n * lam_hat * lengths**2
+    contacts = tv / np.linalg.norm(tv, axis=1)[:, None]
+    weights = n * lam_hat * np.einsum("ij,ji->i", vs, np.linalg.solve(design, vs.T))
     return WeightedDirections(contacts, weights)
 
 

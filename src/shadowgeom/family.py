@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, hyperplane_basis, sample_unit_sphere, unit_ball_volume
+from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, sample_unit_sphere, unit_ball_volume
 from .polytope import SymmetricHPolytope
 from .shadow import ball_shadow_ratio, min_shadow_direction, minimize_support
 from .zonotope import Zonotope
@@ -73,9 +73,9 @@ class FloorViolationError(RuntimeError):
 class SlabFamilySpec:
     """Directions and budget weights defining a family of slab bodies.
 
-    ``directions`` holds m unit rows spanning R^n; ``weights`` holds the m
-    positive budget weights.  Family members are the bodies with offsets t
-    satisfying ``weights @ t = 1`` and ``t > 0``.
+    ``directions`` holds m unit rows spanning R^n (checked as every member
+    body checks them); ``weights`` holds the m positive budget weights.
+    Family members are the bodies with offsets t, ``weights @ t = 1``, t > 0.
     """
 
     directions: np.ndarray
@@ -86,18 +86,11 @@ class SlabFamilySpec:
         w = np.array(self.weights, dtype=float)
         if u.ndim != 2:
             raise ValueError("directions must be a 2-d array (m, n)")
-        m, n = u.shape
-        if w.shape != (m,):
+        if w.shape != (len(u),):
             raise ValueError("weights must be a vector of length m")
-        if not np.all(np.isfinite(u)) or not np.all(np.isfinite(w)):
-            raise ValueError("directions and weights must be finite")
-        if np.any(w <= 0.0):
-            raise ValueError("budget weights must be positive")
-        norms = np.linalg.norm(u, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("directions must be unit vectors")
-        if np.linalg.matrix_rank(u, tol=1e-10) < n:
-            raise ValueError("directions must span the ambient space")
+        check_slab_directions(u)
+        if not np.all((w > 0.0) & np.isfinite(w)):
+            raise ValueError("budget weights must be finite and positive")
         if float(w.sum()) * OFFSET_FLOOR >= 1.0:
             raise ValueError("budget weights leave no room above the offset floor")
         u.setflags(write=False)

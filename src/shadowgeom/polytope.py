@@ -20,20 +20,20 @@ volume, shadows) is computed by explicit brute-force geometry:
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
 are given at unit scale and scaled with the body (see ``_scale``).  The
-enumeration cost is combinatorial, so hard desk-scale guards reject
-``m > 24`` slabs or dimension ``n > 7``.
+enumeration cost is combinatorial, so the one guard of the kernel, which
+zonotopes share, rejects ``m > 24`` slabs or dimension ``n > 7``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, _read_unit_rows, canonical_signs, dedup_rows, sample_unit_sphere
+from .kernel import RandomSource, _read_unit_rows, canonical_signs, check_capacity, check_slab_directions, dedup_rows
+from .kernel import sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
 
 __all__ = [
     "FacetData",
@@ -43,13 +43,10 @@ __all__ = [
     "random_symmetric_polytope",
 ]
 
-MAX_SLABS = 24
-MAX_DIM = 7
 FEASIBILITY_TOL = 1e-9
 VERTEX_MERGE_TOL = 1e-8
 MEASURE_FLOOR = 1e-12
 _DET_TOL = 1e-12
-_SUBSET_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -339,14 +336,9 @@ class SymmetricHPolytope:
             raise ValueError("offsets must have one entry per direction")
         if m < n:
             raise ValueError(f"need at least n={n} slabs to bound the body, got {m}")
-        # each test is written so that NaN fails it
-        norms = np.linalg.norm(u, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-12):
-            raise ValueError("directions must be unit vectors (within 1e-12)")
+        check_slab_directions(u)
         if not np.all((t > 0.0) & np.isfinite(t)):
             raise ValueError("offsets must be finite and strictly positive")
-        if np.linalg.matrix_rank(u, tol=1e-10) < n:
-            raise ValueError("directions do not span R^n: the body is unbounded")
         u.setflags(write=False)
         t.setflags(write=False)
         self._directions = u
@@ -387,13 +379,6 @@ class SymmetricHPolytope:
         _, exponent = math.frexp(float(self._offsets.max()))
         return math.ldexp(1.0, exponent - 1)
 
-    def _guard(self) -> None:
-        if self.num_slabs > MAX_SLABS or self.dim > MAX_DIM:
-            raise CapacityError(
-                f"enumeration guard exceeded: m={self.num_slabs} (max {MAX_SLABS}), "
-                f"n={self.dim} (max {MAX_DIM})"
-            )
-
     # -- membership / support --------------------------------------------
 
     def contains(self, points: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
@@ -415,15 +400,12 @@ class SymmetricHPolytope:
         positive are solved in one batched call; mirrored solutions are added
         afterwards, so the set is exactly closed under negation.
         """
-        self._guard()
         u, t, s = self._directions, self._offsets, self._scale
         m, n = u.shape
-        patterns = np.array(list(itertools.product([1.0, -1.0], repeat=n - 1)))
-        patterns = np.hstack([np.ones((len(patterns), 1)), patterns])  # (P, n)
-        subsets = np.array(list(itertools.combinations(range(m), n)), dtype=np.intp)
+        check_capacity(m, n, "slab enumeration")
+        patterns = sign_patterns(n)  # (P, n)
         found: list[np.ndarray] = []
-        for lo in range(0, len(subsets), _SUBSET_CHUNK):
-            block = subsets[lo : lo + _SUBSET_CHUNK]
+        for block in subset_blocks(m, n):
             mats = u[block]  # (B, n, n)
             keep = np.abs(np.linalg.det(mats)) > _DET_TOL
             if not np.any(keep):
@@ -641,8 +623,6 @@ def cauchy_surface_check(body: SymmetricHPolytope, rng: RandomSource, samples: i
     ``n * v_n / v_{n-1}``, reproduces the surface area.  Returns the measured
     relative error; no assertion is made here.
     """
-    from .kernel import unit_ball_volume
-
     n = body.dim
     if samples < 1:
         raise ValueError("need at least one sample")

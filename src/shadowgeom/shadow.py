@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsoid import extract_john_decomposition, mvee_symmetric
-from .kernel import RandomSource, WeightedDirections, canonical_signs, dedup_rows, psd_sqrt
+from .kernel import RandomSource, WeightedDirections, canonical_signs, check_capacity, dedup_rows, log_unit_ball_volume
+from .kernel import psd_sqrt, subset_blocks
 from .polytope import SymmetricHPolytope
-from .zonotope import Zonotope, _check_capacity, _subset_blocks, projection_body
+from .zonotope import Zonotope, projection_body
 
 __all__ = [
     "MinShadowReport",
@@ -52,16 +53,16 @@ def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
     zonotope are spanned by generator subsets); the list may also contain
     directions that touch lower-dimensional faces, which is harmless for
     support minimization.  The subsets are enumerated in blocks under the
-    zonotope's own capacity guard.
+    kernel's capacity guard, the one the zonotope volume runs under.
     """
     w = z.unit_directions  # unit generators: the cofactors, and their threshold, are free of scale
     m, n = w.shape
     if n == 1:
         return np.array([[1.0]])
-    _check_capacity(m, n)
+    check_capacity(m, n, "zonotope")
     cols = np.arange(n)
     blocks = [np.empty((0, n))]
-    for subsets in _subset_blocks(m, n - 1):
+    for subsets in subset_blocks(m, n - 1):
         mats = w[subsets]  # (S, n-1, n)
         # normal by cofactor expansion: component k = (-1)^k det(minor without column k)
         normals = np.empty((len(subsets), n))
@@ -328,6 +329,4 @@ def ball_shadow_ratio(n: int) -> float:
     """
     if not (2 <= n <= 200):
         raise ValueError("dimension must lie in [2, 200]")
-    log_vn = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
-    log_vn1 = 0.5 * (n - 1) * math.log(math.pi) - math.lgamma(0.5 * (n - 1) + 1.0)
-    return math.exp(log_vn1 - (n - 1) / n * log_vn)
+    return math.exp(log_unit_ball_volume(n - 1) - (n - 1) / n * log_unit_ball_volume(n))

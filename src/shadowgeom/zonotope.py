@@ -16,13 +16,12 @@ Everything here is exact desk-scale arithmetic:
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, hyperplane_basis, random_orthogonal, sample_unit_sphere
+from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, check_capacity, hyperplane_basis
+from .kernel import random_orthogonal, sample_unit_sphere, sign_patterns, subset_blocks
 from .polytope import SymmetricHPolytope
 
 __all__ = [
@@ -40,43 +39,17 @@ __all__ = [
     "zonotope_volume_floor",
 ]
 
-MAX_GENERATORS = 24
-MAX_DIM = 7
 GENERATOR_FLOOR = 1e-12
-_SUBSET_CHUNK = 8192
-
-
-def _check_capacity(m: int, n: int) -> None:
-    """The guard on every generator-subset enumeration: m <= MAX_GENERATORS, n <= MAX_DIM."""
-    if m > MAX_GENERATORS or n > MAX_DIM:
-        raise CapacityError(f"zonotope guard exceeded: m={m} (max {MAX_GENERATORS}), n={n} (max {MAX_DIM})")
-
-
-def _subset_blocks(m: int, k: int) -> Iterator[np.ndarray]:
-    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``_SUBSET_CHUNK`` rows at a time.
-
-    Peak memory is one block, whatever C(m, k) is.
-    """
-    combos = itertools.combinations(range(m), k)
-    while True:
-        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _SUBSET_CHUNK)), dtype=np.intp)
-        if block.size == 0:
-            return
-        yield block.reshape(-1, k)
 
 
 def _volume_of_generators(gens: np.ndarray) -> float:
-    """``2^n sum over n-subsets |det|``; 0 if the generators do not span."""
+    """``2^n sum over n-subsets |det|``, one sum whatever the block size; 0 if the generators do not span."""
     m, n = gens.shape
     if m < n:
         return 0.0
-    _check_capacity(m, n)
-    if n == 1:
-        return 2.0 * float(np.sum(np.abs(gens[:, 0])))
-    total = 0.0
-    for subsets in _subset_blocks(m, n):
-        total += float(np.sum(np.abs(np.linalg.det(gens[subsets]))))
-    return (2.0**n) * total
+    check_capacity(m, n, "zonotope")
+    dets = [np.abs(np.linalg.det(gens[subsets])) for subsets in subset_blocks(m, n)]
+    return (2.0**n) * float(np.sum(np.concatenate(dets)))
 
 
 class Zonotope:
@@ -166,9 +139,7 @@ class Zonotope:
         m, n = self._generators.shape
         if m > 16:
             raise CapacityError(f"vertex sign-pattern guard exceeded: m={m} (max 16)")
-        signs = np.array(list(itertools.product([1.0, -1.0], repeat=m - 1)))
-        signs = np.hstack([np.ones((len(signs), 1)), signs])
-        half = signs @ self._generators
+        half = sign_patterns(m) @ self._generators
         return np.vstack([half, -half])
 
     def to_dict(self) -> dict:

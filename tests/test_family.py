@@ -46,6 +46,12 @@ class TestSlabFamilySpec:
         with pytest.raises(ValueError, match="positive"):
             SlabFamilySpec(np.eye(2), np.array([1.0, 0.0]))
 
+    def test_rejects_directions_its_member_bodies_refuse(self):
+        # 1e-10 off unit length: every member body refuses these directions, so the spec must
+        spec = hexagon_spec()
+        with pytest.raises(ValueError, match="unit"):
+            SlabFamilySpec(spec.directions * (1.0 + 1e-10), spec.weights)
+
     def test_rejects_non_spanning(self):
         u = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match="span"):

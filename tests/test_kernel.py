@@ -1,5 +1,6 @@
-"""Numerical kernel: randomness, eigensolvers, charts, canonical forms."""
+"""Numerical kernel: randomness, eigensolvers, subset blocks, charts, canonical forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import canonical_sign_reference, dedup_rows_reference
+from shadowgeom import kernel
 from shadowgeom.kernel import (
     CapacityError,
     RandomSource,
@@ -19,8 +21,12 @@ from shadowgeom.kernel import (
     psd_sqrt,
     random_orthogonal,
     sample_unit_sphere,
+    subset_blocks,
     unit_ball_volume,
 )
+from shadowgeom.polytope import SymmetricHPolytope, random_symmetric_polytope
+from shadowgeom.shadow import zonotope_facet_normals
+from shadowgeom.zonotope import projection_body
 
 
 class TestRandomSource:
@@ -68,6 +74,30 @@ class TestJacobiEigh:
         vals, vecs = jacobi_eigh(np.eye(3))
         assert np.allclose(vals, 1.0)
         assert np.allclose(vecs @ vecs.T, np.eye(3), atol=1e-14)
+
+
+class TestSubsetBlocks:
+    def test_blocks_list_every_subset_in_order(self, monkeypatch):
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
+        blocks = list(subset_blocks(9, 4))
+        assert [len(b) for b in blocks] == [7] * 18
+        assert np.vstack(blocks).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
+
+    def test_block_boundaries_leave_results_bit_identical(self, monkeypatch):
+        # C(16, 6) = 8008 vertex subsets: two blocks at the default size, 1144 at size 7
+        body = random_symmetric_polytope(6, 16, RandomSource(13))
+
+        def run():
+            fresh = SymmetricHPolytope(body.directions, body.offsets)
+            zono = projection_body(fresh)
+            return fresh.vertices.points, zono.volume, zonotope_facet_normals(zono)
+
+        points, volume, normals = run()
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
+        small_points, small_volume, small_normals = run()
+        assert np.array_equal(small_points, points)
+        assert small_volume == volume
+        assert np.array_equal(small_normals, normals)
 
 
 class TestPsdSqrt:
