@@ -9,7 +9,7 @@ Subcommands
     Product-of-shadows inequality on random (body, decomposition) pairs, or
     on a decomposition file (isotropy invariants become assertions).
 ``zonotope``
-    Zonotope volume double-entry (subset determinants vs shadow recursion)
+    Zonotope volume double-entry (subset determinants vs cofactor shadows)
     and the isotropic volume floor, with the orthonormal equality case.
 ``minkowski-solve``
     Constrained volume maximization over a slab family, with the KKT

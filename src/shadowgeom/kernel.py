@@ -51,7 +51,8 @@ class CapacityError(RuntimeError):
 
 MAX_ROWS = 24  # slabs or generators in any subset enumeration
 MAX_DIM = 7
-#: Rows per block; a vertex block's candidate-slab products take 16.8 MB at n = 6, m = 16.
+#: Rows per block.  At n = 6, m = 16 the largest temporaries are those of a vertex block: its
+#: first-pass slab-pattern products (4.2 MB) and the inverses gathered for its survivors (5.6 MB).
 SUBSET_BLOCK = 4096
 
 
@@ -75,9 +76,11 @@ def subset_blocks(m: int, k: int) -> Iterator[np.ndarray]:
 
 
 def sign_patterns(k: int) -> np.ndarray:
-    """The 2^(k-1) sign vectors of length k with first entry +1, the rest in ``itertools.product`` order."""
-    rest = np.array(list(itertools.product([1.0, -1.0], repeat=k - 1)))
-    return np.hstack([np.ones((len(rest), 1)), rest])
+    """The 2^(k-1) sign vectors of length k with first entry +1, the rest in ``itertools.product`` order.
+
+    Row r holds ``1 - 2 * bit`` for the bits of r, most significant first.
+    """
+    return 1.0 - 2.0 * ((np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1, -1, -1)) & 1)
 
 
 def check_slab_directions(directions: np.ndarray) -> None:

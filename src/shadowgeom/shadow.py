@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsoid import extract_john_decomposition, mvee_symmetric
-from .kernel import RandomSource, WeightedDirections, canonical_signs, check_capacity, dedup_rows, log_unit_ball_volume
-from .kernel import psd_sqrt, subset_blocks
+from .kernel import RandomSource, WeightedDirections, canonical_signs, dedup_rows, log_unit_ball_volume, psd_sqrt
 from .polytope import SymmetricHPolytope
-from .zonotope import Zonotope, projection_body
+from .zonotope import Zonotope, _cofactors, projection_body
 
 __all__ = [
     "MinShadowReport",
@@ -52,26 +51,17 @@ def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
     Every facet normal of the zonotope appears in the output (facets of a
     zonotope are spanned by generator subsets); the list may also contain
     directions that touch lower-dimensional faces, which is harmless for
-    support minimization.  The subsets are enumerated in blocks under the
-    kernel's capacity guard, the one the zonotope volume runs under.
+    support minimization.  The normals are the cofactor vectors of the unit
+    generators (``zonotope._cofactors``, the table the shadows are summed
+    over), built under the zonotope's capacity guard.
     """
     w = z.unit_directions  # unit generators: the cofactors, and their threshold, are free of scale
-    m, n = w.shape
-    if n == 1:
+    if z.dim == 1:
         return np.array([[1.0]])
-    check_capacity(m, n, "zonotope")
-    cols = np.arange(n)
-    blocks = [np.empty((0, n))]
-    for subsets in subset_blocks(m, n - 1):
-        mats = w[subsets]  # (S, n-1, n)
-        # normal by cofactor expansion: component k = (-1)^k det(minor without column k)
-        normals = np.empty((len(subsets), n))
-        for k in range(n):
-            normals[:, k] = (-1.0) ** k * np.linalg.det(mats[:, :, cols != k])
-        norms = np.linalg.norm(normals, axis=1)
-        keep = norms > 1e-10
-        blocks.append(normals[keep] / norms[keep][:, None])
-    unit = np.vstack(blocks)
+    normals = _cofactors(w)
+    norms = np.linalg.norm(normals, axis=1)
+    keep = norms > 1e-10
+    unit = normals[keep] / norms[keep][:, None]
     if len(unit) == 0:
         raise ValueError("generators do not span: no facet normals")
     return dedup_rows(unit * canonical_signs(unit)[:, None], 1e-10)

@@ -4,10 +4,14 @@ A zonotope is a Minkowski sum of centered segments ``Z = sum_j [-w_j, w_j]``.
 Everything here is exact desk-scale arithmetic:
 
 * volume by the subset-determinant expansion ``|Z| = 2^n sum_{|S|=n} |det W_S|``;
-* shadows by recursing on the projected generators inside an orthonormal
-  chart of the projection hyperplane;
+* shadows by the expansion ``|P_theta Z| = 2^(n-1) sum_{|S|=n-1} |det(theta, W_S)|``
+  (Shephard, Canad. J. Math. 1974; McMullen, "On zonotopes", Trans. AMS
+  1971), where ``det(theta, W_S) = <c_S, theta>`` for the cofactor vector
+  c_S of the (n-1)-subset S, so one table of cofactor vectors serves every
+  direction (and gives the facet normals of ``shadow.zonotope_facet_normals``);
 * the surface-area-measure volume identity ``|Z| = (2/n) sum alpha_i |P_{u_i} Z|``
-  as an independent cross-check of the same number;
+  as an independent cross-check of the same number: LU determinants of
+  n-subsets against Laplace cofactors of (n-1)-subsets;
 * the projection body of a symmetric polytope (support = shadow area);
 * mixed volume ``v_{n-1}(C, Z)``, the Minkowski first-inequality check, the
   isotropic-weights volume floor ``2^n prod (alpha_i/c_i)^{c_i}``, and the
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, check_capacity, hyperplane_basis
+from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, check_capacity
 from .kernel import random_orthogonal, sample_unit_sphere, sign_patterns, subset_blocks
 from .polytope import SymmetricHPolytope
 
@@ -50,6 +54,32 @@ def _volume_of_generators(gens: np.ndarray) -> float:
     check_capacity(m, n, "zonotope")
     dets = [np.abs(np.linalg.det(gens[subsets])) for subsets in subset_blocks(m, n)]
     return (2.0**n) * float(np.sum(np.concatenate(dets)))
+
+
+def _cofactors(gens: np.ndarray) -> np.ndarray:
+    """The cofactor vector of every (n-1)-subset S of the rows, in lexicographic subset order.
+
+    Row S holds ``c_S[k] = (-1)^k det(W_S without column k)``, so that
+    ``det(theta, W_S) = <c_S, theta>``: c_S is normal to the span of W_S,
+    and its length is the (n-1)-volume of the parallelotope W_S.  The table
+    is built in blocks under the zonotope guard and does not depend on the
+    block size; it is empty when there are fewer than n-1 rows.
+    """
+    m, n = gens.shape
+    check_capacity(m, n, "zonotope")
+    cols = np.arange(n)
+    blocks = [np.empty((0, n))]
+    for subsets in subset_blocks(m, n - 1):
+        mats = gens[subsets]  # (S, n-1, n)
+        table = np.empty((len(subsets), n))
+        for k in range(n):
+            table[:, k] = (-1.0) ** k * np.linalg.det(mats[:, :, cols != k])
+        blocks.append(table)
+    return np.concatenate(blocks)
+
+
+#: direction-cofactor products per chunk of :meth:`Zonotope.shadow_areas` (8 MB)
+_SHADOW_CHUNK = 1 << 20
 
 
 class Zonotope:
@@ -118,12 +148,7 @@ class Zonotope:
         return _volume_of_generators(self._generators)
 
     def shadow_area(self, theta: np.ndarray) -> float:
-        """(n-1)-volume of the projection onto theta-perp.
-
-        The projected generators, expressed in an explicit orthonormal chart
-        of the hyperplane, form an (n-1)-dimensional zonotope whose volume is
-        the shadow.
-        """
+        """(n-1)-volume of the projection onto theta-perp (see :meth:`shadow_areas`)."""
         th = np.asarray(theta, dtype=float)
         if th.shape != (self.dim,):
             raise ValueError("direction has wrong shape")
@@ -131,8 +156,29 @@ class Zonotope:
             raise ValueError("projection direction must be a unit vector")
         if self.dim == 1:
             return 1.0  # projection is the single point 0, of 0-dim measure 1
-        chart = hyperplane_basis(th)
-        return _volume_of_generators(self._generators @ chart)
+        return float(self.shadow_areas(th[None, :])[0])
+
+    def shadow_areas(self, thetas: np.ndarray) -> np.ndarray:
+        """Shadows ``|P_theta Z| = 2^(n-1) sum_{|S|=n-1} |<c_S, theta>|`` for rows of unit directions.
+
+        The cofactor table of the generators (:func:`_cofactors`) is built
+        once per call, and each shadow is one sum over all of it, so no
+        result depends on the subset block size.  At n = 1 every shadow is
+        the single point 0, of 0-dimensional measure 1.
+        """
+        th = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if th.ndim != 2 or th.shape[1] != self.dim:
+            raise ValueError("directions have wrong shape")
+        if np.any(np.abs(np.linalg.norm(th, axis=1) - 1.0) > 1e-9):
+            raise ValueError("projection directions must be unit vectors")
+        if self.dim == 1:
+            return np.ones(len(th))
+        cof = _cofactors(self._generators).T
+        rows = max(1, _SHADOW_CHUNK // max(cof.shape[1], 1))
+        sums = np.empty(len(th))
+        for lo in range(0, len(th), rows):
+            sums[lo : lo + rows] = np.abs(th[lo : lo + rows] @ cof).sum(axis=1)
+        return 2.0 ** (self.dim - 1) * sums
 
     def vertices(self) -> np.ndarray:
         """All points ``sum_j s_j w_j`` over sign patterns (contains every vertex)."""
@@ -148,7 +194,7 @@ class Zonotope:
 
 @dataclass(frozen=True)
 class VolumeFormulaReport:
-    """Subset-determinant volume vs the shadow-recursion identity."""
+    """Subset-determinant volume vs the shadow identity."""
 
     determinant_volume: float
     shadow_identity_volume: float
@@ -158,14 +204,14 @@ class VolumeFormulaReport:
 def volume_formula_check(z: Zonotope) -> VolumeFormulaReport:
     """Cross-check ``|Z|`` against ``(2/n) sum alpha_i |P_{u_i} Z|``.
 
-    The two sides use genuinely different recursions (n-subsets vs
-    (n-1)-subsets in charts), so agreement is a real consistency certificate.
+    The two sides are computed by different arithmetic: LU determinants of
+    the n-subsets on the left, and on the right the Laplace cofactors of the
+    (n-1)-subsets, dotted with each unit generator (one call of
+    :meth:`Zonotope.shadow_areas`).  They are the same sum in exact
+    arithmetic, so agreement is a consistency certificate of both.
     """
     lhs = z.volume
-    n = z.dim
-    alphas = z.alphas
-    units = z.unit_directions
-    rhs = (2.0 / n) * float(np.sum(alphas * np.array([z.shadow_area(units[j]) for j in range(z.num_generators)])))
+    rhs = (2.0 / z.dim) * float(np.sum(z.alphas * z.shadow_areas(z.unit_directions)))
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return VolumeFormulaReport(lhs, rhs, gap)
 
@@ -256,10 +302,13 @@ def dominance_volume_bound(
     shadows are dominated by C's, ``... <= v_{n-1}(C, Z) <= |C|``.  The bound
     returned is the smaller of the two corresponding closed forms.  Containment
     is verified by exhaustive vertex membership when Z has at most 16
-    generators, plus support comparison along sampled directions.
+    generators, plus support comparison along sampled directions.  The
+    closed forms need n >= 2.
     """
     if body.dim != z.dim:
         raise ValueError("dimension mismatch")
+    if body.dim < 2:
+        raise ValueError("the dominance bound needs n >= 2: its exponents n/(n-1) and 1/(n-1)")
     s = np.asarray(shadows_of_d, dtype=float)
     if s.shape != (z.num_generators,):
         raise ValueError("need one shadow value per generator")

@@ -2,7 +2,8 @@
 
 Everything here avoids the library's own computational paths: vertex sets
 come from direct constraint intersection, volumes and shadow areas from
-scipy's convex hull, gradients and Jacobians from central differences,
+scipy's convex hull, zonotope shadows also from projected generators in a
+chart, gradients and Jacobians from central differences,
 support minima from plain sphere sampling or the exhaustive sign-pattern
 search with its own subgradient refinement, and
 minimal ellipsoids from the Wolfe-Atwood design loop.  Keep hull-based
@@ -80,6 +81,25 @@ def shadow_area_oracle(vertices: np.ndarray, theta: np.ndarray) -> float:
     if projected.shape[1] == 1:
         return float(projected.max() - projected.min())
     return hull_volume(projected)
+
+
+def zonotope_shadow_chart(generators: np.ndarray, theta: np.ndarray) -> float:
+    """Shadow of a zonotope by the chart recursion: the volume of its projection in a chart of theta-perp.
+
+    The generators are expressed in an orthonormal basis of the hyperplane
+    (:func:`complement_chart`, from an SVD), and the projected zonotope's
+    (n-1)-volume is ``2^(n-1) sum |det|`` over its (n-1)-subsets.  The
+    reference for ``Zonotope.shadow_areas``, which sums cofactors of the
+    unprojected generators instead; the two agree by Cauchy-Binet.
+    """
+    g = np.asarray(generators, dtype=float) @ complement_chart(theta)
+    m, k = g.shape
+    if k == 0:
+        return 1.0  # the projection of a segment in R^1 is a point
+    if m < k:
+        return 0.0
+    subsets = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    return 2.0**k * float(np.sum(np.abs(np.linalg.det(g[subsets]))))
 
 
 def zonotope_vertex_cloud(generators: np.ndarray) -> np.ndarray:

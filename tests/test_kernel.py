@@ -76,6 +76,15 @@ class TestJacobiEigh:
         assert np.allclose(vecs @ vecs.T, np.eye(3), atol=1e-14)
 
 
+class TestSignPatterns:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_itertools_product_with_a_leading_plus(self, k):
+        ref = [(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=k - 1)]
+        table = kernel.sign_patterns(k)
+        assert table.dtype == np.float64
+        assert table.tolist() == [list(row) for row in ref]
+
+
 class TestSubsetBlocks:
     def test_blocks_list_every_subset_in_order(self, monkeypatch):
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
@@ -90,14 +99,15 @@ class TestSubsetBlocks:
         def run():
             fresh = SymmetricHPolytope(body.directions, body.offsets)
             zono = projection_body(fresh)
-            return fresh.vertices.points, zono.volume, zonotope_facet_normals(zono)
+            return fresh.vertices.points, zono.volume, zonotope_facet_normals(zono), zono.shadow_areas(zono.unit_directions)
 
-        points, volume, normals = run()
+        points, volume, normals, shadows = run()
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
-        small_points, small_volume, small_normals = run()
+        small_points, small_volume, small_normals, small_shadows = run()
         assert np.array_equal(small_points, points)
         assert small_volume == volume
         assert np.array_equal(small_normals, normals)
+        assert np.array_equal(small_shadows, shadows)
 
 
 class TestPsdSqrt:

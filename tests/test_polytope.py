@@ -31,6 +31,20 @@ def cube(n: int) -> SymmetricHPolytope:
     return SymmetricHPolytope(np.eye(n), np.ones(n))
 
 
+def cross_polytope(n: int) -> SymmetricHPolytope:
+    """``|x_1| + ... + |x_n| <= 1`` as the 2^(n-1) slabs ``|<s, x>| <= 1`` over sign vectors s with s_1 = 1."""
+    signs = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=n - 1)])
+    return SymmetricHPolytope(signs / math.sqrt(n), np.full(len(signs), 1.0 / math.sqrt(n)))
+
+
+def assert_vertices_match(body: SymmetricHPolytope, ref: np.ndarray, scale: float = 1.0) -> None:
+    """The body has as many vertices as the oracle, and every oracle vertex within 1e-8 * scale."""
+    mine = body.vertices.points
+    assert len(mine) == len(ref)
+    for p in ref:
+        assert np.min(np.linalg.norm(mine - p, axis=1)) <= 1e-8 * scale
+
+
 class TestConstruction:
     def test_rejects_non_unit_directions(self):
         with pytest.raises(ValueError, match="unit"):
@@ -121,8 +135,7 @@ class TestExactFixtures:
         # cross-polytope via the 2^(n-1) cube-diagonal slabs at offset 1/sqrt(n):
         # {|x1 +- ... +- xn| <= 1} is |x1| + ... + |xn| <= 1, volume 2^n / n!.
         # Every vertex lies on 2^(n-1) facet hyperplanes, so none is simple.
-        signs = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=n - 1)])
-        body = SymmetricHPolytope(signs / math.sqrt(n), np.full(len(signs), 1.0 / math.sqrt(n)))
+        body = cross_polytope(n)
         assert body.volume == pytest.approx(2.0**n / math.factorial(n), rel=1e-12)
         # each facet is a regular simplex with edge sqrt(2)
         assert len(body.facets) == 2**n
@@ -169,12 +182,41 @@ class TestAgainstHullOracle:
     def test_vertices_match_intersection_oracle(self, seed):
         n = 2 + seed % 3
         body = random_symmetric_polytope(n, n + 3, RandomSource(200 + seed))
-        mine = body.vertices.points
+        assert_vertices_match(body, intersection_vertices(body.directions, body.offsets))
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (5, 6) for m in (10, 11, 12)])
+    def test_vertices_match_intersection_oracle_in_five_and_six_dimensions(self, n, m):
+        body = random_symmetric_polytope(n, m, RandomSource(210 + 10 * n + m))
+        assert_vertices_match(body, intersection_vertices(body.directions, body.offsets))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cube_vertices_match_intersection_oracle(self, n):
+        body = cube(n)
+        assert_vertices_match(body, intersection_vertices(body.directions, body.offsets))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cross_polytope_vertices_match_intersection_oracle(self, n):
+        # every vertex lies on the boundary of all 2^(n-1) slabs, the first four included
+        body = cross_polytope(n)
+        assert_vertices_match(body, intersection_vertices(body.directions, body.offsets))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_duplicated_and_reversed_slabs_among_the_first_four(self, n):
+        # rows 0, 1 are one slab twice and rows 2, 3 one slab with opposite normals:
+        # all four are tested in the first pass, and subsets holding a pair are singular
+        base = random_symmetric_polytope(n, n + 3, RandomSource(230 + n))
+        u, t = base.directions, base.offsets
+        body = SymmetricHPolytope(np.vstack([u[:1], u[:1], u[1:2], -u[1:2], u[2:]]), np.concatenate([t[:1], t[:2], t[1:]]))
         ref = intersection_vertices(body.directions, body.offsets)
-        assert len(mine) == len(ref)
-        # every oracle vertex appears in the library's set
-        for p in ref:
-            assert np.min(np.linalg.norm(mine - p, axis=1)) <= 1e-8
+        assert_vertices_match(body, ref)
+        assert_vertices_match(base, ref)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_vertices_match_intersection_oracle_at_extreme_scales(self, scale):
+        # the vertices of sP are s times those of P; the oracle's tolerances are absolute
+        base = random_symmetric_polytope(6, 10, RandomSource(240))
+        body = SymmetricHPolytope(base.directions, scale * base.offsets)
+        assert_vertices_match(body, scale * intersection_vertices(base.directions, base.offsets), scale)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_shadow_matches_projected_hull(self, seed):

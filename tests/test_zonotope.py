@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import zonotope_volume_oracle
+from oracles import shadow_area_oracle, zonotope_shadow_chart, zonotope_vertex_cloud, zonotope_volume_oracle
 from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
 from shadowgeom.polytope import SymmetricHPolytope, random_symmetric_polytope
 from shadowgeom.zonotope import (
@@ -85,6 +85,66 @@ class TestVolumeAgainstOracles:
         z = Zonotope(gen.standard_normal((25, 3)))
         with pytest.raises(CapacityError):
             _ = z.volume
+
+
+class TestShadows:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_chart_recursion(self, n):
+        for k in range(3):
+            z = random_zonotope(n, n + 1 + 2 * k, RandomSource(120 + 10 * n + k))
+            thetas = np.vstack([z.unit_directions, sample_unit_sphere(n, RandomSource(121 + 10 * n + k), count=5)])
+            ref = [zonotope_shadow_chart(z.generators, theta) for theta in thetas]
+            assert np.allclose(z.shadow_areas(thetas), ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_projected_hull_of_sign_cloud(self, n):
+        z = random_zonotope(n, n + 3, RandomSource(150 + n))
+        cloud = zonotope_vertex_cloud(z.generators)
+        for theta in sample_unit_sphere(n, RandomSource(151 + n), count=4):
+            assert z.shadow_area(theta) == pytest.approx(shadow_area_oracle(cloud, theta), rel=1e-9)
+
+    def test_batch_matches_single(self):
+        z = random_zonotope(4, 7, RandomSource(160))
+        thetas = sample_unit_sphere(4, RandomSource(161), count=6)
+        batch = z.shadow_areas(thetas)
+        for k, theta in enumerate(thetas):
+            assert z.shadow_area(theta) == pytest.approx(batch[k], rel=1e-12)
+
+    def test_dimension_one_shadow_is_a_point_of_measure_one(self):
+        z = Zonotope(np.array([[2.0], [-0.5]]))
+        assert z.shadow_area(np.array([1.0])) == 1.0
+        assert z.shadow_areas(np.array([[1.0], [-1.0]])).tolist() == [1.0, 1.0]
+
+    def test_non_spanning_zonotope_has_no_shadow_across_its_span(self):
+        # generators in the plane x_3 = 0: shadows along the plane vanish, the one along e_3 is the area
+        gens = np.array([[1.0, 0.5, 0.0], [-0.3, 1.0, 0.0], [0.7, 0.2, 0.0], [0.0, 1.0, 0.0]])
+        z = Zonotope(gens)
+        angles = np.linspace(0.0, math.pi, 7)
+        in_span = np.stack([np.cos(angles), np.sin(angles), np.zeros(7)], axis=1)
+        assert np.all(z.shadow_areas(in_span) == 0.0)
+        assert z.shadow_area(np.array([0.0, 0.0, 1.0])) == pytest.approx(zonotope_volume_oracle(gens[:, :2]), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_shadow_scales_as_the_power_n_minus_one(self, n, scale):
+        z = random_zonotope(n, n + 3, RandomSource(170 + n))
+        thetas = sample_unit_sphere(n, RandomSource(171 + n), count=5)
+        scaled = Zonotope(scale * z.generators)
+        assert np.allclose(scaled.shadow_areas(thetas), scale ** (n - 1) * z.shadow_areas(thetas), rtol=1e-12, atol=0.0)
+
+    def test_rejects_bad_directions(self):
+        z = random_zonotope(3, 5, RandomSource(180))
+        with pytest.raises(ValueError, match="shape"):
+            z.shadow_areas(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="unit"):
+            z.shadow_areas(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="unit"):
+            z.shadow_area(np.ones(3))
+
+    def test_capacity_guard(self):
+        z = Zonotope(RandomSource(181).generator().standard_normal((25, 3)))
+        with pytest.raises(CapacityError):
+            z.shadow_area(np.array([1.0, 0.0, 0.0]))
 
 
 class TestVolumeFloor:
@@ -244,3 +304,9 @@ class TestDominanceBound:
         z = Zonotope(3.0 * np.eye(2))
         with pytest.raises(ValueError, match="containment"):
             dominance_volume_bound(body, z, np.array([2.0, 2.0]), RandomSource(113))
+
+    def test_dimension_one_is_refused(self):
+        # the bound's exponents n/(n-1) and 1/(n-1) have no value at n = 1
+        body = SymmetricHPolytope([[1.0]], [2.0])
+        with pytest.raises(ValueError, match="n >= 2"):
+            dominance_volume_bound(body, Zonotope([[1.0]]), np.array([1.0]), RandomSource(1))
