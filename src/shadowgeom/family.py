@@ -28,7 +28,7 @@ import numpy as np
 
 from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, sample_unit_sphere, unit_ball_volume
 from .polytope import SymmetricHPolytope
-from .shadow import ball_shadow_ratio, min_shadow_direction, minimize_support
+from .shadow import TIE_TOLERANCE, ball_shadow_ratio, min_shadow_direction, minimize_support
 from .zonotope import Zonotope
 
 __all__ = [
@@ -123,11 +123,8 @@ def _volume_gradient(body: SymmetricHPolytope, weights: np.ndarray) -> np.ndarra
     coinciding slabs is split among them in proportion to their budget
     weights, the split under which the maximizer is stationary.
     """
-    grad = np.zeros(len(weights))
-    for facet in body.facets:
-        slabs = [slab for slab, _sign in facet.owners]
-        np.add.at(grad, slabs, facet.measure * weights[slabs] / weights[slabs].sum())
-    return grad
+    share = (body.facets.signs != 0) * weights
+    return body.facets.measures @ (share / share.sum(axis=1)[:, None])
 
 
 def _merge_coinciding(spec: SlabFamilySpec) -> tuple[SlabFamilySpec, np.ndarray]:
@@ -270,7 +267,9 @@ def maximize_volume_details(
 
     Concavity of volume^(1/n) in the offsets makes every converged start a
     global maximizer; the multistart spread is reported as the uniqueness
-    evidence.  Coinciding slabs are solved as one slab of their summed
+    evidence.  The first converged start within ``TIE_TOLERANCE`` relative
+    of the largest volume is reported, so the last bits of the volumes do
+    not choose it.  Coinciding slabs are solved as one slab of their summed
     weight and get equal offsets.  ``max_iterations`` caps the Newton steps
     of each start.  Raises :class:`CapacityError` carrying the best body
     found when no start converges within that cap.
@@ -297,7 +296,8 @@ def maximize_volume_details(
             "Newton ascent of the volume hit the iteration cap before reaching stationarity",
             best=spec.body(fallback.offsets[index]),
         )
-    best = max(converged, key=lambda r: r.volume)
+    top = max(r.volume for r in converged)
+    best = next(r for r in converged if r.volume >= (1.0 - TIE_TOLERANCE) * top)
     return FamilyOptimumReport(
         body=spec.body(best.offsets[index]),
         offsets=best.offsets[index],

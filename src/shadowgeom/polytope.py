@@ -11,12 +11,12 @@ volume, shadows) is computed by explicit brute-force geometry:
 * the face lattice from the vertex-hyperplane incidence, each face named by
   the bitmask of the hyperplanes tight on all its vertices and found as an
   inclusion-minimal closure at the vertices of the face one level up, down
-  to the 2-faces;
+  to the 2-faces; a facet's owners are the hyperplanes of its code;
 * 2-face areas by angular sort and the shoelace formula, then facet
   measures by Lasserre's pyramid recursion unrolled over the lattice, one
   dimension level at a time over whole arrays: a face's measure is the sum
   over its own facets of (in-face height from its vertex centroid) x
-  (facet measure) / (face dimension);
+  (facet measure) / (face dimension), kept in one record of arrays;
 * volume as ``sum(offset * facet measure) / n`` over the facet fan;
 * shadow area in direction theta as ``0.5 * sum |<theta, n_F>| * |F|``.
 
@@ -29,6 +29,8 @@ zonotopes share, rejects ``m > 24`` slabs or dimension ``n > 7``.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +41,7 @@ from .kernel import sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_
 
 __all__ = [
     "FacetData",
+    "Facets",
     "SymmetricHPolytope",
     "VertexSet",
     "cauchy_surface_check",
@@ -66,10 +69,10 @@ class VertexSet:
 
 @dataclass(frozen=True)
 class FacetData:
-    """One geometric facet: outward unit normal, offset, (n-1)-measure, vertex indices.
+    """One row of :class:`Facets`: outward unit normal, offset, (n-1)-measure, vertex indices.
 
-    ``owners`` lists the (slab index, sign) pairs whose constraint hyperplane
-    supports this facet; it has more than one entry only when slabs coincide.
+    ``owners`` lists by slab the (slab index, sign) pairs whose constraint
+    hyperplane supports this facet; several only where slabs coincide.
     """
 
     normal: np.ndarray
@@ -77,6 +80,31 @@ class FacetData:
     measure: float
     vertex_indices: tuple[int, ...]
     owners: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class Facets(Sequence):
+    """The facets as arrays, one row per facet; indexing builds a :class:`FacetData`.
+
+    Rows come in pairs F, -F, F on the positive side of its first owning slab,
+    the pairs ordered by that slab.  ``signs`` (facets x m, int8) is +-1 where
+    that side of a slab supports the facet, else 0; ``incidence`` (facets x vertices) its vertices.
+    """
+
+    normals: np.ndarray
+    offsets: np.ndarray
+    measures: np.ndarray
+    signs: np.ndarray
+    incidence: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.measures)
+
+    def __getitem__(self, index: int) -> FacetData:
+        i = range(len(self))[operator.index(index)]  # negative indices and IndexError as for a tuple
+        owners = tuple((int(j), int(self.signs[i, j])) for j in np.flatnonzero(self.signs[i]))
+        vertex_indices = tuple(np.flatnonzero(self.incidence[i]).tolist())
+        return FacetData(self.normals[i], float(self.offsets[i]), float(self.measures[i]), vertex_indices, owners)
 
 
 def _set_bits(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +315,7 @@ def _face_measures(points: np.ndarray, normals: np.ndarray, levels: list[_Level]
     return measures
 
 
-def _volume_hessian(facets: _Level, ridges: _Level, ridge_measures: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _volume_hessian(plane: np.ndarray, ridges: _Level, ridge_measures: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """d^2(volume)/dt_i dt_j from the ridges, the faces of codimension 2.
 
     Moving slab j out by dt moves each ridge R = F_i & F_j that a facet F_i
@@ -299,11 +327,9 @@ def _volume_hessian(facets: _Level, ridges: _Level, ridge_measures: np.ndarray, 
     Adv. Math. 2004; Schneider, *Convex Bodies*).  The volume gradient is
     twice the one-sided facet measure per slab, and R and -R are alike, so
     every ridge of `ridges` (one of each antipodal pair) counts twice.  A
-    facet of coinciding slabs is charged to the first of them.
+    facet is charged to `plane`, its hyperplane on its first owning slab.
     """
     m = len(normals) // 2
-    rows, bits = _set_bits(facets.codes, 2 * m)
-    plane = bits[_run_starts(rows)]  # one signed hyperplane per facet
     if np.any(np.bincount(ridges.child, minlength=len(ridges.codes)) != 2):
         raise ValueError("degenerate face lattice: a ridge does not lie on exactly two facets")
     # entries are sorted by ridge, two per ridge: the facets sign * parent that hold it
@@ -448,69 +474,52 @@ class SymmetricHPolytope:
     # -- facet fan ---------------------------------------------------------
 
     @cached_property
-    def facets(self) -> tuple[FacetData, ...]:
-        """Geometric facets with their (n-1)-measures.
+    def facets(self) -> Facets:
+        """Geometric facets with their (n-1)-measures, as one record of arrays.
 
         The face lattice is read off the vertex-hyperplane incidence down to
         the 2-faces, which are measured from their vertices, and the measures
         are carried up one dimension level at a time over whole arrays (see
-        :func:`_face_lattice` and :func:`_face_measures`).  Facets of
-        negligible measure (< 1e-12 at unit scale) are omitted.  Coinciding
-        slabs share one facet entry whose ``owners`` field lists all of them.
+        :func:`_face_lattice` and :func:`_face_measures`).  Facets below 1e-12
+        at unit scale are omitted.  A facet's owners are the hyperplanes of its
+        closure code, and its vertices those tight on its first owner.
         """
         verts = self.vertices.points
-        neg_index = self._negation_index
         u, t, s = self._directions, self._offsets, self._scale
         m, n = u.shape
         dots = verts @ u.T
         tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL * s, np.abs(dots + t) <= FEASIBILITY_TOL * s])
         normals = np.vstack([u, -u])
         # the ridges are a level of the lattice from n = 4 on; below, one level more
-        levels = _face_lattice(tight, max(n - 2, 2 if self._keep_hessian else 1), neg_index)
+        levels = _face_lattice(tight, max(n - 2, 2 if self._keep_hessian else 1), self._negation_index)
         level_measures = _face_measures(verts, normals, levels[: max(n - 1, 2)])
-        measures = level_measures[0]
+        # each facet's owners by slab; bit b of a code is slab b mod m, on its positive side if b < m
+        rows, bits = _set_bits(levels[1].codes, 2 * m)
+        by_slab = np.lexsort((bits, bits % m, rows))
+        rows, bits = rows[by_slab], bits[by_slab]
+        plane = bits[_run_starts(rows)]  # the first owner, as a signed hyperplane
         if self._keep_hessian:
             ridges = levels[2]
-            if n >= 4:
-                ridge_measures = level_measures[1]
-            else:
-                ridge_measures = _flat_measures(verts, _centroids(verts, ridges), ridges, max(n - 2, 0))
-            self._hessian = _volume_hessian(levels[1], ridges, ridge_measures, normals)
-        # the facet (or its mirror image, of equal measure) on slab j, if any
-        facet_rows, facet_bits = _set_bits(levels[1].codes, 2 * m)
-        facet_of = np.full(m, -1)
-        facet_of[facet_bits % m] = facet_rows
-
-        entries: dict[bytes, list] = {}
-        order: list[bytes] = []
-        for j in range(m):
-            if facet_of[j] < 0:
-                continue
-            meas = float(measures[facet_of[j]])
-            if meas < MEASURE_FLOOR * s ** (n - 1):
-                continue
-            vpos = np.flatnonzero(tight[:, j])
-            vneg = np.sort(neg_index[vpos])
-            for vidx, sgn in ((vpos, 1), (vneg, -1)):
-                key = vidx.tobytes()
-                if key in entries:
-                    entries[key][3].append((j, sgn))
-                else:
-                    entries[key] = [sgn * u[j], float(t[j]), meas, [(j, sgn)], vidx]
-                    order.append(key)
-        out = []
-        for key in order:
-            normal, offset, meas, owners, vidx = entries[key]
-            normal.setflags(write=False)
-            out.append(FacetData(normal, offset, meas, tuple(vidx.tolist()), tuple(owners)))
-        return tuple(out)
+            ridge_measures = level_measures[1] if n >= 4 else _flat_measures(verts, _centroids(verts, ridges), ridges, max(n - 2, 0))
+            self._hessian = _volume_hessian(plane, ridges, ridge_measures, normals)
+        code_signs = np.zeros((len(plane), m), dtype=np.int8)
+        code_signs[rows, bits % m] = np.where((bits < m) == (plane[rows] < m), 1, -1)
+        # two rows per facet above the floor, by first slab: the facet on its positive side, then the mirror
+        kept = np.flatnonzero(level_measures[0] >= MEASURE_FLOOR * s ** (n - 1))
+        kept = kept[np.argsort(plane[kept] % m)]
+        first, side = np.repeat(plane[kept] % m, 2), np.tile(np.array([1, -1], dtype=np.int8), len(kept))
+        measures, signs = np.repeat(level_measures[0][kept], 2), side[:, None] * np.repeat(code_signs[kept], 2, axis=0)
+        record = Facets(side[:, None] * u[first], t[first], measures, signs, tight.T[first + m * (side < 0)])
+        for field in vars(record).values():
+            field.setflags(write=False)
+        return record
 
     # -- measures ----------------------------------------------------------
 
     @cached_property
     def volume(self) -> float:
         """Lebesgue volume via the cone decomposition over the facet fan."""
-        return float(sum(f.offset * f.measure for f in self.facets)) / self.dim
+        return float(self.facets.offsets @ self.facets.measures) / self.dim
 
     @cached_property
     def volume_hessian(self) -> np.ndarray:
@@ -533,14 +542,7 @@ class SymmetricHPolytope:
 
     @cached_property
     def surface_area(self) -> float:
-        return float(sum(f.measure for f in self.facets))
-
-    @cached_property
-    def _facet_normal_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        facets = self.facets
-        if not facets:
-            return np.zeros((0, self.dim)), np.zeros(0)
-        return np.array([f.normal for f in facets]), np.array([f.measure for f in facets])
+        return float(self.facets.measures.sum())
 
     def shadow_area(self, theta: np.ndarray) -> float:
         """(n-1)-volume of the orthogonal projection onto the hyperplane theta^perp."""
@@ -549,16 +551,16 @@ class SymmetricHPolytope:
             raise ValueError("direction has wrong shape")
         if abs(float(np.linalg.norm(th)) - 1.0) > 1e-9:
             raise ValueError("projection direction must be a unit vector")
-        normals, measures = self._facet_normal_matrix
-        return 0.5 * float(np.abs(normals @ th) @ measures)
+        return float(self.shadow_areas(th[None, :])[0])
 
     def shadow_areas(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`shadow_area` over rows of unit directions."""
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if th.ndim != 2 or th.shape[1] != self.dim:
+            raise ValueError("directions have wrong shape")
         if np.any(np.abs(np.linalg.norm(th, axis=1) - 1.0) > 1e-9):
             raise ValueError("projection directions must be unit vectors")
-        normals, measures = self._facet_normal_matrix
-        return 0.5 * (np.abs(th @ normals.T) @ measures)
+        return 0.5 * (np.abs(th @ self.facets.normals.T) @ self.facets.measures)
 
     # -- transforms ---------------------------------------------------------
 

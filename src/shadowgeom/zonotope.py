@@ -253,10 +253,8 @@ def projection_body(body: SymmetricHPolytope) -> Zonotope:
     ``support(result, theta) = shadow_area(body, theta)`` for every theta —
     the defining contract, checked in tests on sampled directions.
     """
-    normals = np.array([facet.normal for facet in body.facets])
-    measures = np.array([facet.measure for facet in body.facets])
-    keep = canonical_signs(normals) > 0
-    return Zonotope(measures[keep, None] * normals[keep])
+    keep = canonical_signs(body.facets.normals) > 0
+    return Zonotope(body.facets.measures[keep, None] * body.facets.normals[keep])
 
 
 def mixed_volume_vn1(body: SymmetricHPolytope, z: Zonotope) -> float:

@@ -153,6 +153,21 @@ class TestDiagnostics:
         assert all(e > i >= 1 for e, i in zip(details.start_volume_evals, details.start_iterations))
         assert len(builds) == sum(details.start_volume_evals)
 
+    def test_reported_start_does_not_move_with_last_bit_ties(self):
+        # the starts' optima agree to about 1e-15, so a few ulps in one
+        # direction used to switch which of them is reported
+        spec = random_spec(4123)
+        picks = set()
+        for ulps in range(4):
+            u = spec.directions.copy()
+            for _ in range(ulps):
+                u[0] = np.nextafter(u[0], np.inf)
+            details = maximize_volume_details(SlabFamilySpec(u, spec.weights), rng=RandomSource(4123).fork(3))
+            k = details.start_offsets.index(tuple(details.offsets))
+            assert details.iterations == details.start_iterations[k]
+            picks.add((k, details.iterations))
+        assert len(picks) == 1
+
 
 class TestGradient:
     def test_matches_finite_differences_at_interior_point(self):
@@ -165,6 +180,13 @@ class TestGradient:
         # a slab can be redundant at this point (both gradients zero), so
         # normalize by the gradient's overall scale
         assert np.max(np.abs(grad - ref)) <= 1e-2 * np.max(np.abs(ref))
+
+    def test_shared_facet_is_split_by_weight(self):
+        # slab 2 repeats slab 0: the two facets x1 = +-1, of length 2 each, are split 1 : 3
+        body = SymmetricHPolytope(np.vstack([np.eye(2), np.eye(2)[:1]]), np.ones(3))
+        from shadowgeom.family import _volume_gradient
+
+        assert _volume_gradient(body, np.array([1.0, 1.0, 3.0])) == pytest.approx([1.0, 4.0, 3.0], rel=1e-15)
 
     def test_matches_finite_differences_at_optimum(self):
         spec = random_spec(4121)

@@ -21,6 +21,7 @@ from oracles import (
 from shadowgeom.family import OFFSET_FLOOR, _volume_gradient
 from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
+    FEASIBILITY_TOL,
     SymmetricHPolytope,
     cauchy_surface_check,
     random_symmetric_polytope,
@@ -35,6 +36,29 @@ def cross_polytope(n: int) -> SymmetricHPolytope:
     """``|x_1| + ... + |x_n| <= 1`` as the 2^(n-1) slabs ``|<s, x>| <= 1`` over sign vectors s with s_1 = 1."""
     signs = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=n - 1)])
     return SymmetricHPolytope(signs / math.sqrt(n), np.full(len(signs), 1.0 / math.sqrt(n)))
+
+
+def coinciding_body() -> SymmetricHPolytope:
+    """A 4-D body whose slab 7 repeats slab 2 and whose slab 8 is slab 4 reversed."""
+    base = random_symmetric_polytope(4, 7, RandomSource(60))
+    u = np.vstack([base.directions, base.directions[2], -base.directions[4]])
+    return SymmetricHPolytope(u, np.r_[base.offsets, base.offsets[2], base.offsets[4]])
+
+
+def degenerate_bodies() -> list[SymmetricHPolytope]:
+    """Bodies with vertices on more than n hyperplanes: coinciding, reversed, touching, near-coincident and thin slabs."""
+    bodies = [cube(n) for n in (2, 3, 4)] + [cross_polytope(n) for n in (3, 4)] + [coinciding_body()]
+    bodies.append(SymmetricHPolytope(np.vstack([np.eye(2), np.eye(2)[:1]]), np.ones(3)))
+    base = cube(4)
+    theta = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    bodies.append(SymmetricHPolytope(np.vstack([base.directions, theta]), np.r_[base.offsets, base.support(theta)]))
+    for eps in (1e-5, 1e-9, 1e-13):
+        u = np.vstack([np.eye(3), [[1.0, eps, 0.0]]])
+        bodies.append(SymmetricHPolytope(u / np.linalg.norm(u, axis=1)[:, None], np.ones(4)))
+    for n in (3, 4, 5):  # one offset at the family solver's floor: the two floors merge
+        base = random_symmetric_polytope(n, n + 3, RandomSource(70 + 10 * n))
+        bodies.append(SymmetricHPolytope(base.directions, np.r_[OFFSET_FLOOR, base.offsets[1:]]))
+    return bodies
 
 
 def assert_vertices_match(body: SymmetricHPolytope, ref: np.ndarray, scale: float = 1.0) -> None:
@@ -274,9 +298,8 @@ class TestFacets:
     def test_coinciding_slabs_in_four_dimensions(self):
         # slab 7 repeats slab 2 and slab 8 is slab 4 reversed: the vertices on
         # those facets are not simple, the rest of the body is
-        base = random_symmetric_polytope(4, 7, RandomSource(60))
-        u = np.vstack([base.directions, base.directions[2], -base.directions[4]])
-        body = SymmetricHPolytope(u, np.r_[base.offsets, base.offsets[2], base.offsets[4]])
+        body = coinciding_body()
+        base = SymmetricHPolytope(body.directions[:7], body.offsets[:7])
         owners = {f.owners for f in body.facets}
         assert ((2, 1), (7, 1)) in owners and ((2, -1), (7, -1)) in owners
         assert ((4, 1), (8, -1)) in owners and ((4, -1), (8, 1)) in owners
@@ -284,7 +307,7 @@ class TestFacets:
         for f, g in zip(body.facets, base.facets):
             assert f.vertex_indices == g.vertex_indices
             assert f.measure == pytest.approx(g.measure, rel=1e-12)
-        assert body.volume == pytest.approx(body_volume_oracle(u, body.offsets), rel=1e-9)
+        assert body.volume == pytest.approx(body_volume_oracle(body.directions, body.offsets), rel=1e-9)
 
     @pytest.mark.parametrize("case", ["vertex", "two-face"])
     def test_touching_redundant_slab_in_four_dimensions(self, case):
@@ -345,6 +368,47 @@ class TestFacets:
         assert body.volume == pytest.approx(4.0, rel=1e-12)
 
 
+class TestFacetRecord:
+    @pytest.mark.parametrize("body", [random_symmetric_polytope(4, 8, RandomSource(91)), coinciding_body()], ids=["random", "coinciding"])
+    def test_sequence_and_arrays_agree(self, body):
+        facets = body.facets
+        count, m = len(facets), body.num_slabs
+        assert facets.signs.shape == (count, m) and facets.signs.dtype == np.int8
+        assert facets.incidence.shape == (count, len(body.vertices)) and facets.incidence.dtype == bool
+        listed = list(facets)
+        assert len(listed) == count == len(facets.measures)
+        for i, f in enumerate(listed):
+            for g in (facets[i], facets[i - count]):
+                assert np.array_equal(g.normal, f.normal) and (g.offset, g.measure) == (f.offset, f.measure)
+                assert (g.vertex_indices, g.owners) == (f.vertex_indices, f.owners)
+            assert np.array_equal(facets.normals[i], f.normal)
+            assert (facets.offsets[i], facets.measures[i]) == (f.offset, f.measure)
+            assert tuple(np.flatnonzero(facets.incidence[i])) == f.vertex_indices
+            assert tuple((j, facets.signs[i, j]) for j in np.flatnonzero(facets.signs[i])) == f.owners
+        with pytest.raises(IndexError):
+            facets[count]
+        with pytest.raises(IndexError):
+            facets[-count - 1]
+
+    @pytest.mark.parametrize(
+        "body",
+        [random_symmetric_polytope(n, m, RandomSource(92 + 10 * n + m)) for n in range(2, 7) for m in (n + 1, 2 * n + 2)]
+        + degenerate_bodies(),
+    )
+    def test_owners_are_the_slabs_tight_on_every_vertex(self, body):
+        u, t = body.directions, body.offsets
+        scale = math.ldexp(1.0, math.frexp(float(t.max()))[1] - 1)
+        for f in body.facets:
+            dots = body.vertices.points[list(f.vertex_indices)] @ u.T
+            tight = [
+                (j, sign)
+                for j in range(len(u))
+                for sign in (1, -1)
+                if np.all(np.abs(sign * dots[:, j] - t[j]) <= FEASIBILITY_TOL * scale)
+            ]
+            assert f.owners == tuple(tight)
+
+
 class TestVolumeHessian:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -371,6 +435,14 @@ class TestVolumeHessian:
         assert body.facets is not facets
         assert [f.measure for f in body.facets] == [f.measure for f in facets]
         assert np.array_equal(hess, SymmetricHPolytope(body.directions, body.offsets).volume_hessian)
+
+    def test_coinciding_slabs_are_charged_to_the_first(self):
+        # slab 7 repeats slab 2 and slab 8 is slab 4 reversed: their facets
+        # and ridges belong to slabs 2 and 4, whichever side is canonical
+        hess = coinciding_body().volume_hessian
+        for j in (7, 8):
+            assert not hess[j].any() and not hess[:, j].any()
+        assert np.abs(hess[2]).sum() > 0.0 and np.abs(hess[4]).sum() > 0.0
 
 
 class TestTransforms:
@@ -432,6 +504,12 @@ class TestShadowProperties:
         batch = body.shadow_areas(thetas)
         for k in range(16):
             assert batch[k] == pytest.approx(body.shadow_area(thetas[k]), rel=1e-12)
+
+
+    @pytest.mark.parametrize("thetas", [np.tile(np.eye(3), (2, 1, 1)), np.eye(4)[:2], np.ones((3, 1))])
+    def test_batch_rejects_wrong_shape(self, thetas):
+        with pytest.raises(ValueError, match="directions have wrong shape"):
+            cube(3).shadow_areas(thetas)
 
 
 class TestCauchyFormula:
