@@ -5,8 +5,8 @@ weights g_i; its members are the symmetric bodies {x : |<x, u_i>| <= t_i}
 with positive offsets constrained by sum_i g_i t_i = 1.  Because the
 n-th root of the volume is concave in the offsets (Brunn-Minkowski applied
 to the Minkowski-additive slab description), log-volume is concave too,
-and a damped Newton ascent on the budget slice, with the Hessian read off
-the ridge measures (``SymmetricHPolytope.volume_hessian``), converges to
+and a damped Newton ascent on the budget slice, with the Hessian from the
+vertex cones (``SymmetricHPolytope.volume_hessian``), converges to
 the global maximum.  At that maximum each facet measure is proportional to
 its budget weight, which makes every shadow of the optimal body a fixed
 multiple of a weighted direction sum; the verifiers below check the
@@ -170,8 +170,7 @@ def _newton(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
 
     def evaluate(offsets: np.ndarray):
         body = spec.body(offsets)
-        hess = body.volume_hessian  # first, so that the one build of the facets also measures the ridges
-        return body.volume, _volume_gradient(body, spec.weights), hess
+        return body.volume, _volume_gradient(body, spec.weights), body.volume_hessian
 
     t = start
     volume, grad, hess = evaluate(t)

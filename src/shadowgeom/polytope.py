@@ -8,16 +8,12 @@ volume, shadows) is computed by explicit brute-force geometry:
   once and filtering its 2^(n-1) sign patterns by feasibility in two passes,
   the first four slabs for every pattern and the other slabs for the
   survivors;
-* the face lattice from the vertex-hyperplane incidence, each face named by
-  the bitmask of the hyperplanes tight on all its vertices and found as an
-  inclusion-minimal closure at the vertices of the face one level up, down
-  to the 2-faces; a facet's owners are the hyperplanes of its code;
-* 2-face areas by angular sort and the shoelace formula, then facet
-  measures by Lasserre's pyramid recursion unrolled over the lattice, one
-  dimension level at a time over whole arrays: a face's measure is the sum
-  over its own facets of (in-face height from its vertex centroid) x
-  (facet measure) / (face dimension), kept in one record of arrays;
-* volume as ``sum(offset * facet measure) / n`` over the facet fan;
+* the volume, the facet measures and the Hessian of the volume in the
+  offsets in closed form over the vertex cones of the surviving (subset,
+  pattern) pairs (Lawrence's formula and its derivatives), the ties of
+  non-simple vertices broken by one lexicographic perturbation decided once
+  per vertex; a facet's owners are the signed slabs tight on all its
+  vertices;
 * shadow area in direction theta as ``0.5 * sum |<theta, n_F>| * |F|``.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
@@ -32,7 +28,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,6 +51,11 @@ _DET_TOL = 1e-12
 #: slabs that every (subset, sign pattern) candidate of `vertices` is tested against before its
 #: coordinates are formed; on random bodies about 10 % of the candidates pass them
 _FIRST_PASS_SLABS = 4
+#: candidates within this (times the scale) of each other are one vertex, and their slabs tie there
+_TIE_TOL = 1e-12
+#: the candidates for the direction c of the vertex-cone formulas: their number, and the seed they are drawn from
+_DIRECTIONS = 64
+_DIRECTION_SEED = 0x1A3C
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,10 @@ class FacetData:
 class Facets(Sequence):
     """The facets as arrays, one row per facet; indexing builds a :class:`FacetData`.
 
-    Rows come in pairs F, -F, F on the positive side of its first owning slab,
-    the pairs ordered by that slab.  ``signs`` (facets x m, int8) is +-1 where
-    that side of a slab supports the facet, else 0; ``incidence`` (facets x vertices) its vertices.
+    Rows come in pairs F, -F, F on the positive side of the slab it lies on
+    (the lowest of coinciding slabs), the pairs ordered by that slab.
+    ``signs`` (facets x m, int8) is +-1 where that side of a slab supports
+    the facet, else 0; ``incidence`` (facets x vertices) its vertices.
     """
 
     normals: np.ndarray
@@ -107,243 +109,25 @@ class Facets(Sequence):
         return FacetData(self.normals[i], float(self.offsets[i]), float(self.measures[i]), vertex_indices, owners)
 
 
-def _set_bits(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, bit) index pairs of the set bits among the low `width` bits of each code."""
-    return np.nonzero((codes[:, None] >> np.arange(width, dtype=np.int64)) & 1)
+@lru_cache(maxsize=None)
+def _direction_table(n: int) -> np.ndarray:
+    """The fixed candidates for the direction c of the cone formulas: unit vectors, one per column."""
+    table = RandomSource(_DIRECTION_SEED).fork(n).generator().standard_normal((n, _DIRECTIONS))
+    table /= np.linalg.norm(table, axis=0)
+    table.setflags(write=False)
+    return table
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries that differ from their predecessor (the first always does)."""
-    starts = np.ones(len(values), dtype=bool)
-    starts[1:] = values[1:] != values[:-1]
-    return starts
+def _cluster_labels(points: np.ndarray, tol: float) -> np.ndarray:
+    """One label per row, shared by rows that chain within `tol` of each other in every coordinate.
 
-
-def _argmax_per_group(groups: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Index of the first highest-scoring entry in each run of equal, sorted `groups`."""
-    starts = _run_starts(groups)
-    top = np.maximum.reduceat(score, np.flatnonzero(starts))
-    hit = np.flatnonzero(score == top[np.cumsum(starts) - 1])
-    return hit[_run_starts(groups[hit])]
-
-
-@dataclass(frozen=True)
-class _Level:
-    """The faces of one codimension k, each named by its closure code.
-
-    A closure code is the bitmask of every signed hyperplane tight on all of
-    the face's vertices.  Faces come in antipodal pairs F, -F of equal
-    measure, and only the member with the smaller code is kept.
-    ``face``/``vertex`` list its vertex incidences, sorted by face.
-    ``parent``/``child``/``sign`` list the pairs in which ``sign * child``
-    is a facet of the face ``parent`` of codimension k - 1, sorted by child.
+    Rows within `tol` of each other always share a label.
     """
-
-    codes: np.ndarray
-    face: np.ndarray
-    vertex: np.ndarray
-    parent: np.ndarray
-    child: np.ndarray
-    sign: np.ndarray
-
-
-def _mirror(codes: np.ndarray, half: int) -> np.ndarray:
-    """Codes of the antipodal faces: hyperplane j+ and j- trade places."""
-    return ((codes & ((1 << half) - 1)) << half) | (codes >> half)
-
-
-def _canonical(codes: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """The smaller code of each antipodal pair, and whether that is the mirror."""
-    mirrored = _mirror(codes, half)
-    flip = mirrored < codes
-    return np.where(flip, mirrored, codes), flip
-
-
-def _facets_of(level: _Level, tcode: np.ndarray, tight_at: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The facets of every face of `level`, as (parent, closure code, face, vertex).
-
-    At a vertex w of a face F every hyperplane h tight at w but not on all of
-    F cuts out the face of F whose vertices are those of F tight on h; its
-    closure code is the AND of their incidence codes.  The facets of F are
-    the inclusion-minimal closures among these.  ``face``/``vertex`` list
-    the vertex incidences of the facets, ``face`` indexing the result rows.
-    `tight_at` lists the hyperplanes tight at each vertex, as (offsets, flat
-    list) with the list of vertex v from offsets[v] to offsets[v + 1].
-    """
-    offsets, listed = tight_at
-    count = np.diff(offsets)[level.vertex]
-    before = np.cumsum(count) - count
-    h = listed[np.arange(count.sum()) + np.repeat(offsets[level.vertex] - before, count)]
-    f, w = np.repeat(level.face, count), np.repeat(level.vertex, count)
-    cutting = ((level.codes[f] >> h) & 1) == 0
-    key = f[cutting] * 64 + h[cutting]  # h < 64: codes are int64
-    order = np.argsort(key)
-    f, w, key = f[cutting][order], w[cutting][order], key[order]
-    starts = _run_starts(key)
-    cut = np.cumsum(starts) - 1  # the (face, hyperplane) group of each incidence
-    start = np.flatnonzero(starts)
-    parent, closed = f[start], np.bitwise_and.reduceat(tcode[w], start)
-    # one group per distinct (parent, closure): hyperplanes that cut out the same face
-    order = np.lexsort((closed, parent))
-    first = order[_run_starts(parent[order]) | _run_starts(closed[order])]
-    parent, closed = parent[first], closed[first]
-    # compare every candidate with every other candidate of the same parent
-    group_start = np.flatnonzero(_run_starts(parent))
-    size = np.diff(np.append(group_start, len(parent)))
-    group_size = np.repeat(size, size)
-    a = np.repeat(np.arange(len(parent)), group_size)
-    offset = np.arange(len(a)) - np.repeat(np.cumsum(group_size) - group_size, group_size)
-    b = np.repeat(np.repeat(group_start, size), group_size) + offset
-    dominated = ((closed[b] & closed[a]) == closed[b]) & (closed[b] != closed[a])
-    keep = np.bincount(a, weights=dominated, minlength=len(parent)) == 0
-    row_of = np.full(len(start), -1)
-    row_of[first[keep]] = np.arange(np.count_nonzero(keep))
-    member = row_of[cut] >= 0
-    return parent[keep], closed[keep], row_of[cut[member]], w[member]
-
-
-def _face_lattice(tight: np.ndarray, depth: int, neg_index: np.ndarray) -> list[_Level]:
-    """The faces of codimension 0..depth of a symmetric polytope.
-
-    `tight` is the (vertices x 2m) boolean vertex-hyperplane incidence,
-    columns j and j + m holding the two sides of slab j, and `neg_index`
-    maps each vertex to its antipode.  Entry k of the result holds the
-    faces of codimension k, from the body itself (k = 0) down: the facets
-    of the faces of entry k - 1 (:func:`_facets_of`).  Closures need no rank
-    test, so vertices on more than n hyperplanes (the octahedron, coinciding
-    or touching slabs) take the same path as simple ones.
-    """
-    num_v, width = tight.shape
-    tcode = tight.astype(np.int64) @ np.left_shift(np.int64(1), np.arange(width, dtype=np.int64))
-    tight_at = np.append(0, np.cumsum(tight.sum(axis=1))), np.nonzero(tight)[1]
-    none = np.zeros(0, dtype=np.intp)
-    levels = [_Level(np.zeros(1, dtype=np.int64), np.zeros(num_v, dtype=np.intp), np.arange(num_v), none, none, none)]
-    for _ in range(depth):
-        parent, found, row, vertex = _facets_of(levels[-1], tcode, tight_at)
-        found, flip = _canonical(found, width // 2)
-        codes, first, child = np.unique(found, return_index=True, return_inverse=True)
-        # each face's vertices from one of its finds, mirrored if that find was -F
-        use = first[child[row]] == row
-        face = child[row[use]]
-        vertex = np.where(flip[row[use]], neg_index[vertex[use]], vertex[use])
-        by_face = np.argsort(face, kind="stable")
-        by_child = np.argsort(child, kind="stable")
-        sign = np.where(flip[by_child], -1, 1)
-        levels.append(_Level(codes, face[by_face], vertex[by_face], parent[by_child], child[by_child], sign))
-    return levels
-
-
-def _centroids(points: np.ndarray, level: _Level) -> np.ndarray:
-    """The centroid of the vertices of each face of `level`."""
-    nf, n = len(level.codes), points.shape[1]
-    slots = (level.face[:, None] * n + np.arange(n)).ravel()
-    sums = np.bincount(slots, weights=points[level.vertex].ravel(), minlength=nf * n).reshape(nf, n)
-    return sums / np.bincount(level.face, minlength=nf)[:, None]
-
-
-def _flat_measures(points: np.ndarray, centroids: np.ndarray, level: _Level, dim: int) -> np.ndarray:
-    """Measures of the faces of `level`, of dimension `dim` <= 2, read off their vertices.
-
-    Points measure 1.  Segments and polygons are charted by the offset of
-    their farthest vertex from the centroid and the farthest residual from
-    that; segments measure their extent and polygons their area, by angular
-    sort about the centroid and the shoelace formula.
-    """
-    num_f = len(level.codes)
-    if dim == 0:
-        return np.ones(num_f)
-    starts = np.flatnonzero(_run_starts(level.face))
-    d = points[level.vertex] - centroids[level.face]
-    coords = []
-    for _ in range(dim):
-        length = np.linalg.norm(d, axis=1)
-        far = _argmax_per_group(level.face, length)
-        axis = d[far] / np.maximum(length[far], 1e-300)[:, None]
-        x = np.einsum("ri,ri->r", d, axis[level.face])
-        d = d - x[:, None] * axis[level.face]
-        coords.append(x)
-    if dim == 1:
-        return np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
-    x, y = coords
-    order = np.lexsort((np.arctan2(y, x), level.face))
-    x, y = x[order], y[order]
-    succ = np.arange(1, len(order) + 1)
-    succ[np.append(starts[1:], len(order)) - 1] = starts
-    return 0.5 * np.abs(np.bincount(level.face, weights=x * y[succ] - y * x[succ], minlength=num_f))
-
-
-def _face_measures(points: np.ndarray, normals: np.ndarray, levels: list[_Level]) -> list[np.ndarray]:
-    """Measures of the faces of ``levels[1:]``, one array per level in code order.
-
-    The faces of the last level, of dimension at most 2, are measured from
-    their vertices (:func:`_flat_measures`).  Above them Lasserre's pyramid
-    identity |F| = sum_G h(c_F, G) |G| / dim F over the facets G of F, with
-    c_F the centroid of F's vertices, runs one level at a time up to the
-    facets.  The in-face height of G is the component of c_G - c_F along the
-    unit in-face normal of G, the residual of a cutting hyperplane's normal
-    against an orthonormal basis of F's normal space (shared by F and -F).
-    """
-    n = points.shape[1]
-    half = len(normals) // 2
-    centroids = [np.zeros((1, n))] + [_centroids(points, lv) for lv in levels[1:]]  # the body's is the origin
-    facet_rows, facet_bits = _set_bits(levels[1].codes, len(normals))
-    basis = normals[facet_bits[_run_starts(facet_rows)]][:, :, None]
-    heights = {}
-    for k in range(2, len(levels)):
-        lv, above = levels[k], levels[k - 1]
-        delta = lv.sign[:, None] * centroids[k][lv.child] - centroids[k - 1][lv.parent]
-        child_codes = np.where(lv.sign < 0, _mirror(lv.codes[lv.child], half), lv.codes[lv.child])
-        rows, cut = _set_bits(child_codes & ~above.codes[lv.parent], len(normals))
-        q = basis[lv.parent[rows]]
-        a = normals[cut]
-        for _ in range(2):  # Gram-Schmidt, twice for orthogonality to working precision
-            a = a - np.einsum("rij,rj->ri", q, np.einsum("rij,ri->rj", q, a))
-        norm = np.linalg.norm(a, axis=1)
-        best = _argmax_per_group(rows, norm)  # the best-conditioned cutting hyperplane
-        a, norm = a[best], norm[best]
-        if len(best) != len(lv.child) or np.any(norm <= 1e-12):
-            raise ValueError("degenerate face lattice: a facet pair has no cutting hyperplane")
-        unit = a / norm[:, None]
-        heights[k] = np.abs(np.einsum("ri,ri->r", unit, delta))
-        pick = _argmax_per_group(lv.child, norm)
-        basis = np.concatenate([basis[lv.parent[pick]], unit[pick][:, :, None]], axis=2)
-    measures = [_flat_measures(points, centroids[-1], levels[-1], n + 1 - len(levels))]
-    for k in range(len(levels) - 1, 1, -1):
-        lv = levels[k]
-        above = np.bincount(lv.parent, weights=heights[k] * measures[0][lv.child], minlength=len(levels[k - 1].codes))
-        measures.insert(0, above / (n - k + 1))
-    return measures
-
-
-def _volume_hessian(plane: np.ndarray, ridges: _Level, ridge_measures: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """d^2(volume)/dt_i dt_j from the ridges, the faces of codimension 2.
-
-    Moving slab j out by dt moves each ridge R = F_i & F_j that a facet F_i
-    of slab i shares with a facet of slab j by dt / sin(theta) within F_i,
-    and moving F_i itself moves each of its ridges by -dt cot(theta), theta
-    the angle between the two outward normals.  So d|F_i|/dt_j sums
-    |R| / sin(theta) over those ridges and d|F_i|/dt_i sums -|R| cot(theta)
-    over all ridges of F_i (Klain, "The Minkowski problem for polytopes",
-    Adv. Math. 2004; Schneider, *Convex Bodies*).  The volume gradient is
-    twice the one-sided facet measure per slab, and R and -R are alike, so
-    every ridge of `ridges` (one of each antipodal pair) counts twice.  A
-    facet is charged to `plane`, its hyperplane on its first owning slab.
-    """
-    m = len(normals) // 2
-    if np.any(np.bincount(ridges.child, minlength=len(ridges.codes)) != 2):
-        raise ValueError("degenerate face lattice: a ridge does not lie on exactly two facets")
-    # entries are sorted by ridge, two per ridge: the facets sign * parent that hold it
-    pair = plane[ridges.parent].reshape(-1, 2)
-    sign = ridges.sign.reshape(-1, 2)
-    cos = sign[:, 0] * sign[:, 1] * np.einsum("ri,ri->r", normals[pair[:, 0]], normals[pair[:, 1]])
-    sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
-    a, b = (pair % m).T
-    across = 2.0 * ridge_measures / sin
-    along = -across * cos
-    hess = np.zeros((m, m))
-    rows, cols = np.concatenate([a, b, a, b]), np.concatenate([b, a, a, b])
-    np.add.at(hess, (rows, cols), np.concatenate([across, across, along, along]))
-    return hess
+    ids = np.empty(points.shape, dtype=np.intp)
+    for d in range(points.shape[1]):
+        order = np.argsort(points[:, d])
+        ids[order, d] = np.cumsum(np.diff(points[order, d], prepend=-np.inf) > tol)
+    return np.unique(ids, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 class SymmetricHPolytope:
@@ -374,8 +158,6 @@ class SymmetricHPolytope:
         t.setflags(write=False)
         self._directions = u
         self._offsets = t
-        self._hessian: np.ndarray | None = None  # kept only by a build of facets that volume_hessian asked for
-        self._keep_hessian = False
 
     # -- basic accessors -------------------------------------------------
 
@@ -424,19 +206,20 @@ class SymmetricHPolytope:
     # -- vertex enumeration ----------------------------------------------
 
     @cached_property
-    def vertices(self) -> VertexSet:
-        """All vertices, by brute force over invertible n-subsets of the slab normals.
+    def _candidates(self) -> tuple[np.ndarray, ...]:
+        """The feasible (subset S, sign pattern p) pairs, by brute force over invertible n-subsets of the slab normals.
 
-        Each subset S is inverted once, as ``X_S = U_S^-1 diag(t_S)`` (the
-        inverse of its rows divided by their offsets), so that the candidate
-        of a sign pattern p (first sign fixed positive) is ``X_S p``.  Every
-        (subset, pattern) pair is tested against the first
-        ``_FIRST_PASS_SLABS`` slabs at once; only the survivors' coordinates
-        are formed and tested against the other slabs.  Both passes use the
-        bound ``t + FEASIBILITY_TOL * scale`` on every slab, the subset's own
-        included, so the kept set is the one a single test over all slabs
-        would keep.  Mirrored solutions are added afterwards, so the set is
-        exactly closed under negation.
+        Arrays (subsets, patterns, inverses ``X_S``, points ``X_S p``,
+        ``|det U_S|``), one row per pair.  Each subset is inverted once, as
+        ``X_S = U_S^-1 diag(t_S)`` (the inverse of its rows divided by their
+        offsets), and the first sign of p is +1.  Every pair is tested
+        against the first ``_FIRST_PASS_SLABS`` slabs at once; only the
+        survivors' coordinates are formed and tested against the other slabs,
+        both with the bound ``t + FEASIBILITY_TOL * scale``.  The subset's own
+        slabs read as exactly tight, and the kept points take one step of
+        iterative refinement: where U_S is ill-conditioned, ``X_S p`` cancels
+        large entries, and its slack on them is off by about eps cond(U_S)
+        (1e-9 at cond 1e8).
         """
         u, t, s = self._directions, self._offsets, self._scale
         m, n = u.shape
@@ -444,32 +227,102 @@ class SymmetricHPolytope:
         patterns = sign_patterns(n)  # (P, n)
         bound = t + FEASIBILITY_TOL * s
         first = min(m, _FIRST_PASS_SLABS)
-        u_first, bound_first = u[:first], bound[:first, None, None]
-        rest, bound_rest = u[first:].T, bound[first:]
+        u_first, bound_first, bound_rest = u[:first], bound[:first, None, None], bound[first:]
         scaled = u / t[:, None]  # rows u_i / t_i: the inverse of a subset of them is U_S^-1 diag(t_S)
-        found: list[np.ndarray] = []
+        found: list[tuple[np.ndarray, ...]] = []
         for block in subset_blocks(m, n):
-            keep = np.abs(np.linalg.det(u[block])) > _DET_TOL
-            x = np.linalg.inv(scaled[block[keep]])  # (B, n, n): the candidates are x @ p
-            dots = (u_first @ x).transpose(1, 0, 2) @ patterns.T  # (first, B, P)
+            dets = np.abs(np.linalg.det(u[block]))
+            keep = dets > _DET_TOL
+            block, dets = block[keep], dets[keep]
+            x = np.linalg.inv(scaled[block])  # (B, n, n): the candidates are x @ p
+            rows = u_first @ x  # (B, first, n)
+            # the row of one of the subset's own slabs is exactly t_i e_i
+            b, i = np.nonzero(block < first)
+            rows[b, block[b, i]] = 0.0
+            rows[b, block[b, i], i] = t[block[b, i]]
+            dots = rows.transpose(1, 0, 2) @ patterns.T  # (first, B, P)
             ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0)
             sub, pat = ok.nonzero()
             cand = np.einsum("rij,rj->ri", x[sub], patterns[pat])
-            found.append(cand[(np.abs(cand @ rest) <= bound_rest).all(axis=1)])
-        raw = np.concatenate(found)
-        if len(raw) == 0:
+            dots = cand @ u.T
+            np.put_along_axis(dots, block[sub], patterns[pat] * t[block[sub]], axis=1)
+            good = (np.abs(dots[:, first:]) <= bound_rest).all(axis=1)
+            sub, pat, cand = sub[good], pat[good], cand[good]
+            # one step of iterative refinement
+            residual = patterns[pat] - np.einsum("rij,rj->ri", scaled[block[sub]], cand)
+            cand += np.einsum("rij,rj->ri", x[sub], residual)
+            found.append((block[sub], patterns[pat], x[sub], cand, dets[sub]))
+        candidates = tuple(np.concatenate(field) for field in zip(*found))
+        if len(candidates[0]) == 0:
             raise ValueError("no vertices found; body is numerically degenerate")
+        return candidates
+
+    @cached_property
+    def vertices(self) -> VertexSet:
+        """All vertices: the feasible candidates of :attr:`_candidates`, merged within ``VERTEX_MERGE_TOL * scale``.
+
+        Mirrored solutions are added after the merge, so the set is exactly
+        closed under negation.
+        """
+        raw, s = self._candidates[3], self._scale
         # canonicalise sign so each antipodal pair is represented once
         canon = dedup_rows(raw * canonical_signs(raw, 1e-9 * s)[:, None], VERTEX_MERGE_TOL * s)
         both = np.concatenate([canon, -canon])
-        order = np.lexsort(both.T[::-1])
-        pts = both[order]
+        pts = both[np.lexsort(both.T[::-1])]
         pts.setflags(write=False)
-        # negation pairing is exact by construction: row i <-> row i +/- len(canon)
-        inv = np.empty_like(order)
-        inv[order] = np.arange(len(order))
-        self._negation_index = inv[(order + len(canon)) % len(order)]
         return VertexSet(pts)
+
+    # -- vertex cones --------------------------------------------------------
+
+    @cached_property
+    def _cones(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The kept vertex cones of the lexicographically perturbed body, as (subsets, h, gamma, weight).
+
+        Candidates in canonical sign within ``_TIE_TOL * scale`` of each other
+        are one vertex, whose tight set is the union of their subsets.  A
+        candidate (S, p) is kept when the exact sign of its slack admits it on
+        every slab outside that set, and the perturbation ``t_j + eps^(m - j)``
+        on every slab j of the set outside S: the slack that adds,
+        ``sum_i a_i eps^(m - S_i) - eps^(m - j)`` with ``a = q p * (U_S^-T u_j)``
+        on side q of slab j, must have a negative coefficient at its highest
+        index whose coefficient is above ``_TIE_TOL`` relative.  So ties are
+        decided once per vertex, and the lowest of coinciding slabs owns their
+        facet.
+
+        For a direction c, ``h = <c, x>``, ``gamma = p * (U_S^-T c)`` and
+        ``weight = 1 / (|det U_S| prod(gamma))``, and the volume is
+        ``2 sum h^n weight / n!`` (Lawrence, "Polytope volume computation",
+        Math. Comp. 57, 1991), the 2 counting each cone's mirror -x.  c is the
+        column of :func:`_direction_table` with the least estimated rounding
+        error of that sum.
+        """
+        sub, pat, inv, pts, dets = self._candidates
+        u, t, s = self._directions, self._offsets, self._scale
+        m, n = u.shape
+        dots = pts @ u.T
+        labels = _cluster_labels(pts * canonical_signs(pts, 1e-9 * s)[:, None], _TIE_TOL * s)
+        tied = np.zeros((len(pts), m), dtype=bool)
+        tied[labels[:, None], sub] = True
+        tied = tied[labels]
+        ok = ~np.any((np.abs(dots) > t) & ~tied, axis=1)
+        tied[np.arange(len(pts))[:, None], sub] = False
+        k, j = np.nonzero(tied)
+        a = (np.einsum("rij,ri->rj", inv[k], u[j]) / t[sub[k]]) * pat[k] * np.sign(dots[k, j])[:, None]
+        lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
+        last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
+        ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
+        sub, pat, inv, pts, dets = sub[ok], pat[ok], inv[ok], pts[ok], dets[ok]
+        table = _direction_table(n)
+        g = (inv.transpose(0, 2, 1).reshape(-1, n) @ table).reshape(len(pts), n, -1) / t[sub][:, :, None]
+        h = pts @ table
+        # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
+        # |U_S^-1 e_i| / |g_i| from each gamma_i (the table's columns are unit vectors)
+        cols = np.linalg.norm(inv, axis=1) / t[sub]
+        cond = n * np.linalg.norm(pts, axis=1)[:, None] / np.abs(h) + np.sum(cols[:, :, None] / np.abs(g), axis=1)
+        error = np.abs(h) ** n / (dets[:, None] * np.abs(np.prod(g, axis=1))) * cond
+        best = np.argmin(error.sum(axis=0))
+        gamma = pat * g[:, :, best]
+        return sub, h[:, best], gamma, 1.0 / (dets * np.prod(gamma, axis=1))
 
     # -- facet fan ---------------------------------------------------------
 
@@ -477,38 +330,27 @@ class SymmetricHPolytope:
     def facets(self) -> Facets:
         """Geometric facets with their (n-1)-measures, as one record of arrays.
 
-        The face lattice is read off the vertex-hyperplane incidence down to
-        the 2-faces, which are measured from their vertices, and the measures
-        are carried up one dimension level at a time over whole arrays (see
-        :func:`_face_lattice` and :func:`_face_measures`).  Facets below 1e-12
-        at unit scale are omitted.  A facet's owners are the hyperplanes of its
-        closure code, and its vertices those tight on its first owner.
+        Slab j's facet measures ``sum h^(n-1) gamma_j weight / (n-1)!`` over
+        the kept vertex cones whose subset holds j (:attr:`_cones`), half the
+        volume's derivative in t_j.  Facets below 1e-12 at unit scale are
+        omitted.  A facet's vertices are those tight on its slab's hyperplane,
+        and its owners the signed slabs tight on all of them, all within
+        ``FEASIBILITY_TOL * scale``.
         """
         verts = self.vertices.points
         u, t, s = self._directions, self._offsets, self._scale
         m, n = u.shape
+        sub, h, gamma, weight = self._cones
+        terms = (h ** (n - 1) * weight / math.factorial(n - 1))[:, None] * gamma
+        slab_measures = np.bincount(sub.ravel(), weights=terms.ravel(), minlength=m)
         dots = verts @ u.T
         tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL * s, np.abs(dots + t) <= FEASIBILITY_TOL * s])
-        normals = np.vstack([u, -u])
-        # the ridges are a level of the lattice from n = 4 on; below, one level more
-        levels = _face_lattice(tight, max(n - 2, 2 if self._keep_hessian else 1), self._negation_index)
-        level_measures = _face_measures(verts, normals, levels[: max(n - 1, 2)])
-        # each facet's owners by slab; bit b of a code is slab b mod m, on its positive side if b < m
-        rows, bits = _set_bits(levels[1].codes, 2 * m)
-        by_slab = np.lexsort((bits, bits % m, rows))
-        rows, bits = rows[by_slab], bits[by_slab]
-        plane = bits[_run_starts(rows)]  # the first owner, as a signed hyperplane
-        if self._keep_hessian:
-            ridges = levels[2]
-            ridge_measures = level_measures[1] if n >= 4 else _flat_measures(verts, _centroids(verts, ridges), ridges, max(n - 2, 0))
-            self._hessian = _volume_hessian(plane, ridges, ridge_measures, normals)
-        code_signs = np.zeros((len(plane), m), dtype=np.int8)
-        code_signs[rows, bits % m] = np.where((bits < m) == (plane[rows] < m), 1, -1)
-        # two rows per facet above the floor, by first slab: the facet on its positive side, then the mirror
-        kept = np.flatnonzero(level_measures[0] >= MEASURE_FLOOR * s ** (n - 1))
-        kept = kept[np.argsort(plane[kept] % m)]
-        first, side = np.repeat(plane[kept] % m, 2), np.tile(np.array([1, -1], dtype=np.int8), len(kept))
-        measures, signs = np.repeat(level_measures[0][kept], 2), side[:, None] * np.repeat(code_signs[kept], 2, axis=0)
+        slabs = np.flatnonzero(slab_measures >= MEASURE_FLOOR * s ** (n - 1))
+        owned = ~(tight.T[slabs] @ ~tight)  # the signed slabs tight on every vertex of the facet
+        owners = owned[:, :m].astype(np.int8) - owned[:, m:]
+        # two rows per facet, by slab: the facet on its positive side, then the mirror
+        first, side = np.repeat(slabs, 2), np.tile(np.array([1, -1], dtype=np.int8), len(slabs))
+        measures, signs = np.repeat(slab_measures[slabs], 2), side[:, None] * np.repeat(owners, 2, axis=0)
         record = Facets(side[:, None] * u[first], t[first], measures, signs, tight.T[first + m * (side < 0)])
         for field in vars(record).values():
             field.setflags(write=False)
@@ -518,25 +360,33 @@ class SymmetricHPolytope:
 
     @cached_property
     def volume(self) -> float:
-        """Lebesgue volume via the cone decomposition over the facet fan."""
-        return float(self.facets.offsets @ self.facets.measures) / self.dim
+        """Lebesgue volume, ``2 sum h^n weight / n!`` over the vertex cones of :attr:`facets`.
+
+        This equals ``sum offset * measure / n``, but is better conditioned: a
+        nearly singular cone puts large, opposite terms into the measures of
+        its two nearly parallel facets.
+        """
+        self.facets  # first, so that the cones are formed within the build of the facets
+        _, h, _, weight = self._cones
+        return 2.0 * float(h ** self.dim @ weight) / math.factorial(self.dim)
 
     @cached_property
     def volume_hessian(self) -> np.ndarray:
-        """The (m, m) Hessian of the volume in the offsets, read off the ridge measures.
+        """The (m, m) Hessian of the volume in the offsets, from the vertex cones.
 
-        The build of :attr:`facets` that this asks for measures the ridges
-        too (see :func:`_volume_hessian`); a body that never asks for it
-        keeps no ridge data.  If the facets were built already, they are
-        built again.  Where the combinatorial type changes, or slabs
-        coincide, the volume is not twice differentiable, and this is the
-        Hessian of the current type.
+        Entry (j, k) is ``2 n (n-1) / n! sum h^(n-2) gamma_j gamma_k weight``
+        over the kept cones whose subset holds j and k (:attr:`_cones`), the
+        second derivative of Lawrence's formula.  Where the combinatorial type
+        changes, or slabs coincide, the volume is not twice differentiable,
+        and this is the Hessian of the lexicographically perturbed body.
         """
-        if self._hessian is None:
-            self.__dict__.pop("facets", None)
-            self._keep_hessian = True
-            self.facets
-        hess = self._hessian
+        m, n = self._directions.shape
+        sub, h, gamma, weight = self._cones
+        scale = 2.0 * n * (n - 1) / math.factorial(n) * h ** (n - 2) * weight
+        pairs = (sub[:, :, None] * m + sub[:, None, :]).ravel()
+        terms = scale[:, None, None] * (gamma[:, :, None] * gamma[:, None, :])
+        # exactly symmetric: entries (j, k) and (k, j) sum the same products in the same order
+        hess = np.bincount(pairs, weights=terms.ravel(), minlength=m * m).reshape(m, m)
         hess.setflags(write=False)
         return hess
 

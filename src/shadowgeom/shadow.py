@@ -10,7 +10,7 @@ shadows.  In that position every (n-1)-dimensional shadow is at least
 This module builds that pipeline end to end and provides the verifiers for
 the product-of-shadows inequality (its orthonormal special case included)
 and the Euclidean ball's shadow ratio.  The polytope is enumerated once per
-pipeline run: a linear map T keeps the face lattice, the projection body
+pipeline run: a linear map T keeps the combinatorial type, the projection body
 transforms as ``Pi(TC) = |det T| T^{-T} Pi C`` (Petty, "Projection bodies",
 1967; Schneider, *Convex Bodies*, section 10.9) and ``|TC| = |det T| |C|``,
 so the certificate of the repositioned body is read off the input body's
@@ -296,6 +296,8 @@ def verify_product_inequality(body: SymmetricHPolytope, decomposition: WeightedD
     if u.shape[1] != body.dim:
         raise ValueError("dimension mismatch")
     n = body.dim
+    # the two sides scale alike only for sum(c) = n: rescale the rounding of the decomposition's trace away
+    c = c * (n / c.sum())
     shadows = body.shadow_areas(u)
     if np.any(shadows <= 0.0):
         raise ValueError("degenerate shadow encountered")

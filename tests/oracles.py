@@ -17,7 +17,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 
 def hull_volume(points: np.ndarray) -> float:
@@ -72,6 +72,44 @@ def complement_chart(theta: np.ndarray) -> np.ndarray:
     v = v / np.linalg.norm(v)
     _, _, vt = np.linalg.svd(v[None, :])
     return vt[1:].T
+
+
+def facet_measure_oracle(directions: np.ndarray, offsets: np.ndarray, k: int, tol: float = 1e-9) -> float:
+    """(n-1)-measure of the facet of ``{x : |<u_i, x>| <= t_i}`` on the hyperplane ``<u_k, x> = t_k``.
+
+    In an orthonormal chart Q of that hyperplane (:func:`complement_chart`)
+    the facet is ``{y : |<Q^T u_i, y> + t_k <u_i, u_k>| <= t_i, i != k}``.
+    Its vertices come from solving every (n-1)-subset of those slabs with
+    every sign pattern, kept when they satisfy all constraints within `tol`,
+    and its measure from qhull (0 for fewer than n affinely independent
+    vertices).  The body's own vertex set is never formed.
+    """
+    u = np.asarray(directions, dtype=float)
+    t = np.asarray(offsets, dtype=float)
+    m, n = u.shape
+    others = np.delete(np.arange(m), k)
+    a = u[others] @ complement_chart(u[k])  # (m - 1, n - 1)
+    shift = t[k] * (u[others] @ u[k])
+    lo, hi = -t[others] - shift, t[others] - shift
+    if n == 1:
+        return float(np.all(lo <= tol) and np.all(hi >= -tol))
+    subsets = np.array(list(itertools.combinations(range(m - 1), n - 1)), dtype=np.intp).reshape(-1, n - 1)
+    subsets = subsets[np.abs(np.linalg.det(a[subsets])) > 1e-12]
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
+    if len(subsets) == 0:
+        return 0.0
+    inv = np.linalg.inv(a[subsets])
+    # bound s_i on row i is hi_i for s_i = +1 and lo_i for s_i = -1
+    rhs = np.where(signs[None] > 0, hi[subsets][:, None], lo[subsets][:, None])  # (subsets, patterns, n - 1)
+    pts = np.einsum("sij,spj->spi", inv, rhs).reshape(-1, n - 1)
+    vals = pts @ a.T
+    pts = pts[np.all((vals <= hi + tol) & (vals >= lo - tol), axis=1)]
+    if n == 2:
+        return float(pts.max() - pts.min()) if len(pts) else 0.0
+    try:
+        return hull_volume(pts) if len(pts) >= n else 0.0
+    except QhullError:  # a facet of lower dimension: measure 0
+        return 0.0
 
 
 def shadow_area_oracle(vertices: np.ndarray, theta: np.ndarray) -> float:

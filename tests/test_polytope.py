@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     body_volume_oracle,
-    complement_chart,
+    facet_measure_oracle,
     fd_jacobian,
     hull_surface_area,
     hull_volume,
@@ -21,6 +22,8 @@ from oracles import (
 from shadowgeom.family import OFFSET_FLOOR, _volume_gradient
 from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
+    _DET_TOL,
+    _TIE_TOL,
     FEASIBILITY_TOL,
     SymmetricHPolytope,
     cauchy_surface_check,
@@ -45,6 +48,19 @@ def coinciding_body() -> SymmetricHPolytope:
     return SymmetricHPolytope(u, np.r_[base.offsets, base.offsets[2], base.offsets[4]])
 
 
+def near_coincident_body(eps: float, tilt: float = 0.0) -> tuple[SymmetricHPolytope, float, float]:
+    """The unit cube plus the slab of unit normal (a, b, 0) ~ (1, eps, 0) at offset 1, rotated by `tilt` radians.
+
+    The rotation turns about (1, 1, 1) / sqrt(3), so that no normal keeps a
+    zero coordinate.  Returns the body and the unrotated (a, b).
+    """
+    u = np.vstack([np.eye(3), [[1.0, eps, 0.0]]])
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    k = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]) / math.sqrt(3.0)
+    rotation = np.eye(3) + math.sin(tilt) * k + (1.0 - math.cos(tilt)) * (k @ k)
+    return SymmetricHPolytope(u @ rotation.T, np.ones(4)), u[3, 0], u[3, 1]
+
+
 def degenerate_bodies() -> list[SymmetricHPolytope]:
     """Bodies with vertices on more than n hyperplanes: coinciding, reversed, touching, near-coincident and thin slabs."""
     bodies = [cube(n) for n in (2, 3, 4)] + [cross_polytope(n) for n in (3, 4)] + [coinciding_body()]
@@ -52,9 +68,7 @@ def degenerate_bodies() -> list[SymmetricHPolytope]:
     base = cube(4)
     theta = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
     bodies.append(SymmetricHPolytope(np.vstack([base.directions, theta]), np.r_[base.offsets, base.support(theta)]))
-    for eps in (1e-5, 1e-9, 1e-13):
-        u = np.vstack([np.eye(3), [[1.0, eps, 0.0]]])
-        bodies.append(SymmetricHPolytope(u / np.linalg.norm(u, axis=1)[:, None], np.ones(4)))
+    bodies += [near_coincident_body(eps)[0] for eps in (1e-5, 1e-9, 1e-13)]
     for n in (3, 4, 5):  # one offset at the family solver's floor: the two floors merge
         base = random_symmetric_polytope(n, n + 3, RandomSource(70 + 10 * n))
         bodies.append(SymmetricHPolytope(base.directions, np.r_[OFFSET_FLOOR, base.offsets[1:]]))
@@ -329,36 +343,42 @@ class TestFacets:
     @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
     def test_near_coincident_slab_matches_hull(self, eps):
         # unit cube plus a slab with normal ~ (1, eps, 0) at offset 1: the
-        # cut-off wedges have volume ~eps, and the in-face heights on the
-        # facet x1 = 1 are ratios of two O(eps) quantities.  At eps = 1e-9
-        # the slab is tight on half of the facet x1 = 1 within
-        # FEASIBILITY_TOL, an incidence that is no polytope's face lattice;
-        # the polygon facets are still right because they are measured
-        # from their vertices.
-        u = np.vstack([np.eye(3), [[1.0, eps, 0.0]]])
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        ref = hull_volume(intersection_vertices(u, np.ones(4)))
-        assert SymmetricHPolytope(u, np.ones(4)).volume == pytest.approx(ref, rel=1e-9)
+        # cut-off wedges have volume ~eps.  The reference merges vertices
+        # within 1e-8, so below that it cannot see the wedges; the closed
+        # form below can.
+        body, _, _ = near_coincident_body(eps)
+        ref = hull_volume(intersection_vertices(body.directions, body.offsets))
+        assert body.volume == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("tilt", [0.0, 0.5])
     @pytest.mark.parametrize(
-        "n",
-        [3]
-        + [
-            pytest.param(n, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5 (c): absolute tolerances"))
-            for n in (4, 5)
-        ],
+        "eps",
+        [10.0 ** (-k / 4.0) for k in range(20, 61)] + sorted({f * tol for tol in (_TIE_TOL, _DET_TOL) for f in (0.5, 0.8, 1.25, 2.0)}),
     )
+    def test_near_coincident_slab_matches_closed_form(self, eps, tilt):
+        # the slab (a, b, 0) cuts two wedges off the cube: on the facet x1 = 1
+        # it is tight at x2 = x* = (1 - a) / b, and each wedge has volume
+        # b (1 - x*)^2 / a.  Around eps = _TIE_TOL the corner and the slab's
+        # vertex next to it become one vertex, and below eps = _DET_TOL the
+        # slab's other vertex is no longer formed.
+        body, a, b = near_coincident_body(eps, tilt)
+        x = (1.0 - a) / b
+        assert body.volume == pytest.approx(8.0 - 2.0 * b * (1.0 - x) ** 2 / a, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_floor_offset_facet_matches_hull(self, n):
         # one offset at the family solver's floor: the body is 2e-9 thick, so
         # its two floors lie within FEASIBILITY_TOL and VERTEX_MERGE_TOL of
-        # each other.  The floor facet must still measure the hull of its
-        # vertices.
+        # each other.  The reference measures the floor facet in a chart of
+        # its own hyperplane, not from the library's vertex set.
         base = random_symmetric_polytope(n, n + 3, RandomSource(70 + 10 * n))
-        body = SymmetricHPolytope(base.directions, np.r_[OFFSET_FLOOR, base.offsets[1:]])
-        floor = next(f for f in body.facets if f.owners[0] == (0, 1))
-        chart = complement_chart(floor.normal)
-        ref = hull_volume(body.vertices.points[list(floor.vertex_indices)] @ chart)
+        u, t = base.directions, np.r_[OFFSET_FLOOR, base.offsets[1:]]
+        body = SymmetricHPolytope(u, t)
+        floor = next(f for f in body.facets if np.array_equal(f.normal, u[0]))
+        ref = facet_measure_oracle(u, t, 0)
         assert floor.measure == pytest.approx(ref, rel=1e-9)
+        # a prism of height 2 t_0 over its section, up to O(t_0) relative
+        assert body.volume == pytest.approx(2.0 * OFFSET_FLOOR * ref, rel=1e-5)
 
     def test_redundant_slab_has_no_facet(self):
         u = np.vstack([np.eye(2), [[math.sqrt(0.5), math.sqrt(0.5)]]])
@@ -366,6 +386,25 @@ class TestFacets:
         touched = {o[0] for f in body.facets for o in f.owners}
         assert 2 not in touched
         assert body.volume == pytest.approx(4.0, rel=1e-12)
+
+
+#: the (n, m) shapes of random bodies that the benchmark workloads (position, family, measure) draw
+WORKLOAD_SHAPES = sorted(
+    {(n, m) for n in (4, 5, 6) for m in range(n + 3, 15)}
+    | {(3, 6), (4, 8)}
+    | {(n, m) for n in (3, 4, 5, 6) for m in range(n + 2, min(16, 2 * n + 4) + 1)}
+)
+
+
+class TestFacetMeasures:
+    @pytest.mark.parametrize("n, m", WORKLOAD_SHAPES)
+    def test_every_facet_matches_the_chart_oracle(self, n, m):
+        body = random_symmetric_polytope(n, m, RandomSource(600 + 20 * n + m))
+        ref = np.array([facet_measure_oracle(body.directions, body.offsets, k) for k in range(m)])
+        facets = body.facets
+        mine = np.zeros(m)
+        mine[np.argmax(facets.signs[::2] != 0, axis=1)] = facets.measures[::2]
+        assert np.max(np.abs(mine - ref)) <= 1e-9 * ref.max()
 
 
 class TestFacetRecord:
@@ -426,15 +465,23 @@ class TestVolumeHessian:
         expected = 2.0**n * (np.ones((n, n)) - np.eye(n))
         assert np.allclose(cube(n).volume_hessian, expected, rtol=1e-12, atol=1e-12)
 
-    def test_facets_alone_keep_no_ridges_and_are_unchanged(self):
+    def test_hessian_after_facets_keeps_the_facets(self):
         body = random_symmetric_polytope(3, 6, RandomSource(90))
         facets = body.facets
-        assert body._hessian is None
-        # asking afterwards builds the facets again, with the ridges
         hess = body.volume_hessian
-        assert body.facets is not facets
-        assert [f.measure for f in body.facets] == [f.measure for f in facets]
+        assert body.facets is facets
         assert np.array_equal(hess, SymmetricHPolytope(body.directions, body.offsets).volume_hessian)
+
+    def test_nearly_parallel_facets_give_a_finite_hessian(self):
+        # the facet x1 = 1 and the slab (a, b, 0) meet at an angle of about
+        # b = 1e-8; moving the slab by dt moves their two ridges, of length 2,
+        # by dt / b within the facet, on both sides of the body
+        body, a, b = near_coincident_body(1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hess = body.volume_hessian
+        assert np.all(np.isfinite(hess)) and np.array_equal(hess, hess.T)
+        assert hess[0, 3] == pytest.approx(4.0 / b, rel=1e-6)
 
     def test_coinciding_slabs_are_charged_to_the_first(self):
         # slab 7 repeats slab 2 and slab 8 is slab 4 reversed: their facets
