@@ -250,7 +250,8 @@ def extract_john_decomposition(result: MveeResult) -> WeightedDirections:
     from the support-only design D, so the output satisfies the identity
     resolution to machine precision regardless of the solver tolerance.
     The weights ``c_i = n lam_i v_i^T D^{-1} v_i`` come from one linear
-    solve, so their sum ``tr(D^{-1} D) = n`` holds to rounding.
+    solve; their sum is ``tr(D^{-1} D) = n`` up to about eps cond(D), so
+    they are rescaled to sum to n, which holds to rounding.
     """
     lam = result.weights
     v = result.points
@@ -269,7 +270,7 @@ def extract_john_decomposition(result: MveeResult) -> WeightedDirections:
     tv = vs @ whiten
     contacts = tv / np.linalg.norm(tv, axis=1)[:, None]
     weights = n * lam_hat * np.einsum("ij,ji->i", vs, np.linalg.solve(design, vs.T))
-    return WeightedDirections(contacts, weights)
+    return WeightedDirections(contacts, weights * (n / weights.sum()))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ weights g_i; its members are the symmetric bodies {x : |<x, u_i>| <= t_i}
 with positive offsets constrained by sum_i g_i t_i = 1.  Because the
 n-th root of the volume is concave in the offsets (Brunn-Minkowski applied
 to the Minkowski-additive slab description), log-volume is concave too,
-and a damped Newton ascent on the budget slice, with the Hessian from the
-vertex cones (``SymmetricHPolytope.volume_hessian``), converges to
-the global maximum.  At that maximum each facet measure is proportional to
-its budget weight, which makes every shadow of the optimal body a fixed
-multiple of a weighted direction sum; the verifiers below check the
-stationarity certificate and that projection identity directly.
+and a damped Newton ascent on the budget slice converges to the global
+maximum.  Its starts run in lockstep: each round takes the volume, the
+gradient and the Hessian of every live start's trial point from one pass
+of vertex cones over their stacked offsets.  At that maximum each facet
+measure is proportional to its budget weight, which makes every shadow of
+the optimal body a fixed multiple of a weighted direction sum; the
+verifiers below check the stationarity certificate and that projection
+identity directly.
 
 On top of the solver this module builds the large-shadow construction: with
 2n random directions and uniform budget weights, the optimal body has
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, sample_unit_sphere, unit_ball_volume
-from .polytope import SymmetricHPolytope
+from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _volume_derivatives
 from .shadow import TIE_TOLERANCE, ball_shadow_ratio, min_shadow_direction, minimize_support
 from .zonotope import Zonotope
 
@@ -116,15 +118,19 @@ class SlabFamilySpec:
 
 
 def _volume_gradient(body: SymmetricHPolytope, weights: np.ndarray) -> np.ndarray:
-    """d(volume)/d(offsets): per-slab sums of facet measures.
+    """d(volume)/d(offsets): twice each slab's facet measure, from the vertex cones.
 
-    Both facets of an antipodal pair carry the same slab index, so a clean
-    slab receives twice its one-sided facet measure.  A facet shared by
-    coinciding slabs is split among them in proportion to their budget
-    weights, the split under which the maximizer is stationary.
+    The cones give a facet of coinciding slabs (``|u_i . u_j| >= 1 - 1e-12``)
+    whose offsets tie within ``FEASIBILITY_TOL`` at the body's scale to one
+    of them; it is split among them in proportion to their budget weights,
+    the split under which the maximizer is stationary.
     """
-    share = (body.facets.signs != 0) * weights
-    return body.facets.measures @ (share / share.sum(axis=1)[:, None])
+    body.facets  # first, so that the cones are formed within the build of the facets
+    grad = 2.0 * body._slab_measures
+    u, t = body.directions, body.offsets
+    tied = (np.abs(u @ u.T) >= 1.0 - _COINCIDENCE_TOL) & (np.abs(t[:, None] - t) <= FEASIBILITY_TOL * body._scale)
+    shared = tied.sum(axis=1) > 1
+    return np.where(shared, weights * (tied @ grad) / (tied @ weights), grad)
 
 
 def _merge_coinciding(spec: SlabFamilySpec) -> tuple[SlabFamilySpec, np.ndarray]:
@@ -153,27 +159,23 @@ class _AscentResult:
     volume_evals: int
 
 
-def _newton(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations: int) -> _AscentResult:
-    """Damped Newton ascent of log-volume over the budget slice {weights @ t = 1}.
+def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations: int):
+    """Damped Newton ascent of log-volume over the budget slice {weights @ t = 1}, one start.
 
-    Each iterate takes one build of the facets, which gives the volume V,
-    its gradient g and its Hessian H in the offsets.  In an orthonormal
-    basis of the slice, the Newton system is that of H/V - g g^T / V^2 with
-    its eigenvalues clamped below zero, so the step ascends.  log V is
-    concave and tends to -inf as any offset tends to 0, so the maximizer is
+    A generator: it yields each offset vector it needs evaluated, is sent
+    back that point's volume V, gradient g and Hessian H in the offsets, and
+    returns an :class:`_AscentResult`.  In an orthonormal basis of the
+    slice, the Newton system is that of H/V - g g^T / V^2 with its
+    eigenvalues clamped below zero, so the step ascends.  log V is concave
+    and tends to -inf as any offset tends to 0, so the maximizer is
     interior: the step is halved only to keep every offset above the floor
     and to make log V increase, and is taken whole once the gain it
     predicts is below the rounding of log V.  Converged when the gradient's
     component in the slice is at most ``tol * V``.
     """
     basis = hyperplane_basis(spec.weights)
-
-    def evaluate(offsets: np.ndarray):
-        body = spec.body(offsets)
-        return body.volume, _volume_gradient(body, spec.weights), body.volume_hessian
-
     t = start
-    volume, grad, hess = evaluate(t)
+    volume, grad, hess = yield t
     evals = 1
     iterations = 0
     while True:
@@ -195,7 +197,7 @@ def _newton(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
         log_volume = math.log(volume)
         while True:
             trial = t + alpha * step
-            trial_volume, trial_grad, trial_hess = evaluate(trial)
+            trial_volume, trial_grad, trial_hess = yield trial
             evals += 1
             if trial_volume > 0.0 and (alpha * gain <= _LOG_ROUNDING or math.log(trial_volume) > log_volume):
                 break
@@ -204,13 +206,37 @@ def _newton(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
     return _AscentResult(t, volume, iterations, gradient_norm, gradient_norm <= tol * volume, evals)
 
 
+def _lockstep(spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_iterations: int) -> list[_AscentResult]:
+    """Run the ascents of all starts in lockstep, one vertex-cone pass per round.
+
+    Each round evaluates the pending point of every live start in one call
+    of :func:`_volume_derivatives` over their stacked offsets, whose values
+    for each body are those of that body evaluated alone; so each start
+    makes exactly the trials it would make on its own.  A start leaves when
+    it converges or reaches ``max_iterations``.
+    """
+    ascents = [_ascent(spec, start, tol, max_iterations) for start in starts]
+    pending = {k: next(ascent) for k, ascent in enumerate(ascents)}
+    results = {}
+    while pending:
+        live, trials = zip(*pending.items())
+        volumes, grads, hessians = _volume_derivatives(spec.directions, np.array(trials))
+        pending = {}
+        for k, volume, grad, hess in zip(live, volumes, grads, hessians):
+            try:
+                pending[k] = ascents[k].send((float(volume), grad, hess))
+            except StopIteration as done:
+                results[k] = done.value
+    return [results[k] for k in range(len(ascents))]
+
+
 @dataclass(frozen=True)
 class FamilyOptimumReport:
     """Best family member found, with the multistart agreement evidence.
 
     ``iterations`` counts the Newton steps of the best start;
     ``start_iterations`` and ``start_volume_evals`` count, for every start,
-    its Newton steps and its volume evaluations (builds of the facets).
+    its Newton steps and its volume evaluations (vertex-cone evaluations).
     """
 
     body: SymmetricHPolytope
@@ -280,14 +306,15 @@ def maximize_volume_details(
     if rng is None:
         rng = RandomSource(_START_SEED)
     merged, index = _merge_coinciding(spec)
-    results = []
+    points = []
     for k in range(starts):
         start = merged.uniform_offsets()
         if k > 0:
             # a positive rescale onto the budget keeps every start interior
             start = start * rng.fork(_START_SEED + k).generator().uniform(0.25, 4.0, size=merged.count)
             start = start / float(merged.weights @ start)
-        results.append(_newton(merged, start, tol, max_iterations))
+        points.append(start)
+    results = _lockstep(merged, points, tol, max_iterations)
     converged = [r for r in results if r.converged]
     if not converged:
         fallback = max(results, key=lambda r: r.volume)

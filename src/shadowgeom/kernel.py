@@ -62,14 +62,16 @@ def check_capacity(m: int, n: int, what: str) -> None:
         raise CapacityError(f"{what} guard exceeded: m={m} (max {MAX_ROWS}), n={n} (max {MAX_DIM})")
 
 
-def subset_blocks(m: int, k: int) -> Iterator[np.ndarray]:
-    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK`` rows at a time.
+def subset_blocks(m: int, k: int, stack: int = 1) -> Iterator[np.ndarray]:
+    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK // stack`` rows at a time.
 
-    Peak memory is one block, whatever C(m, k) is.
+    Peak memory is one block for each of the `stack` bodies that share it,
+    whatever C(m, k) is.
     """
     combos = itertools.combinations(range(m), k)
+    rows = max(1, SUBSET_BLOCK // stack)
     while True:
-        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, SUBSET_BLOCK)), dtype=np.intp)
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)), dtype=np.intp)
         if block.size == 0:
             return
         yield block.reshape(-1, k)

@@ -13,7 +13,9 @@ volume, shadows) is computed by explicit brute-force geometry:
   pattern) pairs (Lawrence's formula and its derivatives), the ties of
   non-simple vertices broken by one lexicographic perturbation decided once
   per vertex; a facet's owners are the signed slabs tight on all its
-  vertices;
+  vertices.  The enumeration and the cones take a stack of offset vectors
+  over shared directions, each body getting the bits it gets alone, so the
+  family solver evaluates all its live starts in one pass;
 * shadow area in direction theta as ``0.5 * sum |<theta, n_F>| * |F|``.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
@@ -118,16 +120,197 @@ def _direction_table(n: int) -> np.ndarray:
     return table
 
 
-def _cluster_labels(points: np.ndarray, tol: float) -> np.ndarray:
-    """One label per row, shared by rows that chain within `tol` of each other in every coordinate.
+def _scales(t: np.ndarray) -> np.ndarray:
+    """Per body of the (K, m) offset stack, its largest offset rounded down to a power of two."""
+    return np.ldexp(1.0, np.frexp(t.max(axis=1))[1] - 1)
 
-    Rows within `tol` of each other always share a label.
+
+def _cluster_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """One label per row, shared by rows of one body that chain within its `tol` of each other in every coordinate.
+
+    Rows of one body within its `tol` (one entry per row) of each other always share a label.
     """
-    ids = np.empty(points.shape, dtype=np.intp)
+    ids = np.empty((len(points), points.shape[1] + 1), dtype=np.intp)
+    ids[:, 0] = body
     for d in range(points.shape[1]):
-        order = np.argsort(points[:, d])
-        ids[order, d] = np.cumsum(np.diff(points[order, d], prepend=-np.inf) > tol)
-    return np.unique(ids, axis=0, return_inverse=True)[1].reshape(-1)
+        order = np.lexsort((points[:, d], body))
+        ids[order, d + 1] = np.cumsum(np.diff(points[order, d], prepend=-np.inf) > tol[order])
+    order = np.lexsort(ids.T[::-1])
+    fresh = np.ones(len(ids), dtype=bool)
+    fresh[1:] = np.any(ids[order[1:]] != ids[order[:-1]], axis=1)
+    labels = np.empty(len(ids), dtype=np.intp)
+    labels[order] = np.cumsum(fresh) - 1
+    return labels
+
+
+def _candidates(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The feasible (subset S, sign pattern p) pairs of each body of a stack over the shared directions `u`.
+
+    `t` holds one row of offsets per body.  Arrays (bodies, subsets,
+    patterns, inverses ``X_S``, points ``X_S p``, ``|det U_S|``), one row per
+    pair, by body and, within a body, in the order of a body enumerated
+    alone, so each body's rows are the same bits inside a stack as alone.
+    Each subset is inverted once per body, as ``X_S = U_S^-1 diag(t_S)``
+    (the inverse of its rows divided by their offsets), and the first sign
+    of p is +1.  Every pair is tested against the first
+    ``_FIRST_PASS_SLABS`` slabs at once; only the survivors' coordinates are
+    formed and tested against the other slabs, both with the bound
+    ``t + FEASIBILITY_TOL * scale`` of their body.  The subset's own slabs
+    read as exactly tight, and the kept points take one step of iterative
+    refinement: where U_S is ill-conditioned, ``X_S p`` cancels large
+    entries, and its slack on them is off by about eps cond(U_S) (1e-9 at
+    cond 1e8).  The bodies share each block of subsets, so a block holds
+    ``SUBSET_BLOCK`` (subset, body) rows at most.
+    """
+    count = len(t)
+    m, n = u.shape
+    check_capacity(m, n, "slab enumeration")
+    patterns = sign_patterns(n)  # (P, n)
+    bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
+    first = min(m, _FIRST_PASS_SLABS)
+    u_first, bound_first = u[:first], bound[:, :first].T[:, :, None, None]
+    scaled = u / t[:, :, None]  # rows u_i / t_i: the inverse of a subset of them is U_S^-1 diag(t_S)
+    found: list[tuple[np.ndarray, ...]] = []
+    for block in subset_blocks(m, n, count):
+        dets = np.abs(np.linalg.det(u[block]))
+        keep = dets > _DET_TOL
+        block, dets = block[keep], dets[keep]
+        # one row per (body, subset), by body: the candidates are x @ p
+        x = np.linalg.inv(scaled[:, block].reshape(-1, n, n))
+        rows = u_first @ x  # (K B, first, n)
+        # the row of one of the subset's own slabs is exactly t_i e_i
+        b, i = np.nonzero(block < first)
+        by_body = rows.reshape(count, len(block), first, n)
+        by_body[:, b, block[b, i]] = 0.0
+        by_body[:, b, block[b, i], i] = t[:, block[b, i]]
+        dots = (rows.transpose(1, 0, 2) @ patterns.T).reshape(first, count, len(block), -1)  # (first, K, B, P)
+        ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0).reshape(len(x), -1)
+        row, pat = ok.nonzero()
+        body, sub = np.divmod(row, len(block))
+        cand = np.einsum("rij,rj->ri", x[row], patterns[pat])
+        dots = cand @ u.T
+        np.put_along_axis(dots, block[sub], patterns[pat] * t[:, block].reshape(-1, n)[row], axis=1)
+        good = (np.abs(dots[:, first:]) <= np.take(bound[:, first:], body, axis=0)).all(axis=1)
+        row, body, sub, pat, cand = row[good], body[good], sub[good], pat[good], cand[good]
+        # one step of iterative refinement against the subset's rows u_i / t_i
+        inv = x[row]
+        own = scaled.reshape(-1, n)[(body * m)[:, None] + block[sub]]
+        residual = patterns[pat] - np.einsum("rij,rj->ri", own, cand)
+        cand += np.einsum("rij,rj->ri", inv, residual)
+        found.append((body, block[sub], patterns[pat], inv, cand, dets[sub]))
+    fields = [np.concatenate(field) for field in zip(*found)]
+    if np.any(np.bincount(fields[0], minlength=count) == 0):
+        raise ValueError("no vertices found; body is numerically degenerate")
+    if count == 1:  # one body's rows are in order already
+        return tuple(fields)
+    order = np.argsort(fields[0], kind="stable")
+    return tuple(field[order] for field in fields)
+
+
+def _cones(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The kept vertex cones of each lexicographically perturbed body of a stack, as (bodies, subsets, h, gamma, weight).
+
+    Candidates of one body (:func:`_candidates`) in canonical sign within
+    ``_TIE_TOL * scale`` of each other are one vertex, whose tight set is the
+    union of their subsets.  A candidate (S, p) is kept when the exact sign
+    of its slack admits it on every slab outside that set, and the
+    perturbation ``t_j + eps^(m - j)`` on every slab j of the set outside S:
+    the slack that adds, ``sum_i a_i eps^(m - S_i) - eps^(m - j)`` with
+    ``a = q p * (U_S^-T u_j)`` on side q of slab j, must have a negative
+    coefficient at its highest index whose coefficient is above
+    ``_TIE_TOL`` relative.  So ties are decided once per vertex, and the
+    lowest of coinciding slabs owns their facet.
+
+    For a direction c, ``h = <c, x>``, ``gamma = p * (U_S^-T c)`` and
+    ``weight = 1 / (|det U_S| prod(gamma))``, and the volume is
+    ``2 sum h^n weight / n!`` (Lawrence, "Polytope volume computation",
+    Math. Comp. 57, 1991), the 2 counting each cone's mirror -x.  Each
+    body's c is the column of :func:`_direction_table` with the least
+    estimated rounding error of its sum.
+    """
+    body, sub, pat, inv, pts, dets = candidates
+    m, n = u.shape
+    s = _scales(t)[body]
+    tb = t[body]
+    dots = pts @ u.T
+    labels = _cluster_labels(body, pts * canonical_signs(pts, 1e-9 * s[:, None])[:, None], _TIE_TOL * s)
+    tied = np.zeros((len(pts), m), dtype=bool)
+    tied[labels[:, None], sub] = True
+    tied = tied[labels]
+    ok = ~np.any((np.abs(dots) > tb) & ~tied, axis=1)
+    tied[np.arange(len(pts))[:, None], sub] = False
+    k, j = np.nonzero(tied)
+    tsub = t[body[:, None], sub]
+    a = (np.einsum("rij,ri->rj", inv[k], u[j]) / tsub[k]) * pat[k] * np.sign(dots[k, j])[:, None]
+    lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
+    last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
+    ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
+    body, sub, pat, inv, pts, dets, tsub = body[ok], sub[ok], pat[ok], inv[ok], pts[ok], dets[ok], tsub[ok]
+    table = _direction_table(n)
+    g = (inv.transpose(0, 2, 1).reshape(-1, n) @ table).reshape(len(pts), n, -1)
+    g /= tsub[:, :, None]
+    h = pts @ table
+    # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
+    # |U_S^-1 e_i| / |g_i| from each gamma_i (the table's columns are unit vectors)
+    cols = np.linalg.norm(inv, axis=1) / tsub
+    cond = n * np.linalg.norm(pts, axis=1)[:, None] / np.abs(h) + np.sum(cols[:, :, None] / np.abs(g), axis=1)
+    error = np.abs(h) ** n / (dets[:, None] * np.abs(np.prod(g, axis=1))) * cond
+    # the rows come by body: sum each body's run of them
+    ends = np.searchsorted(body, np.arange(len(t) + 1))
+    filled = ends[1:] > ends[:-1]
+    totals = np.zeros((len(t), table.shape[1]))
+    totals[filled] = np.add.reduceat(error, ends[:-1][filled])
+    best = np.argmin(totals, axis=1)[body]
+    rows = np.arange(len(pts))
+    gamma = pat * g[rows, :, best]
+    return body, sub, h[rows, best], gamma, 1.0 / (dets * np.prod(gamma, axis=1))
+
+
+def _facet_measures(cones: tuple[np.ndarray, ...], count: int, m: int) -> np.ndarray:
+    """(K, m): slab j's one-sided facet measure ``sum h^(n-1) gamma_j weight / (n-1)!`` over the cones holding j.
+
+    That is half the volume's derivative in t_j.
+    """
+    body, sub, h, gamma, weight = cones
+    n = sub.shape[1]
+    terms = (h ** (n - 1) * weight / math.factorial(n - 1))[:, None] * gamma
+    keys = body[:, None] * m + sub
+    return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m).reshape(count, m)
+
+
+def _volumes(cones: tuple[np.ndarray, ...], count: int) -> np.ndarray:
+    """(K,): each body's volume ``2 sum h^n weight / n!`` over its cones, one dot product over its run of rows."""
+    body, sub, h, _, weight = cones
+    n = sub.shape[1]
+    terms = h**n
+    ends = np.searchsorted(body, np.arange(count + 1))
+    return np.array([2.0 * float(terms[a:b] @ weight[a:b]) / math.factorial(n) for a, b in zip(ends[:-1], ends[1:])])
+
+
+def _hessians(cones: tuple[np.ndarray, ...], count: int, m: int) -> np.ndarray:
+    """(K, m, m): entry (j, k) is ``2 n (n-1) / n! sum h^(n-2) gamma_j gamma_k weight`` over the cones holding j and k.
+
+    Exactly symmetric: entries (j, k) and (k, j) sum the same products in the same order.
+    """
+    body, sub, h, gamma, weight = cones
+    n = sub.shape[1]
+    scale = 2.0 * n * (n - 1) / math.factorial(n) * h ** (n - 2) * weight
+    keys = (body[:, None, None] * m + sub[:, :, None]) * m + sub[:, None, :]
+    terms = scale[:, None, None] * (gamma[:, :, None] * gamma[:, None, :])
+    return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m * m).reshape(count, m, m)
+
+
+def _volume_derivatives(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The volumes (K,), their gradients (K, m) and Hessians (K, m, m) in the offsets of a (K, m) stack of bodies.
+
+    One pass of vertex cones over the stack; the gradient is twice each
+    slab's facet measure.  The directions are taken as checked and the
+    offsets as positive.  Each body's values are the same bits inside a
+    stack as alone.
+    """
+    count, m = t.shape
+    cones = _cones(u, t, _candidates(u, t))
+    return _volumes(cones, count), 2.0 * _facet_measures(cones, count, m), _hessians(cones, count, m)
 
 
 class SymmetricHPolytope:
@@ -189,8 +372,7 @@ class SymmetricHPolytope:
         power of two scales them without rounding, and bodies whose largest
         offset lies in [1, 2) keep the unscaled tolerances.
         """
-        _, exponent = math.frexp(float(self._offsets.max()))
-        return math.ldexp(1.0, exponent - 1)
+        return float(_scales(self._offsets[None])[0])
 
     # -- membership / support --------------------------------------------
 
@@ -207,55 +389,8 @@ class SymmetricHPolytope:
 
     @cached_property
     def _candidates(self) -> tuple[np.ndarray, ...]:
-        """The feasible (subset S, sign pattern p) pairs, by brute force over invertible n-subsets of the slab normals.
-
-        Arrays (subsets, patterns, inverses ``X_S``, points ``X_S p``,
-        ``|det U_S|``), one row per pair.  Each subset is inverted once, as
-        ``X_S = U_S^-1 diag(t_S)`` (the inverse of its rows divided by their
-        offsets), and the first sign of p is +1.  Every pair is tested
-        against the first ``_FIRST_PASS_SLABS`` slabs at once; only the
-        survivors' coordinates are formed and tested against the other slabs,
-        both with the bound ``t + FEASIBILITY_TOL * scale``.  The subset's own
-        slabs read as exactly tight, and the kept points take one step of
-        iterative refinement: where U_S is ill-conditioned, ``X_S p`` cancels
-        large entries, and its slack on them is off by about eps cond(U_S)
-        (1e-9 at cond 1e8).
-        """
-        u, t, s = self._directions, self._offsets, self._scale
-        m, n = u.shape
-        check_capacity(m, n, "slab enumeration")
-        patterns = sign_patterns(n)  # (P, n)
-        bound = t + FEASIBILITY_TOL * s
-        first = min(m, _FIRST_PASS_SLABS)
-        u_first, bound_first, bound_rest = u[:first], bound[:first, None, None], bound[first:]
-        scaled = u / t[:, None]  # rows u_i / t_i: the inverse of a subset of them is U_S^-1 diag(t_S)
-        found: list[tuple[np.ndarray, ...]] = []
-        for block in subset_blocks(m, n):
-            dets = np.abs(np.linalg.det(u[block]))
-            keep = dets > _DET_TOL
-            block, dets = block[keep], dets[keep]
-            x = np.linalg.inv(scaled[block])  # (B, n, n): the candidates are x @ p
-            rows = u_first @ x  # (B, first, n)
-            # the row of one of the subset's own slabs is exactly t_i e_i
-            b, i = np.nonzero(block < first)
-            rows[b, block[b, i]] = 0.0
-            rows[b, block[b, i], i] = t[block[b, i]]
-            dots = rows.transpose(1, 0, 2) @ patterns.T  # (first, B, P)
-            ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0)
-            sub, pat = ok.nonzero()
-            cand = np.einsum("rij,rj->ri", x[sub], patterns[pat])
-            dots = cand @ u.T
-            np.put_along_axis(dots, block[sub], patterns[pat] * t[block[sub]], axis=1)
-            good = (np.abs(dots[:, first:]) <= bound_rest).all(axis=1)
-            sub, pat, cand = sub[good], pat[good], cand[good]
-            # one step of iterative refinement
-            residual = patterns[pat] - np.einsum("rij,rj->ri", scaled[block[sub]], cand)
-            cand += np.einsum("rij,rj->ri", x[sub], residual)
-            found.append((block[sub], patterns[pat], x[sub], cand, dets[sub]))
-        candidates = tuple(np.concatenate(field) for field in zip(*found))
-        if len(candidates[0]) == 0:
-            raise ValueError("no vertices found; body is numerically degenerate")
-        return candidates
+        """The feasible (subset, sign pattern) pairs of this body alone (:func:`_candidates`)."""
+        return _candidates(self._directions, self._offsets[None])
 
     @cached_property
     def vertices(self) -> VertexSet:
@@ -264,7 +399,7 @@ class SymmetricHPolytope:
         Mirrored solutions are added after the merge, so the set is exactly
         closed under negation.
         """
-        raw, s = self._candidates[3], self._scale
+        raw, s = self._candidates[4], self._scale
         # canonicalise sign so each antipodal pair is represented once
         canon = dedup_rows(raw * canonical_signs(raw, 1e-9 * s)[:, None], VERTEX_MERGE_TOL * s)
         both = np.concatenate([canon, -canon])
@@ -275,54 +410,16 @@ class SymmetricHPolytope:
     # -- vertex cones --------------------------------------------------------
 
     @cached_property
-    def _cones(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The kept vertex cones of the lexicographically perturbed body, as (subsets, h, gamma, weight).
+    def _cones(self) -> tuple[np.ndarray, ...]:
+        """The kept vertex cones of this body alone (:func:`_cones`)."""
+        return _cones(self._directions, self._offsets[None], self._candidates)
 
-        Candidates in canonical sign within ``_TIE_TOL * scale`` of each other
-        are one vertex, whose tight set is the union of their subsets.  A
-        candidate (S, p) is kept when the exact sign of its slack admits it on
-        every slab outside that set, and the perturbation ``t_j + eps^(m - j)``
-        on every slab j of the set outside S: the slack that adds,
-        ``sum_i a_i eps^(m - S_i) - eps^(m - j)`` with ``a = q p * (U_S^-T u_j)``
-        on side q of slab j, must have a negative coefficient at its highest
-        index whose coefficient is above ``_TIE_TOL`` relative.  So ties are
-        decided once per vertex, and the lowest of coinciding slabs owns their
-        facet.
-
-        For a direction c, ``h = <c, x>``, ``gamma = p * (U_S^-T c)`` and
-        ``weight = 1 / (|det U_S| prod(gamma))``, and the volume is
-        ``2 sum h^n weight / n!`` (Lawrence, "Polytope volume computation",
-        Math. Comp. 57, 1991), the 2 counting each cone's mirror -x.  c is the
-        column of :func:`_direction_table` with the least estimated rounding
-        error of that sum.
-        """
-        sub, pat, inv, pts, dets = self._candidates
-        u, t, s = self._directions, self._offsets, self._scale
-        m, n = u.shape
-        dots = pts @ u.T
-        labels = _cluster_labels(pts * canonical_signs(pts, 1e-9 * s)[:, None], _TIE_TOL * s)
-        tied = np.zeros((len(pts), m), dtype=bool)
-        tied[labels[:, None], sub] = True
-        tied = tied[labels]
-        ok = ~np.any((np.abs(dots) > t) & ~tied, axis=1)
-        tied[np.arange(len(pts))[:, None], sub] = False
-        k, j = np.nonzero(tied)
-        a = (np.einsum("rij,ri->rj", inv[k], u[j]) / t[sub[k]]) * pat[k] * np.sign(dots[k, j])[:, None]
-        lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
-        last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
-        ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
-        sub, pat, inv, pts, dets = sub[ok], pat[ok], inv[ok], pts[ok], dets[ok]
-        table = _direction_table(n)
-        g = (inv.transpose(0, 2, 1).reshape(-1, n) @ table).reshape(len(pts), n, -1) / t[sub][:, :, None]
-        h = pts @ table
-        # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
-        # |U_S^-1 e_i| / |g_i| from each gamma_i (the table's columns are unit vectors)
-        cols = np.linalg.norm(inv, axis=1) / t[sub]
-        cond = n * np.linalg.norm(pts, axis=1)[:, None] / np.abs(h) + np.sum(cols[:, :, None] / np.abs(g), axis=1)
-        error = np.abs(h) ** n / (dets[:, None] * np.abs(np.prod(g, axis=1))) * cond
-        best = np.argmin(error.sum(axis=0))
-        gamma = pat * g[:, :, best]
-        return sub, h[:, best], gamma, 1.0 / (dets * np.prod(gamma, axis=1))
+    @cached_property
+    def _slab_measures(self) -> np.ndarray:
+        """Each slab's one-sided facet measure from the vertex cones (:func:`_facet_measures`), unfloored."""
+        measures = _facet_measures(self._cones, 1, self.num_slabs)[0]
+        measures.setflags(write=False)
+        return measures
 
     # -- facet fan ---------------------------------------------------------
 
@@ -331,18 +428,16 @@ class SymmetricHPolytope:
         """Geometric facets with their (n-1)-measures, as one record of arrays.
 
         Slab j's facet measures ``sum h^(n-1) gamma_j weight / (n-1)!`` over
-        the kept vertex cones whose subset holds j (:attr:`_cones`), half the
-        volume's derivative in t_j.  Facets below 1e-12 at unit scale are
-        omitted.  A facet's vertices are those tight on its slab's hyperplane,
-        and its owners the signed slabs tight on all of them, all within
-        ``FEASIBILITY_TOL * scale``.
+        the kept vertex cones whose subset holds j (:attr:`_slab_measures`),
+        half the volume's derivative in t_j.  Facets below 1e-12 at unit
+        scale are omitted.  A facet's vertices are those tight on its slab's
+        hyperplane, and its owners the signed slabs tight on all of them, all
+        within ``FEASIBILITY_TOL * scale``.
         """
         verts = self.vertices.points
         u, t, s = self._directions, self._offsets, self._scale
         m, n = u.shape
-        sub, h, gamma, weight = self._cones
-        terms = (h ** (n - 1) * weight / math.factorial(n - 1))[:, None] * gamma
-        slab_measures = np.bincount(sub.ravel(), weights=terms.ravel(), minlength=m)
+        slab_measures = self._slab_measures
         dots = verts @ u.T
         tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL * s, np.abs(dots + t) <= FEASIBILITY_TOL * s])
         slabs = np.flatnonzero(slab_measures >= MEASURE_FLOOR * s ** (n - 1))
@@ -367,26 +462,19 @@ class SymmetricHPolytope:
         its two nearly parallel facets.
         """
         self.facets  # first, so that the cones are formed within the build of the facets
-        _, h, _, weight = self._cones
-        return 2.0 * float(h ** self.dim @ weight) / math.factorial(self.dim)
+        return float(_volumes(self._cones, 1)[0])
 
     @cached_property
     def volume_hessian(self) -> np.ndarray:
         """The (m, m) Hessian of the volume in the offsets, from the vertex cones.
 
         Entry (j, k) is ``2 n (n-1) / n! sum h^(n-2) gamma_j gamma_k weight``
-        over the kept cones whose subset holds j and k (:attr:`_cones`), the
-        second derivative of Lawrence's formula.  Where the combinatorial type
+        over the kept cones whose subset holds j and k (:func:`_hessians`),
+        the second derivative of Lawrence's formula.  Where the combinatorial type
         changes, or slabs coincide, the volume is not twice differentiable,
         and this is the Hessian of the lexicographically perturbed body.
         """
-        m, n = self._directions.shape
-        sub, h, gamma, weight = self._cones
-        scale = 2.0 * n * (n - 1) / math.factorial(n) * h ** (n - 2) * weight
-        pairs = (sub[:, :, None] * m + sub[:, None, :]).ravel()
-        terms = scale[:, None, None] * (gamma[:, :, None] * gamma[:, None, :])
-        # exactly symmetric: entries (j, k) and (k, j) sum the same products in the same order
-        hess = np.bincount(pairs, weights=terms.ravel(), minlength=m * m).reshape(m, m)
+        hess = _hessians(self._cones, 1, self.num_slabs)[0]
         hess.setflags(write=False)
         return hess
 

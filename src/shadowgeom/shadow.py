@@ -296,8 +296,6 @@ def verify_product_inequality(body: SymmetricHPolytope, decomposition: WeightedD
     if u.shape[1] != body.dim:
         raise ValueError("dimension mismatch")
     n = body.dim
-    # the two sides scale alike only for sum(c) = n: rescale the rounding of the decomposition's trace away
-    c = c * (n / c.sum())
     shadows = body.shadow_areas(u)
     if np.any(shadows <= 0.0):
         raise ValueError("degenerate shadow encountered")

@@ -1,12 +1,12 @@
 """Slab-family volume maximization, certified floors, pathological bodies."""
 
 import math
-from functools import cached_property
 
 import numpy as np
 import pytest
 
 from oracles import fd_gradient
+from shadowgeom import family
 from shadowgeom.family import (
     FloorViolationError,
     SlabFamilySpec,
@@ -20,7 +20,7 @@ from shadowgeom.family import (
     verify_projection_identity,
 )
 from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
-from shadowgeom.polytope import SymmetricHPolytope
+from shadowgeom.polytope import SymmetricHPolytope, _volume_derivatives
 from shadowgeom.shadow import ball_shadow_ratio
 
 
@@ -133,25 +133,34 @@ class TestCoincidingSlabs:
 
 class TestDiagnostics:
     def test_per_start_counters(self, monkeypatch):
-        builds = []
-        facets = SymmetricHPolytope.__dict__["facets"]
+        rounds = []
 
-        def counted(body):
-            builds.append(body)
-            return facets.func(body)
+        def counted(u, t):
+            rounds.append(len(t))
+            return _volume_derivatives(u, t)
 
-        traced = cached_property(counted)
-        traced.__set_name__(SymmetricHPolytope, "facets")
-        monkeypatch.setattr(SymmetricHPolytope, "facets", traced)
+        monkeypatch.setattr(family, "_volume_derivatives", counted)
         details = maximize_volume_details(random_spec(4200), starts=4, rng=RandomSource(4201))
         record = details.to_dict()
         assert record["start_iterations"] == list(details.start_iterations)
         assert record["start_volume_evals"] == list(details.start_volume_evals)
         assert len(details.start_iterations) == len(details.start_volume_evals) == 4
         assert details.iterations in details.start_iterations
-        # one evaluation per Newton iterate plus the start's, each a build of the facets
+        # one evaluation per Newton iterate plus the start's, each a row of one lockstep round
         assert all(e > i >= 1 for e, i in zip(details.start_volume_evals, details.start_iterations))
-        assert len(builds) == sum(details.start_volume_evals)
+        assert sum(rounds) == sum(details.start_volume_evals)
+        assert len(rounds) == max(details.start_volume_evals)
+        assert rounds[0] == 4 and rounds == sorted(rounds, reverse=True)
+
+    def test_fewer_starts_are_a_prefix_of_more(self):
+        # the starts run in lockstep, but each makes the trials it would make alone
+        spec = random_spec(4202, n=4, m=8)
+        three = maximize_volume_details(spec, starts=3, rng=RandomSource(4203))
+        five = maximize_volume_details(spec, starts=5, rng=RandomSource(4203))
+        assert three.start_offsets == five.start_offsets[:3]
+        assert three.start_iterations == five.start_iterations[:3]
+        assert three.start_volume_evals == five.start_volume_evals[:3]
+        assert three.start_volumes == five.start_volumes[:3]
 
     def test_reported_start_does_not_move_with_last_bit_ties(self):
         # the starts' optima agree to about 1e-15, so a few ulps in one
@@ -187,6 +196,21 @@ class TestGradient:
         from shadowgeom.family import _volume_gradient
 
         assert _volume_gradient(body, np.array([1.0, 1.0, 3.0])) == pytest.approx([1.0, 4.0, 3.0], rel=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_thin_body_gives_each_slab_twice_its_facet(self, n):
+        # the bodies of test_floor_offset_facet_matches_hull: 2e-9 thick, so every vertex lies
+        # within FEASIBILITY_TOL of the floor slab 0, which is no reason to give it the side facets
+        from shadowgeom.family import OFFSET_FLOOR, _volume_gradient
+        from shadowgeom.polytope import random_symmetric_polytope
+
+        base = random_symmetric_polytope(n, n + 3, RandomSource(70 + 10 * n))
+        body = SymmetricHPolytope(base.directions, np.r_[OFFSET_FLOOR, base.offsets[1:]])
+        grad = _volume_gradient(body, np.ones(body.num_slabs))
+        facets = body.facets
+        for j in range(1, body.num_slabs):
+            own = [f.measure for f in facets if np.array_equal(f.normal, body.directions[j])]
+            assert grad[j] == pytest.approx(2.0 * sum(own), rel=1e-12, abs=1e-12 * OFFSET_FLOOR)
 
     def test_matches_finite_differences_at_optimum(self):
         spec = random_spec(4121)

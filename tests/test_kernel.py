@@ -92,6 +92,13 @@ class TestSubsetBlocks:
         assert [len(b) for b in blocks] == [7] * 18
         assert np.vstack(blocks).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
 
+    def test_stacked_bodies_share_a_block(self, monkeypatch):
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
+        blocks = list(subset_blocks(9, 4, 3))
+        assert [len(b) for b in blocks] == [2] * 63
+        assert np.vstack(blocks).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
+        assert [len(b) for b in subset_blocks(5, 2, 8)] == [1] * 10
+
     def test_block_boundaries_leave_results_bit_identical(self, monkeypatch):
         # C(16, 6) = 8008 vertex subsets: two blocks at the default size, 1144 at size 7
         body = random_symmetric_polytope(6, 16, RandomSource(13))

@@ -19,13 +19,15 @@ from oracles import (
     monte_carlo_volume,
     shadow_area_oracle,
 )
-from shadowgeom.family import OFFSET_FLOOR, _volume_gradient
+from shadowgeom import family
+from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, maximize_volume_details
 from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
     _DET_TOL,
     _TIE_TOL,
     FEASIBILITY_TOL,
     SymmetricHPolytope,
+    _volume_derivatives,
     cauchy_surface_check,
     random_symmetric_polytope,
 )
@@ -490,6 +492,39 @@ class TestVolumeHessian:
         for j in (7, 8):
             assert not hess[j].any() and not hess[:, j].any()
         assert np.abs(hess[2]).sum() > 0.0 and np.abs(hess[4]).sum() > 0.0
+
+
+def assert_stack_is_its_bodies_alone(u: np.ndarray, t: np.ndarray) -> None:
+    volumes, grads, hessians = _volume_derivatives(u, t)
+    for k in range(len(t)):
+        (volume,), (grad,), (hess,) = _volume_derivatives(u, t[k : k + 1])
+        assert volume == volumes[k] and np.array_equal(grad, grads[k]) and np.array_equal(hess, hessians[k])
+        body = SymmetricHPolytope(u, t[k])
+        assert body.volume == volume and np.array_equal(body.volume_hessian, hess)
+        assert np.array_equal(_volume_gradient(body, np.ones(len(u))), grad)
+
+
+class TestStackedBodies:
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (3, 4, 5, 6) for m in range(n + 2, min(16, 2 * n + 4) + 1)])
+    def test_each_body_of_a_stack_is_the_same_bits_as_alone(self, n, m):
+        # the shapes of the measure workload; at n = 6, m = 16 the three bodies split the subset blocks
+        body = random_symmetric_polytope(n, m, RandomSource(640 + 20 * n + m))
+        t = body.offsets * RandomSource(641 + 20 * n + m).generator().uniform(0.5, 2.0, size=(3, m))
+        assert_stack_is_its_bodies_alone(body.directions, t)
+
+    def test_family_trial_points_are_the_same_bits_as_alone(self, monkeypatch):
+        stacks = []
+
+        def recorded(u, t):
+            stacks.append((u, t.copy()))
+            return _volume_derivatives(u, t)
+
+        monkeypatch.setattr(family, "_volume_derivatives", recorded)
+        u = sample_unit_sphere(4, RandomSource(642), count=8)
+        maximize_volume_details(SlabFamilySpec(u, np.full(8, 1.0 / 8.0)), rng=RandomSource(643))
+        assert len(stacks[0][1]) == 5
+        for u, t in stacks[::3]:
+            assert_stack_is_its_bodies_alone(u, t)
 
 
 class TestTransforms:

@@ -193,6 +193,11 @@ class TestShadowPosition:
         assert rep.residuals["john_frobenius"] <= 1e-6
         assert abs(rep.residuals["john_trace_gap"]) <= 1e-8
 
+    def test_john_weights_sum_to_the_dimension(self):
+        # the weights' one linear solve missed n by -1.2e-12 on this body
+        rep = shadow_position(random_symmetric_polytope(6, 7, RandomSource(3)))
+        assert abs(rep.john.weights.sum() - 6.0) <= 1e-14
+
     def test_contact_directions_attain_minimum(self):
         body = random_symmetric_polytope(3, 6, RandomSource(752))
         rep = shadow_position(body)
