@@ -183,8 +183,9 @@ def _candidates(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
         by_body = rows.reshape(count, len(block), first, n)
         by_body[:, b, block[b, i]] = 0.0
         by_body[:, b, block[b, i], i] = t[:, block[b, i]]
-        dots = (rows.transpose(1, 0, 2) @ patterns.T).reshape(first, count, len(block), -1)  # (first, K, B, P)
-        ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0).reshape(len(x), -1)
+        # explicit sizes: a block whose subsets are all singular is empty
+        dots = (rows.transpose(1, 0, 2) @ patterns.T).reshape(first, count, len(block), len(patterns))
+        ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0).reshape(len(x), len(patterns))
         row, pat = ok.nonzero()
         body, sub = np.divmod(row, len(block))
         cand = np.einsum("rij,rj->ri", x[row], patterns[pat])
@@ -201,8 +202,6 @@ def _candidates(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     fields = [np.concatenate(field) for field in zip(*found)]
     if np.any(np.bincount(fields[0], minlength=count) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")
-    if count == 1:  # one body's rows are in order already
-        return tuple(fields)
     order = np.argsort(fields[0], kind="stable")
     return tuple(field[order] for field in fields)
 
@@ -246,24 +245,23 @@ def _cones(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> 
     last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
     ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
     body, sub, pat, inv, pts, dets, tsub = body[ok], sub[ok], pat[ok], inv[ok], pts[ok], dets[ok], tsub[ok]
+    # c is chosen over one body's run of rows at a time, so the temporaries
+    # over the table's columns never hold more than one body's cones
     table = _direction_table(n)
-    g = (inv.transpose(0, 2, 1).reshape(-1, n) @ table).reshape(len(pts), n, -1)
-    g /= tsub[:, :, None]
-    h = pts @ table
-    # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
-    # |U_S^-1 e_i| / |g_i| from each gamma_i (the table's columns are unit vectors)
-    cols = np.linalg.norm(inv, axis=1) / tsub
-    cond = n * np.linalg.norm(pts, axis=1)[:, None] / np.abs(h) + np.sum(cols[:, :, None] / np.abs(g), axis=1)
-    error = np.abs(h) ** n / (dets[:, None] * np.abs(np.prod(g, axis=1))) * cond
-    # the rows come by body: sum each body's run of them
     ends = np.searchsorted(body, np.arange(len(t) + 1))
-    filled = ends[1:] > ends[:-1]
-    totals = np.zeros((len(t), table.shape[1]))
-    totals[filled] = np.add.reduceat(error, ends[:-1][filled])
-    best = np.argmin(totals, axis=1)[body]
-    rows = np.arange(len(pts))
-    gamma = pat * g[rows, :, best]
-    return body, sub, h[rows, best], gamma, 1.0 / (dets * np.prod(gamma, axis=1))
+    h, gamma = np.empty(len(pts)), np.empty((len(pts), n))
+    for a, b in zip(ends[:-1], ends[1:]):
+        g = (inv[a:b].transpose(0, 2, 1).reshape(-1, n) @ table).reshape(b - a, n, _DIRECTIONS)
+        g /= tsub[a:b, :, None]
+        hc = pts[a:b] @ table
+        # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
+        # |U_S^-1 e_i| / |g_i| from each gamma_i (the table's columns are unit vectors)
+        cols = np.linalg.norm(inv[a:b], axis=1) / tsub[a:b]
+        cond = n * np.linalg.norm(pts[a:b], axis=1)[:, None] / np.abs(hc) + np.sum(cols[:, :, None] / np.abs(g), axis=1)
+        error = np.abs(hc) ** n / (dets[a:b, None] * np.abs(np.prod(g, axis=1))) * cond
+        best = np.argmin(error.sum(axis=0))
+        h[a:b], gamma[a:b] = hc[:, best], pat[a:b] * g[:, :, best]
+    return body, sub, h, gamma, 1.0 / (dets * np.prod(gamma, axis=1))
 
 
 def _facet_measures(cones: tuple[np.ndarray, ...], count: int, m: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from oracles import (
     monte_carlo_volume,
     shadow_area_oracle,
 )
-from shadowgeom import family
+from shadowgeom import family, kernel
 from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, maximize_volume_details
 from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
@@ -525,6 +525,39 @@ class TestStackedBodies:
         assert len(stacks[0][1]) == 5
         for u, t in stacks[::3]:
             assert_stack_is_its_bodies_alone(u, t)
+
+
+def prism_directions(n: int, m: int, src: RandomSource) -> np.ndarray:
+    """u_0 = e_n and m - 1 random unit rows orthogonal to it: every n-subset without slab 0 is singular."""
+    u = np.zeros((m, n))
+    u[0, n - 1] = 1.0
+    u[1:, : n - 1] = sample_unit_sphere(n - 1, src, count=m - 1)
+    return u
+
+
+class TestSingularSubsetBlocks:
+    # the C(15, 5) = 3003 subsets holding slab 0 come first, so every block that starts past them is all singular
+    def test_a_block_of_singular_subsets_is_passed_over(self, monkeypatch):
+        u = prism_directions(6, 16, RandomSource(650))
+        t = RandomSource(651).generator().uniform(0.5, 1.5, size=(3, 16))
+        body = SymmetricHPolytope(u, t[0])
+        volume, points = body.volume, body.vertices.points
+        section = SymmetricHPolytope(u[1:, :5], t[0, 1:])
+        assert volume == pytest.approx(2.0 * t[0, 0] * section.volume, rel=1e-12)
+        assert_stack_is_its_bodies_alone(u, t)
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
+        small = SymmetricHPolytope(u, t[0])
+        assert small.volume == volume and np.array_equal(small.vertices.points, points)
+        assert_stack_is_its_bodies_alone(u, t)
+
+    def test_family_solve_over_singular_blocks(self, monkeypatch):
+        # five starts split the C(16, 4) = 1820 subsets into blocks of 819; only the first holds slab 0
+        spec = SlabFamilySpec(prism_directions(4, 16, RandomSource(652)), np.full(16, 1.0 / 16.0))
+        details = maximize_volume_details(spec, rng=RandomSource(653))
+        assert details.converged
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 1 << 20)
+        whole = maximize_volume_details(spec, rng=RandomSource(653))
+        assert whole.volume == details.volume and np.array_equal(whole.offsets, details.offsets)
 
 
 class TestTransforms:
