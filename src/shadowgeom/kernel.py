@@ -6,13 +6,14 @@ seeded generators, so any computation that received the same source replays
 bit-identically.  :class:`WeightedDirections` is the one type for an
 isotropic decomposition (the MVEE's contact points included), and
 ``_read_unit_rows`` the one validator for the JSON documents that carry
-unit direction rows.  The eigensolver, the capacity guard, subset enumerator
-and sign table of polytopes and zonotopes, and the slab-direction check
-have one implementation each, here.
+unit direction rows.  The eigensolver, the capacity guard, subset enumerator,
+sign table and cofactor table of polytopes and zonotopes, and the
+slab-direction check have one implementation each, here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -51,9 +52,13 @@ class CapacityError(RuntimeError):
 
 MAX_ROWS = 24  # slabs or generators in any subset enumeration
 MAX_DIM = 7
-#: Rows per block.  At n = 6, m = 16 the largest temporaries are those of a vertex block: its
-#: first-pass slab-pattern products (4.2 MB) and the inverses gathered for its survivors (5.6 MB).
+#: Rows per block.  At n = 6, m = 16 the largest temporary is a vertex block's first-pass
+#: slab-pattern products (4.2 MB); then come its survivors' slacks on the other slabs (1.9 MB), its
+#: inverses and those gathered for its survivors (1.2 MB each).  One volume's traced peak is 10.9 MB.
 SUBSET_BLOCK = 4096
+
+#: (-1)^k for k < MAX_DIM, the signs of a cofactor vector and of the adjugate's columns
+_ALTERNATING = (-1.0) ** np.arange(MAX_DIM)
 
 
 def check_capacity(m: int, n: int, what: str) -> None:
@@ -75,6 +80,95 @@ def subset_blocks(m: int, k: int, stack: int = 1) -> Iterator[np.ndarray]:
         if block.size == 0:
             return
         yield block.reshape(-1, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(m: int, n: int) -> np.ndarray:
+    """``C(a, b)`` at ``[a, b]`` for a <= m, b <= n."""
+    return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(m + 1)], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_plan(m: int, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per k = 2..n-1, how the k x k minors of (m, n) rows expand along their first row.
+
+    For the k-subsets of the rows, in lexicographic order: their first row
+    and the rank of the rest among the (k-1)-subsets.  For the k-subsets C of
+    the columns, in lexicographic order: ``C[p]`` and the index of C without
+    ``C[p]``, one column per position p.
+    """
+    binom = _binomials(m, n)
+    plans = []
+    for k in range(2, n):
+        # the k-subsets that start at row r begin at rank starts[r], and their rests are the last C(m-1-r, k-1)
+        starts = binom[m, k] - binom[m - np.arange(m + 1), k]
+        ranks = np.arange(binom[m, k])
+        first = np.searchsorted(starts, ranks, side="right") - 1
+        rests = binom[m, k - 1] - binom[m - 1 - first, k - 1] + ranks - starts[first]
+        smaller = {c: i for i, c in enumerate(itertools.combinations(range(n), k - 1))}
+        cols = list(itertools.combinations(range(n), k))
+        without = [[smaller[c[:p] + c[p + 1 :]] for p in range(k)] for c in cols]
+        plans.append((first, rests, np.array(cols, dtype=np.intp).T, np.array(without, dtype=np.intp).T))
+    return tuple(plans)
+
+
+def cofactor_table(rows: np.ndarray) -> np.ndarray:
+    """The cofactor vector of every (n-1)-subset S of the (m, n) `rows`, as (C(m, n-1), n) in lexicographic subset order.
+
+    Row S holds ``c_S[k] = (-1)^k det(W_S without column k)``, so that
+    ``det(theta, W_S) = <c_S, theta>`` and ``det U = <u_0, c_(U without u_0)>``
+    for n rows U.  The k x k minors of all row and column k-subsets come
+    from the (k-1) x (k-1) ones by Laplace expansion along their first row,
+    one vectorised step per k in blocks of ``SUBSET_BLOCK`` row subsets:
+    the k-subsets that start at row r are, in lexicographic order, row r
+    over the last C(m-1-r, k-1) (k-1)-subsets.  The index plans are cached
+    per (m, n), and every entry is the same sequence of products and sums
+    whatever the block size.  At n = 1 the one (empty) subset has the
+    cofactor vector (1,); the table is empty when m < n-1.  The caller
+    applies the capacity guard.
+    """
+    w = np.asarray(rows, dtype=float)
+    m, n = w.shape
+    # one row per column subset, one column per row subset: the 1 x 1 minors are the entries
+    minors = w.T if n > 1 else np.ones((1, 1))
+    for first, rests, cols, without in _laplace_plan(m, n):
+        level = np.empty((cols.shape[1], len(first)))
+        for lo in range(0, len(first), SUBSET_BLOCK):
+            block = slice(lo, lo + SUBSET_BLOCK)
+            tails, heads = minors[:, rests[block]], w[first[block]].T
+            # term by term with the signs (-1)^p, so no entry depends on the block's length
+            out = level[:, block]
+            np.multiply(tails[without[0]], heads[cols[0]], out=out)
+            for p in range(1, len(cols)):
+                term = tails[without[p]] * heads[cols[p]]
+                if p % 2:
+                    out -= term
+                else:
+                    out += term
+        minors = level
+    # the (n-1)-subsets of the columns, in lexicographic order, leave out column n-1, n-2, ..., 0
+    return (minors[::-1] * _ALTERNATING[:n, None]).T
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_terms(m: int, n: int) -> np.ndarray:
+    """(m, n, n): at [a, j, i], what element a at place j of an n-subset S adds to the rank of S without its i-th element.
+
+    The lexicographic rank of a (n-1)-subset with elements b_0 < b_1 < ...
+    is ``C(m, n-1) - 1 - sum_l C(m-1-b_l, n-1-l)``; a at place j is b_j for
+    j < i and b_(j-1) for j > i, and the constant goes with place 0.
+    """
+    binom = _binomials(m, n)
+    a, j, i = np.ogrid[:m, :n, :n]
+    terms = -np.where(j < i, binom[m - 1 - a, n - 1 - j], np.where(j > i, binom[m - 1 - a, n - j], 0))
+    terms[:, 0] += math.comb(m, n - 1) - 1
+    return terms
+
+
+def cofactor_ranks(subsets: np.ndarray, m: int) -> np.ndarray:
+    """For n-subsets S of ``range(m)`` (rows of `subsets`), the rows of :func:`cofactor_table` holding each ``c_(S without s_i)``."""
+    n = subsets.shape[1]
+    return _rank_terms(m, n)[subsets, np.arange(n)].sum(axis=1)
 
 
 def sign_patterns(k: int) -> np.ndarray:

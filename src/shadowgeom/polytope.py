@@ -4,10 +4,11 @@ A body is the set ``{x : |<x, u_i>| <= t_i, i = 1..m}`` for unit directions
 ``u_i`` and positive offsets ``t_i``.  All derived data (vertices, facets,
 volume, shadows) is computed by explicit brute-force geometry:
 
-* vertices by inverting every invertible ``n``-subset of the slab normals
-  once and filtering its 2^(n-1) sign patterns by feasibility in two passes,
-  the first four slabs for every pattern and the other slabs for the
-  survivors;
+* vertices by the adjugate of every invertible ``n``-subset of the slab
+  normals, read with its determinant from one Laplace table of the
+  cofactors of the (n-1)-subsets (no subset is factorised), its 2^(n-1)
+  sign patterns filtered by feasibility in two passes, the first four
+  slabs for every pattern and the other slabs for the survivors;
 * the volume, the facet measures and the Hessian of the volume in the
   offsets in closed form over the vertex cones of the surviving (subset,
   pattern) pairs (Lawrence's formula and its derivatives), the ties of
@@ -34,8 +35,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kernel import RandomSource, _read_unit_rows, canonical_signs, check_capacity, check_slab_directions, dedup_rows
-from .kernel import sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
+from . import kernel
+from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_capacity, check_slab_directions
+from .kernel import cofactor_ranks, cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
 
 __all__ = [
     "FacetData",
@@ -112,6 +114,14 @@ class Facets(Sequence):
 
 
 @lru_cache(maxsize=None)
+def _sign_patterns(n: int) -> np.ndarray:
+    """The sign patterns of the n-subsets' vertices (:func:`sign_patterns`), read-only."""
+    table = sign_patterns(n)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
 def _direction_table(n: int) -> np.ndarray:
     """The fixed candidates for the direction c of the cone formulas: unit vectors, one per column."""
     table = RandomSource(_DIRECTION_SEED).fork(n).generator().standard_normal((n, _DIRECTIONS))
@@ -150,33 +160,39 @@ def _candidates(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     patterns, inverses ``X_S``, points ``X_S p``, ``|det U_S|``), one row per
     pair, by body and, within a body, in the order of a body enumerated
     alone, so each body's rows are the same bits inside a stack as alone.
-    Each subset is inverted once per body, as ``X_S = U_S^-1 diag(t_S)``
-    (the inverse of its rows divided by their offsets), and the first sign
-    of p is +1.  Every pair is tested against the first
-    ``_FIRST_PASS_SLABS`` slabs at once; only the survivors' coordinates are
-    formed and tested against the other slabs, both with the bound
-    ``t + FEASIBILITY_TOL * scale`` of their body.  The subset's own slabs
-    read as exactly tight, and the kept points take one step of iterative
-    refinement: where U_S is ill-conditioned, ``X_S p`` cancels large
-    entries, and its slack on them is off by about eps cond(U_S) (1e-9 at
-    cond 1e8).  The bodies share each block of subsets, so a block holds
-    ``SUBSET_BLOCK`` (subset, body) rows at most.
+    No subset is factorised: one cofactor table of the (n-1)-subsets of the
+    directions (:func:`cofactor_table`), shared by the stack, gives
+    ``det U_S = <u_(s_0), c_(S without s_0)>`` and the adjugate, so
+    ``X_S = U_S^-1 diag(t_S)`` has column i ``(-1)^i t_(s_i) c_(S without s_i) / det U_S``;
+    X is gathered in C order, which keeps the products with it the same bits
+    in a stack as alone.  The first sign of p is +1.  Every pair is tested
+    against the first ``_FIRST_PASS_SLABS`` slabs at once; only the
+    survivors' coordinates are formed and tested against the other slabs,
+    both with the bound ``t + FEASIBILITY_TOL * scale`` of their body.  The
+    subset's own slabs read as exactly tight, and the kept points take one
+    step of iterative refinement: where U_S is ill-conditioned, ``X_S p``
+    cancels large entries, and its slack on them is off by about
+    eps cond(U_S) (1e-9 at cond 1e8).  The bodies share each block of
+    subsets, so a block holds ``SUBSET_BLOCK`` (subset, body) rows at most.
     """
     count = len(t)
     m, n = u.shape
     check_capacity(m, n, "slab enumeration")
-    patterns = sign_patterns(n)  # (P, n)
+    patterns = _sign_patterns(n)  # (P, n)
     bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
     first = min(m, _FIRST_PASS_SLABS)
     u_first, bound_first = u[:first], bound[:, :first].T[:, :, None, None]
-    scaled = u / t[:, :, None]  # rows u_i / t_i: the inverse of a subset of them is U_S^-1 diag(t_S)
+    cofactors = cofactor_table(u)
     found: list[tuple[np.ndarray, ...]] = []
     for block in subset_blocks(m, n, count):
-        dets = np.abs(np.linalg.det(u[block]))
-        keep = dets > _DET_TOL
-        block, dets = block[keep], dets[keep]
-        # one row per (body, subset), by body: the candidates are x @ p
-        x = np.linalg.inv(scaled[:, block].reshape(-1, n, n))
+        ranks = cofactor_ranks(block, m)
+        det = (u[block[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]  # along the first row
+        keep = np.abs(det) > _DET_TOL
+        block, det, ranks = block[keep], det[keep], ranks[keep]
+        # one row per (body, subset), by body: entry (j, i) of X_S is c_(S without s_i)[j] (-1)^i t_(s_i) / det U_S
+        x = cofactors[np.broadcast_to(ranks[None, :, None, :], (count, len(block), 1, n)), np.arange(n)[:, None]]
+        x *= (_ALTERNATING[:n] * t[:, block] / det[:, None])[:, :, None, :]
+        x = x.reshape(-1, n, n)
         rows = u_first @ x  # (K B, first, n)
         # the row of one of the subset's own slabs is exactly t_i e_i
         b, i = np.nonzero(block < first)
@@ -188,17 +204,23 @@ def _candidates(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
         ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0).reshape(len(x), len(patterns))
         row, pat = ok.nonzero()
         body, sub = np.divmod(row, len(block))
-        cand = np.einsum("rij,rj->ri", x[row], patterns[pat])
+        # in blocks of rows, so the inverses gathered for the first-pass survivors stay small
+        cand = np.empty((len(row), n))
+        for lo in range(0, len(row), kernel.SUBSET_BLOCK):
+            part = slice(lo, lo + kernel.SUBSET_BLOCK)
+            cand[part] = np.einsum("rij,rj->ri", x[row[part]], patterns[pat[part]])
         dots = cand @ u.T
-        np.put_along_axis(dots, block[sub], patterns[pat] * t[:, block].reshape(-1, n)[row], axis=1)
-        good = (np.abs(dots[:, first:]) <= np.take(bound[:, first:], body, axis=0)).all(axis=1)
-        row, body, sub, pat, cand = row[good], body[good], sub[good], pat[good], cand[good]
+        dots[np.arange(len(row))[:, None], block[sub]] = 0.0  # the subset's own slabs are tight, so they pass
+        slack = np.abs(dots, out=dots)[:, first:]
+        # the rows come by body: each run is tested against its body's bound, with no gathered copy of it
+        ends = np.searchsorted(body, np.arange(count + 1))
+        good = np.concatenate([(slack[a:b] <= bound[k, first:]).all(axis=1) for k, (a, b) in enumerate(zip(ends, ends[1:]))])
+        row, body, own, pat, cand = row[good], body[good], block[sub[good]], pat[good], cand[good]
         # one step of iterative refinement against the subset's rows u_i / t_i
         inv = x[row]
-        own = scaled.reshape(-1, n)[(body * m)[:, None] + block[sub]]
-        residual = patterns[pat] - np.einsum("rij,rj->ri", own, cand)
+        residual = patterns[pat] - np.einsum("rij,rj->ri", u[own], cand) / t[body[:, None], own]
         cand += np.einsum("rij,rj->ri", inv, residual)
-        found.append((body, block[sub], patterns[pat], inv, cand, dets[sub]))
+        found.append((body, own, patterns[pat], inv, cand, np.abs(det[row % len(block)])))
     fields = [np.concatenate(field) for field in zip(*found)]
     if np.any(np.bincount(fields[0], minlength=count) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")

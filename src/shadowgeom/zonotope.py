@@ -11,7 +11,8 @@ Everything here is exact desk-scale arithmetic:
   direction (and gives the facet normals of ``shadow.zonotope_facet_normals``);
 * the surface-area-measure volume identity ``|Z| = (2/n) sum alpha_i |P_{u_i} Z|``
   as an independent cross-check of the same number: LU determinants of
-  n-subsets against Laplace cofactors of (n-1)-subsets;
+  n-subsets against the cofactors of (n-1)-subsets by the kernel's Laplace
+  recursion (``kernel.cofactor_table``);
 * the projection body of a symmetric polytope (support = shadow area);
 * mixed volume ``v_{n-1}(C, Z)``, the Minkowski first-inequality check, the
   isotropic-weights volume floor ``2^n prod (alpha_i/c_i)^{c_i}``, and the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, check_capacity
+from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, check_capacity, cofactor_table
 from .kernel import random_orthogonal, sample_unit_sphere, sign_patterns, subset_blocks
 from .polytope import SymmetricHPolytope
 
@@ -61,21 +62,14 @@ def _cofactors(gens: np.ndarray) -> np.ndarray:
 
     Row S holds ``c_S[k] = (-1)^k det(W_S without column k)``, so that
     ``det(theta, W_S) = <c_S, theta>``: c_S is normal to the span of W_S,
-    and its length is the (n-1)-volume of the parallelotope W_S.  The table
-    is built in blocks under the zonotope guard and does not depend on the
-    block size; it is empty when there are fewer than n-1 rows.
+    and its length is the (n-1)-volume of the parallelotope W_S.  This is
+    the kernel's Laplace table (:func:`cofactor_table`) under the zonotope
+    guard, which does not depend on the block size; it is empty when there
+    are fewer than n-1 rows, and at n = 1, where no shadow needs it.
     """
     m, n = gens.shape
     check_capacity(m, n, "zonotope")
-    cols = np.arange(n)
-    blocks = [np.empty((0, n))]
-    for subsets in subset_blocks(m, n - 1):
-        mats = gens[subsets]  # (S, n-1, n)
-        table = np.empty((len(subsets), n))
-        for k in range(n):
-            table[:, k] = (-1.0) ** k * np.linalg.det(mats[:, :, cols != k])
-        blocks.append(table)
-    return np.concatenate(blocks)
+    return cofactor_table(gens) if n > 1 else np.empty((0, 1))
 
 
 #: direction-cofactor products per chunk of :meth:`Zonotope.shadow_areas` (8 MB)
@@ -205,10 +199,12 @@ def volume_formula_check(z: Zonotope) -> VolumeFormulaReport:
     """Cross-check ``|Z|`` against ``(2/n) sum alpha_i |P_{u_i} Z|``.
 
     The two sides are computed by different arithmetic: LU determinants of
-    the n-subsets on the left, and on the right the Laplace cofactors of the
-    (n-1)-subsets, dotted with each unit generator (one call of
-    :meth:`Zonotope.shadow_areas`).  They are the same sum in exact
-    arithmetic, so agreement is a consistency certificate of both.
+    the n-subsets on the left, and on the right the cofactors of the
+    (n-1)-subsets by Laplace recursion over column subsets
+    (:func:`cofactor_table`, no factorisation), dotted with each unit
+    generator (one call of :meth:`Zonotope.shadow_areas`).  They are the
+    same sum in exact arithmetic (Cauchy-Binet), so agreement is a
+    consistency certificate of both.
     """
     lhs = z.volume
     rhs = (2.0 / z.dim) * float(np.sum(z.alphas * z.shadow_areas(z.unit_directions)))

@@ -121,6 +121,20 @@ def shadow_area_oracle(vertices: np.ndarray, theta: np.ndarray) -> float:
     return hull_volume(projected)
 
 
+def cofactor_oracle(rows: np.ndarray) -> np.ndarray:
+    """The cofactor vector of every (n-1)-subset of the rows, in ``itertools.combinations`` order, from LU determinants.
+
+    Row S holds ``(-1)^k det(W_S without column k)``, each minor factorised
+    by ``np.linalg.det``: the reference for the Laplace recursion of
+    ``kernel.cofactor_table``.
+    """
+    w = np.asarray(rows, dtype=float)
+    m, n = w.shape
+    subsets = list(itertools.combinations(range(m), n - 1))
+    mats = w[np.array(subsets, dtype=np.intp).reshape(len(subsets), n - 1)]
+    return np.stack([(-1.0) ** k * np.linalg.det(mats[:, :, np.arange(n) != k]) for k in range(n)], axis=1)
+
+
 def zonotope_shadow_chart(generators: np.ndarray, theta: np.ndarray) -> float:
     """Shadow of a zonotope by the chart recursion: the volume of its projection in a chart of theta-perp.
 

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import canonical_sign_reference, dedup_rows_reference
+from oracles import canonical_sign_reference, cofactor_oracle, dedup_rows_reference
 from shadowgeom import kernel
 from shadowgeom.kernel import (
     CapacityError,
     RandomSource,
     WeightedDirections,
     canonical_signs,
+    cofactor_ranks,
+    cofactor_table,
     dedup_rows,
     hyperplane_basis,
     jacobi_eigh,
@@ -115,6 +117,62 @@ class TestSubsetBlocks:
         assert small_volume == volume
         assert np.array_equal(small_normals, normals)
         assert np.array_equal(small_shadows, shadows)
+
+
+def unit_rows(m: int, n: int, seed: int) -> np.ndarray:
+    """m random unit rows of width n (none when m = 0)."""
+    return sample_unit_sphere(n, RandomSource(seed), count=max(m, 1))[:m]
+
+
+class TestCofactorTable:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_lu_minors(self, n):
+        # m from n - 1 up to the guard, (24, 7) included
+        for m in sorted({n - 1, *range(n, 25, 4), 24}):
+            rows = unit_rows(m, n, 700 + 30 * n + m)
+            table = cofactor_table(rows)
+            assert table.shape == (math.comb(m, n - 1), n)
+            assert np.abs(table - cofactor_oracle(rows)).max(initial=0.0) <= 1e-14
+
+    def test_one_dimension_has_the_empty_subset(self):
+        assert cofactor_table(unit_rows(5, 1, 730)).tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_rows_of_rank_below_n_minus_one_give_zero_rows(self, n):
+        # rows in the span of the first n - 2 coordinates: every (n-1)-minor has a zero column, and reads exactly 0
+        rows = np.zeros((n + 4, n))
+        rows[:, : n - 2] = unit_rows(n + 4, n - 2, 740 + n)
+        assert np.all(cofactor_table(rows) == 0.0)
+        rotated = rows @ random_orthogonal(n, RandomSource(750 + n).generator()).T
+        assert np.abs(cofactor_table(rotated)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scales_as_the_power_n_minus_one(self, n, scale):
+        rows = unit_rows(n + 5, n, 760 + n)
+        ref = scale ** (n - 1) * cofactor_table(rows)
+        assert np.allclose(cofactor_table(scale * rows), ref, rtol=1e-13, atol=1e-14 * scale ** (n - 1))
+
+    def test_block_boundaries_leave_the_table_bit_identical(self, monkeypatch):
+        rows = unit_rows(16, 6, 770)
+        table = cofactor_table(rows)
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
+        assert np.array_equal(cofactor_table(rows), table)
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (2, 5), (3, 7), (5, 9), (7, 11)])
+    def test_ranks_index_each_subset_without_one_element(self, n, m):
+        subsets = np.vstack(list(subset_blocks(m, n)))
+        lex = {c: r for r, c in enumerate(itertools.combinations(range(m), n - 1))}
+        ref = [[lex[s[:i] + s[i + 1 :]] for i in range(n)] for s in map(tuple, subsets.tolist())]
+        assert cofactor_ranks(subsets, m).tolist() == ref
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_first_row_expansion_is_the_determinant(self, n):
+        rows = unit_rows(n + 3, n, 780 + n)
+        subsets = np.vstack(list(subset_blocks(n + 3, n)))
+        ranks = cofactor_ranks(subsets, n + 3)
+        laplace = np.sum(rows[subsets[:, 0]] * cofactor_table(rows)[ranks[:, 0]], axis=1)
+        assert np.abs(laplace - np.linalg.det(rows[subsets])).max() <= 1e-14
 
 
 class TestPsdSqrt:

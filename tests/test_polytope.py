@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,12 +22,13 @@ from oracles import (
 )
 from shadowgeom import family, kernel
 from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, maximize_volume_details
-from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, sample_unit_sphere
+from shadowgeom.kernel import CapacityError, RandomSource, cofactor_ranks, cofactor_table, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
     _DET_TOL,
     _TIE_TOL,
     FEASIBILITY_TOL,
     SymmetricHPolytope,
+    _candidates,
     _volume_derivatives,
     cauchy_surface_check,
     random_symmetric_polytope,
@@ -367,6 +369,21 @@ class TestFacets:
         x = (1.0 - a) / b
         assert body.volume == pytest.approx(8.0 - 2.0 * b * (1.0 - x) ** 2 / a, rel=1e-11)
 
+    @pytest.mark.parametrize("tilt", [0.0, 0.5])
+    @pytest.mark.parametrize("factor", [0.5, 0.8, 1.25, 2.0])
+    def test_subset_determinants_match_lu_at_the_singular_threshold(self, factor, tilt):
+        # the slab at angle eps ~ factor * _DET_TOL to x1 = 1 makes subset determinants of about eps
+        body, _, _ = near_coincident_body(factor * _DET_TOL, tilt)
+        u = body.directions
+        subsets = np.array(list(itertools.combinations(range(4), 3)))
+        lu = np.linalg.det(u[subsets])
+        laplace = np.sum(u[subsets[:, 0]] * cofactor_table(u)[cofactor_ranks(subsets, 4)[:, 0]], axis=1)
+        assert np.abs(laplace - lu).max() <= 1e-15
+        _, kept, _, _, _, dets = _candidates(u, body.offsets[None])
+        assert np.abs(dets - np.abs(np.linalg.det(u[kept]))).max() <= 1e-15
+        formed = {tuple(s) for s in kept.tolist()}
+        assert formed <= {tuple(s) for s in subsets[np.abs(lu) > _DET_TOL].tolist()}
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_floor_offset_facet_matches_hull(self, n):
         # one offset at the family solver's floor: the body is 2e-9 thick, so
@@ -558,6 +575,21 @@ class TestSingularSubsetBlocks:
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 1 << 20)
         whole = maximize_volume_details(spec, rng=RandomSource(653))
         assert whole.volume == details.volume and np.array_equal(whole.offsets, details.offsets)
+
+
+class TestMemory:
+    # one volume's traced allocation peak at the guard, against that of the
+    # enumeration that factorised every subset by LAPACK (the same bodies)
+    @pytest.mark.parametrize("n, m, ceiling_mb", [(6, 24, 23.6), (7, 20, 62.2)])
+    def test_volume_peak_at_the_guard(self, n, m, ceiling_mb):
+        body = random_symmetric_polytope(n, m, RandomSource(5))
+        tracemalloc.start()
+        try:
+            body.volume
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling_mb * 1e6
 
 
 class TestTransforms:

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import shadow_area_oracle, zonotope_shadow_chart, zonotope_vertex_cloud, zonotope_volume_oracle
+from oracles import cofactor_oracle, shadow_area_oracle, zonotope_shadow_chart, zonotope_vertex_cloud, zonotope_volume_oracle
 from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
 from shadowgeom.polytope import SymmetricHPolytope, random_symmetric_polytope
 from shadowgeom.zonotope import (
     WeightedDirections,
     Zonotope,
+    _cofactors,
     dominance_volume_bound,
     minkowski_inequality_check,
     mixed_volume_vn1,
@@ -145,6 +146,22 @@ class TestShadows:
         z = Zonotope(RandomSource(181).generator().standard_normal((25, 3)))
         with pytest.raises(CapacityError):
             z.shadow_area(np.array([1.0, 0.0, 0.0]))
+
+
+class TestCofactors:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_lexicographic_table_of_lu_cofactors(self, n):
+        gens = random_zonotope(n, n + 4, RandomSource(190 + n)).generators
+        assert np.abs(_cofactors(gens) - cofactor_oracle(gens)).max() <= 1e-13
+
+    def test_edge_shapes(self):
+        assert _cofactors(np.ones((3, 1))).shape == (0, 1)  # no shadow at n = 1 reads the table
+        assert _cofactors(np.ones((2, 4))).shape == (0, 4)  # fewer than n - 1 generators
+        assert _cofactors(np.eye(3)[:2]).tolist() == [[0.0, 0.0, 1.0]]
+
+    def test_capacity_guard(self):
+        with pytest.raises(CapacityError):
+            _cofactors(np.ones((25, 3)))
 
 
 class TestVolumeFloor:
