@@ -84,8 +84,10 @@ def subset_blocks(m: int, k: int, stack: int = 1) -> Iterator[np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _binomials(m: int, n: int) -> np.ndarray:
-    """``C(a, b)`` at ``[a, b]`` for a <= m, b <= n."""
-    return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(m + 1)], dtype=np.intp)
+    """``C(a, b)`` at ``[a, b]`` for a <= m, b <= n, read-only."""
+    table = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(m + 1)], dtype=np.intp)
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,7 +97,7 @@ def _laplace_plan(m: int, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     For the k-subsets of the rows, in lexicographic order: their first row
     and the rank of the rest among the (k-1)-subsets.  For the k-subsets C of
     the columns, in lexicographic order: ``C[p]`` and the index of C without
-    ``C[p]``, one column per position p.
+    ``C[p]``, one column per position p.  The arrays are read-only.
     """
     binom = _binomials(m, n)
     plans = []
@@ -109,6 +111,8 @@ def _laplace_plan(m: int, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
         cols = list(itertools.combinations(range(n), k))
         without = [[smaller[c[:p] + c[p + 1 :]] for p in range(k)] for c in cols]
         plans.append((first, rests, np.array(cols, dtype=np.intp).T, np.array(without, dtype=np.intp).T))
+    for array in itertools.chain.from_iterable(plans):
+        array.setflags(write=False)
     return tuple(plans)
 
 
@@ -152,7 +156,7 @@ def cofactor_table(rows: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _rank_terms(m: int, n: int) -> np.ndarray:
-    """(m, n, n): at [a, j, i], what element a at place j of an n-subset S adds to the rank of S without its i-th element.
+    """(m, n, n), read-only: at [a, j, i], what element a at place j of an n-subset S adds to the rank of S without its i-th element.
 
     The lexicographic rank of a (n-1)-subset with elements b_0 < b_1 < ...
     is ``C(m, n-1) - 1 - sum_l C(m-1-b_l, n-1-l)``; a at place j is b_j for
@@ -162,6 +166,7 @@ def _rank_terms(m: int, n: int) -> np.ndarray:
     a, j, i = np.ogrid[:m, :n, :n]
     terms = -np.where(j < i, binom[m - 1 - a, n - 1 - j], np.where(j > i, binom[m - 1 - a, n - j], 0))
     terms[:, 0] += math.comb(m, n - 1) - 1
+    terms.setflags(write=False)
     return terms
 
 

@@ -215,12 +215,12 @@ def _candidates(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
         # the rows come by body: each run is tested against its body's bound, with no gathered copy of it
         ends = np.searchsorted(body, np.arange(count + 1))
         good = np.concatenate([(slack[a:b] <= bound[k, first:]).all(axis=1) for k, (a, b) in enumerate(zip(ends, ends[1:]))])
-        row, body, own, pat, cand = row[good], body[good], block[sub[good]], pat[good], cand[good]
+        row, body, sub, pat, cand = row[good], body[good], sub[good], pat[good], cand[good]
         # one step of iterative refinement against the subset's rows u_i / t_i
-        inv = x[row]
+        inv, own = x[row], block[sub]
         residual = patterns[pat] - np.einsum("rij,rj->ri", u[own], cand) / t[body[:, None], own]
         cand += np.einsum("rij,rj->ri", inv, residual)
-        found.append((body, own, patterns[pat], inv, cand, np.abs(det[row % len(block)])))
+        found.append((body, own, patterns[pat], inv, cand, np.abs(det[sub])))
     fields = [np.concatenate(field) for field in zip(*found)]
     if np.any(np.bincount(fields[0], minlength=count) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")

@@ -134,9 +134,6 @@ class TestCofactorTable:
             assert table.shape == (math.comb(m, n - 1), n)
             assert np.abs(table - cofactor_oracle(rows)).max(initial=0.0) <= 1e-14
 
-    def test_one_dimension_has_the_empty_subset(self):
-        assert cofactor_table(unit_rows(5, 1, 730)).tolist() == [[1.0]]
-
     @pytest.mark.parametrize("n", range(3, 8))
     def test_rows_of_rank_below_n_minus_one_give_zero_rows(self, n):
         # rows in the span of the first n - 2 coordinates: every (n-1)-minor has a zero column, and reads exactly 0

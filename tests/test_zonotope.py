@@ -159,10 +159,6 @@ class TestCofactors:
         assert _cofactors(np.ones((2, 4))).shape == (0, 4)  # fewer than n - 1 generators
         assert _cofactors(np.eye(3)[:2]).tolist() == [[0.0, 0.0, 1.0]]
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            _cofactors(np.ones((25, 3)))
-
 
 class TestVolumeFloor:
     def test_orthonormal_unit_equality(self):
