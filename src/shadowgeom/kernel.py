@@ -6,9 +6,9 @@ seeded generators, so any computation that received the same source replays
 bit-identically.  :class:`WeightedDirections` is the one type for an
 isotropic decomposition (the MVEE's contact points included), and
 ``_read_unit_rows`` the one validator for the JSON documents that carry
-unit direction rows.  The eigensolver, the capacity guard, subset enumerator,
-sign table and cofactor table of polytopes and zonotopes, and the
-slab-direction check have one implementation each, here.
+unit direction rows.  The eigensolver, the subset enumerator and cofactor
+table of polytopes and zonotopes with the one capacity guard they apply, the
+sign table, and the slab-direction check have one implementation each, here.
 """
 
 from __future__ import annotations
@@ -61,25 +61,24 @@ SUBSET_BLOCK = 4096
 _ALTERNATING = (-1.0) ** np.arange(MAX_DIM)
 
 
-def check_capacity(m: int, n: int, what: str) -> None:
-    """Raise CapacityError unless ``m <= MAX_ROWS`` and ``n <= MAX_DIM``; `what` names the enumeration."""
+def check_capacity(m: int, n: int) -> None:
+    """Raise CapacityError unless ``m <= MAX_ROWS`` and ``n <= MAX_DIM``: the guard of every subset enumeration."""
     if m > MAX_ROWS or n > MAX_DIM:
-        raise CapacityError(f"{what} guard exceeded: m={m} (max {MAX_ROWS}), n={n} (max {MAX_DIM})")
+        raise CapacityError(f"subset enumeration guard exceeded: m={m} (max {MAX_ROWS}), n={n} (max {MAX_DIM})")
 
 
 def subset_blocks(m: int, k: int, stack: int = 1) -> Iterator[np.ndarray]:
     """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK // stack`` rows at a time.
 
     Peak memory is one block for each of the `stack` bodies that share it,
-    whatever C(m, k) is.
+    whatever C(m, k) is.  The capacity guard is applied at the call, before
+    any block is built.
     """
+    check_capacity(m, k)
     combos = itertools.combinations(range(m), k)
     rows = max(1, SUBSET_BLOCK // stack)
-    while True:
-        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)), dtype=np.intp)
-        if block.size == 0:
-            return
-        yield block.reshape(-1, k)
+    blocks = (np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)), dtype=np.intp) for _ in itertools.count())
+    return (block.reshape(-1, k) for block in itertools.takewhile(len, blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,11 +127,12 @@ def cofactor_table(rows: np.ndarray) -> np.ndarray:
     over the last C(m-1-r, k-1) (k-1)-subsets.  The index plans are cached
     per (m, n), and every entry is the same sequence of products and sums
     whatever the block size.  At n = 1 the one (empty) subset has the
-    cofactor vector (1,); the table is empty when m < n-1.  The caller
-    applies the capacity guard.
+    cofactor vector (1,); the table is empty when m < n-1.  The capacity
+    guard is applied before any plan is built.
     """
     w = np.asarray(rows, dtype=float)
     m, n = w.shape
+    check_capacity(m, n)
     # one row per column subset, one column per row subset: the 1 x 1 minors are the entries
     minors = w.T if n > 1 else np.ones((1, 1))
     for first, rests, cols, without in _laplace_plan(m, n):

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernel
-from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_capacity, check_slab_directions
+from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_slab_directions
 from .kernel import cofactor_ranks, cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
 
 __all__ = [
@@ -177,12 +177,11 @@ def _candidates(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     count = len(t)
     m, n = u.shape
-    check_capacity(m, n, "slab enumeration")
+    cofactors = cofactor_table(u)  # first: it applies the capacity guard before 2^(n-1) patterns are formed
     patterns = _sign_patterns(n)  # (P, n)
     bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
     first = min(m, _FIRST_PASS_SLABS)
     u_first, bound_first = u[:first], bound[:, :first].T[:, :, None, None]
-    cofactors = cofactor_table(u)
     found: list[tuple[np.ndarray, ...]] = []
     for block in subset_blocks(m, n, count):
         ranks = cofactor_ranks(block, m)

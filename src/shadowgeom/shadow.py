@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsoid import extract_john_decomposition, mvee_symmetric
-from .kernel import RandomSource, WeightedDirections, canonical_signs, dedup_rows, log_unit_ball_volume, psd_sqrt
+from .kernel import RandomSource, WeightedDirections, canonical_signs, cofactor_table, dedup_rows, log_unit_ball_volume, psd_sqrt
 from .polytope import SymmetricHPolytope
-from .zonotope import Zonotope, _cofactors, projection_body
+from .zonotope import Zonotope, projection_body
 
 __all__ = [
     "MinShadowReport",
@@ -52,13 +52,11 @@ def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
     zonotope are spanned by generator subsets); the list may also contain
     directions that touch lower-dimensional faces, which is harmless for
     support minimization.  The normals are the cofactor vectors of the unit
-    generators (``zonotope._cofactors``, the table the shadows are summed
-    over), built under the zonotope's capacity guard.
+    generators (:func:`cofactor_table`, the table the shadows are summed
+    over, under its capacity guard); at n = 1 that is the one normal (1,).
     """
     w = z.unit_directions  # unit generators: the cofactors, and their threshold, are free of scale
-    if z.dim == 1:
-        return np.array([[1.0]])
-    normals = _cofactors(w)
+    normals = cofactor_table(w)
     norms = np.linalg.norm(normals, axis=1)
     keep = norms > 1e-10
     unit = normals[keep] / norms[keep][:, None]

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, WeightedDirections, canonical_signs, check_capacity, cofactor_table
-from .kernel import random_orthogonal, sample_unit_sphere, sign_patterns, subset_blocks
-from .polytope import SymmetricHPolytope
+from .kernel import RandomSource, WeightedDirections, canonical_signs, cofactor_table, random_orthogonal, subset_blocks
+from .polytope import FEASIBILITY_TOL, SymmetricHPolytope
 
 __all__ = [
     "MinkowskiInequalityReport",
@@ -52,24 +51,8 @@ def _volume_of_generators(gens: np.ndarray) -> float:
     m, n = gens.shape
     if m < n:
         return 0.0
-    check_capacity(m, n, "zonotope")
     dets = [np.abs(np.linalg.det(gens[subsets])) for subsets in subset_blocks(m, n)]
     return (2.0**n) * float(np.sum(np.concatenate(dets)))
-
-
-def _cofactors(gens: np.ndarray) -> np.ndarray:
-    """The cofactor vector of every (n-1)-subset S of the rows, in lexicographic subset order.
-
-    Row S holds ``c_S[k] = (-1)^k det(W_S without column k)``, so that
-    ``det(theta, W_S) = <c_S, theta>``: c_S is normal to the span of W_S,
-    and its length is the (n-1)-volume of the parallelotope W_S.  This is
-    the kernel's Laplace table (:func:`cofactor_table`) under the zonotope
-    guard, which does not depend on the block size; it is empty when there
-    are fewer than n-1 rows, and at n = 1, where no shadow needs it.
-    """
-    m, n = gens.shape
-    check_capacity(m, n, "zonotope")
-    return cofactor_table(gens) if n > 1 else np.empty((0, 1))
 
 
 #: direction-cofactor products per chunk of :meth:`Zonotope.shadow_areas` (8 MB)
@@ -148,39 +131,29 @@ class Zonotope:
             raise ValueError("direction has wrong shape")
         if abs(float(np.linalg.norm(th)) - 1.0) > 1e-9:
             raise ValueError("projection direction must be a unit vector")
-        if self.dim == 1:
-            return 1.0  # projection is the single point 0, of 0-dim measure 1
         return float(self.shadow_areas(th[None, :])[0])
 
     def shadow_areas(self, thetas: np.ndarray) -> np.ndarray:
         """Shadows ``|P_theta Z| = 2^(n-1) sum_{|S|=n-1} |<c_S, theta>|`` for rows of unit directions.
 
-        The cofactor table of the generators (:func:`_cofactors`) is built
-        once per call, and each shadow is one sum over all of it, so no
-        result depends on the subset block size.  At n = 1 every shadow is
-        the single point 0, of 0-dimensional measure 1.
+        The cofactor table of the generators (:func:`cofactor_table`: c_S
+        is normal to the span of W_S, and its length is the (n-1)-volume of
+        the parallelotope W_S) is built once per call, and each shadow is one
+        sum over all of it, so no result depends on the subset block size.
+        At n = 1 the table is the one vector (1,), so every shadow is the
+        single point 0, of 0-dimensional measure 1.
         """
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
         if th.ndim != 2 or th.shape[1] != self.dim:
             raise ValueError("directions have wrong shape")
         if np.any(np.abs(np.linalg.norm(th, axis=1) - 1.0) > 1e-9):
             raise ValueError("projection directions must be unit vectors")
-        if self.dim == 1:
-            return np.ones(len(th))
-        cof = _cofactors(self._generators).T
+        cof = cofactor_table(self._generators).T
         rows = max(1, _SHADOW_CHUNK // max(cof.shape[1], 1))
         sums = np.empty(len(th))
         for lo in range(0, len(th), rows):
             sums[lo : lo + rows] = np.abs(th[lo : lo + rows] @ cof).sum(axis=1)
         return 2.0 ** (self.dim - 1) * sums
-
-    def vertices(self) -> np.ndarray:
-        """All points ``sum_j s_j w_j`` over sign patterns (contains every vertex)."""
-        m, n = self._generators.shape
-        if m > 16:
-            raise CapacityError(f"vertex sign-pattern guard exceeded: m={m} (max 16)")
-        half = sign_patterns(m) @ self._generators
-        return np.vstack([half, -half])
 
     def to_dict(self) -> dict:
         return {"n": self.dim, "generators": self._generators.tolist()}
@@ -207,7 +180,7 @@ def volume_formula_check(z: Zonotope) -> VolumeFormulaReport:
     consistency certificate of both.
     """
     lhs = z.volume
-    rhs = (2.0 / z.dim) * float(np.sum(z.alphas * z.shadow_areas(z.unit_directions)))
+    rhs = mixed_volume_vn1(z, z)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return VolumeFormulaReport(lhs, rhs, gap)
 
@@ -238,7 +211,8 @@ def zonotope_volume_floor(weighted: WeightedDirections, alphas: np.ndarray) -> V
     n = weighted.dim
     c = weighted.weights
     floor = (2.0**n) * float(np.exp(np.sum(c * np.log(a / c))))
-    return VolumeFloorReport(z.volume, floor, z.volume / floor)
+    volume = z.volume
+    return VolumeFloorReport(volume, floor, volume / floor)
 
 
 def projection_body(body: SymmetricHPolytope) -> Zonotope:
@@ -253,11 +227,12 @@ def projection_body(body: SymmetricHPolytope) -> Zonotope:
     return Zonotope(body.facets.measures[keep, None] * body.facets.normals[keep])
 
 
-def mixed_volume_vn1(body: SymmetricHPolytope, z: Zonotope) -> float:
+def mixed_volume_vn1(body: SymmetricHPolytope | Zonotope, z: Zonotope) -> float:
     """First mixed volume ``v_{n-1}(C, Z) = (2/n) sum alpha_i |P_{u_i} C|``.
 
     This is the coefficient of ``n t`` in ``|C + t Z|`` at t = 0; it is exactly
-    linear under scaling of Z.
+    linear under scaling of Z.  C may be a zonotope too, and
+    ``v_{n-1}(Z, Z) = |Z|``.
     """
     if body.dim != z.dim:
         raise ValueError("dimension mismatch")
@@ -282,22 +257,17 @@ def minkowski_inequality_check(body: SymmetricHPolytope, z: Zonotope) -> Minkows
     return MinkowskiInequalityReport(lhs, rhs, rhs - lhs)
 
 
-def dominance_volume_bound(
-    body: SymmetricHPolytope,
-    z: Zonotope,
-    shadows_of_d: np.ndarray,
-    rng: RandomSource,
-    sample_count: int = 10_000,
-) -> float:
+def dominance_volume_bound(body: SymmetricHPolytope, z: Zonotope, shadows_of_d: np.ndarray) -> float:
     """Upper bound on ``|D|`` for any body D whose shadows along Z's directions
     are the given values, assuming Z is contained in C.
 
     Chain: ``|D|^{(n-1)/n} |Z|^{1/n} <= (2/n) sum alpha_i s_i`` and, when the
     shadows are dominated by C's, ``... <= v_{n-1}(C, Z) <= |C|``.  The bound
-    returned is the smaller of the two corresponding closed forms.  Containment
-    is verified by exhaustive vertex membership when Z has at most 16
-    generators, plus support comparison along sampled directions.  The
-    closed forms need n >= 2.
+    returned is the smaller of the two corresponding closed forms.  C is an
+    intersection of slabs and Z is symmetric, so Z lies in C exactly when
+    ``h_Z(u_i) = sum_j |<u_i, w_j>| <= t_i`` on every slab i; that is
+    checked with the absolute tolerance of :meth:`SymmetricHPolytope.contains`.
+    The closed forms need n >= 2.
     """
     if body.dim != z.dim:
         raise ValueError("dimension mismatch")
@@ -309,21 +279,8 @@ def dominance_volume_bound(
     if np.any(s < 0.0):
         raise ValueError("shadow values must be nonnegative")
     n = body.dim
-    checked_vertices = 0
-    margin = np.inf
-    if z.num_generators <= 16:
-        verts = z.vertices()
-        inside = body.contains(verts)
-        if not np.all(inside):
-            raise ValueError("containment check failed: a vertex of Z lies outside C")
-        checked_vertices = len(verts)
-        margin = float(np.min(body.offsets - np.max(np.abs(verts @ body.directions.T), axis=0)))
-    thetas = sample_unit_sphere(n, rng, count=sample_count)
-    h_z = z.supports(thetas)
-    h_c = np.max(np.abs(thetas @ body.vertices.points.T), axis=1)
-    gap = h_c - h_z
-    if np.any(gap < -1e-9):
-        raise ValueError("containment check failed: support of Z exceeds support of C")
+    if not np.all(z.supports(body.directions) <= body.offsets + FEASIBILITY_TOL):
+        raise ValueError("containment check failed: the support of Z exceeds the offset of a slab of C")
     zvol = z.volume
     if zvol <= 0.0:
         raise ValueError("Z must be full-dimensional")

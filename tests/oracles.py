@@ -2,7 +2,8 @@
 
 Everything here avoids the library's own computational paths: vertex sets
 come from direct constraint intersection, volumes and shadow areas from
-scipy's convex hull, zonotope shadows also from projected generators in a
+scipy's convex hull, facet areas in R^3 also in exact rational arithmetic
+(``fractions``), zonotope shadows also from projected generators in a
 chart, gradients and Jacobians from central differences,
 support minima from plain sphere sampling or the exhaustive sign-pattern
 search with its own subgradient refinement, and
@@ -13,8 +14,10 @@ these point counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -110,6 +113,65 @@ def facet_measure_oracle(directions: np.ndarray, offsets: np.ndarray, k: int, to
         return hull_volume(pts) if len(pts) >= n else 0.0
     except QhullError:  # a facet of lower dimension: measure 0
         return 0.0
+
+
+def exact_facet_areas(directions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each slab's one-sided facet area of ``{x : |<u_i, x>| <= t_i}`` in R^3, from the float input taken as exact rationals.
+
+    The vertices of the facet on ``<u_k, x> = t_k`` solve that plane and two
+    other slab hyperplanes by Cramer's rule in ``fractions.Fraction`` and are
+    kept when every constraint holds exactly.  They are ordered around their
+    centroid by exact half-plane and cross-product tests in the coordinate
+    plane where u_k has its largest entry c, and the shoelace area A there is
+    exact; the facet area is ``A |u_k| / |u_k[c]|``, whose square is rational,
+    so the one rounding is that of the final square root.  No step depends on
+    a tolerance, so the areas are those of the rounded input however close
+    to parallel two slabs are.
+    """
+    u = [[Fraction(float(x)) for x in row] for row in np.asarray(directions, dtype=float)]
+    t = [Fraction(float(x)) for x in np.asarray(offsets, dtype=float)]
+    m = len(u)
+    if any(len(row) != 3 for row in u):
+        raise ValueError("exact facet areas are for bodies in R^3")
+
+    def det3(a, b, c):
+        return a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0]) + a[2] * (b[0] * c[1] - b[1] * c[0])
+
+    def solve(rows, rhs):
+        d = det3(*rows)
+        if d == 0:
+            return None
+        # det A = det A^T, so the columns of A, with column i replaced by the right side, give x_i
+        cols = list(zip(*rows))
+        return tuple(det3(*[rhs if j == i else cols[j] for j in range(3)]) / d for i in range(3))
+
+    areas = np.zeros(m)
+    for k in range(m):
+        points = set()
+        for i, j in itertools.combinations([r for r in range(m) if r != k], 2):
+            for si, sj in itertools.product((1, -1), repeat=2):
+                x = solve([u[k], u[i], u[j]], [t[k], si * t[i], sj * t[j]])
+                if x is not None and all(abs(sum(a * b for a, b in zip(row, x))) <= tr for row, tr in zip(u, t)):
+                    points.add(x)
+        if len(points) < 3:
+            continue
+        c = max(range(3), key=lambda idx: abs(u[k][idx]))
+        keep = [idx for idx in range(3) if idx != c]
+        flat = [(p[keep[0]], p[keep[1]]) for p in points]
+        cx, cy = sum(p[0] for p in flat) / len(flat), sum(p[1] for p in flat) / len(flat)
+        rel = [(x - cx, y - cy) for x, y in flat]
+
+        def before(a, b):
+            upper_a, upper_b = a[1] > 0 or (a[1] == 0 and a[0] > 0), b[1] > 0 or (b[1] == 0 and b[0] > 0)
+            if upper_a != upper_b:
+                return -1 if upper_a else 1
+            cross = a[0] * b[1] - a[1] * b[0]
+            return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+        ring = sorted(rel, key=functools.cmp_to_key(before))
+        area = abs(sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(ring, ring[1:] + ring[:1]))) / 2
+        areas[k] = math.sqrt(area * area * sum(x * x for x in u[k]) / (u[k][c] * u[k][c]))
+    return areas
 
 
 def shadow_area_oracle(vertices: np.ndarray, theta: np.ndarray) -> float:

@@ -101,6 +101,12 @@ class TestSubsetBlocks:
         assert np.vstack(blocks).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
         assert [len(b) for b in subset_blocks(5, 2, 8)] == [1] * 10
 
+    @pytest.mark.parametrize("m, k", [(25, 3), (10, 8)])
+    def test_guard_raises_at_the_call(self, m, k):
+        # before any block is built or the first one is asked for
+        with pytest.raises(CapacityError, match=f"subset enumeration guard exceeded: m={m} \\(max 24\\), n={k} \\(max 7\\)"):
+            subset_blocks(m, k)
+
     def test_block_boundaries_leave_results_bit_identical(self, monkeypatch):
         # C(16, 6) = 8008 vertex subsets: two blocks at the default size, 1144 at size 7
         body = random_symmetric_polytope(6, 16, RandomSource(13))
@@ -149,6 +155,13 @@ class TestCofactorTable:
         rows = unit_rows(n + 5, n, 760 + n)
         ref = scale ** (n - 1) * cofactor_table(rows)
         assert np.allclose(cofactor_table(scale * rows), ref, rtol=1e-13, atol=1e-14 * scale ** (n - 1))
+
+    @pytest.mark.parametrize("m, n", [(25, 3), (10, 8), (25, 1)])
+    def test_guard_raises_before_any_plan(self, m, n):
+        kernel._laplace_plan.cache_clear()
+        with pytest.raises(CapacityError, match="subset enumeration guard exceeded"):
+            cofactor_table(unit_rows(m, n, 790 + m + n))
+        assert kernel._laplace_plan.cache_info().currsize == 0
 
     def test_block_boundaries_leave_the_table_bit_identical(self, monkeypatch):
         rows = unit_rows(16, 6, 770)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     body_volume_oracle,
+    exact_facet_areas,
     facet_measure_oracle,
     fd_jacobian,
     hull_surface_area,
@@ -20,7 +21,7 @@ from oracles import (
     monte_carlo_volume,
     shadow_area_oracle,
 )
-from shadowgeom import family, kernel
+from shadowgeom import family, kernel, polytope
 from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, maximize_volume_details
 from shadowgeom.kernel import CapacityError, RandomSource, cofactor_ranks, cofactor_table, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
@@ -369,6 +370,26 @@ class TestFacets:
         x = (1.0 - a) / b
         assert body.volume == pytest.approx(8.0 - 2.0 * b * (1.0 - x) ** 2 / a, rel=1e-11)
 
+    @pytest.mark.parametrize("eps", [2e-12, 1e-10, 1e-8])
+    def test_near_parallel_facet_split_is_conditioned_by_the_angle(self, eps):
+        # a documented limit: the two nearly parallel facets meet along a line that rounding moves by about
+        # eps_mach / eps, so each of their measures is good to about that much (4.1e-5 relative at eps = 2e-12),
+        # while their sum and the volume stay exact to rounding.  The reference is exact on the rounded input.
+        body, _, _ = near_coincident_body(eps, 0.5)
+        exact = exact_facet_areas(body.directions, body.offsets)
+        measures = body._slab_measures
+        assert np.all(np.abs(measures - exact) <= 1e-15 / eps * exact)
+        assert measures[0] + measures[3] == pytest.approx(exact[0] + exact[3], rel=1e-15)
+        assert body.volume == pytest.approx((2.0 / 3.0) * float(body.offsets @ exact), rel=1e-15)
+
+    def test_exact_facet_areas_match_the_closed_form(self):
+        # the oracle itself, at an angle where floating point resolves the cut: facets 2(1 + x*) and 2(1 - x*)/a
+        body, a, b = near_coincident_body(1e-3)
+        x = (1.0 - a) / b
+        exact = exact_facet_areas(body.directions, body.offsets)
+        assert exact[[0, 3]] == pytest.approx([2.0 * (1.0 + x), 2.0 * (1.0 - x) / a], rel=1e-12)
+        assert exact_facet_areas(np.eye(3), np.ones(3)).tolist() == [4.0, 4.0, 4.0]
+
     @pytest.mark.parametrize("tilt", [0.0, 0.5])
     @pytest.mark.parametrize("factor", [0.5, 0.8, 1.25, 2.0])
     def test_subset_determinants_match_lu_at_the_singular_threshold(self, factor, tilt):
@@ -688,3 +709,12 @@ class TestCapacityGuards:
         body = SymmetricHPolytope(u, np.ones(25))
         with pytest.raises(CapacityError, match="guard"):
             _ = body.vertices
+
+    def test_dimension_guard_comes_before_the_sign_patterns(self, monkeypatch):
+        # at n = 8 the cofactor table refuses the body before 2^(n-1) sign patterns are formed
+        def refuse(n):
+            raise AssertionError(f"sign patterns formed at n = {n}")
+
+        monkeypatch.setattr(polytope, "_sign_patterns", refuse)
+        with pytest.raises(CapacityError, match="guard"):
+            _ = SymmetricHPolytope(np.eye(8), np.ones(8)).vertices

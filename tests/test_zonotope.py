@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import cofactor_oracle, shadow_area_oracle, zonotope_shadow_chart, zonotope_vertex_cloud, zonotope_volume_oracle
-from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
+from shadowgeom.kernel import CapacityError, RandomSource, cofactor_table, sample_unit_sphere
 from shadowgeom.polytope import SymmetricHPolytope, random_symmetric_polytope
 from shadowgeom.zonotope import (
     WeightedDirections,
     Zonotope,
-    _cofactors,
     dominance_volume_bound,
     minkowski_inequality_check,
     mixed_volume_vn1,
@@ -58,12 +57,6 @@ class TestZonotopeBasics:
         z = Zonotope(g)
         theta = sample_unit_sphere(3, RandomSource(61))
         assert z.support(theta) == pytest.approx(float(np.sum(np.abs(g @ theta))), rel=1e-12)
-
-    def test_vertices_are_sign_combinations(self):
-        z = Zonotope(np.eye(2))
-        verts = z.vertices()
-        assert len(verts) == 4
-        assert np.allclose(np.sort(np.abs(verts), axis=0), 1.0)
 
 
 class TestVolumeAgainstOracles:
@@ -116,6 +109,11 @@ class TestShadows:
         assert z.shadow_area(np.array([1.0])) == 1.0
         assert z.shadow_areas(np.array([[1.0], [-1.0]])).tolist() == [1.0, 1.0]
 
+    def test_dimension_one_is_under_the_guard(self):
+        # the n = 1 shadow reads the cofactor table (1,) like every other dimension, so its guard applies too
+        with pytest.raises(CapacityError, match="guard"):
+            Zonotope(np.ones((25, 1))).shadow_area(np.array([1.0]))
+
     def test_non_spanning_zonotope_has_no_shadow_across_its_span(self):
         # generators in the plane x_3 = 0: shadows along the plane vanish, the one along e_3 is the area
         gens = np.array([[1.0, 0.5, 0.0], [-0.3, 1.0, 0.0], [0.7, 0.2, 0.0], [0.0, 1.0, 0.0]])
@@ -152,12 +150,12 @@ class TestCofactors:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_lexicographic_table_of_lu_cofactors(self, n):
         gens = random_zonotope(n, n + 4, RandomSource(190 + n)).generators
-        assert np.abs(_cofactors(gens) - cofactor_oracle(gens)).max() <= 1e-13
+        assert np.abs(cofactor_table(gens) - cofactor_oracle(gens)).max() <= 1e-13
 
     def test_edge_shapes(self):
-        assert _cofactors(np.ones((3, 1))).shape == (0, 1)  # no shadow at n = 1 reads the table
-        assert _cofactors(np.ones((2, 4))).shape == (0, 4)  # fewer than n - 1 generators
-        assert _cofactors(np.eye(3)[:2]).tolist() == [[0.0, 0.0, 1.0]]
+        assert cofactor_table(np.ones((3, 1))).tolist() == [[1.0]]  # n = 1: the one empty subset
+        assert cofactor_table(np.ones((2, 4))).shape == (0, 4)  # fewer than n - 1 generators
+        assert cofactor_table(np.eye(3)[:2]).tolist() == [[0.0, 0.0, 1.0]]
 
 
 class TestVolumeFloor:
@@ -279,7 +277,7 @@ class TestMixedVolume:
         z = random_zonotope(2, 3, RandomSource(seed))
         t = 1e-5
         verts = body.vertices.points
-        cloud = (verts[:, None, :] + t * z.vertices()[None, :, :]).reshape(-1, 2)
+        cloud = (verts[:, None, :] + t * zonotope_vertex_cloud(z.generators)[None, :, :]).reshape(-1, 2)
         from oracles import hull_volume
 
         grown = hull_volume(cloud)
@@ -292,7 +290,7 @@ class TestDominanceBound:
         body = cube(3)
         z = Zonotope(np.eye(3))
         shadows = body.shadow_areas(np.eye(3))
-        bound = dominance_volume_bound(body, z, shadows, RandomSource(101))
+        bound = dominance_volume_bound(body, z, shadows)
         assert bound == pytest.approx(body.volume, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -309,17 +307,38 @@ class TestDominanceBound:
         )
         z_in = Zonotope(min(scale, 1.0) * 0.2 * z.generators)
         shadows = dominated.shadow_areas(z_in.unit_directions)
-        bound = dominance_volume_bound(body, z_in, shadows, RandomSource(112 + seed))
+        bound = dominance_volume_bound(body, z_in, shadows)
         assert bound >= dominated.volume - 1e-9 * dominated.volume
+
+    @staticmethod
+    def touching_zonotope() -> tuple[SymmetricHPolytope, Zonotope]:
+        """20 generators, past the reach of any vertex enumeration, scaled so that h_Z(u_i) <= t_i with equality on one slab."""
+        body = random_symmetric_polytope(3, 7, RandomSource(114))
+        raw = random_zonotope(3, 20, RandomSource(115))
+        return body, Zonotope(raw.generators * np.min(body.offsets / raw.supports(body.directions)))
+
+    def test_twenty_generators_inside_get_a_bound(self):
+        body, z = self.touching_zonotope()
+        shadows = body.shadow_areas(z.unit_directions)
+        bound = dominance_volume_bound(body, z, shadows)
+        # D = C: the shadow side is v_{n-1}(C, Z)^{n/(n-1)} |Z|^{-1/(n-1)}, at least |C| by Minkowski's inequality
+        assert bound == pytest.approx(mixed_volume_vn1(body, z) ** 1.5 / z.volume**0.5, rel=1e-12)
+        assert bound >= body.volume * (1.0 - 1e-12)
+
+    def test_twenty_generators_past_one_slab_raise(self):
+        body, z = self.touching_zonotope()
+        pushed = Zonotope(z.generators * (1.0 + 1e-6))  # the touching slab's support passes its offset by about 1e-6
+        with pytest.raises(ValueError, match="containment"):
+            dominance_volume_bound(body, pushed, body.shadow_areas(pushed.unit_directions))
 
     def test_containment_violation_raises(self):
         body = cube(2)
         z = Zonotope(3.0 * np.eye(2))
         with pytest.raises(ValueError, match="containment"):
-            dominance_volume_bound(body, z, np.array([2.0, 2.0]), RandomSource(113))
+            dominance_volume_bound(body, z, np.array([2.0, 2.0]))
 
     def test_dimension_one_is_refused(self):
         # the bound's exponents n/(n-1) and 1/(n-1) have no value at n = 1
         body = SymmetricHPolytope([[1.0]], [2.0])
         with pytest.raises(ValueError, match="n >= 2"):
-            dominance_volume_bound(body, Zonotope([[1.0]]), np.array([1.0]), RandomSource(1))
+            dominance_volume_bound(body, Zonotope([[1.0]]), np.array([1.0]))
