@@ -6,9 +6,12 @@ with positive offsets constrained by sum_i g_i t_i = 1.  Because the
 n-th root of the volume is concave in the offsets (Brunn-Minkowski applied
 to the Minkowski-additive slab description), log-volume is concave too,
 and a damped Newton ascent on the budget slice converges to the global
-maximum.  Its starts run in lockstep: each round takes the volume, the
-gradient and the Hessian of every live start's trial point from one pass
-of vertex cones over their stacked offsets.  At that maximum each facet
+maximum.  Its starts run in lockstep over one plan of the family's
+directions, the offset-free half of the vertex enumeration (the subsets,
+their adjugates and the offset-free terms of the cone formulas), built once
+per solve; each round only scales that plan by the offsets, taking the volume,
+the gradient and the Hessian of every live start's trial point from one
+pass of vertex cones over their stacked offsets.  At that maximum each facet
 measure is proportional to its budget weight, which makes every shadow of
 the optimal body a fixed multiple of a weighted direction sum; the
 verifiers below check the stationarity certificate and that projection
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, sample_unit_sphere, unit_ball_volume
-from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _volume_derivatives
+from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _SlabPlan, _volume_derivatives
 from .shadow import TIE_TOLERANCE, ball_shadow_ratio, min_shadow_direction, minimize_support
 from .zonotope import Zonotope
 
@@ -209,18 +212,21 @@ def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
 def _lockstep(spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_iterations: int) -> list[_AscentResult]:
     """Run the ascents of all starts in lockstep, one vertex-cone pass per round.
 
-    Each round evaluates the pending point of every live start in one call
-    of :func:`_volume_derivatives` over their stacked offsets, whose values
-    for each body are those of that body evaluated alone; so each start
-    makes exactly the trials it would make on its own.  A start leaves when
-    it converges or reaches ``max_iterations``.
+    The offset-free half of the enumeration, one plan of the directions
+    (:class:`_SlabPlan`), is built once; each round evaluates the pending
+    point of every live start in one call of :func:`_volume_derivatives` on
+    that plan over their stacked offsets, whose values for each body are
+    those of that body evaluated alone; so each start makes exactly the
+    trials it would make on its own.  A start leaves when it converges or
+    reaches ``max_iterations``.
     """
+    plan = _SlabPlan(spec.directions)
     ascents = [_ascent(spec, start, tol, max_iterations) for start in starts]
     pending = {k: next(ascent) for k, ascent in enumerate(ascents)}
     results = {}
     while pending:
         live, trials = zip(*pending.items())
-        volumes, grads, hessians = _volume_derivatives(spec.directions, np.array(trials))
+        volumes, grads, hessians = _volume_derivatives(plan, np.array(trials))
         pending = {}
         for k, volume, grad, hess in zip(live, volumes, grads, hessians):
             try:

@@ -52,9 +52,10 @@ class CapacityError(RuntimeError):
 
 MAX_ROWS = 24  # slabs or generators in any subset enumeration
 MAX_DIM = 7
-#: Rows per block.  At n = 6, m = 16 the largest temporary is a vertex block's first-pass
-#: slab-pattern products (4.2 MB); then come its survivors' slacks on the other slabs (1.9 MB), its
-#: inverses and those gathered for its survivors (1.2 MB each).  One volume's traced peak is 10.9 MB.
+#: Rows per block, and the most subsets a slab plan keeps between evaluations.  At n = 6, m = 16 the
+#: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its
+#: survivors' slacks on the other slabs (1.9 MB), its cofactor columns, its X_S and those gathered for
+#: its survivors (1.2 MB each) and its first-pass rows (0.8 MB).  One volume's traced peak is 11.5 MB.
 SUBSET_BLOCK = 4096
 
 #: (-1)^k for k < MAX_DIM, the signs of a cofactor vector and of the adjugate's columns

@@ -2,36 +2,48 @@
 
 A body is the set ``{x : |<x, u_i>| <= t_i, i = 1..m}`` for unit directions
 ``u_i`` and positive offsets ``t_i``.  All derived data (vertices, facets,
-volume, shadows) is computed by explicit brute-force geometry:
+volume, shadows) is computed by explicit brute-force geometry, in two
+halves:
 
-* vertices by the adjugate of every invertible ``n``-subset of the slab
-  normals, read with its determinant from one Laplace table of the
-  cofactors of the (n-1)-subsets (no subset is factorised), its 2^(n-1)
-  sign patterns filtered by feasibility in two passes, the first four
-  slabs for every pattern and the other slabs for the survivors;
-* the volume, the facet measures and the Hessian of the volume in the
-  offsets in closed form over the vertex cones of the surviving (subset,
-  pattern) pairs (Lawrence's formula and its derivatives), the ties of
-  non-simple vertices broken by one lexicographic perturbation decided once
-  per vertex; a facet's owners are the signed slabs tight on all its
-  vertices.  The enumeration and the cones take a stack of offset vectors
-  over shared directions, each body getting the bits it gets alone, so the
-  family solver evaluates all its live starts in one pass;
-* shadow area in direction theta as ``0.5 * sum |<theta, n_F>| * |F|``.
+* the half that depends on the directions alone, a plan
+  (:class:`_SlabPlan`): the invertible ``n``-subsets S of the slab normals
+  with ``|det U_S|`` and the adjugate of ``U_S``, read from one Laplace
+  table of the cofactors of the (n-1)-subsets (no subset is factorised),
+  the rows ``u_j U_S^-1`` of the first four slabs, and, for each subset
+  that holds a kept vertex cone, the share of the rounding estimate of the
+  cone formulas that does not depend on t;
+* the half that scales the plan by the offsets t: each subset's 2^(n-1)
+  sign patterns p filtered by feasibility of ``x = X_S p``, with
+  ``X_S = U_S^-1 diag(t_S)``, in two passes, the first four slabs for
+  every pattern and the other slabs for the survivors; then the volume,
+  the facet measures and the Hessian of the volume in the offsets in
+  closed form over the vertex cones of the surviving (subset, pattern)
+  pairs (Lawrence's formula and its derivatives), the ties of non-simple
+  vertices broken by one lexicographic perturbation decided once per
+  vertex.
+
+A lone body builds its plan and streams its blocks of subsets once; the
+family solver builds one plan per slab family and evaluates the stacked
+offsets of all its live starts over it in every round, each body getting
+the bits it gets alone.  A facet's owners are the signed slabs tight on all
+its vertices, and the shadow area in direction theta is
+``0.5 * sum |<theta, n_F>| * |F|``.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
-are given at unit scale and scaled with the body (see ``_scale``).  The
-enumeration cost is combinatorial, so the one guard of the kernel, which
-zonotopes share, rejects ``m > 24`` slabs or dimension ``n > 7``.
+are given at unit scale and scaled with the body (see ``_scale``), and so is
+the tolerance of :meth:`SymmetricHPolytope.contains`.  The enumeration cost
+is combinatorial, so the one guard of the kernel, which zonotopes share,
+rejects ``m > 24`` slabs or dimension ``n > 7``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,13 +150,20 @@ def _scales(t: np.ndarray) -> np.ndarray:
 def _cluster_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """One label per row, shared by rows of one body that chain within its `tol` of each other in every coordinate.
 
-    Rows of one body within its `tol` (one entry per row) of each other always share a label.
+    Rows of one body within its `tol` (one entry per row) of each other
+    always share a label.  When the sort along the first coordinate already
+    separates every row from its neighbours, each row is its own label.
     """
     ids = np.empty((len(points), points.shape[1] + 1), dtype=np.intp)
     ids[:, 0] = body
     for d in range(points.shape[1]):
         order = np.lexsort((points[:, d], body))
-        ids[order, d + 1] = np.cumsum(np.diff(points[order, d], prepend=-np.inf) > tol[order])
+        gap = np.diff(points[order, d], prepend=-np.inf) > tol[order]
+        # a change of body is a gap too: rows of two bodies never share a label, and a stack's rows pass the test below
+        gap[1:] |= body[order[1:]] != body[order[:-1]]
+        if d == 0 and gap.all():
+            return np.arange(len(points))
+        ids[order, d + 1] = np.cumsum(gap)
     order = np.lexsort(ids.T[::-1])
     fresh = np.ones(len(ids), dtype=bool)
     fresh[1:] = np.any(ids[order[1:]] != ids[order[:-1]], axis=1)
@@ -153,81 +172,210 @@ def _cluster_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np
     return labels
 
 
-def _candidates(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The feasible (subset S, sign pattern p) pairs of each body of a stack over the shared directions `u`.
+class _SubsetBlock(NamedTuple):
+    """The offset-free data of a block of nonsingular n-subsets S of the directions, one row per subset.
+
+    ``keys`` is the rank of S among all n-subsets in lexicographic order and
+    ``dets`` holds ``|det U_S|``.  Column i of ``columns`` is the cofactor
+    vector ``c_(S without s_i)`` times the sign of ``det U_S``, gathered in
+    C order, so that ``U_S^-1 = columns diag((-1)^i) / |det U_S|`` (see
+    :func:`_scaled_inverses`).  ``first_rows`` holds the rows ``u_j U_S^-1``
+    of the first ``_FIRST_PASS_SLABS`` slabs, where the row of the subset's
+    own slab s_i is exactly ``e_i``.
+    """
+
+    keys: np.ndarray
+    subsets: np.ndarray
+    dets: np.ndarray
+    columns: np.ndarray
+    first_rows: np.ndarray
+
+
+def _scaled_inverses(columns: np.ndarray, dets: np.ndarray, ts) -> np.ndarray:
+    """``X_S = U_S^-1 diag(t_S)`` per row: column i is ``(-1)^i t_(s_i) c_(S without s_i) / det U_S``; ``U_S^-1`` at ``ts = 1``."""
+    n = columns.shape[-1]
+    return columns * ((_ALTERNATING[:n] * ts) / dets[:, None])[..., None, :]
+
+
+def _subset_block(u: np.ndarray, cofactors: np.ndarray, subsets: np.ndarray, offset: int) -> _SubsetBlock:
+    """The nonsingular subsets among `subsets` (ranks from `offset` on) with their determinants and cofactor columns.
+
+    No subset is factorised: from the cofactor table of the (n-1)-subsets
+    (:func:`cofactor_table`), ``det U_S = <u_(s_0), c_(S without s_0)>`` and
+    column i of the adjugate of U_S is ``(-1)^i c_(S without s_i)``.
+    Subsets with ``|det U_S| <= _DET_TOL`` are left out.
+    """
+    m, n = u.shape
+    ranks = cofactor_ranks(subsets, m)
+    det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]  # along the first row
+    keep = np.abs(det) > _DET_TOL
+    subsets, det, ranks = subsets[keep], det[keep], ranks[keep]
+    columns = cofactors[ranks[:, None, :], np.arange(n)[:, None]]
+    columns *= np.sign(det)[:, None, None]
+    dets = np.abs(det)
+    first = min(m, _FIRST_PASS_SLABS)
+    rows = u[:first] @ _scaled_inverses(columns, dets, 1.0)
+    b, i = np.nonzero(subsets < first)
+    rows[b, subsets[b, i]] = 0.0
+    rows[b, subsets[b, i], i] = 1.0
+    return _SubsetBlock(offset + np.flatnonzero(keep), subsets, dets, columns, rows)
+
+
+def _cone_terms(columns: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per subset, the half of the rounding estimate of the cone formulas that does not depend on t.
+
+    Over the columns c of :func:`_direction_table`, with ``g = U_S^-T c``:
+    ``cond`` (rows, D) is the condition ``sum_i |U_S^-1 e_i| / |g_i|`` that
+    the gammas add to a cone's term, and ``scale`` (rows, D) is
+    ``1 / (|det U_S| prod |g|)``.
+    """
+    n = columns.shape[1]
+    inverses = _scaled_inverses(columns, dets, 1.0)
+    size = np.abs((inverses.transpose(0, 2, 1).reshape(-1, n) @ _direction_table(n)).reshape(len(inverses), n, _DIRECTIONS))
+    cols = np.linalg.norm(inverses, axis=1)
+    cond = sum(cols[:, i, None] / size[:, i] for i in range(n))
+    return cond, 1.0 / (dets[:, None] * np.prod(size, axis=1))
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+class _SlabPlan:
+    """The half of the vertex enumeration and of the cone formulas that depends on the directions alone.
+
+    The nonsingular n-subsets S, ``|det U_S|``, the cofactor columns of
+    ``U_S^-1`` and the first-pass rows (:class:`_SubsetBlock`) do not depend
+    on the offsets t, and neither do the terms of :func:`_cone_terms`:
+    ``X_S = U_S^-1 diag(t_S)`` scales the columns of ``U_S^-1``, and the
+    first-pass slacks, the points and ``h`` are linear in t.  So a plan is
+    built from the directions, and every evaluation over offsets
+    (:func:`_candidates`, :func:`_cones`) only scales it by t.
+
+    When there are at most ``SUBSET_BLOCK`` subsets, the plan keeps its one
+    block from the first evaluation on, and the cone terms of each subset
+    from the first evaluation that keeps a cone of it; every array it keeps
+    is read-only.  Otherwise each evaluation streams its blocks, built from
+    one cofactor table, and computes the cone terms of the kept rows, so
+    that it holds one block at a time.
+    """
+
+    def __init__(self, directions: np.ndarray):
+        self.directions = directions
+        m, n = directions.shape
+        subsets = math.comb(m, n)
+        self.stored = subsets <= kernel.SUBSET_BLOCK
+        self._block: _SubsetBlock | None = None
+        # by key, the row of each subset's cone terms, -1 until a cone of it is kept
+        self._slots = np.full(subsets if self.stored else 0, -1)
+        self._terms = (np.empty((0, _DIRECTIONS)), np.empty((0, _DIRECTIONS)))
+        _read_only(self._slots, *self._terms)
+
+    def blocks(self, stack: int) -> Iterator[_SubsetBlock]:
+        """The nonsingular subsets in lexicographic order, ``SUBSET_BLOCK // stack`` subsets at a time.
+
+        The capacity guard is applied at the call, before any block is built.
+        """
+        u = self.directions
+        m, n = u.shape
+        rows = max(1, kernel.SUBSET_BLOCK // stack)
+        if self._block is None:
+            cofactors = cofactor_table(u)  # first: it applies the capacity guard
+            if not self.stored:
+                return (_subset_block(u, cofactors, subsets, k * rows) for k, subsets in enumerate(subset_blocks(m, n, stack)))
+            (subsets,) = subset_blocks(m, n)
+            self._block = _subset_block(u, cofactors, subsets, 0)
+            _read_only(*self._block)
+        return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
+
+    def cone_terms(self, keys: np.ndarray, columns: np.ndarray, dets: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """:func:`_cone_terms` of the subsets of the rows (``keys``, cofactor columns, ``|det U_S|``), and the row of each in them.
+
+        A stored plan computes the terms of each subset once, the first
+        time a cone of it is kept.
+        """
+        if not self.stored:
+            return _cone_terms(columns, dets), np.arange(len(keys))
+        new = self._slots[keys] < 0
+        fresh, at = np.unique(keys[new], return_index=True)
+        if len(fresh):
+            rows = np.flatnonzero(new)[at]
+            slots = self._slots.copy()
+            slots[fresh] = len(self._terms[0]) + np.arange(len(fresh))
+            self._slots = slots
+            self._terms = tuple(np.concatenate(pair) for pair in zip(self._terms, _cone_terms(columns[rows], dets[rows])))
+            _read_only(self._slots, *self._terms)
+        return self._terms, self._slots[keys]
+
+
+def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The feasible (subset S, sign pattern p) pairs of each body of a stack over the directions of `plan`.
 
     `t` holds one row of offsets per body.  Arrays (bodies, subsets,
-    patterns, inverses ``X_S``, points ``X_S p``, ``|det U_S|``), one row per
-    pair, by body and, within a body, in the order of a body enumerated
-    alone, so each body's rows are the same bits inside a stack as alone.
-    No subset is factorised: one cofactor table of the (n-1)-subsets of the
-    directions (:func:`cofactor_table`), shared by the stack, gives
-    ``det U_S = <u_(s_0), c_(S without s_0)>`` and the adjugate, so
-    ``X_S = U_S^-1 diag(t_S)`` has column i ``(-1)^i t_(s_i) c_(S without s_i) / det U_S``;
-    X is gathered in C order, which keeps the products with it the same bits
-    in a stack as alone.  The first sign of p is +1.  Every pair is tested
-    against the first ``_FIRST_PASS_SLABS`` slabs at once; only the
-    survivors' coordinates are formed and tested against the other slabs,
-    both with the bound ``t + FEASIBILITY_TOL * scale`` of their body.  The
-    subset's own slabs read as exactly tight, and the kept points take one
-    step of iterative refinement: where U_S is ill-conditioned, ``X_S p``
-    cancels large entries, and its slack on them is off by about
-    eps cond(U_S) (1e-9 at cond 1e8).  The bodies share each block of
-    subsets, so a block holds ``SUBSET_BLOCK`` (subset, body) rows at most.
+    patterns, cofactor columns, points ``X_S p``, ``|det U_S|``, subset
+    keys), one row per pair, by body and, within a body, in the order of a
+    body enumerated alone, so each body's rows are the same bits inside a
+    stack as alone.  ``X_S`` is formed from the plan's cofactor columns in C
+    order, which keeps the products with it the same bits in a stack as
+    alone.  The first sign of p is +1.  Every pair is tested against the
+    first ``_FIRST_PASS_SLABS`` slabs at once, by the plan's first-pass rows
+    scaled by ``t_S``; only the survivors' coordinates are formed and tested
+    against the other slabs, both with the bound
+    ``t + FEASIBILITY_TOL * scale`` of their body.  The subset's
+    own slabs read as exactly tight, and the kept points take one step of
+    iterative refinement: where U_S is ill-conditioned, ``X_S p`` cancels
+    large entries, and its slack on them is off by about eps cond(U_S)
+    (1e-9 at cond 1e8).  The bodies share each block of subsets, so a block
+    holds ``SUBSET_BLOCK`` (subset, body) rows at most.
     """
+    u = plan.directions
     count = len(t)
     m, n = u.shape
-    cofactors = cofactor_table(u)  # first: it applies the capacity guard before 2^(n-1) patterns are formed
+    blocks = plan.blocks(count)  # first: it applies the capacity guard before 2^(n-1) patterns are formed
     patterns = _sign_patterns(n)  # (P, n)
     bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
     first = min(m, _FIRST_PASS_SLABS)
-    u_first, bound_first = u[:first], bound[:, :first].T[:, :, None, None]
+    bound_first = bound[:, :first].T[:, :, None, None]
     found: list[tuple[np.ndarray, ...]] = []
-    for block in subset_blocks(m, n, count):
-        ranks = cofactor_ranks(block, m)
-        det = (u[block[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]  # along the first row
-        keep = np.abs(det) > _DET_TOL
-        block, det, ranks = block[keep], det[keep], ranks[keep]
-        # one row per (body, subset), by body: entry (j, i) of X_S is c_(S without s_i)[j] (-1)^i t_(s_i) / det U_S
-        x = cofactors[np.broadcast_to(ranks[None, :, None, :], (count, len(block), 1, n)), np.arange(n)[:, None]]
-        x *= (_ALTERNATING[:n] * t[:, block] / det[:, None])[:, :, None, :]
-        x = x.reshape(-1, n, n)
-        rows = u_first @ x  # (K B, first, n)
-        # the row of one of the subset's own slabs is exactly t_i e_i
-        b, i = np.nonzero(block < first)
-        by_body = rows.reshape(count, len(block), first, n)
-        by_body[:, b, block[b, i]] = 0.0
-        by_body[:, b, block[b, i], i] = t[:, block[b, i]]
+    for keys, subsets, dets, columns, first_rows in blocks:
+        size = len(keys)
+        ts = t[:, subsets]  # (K, B, n)
+        # one X_S per (body, subset), by body, in C order
+        x = _scaled_inverses(columns, dets, ts).reshape(-1, n, n)
+        # the first-pass rows of X_S, by slab; those of the subset's own slabs are exactly t_i e_i
+        rows = first_rows.transpose(1, 0, 2)[:, None] * ts
         # explicit sizes: a block whose subsets are all singular is empty
-        dots = (rows.transpose(1, 0, 2) @ patterns.T).reshape(first, count, len(block), len(patterns))
-        ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0).reshape(len(x), len(patterns))
+        dots = (rows.reshape(first, count * size, n) @ patterns.T).reshape(first, count, size, len(patterns))
+        ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0).reshape(count * size, len(patterns))
+        del dots  # the block's largest temporary, freed before the survivors' slacks are formed
         row, pat = ok.nonzero()
-        body, sub = np.divmod(row, len(block))
-        # in blocks of rows, so the inverses gathered for the first-pass survivors stay small
+        body, sub = np.divmod(row, size)
+        # in blocks of rows, so the X_S gathered for the first-pass survivors stay small
         cand = np.empty((len(row), n))
         for lo in range(0, len(row), kernel.SUBSET_BLOCK):
             part = slice(lo, lo + kernel.SUBSET_BLOCK)
             cand[part] = np.einsum("rij,rj->ri", x[row[part]], patterns[pat[part]])
         dots = cand @ u.T
-        dots[np.arange(len(row))[:, None], block[sub]] = 0.0  # the subset's own slabs are tight, so they pass
+        dots[np.arange(len(row))[:, None], subsets[sub]] = 0.0  # the subset's own slabs are tight, so they pass
         slack = np.abs(dots, out=dots)[:, first:]
         # the rows come by body: each run is tested against its body's bound, with no gathered copy of it
         ends = np.searchsorted(body, np.arange(count + 1))
         good = np.concatenate([(slack[a:b] <= bound[k, first:]).all(axis=1) for k, (a, b) in enumerate(zip(ends, ends[1:]))])
         row, body, sub, pat, cand = row[good], body[good], sub[good], pat[good], cand[good]
+        own = subsets[sub]
         # one step of iterative refinement against the subset's rows u_i / t_i
-        inv, own = x[row], block[sub]
         residual = patterns[pat] - np.einsum("rij,rj->ri", u[own], cand) / t[body[:, None], own]
-        cand += np.einsum("rij,rj->ri", inv, residual)
-        found.append((body, own, patterns[pat], inv, cand, np.abs(det[sub])))
+        cand += np.einsum("rij,rj->ri", x[row], residual)
+        found.append((body, own, patterns[pat], columns[sub], cand, dets[sub], keys[sub]))
     fields = [np.concatenate(field) for field in zip(*found)]
-    if np.any(np.bincount(fields[0], minlength=count) == 0):
+    if not fields or np.any(np.bincount(fields[0], minlength=count) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")
     order = np.argsort(fields[0], kind="stable")
     return tuple(field[order] for field in fields)
 
 
-def _cones(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _cones(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """The kept vertex cones of each lexicographically perturbed body of a stack, as (bodies, subsets, h, gamma, weight).
 
     Candidates of one body (:func:`_candidates`) in canonical sign within
@@ -246,9 +394,12 @@ def _cones(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> 
     ``2 sum h^n weight / n!`` (Lawrence, "Polytope volume computation",
     Math. Comp. 57, 1991), the 2 counting each cone's mirror -x.  Each
     body's c is the column of :func:`_direction_table` with the least
-    estimated rounding error of its sum.
+    estimated rounding error of its sum, of which the plan supplies the half
+    that does not depend on t (:meth:`_SlabPlan.cone_terms`); gamma is then
+    read from ``X_S^T c / t_S``, one product with the table per body.
     """
-    body, sub, pat, inv, pts, dets = candidates
+    body, sub, pat, columns, pts, dets, keys = candidates
+    u = plan.directions
     m, n = u.shape
     s = _scales(t)[body]
     tb = t[body]
@@ -261,27 +412,27 @@ def _cones(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> 
     tied[np.arange(len(pts))[:, None], sub] = False
     k, j = np.nonzero(tied)
     tsub = t[body[:, None], sub]
-    a = (np.einsum("rij,ri->rj", inv[k], u[j]) / tsub[k]) * pat[k] * np.sign(dots[k, j])[:, None]
+    a = (np.einsum("rij,ri->rj", _scaled_inverses(columns[k], dets[k], tsub[k]), u[j]) / tsub[k]) * pat[k] * np.sign(dots[k, j])[:, None]
     lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
     last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
     ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
-    body, sub, pat, inv, pts, dets, tsub = body[ok], sub[ok], pat[ok], inv[ok], pts[ok], dets[ok], tsub[ok]
-    # c is chosen over one body's run of rows at a time, so the temporaries
-    # over the table's columns never hold more than one body's cones
+    body, sub, pat, columns, pts, dets, keys, tsub = (field[ok] for field in (body, sub, pat, columns, pts, dets, keys, tsub))
+    inv = _scaled_inverses(columns, dets, tsub)
+    (cond, scale), at = plan.cone_terms(keys, columns, dets)
     table = _direction_table(n)
     ends = np.searchsorted(body, np.arange(len(t) + 1))
+    hc = pts @ table
+    size = np.abs(hc)
+    # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
+    # |U_S^-1 e_i| / |gamma_i| from each gamma_i (the table's columns are unit vectors)
+    error = size**n * scale[at] * (n * np.linalg.norm(pts, axis=1)[:, None] / size + cond[at])
+    # over one body's run of rows at a time, so the products of X_S with the
+    # table never hold more than one body's cones
     h, gamma = np.empty(len(pts)), np.empty((len(pts), n))
     for a, b in zip(ends[:-1], ends[1:]):
-        g = (inv[a:b].transpose(0, 2, 1).reshape(-1, n) @ table).reshape(b - a, n, _DIRECTIONS)
-        g /= tsub[a:b, :, None]
-        hc = pts[a:b] @ table
-        # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
-        # |U_S^-1 e_i| / |g_i| from each gamma_i (the table's columns are unit vectors)
-        cols = np.linalg.norm(inv[a:b], axis=1) / tsub[a:b]
-        cond = n * np.linalg.norm(pts[a:b], axis=1)[:, None] / np.abs(hc) + np.sum(cols[:, :, None] / np.abs(g), axis=1)
-        error = np.abs(hc) ** n / (dets[a:b, None] * np.abs(np.prod(g, axis=1))) * cond
-        best = np.argmin(error.sum(axis=0))
-        h[a:b], gamma[a:b] = hc[:, best], pat[a:b] * g[:, :, best]
+        best = np.argmin(error[a:b].sum(axis=0))
+        g = (inv[a:b].transpose(0, 2, 1).reshape(-1, n) @ table).reshape(b - a, n, _DIRECTIONS)[:, :, best]
+        h[a:b], gamma[a:b] = hc[a:b, best], pat[a:b] * (g / tsub[a:b])
     return body, sub, h, gamma, 1.0 / (dets * np.prod(gamma, axis=1))
 
 
@@ -319,16 +470,17 @@ def _hessians(cones: tuple[np.ndarray, ...], count: int, m: int) -> np.ndarray:
     return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m * m).reshape(count, m, m)
 
 
-def _volume_derivatives(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The volumes (K,), their gradients (K, m) and Hessians (K, m, m) in the offsets of a (K, m) stack of bodies.
 
-    One pass of vertex cones over the stack; the gradient is twice each
-    slab's facet measure.  The directions are taken as checked and the
-    offsets as positive.  Each body's values are the same bits inside a
-    stack as alone.
+    One pass of vertex cones over the stack, over the directions of `plan`;
+    the gradient is twice each slab's facet measure.  The directions are
+    taken as checked and the offsets as positive.  Each body's values are
+    the same bits inside a stack as alone, and the same whether the plan
+    was used before or not.
     """
     count, m = t.shape
-    cones = _cones(u, t, _candidates(u, t))
+    cones = _cones(plan, t, _candidates(plan, t))
     return _volumes(cones, count), 2.0 * _facet_measures(cones, count, m), _hessians(cones, count, m)
 
 
@@ -396,9 +548,14 @@ class SymmetricHPolytope:
     # -- membership / support --------------------------------------------
 
     def contains(self, points: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
-        """Boolean mask: which of the given points satisfy every slab constraint."""
+        """Boolean mask: which of the given points satisfy every slab constraint.
+
+        `tol` is given at unit scale and multiplied by the body's scale
+        (:attr:`_scale`), so the decision does not change when the body and
+        the points are scaled together.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all(np.abs(pts @ self._directions.T) <= self._offsets + tol, axis=1)
+        return np.all(np.abs(pts @ self._directions.T) <= self._offsets + tol * self._scale, axis=1)
 
     def support(self, theta: np.ndarray) -> float:
         """Support function ``max_{x in P} <x, theta>`` (via the vertex set)."""
@@ -409,7 +566,7 @@ class SymmetricHPolytope:
     @cached_property
     def _candidates(self) -> tuple[np.ndarray, ...]:
         """The feasible (subset, sign pattern) pairs of this body alone (:func:`_candidates`)."""
-        return _candidates(self._directions, self._offsets[None])
+        return _candidates(_SlabPlan(self._directions), self._offsets[None])
 
     @cached_property
     def vertices(self) -> VertexSet:
@@ -431,7 +588,7 @@ class SymmetricHPolytope:
     @cached_property
     def _cones(self) -> tuple[np.ndarray, ...]:
         """The kept vertex cones of this body alone (:func:`_cones`)."""
-        return _cones(self._directions, self._offsets[None], self._candidates)
+        return _cones(_SlabPlan(self._directions), self._offsets[None], self._candidates)
 
     @cached_property
     def _slab_measures(self) -> np.ndarray:

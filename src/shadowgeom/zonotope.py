@@ -266,8 +266,8 @@ def dominance_volume_bound(body: SymmetricHPolytope, z: Zonotope, shadows_of_d: 
     returned is the smaller of the two corresponding closed forms.  C is an
     intersection of slabs and Z is symmetric, so Z lies in C exactly when
     ``h_Z(u_i) = sum_j |<u_i, w_j>| <= t_i`` on every slab i; that is
-    checked with the absolute tolerance of :meth:`SymmetricHPolytope.contains`.
-    The closed forms need n >= 2.
+    checked with the tolerance of :meth:`SymmetricHPolytope.contains`,
+    ``FEASIBILITY_TOL`` times the scale of C.  The closed forms need n >= 2.
     """
     if body.dim != z.dim:
         raise ValueError("dimension mismatch")
@@ -279,7 +279,7 @@ def dominance_volume_bound(body: SymmetricHPolytope, z: Zonotope, shadows_of_d: 
     if np.any(s < 0.0):
         raise ValueError("shadow values must be nonnegative")
     n = body.dim
-    if not np.all(z.supports(body.directions) <= body.offsets + FEASIBILITY_TOL):
+    if not np.all(z.supports(body.directions) <= body.offsets + FEASIBILITY_TOL * body._scale):
         raise ValueError("containment check failed: the support of Z exceeds the offset of a slab of C")
     zvol = z.volume
     if zvol <= 0.0:

@@ -135,9 +135,9 @@ class TestDiagnostics:
     def test_per_start_counters(self, monkeypatch):
         rounds = []
 
-        def counted(u, t):
+        def counted(plan, t):
             rounds.append(len(t))
-            return _volume_derivatives(u, t)
+            return _volume_derivatives(plan, t)
 
         monkeypatch.setattr(family, "_volume_derivatives", counted)
         details = maximize_volume_details(random_spec(4200), starts=4, rng=RandomSource(4201))

@@ -23,13 +23,14 @@ from oracles import (
 )
 from shadowgeom import family, kernel, polytope
 from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, maximize_volume_details
-from shadowgeom.kernel import CapacityError, RandomSource, cofactor_ranks, cofactor_table, random_orthogonal, sample_unit_sphere
+from shadowgeom.kernel import CapacityError, RandomSource, canonical_signs, cofactor_ranks, cofactor_table, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
     _DET_TOL,
     _TIE_TOL,
     FEASIBILITY_TOL,
     SymmetricHPolytope,
     _candidates,
+    _SlabPlan,
     _volume_derivatives,
     cauchy_surface_check,
     random_symmetric_polytope,
@@ -400,7 +401,7 @@ class TestFacets:
         lu = np.linalg.det(u[subsets])
         laplace = np.sum(u[subsets[:, 0]] * cofactor_table(u)[cofactor_ranks(subsets, 4)[:, 0]], axis=1)
         assert np.abs(laplace - lu).max() <= 1e-15
-        _, kept, _, _, _, dets = _candidates(u, body.offsets[None])
+        _, kept, _, _, _, dets, _ = _candidates(_SlabPlan(u), body.offsets[None])
         assert np.abs(dets - np.abs(np.linalg.det(u[kept]))).max() <= 1e-15
         formed = {tuple(s) for s in kept.tolist()}
         assert formed <= {tuple(s) for s in subsets[np.abs(lu) > _DET_TOL].tolist()}
@@ -532,10 +533,10 @@ class TestVolumeHessian:
         assert np.abs(hess[2]).sum() > 0.0 and np.abs(hess[4]).sum() > 0.0
 
 
-def assert_stack_is_its_bodies_alone(u: np.ndarray, t: np.ndarray) -> None:
-    volumes, grads, hessians = _volume_derivatives(u, t)
+def assert_stack_is_its_bodies_alone(u: np.ndarray, t: np.ndarray, plan: _SlabPlan | None = None) -> None:
+    volumes, grads, hessians = _volume_derivatives(plan or _SlabPlan(u), t)
     for k in range(len(t)):
-        (volume,), (grad,), (hess,) = _volume_derivatives(u, t[k : k + 1])
+        (volume,), (grad,), (hess,) = _volume_derivatives(_SlabPlan(u), t[k : k + 1])
         assert volume == volumes[k] and np.array_equal(grad, grads[k]) and np.array_equal(hess, hessians[k])
         body = SymmetricHPolytope(u, t[k])
         assert body.volume == volume and np.array_equal(body.volume_hessian, hess)
@@ -553,16 +554,87 @@ class TestStackedBodies:
     def test_family_trial_points_are_the_same_bits_as_alone(self, monkeypatch):
         stacks = []
 
-        def recorded(u, t):
-            stacks.append((u, t.copy()))
-            return _volume_derivatives(u, t)
+        def recorded(plan, t):
+            stacks.append((plan, t.copy()))
+            return _volume_derivatives(plan, t)
 
         monkeypatch.setattr(family, "_volume_derivatives", recorded)
         u = sample_unit_sphere(4, RandomSource(642), count=8)
         maximize_volume_details(SlabFamilySpec(u, np.full(8, 1.0 / 8.0)), rng=RandomSource(643))
         assert len(stacks[0][1]) == 5
-        for u, t in stacks[::3]:
-            assert_stack_is_its_bodies_alone(u, t)
+        for plan, t in stacks[::3]:
+            assert_stack_is_its_bodies_alone(plan.directions, t, plan)
+
+
+class TestSlabPlan:
+    @pytest.mark.parametrize("n, m", [(3, 6), (4, 8), (5, 10)])
+    def test_a_solve_that_reuses_its_plan_is_the_same_bits_as_one_that_rebuilds_it(self, monkeypatch, n, m):
+        spec = SlabFamilySpec(sample_unit_sphere(n, RandomSource(660 + n), count=m), np.full(m, 1.0 / m))
+        reused = maximize_volume_details(spec, rng=RandomSource(661))
+        monkeypatch.setattr(family, "_volume_derivatives", lambda plan, t: _volume_derivatives(_SlabPlan(plan.directions), t))
+        rebuilt = maximize_volume_details(spec, rng=RandomSource(661))
+        assert rebuilt.start_offsets == reused.start_offsets and rebuilt.start_volumes == reused.start_volumes
+        assert rebuilt.start_volume_evals == reused.start_volume_evals
+
+    def test_a_stored_plan_is_read_only(self, monkeypatch):
+        plans = []
+
+        def recorded(plan, t):
+            plans.append(plan)
+            return _volume_derivatives(plan, t)
+
+        monkeypatch.setattr(family, "_volume_derivatives", recorded)
+        u = sample_unit_sphere(4, RandomSource(662), count=8)
+        maximize_volume_details(SlabFamilySpec(u, np.full(8, 1.0 / 8.0)), rng=RandomSource(663))
+        plan = plans[0]
+        assert plan.stored and all(p is plan for p in plans)
+        for array in [*plan._block, plan._slots, *plan._terms, *next(plan.blocks(5))]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # the rounds left the offset-free half as built, and computed each kept subset's cone terms once
+        fresh = _SlabPlan(u)
+        next(fresh.blocks(1))
+        assert all(np.array_equal(a, b) for a, b in zip(plan._block, fresh._block))
+        assert len(plan._terms[0]) == np.count_nonzero(plan._slots >= 0) > 0
+
+
+def chained_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """The partition of ``polytope._cluster_labels`` from its per-coordinate chains alone, with no early exit."""
+    ids = np.empty((len(points), points.shape[1] + 1), dtype=np.intp)
+    ids[:, 0] = body
+    for d in range(points.shape[1]):
+        order = np.lexsort((points[:, d], body))
+        ids[order, d + 1] = np.cumsum(np.diff(points[order, d], prepend=-np.inf) > tol[order])
+    return np.unique(ids, axis=0, return_inverse=True)[1].ravel()
+
+
+def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    return len(set(zip(a.tolist(), b.tolist()))) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def cluster_inputs(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows that ``_cones`` clusters for the stack `t`: candidates in canonical sign, with their tolerances."""
+    body, _, _, _, pts, _, _ = _candidates(_SlabPlan(u), t)
+    s = polytope._scales(t)[body]
+    return body, pts * canonical_signs(pts, 1e-9 * s[:, None])[:, None], _TIE_TOL * s
+
+
+class TestClusterLabels:
+    @pytest.mark.parametrize("index", range(len(degenerate_bodies())))
+    def test_partition_is_that_of_the_chains_on_degenerate_bodies(self, index):
+        body = degenerate_bodies()[index]
+        # alone, and stacked with itself and a dilate
+        for t in (body.offsets[None], body.offsets * np.array([[1.0], [1.0], [1.5]])):
+            rows = cluster_inputs(body.directions, t)
+            assert same_partition(polytope._cluster_labels(*rows), chained_labels(*rows))
+
+    def test_generic_rows_are_singletons_in_a_stack(self):
+        # a change of body separates two rows, so the first coordinate alone separates a stack of generic bodies
+        body = random_symmetric_polytope(4, 9, RandomSource(664))
+        rows = cluster_inputs(body.directions, body.offsets * np.array([[1.0], [1.0], [1.2]]))
+        labels = polytope._cluster_labels(*rows)
+        assert np.array_equal(labels, np.arange(len(labels))) and same_partition(labels, chained_labels(*rows))
 
 
 def prism_directions(n: int, m: int, src: RandomSource) -> np.ndarray:
@@ -589,13 +661,15 @@ class TestSingularSubsetBlocks:
         assert_stack_is_its_bodies_alone(u, t)
 
     def test_family_solve_over_singular_blocks(self, monkeypatch):
-        # five starts split the C(16, 4) = 1820 subsets into blocks of 819; only the first holds slab 0
+        # of the C(16, 4) = 1820 subsets only the first C(15, 3) = 455, which hold slab 0, are nonsingular: the
+        # stored plan keeps those, and past SUBSET_BLOCK = 1000 the plan streams blocks of 200, most all singular
         spec = SlabFamilySpec(prism_directions(4, 16, RandomSource(652)), np.full(16, 1.0 / 16.0))
         details = maximize_volume_details(spec, rng=RandomSource(653))
         assert details.converged
-        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 1 << 20)
-        whole = maximize_volume_details(spec, rng=RandomSource(653))
-        assert whole.volume == details.volume and np.array_equal(whole.offsets, details.offsets)
+        for size in (1000, 1 << 20):
+            monkeypatch.setattr(kernel, "SUBSET_BLOCK", size)
+            other = maximize_volume_details(spec, rng=RandomSource(653))
+            assert other.volume == details.volume and np.array_equal(other.offsets, details.offsets)
 
 
 class TestMemory:
@@ -611,6 +685,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= ceiling_mb * 1e6
+
+    def test_lockstep_round_at_the_largest_stored_plan(self):
+        # C(14, 7) = 3432 subsets, the most that SUBSET_BLOCK lets a plan keep at the largest n: building the plan
+        # and one round of five starts peak below the 26.2 MB of that round when every round built its own blocks
+        u = sample_unit_sphere(7, RandomSource(7), count=14)
+        t = RandomSource(8).generator().uniform(0.5, 1.5, size=(5, 14))
+        tracemalloc.start()
+        try:
+            plan = _SlabPlan(u)
+            _volume_derivatives(plan, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.stored and not _SlabPlan(np.vstack([u, u[:1]])).stored
+        assert peak <= 26.2e6
 
 
 class TestTransforms:
@@ -657,6 +746,22 @@ class TestTransforms:
         assert body.support(np.array([1.0, 1.0, 1.0])) == pytest.approx(3.0, rel=1e-12)
         inside = body.contains(np.array([[0.5, 0.5, 0.5], [1.5, 0.0, 0.0]]))
         assert inside.tolist() == [True, False]
+
+    def test_contains_a_small_body(self):
+        # the corner of five times the cube of half-width 1e-10 is outside it
+        body = SymmetricHPolytope(np.eye(3), np.full(3, 1e-10))
+        assert body.contains(np.array([[5e-10, 5e-10, 5e-10], [1e-10, -1e-10, 0.0]])).tolist() == [False, True]
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_contains_agrees_at_every_scale(self, s):
+        # points on the boundary, 1e-10 relative inside the tolerance and 1e-7 relative past it
+        body = random_symmetric_polytope(3, 7, RandomSource(47))
+        verts = body.vertices.points
+        points = np.vstack([verts, verts * (1.0 + 1e-10), verts * (1.0 + 1e-7), 0.5 * verts])
+        expected = body.contains(points)
+        assert expected.tolist() == ([True] * (2 * len(verts)) + [False] * len(verts) + [True] * len(verts))
+        scaled = SymmetricHPolytope(body.directions, s * body.offsets)
+        assert np.array_equal(scaled.contains(s * points), expected)
 
 
 class TestShadowProperties:

@@ -337,6 +337,23 @@ class TestDominanceBound:
         with pytest.raises(ValueError, match="containment"):
             dominance_volume_bound(body, z, np.array([2.0, 2.0]))
 
+    def test_small_body_containment_is_checked_at_its_scale(self):
+        # Z is five times C along every axis; an absolute tolerance of 1e-9 would pass it
+        body = SymmetricHPolytope(np.eye(3), np.full(3, 1e-10))
+        z = Zonotope(5e-10 * np.eye(3))
+        with pytest.raises(ValueError, match="containment"):
+            dominance_volume_bound(body, z, body.shadow_areas(np.eye(3)))
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_containment_decision_is_scale_free(self, s):
+        body, z = self.touching_zonotope()
+        inside = Zonotope(s * z.generators * (1.0 - 1e-10))
+        outside = Zonotope(s * z.generators * (1.0 + 1e-7))
+        scaled = SymmetricHPolytope(body.directions, s * body.offsets)
+        assert dominance_volume_bound(scaled, inside, scaled.shadow_areas(inside.unit_directions)) > 0.0
+        with pytest.raises(ValueError, match="containment"):
+            dominance_volume_bound(scaled, outside, scaled.shadow_areas(outside.unit_directions))
+
     def test_dimension_one_is_refused(self):
         # the bound's exponents n/(n-1) and 1/(n-1) have no value at n = 1
         body = SymmetricHPolytope([[1.0]], [2.0])
