@@ -55,8 +55,13 @@ MAX_DIM = 7
 #: Rows per block, and the most subsets a slab plan keeps between evaluations.  At n = 6, m = 16 the
 #: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its
 #: survivors' slacks on the other slabs (1.9 MB), its cofactor columns, its X_S and those gathered for
-#: its survivors (1.2 MB each) and its first-pass rows (0.8 MB).  One volume's traced peak is 11.5 MB.
+#: its survivors (1.2 MB each) and its first-pass rows (0.8 MB).  One volume's traced peak is 11.5 MB
+#: when it builds the shape's index plan, and 11.0-11.2 MB once the plan is cached.
 SUBSET_BLOCK = 4096
+#: The most k-subsets whose index plan (:func:`_index_plan`) is cached: C(16, 6), the largest shape a
+#: workload of the benchmark measures.  The plans of every shape up to it take 1.4 MB together; at
+#: (24, 7) one plan would take 12 MB as stored and 39 MB as intp, so larger shapes stream.
+INDEX_PLAN_SUBSETS = math.comb(16, 6)
 
 #: (-1)^k for k < MAX_DIM, the signs of a cofactor vector and of the adjugate's columns
 _ALTERNATING = (-1.0) ** np.arange(MAX_DIM)
@@ -68,18 +73,45 @@ def check_capacity(m: int, n: int) -> None:
         raise CapacityError(f"subset enumeration guard exceeded: m={m} (max {MAX_ROWS}), n={n} (max {MAX_DIM})")
 
 
-def subset_blocks(m: int, k: int, stack: int = 1) -> Iterator[np.ndarray]:
+def subset_blocks(m: int, k: int, stack: int = 1, *, ranked: bool = False) -> Iterator:
     """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK // stack`` rows at a time.
 
-    Peak memory is one block for each of the `stack` bodies that share it,
-    whatever C(m, k) is.  The capacity guard is applied at the call, before
-    any block is built.
+    With `ranked`, each block comes as ``(rows, cofactor_ranks(rows, m))``.
+    A shape of at most ``INDEX_PLAN_SUBSETS`` subsets is sliced
+    from its cached :func:`_index_plan`, each block widened to ``intp``;
+    a larger one streams from ``itertools``, so that peak memory is one
+    block for each of the `stack` bodies that share it, whatever C(m, k)
+    is.  The block size is read at the call, and the capacity guard is
+    applied there, before any block or plan is built.
     """
     check_capacity(m, k)
+    size = max(1, SUBSET_BLOCK // stack)
+    if math.comb(m, k) <= INDEX_PLAN_SUBSETS:
+        rows, ranks = _index_plan(m, k)
+        parts = (slice(lo, lo + size) for lo in range(0, len(rows), size))
+        if ranked:
+            return ((rows[part].astype(np.intp), ranks[part].astype(np.intp)) for part in parts)
+        return (rows[part].astype(np.intp) for part in parts)
     combos = itertools.combinations(range(m), k)
-    rows = max(1, SUBSET_BLOCK // stack)
-    blocks = (np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)), dtype=np.intp) for _ in itertools.count())
-    return (block.reshape(-1, k) for block in itertools.takewhile(len, blocks))
+    flat = (np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, size)), dtype=np.intp) for _ in itertools.count())
+    blocks = (block.reshape(-1, k) for block in itertools.takewhile(len, flat))
+    return ((block, cofactor_ranks(block, m)) for block in blocks) if ranked else blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _index_plan(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-subsets of ``range(m)`` as rows in lexicographic order, and their :func:`cofactor_ranks`; read-only.
+
+    Both depend on the shape alone, and are stored in the smallest unsigned
+    types that hold them (one byte per entry of the rows, and at most two
+    per rank at the shapes :func:`subset_blocks` caches).
+    """
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+    rows = np.fromiter(flat, dtype=np.min_scalar_type(m), count=math.comb(m, k) * k).reshape(-1, k)
+    ranks = cofactor_ranks(rows, m).astype(np.min_scalar_type(math.comb(m, k - 1)))
+    rows.setflags(write=False)
+    ranks.setflags(write=False)
+    return rows, ranks
 
 
 @functools.lru_cache(maxsize=None)

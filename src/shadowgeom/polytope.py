@@ -38,18 +38,19 @@ rejects ``m > 24`` slabs or dimension ``n > 7``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
 from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_slab_directions
-from .kernel import cofactor_ranks, cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
+from .kernel import cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
 
 __all__ = [
     "FacetData",
@@ -197,20 +198,22 @@ def _scaled_inverses(columns: np.ndarray, dets: np.ndarray, ts) -> np.ndarray:
     return columns * ((_ALTERNATING[:n] * ts) / dets[:, None])[..., None, :]
 
 
-def _subset_block(u: np.ndarray, cofactors: np.ndarray, subsets: np.ndarray, offset: int) -> _SubsetBlock:
-    """The nonsingular subsets among `subsets` (ranks from `offset` on) with their determinants and cofactor columns.
+def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray], offset: int) -> _SubsetBlock:
+    """The nonsingular subsets of a block of :func:`subset_blocks` (keys from `offset` on) with their determinants and cofactor columns.
 
     No subset is factorised: from the cofactor table of the (n-1)-subsets
-    (:func:`cofactor_table`), ``det U_S = <u_(s_0), c_(S without s_0)>`` and
-    column i of the adjugate of U_S is ``(-1)^i c_(S without s_i)``.
-    Subsets with ``|det U_S| <= _DET_TOL`` are left out.
+    (:func:`cofactor_table`) and the block's ranks of each ``S without s_i``
+    in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and column i of the
+    adjugate of U_S is ``(-1)^i c_(S without s_i)``.  Subsets with
+    ``|det U_S| <= _DET_TOL`` are left out.
     """
-    m, n = u.shape
-    ranks = cofactor_ranks(subsets, m)
+    m = len(u)
+    subsets, ranks = block
     det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]  # along the first row
     keep = np.abs(det) > _DET_TOL
     subsets, det, ranks = subsets[keep], det[keep], ranks[keep]
-    columns = cofactors[ranks[:, None, :], np.arange(n)[:, None]]
+    # one row take, then the columns in C order: with transposed strides a stacked body rounds differently
+    columns = np.ascontiguousarray(np.take(cofactors, ranks, axis=0).transpose(0, 2, 1))
     columns *= np.sign(det)[:, None, None]
     dets = np.abs(det)
     first = min(m, _FIRST_PASS_SLABS)
@@ -283,9 +286,10 @@ class _SlabPlan:
         if self._block is None:
             cofactors = cofactor_table(u)  # first: it applies the capacity guard
             if not self.stored:
-                return (_subset_block(u, cofactors, subsets, k * rows) for k, subsets in enumerate(subset_blocks(m, n, stack)))
-            (subsets,) = subset_blocks(m, n)
-            self._block = _subset_block(u, cofactors, subsets, 0)
+                # by map, so that no block's index rows outlive the call that reads them
+                return map(partial(_subset_block, u, cofactors), subset_blocks(m, n, stack, ranked=True), itertools.count(0, rows))
+            (block,) = subset_blocks(m, n, ranked=True)
+            self._block = _subset_block(u, cofactors, block, 0)
             _read_only(*self._block)
         return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
 

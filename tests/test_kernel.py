@@ -125,6 +125,95 @@ class TestSubsetBlocks:
         assert np.array_equal(small_shadows, shadows)
 
 
+def streamed(monkeypatch) -> None:
+    """Make every shape stream its subsets from itertools, as those over the bound do."""
+    monkeypatch.setattr(kernel, "INDEX_PLAN_SUBSETS", 0)
+
+
+class TestIndexPlans:
+    def test_rows_and_ranks_of_every_cached_shape(self):
+        # every (m, k), k >= 1, inside the guard whose plan is cached, m < k included
+        shapes = [(m, k) for k in range(1, kernel.MAX_DIM + 1) for m in range(kernel.MAX_ROWS + 1)]
+        for m, k in (shape for shape in shapes if math.comb(*shape) <= kernel.INDEX_PLAN_SUBSETS):
+            rows, ranks = kernel._index_plan(m, k)
+            ref = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
+            assert rows.dtype.itemsize == 1 and ranks.dtype.itemsize <= 2
+            assert rows.shape == ref.shape and np.array_equal(rows, ref)
+            assert np.array_equal(ranks, cofactor_ranks(ref, m))
+        assert len(kernel._index_plan(3, 5)[0]) == 0 and kernel._index_plan(5, 1)[1].tolist() == [[0]] * 5
+
+    def test_plans_are_read_only(self):
+        for array in kernel._index_plan(9, 4):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_a_shape_over_the_bound_is_not_cached(self, ranked):
+        assert math.comb(17, 6) > kernel.INDEX_PLAN_SUBSETS
+        before = kernel._index_plan.cache_info().currsize
+        blocks = list(subset_blocks(17, 6, ranked=ranked))
+        assert kernel._index_plan.cache_info().currsize == before
+        rows = np.vstack([b[0] for b in blocks] if ranked else blocks)
+        assert len(rows) == math.comb(17, 6) and rows.dtype == np.intp
+
+    @pytest.mark.parametrize("m, k", [(25, 3), (10, 8), (25, 1)])
+    def test_guard_raises_before_any_plan(self, m, k):
+        kernel._index_plan.cache_clear()
+        for ranked in (False, True):
+            with pytest.raises(CapacityError, match="subset enumeration guard exceeded"):
+                subset_blocks(m, k, ranked=ranked)
+        assert kernel._index_plan.cache_info().currsize == 0
+
+    def test_blocks_are_the_same_streamed_cold_and_warm(self, monkeypatch):
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
+
+        def blocks():
+            return [[np.concatenate(b, axis=1) if ranked else b for b in subset_blocks(m, k, stack, ranked=ranked)]
+                    for m, k, stack in [(9, 4, 1), (9, 4, 3), (5, 2, 8), (16, 6, 1)] for ranked in (False, True)]
+
+        kernel._index_plan.cache_clear()
+        cold, warm = blocks(), blocks()
+        with monkeypatch.context() as patch:
+            streamed(patch)
+            ref = blocks()
+        for a, b, c in zip(cold, warm, ref):
+            assert [x.dtype for x in a] == [x.dtype for x in c] == [np.intp] * len(c)
+            assert all(np.array_equal(x, y) and np.array_equal(x, z) for x, y, z in zip(a, b, c, strict=True))
+
+    def test_results_are_bit_identical_streamed_cold_and_warm(self, monkeypatch):
+        # C(16, 6) = 8008 vertex subsets in blocks of 7: the body's plan streams, and so does every block of rows
+        body = random_symmetric_polytope(6, 16, RandomSource(13))
+
+        def run():
+            fresh = SymmetricHPolytope(body.directions, body.offsets)
+            zono = projection_body(fresh)
+            return fresh.vertices.points, zono.volume, zonotope_facet_normals(zono), zono.shadow_areas(zono.unit_directions)
+
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
+        kernel._index_plan.cache_clear()
+        cold, warm = run(), run()
+        streamed(monkeypatch)
+        ref = run()
+        for a, b, c in zip(cold, warm, ref, strict=True):
+            assert np.array_equal(a, c) and np.array_equal(b, c)
+
+    def test_the_workloads_cache_at_most_a_megabyte(self):
+        # every (n, m) of the benchmark's measure and position workloads, through both sides of the zonotope volume
+        shapes = {(n, m) for n in (3, 4, 5, 6) for m in range(n + 2, min(16, 2 * n + 4) + 1)}
+        shapes |= {(n, m) for n in (4, 5, 6) for m in range(n + 3, 15)}
+        kernel._index_plan.cache_clear()
+        for n, m in sorted(shapes):
+            body = random_symmetric_polytope(n, m, RandomSource(10 * n + m))
+            body.volume, projection_body(body).volume
+        assert kernel._index_plan.cache_info().currsize >= len(shapes)
+        # a projection body drops the slabs without a facet, so the runs cached shapes among these only
+        fewer = {(rows, n) for n, m in shapes for rows in range(n, m + 1)}
+        total = sum(array.nbytes for m, n in fewer for array in kernel._index_plan(m, n))
+        assert kernel._index_plan.cache_info().currsize == len(fewer)
+        assert total <= 1e6
+
+
 def unit_rows(m: int, n: int, seed: int) -> np.ndarray:
     """m random unit rows of width n (none when m = 0)."""
     return sample_unit_sphere(n, RandomSource(seed), count=max(m, 1))[:m]

@@ -598,6 +598,21 @@ class TestSlabPlan:
         assert all(np.array_equal(a, b) for a, b in zip(plan._block, fresh._block))
         assert len(plan._terms[0]) == np.count_nonzero(plan._slots >= 0) > 0
 
+    @pytest.mark.parametrize("n, m", [(3, 7), (4, 9), (6, 16)])
+    def test_columns_are_the_two_array_gather_in_c_order(self, n, m):
+        u = sample_unit_sphere(n, RandomSource(664 + n), count=m)
+        u[-1] = u[0]  # so some subsets are singular and left out
+        cofactors = cofactor_table(u)
+        size, singular = kernel.SUBSET_BLOCK, 0
+        for k, (subsets, ranks) in enumerate(kernel.subset_blocks(m, n, ranked=True)):
+            block = polytope._subset_block(u, cofactors, (subsets, ranks), k * size)
+            det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]
+            kept = block.keys - k * size
+            singular += len(subsets) - len(kept)
+            ref = cofactors[ranks[kept][:, None, :], np.arange(n)[:, None]] * np.sign(det[kept])[:, None, None]
+            assert block.columns.flags.c_contiguous and np.array_equal(block.columns, ref)
+        assert singular == math.comb(m - 2, n - 2)
+
 
 def chained_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """The partition of ``polytope._cluster_labels`` from its per-coordinate chains alone, with no early exit."""
