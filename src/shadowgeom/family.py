@@ -128,7 +128,6 @@ def _volume_gradient(body: SymmetricHPolytope, weights: np.ndarray) -> np.ndarra
     of them; it is split among them in proportion to their budget weights,
     the split under which the maximizer is stationary.
     """
-    body.facets  # first, so that the cones are formed within the build of the facets
     grad = 2.0 * body._slab_measures
     u, t = body.directions, body.offsets
     tied = (np.abs(u @ u.T) >= 1.0 - _COINCIDENCE_TOL) & (np.abs(t[:, None] - t) <= FEASIBILITY_TOL * body._scale)

@@ -25,9 +25,10 @@ halves:
 A lone body builds its plan and streams its blocks of subsets once; the
 family solver builds one plan per slab family and evaluates the stacked
 offsets of all its live starts over it in every round, each body getting
-the bits it gets alone.  A facet's owners are the signed slabs tight on all
-its vertices, and the shadow area in direction theta is
-``0.5 * sum |<theta, n_F>| * |F|``.
+the bits it gets alone.  Every measure comes from the cones: a shadow is
+Cauchy's ``0.5 * sum |<theta, n_F>| * |F|`` over two facets F, -F of normal
+``+-u_j`` per slab.  The merged vertex set and the facet record (a facet's
+owners are the signed slabs tight on all its vertices) are built on request.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
 are given at unit scale and scaled with the body (see ``_scale``), and so is
@@ -604,44 +605,50 @@ class SymmetricHPolytope:
     # -- facet fan ---------------------------------------------------------
 
     @cached_property
-    def facets(self) -> Facets:
-        """Geometric facets with their (n-1)-measures, as one record of arrays.
+    def _facet_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The facets from the vertex cones alone, as (slab, outward unit normal, (n-1)-measure) rows.
 
-        Slab j's facet measures ``sum h^(n-1) gamma_j weight / (n-1)!`` over
-        the kept vertex cones whose subset holds j (:attr:`_slab_measures`),
-        half the volume's derivative in t_j.  Facets below 1e-12 at unit
-        scale are omitted.  A facet's vertices are those tight on its slab's
-        hyperplane, and its owners the signed slabs tight on all of them, all
-        within ``FEASIBILITY_TOL * scale``.
+        Two rows per slab whose measure (:attr:`_slab_measures`) is at least 1e-12
+        at unit scale, F on its positive side, then -F, by slab; the rows of :attr:`facets`.
         """
-        verts = self.vertices.points
-        u, t, s = self._directions, self._offsets, self._scale
-        m, n = u.shape
         slab_measures = self._slab_measures
+        slabs = np.flatnonzero(slab_measures >= MEASURE_FLOOR * self._scale ** (self.dim - 1))
+        first, side = np.repeat(slabs, 2), np.tile(np.array([1, -1], dtype=np.int8), len(slabs))
+        rows = (first, side[:, None] * self._directions[first], slab_measures[first])
+        _read_only(*rows)
+        return rows
+
+    @cached_property
+    def facets(self) -> Facets:
+        """Geometric facets with their (n-1)-measures, as one record of arrays, built only on request.
+
+        The normals and measures are :attr:`_facet_rows`; the record adds
+        what needs the vertex set.  A facet's vertices are those tight on
+        its slab's hyperplane, and its owners the signed slabs tight on all
+        of them, all within ``FEASIBILITY_TOL * scale``.
+        """
+        first, normals, measures = self._facet_rows
+        verts = self.vertices.points
+        u, t, s, m = self._directions, self._offsets, self._scale, self.num_slabs
         dots = verts @ u.T
         tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL * s, np.abs(dots + t) <= FEASIBILITY_TOL * s])
-        slabs = np.flatnonzero(slab_measures >= MEASURE_FLOOR * s ** (n - 1))
-        owned = ~(tight.T[slabs] @ ~tight)  # the signed slabs tight on every vertex of the facet
+        owned = ~(tight.T[first[::2]] @ ~tight)  # the signed slabs tight on every vertex of the facet
         owners = owned[:, :m].astype(np.int8) - owned[:, m:]
-        # two rows per facet, by slab: the facet on its positive side, then the mirror
-        first, side = np.repeat(slabs, 2), np.tile(np.array([1, -1], dtype=np.int8), len(slabs))
-        measures, signs = np.repeat(slab_measures[slabs], 2), side[:, None] * np.repeat(owners, 2, axis=0)
-        record = Facets(side[:, None] * u[first], t[first], measures, signs, tight.T[first + m * (side < 0)])
-        for field in vars(record).values():
-            field.setflags(write=False)
+        side = np.tile(np.array([1, -1], dtype=np.int8), len(owners))
+        record = Facets(normals, t[first], measures, side[:, None] * np.repeat(owners, 2, axis=0), tight.T[first + m * (side < 0)])
+        _read_only(*vars(record).values())
         return record
 
     # -- measures ----------------------------------------------------------
 
     @cached_property
     def volume(self) -> float:
-        """Lebesgue volume, ``2 sum h^n weight / n!`` over the vertex cones of :attr:`facets`.
+        """Lebesgue volume, ``2 sum h^n weight / n!`` over the kept vertex cones (:func:`_volumes`).
 
         This equals ``sum offset * measure / n``, but is better conditioned: a
         nearly singular cone puts large, opposite terms into the measures of
         its two nearly parallel facets.
         """
-        self.facets  # first, so that the cones are formed within the build of the facets
         return float(_volumes(self._cones, 1)[0])
 
     @cached_property
@@ -660,7 +667,8 @@ class SymmetricHPolytope:
 
     @cached_property
     def surface_area(self) -> float:
-        return float(self.facets.measures.sum())
+        """Total (n-1)-measure of the facets, summed over the rows of :attr:`_facet_rows`."""
+        return float(self._facet_rows[2].sum())
 
     def shadow_area(self, theta: np.ndarray) -> float:
         """(n-1)-volume of the orthogonal projection onto the hyperplane theta^perp."""
@@ -672,13 +680,14 @@ class SymmetricHPolytope:
         return float(self.shadow_areas(th[None, :])[0])
 
     def shadow_areas(self, thetas: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`shadow_area` over rows of unit directions."""
+        """Vectorised :meth:`shadow_area` over rows of unit directions, ``0.5 * sum |<theta, n_F>| |F|`` over :attr:`_facet_rows`."""
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
         if th.ndim != 2 or th.shape[1] != self.dim:
             raise ValueError("directions have wrong shape")
         if np.any(np.abs(np.linalg.norm(th, axis=1) - 1.0) > 1e-9):
             raise ValueError("projection directions must be unit vectors")
-        return 0.5 * (np.abs(th @ self.facets.normals.T) @ self.facets.measures)
+        _, normals, measures = self._facet_rows
+        return 0.5 * (np.abs(th @ normals.T) @ measures)
 
     # -- transforms ---------------------------------------------------------
 

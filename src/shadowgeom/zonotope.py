@@ -218,13 +218,15 @@ def zonotope_volume_floor(weighted: WeightedDirections, alphas: np.ndarray) -> V
 def projection_body(body: SymmetricHPolytope) -> Zonotope:
     """The zonotope whose support function is the shadow area of ``body``.
 
-    One generator per antipodal facet pair: the facet's (n-1)-measure times
-    its unit normal, taken with canonical sign.  Then
+    One generator per antipodal facet pair of the body's cone rows, in slab
+    order, with no vertex set or facet record built: the facet's
+    (n-1)-measure times its unit normal, taken with canonical sign.  Then
     ``support(result, theta) = shadow_area(body, theta)`` for every theta —
     the defining contract, checked in tests on sampled directions.
     """
-    keep = canonical_signs(body.facets.normals) > 0
-    return Zonotope(body.facets.measures[keep, None] * body.facets.normals[keep])
+    _, normals, measures = body._facet_rows
+    keep = canonical_signs(normals) > 0
+    return Zonotope(measures[keep, None] * normals[keep])
 
 
 def mixed_volume_vn1(body: SymmetricHPolytope | Zonotope, z: Zonotope) -> float:

@@ -22,7 +22,7 @@ from oracles import (
     shadow_area_oracle,
 )
 from shadowgeom import family, kernel, polytope
-from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, maximize_volume_details
+from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, kkt_report, maximize_volume_details, verify_projection_identity
 from shadowgeom.kernel import CapacityError, RandomSource, canonical_signs, cofactor_ranks, cofactor_table, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
     _DET_TOL,
@@ -35,6 +35,7 @@ from shadowgeom.polytope import (
     cauchy_surface_check,
     random_symmetric_polytope,
 )
+from shadowgeom.zonotope import projection_body
 
 
 def cube(n: int) -> SymmetricHPolytope:
@@ -451,7 +452,18 @@ class TestFacetMeasures:
 class TestFacetRecord:
     @pytest.mark.parametrize("body", [random_symmetric_polytope(4, 8, RandomSource(91)), coinciding_body()], ids=["random", "coinciding"])
     def test_sequence_and_arrays_agree(self, body):
+        body = SymmetricHPolytope(body.directions, body.offsets)
+        thetas = sample_unit_sphere(body.dim, RandomSource(96), count=50)
+        # read from the cone rows before the record exists
+        shadows, area, generators = body.shadow_areas(thetas), body.surface_area, projection_body(body).generators
         facets = body.facets
+        _, normals, measures = body._facet_rows
+        assert facets.normals is normals and facets.measures is measures
+        # the same bits as Cauchy's formula, the sum and the canonical-sign filter on the record's arrays
+        assert np.array_equal(shadows, 0.5 * (np.abs(thetas @ facets.normals.T) @ facets.measures))
+        assert area == float(facets.measures.sum())
+        keep = canonical_signs(facets.normals) > 0
+        assert np.array_equal(generators, facets.measures[keep, None] * facets.normals[keep])
         count, m = len(facets), body.num_slabs
         assert facets.signs.shape == (count, m) and facets.signs.dtype == np.int8
         assert facets.incidence.shape == (count, len(body.vertices)) and facets.incidence.dtype == bool
@@ -469,6 +481,24 @@ class TestFacetRecord:
             facets[count]
         with pytest.raises(IndexError):
             facets[-count - 1]
+
+    @pytest.mark.parametrize("make", [lambda: random_symmetric_polytope(4, 8, RandomSource(93)), coinciding_body, lambda: cube(3)], ids=["random", "coinciding", "cube"])
+    def test_no_measure_builds_the_vertices_or_the_facets(self, make):
+        body = make()
+        spec = SlabFamilySpec(body.directions, np.full(body.num_slabs, 1.0 / body.num_slabs))
+        body.volume, body.volume_hessian, body.surface_area
+        body.shadow_areas(sample_unit_sphere(body.dim, RandomSource(94), count=10))
+        projection_body(body)
+        kkt_report(body, spec)
+        verify_projection_identity(body, spec, sample_count=10)
+        assert "vertices" not in body.__dict__ and "facets" not in body.__dict__
+
+    def test_the_family_solver_and_its_certificates_build_neither(self):
+        spec = SlabFamilySpec(sample_unit_sphere(3, RandomSource(95), count=6), np.full(6, 1.0 / 6.0))
+        body = maximize_volume_details(spec, rng=RandomSource(95)).body
+        kkt_report(body, spec)
+        verify_projection_identity(body, spec, sample_count=10)
+        assert "vertices" not in body.__dict__ and "facets" not in body.__dict__
 
     @pytest.mark.parametrize(
         "body",

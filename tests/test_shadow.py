@@ -232,9 +232,11 @@ class TestCertificateOracle:
 
     @pytest.mark.parametrize("name", CERTIFICATE_BODIES)
     def test_fields_match_a_fresh_enumeration(self, name):
-        rep = shadow_position(CERTIFICATE_BODIES[name]())
-        # the certificate comes from the input body; the image is enumerated only on demand
-        assert "vertices" not in rep.body.__dict__
+        body = CERTIFICATE_BODIES[name]()
+        rep = shadow_position(body)
+        # the certificate comes from the cone rows of the input body; neither body is enumerated unless asked
+        for b in (body, rep.body):
+            assert "vertices" not in b.__dict__ and "facets" not in b.__dict__
         fresh = min_shadow_direction(rep.body)
         assert rep.volume == pytest.approx(rep.body.volume, rel=1e-12)
         assert rep.min_shadow == pytest.approx(fresh.value, rel=1e-12)
