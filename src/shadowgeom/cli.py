@@ -254,6 +254,8 @@ def parse_config(command: str, config_path: str | None, seed_flag: int | None) -
             raise ConfigError(f"config key {key!r} must lie in [{lo}, {hi}] for {command}, got {values[key]}")
     if "m" in schema and values["m"] < values["n"]:
         raise ConfigError(f"config key 'm' must be at least n={values['n']}, got {values['m']}")
+    if command == "verify-t3" and values["body"] is not None and values["decomposition"] is None:
+        raise ConfigError("config key 'body' needs 'decomposition' for verify-t3: the random sweep reads no body")
     return ExperimentConfig(command=command, **values)
 
 

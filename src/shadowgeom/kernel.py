@@ -6,15 +6,17 @@ seeded generators, so any computation that received the same source replays
 bit-identically.  :class:`WeightedDirections` is the one type for an
 isotropic decomposition (the MVEE's contact points included), and
 ``_read_unit_rows`` the one validator for the JSON documents that carry
-unit direction rows.  The eigensolver, the subset enumerator and cofactor
-table of polytopes and zonotopes with the one capacity guard they apply, the
-sign table, and the slab-direction check have one implementation each, here.
+unit direction rows.  The eigensolver, the sign table, the slab-direction
+check, and the subset enumerator and cofactor table of polytopes and
+zonotopes with the one capacity guard they apply have one implementation
+each, here.  Every subset index of the last two, and the rank of every
+subset without one of its elements, comes from one cached lattice of the
+k-subsets in lexicographic order, each level built from the one below.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -56,11 +58,11 @@ MAX_DIM = 7
 #: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its
 #: survivors' slacks on the other slabs (1.9 MB), its cofactor columns, its X_S and those gathered for
 #: its survivors (1.2 MB each) and its first-pass rows (0.8 MB).  One volume's traced peak is 11.5 MB
-#: when it builds the shape's index plan, and 11.0-11.2 MB once the plan is cached.
+#: when it builds the shape's lattice, and 11.0-11.2 MB once the lattice is cached.
 SUBSET_BLOCK = 4096
-#: The most k-subsets whose index plan (:func:`_index_plan`) is cached: C(16, 6), the largest shape a
-#: workload of the benchmark measures.  The plans of every shape up to it take 1.4 MB together; at
-#: (24, 7) one plan would take 12 MB as stored and 39 MB as intp, so larger shapes stream.
+#: The most k-subsets that :func:`subset_blocks` slices from the cached :func:`_lattice`: C(16, 6), the
+#: largest shape a workload of the benchmark measures.  Larger shapes build their blocks one at a time,
+#: each from the cached lattice of the (k-1)-subsets.
 INDEX_PLAN_SUBSETS = math.comb(16, 6)
 
 #: (-1)^k for k < MAX_DIM, the signs of a cofactor vector and of the adjugate's columns
@@ -74,78 +76,65 @@ def check_capacity(m: int, n: int) -> None:
 
 
 def subset_blocks(m: int, k: int, stack: int = 1, *, ranked: bool = False) -> Iterator:
-    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK // stack`` rows at a time.
+    """The k-subsets of ``range(m)`` as ``intp`` index rows in lexicographic order, ``SUBSET_BLOCK // stack`` rows at a time.
 
-    With `ranked`, each block comes as ``(rows, cofactor_ranks(rows, m))``.
-    A shape of at most ``INDEX_PLAN_SUBSETS`` subsets is sliced
-    from its cached :func:`_index_plan`, each block widened to ``intp``;
-    a larger one streams from ``itertools``, so that peak memory is one
-    block for each of the `stack` bodies that share it, whatever C(m, k)
-    is.  The block size is read at the call, and the capacity guard is
-    applied there, before any block or plan is built.
+    With `ranked`, each block comes as ``(rows, ranks)``: at ``[r, i]`` the
+    row of :func:`cofactor_table` that holds subset r without its i-th
+    element.  A shape of at most ``INDEX_PLAN_SUBSETS`` subsets is sliced
+    from its cached :func:`_lattice`; a larger one builds each block when
+    it is asked for (:func:`_extend`), so that peak memory is one block for
+    each of the `stack` bodies that share it, whatever C(m, k) is.  The
+    block size is read at the call, and the capacity guard is applied
+    there, before any block or lattice is built.
     """
     check_capacity(m, k)
     size = max(1, SUBSET_BLOCK // stack)
-    if math.comb(m, k) <= INDEX_PLAN_SUBSETS:
-        rows, ranks = _index_plan(m, k)
-        parts = (slice(lo, lo + size) for lo in range(0, len(rows), size))
-        if ranked:
-            return ((rows[part].astype(np.intp), ranks[part].astype(np.intp)) for part in parts)
-        return (rows[part].astype(np.intp) for part in parts)
-    combos = itertools.combinations(range(m), k)
-    flat = (np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, size)), dtype=np.intp) for _ in itertools.count())
-    blocks = (block.reshape(-1, k) for block in itertools.takewhile(len, flat))
-    return ((block, cofactor_ranks(block, m)) for block in blocks) if ranked else blocks
+    total = math.comb(m, k)
+    if total <= INDEX_PLAN_SUBSETS:
+        rows, ranks = _lattice(m, k)
+        parts = ((rows[lo : lo + size], ranks[lo : lo + size]) for lo in range(0, total, size))
+    else:
+        parts = (_extend(m, k, lo, min(lo + size, total)) for lo in range(0, total, size))
+    if ranked:
+        return ((rows.astype(np.intp, copy=False), ranks.astype(np.intp, copy=False)) for rows, ranks in parts)
+    return (rows.astype(np.intp, copy=False) for rows, _ in parts)
 
 
 @functools.lru_cache(maxsize=None)
-def _index_plan(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k-subsets of ``range(m)`` as rows in lexicographic order, and their :func:`cofactor_ranks`; read-only.
+def _lattice(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-subset of ``range(m)`` as a row, in lexicographic order, and its ranks as :func:`subset_blocks` gives them; read-only.
 
     Both depend on the shape alone, and are stored in the smallest unsigned
     types that hold them (one byte per entry of the rows, and at most two
-    per rank at the shapes :func:`subset_blocks` caches).
+    per rank at the shapes that :func:`subset_blocks` slices).  The one
+    0-subset is the empty row; every other lattice is built from the one
+    below it (:func:`_extend`).
     """
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
-    rows = np.fromiter(flat, dtype=np.min_scalar_type(m), count=math.comb(m, k) * k).reshape(-1, k)
-    ranks = cofactor_ranks(rows, m).astype(np.min_scalar_type(math.comb(m, k - 1)))
+    rows, ranks = _extend(m, k, 0, math.comb(m, k)) if k else (np.empty((1, 0)), np.empty((1, 0)))
+    rows, ranks = rows.astype(np.min_scalar_type(m)), ranks.astype(np.min_scalar_type(math.comb(m, max(k - 1, 0))))
     rows.setflags(write=False)
     ranks.setflags(write=False)
     return rows, ranks
 
 
-@functools.lru_cache(maxsize=None)
-def _binomials(m: int, n: int) -> np.ndarray:
-    """``C(a, b)`` at ``[a, b]`` for a <= m, b <= n, read-only."""
-    table = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(m + 1)], dtype=np.intp)
-    table.setflags(write=False)
-    return table
+def _extend(m: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``lo:hi`` of :func:`_lattice` ``(m, k)``, k >= 1, as ``intp``, from the cached lattice of the (k-1)-subsets.
 
-
-@functools.lru_cache(maxsize=None)
-def _laplace_plan(m: int, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per k = 2..n-1, how the k x k minors of (m, n) rows expand along their first row.
-
-    For the k-subsets of the rows, in lexicographic order: their first row
-    and the rank of the rest among the (k-1)-subsets.  For the k-subsets C of
-    the columns, in lexicographic order: ``C[p]`` and the index of C without
-    ``C[p]``, one column per position p.  The arrays are read-only.
+    The k-subset of rank r is its first element a over one of the last
+    C(m-1-a, k-1) (k-1)-subsets, its rest, in order.  Dropping a leaves that
+    rest; dropping the i-th element, i > 0, leaves a over the rest without
+    its (i-1)-th, whose rank is that of the rest's own smaller subset
+    shifted by a constant per a.
     """
-    binom = _binomials(m, n)
-    plans = []
-    for k in range(2, n):
-        # the k-subsets that start at row r begin at rank starts[r], and their rests are the last C(m-1-r, k-1)
-        starts = binom[m, k] - binom[m - np.arange(m + 1), k]
-        ranks = np.arange(binom[m, k])
-        first = np.searchsorted(starts, ranks, side="right") - 1
-        rests = binom[m, k - 1] - binom[m - 1 - first, k - 1] + ranks - starts[first]
-        smaller = {c: i for i, c in enumerate(itertools.combinations(range(n), k - 1))}
-        cols = list(itertools.combinations(range(n), k))
-        without = [[smaller[c[:p] + c[p + 1 :]] for p in range(k)] for c in cols]
-        plans.append((first, rests, np.array(cols, dtype=np.intp).T, np.array(without, dtype=np.intp).T))
-    for array in itertools.chain.from_iterable(plans):
-        array.setflags(write=False)
-    return tuple(plans)
+    below, below_ranks = _lattice(m, k - 1)
+    # at [a, j]: the rank of the first j-subset of range(m) whose elements are all a or more
+    starts = np.array([[math.comb(m, j) - math.comb(m - a, j) for j in range(k + 1)] for a in range(m + 1)])
+    r = np.arange(lo, hi)
+    first = np.searchsorted(starts[:, k], r, side="right") - 1
+    rest = r - starts[first, k] + starts[first + 1, k - 1]
+    # the (k-1)-subsets that start at a begin at starts[a, k-1], the (k-2)-subsets above a at starts[a+1, k-2]
+    shift = starts[first, k - 1] - starts[first + 1, max(k - 2, 0)]
+    return np.column_stack([first, below[rest]]), np.column_stack([rest, below_ranks[rest] + shift[:, None]])
 
 
 def cofactor_table(rows: np.ndarray) -> np.ndarray:
@@ -156,19 +145,22 @@ def cofactor_table(rows: np.ndarray) -> np.ndarray:
     for n rows U.  The k x k minors of all row and column k-subsets come
     from the (k-1) x (k-1) ones by Laplace expansion along their first row,
     one vectorised step per k in blocks of ``SUBSET_BLOCK`` row subsets:
-    the k-subsets that start at row r are, in lexicographic order, row r
-    over the last C(m-1-r, k-1) (k-1)-subsets.  The index plans are cached
-    per (m, n), and every entry is the same sequence of products and sums
-    whatever the block size.  At n = 1 the one (empty) subset has the
-    cofactor vector (1,); the table is empty when m < n-1.  The capacity
-    guard is applied before any plan is built.
+    the row subsets and the column subsets are read from :func:`_lattice`,
+    each with the rank of its rest and of itself without each element.
+    Every entry is the same sequence of products and sums whatever the
+    block size.  At n = 1 the one (empty) subset has the cofactor vector
+    (1,); the table is empty when m < n-1.  The capacity guard is applied
+    before any lattice is built.
     """
     w = np.asarray(rows, dtype=float)
     m, n = w.shape
     check_capacity(m, n)
     # one row per column subset, one column per row subset: the 1 x 1 minors are the entries
     minors = w.T if n > 1 else np.ones((1, 1))
-    for first, rests, cols, without in _laplace_plan(m, n):
+    for k in range(2, n):
+        subsets, ranks = _lattice(m, k)
+        first, rests = subsets[:, 0], ranks[:, 0]
+        cols, without = (array.T for array in _lattice(n, k))
         level = np.empty((cols.shape[1], len(first)))
         for lo in range(0, len(first), SUBSET_BLOCK):
             block = slice(lo, lo + SUBSET_BLOCK)
@@ -185,28 +177,6 @@ def cofactor_table(rows: np.ndarray) -> np.ndarray:
         minors = level
     # the (n-1)-subsets of the columns, in lexicographic order, leave out column n-1, n-2, ..., 0
     return (minors[::-1] * _ALTERNATING[:n, None]).T
-
-
-@functools.lru_cache(maxsize=None)
-def _rank_terms(m: int, n: int) -> np.ndarray:
-    """(m, n, n), read-only: at [a, j, i], what element a at place j of an n-subset S adds to the rank of S without its i-th element.
-
-    The lexicographic rank of a (n-1)-subset with elements b_0 < b_1 < ...
-    is ``C(m, n-1) - 1 - sum_l C(m-1-b_l, n-1-l)``; a at place j is b_j for
-    j < i and b_(j-1) for j > i, and the constant goes with place 0.
-    """
-    binom = _binomials(m, n)
-    a, j, i = np.ogrid[:m, :n, :n]
-    terms = -np.where(j < i, binom[m - 1 - a, n - 1 - j], np.where(j > i, binom[m - 1 - a, n - j], 0))
-    terms[:, 0] += math.comb(m, n - 1) - 1
-    terms.setflags(write=False)
-    return terms
-
-
-def cofactor_ranks(subsets: np.ndarray, m: int) -> np.ndarray:
-    """For n-subsets S of ``range(m)`` (rows of `subsets`), the rows of :func:`cofactor_table` holding each ``c_(S without s_i)``."""
-    n = subsets.shape[1]
-    return _rank_terms(m, n)[subsets, np.arange(n)].sum(axis=1)
 
 
 def sign_patterns(k: int) -> np.ndarray:

@@ -569,9 +569,14 @@ class SymmetricHPolytope:
     # -- vertex enumeration ----------------------------------------------
 
     @cached_property
+    def _plan(self) -> _SlabPlan:
+        """The plan of this body's directions (:class:`_SlabPlan`), which :attr:`_candidates` and :attr:`_cones` share."""
+        return _SlabPlan(self._directions)
+
+    @cached_property
     def _candidates(self) -> tuple[np.ndarray, ...]:
         """The feasible (subset, sign pattern) pairs of this body alone (:func:`_candidates`)."""
-        return _candidates(_SlabPlan(self._directions), self._offsets[None])
+        return _candidates(self._plan, self._offsets[None])
 
     @cached_property
     def vertices(self) -> VertexSet:
@@ -593,7 +598,7 @@ class SymmetricHPolytope:
     @cached_property
     def _cones(self) -> tuple[np.ndarray, ...]:
         """The kept vertex cones of this body alone (:func:`_cones`)."""
-        return _cones(_SlabPlan(self._directions), self._offsets[None], self._candidates)
+        return _cones(self._plan, self._offsets[None], self._candidates)
 
     @cached_property
     def _slab_measures(self) -> np.ndarray:

@@ -197,6 +197,12 @@ def cofactor_oracle(rows: np.ndarray) -> np.ndarray:
     return np.stack([(-1.0) ** k * np.linalg.det(mats[:, :, np.arange(n) != k]) for k in range(n)], axis=1)
 
 
+def lex_ranks(subsets: np.ndarray, m: int) -> list[list[int]]:
+    """Per k-subset row of ``range(m)``, the rank of each subset without its i-th element among ``itertools.combinations(range(m), k - 1)``, by lookup."""
+    lex = {c: r for r, c in enumerate(itertools.combinations(range(m), np.shape(subsets)[1] - 1))}
+    return [[lex[s[:i] + s[i + 1 :]] for i in range(len(s))] for s in map(tuple, np.asarray(subsets).tolist())]
+
+
 def zonotope_shadow_chart(generators: np.ndarray, theta: np.ndarray) -> float:
     """Shadow of a zonotope by the chart recursion: the volume of its projection in a chart of theta-perp.
 

@@ -178,6 +178,16 @@ class TestRunsAndExitCodes:
         assert any(not a["passed"] for a in report["assertions"])
         assert "[FAIL] decomposition_isotropy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("body", [bundled("cube3.json"), "no/such/body.json"], ids=["cube3", "missing"])
+    def test_verify_t3_body_without_decomposition_exits_config(self, tmp_path, capsys, body):
+        # the random sweep reads no body: a body given alone is refused, not ignored
+        cfg = write_config(tmp_path, {"body": body})
+        assert main(["verify-t3", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "config"
+        assert "'body'" in diag["detail"] and "'decomposition'" in diag["detail"]
+        assert not (tmp_path / "verify_t3.json").exists()
+
     def test_unknown_key_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"wat": 1})
         code = main(["zonotope", "--config", cfg, "--out", str(tmp_path)])

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import canonical_sign_reference, cofactor_oracle, dedup_rows_reference
+from oracles import canonical_sign_reference, cofactor_oracle, dedup_rows_reference, lex_ranks
 from shadowgeom import kernel
 from shadowgeom.kernel import (
     CapacityError,
     RandomSource,
     WeightedDirections,
     canonical_signs,
-    cofactor_ranks,
     cofactor_table,
     dedup_rows,
     hyperplane_basis,
@@ -126,44 +125,61 @@ class TestSubsetBlocks:
 
 
 def streamed(monkeypatch) -> None:
-    """Make every shape stream its subsets from itertools, as those over the bound do."""
+    """Make every shape build its blocks one at a time, as those over the bound do."""
     monkeypatch.setattr(kernel, "INDEX_PLAN_SUBSETS", 0)
 
 
-class TestIndexPlans:
-    def test_rows_and_ranks_of_every_cached_shape(self):
-        # every (m, k), k >= 1, inside the guard whose plan is cached, m < k included
+class TestLattice:
+    def test_rows_and_ranks_of_every_sliced_shape(self):
+        # every (m, k), k >= 1, inside the guard whose lattice is sliced, m < k included
         shapes = [(m, k) for k in range(1, kernel.MAX_DIM + 1) for m in range(kernel.MAX_ROWS + 1)]
         for m, k in (shape for shape in shapes if math.comb(*shape) <= kernel.INDEX_PLAN_SUBSETS):
-            rows, ranks = kernel._index_plan(m, k)
+            rows, ranks = kernel._lattice(m, k)
             ref = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
             assert rows.dtype.itemsize == 1 and ranks.dtype.itemsize <= 2
             assert rows.shape == ref.shape and np.array_equal(rows, ref)
-            assert np.array_equal(ranks, cofactor_ranks(ref, m))
-        assert len(kernel._index_plan(3, 5)[0]) == 0 and kernel._index_plan(5, 1)[1].tolist() == [[0]] * 5
+            assert ranks.tolist() == lex_ranks(ref, m)
+        assert len(kernel._lattice(3, 5)[0]) == 0 and kernel._lattice(5, 1)[1].tolist() == [[0]] * 5
+        assert kernel._lattice(4, 0)[0].shape == (1, 0)
 
-    def test_plans_are_read_only(self):
-        for array in kernel._index_plan(9, 4):
+    @pytest.mark.parametrize("m, k", [(24, 7), (20, 7), (24, 6)])
+    def test_streamed_blocks_at_the_first_middle_and_last(self, m, k):
+        count = -(-math.comb(m, k) // kernel.SUBSET_BLOCK)
+        picked = {0: None, count // 2: None, count - 1: None}
+        for at, (rows, ranks) in enumerate(subset_blocks(m, k, ranked=True)):
+            if at in picked:
+                picked[at] = rows, ranks
+        assert at == count - 1
+        for at, (rows, ranks) in picked.items():
+            lo = at * kernel.SUBSET_BLOCK
+            ref = list(itertools.islice(itertools.combinations(range(m), k), lo, lo + kernel.SUBSET_BLOCK))
+            assert rows.dtype == ranks.dtype == np.intp
+            assert rows.tolist() == [list(c) for c in ref]
+            assert ranks.tolist() == lex_ranks(rows, m)
+
+    def test_lattices_are_read_only(self):
+        for array in kernel._lattice(9, 4):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
     @pytest.mark.parametrize("ranked", [False, True])
-    def test_a_shape_over_the_bound_is_not_cached(self, ranked):
+    def test_a_shape_over_the_bound_caches_only_the_lattices_below_it(self, ranked):
         assert math.comb(17, 6) > kernel.INDEX_PLAN_SUBSETS
-        before = kernel._index_plan.cache_info().currsize
+        kernel._lattice.cache_clear()
         blocks = list(subset_blocks(17, 6, ranked=ranked))
-        assert kernel._index_plan.cache_info().currsize == before
+        # (17, 0) ... (17, 5), and not (17, 6)
+        assert kernel._lattice.cache_info().currsize == 6
         rows = np.vstack([b[0] for b in blocks] if ranked else blocks)
         assert len(rows) == math.comb(17, 6) and rows.dtype == np.intp
 
     @pytest.mark.parametrize("m, k", [(25, 3), (10, 8), (25, 1)])
-    def test_guard_raises_before_any_plan(self, m, k):
-        kernel._index_plan.cache_clear()
+    def test_guard_raises_before_any_lattice(self, m, k):
+        kernel._lattice.cache_clear()
         for ranked in (False, True):
             with pytest.raises(CapacityError, match="subset enumeration guard exceeded"):
                 subset_blocks(m, k, ranked=ranked)
-        assert kernel._index_plan.cache_info().currsize == 0
+        assert kernel._lattice.cache_info().currsize == 0
 
     def test_blocks_are_the_same_streamed_cold_and_warm(self, monkeypatch):
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
@@ -172,7 +188,7 @@ class TestIndexPlans:
             return [[np.concatenate(b, axis=1) if ranked else b for b in subset_blocks(m, k, stack, ranked=ranked)]
                     for m, k, stack in [(9, 4, 1), (9, 4, 3), (5, 2, 8), (16, 6, 1)] for ranked in (False, True)]
 
-        kernel._index_plan.cache_clear()
+        kernel._lattice.cache_clear()
         cold, warm = blocks(), blocks()
         with monkeypatch.context() as patch:
             streamed(patch)
@@ -191,7 +207,7 @@ class TestIndexPlans:
             return fresh.vertices.points, zono.volume, zonotope_facet_normals(zono), zono.shadow_areas(zono.unit_directions)
 
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
-        kernel._index_plan.cache_clear()
+        kernel._lattice.cache_clear()
         cold, warm = run(), run()
         streamed(monkeypatch)
         ref = run()
@@ -202,15 +218,15 @@ class TestIndexPlans:
         # every (n, m) of the benchmark's measure and position workloads, through both sides of the zonotope volume
         shapes = {(n, m) for n in (3, 4, 5, 6) for m in range(n + 2, min(16, 2 * n + 4) + 1)}
         shapes |= {(n, m) for n in (4, 5, 6) for m in range(n + 3, 15)}
-        kernel._index_plan.cache_clear()
+        kernel._lattice.cache_clear()
         for n, m in sorted(shapes):
             body = random_symmetric_polytope(n, m, RandomSource(10 * n + m))
             body.volume, projection_body(body).volume
-        assert kernel._index_plan.cache_info().currsize >= len(shapes)
-        # a projection body drops the slabs without a facet, so the runs cached shapes among these only
-        fewer = {(rows, n) for n, m in shapes for rows in range(n, m + 1)}
-        total = sum(array.nbytes for m, n in fewer for array in kernel._index_plan(m, n))
-        assert kernel._index_plan.cache_info().currsize == len(fewer)
+        # a projection body drops the slabs without a facet, so the runs cached shapes among these only:
+        # each lattice of n-subsets with those below it, the cofactor tables' row and column subsets among them
+        fewer = {(rows, k) for n, m in shapes for rows in range(n, m + 1) for k in range(n + 1)}
+        total = sum(array.nbytes for shape in fewer for array in kernel._lattice(*shape))
+        assert kernel._lattice.cache_info().currsize == len(fewer)
         assert total <= 1e6
 
 
@@ -246,11 +262,11 @@ class TestCofactorTable:
         assert np.allclose(cofactor_table(scale * rows), ref, rtol=1e-13, atol=1e-14 * scale ** (n - 1))
 
     @pytest.mark.parametrize("m, n", [(25, 3), (10, 8), (25, 1)])
-    def test_guard_raises_before_any_plan(self, m, n):
-        kernel._laplace_plan.cache_clear()
+    def test_guard_raises_before_any_lattice(self, m, n):
+        kernel._lattice.cache_clear()
         with pytest.raises(CapacityError, match="subset enumeration guard exceeded"):
             cofactor_table(unit_rows(m, n, 790 + m + n))
-        assert kernel._laplace_plan.cache_info().currsize == 0
+        assert kernel._lattice.cache_info().currsize == 0
 
     def test_block_boundaries_leave_the_table_bit_identical(self, monkeypatch):
         rows = unit_rows(16, 6, 770)
@@ -260,16 +276,13 @@ class TestCofactorTable:
 
     @pytest.mark.parametrize("n, m", [(1, 4), (2, 5), (3, 7), (5, 9), (7, 11)])
     def test_ranks_index_each_subset_without_one_element(self, n, m):
-        subsets = np.vstack(list(subset_blocks(m, n)))
-        lex = {c: r for r, c in enumerate(itertools.combinations(range(m), n - 1))}
-        ref = [[lex[s[:i] + s[i + 1 :]] for i in range(n)] for s in map(tuple, subsets.tolist())]
-        assert cofactor_ranks(subsets, m).tolist() == ref
+        for subsets, ranks in subset_blocks(m, n, ranked=True):
+            assert ranks.tolist() == lex_ranks(subsets, m)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_first_row_expansion_is_the_determinant(self, n):
         rows = unit_rows(n + 3, n, 780 + n)
-        subsets = np.vstack(list(subset_blocks(n + 3, n)))
-        ranks = cofactor_ranks(subsets, n + 3)
+        ((subsets, ranks),) = subset_blocks(n + 3, n, ranked=True)
         laplace = np.sum(rows[subsets[:, 0]] * cofactor_table(rows)[ranks[:, 0]], axis=1)
         assert np.abs(laplace - np.linalg.det(rows[subsets])).max() <= 1e-14
 

@@ -18,12 +18,13 @@ from oracles import (
     hull_surface_area,
     hull_volume,
     intersection_vertices,
+    lex_ranks,
     monte_carlo_volume,
     shadow_area_oracle,
 )
 from shadowgeom import family, kernel, polytope
 from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, kkt_report, maximize_volume_details, verify_projection_identity
-from shadowgeom.kernel import CapacityError, RandomSource, canonical_signs, cofactor_ranks, cofactor_table, random_orthogonal, sample_unit_sphere
+from shadowgeom.kernel import CapacityError, RandomSource, canonical_signs, cofactor_table, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
     _DET_TOL,
     _TIE_TOL,
@@ -398,9 +399,10 @@ class TestFacets:
         # the slab at angle eps ~ factor * _DET_TOL to x1 = 1 makes subset determinants of about eps
         body, _, _ = near_coincident_body(factor * _DET_TOL, tilt)
         u = body.directions
-        subsets = np.array(list(itertools.combinations(range(4), 3)))
+        ((subsets, ranks),) = kernel.subset_blocks(4, 3, ranked=True)
+        assert ranks.tolist() == lex_ranks(subsets, 4)
         lu = np.linalg.det(u[subsets])
-        laplace = np.sum(u[subsets[:, 0]] * cofactor_table(u)[cofactor_ranks(subsets, 4)[:, 0]], axis=1)
+        laplace = np.sum(u[subsets[:, 0]] * cofactor_table(u)[ranks[:, 0]], axis=1)
         assert np.abs(laplace - lu).max() <= 1e-15
         _, kept, _, _, _, dets, _ = _candidates(_SlabPlan(u), body.offsets[None])
         assert np.abs(dets - np.abs(np.linalg.det(u[kept]))).max() <= 1e-15
@@ -627,6 +629,16 @@ class TestSlabPlan:
         next(fresh.blocks(1))
         assert all(np.array_equal(a, b) for a, b in zip(plan._block, fresh._block))
         assert len(plan._terms[0]) == np.count_nonzero(plan._slots >= 0) > 0
+
+    @pytest.mark.parametrize("n, m", [(3, 7), (6, 16)])
+    def test_a_lone_body_builds_one_plan(self, monkeypatch, n, m):
+        # the vertex candidates and the cones read the same plan; (6, 16) streams its blocks
+        built = []
+        init = _SlabPlan.__init__
+        monkeypatch.setattr(_SlabPlan, "__init__", lambda plan, directions: (built.append(plan), init(plan, directions))[1])
+        body = random_symmetric_polytope(n, m, RandomSource(665 + n))
+        body.volume, body.surface_area, body.vertices
+        assert len(built) == 1 and body._plan is built[0]
 
     @pytest.mark.parametrize("n, m", [(3, 7), (4, 9), (6, 16)])
     def test_columns_are_the_two_array_gather_in_c_order(self, n, m):
