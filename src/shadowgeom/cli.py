@@ -35,11 +35,16 @@ Reports
 -------
 Each run writes ``<command>.json`` carrying ``"schema": 1``, the effective
 config echo, per-operation results, one pass/fail record per assertion, and
-the library version.  Everything outside the ``meta`` field is a pure
-function of the effective config, so re-running the same config and seed
-reproduces those bytes exactly; wall-clock time lives under ``meta``, the
-one field excluded from that guarantee.  ``--format csv`` or ``both`` also
-writes the subcommand's CSV table when it has one.
+the library version.  An assertion is a list of (value, comparison, bound)
+terms: it passes only when every term holds (NaN holds none), and its
+``detail`` shows each term as ``label = value (comparison bound)``, then a
+note.  Where the library decides, the term is its verdict and the note its
+account; the bounds the library owns are imported, not retyped.
+Everything outside the ``meta`` field is a pure function of the effective
+config, so re-running the same config and seed reproduces those bytes
+exactly; wall-clock time lives under ``meta``, the one field excluded from
+that guarantee.  ``--format csv`` or ``both`` also writes the subcommand's
+CSV table when it has one.
 
 Exit codes
 ----------
@@ -53,15 +58,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .family import (
+    RATIO_FLOOR_SLACK,
+    VOLUME_FLOOR_SLACK,
     FloorViolationError,
     SlabFamilySpec,
     construct_pathological,
@@ -69,9 +77,16 @@ from .family import (
     maximize_volume_details,
     verify_projection_identity,
 )
-from .kernel import CapacityError, RandomSource, sample_unit_sphere
+from .kernel import ISOTROPY_FROBENIUS_TOL, ISOTROPY_TRACE_TOL, CapacityError, RandomSource, sample_unit_sphere
 from .polytope import SymmetricHPolytope, cauchy_surface_check, random_symmetric_polytope
-from .shadow import ball_shadow_ratio, loomis_whitney_check, shadow_position, verify_product_inequality
+from .shadow import (
+    RATIO_TOLERANCE,
+    UNIMODULAR_TOLERANCE,
+    ball_shadow_ratio,
+    loomis_whitney_check,
+    shadow_position,
+    verify_product_inequality,
+)
 from .zonotope import (
     WeightedDirections,
     random_weighted_directions,
@@ -259,8 +274,41 @@ def parse_config(command: str, config_path: str | None, seed_flag: int | None) -
     return ExperimentConfig(command=command, **values)
 
 
-def _check(name: str, passed, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
+#: The comparisons an assertion term may make; each is false when either side is NaN.
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
+#: Slack of the assertions that hold exactly in exact arithmetic (equalities, theorems): rounding only.
+_ROUNDING_SLACK = 1e-9
+
+
+def _holds(value, comparison: str, bound) -> bool:
+    return bool(_COMPARISONS[comparison](value, bound))
+
+
+def _show(value) -> str:
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _check(name: str, *terms, note: str = "") -> dict:
+    """One assertion record from its terms, each ``(label, value, comparison, bound)``.
+
+    The assertion passes only when every term holds, and NaN holds none.  Its
+    detail is rendered from the same terms, ``label = value (comparison
+    bound)`` each, followed by the note.
+    """
+    shown = [f"{label} = {_show(value)} ({comparison} {_show(bound)})" for label, value, comparison, bound in terms]
+    return {
+        "name": name,
+        "passed": all(_holds(*term[1:]) for term in terms),
+        "detail": "; ".join(shown + [note] if note else shown),
+    }
+
+
+def _isotropy_terms(frobenius: float, trace_gap: float) -> tuple:
+    """The two invariants of :meth:`WeightedDirections.validate`, at its tolerances."""
+    return (
+        ("identity residual", frobenius, "<=", ISOTROPY_FROBENIUS_TOL),
+        ("|trace gap|", abs(trace_gap), "<=", ISOTROPY_TRACE_TOL),
+    )
 
 
 def _cube(n: int) -> SymmetricHPolytope:
@@ -290,29 +338,17 @@ def _run_shadow_position(cfg: ExperimentConfig):
     rep = shadow_position(body)
     results = rep.to_dict()
     results["body"] = {"n": body.dim, "slabs": int(len(body.offsets))}
-    results["john"] = {
-        "weights": [float(w) for w in rep.john.weights],
-        "contacts": rep.john.directions.tolist(),
-    }
+    results["john"] = {"weights": rep.john.weights.tolist(), "contacts": rep.john.directions.tolist()}
     res = rep.residuals
     assertions = [
         _check(
             "shadow_ratio_floor",
-            rep.ratio >= 1.0 - 1e-4,
-            f"min shadow / volume^((n-1)/n) = {rep.ratio:.12g} (floor 1 - 1e-4, branch {rep.branch})",
+            ("min shadow / volume^((n-1)/n)", rep.ratio, ">=", 1.0 - RATIO_TOLERANCE),
+            note=f"branch {rep.branch}",
         ),
-        _check(
-            "transform_unimodular",
-            res["transform_det"] <= 1e-9,
-            f"|det T| - 1 = {res['transform_det']:.3e} (tol 1e-9)",
-        ),
-        _check(
-            "contact_identity",
-            res["john_frobenius"] <= 1e-6 and abs(res["john_trace_gap"]) <= 1e-8,
-            f"identity residual {res['john_frobenius']:.3e} (tol 1e-6), "
-            f"trace gap {res['john_trace_gap']:.3e} (tol 1e-8)",
-        ),
-        _check("pipeline_ok", rep.ok, rep.diagnostics or "all pipeline residuals in bounds"),
+        _check("transform_unimodular", ("||det T| - 1|", res["transform_det"], "<=", UNIMODULAR_TOLERANCE)),
+        _check("contact_identity", *_isotropy_terms(res["john_frobenius"], res["john_trace_gap"])),
+        _check("pipeline_ok", ("ShadowPositionReport.ok", rep.ok, "==", True), note=rep.diagnostics),
     ]
     return results, assertions, {}
 
@@ -323,6 +359,7 @@ def _run_verify_t3(cfg: ExperimentConfig):
     rows: list[list] = []
     assertions: list[dict] = []
     results: dict = {}
+    floor = 1.0 - _ROUNDING_SLACK
 
     if cfg.decomposition is not None:
         dec = load_decomposition(cfg.decomposition)
@@ -330,114 +367,69 @@ def _run_verify_t3(cfg: ExperimentConfig):
         if body.dim != dec.dim:
             raise ConfigError(f"body dimension {body.dim} does not match decomposition dimension {dec.dim}")
         frob, gap = dec.residuals()
+        results["isotropy"] = {"frobenius": float(frob), "trace_gap": float(gap)}
         try:
             dec.validate()
-            isotropic = True
-            detail = f"identity residual {frob:.3e} (tol 1e-6), trace gap {gap:.3e} (tol 1e-8)"
         except ValueError as exc:
-            isotropic = False
-            detail = str(exc)
-        assertions.append(_check("decomposition_isotropy", isotropic, detail))
-        results["isotropy"] = {"frobenius": float(frob), "trace_gap": float(gap)}
-        if isotropic:
+            # the library decides (unit rows and positive weights too) and gives its reason
+            assertions.append(_check("decomposition_isotropy", ("isotropic", False, "==", True), note=str(exc)))
+        else:
+            assertions.append(_check("decomposition_isotropy", *_isotropy_terms(frob, gap)))
             rep = verify_product_inequality(body, dec)
-            rows.append([0, rep.lhs, rep.rhs, rep.ratio, rep.ratio >= 1.0 - 1e-9])
-            assertions.append(
-                _check(
-                    "product_inequality",
-                    rep.ratio >= 1.0 - 1e-9,
-                    f"rhs/lhs = {rep.ratio:.12g} (floor 1 - 1e-9)",
-                )
-            )
+            product = _check("product_inequality", ("rhs/lhs", rep.ratio, ">=", floor))
+            rows.append([0, rep.lhs, rep.rhs, rep.ratio, product["passed"]])
+            assertions.append(product)
             results["ratio"] = rep.ratio
     else:
-        worst = math.inf
         for k in range(cfg.samples):
             body = random_symmetric_polytope(cfg.n, cfg.m, rng.fork(2 * k))
             dec = random_weighted_directions(cfg.n, rng.fork(2 * k + 1), bases=2)
             rep = verify_product_inequality(body, dec)
-            ok = rep.ratio >= 1.0 - 1e-9
-            worst = min(worst, rep.ratio)
-            rows.append([k, rep.lhs, rep.rhs, rep.ratio, ok])
-        assertions.append(
+            rows.append([k, rep.lhs, rep.rhs, rep.ratio, _holds(rep.ratio, ">=", floor)])
+        worst = float(np.min([row[3] for row in rows]))
+        box_gap = abs(loomis_whitney_check(_cube(cfg.n)).ratio - 1.0)
+        assertions += [
             _check(
                 "product_inequality_sweep",
-                worst >= 1.0 - 1e-9,
-                f"worst rhs/lhs = {worst:.12g} over {cfg.samples} random pairs (floor 1 - 1e-9)",
-            )
-        )
-        box = loomis_whitney_check(_cube(cfg.n))
-        assertions.append(
-            _check(
-                "orthonormal_equality",
-                abs(box.ratio - 1.0) <= 1e-9,
-                f"cube/orthonormal-frame ratio gap {abs(box.ratio - 1.0):.3e} (tol 1e-9)",
-            )
-        )
-        results["pairs"] = cfg.samples
-        results["worst_ratio"] = worst
-        results["equality_gap"] = abs(box.ratio - 1.0)
+                ("worst rhs/lhs", worst, ">=", floor),
+                note=f"over {cfg.samples} random pairs",
+            ),
+            _check("orthonormal_equality", ("|cube/orthonormal-frame ratio - 1|", box_gap, "<=", _ROUNDING_SLACK)),
+        ]
+        results.update(pairs=cfg.samples, worst_ratio=worst, equality_gap=box_gap)
 
     return results, assertions, {"verify_t3": (header, rows)}
 
 
 def _run_zonotope(cfg: ExperimentConfig):
     rng = cfg.source()
-    header = [
-        "instance",
-        "determinant_volume",
-        "recursion_volume",
-        "relative_gap",
-        "floor_volume",
-        "floor_value",
-        "floor_ratio",
-    ]
+    # a row is the instance, then the fields of its VolumeFormulaReport and of its VolumeFloorReport
+    header = ["instance", "determinant_volume", "recursion_volume", "relative_gap"]
+    header += ["floor_volume", "floor_value", "floor_ratio"]
     rows: list[list] = []
-    worst_gap = 0.0
-    worst_ratio = math.inf
     for k in range(cfg.samples):
         z = random_zonotope(cfg.n, cfg.m, rng.fork(2 * k))
         formula = volume_formula_check(z)
-        worst_gap = max(worst_gap, formula.relative_gap)
         wd = random_weighted_directions(cfg.n, rng.fork(2 * k + 1), bases=2)
         alphas = rng.fork(5000 + k).generator().uniform(0.5, 1.5, size=len(wd.weights))
         floor = zonotope_volume_floor(wd, alphas)
-        worst_ratio = min(worst_ratio, floor.ratio)
-        rows.append(
-            [
-                k,
-                formula.determinant_volume,
-                formula.shadow_identity_volume,
-                formula.relative_gap,
-                floor.volume,
-                floor.floor,
-                floor.ratio,
-            ]
-        )
+        rows.append([k, *astuple(formula), *astuple(floor)])
+    table = np.array(rows)
+    worst_gap = float(table[:, 3].max())
+    worst_ratio = float(table[:, 6].min())
     frame = WeightedDirections(np.eye(cfg.n), np.ones(cfg.n))
-    cube_floor = zonotope_volume_floor(frame, np.ones(cfg.n))
+    cube_gap = abs(zonotope_volume_floor(frame, np.ones(cfg.n)).ratio - 1.0)
+    instances = f"over {cfg.samples} instances"
     assertions = [
-        _check(
-            "volume_double_entry",
-            worst_gap <= 1e-9,
-            f"worst relative gap {worst_gap:.3e} over {cfg.samples} instances (tol 1e-9)",
-        ),
-        _check(
-            "volume_floor",
-            worst_ratio >= 1.0 - 1e-9,
-            f"worst volume/floor = {worst_ratio:.12g} over {cfg.samples} instances (floor 1 - 1e-9)",
-        ),
-        _check(
-            "orthonormal_equality",
-            abs(cube_floor.ratio - 1.0) <= 1e-9,
-            f"cube floor ratio gap {abs(cube_floor.ratio - 1.0):.3e} (tol 1e-9)",
-        ),
+        _check("volume_double_entry", ("worst relative gap", worst_gap, "<=", _ROUNDING_SLACK), note=instances),
+        _check("volume_floor", ("worst volume/floor", worst_ratio, ">=", 1.0 - _ROUNDING_SLACK), note=instances),
+        _check("orthonormal_equality", ("|cube floor ratio - 1|", cube_gap, "<=", _ROUNDING_SLACK)),
     ]
     results = {
         "instances": cfg.samples,
         "worst_relative_gap": worst_gap,
         "worst_floor_ratio": worst_ratio,
-        "cube_equality_gap": abs(cube_floor.ratio - 1.0),
+        "cube_equality_gap": cube_gap,
     }
     return results, assertions, {"zonotope": (header, rows)}
 
@@ -451,28 +443,22 @@ def _run_minkowski_solve(cfg: ExperimentConfig):
     details = maximize_volume_details(spec, tol=cfg.tolerance, rng=rng.fork(3))
     kkt = kkt_report(details.body, spec)
     identity = verify_projection_identity(details.body, spec, sample_count=cfg.samples, rng=rng.fork(4))
-    agreement_tol = 10.0 * cfg.tolerance
     assertions = [
         _check(
             "solver_converged",
-            details.converged,
-            f"projected gradient norm {details.gradient_norm:.3e} after {details.iterations} Newton iterations",
+            ("converged", details.converged, "==", True),
+            note=f"projected gradient norm {details.gradient_norm:.3e} after {details.iterations} Newton iterations",
         ),
-        _check(
-            "kkt_stationarity",
-            kkt.max_relative_residual <= 1e-3,
-            f"max relative residual {kkt.max_relative_residual:.3e} (tol 1e-3)",
-        ),
+        _check("kkt_stationarity", ("max relative residual", kkt.max_relative_residual, "<=", 1e-3)),
         _check(
             "projection_identity",
-            identity.max_relative_error <= 1e-3,
-            f"max relative error {identity.max_relative_error:.3e} over {identity.sample_count} directions (tol 1e-3)",
+            ("max relative error", identity.max_relative_error, "<=", 1e-3),
+            note=f"over {identity.sample_count} directions",
         ),
         _check(
             "multistart_agreement",
-            details.volume_agreement <= agreement_tol,
-            f"volume agreement {details.volume_agreement:.3e} over {len(details.start_volumes)} starts "
-            f"(tol {agreement_tol:.1e})",
+            ("volume agreement", details.volume_agreement, "<=", 10.0 * cfg.tolerance),
+            note=f"over {len(details.start_volumes)} starts",
         ),
     ]
     results = details.to_dict()
@@ -490,9 +476,6 @@ def _run_pathological(cfg: ExperimentConfig):
     header = ["seed", "n", "delta_hat", "vol_nth_root", "min_shadow", "ratio", "floor"]
     rows: list[list] = []
     failures: list[str] = []
-    min_vol = math.inf
-    min_margin = math.inf
-    ratios: list[float] = []
     for i in range(cfg.sweep):
         try:
             rep = construct_pathological(cfg.n, rng=base.fork(i))
@@ -500,34 +483,27 @@ def _run_pathological(cfg: ExperimentConfig):
             failures.append(f"seed {i}: {exc}")
             continue
         rows.append([i, cfg.n, rep.delta_hat, rep.vol_nth_root, rep.min_shadow, rep.ratio, rep.floor])
-        min_vol = min(min_vol, rep.vol_nth_root)
-        min_margin = min(min_margin, rep.ratio - rep.floor)
-        ratios.append(rep.ratio)
-    vol_floor = math.sqrt(2.0)
+    # with no row constructed both minima are NaN, which fails their terms
+    table = np.array(rows, dtype=float).reshape(-1, len(header))
+    min_vol = float(table[:, 3].min()) if rows else math.nan
+    min_margin = float((table[:, 5] - table[:, 6]).min()) if rows else math.nan
     assertions = [
+        # construct_pathological decides both floors, and raises with its account of a violation
         _check(
             "floor_assertions",
-            not failures,
-            f"{cfg.sweep - len(failures)}/{cfg.sweep} constructions cleared both floors"
-            + ("; " + "; ".join(failures) if failures else ""),
+            ("seeds that violated a floor", len(failures), "==", 0),
+            note="; ".join([f"{cfg.sweep} seeds swept"] + failures),
         ),
-        _check(
-            "volume_floor",
-            bool(rows) and min_vol >= vol_floor - 1e-9,
-            f"min volume^(1/n) = {min_vol:.12g} (floor sqrt(2) - 1e-9)",
-        ),
-        _check(
-            "ratio_floor",
-            bool(rows) and min_margin >= -1e-6,
-            f"min (ratio - floor) = {min_margin:.3e} (tol -1e-6)",
-        ),
+        # the volume floor 2 sqrt(n/m) is sqrt(2) for the 2n directions of every construction
+        _check("volume_floor", ("min volume^(1/n)", min_vol, ">=", math.sqrt(2.0) - VOLUME_FLOOR_SLACK)),
+        _check("ratio_floor", ("min (ratio - floor)", min_margin, ">=", -RATIO_FLOOR_SLACK)),
     ]
     results = {
         "sweep": cfg.sweep,
         "constructed": len(rows),
         "min_vol_nth_root": min_vol if rows else None,
         "min_ratio_margin": min_margin if rows else None,
-        "median_ratio": float(np.median(ratios)) if ratios else None,
+        "median_ratio": float(np.median(table[:, 5])) if rows else None,
     }
     return results, assertions, {"pathological": (header, rows)}
 
@@ -537,38 +513,26 @@ def _run_ball_ratio(cfg: ExperimentConfig):
     values = [ball_shadow_ratio(k) for k in dims]
     rows = [[k, v] for k, v in zip(dims, values)]
     diffs = np.diff(values)
-    analytic_2 = 2.0 / math.sqrt(math.pi)
     limit = math.sqrt(math.e)
     gap = (limit - values[-1]) / limit
     assertions = [
         _check(
             "strictly_increasing",
-            bool(len(values) < 2 or np.all(diffs > 0.0)),
-            f"minimum increment {float(diffs.min()) if len(diffs) else math.inf:.3e} over n = 2..{cfg.n}",
+            ("minimum increment", float(diffs.min()) if len(diffs) else math.inf, ">", 0.0),
+            note=f"over n = 2..{cfg.n}",
         ),
         _check(
             "plane_value",
-            abs(values[0] - analytic_2) <= 1e-9,
-            f"n=2 ratio gap to 2/sqrt(pi): {abs(values[0] - analytic_2):.3e} (tol 1e-9)",
+            ("|n=2 ratio - 2/sqrt(pi)|", abs(values[0] - 2.0 / math.sqrt(math.pi)), "<=", _ROUNDING_SLACK),
         ),
     ]
     if cfg.n == 200:
         # The ratio approaches sqrt(e) from below at rate O(log n / n); at
         # n = 200 the true relative gap is 1.4752e-2, so the assertion pins
         # the tightest honest envelope rather than the unreachable 5e-3.
-        assertions.append(
-            _check(
-                "limit_envelope",
-                0.0 <= gap <= 1.49e-2,
-                f"relative gap to sqrt(e) at n=200: {gap:.6e} (envelope 1.49e-2, approach from below)",
-            )
-        )
-    results = {
-        "max_n": cfg.n,
-        "last_ratio": values[-1],
-        "limit": limit,
-        "relative_gap_to_limit": gap,
-    }
+        label = "relative gap to sqrt(e) at n=200"
+        assertions.append(_check("limit_envelope", (label, gap, ">=", 0.0), (label, gap, "<=", 1.49e-2)))
+    results = {"max_n": cfg.n, "last_ratio": values[-1], "limit": limit, "relative_gap_to_limit": gap}
     return results, assertions, {"ball_ratio": (["n", "ratio"], rows)}
 
 
@@ -578,20 +542,9 @@ def _run_cauchy_check(cfg: ExperimentConfig):
     assertions = []
     for label, n, key in (("square", 2, 2), ("cube", 3, 3)):
         rep = cauchy_surface_check(_cube(n), rng.fork(key), samples=cfg.samples)
-        reports[label] = {
-            "surface_area": rep.surface_area,
-            "estimate": rep.estimate,
-            "relative_error": rep.relative_error,
-            "constant": rep.constant,
-            "samples": rep.samples,
-        }
-        assertions.append(
-            _check(
-                f"{label}_surface_recovery",
-                rep.relative_error <= 1e-2,
-                f"relative error {rep.relative_error:.3e} with {cfg.samples} samples (tol 1e-2)",
-            )
-        )
+        reports[label] = asdict(rep)
+        recovery = ("relative error", rep.relative_error, "<=", 1e-2)
+        assertions.append(_check(f"{label}_surface_recovery", recovery, note=f"{cfg.samples} samples"))
     return reports, assertions, {}
 
 
@@ -612,14 +565,8 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()  # Python floats, ints and bools, nested as the array is
     return obj
 
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, sample_unit_sphere, unit_ball_volume
+from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, sample_unit_sphere
+from .kernel import unit_ball_volume, unit_directions
 from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _SlabPlan, _volume_derivatives
 from .shadow import TIE_TOLERANCE, ball_shadow_ratio, min_shadow_direction, minimize_support
 from .zonotope import Zonotope
@@ -68,6 +69,9 @@ _IDENTITY_SEED = 0xFA417_0002
 _PATHOLOGY_SEED = 0xFA7A_0001
 _MIN_TOL = 1e-10
 _MAX_TOL = 1e-3
+#: Rounding slacks of the volume floor and the shadow-ratio floor that :func:`construct_pathological` certifies.
+VOLUME_FLOOR_SLACK = 1e-9
+RATIO_FLOOR_SLACK = 1e-6
 
 
 class FloorViolationError(RuntimeError):
@@ -434,9 +438,6 @@ class DirectionSpreadReport:
     direction: np.ndarray
     branch: str
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "branch": self.branch}
-
 
 def direction_spread(directions: np.ndarray) -> DirectionSpreadReport:
     """Worst-case weighted alignment of a direction set, normalized by sqrt(n).
@@ -451,10 +452,8 @@ def direction_spread(directions: np.ndarray) -> DirectionSpreadReport:
     u = np.array(directions, dtype=float)
     if u.ndim != 2:
         raise ValueError("directions must be a 2-d array (m, n)")
-    norms = np.linalg.norm(u, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("directions must be unit vectors")
     n = u.shape[1]
+    unit_directions(u, n)
     if np.linalg.matrix_rank(u, tol=1e-10) < n:
         _, _, vt = np.linalg.svd(u)
         return DirectionSpreadReport(0.0, vt[-1].copy(), "exact")
@@ -471,14 +470,7 @@ class SlabVolumeFloorReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.vol_nth_root >= self.floor - 1e-9
-
-    def to_dict(self) -> dict:
-        return {
-            "vol_nth_root": self.vol_nth_root,
-            "floor": self.floor,
-            "satisfied": self.satisfied,
-        }
+        return self.vol_nth_root >= self.floor - VOLUME_FLOOR_SLACK
 
 
 def unit_body_volume_floor(directions: np.ndarray) -> SlabVolumeFloorReport:
@@ -565,11 +557,11 @@ def construct_pathological(
     ratio = shadow.value / volume ** ((n - 1.0) / n)
     floor = spread.value * math.sqrt(n) / (2.0 * math.sqrt(2.0))
     vol_floor = 2.0 * math.sqrt(n / m)
-    if vol_nth_root < vol_floor - 1e-9:
+    if not vol_nth_root >= vol_floor - VOLUME_FLOOR_SLACK:
         raise FloorViolationError(
             f"volume floor violated: vol^(1/n)={vol_nth_root!r} < {vol_floor!r}"
         )
-    if ratio < floor - 1e-6:
+    if not ratio >= floor - RATIO_FLOOR_SLACK:
         raise FloorViolationError(
             f"shadow ratio floor violated: ratio={ratio!r} < floor={floor!r}"
         )
@@ -595,16 +587,6 @@ class ShephardReport:
     ball_shadow: float
     shadow_ratio: float
     ball_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "volume": self.volume,
-            "min_shadow": self.min_shadow,
-            "ball_shadow": self.ball_shadow,
-            "shadow_ratio": self.shadow_ratio,
-            "ball_ratio": self.ball_ratio,
-        }
 
 
 def shephard_demonstration(

@@ -187,6 +187,20 @@ def sign_patterns(k: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1, -1, -1)) & 1)
 
 
+def unit_directions(thetas: np.ndarray, dim: int) -> np.ndarray:
+    """The rows of ``thetas`` (or the one direction) as an (k, dim) float array of unit vectors.
+
+    Raise ValueError on a wrong shape, or unless every row is unit within
+    1e-9; the unit test is written so that NaN fails it.
+    """
+    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if th.ndim != 2 or th.shape[1] != dim:
+        raise ValueError("directions have wrong shape")
+    if not np.all(np.abs(np.linalg.norm(th, axis=1) - 1.0) <= 1e-9):
+        raise ValueError("directions must be unit vectors (within 1e-9)")
+    return th
+
+
 def check_slab_directions(directions: np.ndarray) -> None:
     """Raise ValueError unless the rows are finite, unit within 1e-12 and span R^n; NaN fails each test."""
     u = np.asarray(directions, dtype=float)
@@ -367,6 +381,11 @@ def dedup_rows(points: np.ndarray, tol: float) -> np.ndarray:
     return survivors[keep]
 
 
+#: The isotropy tolerances of :meth:`WeightedDirections.validate`, on its two :meth:`~WeightedDirections.residuals`.
+ISOTROPY_FROBENIUS_TOL = 1e-6
+ISOTROPY_TRACE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class WeightedDirections:
     """Unit directions with positive weights resolving the identity matrix.
@@ -407,7 +426,7 @@ class WeightedDirections:
         outer = (u * c[:, None]).T @ u
         return float(np.linalg.norm(outer - np.eye(self.dim))), float(c.sum() - self.dim)
 
-    def validate(self, frobenius_tol: float = 1e-6, trace_tol: float = 1e-8) -> None:
+    def validate(self, frobenius_tol: float = ISOTROPY_FROBENIUS_TOL, trace_tol: float = ISOTROPY_TRACE_TOL) -> None:
         """Raise ValueError unless the isotropy invariants hold at tolerance."""
         # every test is written so that NaN fails it
         norms = np.linalg.norm(self.directions, axis=1)

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_slab_directions
+from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_slab_directions, unit_directions
 from .kernel import cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
 
 __all__ = [
@@ -680,17 +680,11 @@ class SymmetricHPolytope:
         th = np.asarray(theta, dtype=float)
         if th.shape != (self.dim,):
             raise ValueError("direction has wrong shape")
-        if abs(float(np.linalg.norm(th)) - 1.0) > 1e-9:
-            raise ValueError("projection direction must be a unit vector")
         return float(self.shadow_areas(th[None, :])[0])
 
     def shadow_areas(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`shadow_area` over rows of unit directions, ``0.5 * sum |<theta, n_F>| |F|`` over :attr:`_facet_rows`."""
-        th = np.atleast_2d(np.asarray(thetas, dtype=float))
-        if th.ndim != 2 or th.shape[1] != self.dim:
-            raise ValueError("directions have wrong shape")
-        if np.any(np.abs(np.linalg.norm(th, axis=1) - 1.0) > 1e-9):
-            raise ValueError("projection directions must be unit vectors")
+        th = unit_directions(thetas, self.dim)
         _, normals, measures = self._facet_rows
         return 0.5 * (np.abs(th @ normals.T) @ measures)
 

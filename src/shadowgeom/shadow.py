@@ -203,7 +203,9 @@ class ShadowPositionReport:
         }
 
 
+#: The shadow-position certificate: ratio >= 1 - RATIO_TOLERANCE, and ||det T| - 1| <= UNIMODULAR_TOLERANCE.
 RATIO_TOLERANCE = 1e-4
+UNIMODULAR_TOLERANCE = 1e-9
 
 
 def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSource | None = None) -> ShadowPositionReport:
@@ -247,7 +249,7 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
         "john_trace_gap": trace_gap,
         "contact_shadow_max_rel_err": contact_err,
     }
-    ok = ratio >= 1.0 - RATIO_TOLERANCE and det_residual <= 1e-9
+    ok = ratio >= 1.0 - RATIO_TOLERANCE and det_residual <= UNIMODULAR_TOLERANCE
     diagnostics = "" if ok else (
         f"shadow-position ratio {ratio:.8f} fell below 1 - {RATIO_TOLERANCE:g} "
         f"(min shadow {report.value:.6g} in direction {report.direction.tolist()}, volume {volume:.6g})"

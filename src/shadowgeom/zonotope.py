@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import RandomSource, WeightedDirections, canonical_signs, cofactor_table, random_orthogonal, subset_blocks
+from .kernel import unit_directions
 from .polytope import FEASIBILITY_TOL, SymmetricHPolytope
 
 __all__ = [
@@ -129,8 +130,6 @@ class Zonotope:
         th = np.asarray(theta, dtype=float)
         if th.shape != (self.dim,):
             raise ValueError("direction has wrong shape")
-        if abs(float(np.linalg.norm(th)) - 1.0) > 1e-9:
-            raise ValueError("projection direction must be a unit vector")
         return float(self.shadow_areas(th[None, :])[0])
 
     def shadow_areas(self, thetas: np.ndarray) -> np.ndarray:
@@ -143,20 +142,13 @@ class Zonotope:
         At n = 1 the table is the one vector (1,), so every shadow is the
         single point 0, of 0-dimensional measure 1.
         """
-        th = np.atleast_2d(np.asarray(thetas, dtype=float))
-        if th.ndim != 2 or th.shape[1] != self.dim:
-            raise ValueError("directions have wrong shape")
-        if np.any(np.abs(np.linalg.norm(th, axis=1) - 1.0) > 1e-9):
-            raise ValueError("projection directions must be unit vectors")
+        th = unit_directions(thetas, self.dim)
         cof = cofactor_table(self._generators).T
         rows = max(1, _SHADOW_CHUNK // max(cof.shape[1], 1))
         sums = np.empty(len(th))
         for lo in range(0, len(th), rows):
             sums[lo : lo + rows] = np.abs(th[lo : lo + rows] @ cof).sum(axis=1)
         return 2.0 ** (self.dim - 1) * sums
-
-    def to_dict(self) -> dict:
-        return {"n": self.dim, "generators": self._generators.tolist()}
 
 
 @dataclass(frozen=True)
@@ -278,8 +270,8 @@ def dominance_volume_bound(body: SymmetricHPolytope, z: Zonotope, shadows_of_d: 
     s = np.asarray(shadows_of_d, dtype=float)
     if s.shape != (z.num_generators,):
         raise ValueError("need one shadow value per generator")
-    if np.any(s < 0.0):
-        raise ValueError("shadow values must be nonnegative")
+    if not np.all(np.isfinite(s) & (s >= 0.0)):
+        raise ValueError("shadow values must be finite and nonnegative")
     n = body.dim
     if not np.all(z.supports(body.directions) <= body.offsets + FEASIBILITY_TOL * body._scale):
         raise ValueError("containment check failed: the support of Z exceeds the offset of a slab of C")

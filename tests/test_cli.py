@@ -1,23 +1,29 @@
 """Experiment driver: strict config parsing, reports, determinism, exit codes."""
 
+import dataclasses
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shadowgeom import cli
 from shadowgeom.cli import (
     EXIT_ASSERTION,
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_PASS,
     ConfigError,
+    _check,
     load_body,
     load_decomposition,
     main,
     parse_config,
 )
+from shadowgeom.family import FloorViolationError
+from shadowgeom.shadow import RATIO_TOLERANCE, ProductInequalityReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -30,6 +36,10 @@ def write_config(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def failed(report: dict) -> list[str]:
+    return [a["name"] for a in report["assertions"] if not a["passed"]]
 
 
 class TestParseConfig:
@@ -226,6 +236,89 @@ class TestRunsAndExitCodes:
         code = main(["cauchy-check", "--config", cfg, "--seed", "4", "--out", str(tmp_path)])
         assert code == EXIT_PASS
         capsys.readouterr()
+
+
+class TestCheck:
+    @pytest.mark.parametrize("comparison, past", [("<=", math.nextafter(1e-9, 1.0)), (">=", math.nextafter(1e-9, 0.0))])
+    def test_passes_at_the_bound_and_fails_just_past_it(self, comparison, past):
+        assert _check("a", ("x", 1e-9, comparison, 1e-9))["passed"] is True
+        assert _check("a", ("x", past, comparison, 1e-9))["passed"] is False
+
+    def test_strict_comparison_fails_at_the_bound(self):
+        assert _check("a", ("x", 0.0, ">", 0.0))["passed"] is False
+        assert _check("a", ("x", 5e-324, ">", 0.0))["passed"] is True
+
+    @pytest.mark.parametrize("comparison", ["<=", ">=", ">", "=="])
+    def test_nan_fails_every_comparison(self, comparison):
+        assert _check("a", ("x", math.nan, comparison, 1.0))["passed"] is False
+        assert _check("a", ("x", 1.0, comparison, math.nan))["passed"] is False
+
+    def test_every_term_must_hold(self):
+        good, bad = ("x", 1.0, "<=", 2.0), ("y", 3.0, "<=", 2.0)
+        assert _check("a", good, good)["passed"] is True
+        assert _check("a", good, bad)["passed"] is False
+        assert _check("a", bad, good)["passed"] is False
+
+    def test_detail_is_rendered_from_the_terms(self):
+        record = _check("a", ("x", 0.5, ">=", 1.0 - 1e-9), ("ok", np.True_, "==", True), note="why")
+        assert record == {"name": "a", "passed": False, "detail": "x = 0.5 (>= 0.999999999); ok = True (== True); why"}
+        assert _check("b", ("n", 3, "==", 3))["detail"] == "n = 3 (== 3)"
+
+
+class TestAssertionFailures:
+    """Each runner, fed a library result just past its bound, fails exactly the assertions that read it."""
+
+    def test_shadow_ratio_below_the_floor(self, tmp_path, capsys, monkeypatch):
+        real = cli.shadow_position
+        low = 1.0 - 2.0 * RATIO_TOLERANCE
+        monkeypatch.setattr(cli, "shadow_position", lambda body: dataclasses.replace(real(body), ratio=low))
+        cfg = write_config(tmp_path, {"body": bundled("cube3.json")})
+        assert main(["shadow-position", "--config", cfg, "--out", str(tmp_path)]) == EXIT_ASSERTION
+        report = json.loads((tmp_path / "shadow_position.json").read_text())
+        assert failed(report) == ["shadow_ratio_floor"]
+        assert "[FAIL] shadow_ratio_floor" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "ratio, code", [(1.0 - 1e-9, EXIT_PASS), (1.0 - 2e-9, EXIT_ASSERTION)], ids=["at-floor", "past-floor"]
+    )
+    @pytest.mark.parametrize("source", ["sweep", "decomposition"])
+    def test_product_inequality_at_and_past_its_floor(self, tmp_path, capsys, monkeypatch, ratio, code, source):
+        monkeypatch.setattr(cli, "verify_product_inequality", lambda body, dec: ProductInequalityReport(1.0, ratio, ratio))
+        frame = {"n": 3, "directions": np.eye(3).tolist(), "weights": [1.0, 1.0, 1.0]}
+        config = {"samples": 3} if source == "sweep" else {"decomposition": write_config(tmp_path, frame, "frame.json")}
+        cfg = write_config(tmp_path, config)
+        assert main(["verify-t3", "--config", cfg, "--out", str(tmp_path), "--format", "both"]) == code
+        capsys.readouterr()
+        report = json.loads((tmp_path / "verify_t3.json").read_text())
+        name = "product_inequality_sweep" if source == "sweep" else "product_inequality"
+        assert failed(report) == ([] if code == EXIT_PASS else [name])
+        rows = (tmp_path / "verify_t3.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == (3 if source == "sweep" else 1)
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"true" if code == EXIT_PASS else "false"}
+
+    @pytest.mark.parametrize(
+        "raising, expected",
+        [({0}, ["floor_assertions"]), ({0, 1}, ["floor_assertions", "volume_floor", "ratio_floor"])],
+        ids=["one-seed", "every-seed"],
+    )
+    def test_floor_violation_raised_by_the_construction(self, tmp_path, capsys, monkeypatch, raising, expected):
+        real = cli.construct_pathological
+        calls = []
+
+        def construct(n, rng):
+            calls.append(len(calls))
+            if calls[-1] in raising:
+                raise FloorViolationError("volume floor violated: injected")
+            return real(n, rng=rng)
+
+        monkeypatch.setattr(cli, "construct_pathological", construct)
+        cfg = write_config(tmp_path, {"n": 2, "sweep": 2})
+        assert main(["pathological", "--config", cfg, "--out", str(tmp_path)]) == EXIT_ASSERTION
+        capsys.readouterr()
+        report = json.loads((tmp_path / "pathological.json").read_text())
+        assert failed(report) == expected
+        assert "seed 0: volume floor violated: injected" in report["assertions"][0]["detail"]
+        assert report["results"]["constructed"] == 2 - len(raising)
 
 
 class TestOutputsAndDeterminism:

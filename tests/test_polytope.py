@@ -841,6 +841,14 @@ class TestShadowProperties:
         with pytest.raises(ValueError, match="directions have wrong shape"):
             cube(3).shadow_areas(thetas)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_direction_is_refused(self, bad):
+        theta = np.array([bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit vectors"):
+            cube(3).shadow_area(theta)
+        with pytest.raises(ValueError, match="unit vectors"):
+            cube(3).shadow_areas(np.vstack([np.eye(3), theta]))
+
 
 class TestCauchyFormula:
     def test_square_converges(self):

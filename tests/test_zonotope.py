@@ -104,6 +104,15 @@ class TestShadows:
         for k, theta in enumerate(thetas):
             assert z.shadow_area(theta) == pytest.approx(batch[k], rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_direction_is_refused(self, bad):
+        z = random_zonotope(3, 5, RandomSource(162))
+        theta = np.array([bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit vectors"):
+            z.shadow_area(theta)
+        with pytest.raises(ValueError, match="unit vectors"):
+            z.shadow_areas(np.vstack([np.eye(3), theta]))
+
     def test_dimension_one_shadow_is_a_point_of_measure_one(self):
         z = Zonotope(np.array([[2.0], [-0.5]]))
         assert z.shadow_area(np.array([1.0])) == 1.0
@@ -359,3 +368,8 @@ class TestDominanceBound:
         body = SymmetricHPolytope([[1.0]], [2.0])
         with pytest.raises(ValueError, match="n >= 2"):
             dominance_volume_bound(body, Zonotope([[1.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_shadow_values_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="shadow values"):
+            dominance_volume_bound(cube(3), Zonotope(0.5 * np.eye(3)), np.array([4.0, bad, 4.0]))
