@@ -3,16 +3,17 @@
 The MVEE of a symmetric set is origin-centered, so the problem is the
 D-optimal design: maximize ``log det M`` with ``M = sum_k lambda_k v_k v_k^T``
 over the probability simplex.  It is solved by an active-set Newton method
-(Sun and Freund 2004; Todd 2016, ch. 3).  On a small active set S the
-gradient is ``g_k = v_k^T M^{-1} v_k`` and the Hessian ``-(V_S M^{-1}
-V_S^T)**2`` entrywise, so a Newton step under ``sum lambda = 1`` is one
-small linear solve; ``log det`` is self-concordant, so damping the step by
-``1/(1 + delta)`` (delta the Newton decrement) needs no line search.  The
-solve starts from n points spanning R^n (the Kumar-Yildirim core set) and,
-whenever the Newton solve on S has converged, reads g over every point and
-brings the worst violators into S by Frank-Wolfe steps.  The iterate doubles
-as an optimality certificate over all points.  The ellipsoid is
-``{x : x^T (n M)^{-1} x <= 1}``.
+(Sun and Freund 2004; Todd 2016, ch. 3) that inverts M once per iterate.  On
+an active set S the gradient is ``g_k = v_k^T M^{-1} v_k`` and the Hessian
+``-(V_S M^{-1} V_S^T)**2`` entrywise; a step under ``sum lambda = 1`` is the
+family ascent's Newton step on a slice, and ``log det`` is self-concordant, so
+damping it by ``1/(1 + delta)`` (delta the Newton decrement) needs no line
+search.  The solve starts from n points spanning R^n (the Kumar-Yildirim core
+set) and, whenever the Newton solve on S has converged, reads g over every
+point and brings the worst violators into S by Frank-Wolfe steps, each a
+rank-one update of that inverse.  The iterate is an optimality certificate
+over all points, and the ellipsoid ``{x : x^T (n M)^{-1} x <= 1}`` is read
+from the inverse it certified.
 
 From an optimal design the contact-point decomposition is extracted: after
 mapping by ``(n M)^{-1/2}`` the support points become unit vectors ``u_i``
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, WeightedDirections, canonical_signs, dedup_rows, jacobi_eigh, unit_ball_volume
+from .kernel import CapacityError, WeightedDirections, canonical_signs, dedup_rows, hyperplane_basis, jacobi_eigh, newton_on_slice, unit_ball_volume
 
 __all__ = [
     "Ellipsoid",
@@ -136,20 +137,18 @@ def _newton_step(k: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
     """One damped Newton step of ``log det M`` in the weights of the active set.
 
     `k` is ``V_S M^{-1} V_S^T``: the gradient is its diagonal and the Hessian
-    ``-(k * k)``.  The step keeps ``sum lam = 1`` by a bordered system,
-    solved by least squares because ``k * k`` is singular when the outer
-    products of S are dependent (the design is then not unique, M is).  It
-    is damped by ``1/(1 + delta)`` and cut where the first weight reaches 0;
-    every weight that reaches 0 in it comes back as 0.  Returns the new
-    weights and the Newton decrement delta.
+    ``-(k * k)``, taken by :func:`newton_on_slice` on ``sum lam = 1``.  Where
+    the outer products of S are dependent, ``k * k`` is singular, but moving
+    weight along its null directions leaves M unchanged: the slope there is
+    0, so the clamped step is the minimum-norm one.  It is damped by
+    ``1/(1 + delta)``, delta the Newton decrement (the root of the predicted
+    gain), and cut where the first weight reaches 0; every weight that
+    reaches 0 in it comes back as 0.  Returns the new weights and delta.
     """
     s = len(lam)
-    hess = k * k
-    kkt = np.ones((s + 1, s + 1))
-    kkt[:s, :s] = hess
-    kkt[s, s] = 0.0
-    d = np.linalg.lstsq(kkt, np.append(np.diag(k), 0.0), rcond=None)[0][:s]
-    delta = float(np.sqrt(max(d @ hess @ d, 0.0)))
+    basis = hyperplane_basis(np.ones(s))
+    d, gain = newton_on_slice(basis, basis.T @ np.diag(k), -basis.T @ (k * k) @ basis)
+    delta = float(np.sqrt(gain))
     step = 1.0 / (1.0 + delta)
     falling = d < 0.0
     reach = np.full(s, np.inf)
@@ -160,26 +159,32 @@ def _newton_step(k: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
     return np.maximum(new, 0.0), delta
 
 
-def _add_violators(v: np.ndarray, g: np.ndarray, active: np.ndarray, lam: np.ndarray, bound: float):
+def _frank_wolfe_entry(cross: np.ndarray, i: int, n: int) -> tuple[float, np.ndarray]:
+    """The weight beta of the entry of candidate i, and `cross` for the design after it."""
+    g = cross[i, i]
+    beta = (g - n) / (n * (g - 1.0))
+    return beta, (cross - (n * beta / g) * np.outer(cross[i], cross[i])) / (1.0 - beta)
+
+
+def _add_violators(v: np.ndarray, g: np.ndarray, inv: np.ndarray, active: np.ndarray, lam: np.ndarray, bound: float):
     """Bring the n points of largest g above `bound` into the design by Frank-Wolfe steps.
 
     Each step moves weight toward the worst of them under the current
     design, by the exact line search ``beta = (g_j - n) / (n (g_j - 1))``,
-    after which that point has ``g_j = n``.
+    after which that point has ``g_j = n``.  Their ``cross = V_W M^{-1} V_W^T``
+    is read from the loop's `inv` and follows each design by Sherman-Morrison,
+    ``(cross - n beta c_j c_j^T / g_j) / (1 - beta)`` with c_j its column j.
     """
     n = v.shape[1]
     worst = np.argsort(g)[::-1][:n]
     worst = worst[g[worst] > bound]
-    for _ in range(len(worst)):
-        w = v[active]
-        gw = np.einsum("ij,jk,ik->i", v[worst], np.linalg.inv((w.T * lam) @ w), v[worst])
-        i = int(np.argmax(gw))
-        if gw[i] <= bound:
-            break
-        beta = (gw[i] - n) / (n * (gw[i] - 1.0))
-        lam = lam * (1.0 - beta)
-        active, lam = np.append(active, worst[i]), np.append(lam, beta)
-        worst = np.delete(worst, i)
+    cross = v[worst] @ inv @ v[worst].T
+    np.fill_diagonal(cross, g[worst])  # the g of the stopping test, so the worst of them enters
+    while len(worst) and cross.diagonal().max() > bound:
+        i = int(np.argmax(cross.diagonal()))
+        beta, cross = _frank_wolfe_entry(cross, i, n)
+        active, lam = np.append(active, worst[i]), np.append(lam * (1.0 - beta), beta)
+        worst, cross = np.delete(worst, i), np.delete(np.delete(cross, i, 0), i, 1)
     return active, lam
 
 
@@ -214,15 +219,14 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     settled = True  # the Newton solve on the active set has converged
     while True:
         w = v[active]
-        mat = (w.T * lam) @ w
-        inv = np.linalg.inv(mat)
+        inv = np.linalg.inv((w.T * lam) @ w)
         if settled or iterations >= MAX_MVEE_ITERATIONS:
             g = np.einsum("ij,jk,ik->i", v, inv, v)
             k_max, k_min = float(g.max()), float(g[active].min())
             converged = k_max <= n * (1.0 + eps) and k_min >= n * (1.0 - eps)
             if converged or iterations >= MAX_MVEE_ITERATIONS:
                 break
-            active, lam = _add_violators(v, g, active, lam, n * (1.0 + eps))
+            active, lam = _add_violators(v, g, inv, active, lam, n * (1.0 + eps))
             settled = False
             continue
         lam, delta = _newton_step(w @ inv @ w.T, lam)
@@ -232,9 +236,7 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
         active, lam = active[kept], lam[kept] / lam[kept].sum()
     weights = np.zeros(m)
     weights[active] = lam
-    shape = np.linalg.inv(n * mat)
-    shape = 0.5 * (shape + shape.T)
-    result = MveeResult(Ellipsoid(shape), v, weights, iterations, k_max, k_min, eps)
+    result = MveeResult(Ellipsoid(inv / n), v, weights, iterations, k_max, k_min, eps)
     if not converged:
         err = CapacityError(f"MVEE did not converge in {MAX_MVEE_ITERATIONS} Newton steps (kappa range [{k_min:.6g}, {k_max:.6g}], target n={n})")
         err.best = result
@@ -249,12 +251,11 @@ def extract_john_decomposition(result: MveeResult) -> WeightedDirections:
     The support weights are renormalized and the whitening map recomputed
     from the support-only design D, so the output satisfies the identity
     resolution to machine precision regardless of the solver tolerance.
-    The weights ``c_i = n lam_i v_i^T D^{-1} v_i`` come from one linear
-    solve; their sum is ``tr(D^{-1} D) = n`` up to about eps cond(D), so
-    they are rescaled to sum to n, which holds to rounding.
+    The weights ``c_i = n lam_i v_i^T D^{-1} v_i`` read the squared norms of
+    the whitened rows; their sum is ``tr(D^{-1} D) = n`` up to about
+    eps cond(D), so they are rescaled to sum to n, which holds to rounding.
     """
-    lam = result.weights
-    v = result.points
+    v, lam = result.points, result.weights
     n = v.shape[1]
     threshold = max(result.eps, 1e-9)
     idx = np.flatnonzero(lam > threshold)
@@ -266,11 +267,10 @@ def extract_john_decomposition(result: MveeResult) -> WeightedDirections:
     w, q = jacobi_eigh(design)
     if w[0] <= 0:
         raise ValueError("support design is rank-deficient")
-    whiten = q @ np.diag(w**-0.5) @ q.T
-    tv = vs @ whiten
-    contacts = tv / np.linalg.norm(tv, axis=1)[:, None]
-    weights = n * lam_hat * np.einsum("ij,ji->i", vs, np.linalg.solve(design, vs.T))
-    return WeightedDirections(contacts, weights * (n / weights.sum()))
+    tv = vs @ (q @ np.diag(w**-0.5) @ q.T)
+    norms = np.linalg.norm(tv, axis=1)
+    weights = n * lam_hat * norms**2
+    return WeightedDirections(tv / norms[:, None], weights * (n / weights.sum()))
 
 
 @dataclass(frozen=True)
@@ -282,16 +282,16 @@ class JohnResidualReport:
     quadratic_max_relative: float
 
 
-def john_residual(decomposition: WeightedDirections, check_points: int = 20) -> JohnResidualReport:
+def john_residual(decomposition: WeightedDirections) -> JohnResidualReport:
     """Frobenius and trace residuals plus the quadratic identity spot-check.
 
-    The identity ``|x|^2 = sum c_i <u_i, x>^2`` is evaluated at a fixed set
-    of deterministic pseudo-random points; the worst relative error is
+    The identity ``|x|^2 = sum c_i <u_i, x>^2`` is evaluated at 20 fixed
+    deterministic pseudo-random points; the worst relative error is
     reported.
     """
     frob, gap = decomposition.residuals()
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0x5EED_1DE4)))
-    xs = gen.standard_normal((check_points, decomposition.dim))
+    xs = gen.standard_normal((20, decomposition.dim))
     sq = np.sum((xs @ decomposition.directions.T) ** 2 * decomposition.weights, axis=1)
     norms = np.sum(xs**2, axis=1)
     quad = float(np.max(np.abs(sq - norms) / norms))

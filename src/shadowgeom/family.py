@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, sample_unit_sphere
+from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, newton_on_slice, sample_unit_sphere
 from .kernel import unit_ball_volume, unit_directions
 from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _SlabPlan, _volume_derivatives
 from .shadow import TIE_TOLERANCE, ball_shadow_ratio, min_shadow_direction, minimize_support
@@ -60,8 +60,6 @@ __all__ = [
 OFFSET_FLOOR = 1e-9
 MAX_ASCENT_ITERATIONS = 600
 _COINCIDENCE_TOL = 1e-12
-#: Clamp for the slice curvature's eigenvalues, relative to the largest.
-_CURVATURE_FLOOR = 1e-6
 #: A gain in log-volume below this is lost in its rounding.
 _LOG_ROUNDING = 1e-13
 _START_SEED = 0xFA417_0001
@@ -190,13 +188,8 @@ def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
         if gradient_norm <= tol * volume or iterations == max_iterations:
             break
         iterations += 1
-        slope = projected / volume
         curvature = basis.T @ (hess / volume - np.outer(grad, grad) / volume**2) @ basis
-        lam, vecs = np.linalg.eigh(curvature)
-        lam = np.minimum(lam, -_CURVATURE_FLOOR * float(np.abs(lam).max()))
-        delta = vecs @ ((vecs.T @ slope) / -lam)
-        step = basis @ delta
-        gain = float(slope @ delta)  # the first-order gain of the whole step
+        step, gain = newton_on_slice(basis, projected / volume, curvature)
         alpha = 1.0
         while float((t + alpha * step).min()) <= OFFSET_FLOOR:
             alpha *= 0.5
@@ -378,8 +371,11 @@ def kkt_report(body: SymmetricHPolytope, spec: SlabFamilySpec) -> KKTReport:
     At an interior maximum the volume gradient (twice the one-sided facet
     measure per slab) equals the multiplier n*volume times the budget
     weight.  Residuals are reported relative to that target, skipping
-    floor-active coordinates where the bound is one-sided.
+    floor-active coordinates where the bound is one-sided.  Raises
+    ValueError unless the body has the family's slab directions.
     """
+    if not np.array_equal(body.directions, spec.directions):
+        raise ValueError("the body's slab directions are not those of the family")
     offsets = body.offsets
     grad = _volume_gradient(body, spec.weights)
     multiplier = body.dim * body.volume
@@ -417,8 +413,11 @@ def verify_projection_identity(
     For the volume maximizer, the shadow in direction theta equals
     ``(n*volume/2) * sum_i weights_i * |<u_i, theta>|``: the facet measures
     are proportional to the weights, and the shadow is half the measure-
-    weighted sum of |normal . theta| over all facets.
+    weighted sum of |normal . theta| over all facets.  Raises ValueError
+    unless the body has the family's slab directions.
     """
+    if not np.array_equal(body.directions, spec.directions):
+        raise ValueError("the body's slab directions are not those of the family")
     if rng is None:
         rng = RandomSource(_IDENTITY_SEED)
     thetas = sample_unit_sphere(spec.dim, rng, count=sample_count)
@@ -531,7 +530,7 @@ def construct_pathological(
     volume^(1/n) >= sqrt(2) (the unit-offset body is feasible and obeys its
     own floor) and, via the projection identity, every shadow ratio is at
     least delta_hat * sqrt(n) / (2*sqrt(2)).  Violations raise
-    :class:`FloorViolationError`.
+    :class:`FloorViolationError`; directions not in R^n raise ValueError.
     """
     if not 2 <= n <= 6:
         raise ValueError("dimension must lie in [2, 6] for exact verification")
@@ -546,6 +545,8 @@ def construct_pathological(
         else:
             raise ValueError("failed to sample spanning directions")
     u = np.asarray(directions, dtype=float)
+    if u.ndim != 2 or u.shape[1] != n:
+        raise ValueError(f"directions must be rows in R^{n}")
     m = u.shape[0]
     spec = SlabFamilySpec(u, np.full(m, 1.0 / m))
     details = maximize_volume_details(spec, tol=1e-8, rng=rng.fork(0x501))

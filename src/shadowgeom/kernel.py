@@ -6,12 +6,12 @@ seeded generators, so any computation that received the same source replays
 bit-identically.  :class:`WeightedDirections` is the one type for an
 isotropic decomposition (the MVEE's contact points included), and
 ``_read_unit_rows`` the one validator for the JSON documents that carry
-unit direction rows.  The eigensolver, the sign table, the slab-direction
-check, and the subset enumerator and cofactor table of polytopes and
-zonotopes with the one capacity guard they apply have one implementation
-each, here.  Every subset index of the last two, and the rank of every
-subset without one of its elements, comes from one cached lattice of the
-k-subsets in lexicographic order, each level built from the one below.
+unit direction rows.  The eigensolver, the Newton step on a slice, the sign
+table, the slab-direction check, and the subset enumerator and cofactor table
+of polytopes and zonotopes with the one capacity guard they apply have one
+implementation each, here.  Every subset index of the last two, and the rank
+of every subset without one of its elements, comes from one cached lattice of
+the k-subsets in lexicographic order, each level built from the one below.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ SUBSET_BLOCK = 4096
 #: largest shape a workload of the benchmark measures.  Larger shapes build their blocks one at a time,
 #: each from the cached lattice of the (k-1)-subsets.
 INDEX_PLAN_SUBSETS = math.comb(16, 6)
+CURVATURE_FLOOR = 1e-6
 
 #: (-1)^k for k < MAX_DIM, the signs of a cofactor vector and of the adjugate's columns
 _ALTERNATING = (-1.0) ** np.arange(MAX_DIM)
@@ -329,6 +330,19 @@ def hyperplane_basis(direction: np.ndarray) -> np.ndarray:
     w[0] += math.copysign(1.0, u[0]) if u[0] != 0.0 else 1.0
     h = np.eye(n) - 2.0 * np.outer(w, w) / float(w @ w)
     return h[:, 1:]
+
+
+def newton_on_slice(basis: np.ndarray, slope: np.ndarray, curvature: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newton step of a concave function on a slice, in ambient coordinates, and the first-order gain it predicts.
+
+    `slope` and `curvature` are the gradient and Hessian in the orthonormal `basis`
+    of the slice.  Curvature eigenvalues are clamped at ``-CURVATURE_FLOOR`` times
+    the largest magnitude so the step ascends; an empty slice gives a zero step.
+    """
+    lam, vecs = np.linalg.eigh(curvature)
+    lam = np.minimum(lam, -CURVATURE_FLOOR * float(np.abs(lam).max(initial=0.0)))
+    delta = vecs @ ((vecs.T @ slope) / -lam)
+    return basis @ delta, float(slope @ delta)
 
 
 def canonical_signs(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -725,22 +725,16 @@ class SymmetricHPolytope:
         return cls(*_read_unit_rows(data, "body", "offsets"))
 
 
-def random_symmetric_polytope(
-    n: int,
-    m: int,
-    rng: RandomSource,
-    offset_range: tuple[float, float] = (0.5, 1.5),
-) -> SymmetricHPolytope:
-    """Random spanning slab body: uniform sphere directions, uniform offsets."""
+def random_symmetric_polytope(n: int, m: int, rng: RandomSource) -> SymmetricHPolytope:
+    """Random spanning slab body: uniform sphere directions, offsets uniform in [0.5, 1.5)."""
     if m < n:
         raise ValueError("need m >= n slabs")
-    lo, hi = offset_range
     for attempt in range(16):
         src = rng.fork(attempt) if attempt else rng
         gen = src.generator()
         u = gen.standard_normal((m, n))
         u /= np.linalg.norm(u, axis=1)[:, None]
-        t = gen.uniform(lo, hi, size=m)
+        t = gen.uniform(0.5, 1.5, size=m)
         if np.linalg.matrix_rank(u, tol=1e-10) == n:
             return SymmetricHPolytope(u, t)
     raise ValueError("failed to draw spanning directions")

@@ -285,15 +285,14 @@ def dominance_volume_bound(body: SymmetricHPolytope, z: Zonotope, shadows_of_d: 
     return min(bound_from_shadows, bound_from_containment)
 
 
-def random_zonotope(n: int, m: int, rng: RandomSource, scale_range: tuple[float, float] = (0.5, 1.5)) -> Zonotope:
-    """Random zonotope: uniform sphere directions with uniform scales."""
+def random_zonotope(n: int, m: int, rng: RandomSource) -> Zonotope:
+    """Random zonotope: uniform sphere directions with scales uniform in [0.5, 1.5)."""
     if m < 1:
         raise ValueError("need at least one generator")
     gen = rng.generator()
     u = gen.standard_normal((m, n))
     u /= np.linalg.norm(u, axis=1)[:, None]
-    lo, hi = scale_range
-    return Zonotope(u * gen.uniform(lo, hi, size=m)[:, None])
+    return Zonotope(u * gen.uniform(0.5, 1.5, size=m)[:, None])
 
 
 def random_weighted_directions(n: int, rng: RandomSource, bases: int = 2) -> WeightedDirections:

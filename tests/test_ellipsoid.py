@@ -181,6 +181,59 @@ class TestMveeNewtonSolve:
             mvee_symmetric(pts)
 
 
+class TestClosedForms:
+    """The MVEE inverts M once per iterate: the Newton step, the Frank-Wolfe entries and the shape read that inverse."""
+
+    def test_singular_newton_step_is_the_minimum_norm_bordered_solution(self):
+        # the outer products of the 16 cube vertices in R^5 span 11 dimensions, so k * k is singular
+        v = ellipsoid_mod._canonicalize_symmetric(cube_vertices(5))
+        lam = np.full(16, 1.0 / 16.0) * (1.0 + 0.2 * RandomSource(575).generator().uniform(-1.0, 1.0, 16))
+        lam /= lam.sum()
+        mat = (v.T * lam) @ v
+        k = v @ np.linalg.inv(mat) @ v.T
+        assert np.linalg.matrix_rank(k * k) == 11
+        new, delta = ellipsoid_mod._newton_step(k, lam)
+        assert new.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.slogdet((v.T * new) @ v)[1] > np.linalg.slogdet(mat)[1]
+        # the bordered system [[k * k, 1], [1, 0]] (d, mu) = (diag k, 0), solved by least squares
+        kkt = np.ones((17, 17))
+        kkt[:16, :16], kkt[16, 16] = k * k, 0.0
+        d = np.linalg.lstsq(kkt, np.append(np.diag(k), 0.0), rcond=None)[0][:16]
+        assert delta == pytest.approx(math.sqrt(d @ (k * k) @ d), rel=1e-9)
+        # no weight reaches 0 in this step, so it is the whole damped step
+        assert np.max(np.abs((new - lam) * (1.0 + delta) - d)) <= 1e-9
+
+    def test_frank_wolfe_entries_update_the_inverse_by_rank_one(self):
+        # the entries the solver makes from its first design, each candidate once, every candidate kept in `cross`
+        v = ellipsoid_mod._canonicalize_symmetric(polar_cloud(5, 10, 577))
+        n = v.shape[1]
+        active = ellipsoid_mod._spanning_basis(v)
+        lam = np.full(n, 1.0 / n)
+        inv = np.linalg.inv((v[active].T * lam) @ v[active])
+        worst = np.argsort(np.einsum("ij,jk,ik->i", v, inv, v))[::-1][:n]
+        cross = v[worst] @ inv @ v[worst].T
+        entered = []
+        while True:
+            g = np.where(np.isin(np.arange(n), entered), -np.inf, cross.diagonal())
+            i = int(np.argmax(g))
+            if g[i] <= n * (1.0 + 1e-8):
+                break
+            beta, cross = ellipsoid_mod._frank_wolfe_entry(cross, i, n)
+            active, lam = np.append(active, worst[i]), np.append(lam * (1.0 - beta), beta)
+            fresh = v[worst] @ np.linalg.inv((v[active].T * lam) @ v[active]) @ v[worst].T
+            assert np.max(np.abs(cross - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+            assert cross[i, i] == pytest.approx(n, rel=1e-12)
+            entered.append(i)
+        assert len(entered) >= 3
+
+    @pytest.mark.parametrize("n,m,seed", [(4, 9, 577), (5, 11, 578), (6, 13, 579)])
+    def test_shape_is_the_inverse_the_kappa_range_was_certified_with(self, n, m, seed):
+        result = mvee_symmetric(polar_cloud(n, m, seed))
+        g = n * np.einsum("ij,jk,ik->i", result.points, result.ellipsoid.shape, result.points)
+        assert float(g.max()) == pytest.approx(result.kappa_max, rel=1e-14)
+        assert float(g[result.weights > 0.0].min()) == pytest.approx(result.kappa_min, rel=1e-14)
+
+
 class TestJohnDecomposition:
     @pytest.mark.parametrize("seed", range(8))
     def test_residuals_within_contract(self, seed):

@@ -244,6 +244,27 @@ class TestProjectionIdentity:
         assert rep.max_relative_error > 1e-3
 
 
+class TestFamilyMembership:
+    """The certificates refuse a body that is not a member of the family they are asked about."""
+
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.6, 0.8]]),  # same shape, other directions
+            np.vstack([np.eye(3), [[0.0, 0.6, 0.8]]]),  # one slab more
+            np.eye(2),  # another dimension
+        ],
+        ids=["other-directions", "other-count", "other-dimension"],
+    )
+    def test_certificates_reject_a_body_of_another_family(self, directions):
+        spec = SlabFamilySpec(np.eye(3), np.full(3, 1.0 / 3.0))
+        body = SymmetricHPolytope(directions, np.full(len(directions), 1.0))
+        with pytest.raises(ValueError, match="family"):
+            kkt_report(body, spec)
+        with pytest.raises(ValueError, match="family"):
+            verify_projection_identity(body, spec, sample_count=10)
+
+
 class TestDirectionSpread:
     def test_orthonormal_plane_frame(self):
         rep = direction_spread(np.eye(2))
@@ -315,6 +336,12 @@ class TestPathological:
             construct_pathological(1)
         with pytest.raises(ValueError):
             construct_pathological(7)
+
+    def test_directions_of_another_dimension_are_refused(self):
+        # eight rows in R^4 used to give a 4-dimensional body certified with n = 3
+        u = sample_unit_sphere(4, RandomSource(557), count=8)
+        with pytest.raises(ValueError, match="R\\^3"):
+            construct_pathological(3, rng=RandomSource(558), directions=u)
 
 
 class TestShephard:

@@ -19,6 +19,7 @@ from shadowgeom.kernel import (
     dedup_rows,
     hyperplane_basis,
     jacobi_eigh,
+    newton_on_slice,
     psd_sqrt,
     random_orthogonal,
     sample_unit_sphere,
@@ -342,6 +343,33 @@ class TestCharts:
         gen = RandomSource(13).generator()
         q = random_orthogonal(4, gen)
         assert np.allclose(q @ q.T, np.eye(4), atol=1e-12)
+
+
+class TestNewtonOnSlice:
+    def test_exact_step_of_a_concave_quadratic(self):
+        # f(x) = c.x - x.A.x / 2 on {sum x = 0}: one Newton step lands on the maximizer
+        gen = RandomSource(14).generator()
+        a = gen.standard_normal((5, 5))
+        a = a @ a.T + np.eye(5)
+        c = gen.standard_normal(5)
+        basis = hyperplane_basis(np.ones(5))
+        step, gain = newton_on_slice(basis, basis.T @ c, -basis.T @ a @ basis)
+        expected = basis @ np.linalg.solve(basis.T @ a @ basis, basis.T @ c)
+        assert np.allclose(step, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+        assert abs(step.sum()) <= 1e-12
+        assert gain == pytest.approx(float(c @ expected), rel=1e-12)
+
+    def test_clamped_curvature_still_ascends(self):
+        # a convex direction is taken with the floor's curvature, so the step goes uphill along it
+        basis = np.eye(2)
+        step, gain = newton_on_slice(basis, np.array([1.0, 1.0]), np.diag([-2.0, 3.0]))
+        assert step[0] == pytest.approx(0.5, rel=1e-15)
+        assert step[1] == pytest.approx(1.0 / (kernel.CURVATURE_FLOOR * 3.0), rel=1e-15)
+        assert gain == pytest.approx(step.sum(), rel=1e-15) and gain > 0.0
+
+    def test_empty_slice_gives_a_zero_step(self):
+        step, gain = newton_on_slice(hyperplane_basis(np.ones(1)), np.zeros(0), np.zeros((0, 0)))
+        assert step.tolist() == [0.0] and gain == 0.0
 
 
 class TestCanonicalForms:
