@@ -24,6 +24,7 @@ hold to machine precision rather than to the solver tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,18 @@ def _spanning_basis(v: np.ndarray) -> np.ndarray:
     return np.array(picked)
 
 
+@functools.lru_cache(maxsize=64)
+def _slice_basis(s: int) -> np.ndarray:
+    """The orthonormal basis of ``{d : sum d = 0}`` in R^s that :func:`_newton_step` steps in; read-only.
+
+    Built once per active-set size; the cache keeps 64 sizes, so a solve
+    whose active set grows large holds a bounded number of s x s arrays.
+    """
+    basis = hyperplane_basis(np.ones(s))
+    basis.setflags(write=False)
+    return basis
+
+
 def _newton_step(k: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
     """One damped Newton step of ``log det M`` in the weights of the active set.
 
@@ -146,7 +159,7 @@ def _newton_step(k: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
     reaches 0 in it comes back as 0.  Returns the new weights and delta.
     """
     s = len(lam)
-    basis = hyperplane_basis(np.ones(s))
+    basis = _slice_basis(s)
     d, gain = newton_on_slice(basis, basis.T @ np.diag(k), -basis.T @ (k * k) @ basis)
     delta = float(np.sqrt(gain))
     step = 1.0 / (1.0 + delta)
@@ -167,16 +180,21 @@ def _frank_wolfe_entry(cross: np.ndarray, i: int, n: int) -> tuple[float, np.nda
 
 
 def _add_violators(v: np.ndarray, g: np.ndarray, inv: np.ndarray, active: np.ndarray, lam: np.ndarray, bound: float):
-    """Bring the n points of largest g above `bound` into the design by Frank-Wolfe steps.
+    """Bring the n points outside `active` of largest g above `bound` into the design by Frank-Wolfe steps.
 
     Each step moves weight toward the worst of them under the current
     design, by the exact line search ``beta = (g_j - n) / (n (g_j - 1))``,
     after which that point has ``g_j = n``.  Their ``cross = V_W M^{-1} V_W^T``
     is read from the loop's `inv` and follows each design by Sherman-Morrison,
     ``(cross - n beta c_j c_j^T / g_j) / (1 - beta)`` with c_j its column j.
+    A point already in S never enters again: its weight is the Newton
+    solve's to set.
     """
     n = v.shape[1]
-    worst = np.argsort(g)[::-1][:n]
+    outside = np.ones(len(g), dtype=bool)
+    outside[active] = False
+    by_g = np.argsort(g)[::-1]
+    worst = by_g[outside[by_g]][:n]
     worst = worst[g[worst] > bound]
     cross = v[worst] @ inv @ v[worst].T
     np.fill_diagonal(cross, g[worst])  # the g of the stopping test, so the worst of them enters

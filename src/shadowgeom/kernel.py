@@ -359,40 +359,44 @@ def canonical_signs(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def dedup_rows(points: np.ndarray, tol: float) -> np.ndarray:
     """Merge rows closer than `tol`, keeping the first occurrence in input order.
 
-    A row is dropped when it lies within `tol` of an earlier kept row.  Two
-    passes: exact duplicates are collapsed by one lexicographic sort, then
-    the remaining close pairs are found by sorting the rows along one fixed
-    direction and testing only neighbours inside a `tol` window.  Nothing is
-    rounded to a grid, so the result holds at any magnitude of the rows.
+    A row is dropped when it lies within `tol` of an earlier kept row.  One
+    stable sort of the rows along a fixed direction serves both passes:
+    exact duplicates, which project equally, are collapsed where they are
+    neighbours in that order, and the remaining close pairs are found by
+    testing only neighbours inside a `tol` window of it.  A copy that the
+    first pass misses (a distinct row of the same projection between two
+    copies) is at distance 0 from its first copy, so the second pass drops
+    it.  Nothing is rounded to a grid, so the result holds at any magnitude
+    of the rows.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return pts.copy()
-    by_row = np.lexsort(pts.T[::-1])  # stable: each distinct row's first copy leads its run
-    rows = pts[by_row]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    survivors = pts[np.sort(by_row[fresh])]
     # |<d, p - q>| <= |p - q| for a unit d, so every close pair shares a window
     d = np.sqrt(np.arange(1.0, pts.shape[1] + 1.0))
-    proj = survivors @ (d / np.linalg.norm(d))
-    order = np.argsort(proj, kind="stable")
-    sproj = proj[order]
-    slack = 4.0 * np.finfo(float).eps * (np.abs(sproj) + np.abs(survivors).sum(axis=1)[order])
+    proj = pts @ (d / np.linalg.norm(d))
+    by_proj = np.argsort(proj, kind="stable")  # each run of equal rows is led by its first copy
+    rows = pts[by_proj]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    first = by_proj[fresh]  # the rows left by the exact pass, by projection
+    sproj = proj[first]
+    slack = 4.0 * np.finfo(float).eps * (np.abs(sproj) + np.abs(rows[fresh]).sum(axis=1))
     hi = np.searchsorted(sproj, sproj + tol + slack, side="right")
     width = hi - np.arange(len(sproj)) - 1
     a = np.repeat(np.arange(len(sproj)), width)
     b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(width) - width, width)
-    i, j = order[a], order[b]
-    close = np.sum((survivors[i] - survivors[j]) ** 2, axis=1) <= tol * tol
+    i, j = first[a], first[b]
+    close = np.sum((pts[i] - pts[j]) ** 2, axis=1) <= tol * tol
     lo, hi_row = np.minimum(i, j)[close], np.maximum(i, j)[close]
-    keep = np.ones(len(survivors), dtype=bool)
+    keep = np.zeros(len(pts), dtype=bool)
+    keep[first] = True
     # in input order: a row with a close earlier row survives only if none of those was kept
     by_row = np.lexsort((lo, hi_row))
     for row, earlier in zip(hi_row[by_row], lo[by_row]):
         if keep[earlier]:
             keep[row] = False
-    return survivors[keep]
+    return pts[keep]
 
 
 #: The isotropy tolerances of :meth:`WeightedDirections.validate`, on its two :meth:`~WeightedDirections.residuals`.

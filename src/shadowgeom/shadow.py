@@ -226,7 +226,8 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     n = body.dim
     zono = projection_body(body)
     pv = polar_vertices(zono)
-    mvee = mvee_symmetric(pv.vertices, eps)
+    canonical = pv.vertices[: len(pv) // 2]  # the MVEE of {+/- v} needs one of each pair
+    mvee = mvee_symmetric(canonical, eps)
     root = psd_sqrt(mvee.ellipsoid.shape)
     det = float(np.linalg.det(root))
     transform = root / det ** (1.0 / n)
@@ -235,7 +236,7 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     # factor, so they are unit directions in the image frame already
     det_t = abs(float(np.linalg.det(transform)))
     image_zono = Zonotope(det_t * np.linalg.solve(transform.T, zono.generators.T).T)  # rows |det T| T^{-T} g
-    normals = pv.vertices[: len(pv) // 2] @ transform.T
+    normals = canonical @ transform.T
     report = _least_support(image_zono, normals / np.linalg.norm(normals, axis=1)[:, None])
     volume = det_t * body.volume
     ratio = report.value / volume ** ((n - 1) / n)

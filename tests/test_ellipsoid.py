@@ -13,7 +13,7 @@ from shadowgeom.ellipsoid import (
     john_residual,
     mvee_symmetric,
 )
-from shadowgeom.kernel import CapacityError, RandomSource, WeightedDirections, random_orthogonal, unit_ball_volume
+from shadowgeom.kernel import CapacityError, RandomSource, WeightedDirections, hyperplane_basis, random_orthogonal, unit_ball_volume
 from shadowgeom.polytope import random_symmetric_polytope
 from shadowgeom.shadow import polar_vertices
 from shadowgeom.zonotope import projection_body
@@ -173,6 +173,30 @@ class TestMveeNewtonSolve:
             assert np.max(np.abs(scaled.ellipsoid.shape - expected)) <= 1e-9 * np.max(np.abs(expected)), s
             assert scaled.iterations == base.iterations, s
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_either_half_of_a_symmetric_cloud_gives_the_same_design(self, n, seed):
+        # polar_vertices returns v then -v; the MVEE of {+/- v} is the same set from either
+        pts = polar_cloud(n, n + 3 + 2 * seed, 590 + 10 * n + seed)
+        full, half = mvee_symmetric(pts), mvee_symmetric(pts[: len(pts) // 2])
+        assert np.array_equal(half.points, full.points)
+        assert np.array_equal(half.ellipsoid.shape, full.ellipsoid.shape)
+        assert np.array_equal(half.weights, full.weights)
+        assert half.iterations == full.iterations
+
+    def test_an_active_point_never_enters_again(self):
+        v = ellipsoid_mod._canonicalize_symmetric(polar_cloud(4, 9, 581))
+        n = v.shape[1]
+        active = ellipsoid_mod._spanning_basis(v)
+        lam = np.full(n, 1.0 / n)
+        inv = np.linalg.inv((v[active].T * lam) @ v[active])
+        g = np.einsum("ij,jk,ik->i", v, inv, v)
+        g[active[0]] = 2.0 * n  # an active point that reads above the bound, as rounding can make it
+        grown, weights = ellipsoid_mod._add_violators(v, g, inv, active, lam, n * (1.0 + 1e-8))
+        assert len(np.unique(grown)) == len(grown) == len(weights)
+        assert np.array_equal(grown[:n], active)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_points(self, bad):
         pts = polar_cloud(3, 6, 3).copy()
@@ -202,6 +226,24 @@ class TestClosedForms:
         assert delta == pytest.approx(math.sqrt(d @ (k * k) @ d), rel=1e-9)
         # no weight reaches 0 in this step, so it is the whole damped step
         assert np.max(np.abs((new - lam) * (1.0 + delta) - d)) <= 1e-9
+
+    def test_slice_basis_is_one_read_only_array_per_size(self):
+        for s in range(1, 26):
+            basis = ellipsoid_mod._slice_basis(s)
+            assert basis is ellipsoid_mod._slice_basis(s)
+            assert not basis.flags.writeable
+            assert np.array_equal(basis, hyperplane_basis(np.ones(s)))
+
+    def test_newton_step_in_the_cached_basis_is_the_step_in_a_fresh_one(self, monkeypatch):
+        v = ellipsoid_mod._canonicalize_symmetric(cube_vertices(5))
+        lam = np.full(16, 1.0 / 16.0) * (1.0 + 0.2 * RandomSource(575).generator().uniform(-1.0, 1.0, 16))
+        lam /= lam.sum()
+        k = v @ np.linalg.inv((v.T * lam) @ v) @ v.T
+        cached, cached_delta = ellipsoid_mod._newton_step(k, lam)
+        monkeypatch.setattr(ellipsoid_mod, "_slice_basis", lambda s: hyperplane_basis(np.ones(s)))
+        fresh, fresh_delta = ellipsoid_mod._newton_step(k, lam)
+        assert np.array_equal(cached, fresh)
+        assert cached_delta == fresh_delta
 
     def test_frank_wolfe_entries_update_the_inverse_by_rank_one(self):
         # the entries the solver makes from its first design, each candidate once, every candidate kept in `cross`

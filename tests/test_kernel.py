@@ -441,6 +441,40 @@ class TestCanonicalForms:
         assert len(out) == 50
         assert np.array_equal(out, dedup_rows_reference(pts, tol))
 
+    @pytest.mark.parametrize("tol", [1e-20, 1e-8])
+    def test_dedup_rows_drops_copies_behind_a_row_of_equal_projection(self, tol):
+        # the one sort is by projection: a distinct row of bitwise-equal projection can sit between two copies
+        d = np.sqrt(np.arange(1.0, 4.0))
+        unit = d / np.linalg.norm(d)
+        a = RandomSource(41).generator().standard_normal(3)
+        # a distinct row a few ulps from a, between its copies
+        steps = (a + np.array(k) * np.spacing(a) for k in itertools.product(range(-3, 4), repeat=3))
+        candidates = (np.array([a, b, a, b, a]) for b in steps)
+        pts = next(p for p in candidates if not np.array_equal(p[0], p[1]) and len(set(p @ unit)) == 1)
+        out = dedup_rows(pts, tol)
+        assert np.array_equal(out, dedup_rows_reference(pts, tol))
+        assert len(out) == (2 if tol < np.linalg.norm(pts[0] - pts[1]) else 1)
+
+    def test_dedup_rows_merges_rows_equal_up_to_signed_zeros(self):
+        pts = np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [2.0, -0.0, 1.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+        out = dedup_rows(pts, 1e-12)
+        expected = dedup_rows_reference(pts, 1e-12)
+        assert len(out) == 2
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))  # the first copy is the one kept
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_dedup_rows_collapses_antipodal_copies_after_canonical_signs(self, n):
+        # as the MVEE canonicalises a symmetric set: every row and its negative, several times over
+        gen = RandomSource(43 + n).generator()
+        v = gen.standard_normal((60, n)) * 10.0 ** gen.uniform(-3.0, 3.0, (60, 1))
+        pts = np.vstack([v, -v] * 4)[gen.permutation(480)]
+        tol = 1e-12 * float(np.linalg.norm(pts, axis=1).max())
+        canon = pts * canonical_signs(pts, tol)[:, None]
+        out = dedup_rows(canon, tol)
+        assert len(out) == 60
+        assert np.array_equal(out, dedup_rows_reference(canon, tol))
+
 
 class TestIsotropyResiduals:
     def test_orthonormal_frame_is_exact(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import support_minimum_reference, support_minimum_sampled
-from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
+from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import SymmetricHPolytope, random_symmetric_polytope
 from shadowgeom.shadow import (
     ball_shadow_ratio,
@@ -209,6 +209,16 @@ class TestShadowPosition:
         rep_a = shadow_position(body)
         rep_b = shadow_position(body.affine_image(SKEW))
         assert rep_b.ratio == pytest.approx(rep_a.ratio, rel=1e-6)
+
+    def test_thin_rotated_box_whose_active_point_reads_above_the_bound(self):
+        # an active point with g = 3.00000004 above the bound 3 (1 + 1e-8) used to enter the design again,
+        # leaving two support points and a ValueError from the contact decomposition
+        body = SymmetricHPolytope(random_orthogonal(3, np.random.default_rng(3)), np.array([1.0, 1.0, 1e-4]))
+        rep = shadow_position(body)
+        assert rep.ok
+        assert rep.ratio >= 1.0 - 1e-4
+        assert len(rep.john.weights) == 3
+        assert abs(rep.john.weights.sum() - 3.0) <= 1e-14
 
     def test_body_with_more_than_twenty_facet_pairs(self):
         # 24 slabs, 21 of them facets: past the facet-normal enumeration's old 20-generator guard
