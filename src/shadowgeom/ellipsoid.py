@@ -217,10 +217,12 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     and are solved by damped Newton steps on the active set S, dropping
     every point whose weight reaches 0.  When that solve has converged, g is
     read over every point: the solve ends when every point satisfies
-    ``v^T (nM)^{-1} v <= 1 + eps`` and every support point ``>= 1 - eps``;
+    ``v^T (nM)^{-1} v <= 1 + tol`` and every support point ``>= 1 - tol``;
     otherwise the worst violators enter S by Frank-Wolfe steps and the
-    Newton solve resumes.  The stopping test and the returned kappa range
-    are exact over every point for the returned weights.
+    Newton solve resumes.  ``tol = eps + eps_mach tr(M) tr(M^-1)`` widens
+    eps by the rounding of g read through ``M^-1`` (the traces' product lies
+    between cond(M) and n^2 cond(M)).  The stopping test and the returned
+    kappa range are exact over every point for the returned weights.
     ``MveeResult.iterations`` counts Newton steps; after
     ``MAX_MVEE_ITERATIONS`` of them :class:`CapacityError` is raised with
     the current iterate attached.
@@ -237,14 +239,16 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     settled = True  # the Newton solve on the active set has converged
     while True:
         w = v[active]
-        inv = np.linalg.inv((w.T * lam) @ w)
+        design = (w.T * lam) @ w
+        inv = np.linalg.inv(design)
         if settled or iterations >= MAX_MVEE_ITERATIONS:
             g = np.einsum("ij,jk,ik->i", v, inv, v)
             k_max, k_min = float(g.max()), float(g[active].min())
-            converged = k_max <= n * (1.0 + eps) and k_min >= n * (1.0 - eps)
+            tol = eps + np.finfo(float).eps * float(design.trace() * inv.trace())
+            converged = k_max <= n * (1.0 + tol) and k_min >= n * (1.0 - tol)
             if converged or iterations >= MAX_MVEE_ITERATIONS:
                 break
-            active, lam = _add_violators(v, g, inv, active, lam, n * (1.0 + eps))
+            active, lam = _add_violators(v, g, inv, active, lam, n * (1.0 + tol))
             settled = False
             continue
         lam, delta = _newton_step(w @ inv @ w.T, lam)

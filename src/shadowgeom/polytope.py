@@ -22,13 +22,13 @@ halves:
   vertices broken by one lexicographic perturbation decided once per
   vertex.
 
-A lone body builds its plan and streams its blocks of subsets once; the
-family solver builds one plan per slab family and evaluates the stacked
-offsets of all its live starts over it in every round, each body getting
-the bits it gets alone.  Every measure comes from the cones: a shadow is
-Cauchy's ``0.5 * sum |<theta, n_F>| * |F|`` over two facets F, -F of normal
-``+-u_j`` per slab.  The merged vertex set and the facet record (a facet's
-owners are the signed slabs tight on all its vertices) are built on request.
+A lone body keeps its vertex cones and the measures read from them, not the
+plan they were found over; the family solver keeps one plan per slab family
+and evaluates the stacked offsets of all its live starts over it in every
+round, each body getting the bits it gets alone.  Every measure comes from
+the cones: a shadow is Cauchy's ``0.5 * sum |<theta, n_F>| * |F|`` over two
+facets F, -F of normal ``+-u_j`` per slab.  The merged vertex set, over a
+plan of its own, and the facet record are built on request.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
 are given at unit scale and scaled with the body (see ``_scale``), and so is
@@ -39,7 +39,6 @@ rejects ``m > 24`` slabs or dimension ``n > 7``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Iterator, Sequence
@@ -177,10 +176,12 @@ def _cluster_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np
 class _SubsetBlock(NamedTuple):
     """The offset-free data of a block of nonsingular n-subsets S of the directions, one row per subset.
 
-    ``keys`` is the rank of S among all n-subsets in lexicographic order and
-    ``dets`` holds ``|det U_S|``.  Column i of ``columns`` is the cofactor
-    vector ``c_(S without s_i)`` times the sign of ``det U_S``, gathered in
-    C order, so that ``U_S^-1 = columns diag((-1)^i) / |det U_S|`` (see
+    ``keys`` is the row of S in its block of :func:`subset_blocks`, singular
+    rows counted (in a stored plan's one block, the rank of S among all
+    n-subsets in lexicographic order), and ``dets`` holds ``|det U_S|``.
+    Column i of ``columns`` is the cofactor vector ``c_(S without s_i)``
+    times the sign of ``det U_S``, gathered in C order, so that
+    ``U_S^-1 = columns diag((-1)^i) / |det U_S|`` (see
     :func:`_scaled_inverses`).  ``first_rows`` holds the rows ``u_j U_S^-1``
     of the first ``_FIRST_PASS_SLABS`` slabs, where the row of the subset's
     own slab s_i is exactly ``e_i``.
@@ -199,8 +200,8 @@ def _scaled_inverses(columns: np.ndarray, dets: np.ndarray, ts) -> np.ndarray:
     return columns * ((_ALTERNATING[:n] * ts) / dets[:, None])[..., None, :]
 
 
-def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray], offset: int) -> _SubsetBlock:
-    """The nonsingular subsets of a block of :func:`subset_blocks` (keys from `offset` on) with their determinants and cofactor columns.
+def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> _SubsetBlock:
+    """The nonsingular subsets of a block of :func:`subset_blocks` with their determinants and cofactor columns.
 
     No subset is factorised: from the cofactor table of the (n-1)-subsets
     (:func:`cofactor_table`) and the block's ranks of each ``S without s_i``
@@ -222,7 +223,7 @@ def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray,
     b, i = np.nonzero(subsets < first)
     rows[b, subsets[b, i]] = 0.0
     rows[b, subsets[b, i], i] = 1.0
-    return _SubsetBlock(offset + np.flatnonzero(keep), subsets, dets, columns, rows)
+    return _SubsetBlock(np.flatnonzero(keep), subsets, dets, columns, rows)
 
 
 def _cone_terms(columns: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +263,8 @@ class _SlabPlan:
     from the first evaluation that keeps a cone of it; every array it keeps
     is read-only.  Otherwise each evaluation streams its blocks, built from
     one cofactor table, and computes the cone terms of the kept rows, so
-    that it holds one block at a time.
+    that it holds one block at a time.  A family solve keeps its plan over
+    its rounds; a lone body drops its plan once its cones are read.
     """
 
     def __init__(self, directions: np.ndarray):
@@ -283,19 +285,19 @@ class _SlabPlan:
         """
         u = self.directions
         m, n = u.shape
-        rows = max(1, kernel.SUBSET_BLOCK // stack)
         if self._block is None:
             cofactors = cofactor_table(u)  # first: it applies the capacity guard
             if not self.stored:
                 # by map, so that no block's index rows outlive the call that reads them
-                return map(partial(_subset_block, u, cofactors), subset_blocks(m, n, stack, ranked=True), itertools.count(0, rows))
+                return map(partial(_subset_block, u, cofactors), subset_blocks(m, n, stack, ranked=True))
             (block,) = subset_blocks(m, n, ranked=True)
-            self._block = _subset_block(u, cofactors, block, 0)
+            self._block = _subset_block(u, cofactors, block)
             _read_only(*self._block)
+        rows = max(1, kernel.SUBSET_BLOCK // stack)
         return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
 
     def cone_terms(self, keys: np.ndarray, columns: np.ndarray, dets: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """:func:`_cone_terms` of the subsets of the rows (``keys``, cofactor columns, ``|det U_S|``), and the row of each in them.
+        """:func:`_cone_terms` of the subsets of the rows (block rows ``keys``, cofactor columns, ``|det U_S|``), and the row of each in them.
 
         A stored plan computes the terms of each subset once, the first
         time a cone of it is kept.
@@ -380,7 +382,7 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(field[order] for field in fields)
 
 
-def _cones(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """The kept vertex cones of each lexicographically perturbed body of a stack, as (bodies, subsets, h, gamma, weight).
 
     Candidates of one body (:func:`_candidates`) in canonical sign within
@@ -403,7 +405,7 @@ def _cones(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -
     that does not depend on t (:meth:`_SlabPlan.cone_terms`); gamma is then
     read from ``X_S^T c / t_S``, one product with the table per body.
     """
-    body, sub, pat, columns, pts, dets, keys = candidates
+    body, sub, pat, columns, pts, dets, keys = _candidates(plan, t)
     u = plan.directions
     m, n = u.shape
     s = _scales(t)[body]
@@ -485,7 +487,7 @@ def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.
     was used before or not.
     """
     count, m = t.shape
-    cones = _cones(plan, t, _candidates(plan, t))
+    cones = _cones(plan, t)
     return _volumes(cones, count), 2.0 * _facet_measures(cones, count, m), _hessians(cones, count, m)
 
 
@@ -494,8 +496,9 @@ class SymmetricHPolytope:
 
     Directions must be unit vectors (within 1e-12) spanning R^n — otherwise
     the body would be unbounded and construction is rejected.  Offsets must
-    be finite and strictly positive.  Instances are immutable; vertices and
-    facets are computed on first use and cached.
+    be finite and strictly positive.  Instances are immutable; the vertex
+    cones, the measures, vertices and facets are computed on first use and
+    cached, but not the plan and candidates that the cones are found over.
     """
 
     def __init__(self, directions: np.ndarray, offsets: np.ndarray):
@@ -569,23 +572,13 @@ class SymmetricHPolytope:
     # -- vertex enumeration ----------------------------------------------
 
     @cached_property
-    def _plan(self) -> _SlabPlan:
-        """The plan of this body's directions (:class:`_SlabPlan`), which :attr:`_candidates` and :attr:`_cones` share."""
-        return _SlabPlan(self._directions)
-
-    @cached_property
-    def _candidates(self) -> tuple[np.ndarray, ...]:
-        """The feasible (subset, sign pattern) pairs of this body alone (:func:`_candidates`)."""
-        return _candidates(self._plan, self._offsets[None])
-
-    @cached_property
     def vertices(self) -> VertexSet:
-        """All vertices: the feasible candidates of :attr:`_candidates`, merged within ``VERTEX_MERGE_TOL * scale``.
+        """All vertices: the feasible candidates (:func:`_candidates`) over a plan of its own, merged within ``VERTEX_MERGE_TOL * scale``.
 
         Mirrored solutions are added after the merge, so the set is exactly
         closed under negation.
         """
-        raw, s = self._candidates[4], self._scale
+        raw, s = _candidates(_SlabPlan(self._directions), self._offsets[None])[4], self._scale
         # canonicalise sign so each antipodal pair is represented once
         canon = dedup_rows(raw * canonical_signs(raw, 1e-9 * s)[:, None], VERTEX_MERGE_TOL * s)
         both = np.concatenate([canon, -canon])
@@ -597,8 +590,8 @@ class SymmetricHPolytope:
 
     @cached_property
     def _cones(self) -> tuple[np.ndarray, ...]:
-        """The kept vertex cones of this body alone (:func:`_cones`)."""
-        return _cones(self._plan, self._offsets[None], self._candidates)
+        """The kept vertex cones of this body alone (:func:`_cones`), over a plan that is dropped once they are read."""
+        return _cones(_SlabPlan(self._directions), self._offsets[None])
 
     @cached_property
     def _slab_measures(self) -> np.ndarray:

@@ -162,11 +162,12 @@ class ShadowPositionReport:
     contact shadows are those of ``body``, computed from the input body
     through the linear-image identities; ``body`` itself is enumerated only
     if a caller asks for its vertices, facets or measures.
-    ``mvee_iterations`` counts the Newton steps of the
-    ellipsoid solve, and the kappa range is its certificate (every polar
-    vertex has ``v^T M^{-1} v <= kappa_max``, every support point
-    ``>= kappa_min``, both within ``n (1 +/- eps)``); ``candidates_checked``
-    counts the directions searched for the minimal shadow.
+    ``mvee_iterations`` counts the Newton steps of the ellipsoid solve, and
+    the kappa range is its certificate (every polar vertex has
+    ``v^T M^{-1} v <= kappa_max``, every support point ``>= kappa_min``,
+    both within ``n (1 +/- eps)`` widened by the rounding of g, see
+    :func:`mvee_symmetric`); ``candidates_checked`` counts the directions
+    searched for the minimal shadow.
     """
 
     transform: np.ndarray

@@ -184,6 +184,17 @@ class TestMveeNewtonSolve:
         assert np.array_equal(half.weights, full.weights)
         assert half.iterations == full.iterations
 
+    def test_newton_steps_on_the_position_pool(self):
+        # the polar vertices of 63 bodies at the shapes of the position workload, one of each pair as
+        # shadow_position passes them; every solve converges (mvee_symmetric raises CapacityError otherwise)
+        steps = 0
+        for n in range(4, 7):
+            for m in range(n + 3, 15):
+                for k in range(3):
+                    pv = polar_vertices(projection_body(random_symmetric_polytope(n, m, RandomSource(1000 * n + 50 * m + k))))
+                    steps += mvee_symmetric(pv.vertices[: len(pv) // 2]).iterations
+        assert steps == 812
+
     def test_an_active_point_never_enters_again(self):
         v = ellipsoid_mod._canonicalize_symmetric(polar_cloud(4, 9, 581))
         n = v.shape[1]

@@ -631,25 +631,28 @@ class TestSlabPlan:
         assert len(plan._terms[0]) == np.count_nonzero(plan._slots >= 0) > 0
 
     @pytest.mark.parametrize("n, m", [(3, 7), (6, 16)])
-    def test_a_lone_body_builds_one_plan(self, monkeypatch, n, m):
-        # the vertex candidates and the cones read the same plan; (6, 16) streams its blocks
+    def test_the_measures_build_one_plan_and_the_vertices_their_own(self, monkeypatch, n, m):
+        # the measures all read the cones, found over one plan; (6, 16) streams its blocks
         built = []
         init = _SlabPlan.__init__
         monkeypatch.setattr(_SlabPlan, "__init__", lambda plan, directions: (built.append(plan), init(plan, directions))[1])
         body = random_symmetric_polytope(n, m, RandomSource(665 + n))
-        body.volume, body.surface_area, body.vertices
-        assert len(built) == 1 and body._plan is built[0]
+        body.volume, body.surface_area, body.shadow_areas(np.eye(n))
+        assert len(built) == 1
+        body.vertices
+        assert len(built) == 2
 
     @pytest.mark.parametrize("n, m", [(3, 7), (4, 9), (6, 16)])
     def test_columns_are_the_two_array_gather_in_c_order(self, n, m):
         u = sample_unit_sphere(n, RandomSource(664 + n), count=m)
         u[-1] = u[0]  # so some subsets are singular and left out
         cofactors = cofactor_table(u)
-        size, singular = kernel.SUBSET_BLOCK, 0
-        for k, (subsets, ranks) in enumerate(kernel.subset_blocks(m, n, ranked=True)):
-            block = polytope._subset_block(u, cofactors, (subsets, ranks), k * size)
+        singular = 0
+        for subsets, ranks in kernel.subset_blocks(m, n, ranked=True):
+            block = polytope._subset_block(u, cofactors, (subsets, ranks))
             det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]
-            kept = block.keys - k * size
+            kept = np.flatnonzero(np.abs(det) > _DET_TOL)
+            assert np.array_equal(block.keys, kept)  # the rows of the block, whichever block it is
             singular += len(subsets) - len(kept)
             ref = cofactors[ranks[kept][:, None, :], np.arange(n)[:, None]] * np.sign(det[kept])[:, None, None]
             assert block.columns.flags.c_contiguous and np.array_equal(block.columns, ref)
@@ -743,6 +746,23 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= ceiling_mb * 1e6
 
+    def test_an_evaluated_body_keeps_its_cones_not_its_enumeration(self):
+        # C(14, 6) = 3003 subsets: a body that kept the plan of its cones would hold its stored block, about 2 MB
+        def evaluated(seed: int) -> SymmetricHPolytope:
+            body = random_symmetric_polytope(6, 14, RandomSource(seed))
+            body.volume, body.surface_area, body.shadow_areas(np.eye(6)), projection_body(body)
+            return body
+
+        evaluated(670)  # fills the caches of the shape (subset lattice, sign patterns, direction table)
+        tracemalloc.start()
+        try:
+            bodies = [evaluated(671 + k) for k in range(10)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not any(hasattr(body, "_plan") or hasattr(body, "_candidates") for body in bodies)
+        assert held / len(bodies) <= 0.2e6
+
     def test_lockstep_round_at_the_largest_stored_plan(self):
         # C(14, 7) = 3432 subsets, the most that SUBSET_BLOCK lets a plan keep at the largest n: building the plan
         # and one round of five starts peak below the 26.2 MB of that round when every round built its own blocks
@@ -757,6 +777,31 @@ class TestMemory:
             tracemalloc.stop()
         assert plan.stored and not _SlabPlan(np.vstack([u, u[:1]])).stored
         assert peak <= 26.2e6
+
+
+def cube_with_redundant_slab() -> SymmetricHPolytope:
+    """The unit cube in R^3 and the slab ``|x_1 + x_2| / sqrt(2) <= 2``, which no point of the cube reaches."""
+    return SymmetricHPolytope(np.vstack([np.eye(3), [math.sqrt(0.5), math.sqrt(0.5), 0.0]]), np.array([1.0, 1.0, 1.0, 2.0]))
+
+
+class TestColdPath:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            cube_with_redundant_slab,
+            lambda: random_symmetric_polytope(4, 9, RandomSource(672)),
+            lambda: random_symmetric_polytope(6, 16, RandomSource(673)),  # C(16, 6) = 8008 subsets: streamed
+        ],
+        ids=["cube-redundant", "random-4-9", "streamed-6-16"],
+    )
+    def test_vertices_and_facets_after_the_volume_are_those_of_a_fresh_body(self, make):
+        # the vertices enumerate over a plan of their own, whatever the body has read before
+        body = make()
+        body.volume
+        fresh = SymmetricHPolytope(body.directions, body.offsets)
+        assert np.array_equal(body.vertices.points, fresh.vertices.points)
+        for field, array in vars(body.facets).items():
+            assert np.array_equal(array, getattr(fresh.facets, field)), field
 
 
 class TestTransforms:

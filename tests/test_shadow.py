@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import support_minimum_reference, support_minimum_sampled
+from shadowgeom import ellipsoid
 from shadowgeom.kernel import CapacityError, RandomSource, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import SymmetricHPolytope, random_symmetric_polytope
 from shadowgeom.shadow import (
@@ -219,6 +220,17 @@ class TestShadowPosition:
         assert rep.ratio >= 1.0 - 1e-4
         assert len(rep.john.weights) == 3
         assert abs(rep.john.weights.sum() - 3.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("thickness", [1e-5, 1e-6])
+    def test_thin_rotated_boxes_return(self, monkeypatch, n, thickness):
+        # at the optimal uniform start cond(M) is about 2e10 (1e-5) or 2e12 (1e-6), and g rounds above n (1 + 1e-8):
+        # a stopping test below the rounding of g runs the Newton solve to MAX_MVEE_ITERATIONS, which the cap makes quick
+        monkeypatch.setattr(ellipsoid, "MAX_MVEE_ITERATIONS", 1000)
+        body = SymmetricHPolytope(random_orthogonal(n, np.random.default_rng(3)), np.array([1.0] * (n - 1) + [thickness]))
+        rep = shadow_position(body)
+        assert rep.ok
+        assert len(rep.john.weights) == n
 
     def test_body_with_more_than_twenty_facet_pairs(self):
         # 24 slabs, 21 of them facets: past the facet-normal enumeration's old 20-generator guard
