@@ -90,7 +90,9 @@ class MveeResult:
     """Solved design: the ellipsoid, canonical points, weights, and certificate data.
 
     ``weights`` has one entry per point, zero off the support;
-    ``iterations`` counts Newton steps.
+    ``iterations`` counts Newton steps.  ``tol`` is the width the solve
+    stopped at, ``eps + eps_mach tr(M) tr(M^-1)``: the kappa range lies
+    within ``n (1 +/- tol)`` when the solve converged.
     """
 
     ellipsoid: Ellipsoid
@@ -100,6 +102,7 @@ class MveeResult:
     kappa_max: float
     kappa_min: float
     eps: float
+    tol: float
 
 
 def _canonicalize_symmetric(points: np.ndarray) -> np.ndarray:
@@ -258,7 +261,7 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
         active, lam = active[kept], lam[kept] / lam[kept].sum()
     weights = np.zeros(m)
     weights[active] = lam
-    result = MveeResult(Ellipsoid(inv / n), v, weights, iterations, k_max, k_min, eps)
+    result = MveeResult(Ellipsoid(inv / n), v, weights, iterations, k_max, k_min, eps, tol)
     if not converged:
         err = CapacityError(f"MVEE did not converge in {MAX_MVEE_ITERATIONS} Newton steps (kappa range [{k_min:.6g}, {k_max:.6g}], target n={n})")
         err.best = result

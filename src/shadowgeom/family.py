@@ -205,7 +205,9 @@ def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
     return _AscentResult(t, volume, iterations, gradient_norm, gradient_norm <= tol * volume, evals)
 
 
-def _lockstep(spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_iterations: int) -> list[_AscentResult]:
+def _lockstep(
+    spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_iterations: int
+) -> tuple[list[_AscentResult], list[tuple[np.ndarray, ...]]]:
     """Run the ascents of all starts in lockstep, one vertex-cone pass per round.
 
     The offset-free half of the enumeration, one plan of the directions
@@ -214,22 +216,26 @@ def _lockstep(spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_it
     that plan over their stacked offsets, whose values for each body are
     those of that body evaluated alone; so each start makes exactly the
     trials it would make on its own.  A start leaves when it converges or
-    reaches ``max_iterations``.
+    reaches ``max_iterations``.  Besides each start's result, returns a copy
+    of the cone rows of its last evaluated point, which is the point it
+    returns, as a lone body of those offsets holds them.
     """
     plan = _SlabPlan(spec.directions)
     ascents = [_ascent(spec, start, tol, max_iterations) for start in starts]
     pending = {k: next(ascent) for k, ascent in enumerate(ascents)}
-    results = {}
+    results, cones = {}, {}
     while pending:
         live, trials = zip(*pending.items())
-        volumes, grads, hessians = _volume_derivatives(plan, np.array(trials))
+        volumes, grads, hessians, rows = _volume_derivatives(plan, np.array(trials))
         pending = {}
-        for k, volume, grad, hess in zip(live, volumes, grads, hessians):
+        for i, (k, volume, grad, hess) in enumerate(zip(live, volumes, grads, hessians)):
             try:
                 pending[k] = ascents[k].send((float(volume), grad, hess))
             except StopIteration as done:
                 results[k] = done.value
-    return [results[k] for k in range(len(ascents))]
+                a, b = np.searchsorted(rows[0], [i, i + 1])  # this body's run of rows, as body 0 of its own
+                cones[k] = (np.zeros(b - a, dtype=rows[0].dtype), *(field[a:b].copy() for field in rows[1:]))
+    return [results[k] for k in range(len(ascents))], [cones[k] for k in range(len(ascents))]
 
 
 @dataclass(frozen=True)
@@ -316,7 +322,7 @@ def maximize_volume_details(
             start = start * rng.fork(_START_SEED + k).generator().uniform(0.25, 4.0, size=merged.count)
             start = start / float(merged.weights @ start)
         points.append(start)
-    results = _lockstep(merged, points, tol, max_iterations)
+    results, cones = _lockstep(merged, points, tol, max_iterations)
     converged = [r for r in results if r.converged]
     if not converged:
         fallback = max(results, key=lambda r: r.volume)
@@ -325,9 +331,13 @@ def maximize_volume_details(
             best=spec.body(fallback.offsets[index]),
         )
     top = max(r.volume for r in converged)
-    best = next(r for r in converged if r.volume >= (1.0 - TIE_TOLERANCE) * top)
+    k = next(k for k, r in enumerate(results) if r.converged and r.volume >= (1.0 - TIE_TOLERANCE) * top)
+    best, body = results[k], spec.body(results[k].offsets[index])
+    if merged is spec:
+        # the cones of the point the start returned, the bits a lone body of its offsets finds again
+        vars(body)["_cones"] = cones[k]
     return FamilyOptimumReport(
-        body=spec.body(best.offsets[index]),
+        body=body,
         offsets=best.offsets[index],
         volume=best.volume,
         gradient_norm=best.gradient_norm,

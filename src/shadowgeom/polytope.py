@@ -159,9 +159,11 @@ def _cluster_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np
     ids[:, 0] = body
     for d in range(points.shape[1]):
         order = np.lexsort((points[:, d], body))
-        gap = np.diff(points[order, d], prepend=-np.inf) > tol[order]
+        x = points[order, d]
+        gap = np.empty(len(order), dtype=bool)
+        gap[0] = True
         # a change of body is a gap too: rows of two bodies never share a label, and a stack's rows pass the test below
-        gap[1:] |= body[order[1:]] != body[order[:-1]]
+        gap[1:] = (x[1:] - x[:-1] > tol[order[1:]]) | (body[order[1:]] != body[order[:-1]])
         if d == 0 and gap.all():
             return np.arange(len(points))
         ids[order, d + 1] = np.cumsum(gap)
@@ -304,16 +306,18 @@ class _SlabPlan:
         """
         if not self.stored:
             return _cone_terms(columns, dets), np.arange(len(keys))
-        new = self._slots[keys] < 0
-        fresh, at = np.unique(keys[new], return_index=True)
-        if len(fresh):
-            rows = np.flatnonzero(new)[at]
+        at = self._slots[keys]
+        new = at < 0
+        if new.any():
+            fresh, where = np.unique(keys[new], return_index=True)
+            rows = np.flatnonzero(new)[where]
             slots = self._slots.copy()
             slots[fresh] = len(self._terms[0]) + np.arange(len(fresh))
             self._slots = slots
             self._terms = tuple(np.concatenate(pair) for pair in zip(self._terms, _cone_terms(columns[rows], dets[rows])))
             _read_only(self._slots, *self._terms)
-        return self._terms, self._slots[keys]
+            at = self._slots[keys]
+        return self._terms, at
 
 
 def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -358,26 +362,25 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         del dots  # the block's largest temporary, freed before the survivors' slacks are formed
         row, pat = ok.nonzero()
         body, sub = np.divmod(row, size)
-        # in blocks of rows, so the X_S gathered for the first-pass survivors stay small
-        cand = np.empty((len(row), n))
+        # in blocks of rows, so the X_S gathered for the first-pass survivors and their slacks stay small
+        cand, good = np.empty((len(row), n)), np.empty(len(row), dtype=bool)
         for lo in range(0, len(row), kernel.SUBSET_BLOCK):
             part = slice(lo, lo + kernel.SUBSET_BLOCK)
             cand[part] = np.einsum("rij,rj->ri", x[row[part]], patterns[pat[part]])
-        dots = cand @ u.T
-        dots[np.arange(len(row))[:, None], subsets[sub]] = 0.0  # the subset's own slabs are tight, so they pass
-        slack = np.abs(dots, out=dots)[:, first:]
-        # the rows come by body: each run is tested against its body's bound, with no gathered copy of it
-        ends = np.searchsorted(body, np.arange(count + 1))
-        good = np.concatenate([(slack[a:b] <= bound[k, first:]).all(axis=1) for k, (a, b) in enumerate(zip(ends, ends[1:]))])
+            dots = cand[part] @ u.T
+            dots[np.arange(len(dots))[:, None], subsets[sub[part]]] = 0.0  # the subset's own slabs are tight, so they pass
+            good[part] = (np.abs(dots[:, first:]) <= bound[body[part], first:]).all(axis=1)
         row, body, sub, pat, cand = row[good], body[good], sub[good], pat[good], cand[good]
         own = subsets[sub]
         # one step of iterative refinement against the subset's rows u_i / t_i
         residual = patterns[pat] - np.einsum("rij,rj->ri", u[own], cand) / t[body[:, None], own]
         cand += np.einsum("rij,rj->ri", x[row], residual)
         found.append((body, own, patterns[pat], columns[sub], cand, dets[sub], keys[sub]))
-    fields = [np.concatenate(field) for field in zip(*found)]
-    if not fields or np.any(np.bincount(fields[0], minlength=count) == 0):
+    if not found or np.any(np.bincount(np.concatenate([block[0] for block in found]), minlength=count) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")
+    if len(found) == 1:  # one block's rows already come by body
+        return found[0]
+    fields = [np.concatenate(field) for field in zip(*found)]
     order = np.argsort(fields[0], kind="stable")
     return tuple(field[order] for field in fields)
 
@@ -403,44 +406,56 @@ def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     body's c is the column of :func:`_direction_table` with the least
     estimated rounding error of its sum, of which the plan supplies the half
     that does not depend on t (:meth:`_SlabPlan.cone_terms`); gamma is then
-    read from ``X_S^T c / t_S``, one product with the table per body.
+    read from ``X_S^T c / t_S``, the products of the rows with the table
+    formed ``SUBSET_BLOCK`` product rows at a time.  The tie rule runs only
+    when some vertex of the stack has two or more candidates; on a body
+    without one it finds no tied slab.
     """
     body, sub, pat, columns, pts, dets, keys = _candidates(plan, t)
     u = plan.directions
     m, n = u.shape
     s = _scales(t)[body]
-    tb = t[body]
+    tsub = t[body[:, None], sub]
     dots = pts @ u.T
     labels = _cluster_labels(body, pts * canonical_signs(pts, 1e-9 * s[:, None])[:, None], _TIE_TOL * s)
-    tied = np.zeros((len(pts), m), dtype=bool)
-    tied[labels[:, None], sub] = True
-    tied = tied[labels]
-    ok = ~np.any((np.abs(dots) > tb) & ~tied, axis=1)
-    tied[np.arange(len(pts))[:, None], sub] = False
-    k, j = np.nonzero(tied)
-    tsub = t[body[:, None], sub]
-    a = (np.einsum("rij,ri->rj", _scaled_inverses(columns[k], dets[k], tsub[k]), u[j]) / tsub[k]) * pat[k] * np.sign(dots[k, j])[:, None]
-    lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
-    last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
-    ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
-    body, sub, pat, columns, pts, dets, keys, tsub = (field[ok] for field in (body, sub, pat, columns, pts, dets, keys, tsub))
-    inv = _scaled_inverses(columns, dets, tsub)
+    rows = np.arange(len(pts))[:, None]
+    loose = np.abs(dots) > t[body]
+    loose[rows, sub] = False  # the subset's own slabs
+    ok = ~loose.any(axis=1)
+    if labels.max() + 1 < len(labels):  # some vertex holds two or more candidates: break their ties
+        tied = np.zeros((len(pts), m), dtype=bool)
+        tied[labels[:, None], sub] = True
+        tied = tied[labels]
+        tied[rows, sub] = False
+        ok = ~np.any(loose & ~tied, axis=1)
+        k, j = np.nonzero(tied)
+        a = (np.einsum("rij,ri->rj", _scaled_inverses(columns[k], dets[k], tsub[k]), u[j]) / tsub[k]) * pat[k] * np.sign(dots[k, j])[:, None]
+        lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
+        last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
+        ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
+    if not ok.all():
+        body, sub, pat, columns, pts, dets, keys, tsub = (field[ok] for field in (body, sub, pat, columns, pts, dets, keys, tsub))
+        if np.any(np.bincount(body, minlength=len(t)) == 0):
+            raise ValueError("no vertex cone kept; body is numerically degenerate")
     (cond, scale), at = plan.cone_terms(keys, columns, dets)
     table = _direction_table(n)
-    ends = np.searchsorted(body, np.arange(len(t) + 1))
     hc = pts @ table
     size = np.abs(hc)
     # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
     # |U_S^-1 e_i| / |gamma_i| from each gamma_i (the table's columns are unit vectors)
     error = size**n * scale[at] * (n * np.linalg.norm(pts, axis=1)[:, None] / size + cond[at])
-    # over one body's run of rows at a time, so the products of X_S with the
-    # table never hold more than one body's cones
-    h, gamma = np.empty(len(pts)), np.empty((len(pts), n))
-    for a, b in zip(ends[:-1], ends[1:]):
-        best = np.argmin(error[a:b].sum(axis=0))
-        g = (inv[a:b].transpose(0, 2, 1).reshape(-1, n) @ table).reshape(b - a, n, _DIRECTIONS)[:, :, best]
-        h[a:b], gamma[a:b] = hc[a:b, best], pat[a:b] * (g / tsub[a:b])
-    return body, sub, h, gamma, 1.0 / (dets * np.prod(gamma, axis=1))
+    # each body's c, from the sums over its run of rows
+    best = np.argmin(np.add.reduceat(error, np.searchsorted(body, np.arange(len(t))), axis=0), axis=1)[body]
+    # gamma from the products of X_S with the table, SUBSET_BLOCK product rows at a time, so they stay small
+    g = np.empty((len(pts), n))
+    chunk = max(1, kernel.SUBSET_BLOCK // n)
+    for lo in range(0, len(pts), chunk):
+        part = slice(lo, lo + chunk)
+        inv = _scaled_inverses(columns[part], dets[part], tsub[part])
+        products = (inv.transpose(0, 2, 1).reshape(-1, n) @ table).reshape(-1, n, _DIRECTIONS)
+        g[part] = products[np.arange(len(products)), :, best[part]]
+    gamma = pat * (g / tsub)
+    return body, sub, hc[np.arange(len(pts)), best], gamma, 1.0 / (dets * np.prod(gamma, axis=1))
 
 
 def _facet_measures(cones: tuple[np.ndarray, ...], count: int, m: int) -> np.ndarray:
@@ -477,18 +492,19 @@ def _hessians(cones: tuple[np.ndarray, ...], count: int, m: int) -> np.ndarray:
     return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m * m).reshape(count, m, m)
 
 
-def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The volumes (K,), their gradients (K, m) and Hessians (K, m, m) in the offsets of a (K, m) stack of bodies.
+def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The volumes (K,), their gradients (K, m) and Hessians (K, m, m) in the offsets of a (K, m) stack of bodies, and its cones.
 
     One pass of vertex cones over the stack, over the directions of `plan`;
-    the gradient is twice each slab's facet measure.  The directions are
-    taken as checked and the offsets as positive.  Each body's values are
-    the same bits inside a stack as alone, and the same whether the plan
-    was used before or not.
+    the gradient is twice each slab's facet measure, and the cones are the
+    rows of :func:`_cones`, by body.  The directions are taken as checked
+    and the offsets as positive.  Each body's values and cone rows are the
+    same bits inside a stack as alone, and the same whether the plan was
+    used before or not.
     """
     count, m = t.shape
     cones = _cones(plan, t)
-    return _volumes(cones, count), 2.0 * _facet_measures(cones, count, m), _hessians(cones, count, m)
+    return _volumes(cones, count), 2.0 * _facet_measures(cones, count, m), _hessians(cones, count, m), cones
 
 
 class SymmetricHPolytope:

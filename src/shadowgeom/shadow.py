@@ -165,9 +165,10 @@ class ShadowPositionReport:
     ``mvee_iterations`` counts the Newton steps of the ellipsoid solve, and
     the kappa range is its certificate (every polar vertex has
     ``v^T M^{-1} v <= kappa_max``, every support point ``>= kappa_min``,
-    both within ``n (1 +/- eps)`` widened by the rounding of g, see
-    :func:`mvee_symmetric`); ``candidates_checked`` counts the directions
-    searched for the minimal shadow.
+    both within ``n (1 +/- kappa_tol)``, where ``kappa_tol`` is eps widened
+    by the rounding of g, see :func:`mvee_symmetric`);
+    ``candidates_checked`` counts the directions searched for the minimal
+    shadow.
     """
 
     transform: np.ndarray
@@ -180,6 +181,7 @@ class ShadowPositionReport:
     mvee_iterations: int
     kappa_min: float
     kappa_max: float
+    kappa_tol: float
     candidates_checked: int
     john: WeightedDirections
     residuals: dict[str, float]
@@ -197,6 +199,7 @@ class ShadowPositionReport:
             "mvee_iterations": self.mvee_iterations,
             "kappa_min": self.kappa_min,
             "kappa_max": self.kappa_max,
+            "kappa_tol": self.kappa_tol,
             "candidates_checked": self.candidates_checked,
             "residuals": dict(self.residuals),
             "ok": self.ok,
@@ -222,7 +225,9 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     shadows of TC are supports of the mapped generators, and since a facet
     normal nu of ``Pi C`` becomes ``T nu`` (up to scale) on ``T^{-T} Pi C``,
     the minimal shadow is searched over the polar vertices mapped by T.
-    ``rng`` is unused: the pipeline draws no random numbers.
+    ``rng`` is unused: the pipeline draws no random numbers.  Raises
+    ValueError when the ellipsoid's root is singular (its determinant not
+    finite and positive), as on bodies too thin for the solve.
     """
     n = body.dim
     zono = projection_body(body)
@@ -231,6 +236,8 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     mvee = mvee_symmetric(canonical, eps)
     root = psd_sqrt(mvee.ellipsoid.shape)
     det = float(np.linalg.det(root))
+    if not (math.isfinite(det) and det > 0.0):
+        raise ValueError(f"the minimal enclosing ellipsoid of the polar vertices is singular (det of its root {det!r}): the body is too thin")
     transform = root / det ** (1.0 / n)
     john = extract_john_decomposition(mvee)
     # contacts were whitened with the same matrix up to the determinant
@@ -267,6 +274,7 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
         mvee_iterations=mvee.iterations,
         kappa_min=mvee.kappa_min,
         kappa_max=mvee.kappa_max,
+        kappa_tol=mvee.tol,
         candidates_checked=report.candidates_checked,
         john=john,
         residuals=residuals,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient
-from shadowgeom import family
+from shadowgeom import family, polytope
 from shadowgeom.family import (
     FloorViolationError,
     SlabFamilySpec,
@@ -129,6 +129,44 @@ class TestCoincidingSlabs:
         assert details.volume_agreement <= 1e-10
         single = SlabFamilySpec(np.delete(u, 1, axis=0), np.r_[w[0] + w[1], w[2:]])
         assert details.volume == pytest.approx(maximize_volume_details(single).volume, rel=1e-12)
+
+
+def counted_cone_passes(monkeypatch) -> list[int]:
+    """Patch ``polytope._cones``, through which every vertex-cone pass goes, to record the stack size of each call."""
+    calls = []
+    cones = polytope._cones
+    monkeypatch.setattr(polytope, "_cones", lambda plan, t: (calls.append(len(t)), cones(plan, t))[1])
+    return calls
+
+
+class TestSolvedBodyCones:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_the_certificates_read_the_cones_of_the_last_round(self, monkeypatch, n):
+        spec = random_spec(4300 + n, n=n, m=2 * n)
+        calls = counted_cone_passes(monkeypatch)
+        details = maximize_volume_details(spec, rng=RandomSource(4310 + n))
+        # one pass per lockstep round: the starts' evaluations are its rows
+        assert len(calls) == max(details.start_volume_evals) and sum(calls) == sum(details.start_volume_evals)
+        kkt = kkt_report(details.body, spec)
+        ident = verify_projection_identity(details.body, spec, sample_count=500, rng=RandomSource(4320))
+        assert len(calls) == max(details.start_volume_evals)  # and none for the certificates
+        assert kkt.max_relative_residual <= 1e-6 and ident.max_relative_error <= 1e-6
+        body, fresh = details.body, SymmetricHPolytope(spec.directions, details.offsets)
+        assert body.volume == fresh.volume == details.volume
+        assert np.array_equal(body._slab_measures, fresh._slab_measures)
+        assert np.array_equal(body.volume_hessian, fresh.volume_hessian)
+
+    def test_a_solve_over_merged_slabs_leaves_its_body_unseeded(self, monkeypatch):
+        # the solve ran over the merged family, whose cones are not those of the reported body
+        u = np.array(sample_unit_sphere(3, RandomSource(555), count=6))
+        u[1] = -u[0]
+        spec = SlabFamilySpec(u, np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0]) / 7.0)
+        calls = counted_cone_passes(monkeypatch)
+        details = maximize_volume_details(spec)
+        rounds = len(calls)
+        assert kkt_report(details.body, spec).max_relative_residual <= 1e-6
+        assert verify_projection_identity(details.body, spec, sample_count=500, rng=RandomSource(557)).max_relative_error <= 1e-6
+        assert calls[rounds:] == [1]
 
 
 class TestDiagnostics:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,23 @@ class TestShadowPosition:
         rep = shadow_position(body)
         assert rep.ok
         assert len(rep.john.weights) == n
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_kappa_range_lies_within_the_width_the_solve_stopped_at(self, n):
+        # on these boxes the rounding of g widens eps (1e-8) to 4e-4..9e-4, and the kappa range lies 2e-5..5e-5 from n
+        body = SymmetricHPolytope(random_orthogonal(n, np.random.default_rng(3)), np.array([1.0] * (n - 1) + [1e-6]))
+        rep = shadow_position(body)
+        assert rep.kappa_tol > 1e-8
+        assert n * (1.0 - rep.kappa_tol) <= rep.kappa_min <= rep.kappa_max <= n * (1.0 + rep.kappa_tol)
+        assert rep.to_dict()["kappa_tol"] == rep.kappa_tol
+
+    def test_a_singular_ellipsoid_is_refused_before_the_transform(self):
+        # the root's determinant reads 0 here; dividing by it used to warn twice and then fail on non-finite generators
+        body = SymmetricHPolytope(random_orthogonal(4, np.random.default_rng(3)), np.array([1.0, 1.0, 1.0, 1e-9]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ellipsoid of the polar vertices is singular"):
+                shadow_position(body)
 
     def test_body_with_more_than_twenty_facet_pairs(self):
         # 24 slabs, 21 of them facets: past the facet-normal enumeration's old 20-generator guard
