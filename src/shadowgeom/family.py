@@ -11,11 +11,11 @@ directions, the offset-free half of the vertex enumeration (the subsets,
 their adjugates and the offset-free terms of the cone formulas), built once
 per solve; each round only scales that plan by the offsets, taking the volume,
 the gradient and the Hessian of every live start's trial point from one
-pass of vertex cones over their stacked offsets.  At that maximum each facet
-measure is proportional to its budget weight, which makes every shadow of
-the optimal body a fixed multiple of a weighted direction sum; the
-verifiers below check the stationarity certificate and that projection
-identity directly.
+pass of vertex cones over their stacked offsets; the reported body keeps
+the cones of its last round.  At that maximum each facet measure is
+proportional to its budget weight, which makes every shadow of the optimal
+body a fixed multiple of a weighted direction sum; the verifiers below
+check the stationarity certificate and that projection identity directly.
 
 On top of the solver this module builds the large-shadow construction: with
 2n random directions and uniform budget weights, the optimal body has
@@ -304,8 +304,11 @@ def maximize_volume_details(
     of the largest volume is reported, so the last bits of the volumes do
     not choose it.  Coinciding slabs are solved as one slab of their summed
     weight and get equal offsets.  ``max_iterations`` caps the Newton steps
-    of each start.  Raises :class:`CapacityError` carrying the best body
-    found when no start converges within that cap.
+    of each start.  Unless slabs were merged, the reported body carries the
+    vertex cones of its start's last lockstep round, the bits it would find
+    alone, so its measures and certificates make no cone pass of their own.
+    Raises :class:`CapacityError` carrying the best body found when no start
+    converges within that cap.
     """
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValueError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}]")

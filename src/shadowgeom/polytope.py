@@ -25,10 +25,11 @@ halves:
 A lone body keeps its vertex cones and the measures read from them, not the
 plan they were found over; the family solver keeps one plan per slab family
 and evaluates the stacked offsets of all its live starts over it in every
-round, each body getting the bits it gets alone.  Every measure comes from
-the cones: a shadow is Cauchy's ``0.5 * sum |<theta, n_F>| * |F|`` over two
-facets F, -F of normal ``+-u_j`` per slab.  The merged vertex set, over a
-plan of its own, and the facet record are built on request.
+round, each body getting the bits it gets alone, and hands the solved body
+the cones of its last round.  Every measure comes from the cones: a shadow
+is Cauchy's ``0.5 * sum |<theta, n_F>| * |F|`` over two facets F, -F of
+normal ``+-u_j`` per slab.  The merged vertex set, over a plan of its own,
+and the facet record are built on request.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
 are given at unit scale and scaled with the body (see ``_scale``), and so is
