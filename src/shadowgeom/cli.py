@@ -61,8 +61,10 @@ import math
 import operator
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,17 +114,6 @@ EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
-#: Fixed per-component salts XORed with the run seed (see module docstring).
-COMPONENT_SALTS = {
-    "shadow-position": 0x5AD0_0001,
-    "verify-t3": 0x5AD0_0002,
-    "zonotope": 0x5AD0_0003,
-    "minkowski-solve": 0x5AD0_0004,
-    "pathological": 0x5AD0_0005,
-    "ball-ratio": 0x5AD0_0006,
-    "cauchy-check": 0x5AD0_0007,
-}
-
 _MAX_SEED = 2**64 - 1
 
 
@@ -148,38 +139,13 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """The effective config as echoed into the report (defaults explicit)."""
         out: dict = {"experiment": self.experiment, "seed": self.seed}
-        for key in _SCHEMA[self.command]:
+        for key in _SUBCOMMANDS[self.command].schema:
             out[key] = getattr(self, key)
         return out
 
     def source(self) -> RandomSource:
         """The component's root randomness stream (seed XOR component salt)."""
-        return RandomSource(self.seed ^ COMPONENT_SALTS[self.command])
-
-
-#: Per subcommand, each config key beyond the common {experiment, seed} with
-#: its default and inclusive range.  A key's type is its default's: int,
-#: float (any finite number), or None for a path (a non-empty string, no range).
-_SCHEMA = {
-    "shadow-position": {"n": (3, (2, 6)), "m": (8, (2, 20)), "body": (None, None)},
-    "verify-t3": {
-        "n": (3, (2, 6)),
-        "m": (6, (2, 20)),
-        "samples": (10, (1, 500)),
-        "body": (None, None),
-        "decomposition": (None, None),
-    },
-    "zonotope": {"n": (3, (2, 6)), "m": (8, (2, 20)), "samples": (20, (1, 500))},
-    "minkowski-solve": {
-        "n": (3, (2, 6)),
-        "m": (6, (2, 16)),
-        "samples": (1000, (1, 1_000_000)),
-        "tolerance": (1e-8, (1e-10, 1e-3)),
-    },
-    "pathological": {"n": (4, (2, 6)), "sweep": (10, (1, 64))},
-    "ball-ratio": {"n": (200, (2, 200))},
-    "cauchy-check": {"samples": (100_000, (1, 10_000_000))},
-}
+        return RandomSource(self.seed ^ _SUBCOMMANDS[self.command].salt)
 
 
 def _read_json(path: str, kind: str) -> dict:
@@ -230,9 +196,9 @@ def load_decomposition(path: str) -> WeightedDirections:
 
 def parse_config(command: str, config_path: str | None, seed_flag: int | None) -> ExperimentConfig:
     """Merge defaults, the config file, and the seed flag; validate strictly."""
-    if command not in _SCHEMA:
+    if command not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {command!r}")
-    schema = _SCHEMA[command]
+    schema = _SUBCOMMANDS[command].schema
     values: dict = {"experiment": command, "seed": 0}
     values.update({key: default for key, (default, _) in schema.items()})
 
@@ -548,15 +514,40 @@ def _run_cauchy_check(cfg: ExperimentConfig):
     return reports, assertions, {}
 
 
-_RUNNERS = {
-    "shadow-position": _run_shadow_position,
-    "verify-t3": _run_verify_t3,
-    "zonotope": _run_zonotope,
-    "minkowski-solve": _run_minkowski_solve,
-    "pathological": _run_pathological,
-    "ball-ratio": _run_ball_ratio,
-    "cauchy-check": _run_cauchy_check,
+class _Subcommand(NamedTuple):
+    """One subcommand: its salt, its config schema and its runner.
+
+    The salt is XORed with the run seed (see the module docstring).  The
+    schema gives each config key beyond the common {experiment, seed} its
+    default and inclusive range; a key's type is its default's: int, float
+    (any finite number), or None for a path (a non-empty string, no range).
+    """
+
+    salt: int
+    schema: dict
+    runner: Callable
+
+
+_SUBCOMMANDS = {
+    "shadow-position": _Subcommand(0x5AD0_0001, {"n": (3, (2, 6)), "m": (8, (2, 20)), "body": (None, None)}, _run_shadow_position),
+    "verify-t3": _Subcommand(
+        0x5AD0_0002,
+        {"n": (3, (2, 6)), "m": (6, (2, 20)), "samples": (10, (1, 500)), "body": (None, None), "decomposition": (None, None)},
+        _run_verify_t3,
+    ),
+    "zonotope": _Subcommand(0x5AD0_0003, {"n": (3, (2, 6)), "m": (8, (2, 20)), "samples": (20, (1, 500))}, _run_zonotope),
+    "minkowski-solve": _Subcommand(
+        0x5AD0_0004,
+        {"n": (3, (2, 6)), "m": (6, (2, 16)), "samples": (1000, (1, 1_000_000)), "tolerance": (1e-8, (1e-10, 1e-3))},
+        _run_minkowski_solve,
+    ),
+    "pathological": _Subcommand(0x5AD0_0005, {"n": (4, (2, 6)), "sweep": (10, (1, 64))}, _run_pathological),
+    "ball-ratio": _Subcommand(0x5AD0_0006, {"n": (200, (2, 200))}, _run_ball_ratio),
+    "cauchy-check": _Subcommand(0x5AD0_0007, {"samples": (100_000, (1, 10_000_000))}, _run_cauchy_check),
 }
+
+#: Fixed per-component salts XORed with the run seed (see module docstring).
+COMPONENT_SALTS = {name: command.salt for name, command in _SUBCOMMANDS.items()}
 
 
 def _plain(obj):
@@ -584,7 +575,7 @@ def run(command: str, cfg: ExperimentConfig, out_dir: Path, fmt: str) -> tuple[d
     Returns the report dict and the list of files written.
     """
     started = time.perf_counter()
-    results, assertions, tables = _RUNNERS[command](cfg)
+    results, assertions, tables = _SUBCOMMANDS[command].runner(cfg)
     passed = all(a["passed"] for a in assertions)
     report = {
         "schema": 1,
@@ -619,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Seeded experiment driver for the shadow-geometry pipelines.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-    for name in _RUNNERS:
+    for name in _SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", metavar="PATH", default=None, help="JSON config file (strict keys)")
         p.add_argument("--seed", metavar="U64", default=None, help="run seed, overrides the config's")

@@ -47,6 +47,8 @@ DEFAULT_EPS = 1e-8
 #: the solve on the active set: by quadratic convergence the next decrement
 #: would be below its square, so the weights are exact to rounding.
 _NEWTON_DONE = 1e-6
+#: The one refusal of a design whose g has no correct digit (see :func:`mvee_symmetric`).
+_UNDECIDED = "the MVEE cannot decide the design, the points are too thin"
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,10 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     Newton solve resumes.  ``tol = eps + eps_mach tr(M) tr(M^-1)`` widens
     eps by the rounding of g read through ``M^-1`` (the traces' product lies
     between cond(M) and n^2 cond(M)).  The stopping test and the returned
-    kappa range are exact over every point for the returned weights.
+    kappa range are exact over every point for the returned weights.  When
+    the design does not invert, or ``tol`` reaches 1, g has no correct digit
+    and ValueError is raised, naming the design as one the MVEE cannot
+    decide.
     ``MveeResult.iterations`` counts Newton steps; after
     ``MAX_MVEE_ITERATIONS`` of them :class:`CapacityError` is raised with
     the current iterate attached.
@@ -243,11 +248,18 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     while True:
         w = v[active]
         design = (w.T * lam) @ w
-        inv = np.linalg.inv(design)
+        try:
+            inv = np.linalg.inv(design)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"{_UNDECIDED}: its design does not invert") from None
         if settled or iterations >= MAX_MVEE_ITERATIONS:
+            spread = float(design.trace() * inv.trace())
+            tol = eps + np.finfo(float).eps * spread
+            # the spread is at least n^2 for a positive definite M, so tol <= eps says the inverse is rounding noise too
+            if not eps < tol < 1.0:
+                raise ValueError(f"{_UNDECIDED}: tr(M) tr(M^-1) reads {spread:.3g}")
             g = np.einsum("ij,jk,ik->i", v, inv, v)
             k_max, k_min = float(g.max()), float(g[active].min())
-            tol = eps + np.finfo(float).eps * float(design.trace() * inv.trace())
             converged = k_max <= n * (1.0 + tol) and k_min >= n * (1.0 - tol)
             if converged or iterations >= MAX_MVEE_ITERATIONS:
                 break

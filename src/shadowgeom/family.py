@@ -8,7 +8,7 @@ to the Minkowski-additive slab description), log-volume is concave too,
 and a damped Newton ascent on the budget slice converges to the global
 maximum.  Its starts run in lockstep over one plan of the family's
 directions, the offset-free half of the vertex enumeration (the subsets,
-their adjugates and the offset-free terms of the cone formulas), built once
+their inverses and the offset-free terms of the cone formulas), built once
 per solve; each round only scales that plan by the offsets, taking the volume,
 the gradient and the Hessian of every live start's trial point from one
 pass of vertex cones over their stacked offsets; the reported body keeps

@@ -56,7 +56,7 @@ MAX_ROWS = 24  # slabs or generators in any subset enumeration
 MAX_DIM = 7
 #: Rows per block, and the most subsets a slab plan keeps between evaluations.  At n = 6, m = 16 the
 #: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its
-#: survivors' slacks on the other slabs (1.9 MB), its cofactor columns, its X_S and those gathered for
+#: survivors' slacks on the other slabs (1.9 MB), its inverses U_S^-1, its X_S and those gathered for
 #: its survivors (1.2 MB each) and its first-pass rows (0.8 MB).  One volume's traced peak is 11.5 MB
 #: when it builds the shape's lattice, and 11.0-11.2 MB once the lattice is cached.
 SUBSET_BLOCK = 4096
@@ -76,29 +76,26 @@ def check_capacity(m: int, n: int) -> None:
         raise CapacityError(f"subset enumeration guard exceeded: m={m} (max {MAX_ROWS}), n={n} (max {MAX_DIM})")
 
 
-def subset_blocks(m: int, k: int, stack: int = 1, *, ranked: bool = False) -> Iterator:
-    """The k-subsets of ``range(m)`` as ``intp`` index rows in lexicographic order, ``SUBSET_BLOCK // stack`` rows at a time.
+def subset_blocks(m: int, k: int, stack: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK // stack`` rows at a time.
 
-    With `ranked`, each block comes as ``(rows, ranks)``: at ``[r, i]`` the
+    Each block comes as ``(rows, ranks)``: at ``[r, i]`` of ``ranks`` the
     row of :func:`cofactor_table` that holds subset r without its i-th
     element.  A shape of at most ``INDEX_PLAN_SUBSETS`` subsets is sliced
-    from its cached :func:`_lattice`; a larger one builds each block when
-    it is asked for (:func:`_extend`), so that peak memory is one block for
-    each of the `stack` bodies that share it, whatever C(m, k) is.  The
-    block size is read at the call, and the capacity guard is applied
-    there, before any block or lattice is built.
+    from its cached :func:`_lattice`, in its unsigned types; a larger one
+    builds each block when it is asked for (:func:`_extend`), as ``intp``,
+    so that peak memory is one block for each of the `stack` bodies that
+    share it, whatever C(m, k) is.  The block size is read at the call, and
+    the capacity guard is applied there, before any block or lattice is
+    built.
     """
     check_capacity(m, k)
     size = max(1, SUBSET_BLOCK // stack)
     total = math.comb(m, k)
     if total <= INDEX_PLAN_SUBSETS:
         rows, ranks = _lattice(m, k)
-        parts = ((rows[lo : lo + size], ranks[lo : lo + size]) for lo in range(0, total, size))
-    else:
-        parts = (_extend(m, k, lo, min(lo + size, total)) for lo in range(0, total, size))
-    if ranked:
-        return ((rows.astype(np.intp, copy=False), ranks.astype(np.intp, copy=False)) for rows, ranks in parts)
-    return (rows.astype(np.intp, copy=False) for rows, _ in parts)
+        return ((rows[lo : lo + size], ranks[lo : lo + size]) for lo in range(0, total, size))
+    return (_extend(m, k, lo, min(lo + size, total)) for lo in range(0, total, size))
 
 
 @functools.lru_cache(maxsize=None)

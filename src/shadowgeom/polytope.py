@@ -7,20 +7,21 @@ halves:
 
 * the half that depends on the directions alone, a plan
   (:class:`_SlabPlan`): the invertible ``n``-subsets S of the slab normals
-  with ``|det U_S|`` and the adjugate of ``U_S``, read from one Laplace
-  table of the cofactors of the (n-1)-subsets (no subset is factorised),
-  the rows ``u_j U_S^-1`` of the first four slabs, and, for each subset
-  that holds a kept vertex cone, the share of the rounding estimate of the
-  cone formulas that does not depend on t;
+  with ``|det U_S|`` and ``U_S^-1``, read from one Laplace table of the
+  cofactors of the (n-1)-subsets (no subset is factorised), the rows
+  ``u_j U_S^-1`` of the first four slabs, and, for each subset that holds
+  a kept vertex cone, ``U_S^-T c`` for every candidate direction c of the
+  cone formulas with the share of their rounding estimate that does not
+  depend on t;
 * the half that scales the plan by the offsets t: each subset's 2^(n-1)
   sign patterns p filtered by feasibility of ``x = X_S p``, with
   ``X_S = U_S^-1 diag(t_S)``, in two passes, the first four slabs for
   every pattern and the other slabs for the survivors; then the volume,
   the facet measures and the Hessian of the volume in the offsets in
   closed form over the vertex cones of the surviving (subset, pattern)
-  pairs (Lawrence's formula and its derivatives), the ties of non-simple
-  vertices broken by one lexicographic perturbation decided once per
-  vertex.
+  pairs (Lawrence's formula and its derivatives), whose ``gamma = p *
+  U_S^-T c`` the plan holds, the ties of non-simple vertices broken by one
+  lexicographic perturbation decided once per vertex.
 
 A lone body keeps its vertex cones and the measures read from them, not the
 plan they were found over; the family solver keeps one plan per slab family
@@ -182,67 +183,58 @@ class _SubsetBlock(NamedTuple):
     ``keys`` is the row of S in its block of :func:`subset_blocks`, singular
     rows counted (in a stored plan's one block, the rank of S among all
     n-subsets in lexicographic order), and ``dets`` holds ``|det U_S|``.
-    Column i of ``columns`` is the cofactor vector ``c_(S without s_i)``
-    times the sign of ``det U_S``, gathered in C order, so that
-    ``U_S^-1 = columns diag((-1)^i) / |det U_S|`` (see
-    :func:`_scaled_inverses`).  ``first_rows`` holds the rows ``u_j U_S^-1``
-    of the first ``_FIRST_PASS_SLABS`` slabs, where the row of the subset's
-    own slab s_i is exactly ``e_i``.
+    ``inverses`` holds ``U_S^-1`` in C order, and ``first_rows`` the rows
+    ``u_j U_S^-1`` of the first ``_FIRST_PASS_SLABS`` slabs, where the row
+    of the subset's own slab s_i is exactly ``e_i``.
     """
 
     keys: np.ndarray
     subsets: np.ndarray
     dets: np.ndarray
-    columns: np.ndarray
+    inverses: np.ndarray
     first_rows: np.ndarray
 
 
-def _scaled_inverses(columns: np.ndarray, dets: np.ndarray, ts) -> np.ndarray:
-    """``X_S = U_S^-1 diag(t_S)`` per row: column i is ``(-1)^i t_(s_i) c_(S without s_i) / det U_S``; ``U_S^-1`` at ``ts = 1``."""
-    n = columns.shape[-1]
-    return columns * ((_ALTERNATING[:n] * ts) / dets[:, None])[..., None, :]
-
-
 def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> _SubsetBlock:
-    """The nonsingular subsets of a block of :func:`subset_blocks` with their determinants and cofactor columns.
+    """The nonsingular subsets of a block of :func:`subset_blocks` with their determinants and inverses.
 
     No subset is factorised: from the cofactor table of the (n-1)-subsets
     (:func:`cofactor_table`) and the block's ranks of each ``S without s_i``
-    in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and column i of the
-    adjugate of U_S is ``(-1)^i c_(S without s_i)``.  Subsets with
+    in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and column i of
+    ``U_S^-1`` is ``(-1)^i c_(S without s_i) / det U_S``.  Subsets with
     ``|det U_S| <= _DET_TOL`` are left out.
     """
-    m = len(u)
+    m, n = u.shape
     subsets, ranks = block
     det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]  # along the first row
     keep = np.abs(det) > _DET_TOL
-    subsets, det, ranks = subsets[keep], det[keep], ranks[keep]
+    subsets, det, ranks = subsets[keep].astype(np.intp, copy=False), det[keep], ranks[keep]
     # one row take, then the columns in C order: with transposed strides a stacked body rounds differently
-    columns = np.ascontiguousarray(np.take(cofactors, ranks, axis=0).transpose(0, 2, 1))
-    columns *= np.sign(det)[:, None, None]
-    dets = np.abs(det)
+    inverses = np.ascontiguousarray(np.take(cofactors, ranks, axis=0).transpose(0, 2, 1))
+    inverses *= (_ALTERNATING[:n] / det[:, None])[:, None, :]
     first = min(m, _FIRST_PASS_SLABS)
-    rows = u[:first] @ _scaled_inverses(columns, dets, 1.0)
+    rows = u[:first] @ inverses
     b, i = np.nonzero(subsets < first)
     rows[b, subsets[b, i]] = 0.0
     rows[b, subsets[b, i], i] = 1.0
-    return _SubsetBlock(np.flatnonzero(keep), subsets, dets, columns, rows)
+    return _SubsetBlock(np.flatnonzero(keep), subsets, np.abs(det), inverses, rows)
 
 
-def _cone_terms(columns: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per subset, the half of the rounding estimate of the cone formulas that does not depend on t.
+def _cone_terms(inverses: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per subset, what the cone formulas read for every column c of :func:`_direction_table`; none of it depends on t.
 
-    Over the columns c of :func:`_direction_table`, with ``g = U_S^-T c``:
+    ``products`` (rows, n, D) holds ``g = U_S^-T c``, from which a cone
+    reads ``gamma = p * g``.  Of the rounding estimate of the cone formulas,
     ``cond`` (rows, D) is the condition ``sum_i |U_S^-1 e_i| / |g_i|`` that
     the gammas add to a cone's term, and ``scale`` (rows, D) is
     ``1 / (|det U_S| prod |g|)``.
     """
-    n = columns.shape[1]
-    inverses = _scaled_inverses(columns, dets, 1.0)
-    size = np.abs((inverses.transpose(0, 2, 1).reshape(-1, n) @ _direction_table(n)).reshape(len(inverses), n, _DIRECTIONS))
+    n = inverses.shape[1]
+    products = (inverses.transpose(0, 2, 1).reshape(-1, n) @ _direction_table(n)).reshape(len(inverses), n, _DIRECTIONS)
+    size = np.abs(products)
     cols = np.linalg.norm(inverses, axis=1)
     cond = sum(cols[:, i, None] / size[:, i] for i in range(n))
-    return cond, 1.0 / (dets[:, None] * np.prod(size, axis=1))
+    return cond, 1.0 / (dets[:, None] * np.prod(size, axis=1)), products
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -253,13 +245,14 @@ def _read_only(*arrays: np.ndarray) -> None:
 class _SlabPlan:
     """The half of the vertex enumeration and of the cone formulas that depends on the directions alone.
 
-    The nonsingular n-subsets S, ``|det U_S|``, the cofactor columns of
-    ``U_S^-1`` and the first-pass rows (:class:`_SubsetBlock`) do not depend
-    on the offsets t, and neither do the terms of :func:`_cone_terms`:
-    ``X_S = U_S^-1 diag(t_S)`` scales the columns of ``U_S^-1``, and the
-    first-pass slacks, the points and ``h`` are linear in t.  So a plan is
-    built from the directions, and every evaluation over offsets
-    (:func:`_candidates`, :func:`_cones`) only scales it by t.
+    The nonsingular n-subsets S, ``|det U_S|``, ``U_S^-1`` and the
+    first-pass rows (:class:`_SubsetBlock`) do not depend on the offsets t,
+    and neither do the terms of :func:`_cone_terms`: ``X_S = U_S^-1
+    diag(t_S)`` scales the columns of ``U_S^-1``, the first-pass slacks, the
+    points and ``h`` are linear in t, and ``gamma`` and the tie
+    coefficients read ``U_S^-1`` alone.  So a plan is built from the
+    directions, and every evaluation over offsets (:func:`_candidates`,
+    :func:`_cones`) only scales it by t.
 
     When there are at most ``SUBSET_BLOCK`` subsets, the plan keeps its one
     block from the first evaluation on, and the cone terms of each subset
@@ -278,7 +271,7 @@ class _SlabPlan:
         self._block: _SubsetBlock | None = None
         # by key, the row of each subset's cone terms, -1 until a cone of it is kept
         self._slots = np.full(subsets if self.stored else 0, -1)
-        self._terms = (np.empty((0, _DIRECTIONS)), np.empty((0, _DIRECTIONS)))
+        self._terms = (np.empty((0, _DIRECTIONS)), np.empty((0, _DIRECTIONS)), np.empty((0, n, _DIRECTIONS)))
         _read_only(self._slots, *self._terms)
 
     def blocks(self, stack: int) -> Iterator[_SubsetBlock]:
@@ -292,21 +285,21 @@ class _SlabPlan:
             cofactors = cofactor_table(u)  # first: it applies the capacity guard
             if not self.stored:
                 # by map, so that no block's index rows outlive the call that reads them
-                return map(partial(_subset_block, u, cofactors), subset_blocks(m, n, stack, ranked=True))
-            (block,) = subset_blocks(m, n, ranked=True)
+                return map(partial(_subset_block, u, cofactors), subset_blocks(m, n, stack))
+            (block,) = subset_blocks(m, n)
             self._block = _subset_block(u, cofactors, block)
             _read_only(*self._block)
         rows = max(1, kernel.SUBSET_BLOCK // stack)
         return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
 
-    def cone_terms(self, keys: np.ndarray, columns: np.ndarray, dets: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """:func:`_cone_terms` of the subsets of the rows (block rows ``keys``, cofactor columns, ``|det U_S|``), and the row of each in them.
+    def cone_terms(self, keys: np.ndarray, inverses: np.ndarray, dets: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """:func:`_cone_terms` of the subsets of the rows (block rows ``keys``, ``U_S^-1``, ``|det U_S|``), and the row of each in them.
 
         A stored plan computes the terms of each subset once, the first
         time a cone of it is kept.
         """
         if not self.stored:
-            return _cone_terms(columns, dets), np.arange(len(keys))
+            return _cone_terms(inverses, dets), np.arange(len(keys))
         at = self._slots[keys]
         new = at < 0
         if new.any():
@@ -315,7 +308,7 @@ class _SlabPlan:
             slots = self._slots.copy()
             slots[fresh] = len(self._terms[0]) + np.arange(len(fresh))
             self._slots = slots
-            self._terms = tuple(np.concatenate(pair) for pair in zip(self._terms, _cone_terms(columns[rows], dets[rows])))
+            self._terms = tuple(np.concatenate(pair) for pair in zip(self._terms, _cone_terms(inverses[rows], dets[rows])))
             _read_only(self._slots, *self._terms)
             at = self._slots[keys]
         return self._terms, at
@@ -325,21 +318,21 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """The feasible (subset S, sign pattern p) pairs of each body of a stack over the directions of `plan`.
 
     `t` holds one row of offsets per body.  Arrays (bodies, subsets,
-    patterns, cofactor columns, points ``X_S p``, ``|det U_S|``, subset
-    keys), one row per pair, by body and, within a body, in the order of a
-    body enumerated alone, so each body's rows are the same bits inside a
-    stack as alone.  ``X_S`` is formed from the plan's cofactor columns in C
-    order, which keeps the products with it the same bits in a stack as
-    alone.  The first sign of p is +1.  Every pair is tested against the
-    first ``_FIRST_PASS_SLABS`` slabs at once, by the plan's first-pass rows
-    scaled by ``t_S``; only the survivors' coordinates are formed and tested
-    against the other slabs, both with the bound
-    ``t + FEASIBILITY_TOL * scale`` of their body.  The subset's
-    own slabs read as exactly tight, and the kept points take one step of
-    iterative refinement: where U_S is ill-conditioned, ``X_S p`` cancels
-    large entries, and its slack on them is off by about eps cond(U_S)
-    (1e-9 at cond 1e8).  The bodies share each block of subsets, so a block
-    holds ``SUBSET_BLOCK`` (subset, body) rows at most.
+    patterns, ``U_S^-1``, points ``X_S p``, ``|det U_S|``, subset keys), one
+    row per pair, by body and, within a body, in the order of a body
+    enumerated alone, so each body's rows are the same bits inside a stack
+    as alone.  ``X_S = U_S^-1 diag(t_S)`` scales the plan's inverses, which
+    are in C order, so that the products with it are the same bits in a
+    stack as alone.  The first sign of p is +1.  Every pair is tested
+    against the first ``_FIRST_PASS_SLABS`` slabs at once, by the plan's
+    first-pass rows scaled by ``t_S``; only the survivors' coordinates are
+    formed and tested against the other slabs, both with the bound
+    ``t + FEASIBILITY_TOL * scale`` of their body.  The subset's own slabs
+    read as exactly tight, and the kept points take one step of iterative
+    refinement: where U_S is ill-conditioned, ``X_S p`` cancels large
+    entries, and its slack on them is off by about eps cond(U_S) (1e-9 at
+    cond 1e8).  The bodies share each block of subsets, so a block holds
+    ``SUBSET_BLOCK`` (subset, body) rows at most.
     """
     u = plan.directions
     count = len(t)
@@ -350,11 +343,11 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     first = min(m, _FIRST_PASS_SLABS)
     bound_first = bound[:, :first].T[:, :, None, None]
     found: list[tuple[np.ndarray, ...]] = []
-    for keys, subsets, dets, columns, first_rows in blocks:
+    for keys, subsets, dets, inverses, first_rows in blocks:
         size = len(keys)
         ts = t[:, subsets]  # (K, B, n)
-        # one X_S per (body, subset), by body, in C order
-        x = _scaled_inverses(columns, dets, ts).reshape(-1, n, n)
+        # one X_S per (body, subset), by body
+        x = (inverses * ts[:, :, None, :]).reshape(-1, n, n)
         # the first-pass rows of X_S, by slab; those of the subset's own slabs are exactly t_i e_i
         rows = first_rows.transpose(1, 0, 2)[:, None] * ts
         # explicit sizes: a block whose subsets are all singular is empty
@@ -376,7 +369,7 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         # one step of iterative refinement against the subset's rows u_i / t_i
         residual = patterns[pat] - np.einsum("rij,rj->ri", u[own], cand) / t[body[:, None], own]
         cand += np.einsum("rij,rj->ri", x[row], residual)
-        found.append((body, own, patterns[pat], columns[sub], cand, dets[sub], keys[sub]))
+        found.append((body, own, patterns[pat], inverses[sub], cand, dets[sub], keys[sub]))
     if not found or np.any(np.bincount(np.concatenate([block[0] for block in found]), minlength=count) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")
     if len(found) == 1:  # one block's rows already come by body
@@ -405,18 +398,16 @@ def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     ``2 sum h^n weight / n!`` (Lawrence, "Polytope volume computation",
     Math. Comp. 57, 1991), the 2 counting each cone's mirror -x.  Each
     body's c is the column of :func:`_direction_table` with the least
-    estimated rounding error of its sum, of which the plan supplies the half
-    that does not depend on t (:meth:`_SlabPlan.cone_terms`); gamma is then
-    read from ``X_S^T c / t_S``, the products of the rows with the table
-    formed ``SUBSET_BLOCK`` product rows at a time.  The tie rule runs only
-    when some vertex of the stack has two or more candidates; on a body
-    without one it finds no tied slab.
+    estimated rounding error of its sum; the plan supplies the half of that
+    estimate that does not depend on t, and ``U_S^-T c`` for every column
+    (:meth:`_SlabPlan.cone_terms`), from which gamma is read.  The tie rule
+    runs only when some vertex of the stack has two or more candidates; on
+    a body without one it finds no tied slab.
     """
-    body, sub, pat, columns, pts, dets, keys = _candidates(plan, t)
+    body, sub, pat, inverses, pts, dets, keys = _candidates(plan, t)
     u = plan.directions
     m, n = u.shape
     s = _scales(t)[body]
-    tsub = t[body[:, None], sub]
     dots = pts @ u.T
     labels = _cluster_labels(body, pts * canonical_signs(pts, 1e-9 * s[:, None])[:, None], _TIE_TOL * s)
     rows = np.arange(len(pts))[:, None]
@@ -430,32 +421,23 @@ def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         tied[rows, sub] = False
         ok = ~np.any(loose & ~tied, axis=1)
         k, j = np.nonzero(tied)
-        a = (np.einsum("rij,ri->rj", _scaled_inverses(columns[k], dets[k], tsub[k]), u[j]) / tsub[k]) * pat[k] * np.sign(dots[k, j])[:, None]
+        a = np.einsum("rij,ri->rj", inverses[k], u[j]) * pat[k] * np.sign(dots[k, j])[:, None]
         lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
         last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
         ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
     if not ok.all():
-        body, sub, pat, columns, pts, dets, keys, tsub = (field[ok] for field in (body, sub, pat, columns, pts, dets, keys, tsub))
+        body, sub, pat, inverses, pts, dets, keys = (field[ok] for field in (body, sub, pat, inverses, pts, dets, keys))
         if np.any(np.bincount(body, minlength=len(t)) == 0):
             raise ValueError("no vertex cone kept; body is numerically degenerate")
-    (cond, scale), at = plan.cone_terms(keys, columns, dets)
-    table = _direction_table(n)
-    hc = pts @ table
+    (cond, scale, products), at = plan.cone_terms(keys, inverses, dets)
+    hc = pts @ _direction_table(n)
     size = np.abs(hc)
     # a term's rounding error is about |term| times its condition: n |x| / |h| from h^n and
     # |U_S^-1 e_i| / |gamma_i| from each gamma_i (the table's columns are unit vectors)
     error = size**n * scale[at] * (n * np.linalg.norm(pts, axis=1)[:, None] / size + cond[at])
     # each body's c, from the sums over its run of rows
     best = np.argmin(np.add.reduceat(error, np.searchsorted(body, np.arange(len(t))), axis=0), axis=1)[body]
-    # gamma from the products of X_S with the table, SUBSET_BLOCK product rows at a time, so they stay small
-    g = np.empty((len(pts), n))
-    chunk = max(1, kernel.SUBSET_BLOCK // n)
-    for lo in range(0, len(pts), chunk):
-        part = slice(lo, lo + chunk)
-        inv = _scaled_inverses(columns[part], dets[part], tsub[part])
-        products = (inv.transpose(0, 2, 1).reshape(-1, n) @ table).reshape(-1, n, _DIRECTIONS)
-        g[part] = products[np.arange(len(products)), :, best[part]]
-    gamma = pat * (g / tsub)
+    gamma = pat * products[at, :, best]
     return body, sub, hc[np.arange(len(pts)), best], gamma, 1.0 / (dets * np.prod(gamma, axis=1))
 
 

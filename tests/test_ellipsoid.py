@@ -215,6 +215,17 @@ class TestMveeNewtonSolve:
         with pytest.raises(ValueError, match="finite"):
             mvee_symmetric(pts)
 
+    @pytest.mark.parametrize("thickness", [1e-7, 1e-8, 1e-9])
+    def test_a_design_whose_g_has_no_correct_digit_is_refused(self, thickness):
+        # on (e_1, thickness e_2) the uniform start has tr(M) tr(M^-1) = 1 / thickness^2 to rounding: the rounding
+        # of g widens eps to 0.022 at 1e-7, which the solve still decides, and to 2.2 and 222 below it
+        pts = np.array([[1.0, 0.0], [0.0, thickness]])
+        if thickness > 1e-8:
+            assert mvee_symmetric(pts).tol == pytest.approx(np.finfo(float).eps / thickness**2, rel=1e-6)
+        else:
+            with pytest.raises(ValueError, match="the MVEE cannot decide the design"):
+                mvee_symmetric(pts)
+
 
 class TestClosedForms:
     """The MVEE inverts M once per iterate: the Newton step, the Frank-Wolfe entries and the shape read that inverse."""

@@ -90,16 +90,16 @@ class TestSignPatterns:
 class TestSubsetBlocks:
     def test_blocks_list_every_subset_in_order(self, monkeypatch):
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
-        blocks = list(subset_blocks(9, 4))
-        assert [len(b) for b in blocks] == [7] * 18
-        assert np.vstack(blocks).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
+        rows = [b for b, _ in subset_blocks(9, 4)]
+        assert [len(b) for b in rows] == [7] * 18
+        assert np.vstack(rows).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
 
     def test_stacked_bodies_share_a_block(self, monkeypatch):
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
-        blocks = list(subset_blocks(9, 4, 3))
-        assert [len(b) for b in blocks] == [2] * 63
-        assert np.vstack(blocks).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
-        assert [len(b) for b in subset_blocks(5, 2, 8)] == [1] * 10
+        rows = [b for b, _ in subset_blocks(9, 4, 3)]
+        assert [len(b) for b in rows] == [2] * 63
+        assert np.vstack(rows).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
+        assert [len(b) for b, _ in subset_blocks(5, 2, 8)] == [1] * 10
 
     @pytest.mark.parametrize("m, k", [(25, 3), (10, 8)])
     def test_guard_raises_at_the_call(self, m, k):
@@ -147,7 +147,7 @@ class TestLattice:
     def test_streamed_blocks_at_the_first_middle_and_last(self, m, k):
         count = -(-math.comb(m, k) // kernel.SUBSET_BLOCK)
         picked = {0: None, count // 2: None, count - 1: None}
-        for at, (rows, ranks) in enumerate(subset_blocks(m, k, ranked=True)):
+        for at, (rows, ranks) in enumerate(subset_blocks(m, k)):
             if at in picked:
                 picked[at] = rows, ranks
         assert at == count - 1
@@ -164,30 +164,28 @@ class TestLattice:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
-    @pytest.mark.parametrize("ranked", [False, True])
-    def test_a_shape_over_the_bound_caches_only_the_lattices_below_it(self, ranked):
+    def test_a_shape_over_the_bound_caches_only_the_lattices_below_it(self):
         assert math.comb(17, 6) > kernel.INDEX_PLAN_SUBSETS
         kernel._lattice.cache_clear()
-        blocks = list(subset_blocks(17, 6, ranked=ranked))
+        blocks = list(subset_blocks(17, 6))
         # (17, 0) ... (17, 5), and not (17, 6)
         assert kernel._lattice.cache_info().currsize == 6
-        rows = np.vstack([b[0] for b in blocks] if ranked else blocks)
-        assert len(rows) == math.comb(17, 6) and rows.dtype == np.intp
+        rows, ranks = (np.vstack(field) for field in zip(*blocks))
+        assert len(rows) == len(ranks) == math.comb(17, 6) and rows.dtype == ranks.dtype == np.intp
 
     @pytest.mark.parametrize("m, k", [(25, 3), (10, 8), (25, 1)])
     def test_guard_raises_before_any_lattice(self, m, k):
         kernel._lattice.cache_clear()
-        for ranked in (False, True):
-            with pytest.raises(CapacityError, match="subset enumeration guard exceeded"):
-                subset_blocks(m, k, ranked=ranked)
+        with pytest.raises(CapacityError, match="subset enumeration guard exceeded"):
+            subset_blocks(m, k)
         assert kernel._lattice.cache_info().currsize == 0
 
     def test_blocks_are_the_same_streamed_cold_and_warm(self, monkeypatch):
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
 
         def blocks():
-            return [[np.concatenate(b, axis=1) if ranked else b for b in subset_blocks(m, k, stack, ranked=ranked)]
-                    for m, k, stack in [(9, 4, 1), (9, 4, 3), (5, 2, 8), (16, 6, 1)] for ranked in (False, True)]
+            # each block's rows and ranks, in turn
+            return [[field for block in subset_blocks(m, k, stack) for field in block] for m, k, stack in [(9, 4, 1), (9, 4, 3), (5, 2, 8), (16, 6, 1)]]
 
         kernel._lattice.cache_clear()
         cold, warm = blocks(), blocks()
@@ -195,7 +193,9 @@ class TestLattice:
             streamed(patch)
             ref = blocks()
         for a, b, c in zip(cold, warm, ref):
-            assert [x.dtype for x in a] == [x.dtype for x in c] == [np.intp] * len(c)
+            # sliced blocks keep the lattice's unsigned types, streamed ones are intp
+            assert [x.dtype.kind for x in a] == [x.dtype.kind for x in b] == ["u"] * len(c)
+            assert [x.dtype for x in c] == [np.intp] * len(c)
             assert all(np.array_equal(x, y) and np.array_equal(x, z) for x, y, z in zip(a, b, c, strict=True))
 
     def test_results_are_bit_identical_streamed_cold_and_warm(self, monkeypatch):
@@ -277,13 +277,13 @@ class TestCofactorTable:
 
     @pytest.mark.parametrize("n, m", [(1, 4), (2, 5), (3, 7), (5, 9), (7, 11)])
     def test_ranks_index_each_subset_without_one_element(self, n, m):
-        for subsets, ranks in subset_blocks(m, n, ranked=True):
+        for subsets, ranks in subset_blocks(m, n):
             assert ranks.tolist() == lex_ranks(subsets, m)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_first_row_expansion_is_the_determinant(self, n):
         rows = unit_rows(n + 3, n, 780 + n)
-        ((subsets, ranks),) = subset_blocks(n + 3, n, ranked=True)
+        ((subsets, ranks),) = subset_blocks(n + 3, n)
         laplace = np.sum(rows[subsets[:, 0]] * cofactor_table(rows)[ranks[:, 0]], axis=1)
         assert np.abs(laplace - np.linalg.det(rows[subsets])).max() <= 1e-14
 

@@ -242,12 +242,17 @@ class TestShadowPosition:
         assert n * (1.0 - rep.kappa_tol) <= rep.kappa_min <= rep.kappa_max <= n * (1.0 + rep.kappa_tol)
         assert rep.to_dict()["kappa_tol"] == rep.kappa_tol
 
-    def test_a_singular_ellipsoid_is_refused_before_the_transform(self):
-        # the root's determinant reads 0 here; dividing by it used to warn twice and then fail on non-finite generators
-        body = SymmetricHPolytope(random_orthogonal(4, np.random.default_rng(3)), np.array([1.0, 1.0, 1.0, 1e-9]))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("thickness", [1e-8, 1e-9])
+    def test_a_singular_ellipsoid_is_refused_before_the_transform(self, n, thickness):
+        # at the uniform start the rounding of g widens eps past 1 (to 3.4..6.4 at 1e-8), or tr(M^-1) reads negative,
+        # or the design does not invert: g has no correct digit, so the MVEE refuses the design.  These boxes used to
+        # fail four different ways (a singular inverse, a shape that is not positive definite, a rank-deficient
+        # support design, a root of determinant 0, the last after two warnings) or return a ratio of 0.896
+        body = SymmetricHPolytope(random_orthogonal(n, np.random.default_rng(3)), np.array([1.0] * (n - 1) + [thickness]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="ellipsoid of the polar vertices is singular"):
+            with pytest.raises(ValueError, match="the MVEE cannot decide the design"):
                 shadow_position(body)
 
     def test_body_with_more_than_twenty_facet_pairs(self):
