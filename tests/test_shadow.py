@@ -246,9 +246,7 @@ class TestShadowPosition:
     @pytest.mark.parametrize("thickness", [1e-8, 1e-9])
     def test_a_singular_ellipsoid_is_refused_before_the_transform(self, n, thickness):
         # at the uniform start the rounding of g widens eps past 1 (to 3.4..6.4 at 1e-8), or tr(M^-1) reads negative,
-        # or the design does not invert: g has no correct digit, so the MVEE refuses the design.  These boxes used to
-        # fail four different ways (a singular inverse, a shape that is not positive definite, a rank-deficient
-        # support design, a root of determinant 0, the last after two warnings) or return a ratio of 0.896
+        # or the design does not invert: g has no correct digit, so the MVEE refuses all six with one message
         body = SymmetricHPolytope(random_orthogonal(n, np.random.default_rng(3)), np.array([1.0] * (n - 1) + [thickness]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
