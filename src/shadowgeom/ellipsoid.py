@@ -82,9 +82,9 @@ class Ellipsoid:
             raise ValueError("shape matrix is not positive definite")
         return unit_ball_volume(self.dim) * float(np.exp(-0.5 * logdet))
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.einsum("ij,jk,ik->i", pts, self.shape, pts) <= 1.0 + tol
+        return np.einsum("ij,jk,ik->i", pts, self.shape, pts) <= 1.0
 
 
 @dataclass(frozen=True)

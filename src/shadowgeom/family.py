@@ -12,10 +12,11 @@ their inverses and the offset-free terms of the cone formulas), built once
 per solve; each round only scales that plan by the offsets, taking the volume,
 the gradient and the Hessian of every live start's trial point from one
 pass of vertex cones over their stacked offsets; the reported body keeps
-the cones of its last round.  At that maximum each facet measure is
-proportional to its budget weight, which makes every shadow of the optimal
-body a fixed multiple of a weighted direction sum; the verifiers below
-check the stationarity certificate and that projection identity directly.
+the volume, gradient and Hessian of its last round.  At that maximum each
+facet measure is proportional to its budget weight, which makes every
+shadow of the optimal body a fixed multiple of a weighted direction sum;
+the verifiers below check the stationarity certificate and that
+projection identity directly.
 
 On top of the solver this module builds the large-shadow construction: with
 2n random directions and uniform budget weights, the optimal body has
@@ -33,7 +34,7 @@ import numpy as np
 
 from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, newton_on_slice, sample_unit_sphere
 from .kernel import unit_ball_volume, unit_directions
-from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _SlabPlan, _volume_derivatives
+from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _read_only, _SlabPlan, _volume_derivatives
 from .shadow import TIE_TOLERANCE, ball_shadow_ratio, min_shadow_direction, minimize_support
 from .zonotope import Zonotope
 
@@ -123,14 +124,14 @@ class SlabFamilySpec:
 
 
 def _volume_gradient(body: SymmetricHPolytope, weights: np.ndarray) -> np.ndarray:
-    """d(volume)/d(offsets): twice each slab's facet measure, from the vertex cones.
+    """d(volume)/d(offsets): twice each slab's facet measure, the gradient of the body's measures.
 
     The cones give a facet of coinciding slabs (``|u_i . u_j| >= 1 - 1e-12``)
     whose offsets tie within ``FEASIBILITY_TOL`` at the body's scale to one
     of them; it is split among them in proportion to their budget weights,
     the split under which the maximizer is stationary.
     """
-    grad = 2.0 * body._slab_measures
+    grad = body._measures[1]
     u, t = body.directions, body.offsets
     tied = (np.abs(u @ u.T) >= 1.0 - _COINCIDENCE_TOL) & (np.abs(t[:, None] - t) <= FEASIBILITY_TOL * body._scale)
     shared = tied.sum(axis=1) > 1
@@ -157,6 +158,8 @@ def _merge_coinciding(spec: SlabFamilySpec) -> tuple[SlabFamilySpec, np.ndarray]
 class _AscentResult:
     offsets: np.ndarray
     volume: float
+    gradient: np.ndarray
+    hessian: np.ndarray
     iterations: int
     gradient_norm: float
     converged: bool
@@ -175,7 +178,8 @@ def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
     interior: the step is halved only to keep every offset above the floor
     and to make log V increase, and is taken whole once the gain it
     predicts is below the rounding of log V.  Converged when the gradient's
-    component in the slice is at most ``tol * V``.
+    component in the slice is at most ``tol * V``.  The result holds the V,
+    g and H of the point it returns.
     """
     basis = hyperplane_basis(spec.weights)
     t = start
@@ -202,12 +206,10 @@ def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
                 break
             alpha *= 0.5
         t, volume, grad, hess = trial, trial_volume, trial_grad, trial_hess
-    return _AscentResult(t, volume, iterations, gradient_norm, gradient_norm <= tol * volume, evals)
+    return _AscentResult(t, volume, grad, hess, iterations, gradient_norm, gradient_norm <= tol * volume, evals)
 
 
-def _lockstep(
-    spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_iterations: int
-) -> tuple[list[_AscentResult], list[tuple[np.ndarray, ...]]]:
+def _lockstep(spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_iterations: int) -> list[_AscentResult]:
     """Run the ascents of all starts in lockstep, one vertex-cone pass per round.
 
     The offset-free half of the enumeration, one plan of the directions
@@ -216,26 +218,23 @@ def _lockstep(
     that plan over their stacked offsets, whose values for each body are
     those of that body evaluated alone; so each start makes exactly the
     trials it would make on its own.  A start leaves when it converges or
-    reaches ``max_iterations``.  Besides each start's result, returns a copy
-    of the cone rows of its last evaluated point, which is the point it
-    returns, as a lone body of those offsets holds them.
+    reaches ``max_iterations``.  Returns each start's result, whose gradient
+    and Hessian are rows of the arrays of the round that evaluated its point.
     """
     plan = _SlabPlan(spec.directions)
     ascents = [_ascent(spec, start, tol, max_iterations) for start in starts]
     pending = {k: next(ascent) for k, ascent in enumerate(ascents)}
-    results, cones = {}, {}
+    results = {}
     while pending:
         live, trials = zip(*pending.items())
-        volumes, grads, hessians, rows = _volume_derivatives(plan, np.array(trials))
+        volumes, grads, hessians = _volume_derivatives(plan, np.array(trials))
         pending = {}
-        for i, (k, volume, grad, hess) in enumerate(zip(live, volumes, grads, hessians)):
+        for k, volume, grad, hess in zip(live, volumes, grads, hessians):
             try:
                 pending[k] = ascents[k].send((float(volume), grad, hess))
             except StopIteration as done:
                 results[k] = done.value
-                a, b = np.searchsorted(rows[0], [i, i + 1])  # this body's run of rows, as body 0 of its own
-                cones[k] = (np.zeros(b - a, dtype=rows[0].dtype), *(field[a:b].copy() for field in rows[1:]))
-    return [results[k] for k in range(len(ascents))], [cones[k] for k in range(len(ascents))]
+    return [results[k] for k in range(len(ascents))]
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,9 @@ def maximize_volume_details(
     not choose it.  Coinciding slabs are solved as one slab of their summed
     weight and get equal offsets.  ``max_iterations`` caps the Newton steps
     of each start.  Unless slabs were merged, the reported body carries the
-    vertex cones of its start's last lockstep round, the bits it would find
-    alone, so its measures and certificates make no cone pass of their own.
+    volume, gradient and Hessian of its start's last lockstep round, as
+    read-only copies, the bits it would find alone, so its measures and
+    certificates make no cone pass of their own.
     Raises :class:`CapacityError` carrying the best body found when no start
     converges within that cap.
     """
@@ -325,7 +325,7 @@ def maximize_volume_details(
             start = start * rng.fork(_START_SEED + k).generator().uniform(0.25, 4.0, size=merged.count)
             start = start / float(merged.weights @ start)
         points.append(start)
-    results, cones = _lockstep(merged, points, tol, max_iterations)
+    results = _lockstep(merged, points, tol, max_iterations)
     converged = [r for r in results if r.converged]
     if not converged:
         fallback = max(results, key=lambda r: r.volume)
@@ -337,8 +337,11 @@ def maximize_volume_details(
     k = next(k for k, r in enumerate(results) if r.converged and r.volume >= (1.0 - TIE_TOLERANCE) * top)
     best, body = results[k], spec.body(results[k].offsets[index])
     if merged is spec:
-        # the cones of the point the start returned, the bits a lone body of its offsets finds again
-        vars(body)["_cones"] = cones[k]
+        # the measures of the point the start returned, the bits a lone body of its offsets finds again;
+        # copied, so that the body does not hold the arrays of the whole round
+        gradient, hessian = best.gradient.copy(), best.hessian.copy()
+        _read_only(gradient, hessian)
+        vars(body)["_measures"] = (best.volume, gradient, hessian)
     return FamilyOptimumReport(
         body=body,
         offsets=best.offsets[index],

@@ -212,16 +212,13 @@ def check_slab_directions(directions: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class RandomSource:
-    """Explicit randomness: the same (seed, algorithm) always yields the same stream."""
+    """Explicit randomness: the same seed always yields the same PCG64 stream."""
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
         if not (0 <= int(self.seed) <= _UINT64_MAX):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm: {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this source's stream."""
@@ -230,7 +227,7 @@ class RandomSource:
     def fork(self, key: int) -> "RandomSource":
         """Derive an independent child source.  Distinct keys give decorrelated streams."""
         state = np.random.SeedSequence(self.seed, spawn_key=(int(key),)).generate_state(1, np.uint64)
-        return RandomSource(int(state[0]), self.algorithm)
+        return RandomSource(int(state[0]))
 
 
 def jacobi_eigh(matrix: np.ndarray):
@@ -441,8 +438,8 @@ class WeightedDirections:
         outer = (u * c[:, None]).T @ u
         return float(np.linalg.norm(outer - np.eye(self.dim))), float(c.sum() - self.dim)
 
-    def validate(self, frobenius_tol: float = ISOTROPY_FROBENIUS_TOL, trace_tol: float = ISOTROPY_TRACE_TOL) -> None:
-        """Raise ValueError unless the isotropy invariants hold at tolerance."""
+    def validate(self) -> None:
+        """Raise ValueError unless the isotropy invariants hold within ``ISOTROPY_FROBENIUS_TOL`` and ``ISOTROPY_TRACE_TOL``."""
         # every test is written so that NaN fails it
         norms = np.linalg.norm(self.directions, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-8):
@@ -450,10 +447,10 @@ class WeightedDirections:
         if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
             raise ValueError("weights must be finite and strictly positive")
         frob, gap = self.residuals()
-        if not frob <= frobenius_tol:
-            raise ValueError(f"weighted directions do not resolve the identity: residual {frob:.3e} > {frobenius_tol:.1e}")
-        if not abs(gap) <= trace_tol:
-            raise ValueError(f"weights do not sum to the dimension: gap {gap:.3e} > {trace_tol:.1e}")
+        if not frob <= ISOTROPY_FROBENIUS_TOL:
+            raise ValueError(f"weighted directions do not resolve the identity: residual {frob:.3e} > {ISOTROPY_FROBENIUS_TOL:.1e}")
+        if not abs(gap) <= ISOTROPY_TRACE_TOL:
+            raise ValueError(f"weights do not sum to the dimension: gap {gap:.3e} > {ISOTROPY_TRACE_TOL:.1e}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightedDirections":

@@ -23,14 +23,18 @@ halves:
   U_S^-T c`` the plan holds, the ties of non-simple vertices broken by one
   lexicographic perturbation decided once per vertex.
 
-A lone body keeps its vertex cones and the measures read from them, not the
-plan they were found over; the family solver keeps one plan per slab family
-and evaluates the stacked offsets of all its live starts over it in every
-round, each body getting the bits it gets alone, and hands the solved body
-the cones of its last round.  Every measure comes from the cones: a shadow
-is Cauchy's ``0.5 * sum |<theta, n_F>| * |F|`` over two facets F, -F of
-normal ``+-u_j`` per slab.  The merged vertex set, over a plan of its own,
-and the facet record are built on request.
+Every body is measured by one function, :func:`_volume_derivatives`, which
+reads the volume, its gradient and its Hessian in the offsets off the vertex
+cones of a stack of bodies; the cone rows never leave this module.  A lone
+body is a stack of one and keeps that triple, not the cones or the plan they
+were found over; the family solver keeps one plan per slab family and
+evaluates the stacked offsets of all its live starts over it in every round,
+each body getting the bits it gets alone, and hands the solved body the
+triple of its last round.  Each facet measure is half the volume's
+derivative in its slab's offset, and a shadow is Cauchy's ``0.5 * sum
+|<theta, n_F>| * |F|`` over two facets F, -F of normal ``+-u_j`` per slab.
+The merged vertex set, over a plan of its own, and the facet record are
+built on request.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
 are given at unit scale and scaled with the body (see ``_scale``), and so is
@@ -260,7 +264,7 @@ class _SlabPlan:
     is read-only.  Otherwise each evaluation streams its blocks, built from
     one cofactor table, and computes the cone terms of the kept rows, so
     that it holds one block at a time.  A family solve keeps its plan over
-    its rounds; a lone body drops its plan once its cones are read.
+    its rounds; a lone body drops its plan once its measures are read.
     """
 
     def __init__(self, directions: np.ndarray):
@@ -441,53 +445,39 @@ def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     return body, sub, hc[np.arange(len(pts)), best], gamma, 1.0 / (dets * np.prod(gamma, axis=1))
 
 
-def _facet_measures(cones: tuple[np.ndarray, ...], count: int, m: int) -> np.ndarray:
-    """(K, m): slab j's one-sided facet measure ``sum h^(n-1) gamma_j weight / (n-1)!`` over the cones holding j.
+def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The volumes (K,), their gradients (K, m) and Hessians (K, m, m) in the offsets of a (K, m) stack of bodies.
 
-    That is half the volume's derivative in t_j.
+    One pass of vertex cones (:func:`_cones`) over the stack, over the
+    directions of `plan`, read as sums over each body's cones:
+
+    * the volume ``2 sum h^n weight / n!``, one dot product over the body's
+      run of rows;
+    * the gradient in t_j, twice slab j's one-sided facet measure ``sum
+      h^(n-1) gamma_j weight / (n-1)!`` over the cones holding j;
+    * the Hessian entry (j, k), ``2 n (n-1) / n! sum h^(n-2) gamma_j gamma_k
+      weight`` over the cones holding j and k, exactly symmetric: entries
+      (j, k) and (k, j) sum the same products in the same order.
+
+    The directions are taken as checked and the offsets as positive.  Each
+    body's values are the same bits inside a stack as alone, and the same
+    whether the plan was used before or not.  The cone rows do not outlive
+    the call.
     """
-    body, sub, h, gamma, weight = cones
+    count, m = t.shape
+    body, sub, h, gamma, weight = _cones(plan, t)
     n = sub.shape[1]
+    powers = h**n
+    ends = np.searchsorted(body, np.arange(count + 1))
+    volumes = np.array([2.0 * float(powers[a:b] @ weight[a:b]) / math.factorial(n) for a, b in zip(ends[:-1], ends[1:])])
     terms = (h ** (n - 1) * weight / math.factorial(n - 1))[:, None] * gamma
     keys = body[:, None] * m + sub
-    return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m).reshape(count, m)
-
-
-def _volumes(cones: tuple[np.ndarray, ...], count: int) -> np.ndarray:
-    """(K,): each body's volume ``2 sum h^n weight / n!`` over its cones, one dot product over its run of rows."""
-    body, sub, h, _, weight = cones
-    n = sub.shape[1]
-    terms = h**n
-    ends = np.searchsorted(body, np.arange(count + 1))
-    return np.array([2.0 * float(terms[a:b] @ weight[a:b]) / math.factorial(n) for a, b in zip(ends[:-1], ends[1:])])
-
-
-def _hessians(cones: tuple[np.ndarray, ...], count: int, m: int) -> np.ndarray:
-    """(K, m, m): entry (j, k) is ``2 n (n-1) / n! sum h^(n-2) gamma_j gamma_k weight`` over the cones holding j and k.
-
-    Exactly symmetric: entries (j, k) and (k, j) sum the same products in the same order.
-    """
-    body, sub, h, gamma, weight = cones
-    n = sub.shape[1]
+    measures = np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m).reshape(count, m)
     scale = 2.0 * n * (n - 1) / math.factorial(n) * h ** (n - 2) * weight
     keys = (body[:, None, None] * m + sub[:, :, None]) * m + sub[:, None, :]
     terms = scale[:, None, None] * (gamma[:, :, None] * gamma[:, None, :])
-    return np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m * m).reshape(count, m, m)
-
-
-def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The volumes (K,), their gradients (K, m) and Hessians (K, m, m) in the offsets of a (K, m) stack of bodies, and its cones.
-
-    One pass of vertex cones over the stack, over the directions of `plan`;
-    the gradient is twice each slab's facet measure, and the cones are the
-    rows of :func:`_cones`, by body.  The directions are taken as checked
-    and the offsets as positive.  Each body's values and cone rows are the
-    same bits inside a stack as alone, and the same whether the plan was
-    used before or not.
-    """
-    count, m = t.shape
-    cones = _cones(plan, t)
-    return _volumes(cones, count), 2.0 * _facet_measures(cones, count, m), _hessians(cones, count, m), cones
+    hessians = np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m * m).reshape(count, m, m)
+    return volumes, 2.0 * measures, hessians
 
 
 class SymmetricHPolytope:
@@ -495,9 +485,10 @@ class SymmetricHPolytope:
 
     Directions must be unit vectors (within 1e-12) spanning R^n — otherwise
     the body would be unbounded and construction is rejected.  Offsets must
-    be finite and strictly positive.  Instances are immutable; the vertex
-    cones, the measures, vertices and facets are computed on first use and
-    cached, but not the plan and candidates that the cones are found over.
+    be finite and strictly positive.  Instances are immutable; the measures
+    (the volume with its gradient and Hessian in the offsets), vertices and
+    facets are computed on first use and cached, but not the vertex cones,
+    nor the plan and candidates that the cones are found over.
     """
 
     def __init__(self, directions: np.ndarray, offsets: np.ndarray):
@@ -554,15 +545,15 @@ class SymmetricHPolytope:
 
     # -- membership / support --------------------------------------------
 
-    def contains(self, points: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask: which of the given points satisfy every slab constraint.
 
-        `tol` is given at unit scale and multiplied by the body's scale
-        (:attr:`_scale`), so the decision does not change when the body and
-        the points are scaled together.
+        The tolerance is ``FEASIBILITY_TOL`` at unit scale, multiplied by the
+        body's scale (:attr:`_scale`), so the decision does not change when
+        the body and the points are scaled together.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all(np.abs(pts @ self._directions.T) <= self._offsets + tol * self._scale, axis=1)
+        return np.all(np.abs(pts @ self._directions.T) <= self._offsets + FEASIBILITY_TOL * self._scale, axis=1)
 
     def support(self, theta: np.ndarray) -> float:
         """Support function ``max_{x in P} <x, theta>`` (via the vertex set)."""
@@ -588,14 +579,21 @@ class SymmetricHPolytope:
     # -- vertex cones --------------------------------------------------------
 
     @cached_property
-    def _cones(self) -> tuple[np.ndarray, ...]:
-        """The kept vertex cones of this body alone (:func:`_cones`), over a plan that is dropped once they are read."""
-        return _cones(_SlabPlan(self._directions), self._offsets[None])
+    def _measures(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """The volume and its gradient and Hessian in the offsets: :func:`_volume_derivatives` of this body as a stack of one.
+
+        The plan and the cones are dropped once the triple is read.  The
+        family solver seeds the body it reports with the triple of its last
+        round, the same bits.  The arrays are read-only.
+        """
+        (volume,), (gradient,), (hessian,) = _volume_derivatives(_SlabPlan(self._directions), self._offsets[None])
+        _read_only(gradient, hessian)
+        return float(volume), gradient, hessian
 
     @cached_property
     def _slab_measures(self) -> np.ndarray:
-        """Each slab's one-sided facet measure from the vertex cones (:func:`_facet_measures`), unfloored."""
-        measures = _facet_measures(self._cones, 1, self.num_slabs)[0]
+        """Each slab's one-sided facet measure, half the volume's gradient in its offset (:attr:`_measures`), unfloored."""
+        measures = 0.5 * self._measures[1]
         measures.setflags(write=False)
         return measures
 
@@ -638,29 +636,27 @@ class SymmetricHPolytope:
 
     # -- measures ----------------------------------------------------------
 
-    @cached_property
+    @property
     def volume(self) -> float:
-        """Lebesgue volume, ``2 sum h^n weight / n!`` over the kept vertex cones (:func:`_volumes`).
+        """Lebesgue volume, ``2 sum h^n weight / n!`` over the kept vertex cones (:attr:`_measures`).
 
         This equals ``sum offset * measure / n``, but is better conditioned: a
         nearly singular cone puts large, opposite terms into the measures of
         its two nearly parallel facets.
         """
-        return float(_volumes(self._cones, 1)[0])
+        return self._measures[0]
 
-    @cached_property
+    @property
     def volume_hessian(self) -> np.ndarray:
-        """The (m, m) Hessian of the volume in the offsets, from the vertex cones.
+        """The (m, m) Hessian of the volume in the offsets, from the vertex cones (:attr:`_measures`).
 
         Entry (j, k) is ``2 n (n-1) / n! sum h^(n-2) gamma_j gamma_k weight``
-        over the kept cones whose subset holds j and k (:func:`_hessians`),
-        the second derivative of Lawrence's formula.  Where the combinatorial type
+        over the kept cones whose subset holds j and k, the second
+        derivative of Lawrence's formula.  Where the combinatorial type
         changes, or slabs coincide, the volume is not twice differentiable,
         and this is the Hessian of the lexicographically perturbed body.
         """
-        hess = _hessians(self._cones, 1, self.num_slabs)[0]
-        hess.setflags(write=False)
-        return hess
+        return self._measures[2]
 
     @cached_property
     def surface_area(self) -> float:

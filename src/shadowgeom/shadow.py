@@ -165,8 +165,9 @@ class ShadowPositionReport:
     ``mvee_iterations`` counts the Newton steps of the ellipsoid solve, and
     the kappa range is its certificate (every polar vertex has
     ``v^T M^{-1} v <= kappa_max``, every support point ``>= kappa_min``,
-    both within ``n (1 +/- kappa_tol)``, where ``kappa_tol`` is eps widened
-    by the rounding of g, see :func:`mvee_symmetric`);
+    both within ``n (1 +/- kappa_tol)``, where ``kappa_tol`` is the solve's
+    eps, ``DEFAULT_EPS`` = 1e-8, widened by the rounding of g, see
+    :func:`mvee_symmetric`);
     ``candidates_checked`` counts the directions searched for the minimal
     shadow.
     """
@@ -212,7 +213,7 @@ RATIO_TOLERANCE = 1e-4
 UNIMODULAR_TOLERANCE = 1e-9
 
 
-def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSource | None = None) -> ShadowPositionReport:
+def shadow_position(body: SymmetricHPolytope, rng: RandomSource | None = None) -> ShadowPositionReport:
     """Volume-preserving linear map after which every shadow is >= vol^{(n-1)/n}.
 
     Pipeline: projection body -> polar vertices -> minimal enclosing
@@ -233,7 +234,7 @@ def shadow_position(body: SymmetricHPolytope, eps: float = 1e-8, rng: RandomSour
     zono = projection_body(body)
     pv = polar_vertices(zono)
     canonical = pv.vertices[: len(pv) // 2]  # the MVEE of {+/- v} needs one of each pair
-    mvee = mvee_symmetric(canonical, eps)
+    mvee = mvee_symmetric(canonical)
     root = psd_sqrt(mvee.ellipsoid.shape)
     det = float(np.linalg.det(root))
     if not (math.isfinite(det) and det > 0.0):

@@ -141,7 +141,7 @@ def counted_cone_passes(monkeypatch) -> list[int]:
 
 class TestSolvedBodyCones:
     @pytest.mark.parametrize("n", [3, 4])
-    def test_the_certificates_read_the_cones_of_the_last_round(self, monkeypatch, n):
+    def test_the_certificates_read_the_measures_of_the_last_round(self, monkeypatch, n):
         spec = random_spec(4300 + n, n=n, m=2 * n)
         calls = counted_cone_passes(monkeypatch)
         details = maximize_volume_details(spec, rng=RandomSource(4310 + n))
@@ -156,8 +156,26 @@ class TestSolvedBodyCones:
         assert np.array_equal(body._slab_measures, fresh._slab_measures)
         assert np.array_equal(body.volume_hessian, fresh.volume_hessian)
 
+    def test_the_seeded_gradient_and_hessian_are_read_only_copies(self, monkeypatch):
+        returned = []
+
+        def recorded(plan, t):
+            returned.append(_volume_derivatives(plan, t))
+            return returned[-1]
+
+        monkeypatch.setattr(family, "_volume_derivatives", recorded)
+        spec = random_spec(4330, n=4, m=8)
+        body = maximize_volume_details(spec, rng=RandomSource(4331)).body
+        _, gradient, hessian = vars(body)["_measures"]  # seeded by the solve, before any measure is read
+        for array in (gradient, hessian):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+            # the body holds its own copy, not the arrays of the lockstep round that evaluated its point
+            assert not any(np.shares_memory(array, out) for round_ in returned for out in round_)
+
     def test_a_solve_over_merged_slabs_leaves_its_body_unseeded(self, monkeypatch):
-        # the solve ran over the merged family, whose cones are not those of the reported body
+        # the solve ran over the merged family, whose measures are not those of the reported body
         u = np.array(sample_unit_sphere(3, RandomSource(555), count=6))
         u[1] = -u[0]
         spec = SlabFamilySpec(u, np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0]) / 7.0)

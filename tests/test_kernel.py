@@ -55,10 +55,6 @@ class TestRandomSource:
             RandomSource(2**64)
         RandomSource(2**64 - 1)
 
-    def test_algorithm_pinned(self):
-        with pytest.raises(ValueError):
-            RandomSource(0, algorithm="mt19937")
-
 
 class TestJacobiEigh:
     def test_matches_numpy_on_random_symmetric(self):

@@ -526,6 +526,8 @@ class TestFacetRecord:
         kkt_report(body, spec)
         verify_projection_identity(body, spec, sample_count=10)
         assert "vertices" not in body.__dict__ and "facets" not in body.__dict__
+        # the body keeps the measures read off its cones, not the cone rows
+        assert "_measures" in body.__dict__ and "_cones" not in body.__dict__
 
     def test_the_family_solver_and_its_certificates_build_neither(self):
         spec = SlabFamilySpec(sample_unit_sphere(3, RandomSource(95), count=6), np.full(6, 1.0 / 6.0))
@@ -533,6 +535,7 @@ class TestFacetRecord:
         kkt_report(body, spec)
         verify_projection_identity(body, spec, sample_count=10)
         assert "vertices" not in body.__dict__ and "facets" not in body.__dict__
+        assert "_measures" in body.__dict__ and "_cones" not in body.__dict__
 
     @pytest.mark.parametrize(
         "body",
@@ -598,9 +601,9 @@ class TestVolumeHessian:
 
 
 def assert_stack_is_its_bodies_alone(u: np.ndarray, t: np.ndarray, plan: _SlabPlan | None = None) -> None:
-    volumes, grads, hessians, _ = _volume_derivatives(plan or _SlabPlan(u), t)
+    volumes, grads, hessians = _volume_derivatives(plan or _SlabPlan(u), t)
     for k in range(len(t)):
-        (volume,), (grad,), (hess,), _ = _volume_derivatives(_SlabPlan(u), t[k : k + 1])
+        (volume,), (grad,), (hess,) = _volume_derivatives(_SlabPlan(u), t[k : k + 1])
         assert volume == volumes[k] and np.array_equal(grad, grads[k]) and np.array_equal(hess, hessians[k])
         body = SymmetricHPolytope(u, t[k])
         assert body.volume == volume and np.array_equal(body.volume_hessian, hess)
@@ -789,8 +792,9 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= ceiling_mb * 1e6
 
-    def test_an_evaluated_body_keeps_its_cones_not_its_enumeration(self):
-        # C(14, 6) = 3003 subsets: a body that kept the plan of its cones would hold its stored block, about 2 MB
+    def test_an_evaluated_body_keeps_its_measures_not_its_cones(self):
+        # C(14, 6) = 3003 subsets: a body that kept the plan of its cones would hold its stored block, about 2 MB,
+        # and one that kept its cone rows about 37 kB; the volume, gradient and Hessian take about 6 kB
         def evaluated(seed: int) -> SymmetricHPolytope:
             body = random_symmetric_polytope(6, 14, RandomSource(seed))
             body.volume, body.surface_area, body.shadow_areas(np.eye(6)), projection_body(body)
@@ -803,8 +807,8 @@ class TestMemory:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert not any(hasattr(body, "_plan") or hasattr(body, "_candidates") for body in bodies)
-        assert held / len(bodies) <= 0.2e6
+        assert not any(hasattr(body, "_plan") or hasattr(body, "_candidates") or hasattr(body, "_cones") for body in bodies)
+        assert held / len(bodies) <= 16e3
 
     def test_lockstep_round_at_the_largest_stored_plan(self):
         # C(14, 7) = 3432 subsets, the most that SUBSET_BLOCK lets a plan keep at the largest n: building the plan
