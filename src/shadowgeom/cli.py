@@ -35,7 +35,9 @@ Reports
 -------
 Each run writes ``<command>.json`` carrying ``"schema": 1``, the effective
 config echo, per-operation results, one pass/fail record per assertion, and
-the library version.  An assertion is a list of (value, comparison, bound)
+the library version.  The results are read from the fields of the library's
+result records, less those named at the call, so a record's fields are its
+report's schema.  An assertion is a list of (value, comparison, bound)
 terms: it passes only when every term holds (NaN holds none), and its
 ``detail`` shows each term as ``label = value (comparison bound)``, then a
 note.  Where the library decides, the term is its verdict and the note its
@@ -277,6 +279,11 @@ def _isotropy_terms(frobenius: float, trace_gap: float) -> tuple:
     )
 
 
+def _fields(record, *omit: str) -> dict:
+    """A result record's fields by name, less those named in ``omit``."""
+    return {name: value for name, value in vars(record).items() if name not in omit}
+
+
 def _cube(n: int) -> SymmetricHPolytope:
     return SymmetricHPolytope(np.eye(n), np.ones(n))
 
@@ -302,7 +309,7 @@ def _run_shadow_position(cfg: ExperimentConfig):
     else:
         body = random_symmetric_polytope(cfg.n, cfg.m, rng.fork(1))
     rep = shadow_position(body)
-    results = rep.to_dict()
+    results = _fields(rep, "body", "john")
     results["body"] = {"n": body.dim, "slabs": int(len(body.offsets))}
     results["john"] = {"weights": rep.john.weights.tolist(), "contacts": rep.john.directions.tolist()}
     res = rep.residuals
@@ -427,10 +434,12 @@ def _run_minkowski_solve(cfg: ExperimentConfig):
             note=f"over {len(details.start_volumes)} starts",
         ),
     ]
-    results = details.to_dict()
+    results = _fields(details, "body", "start_offsets")
+    results["volume_agreement"] = details.volume_agreement
+    results["offset_agreement"] = details.offset_agreement
     results["vol_nth_root"] = details.volume ** (1.0 / cfg.n)
-    results["kkt"] = kkt.to_dict()
-    results["identity"] = identity.to_dict()
+    results["kkt"] = _fields(kkt, "relative_residuals")
+    results["identity"] = _fields(identity, "worst_direction")
     results["weights"] = [float(w) for w in weights]
     header = ["start", "volume"]
     rows = [[i, v] for i, v in enumerate(details.start_volumes)]

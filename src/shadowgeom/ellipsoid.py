@@ -33,10 +33,8 @@ from .kernel import CapacityError, WeightedDirections, canonical_signs, dedup_ro
 
 __all__ = [
     "Ellipsoid",
-    "JohnResidualReport",
     "MveeResult",
     "extract_john_decomposition",
-    "john_residual",
     "mvee_symmetric",
 ]
 
@@ -309,27 +307,3 @@ def extract_john_decomposition(result: MveeResult) -> WeightedDirections:
     weights = n * lam_hat * norms**2
     return WeightedDirections(tv / norms[:, None], weights * (n / weights.sum()))
 
-
-@dataclass(frozen=True)
-class JohnResidualReport:
-    """Diagnostics of a contact decomposition."""
-
-    frobenius: float
-    trace_gap: float
-    quadratic_max_relative: float
-
-
-def john_residual(decomposition: WeightedDirections) -> JohnResidualReport:
-    """Frobenius and trace residuals plus the quadratic identity spot-check.
-
-    The identity ``|x|^2 = sum c_i <u_i, x>^2`` is evaluated at 20 fixed
-    deterministic pseudo-random points; the worst relative error is
-    reported.
-    """
-    frob, gap = decomposition.residuals()
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0x5EED_1DE4)))
-    xs = gen.standard_normal((20, decomposition.dim))
-    sq = np.sum((xs @ decomposition.directions.T) ** 2 * decomposition.weights, axis=1)
-    norms = np.sum(xs**2, axis=1)
-    quad = float(np.max(np.abs(sq - norms) / norms))
-    return JohnResidualReport(frob, gap, quad)

@@ -166,7 +166,7 @@ class _AscentResult:
     volume_evals: int
 
 
-def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations: int):
+def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, cap: int):
     """Damped Newton ascent of log-volume over the budget slice {weights @ t = 1}, one start.
 
     A generator: it yields each offset vector it needs evaluated, is sent
@@ -178,8 +178,9 @@ def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
     interior: the step is halved only to keep every offset above the floor
     and to make log V increase, and is taken whole once the gain it
     predicts is below the rounding of log V.  Converged when the gradient's
-    component in the slice is at most ``tol * V``.  The result holds the V,
-    g and H of the point it returns.
+    component in the slice is at most ``tol * V``, and stops unconverged
+    after ``cap`` Newton steps.  The result holds the V, g and H of the
+    point it returns.
     """
     basis = hyperplane_basis(spec.weights)
     t = start
@@ -189,7 +190,7 @@ def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
     while True:
         projected = basis.T @ grad
         gradient_norm = float(np.linalg.norm(projected))
-        if gradient_norm <= tol * volume or iterations == max_iterations:
+        if gradient_norm <= tol * volume or iterations == cap:
             break
         iterations += 1
         curvature = basis.T @ (hess / volume - np.outer(grad, grad) / volume**2) @ basis
@@ -209,7 +210,7 @@ def _ascent(spec: SlabFamilySpec, start: np.ndarray, tol: float, max_iterations:
     return _AscentResult(t, volume, grad, hess, iterations, gradient_norm, gradient_norm <= tol * volume, evals)
 
 
-def _lockstep(spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_iterations: int) -> list[_AscentResult]:
+def _lockstep(spec: SlabFamilySpec, starts: list[np.ndarray], tol: float) -> list[_AscentResult]:
     """Run the ascents of all starts in lockstep, one vertex-cone pass per round.
 
     The offset-free half of the enumeration, one plan of the directions
@@ -218,11 +219,12 @@ def _lockstep(spec: SlabFamilySpec, starts: list[np.ndarray], tol: float, max_it
     that plan over their stacked offsets, whose values for each body are
     those of that body evaluated alone; so each start makes exactly the
     trials it would make on its own.  A start leaves when it converges or
-    reaches ``max_iterations``.  Returns each start's result, whose gradient
-    and Hessian are rows of the arrays of the round that evaluated its point.
+    reaches ``MAX_ASCENT_ITERATIONS`` Newton steps, read at the call.
+    Returns each start's result, whose gradient and Hessian are rows of the
+    arrays of the round that evaluated its point.
     """
     plan = _SlabPlan(spec.directions)
-    ascents = [_ascent(spec, start, tol, max_iterations) for start in starts]
+    ascents = [_ascent(spec, start, tol, MAX_ASCENT_ITERATIONS) for start in starts]
     pending = {k: next(ascent) for k, ascent in enumerate(ascents)}
     results = {}
     while pending:
@@ -273,27 +275,12 @@ class FamilyOptimumReport:
             worst = max(worst, float(np.abs(other - reference).max()))
         return worst
 
-    def to_dict(self) -> dict:
-        return {
-            "offsets": [float(v) for v in self.offsets],
-            "volume": self.volume,
-            "gradient_norm": self.gradient_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "start_volumes": list(self.start_volumes),
-            "start_iterations": list(self.start_iterations),
-            "start_volume_evals": list(self.start_volume_evals),
-            "volume_agreement": self.volume_agreement,
-            "offset_agreement": self.offset_agreement,
-        }
-
 
 def maximize_volume_details(
     spec: SlabFamilySpec,
     tol: float = 1e-8,
     starts: int = 5,
     rng: RandomSource | None = None,
-    max_iterations: int = MAX_ASCENT_ITERATIONS,
 ) -> FamilyOptimumReport:
     """Multistart damped Newton ascent with full diagnostics.
 
@@ -302,9 +289,9 @@ def maximize_volume_details(
     evidence.  The first converged start within ``TIE_TOLERANCE`` relative
     of the largest volume is reported, so the last bits of the volumes do
     not choose it.  Coinciding slabs are solved as one slab of their summed
-    weight and get equal offsets.  ``max_iterations`` caps the Newton steps
-    of each start.  Unless slabs were merged, the reported body carries the
-    volume, gradient and Hessian of its start's last lockstep round, as
+    weight and get equal offsets.  ``MAX_ASCENT_ITERATIONS`` caps the Newton
+    steps of each start.  Unless slabs were merged, the reported body carries
+    the volume, gradient and Hessian of its start's last lockstep round, as
     read-only copies, the bits it would find alone, so its measures and
     certificates make no cone pass of their own.
     Raises :class:`CapacityError` carrying the best body found when no start
@@ -325,7 +312,7 @@ def maximize_volume_details(
             start = start * rng.fork(_START_SEED + k).generator().uniform(0.25, 4.0, size=merged.count)
             start = start / float(merged.weights @ start)
         points.append(start)
-    results = _lockstep(merged, points, tol, max_iterations)
+    results = _lockstep(merged, points, tol)
     converged = [r for r in results if r.converged]
     if not converged:
         fallback = max(results, key=lambda r: r.volume)
@@ -374,12 +361,6 @@ class KKTReport:
     relative_residuals: np.ndarray
     max_relative_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "multiplier": self.multiplier,
-            "max_relative_residual": self.max_relative_residual,
-        }
-
 
 def kkt_report(body: SymmetricHPolytope, spec: SlabFamilySpec) -> KKTReport:
     """Stationarity residuals of a family member.
@@ -410,12 +391,6 @@ class ProjectionIdentityReport:
     max_relative_error: float
     sample_count: int
     worst_direction: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "max_relative_error": self.max_relative_error,
-            "sample_count": self.sample_count,
-        }
 
 
 def verify_projection_identity(
@@ -451,7 +426,6 @@ class DirectionSpreadReport:
 
     value: float
     direction: np.ndarray
-    branch: str
 
 
 def direction_spread(directions: np.ndarray) -> DirectionSpreadReport:
@@ -471,9 +445,9 @@ def direction_spread(directions: np.ndarray) -> DirectionSpreadReport:
     unit_directions(u, n)
     if np.linalg.matrix_rank(u, tol=1e-10) < n:
         _, _, vt = np.linalg.svd(u)
-        return DirectionSpreadReport(0.0, vt[-1].copy(), "exact")
+        return DirectionSpreadReport(0.0, vt[-1].copy())
     report = minimize_support(Zonotope(u))
-    return DirectionSpreadReport(report.value / math.sqrt(n), report.direction, report.branch)
+    return DirectionSpreadReport(report.value / math.sqrt(n), report.direction)
 
 
 @dataclass(frozen=True)
@@ -518,20 +492,6 @@ class PathologicalReport:
     min_shadow: float
     ratio: float
     floor: float
-    spread_branch: str
-    min_shadow_branch: str
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.body.dim,
-            "delta_hat": self.delta_hat,
-            "vol_nth_root": self.vol_nth_root,
-            "min_shadow": self.min_shadow,
-            "ratio": self.ratio,
-            "floor": self.floor,
-            "spread_branch": self.spread_branch,
-            "min_shadow_branch": self.min_shadow_branch,
-        }
 
 
 def construct_pathological(
@@ -589,8 +549,6 @@ def construct_pathological(
         min_shadow=shadow.value,
         ratio=ratio,
         floor=floor,
-        spread_branch=spread.branch,
-        min_shadow_branch=shadow.branch,
     )
 
 

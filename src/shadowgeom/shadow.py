@@ -31,7 +31,6 @@ from .zonotope import Zonotope, projection_body
 
 __all__ = [
     "MinShadowReport",
-    "PolarVertexSet",
     "ProductInequalityReport",
     "ShadowPositionReport",
     "ball_shadow_ratio",
@@ -65,27 +64,14 @@ def zonotope_facet_normals(z: Zonotope) -> np.ndarray:
     return dedup_rows(unit * canonical_signs(unit)[:, None], 1e-10)
 
 
-@dataclass(frozen=True)
-class PolarVertexSet:
-    """Vertices of the polar of a zonotope: normals scaled to shadow-norm one.
-
-    The first half of the rows are the candidates of
-    :func:`zonotope_facet_normals`, in its order, and the second half their
-    negatives.
-    """
-
-    vertices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def polar_vertices(z: Zonotope) -> PolarVertexSet:
-    """Vertex set of ``{x : sum_j |<x, w_j>| <= 1}``, closed under negation.
+def polar_vertices(z: Zonotope) -> np.ndarray:
+    """Vertex set of ``{x : sum_j |<x, w_j>| <= 1}``, closed under negation, as a read-only array.
 
     Polarity sends each facet of the zonotope (unit normal nu at support
     height h) to the vertex ``nu / h``; every returned point lies exactly on
-    the unit sphere of the shadow norm.
+    the unit sphere of the shadow norm.  The first half of the rows are the
+    candidates of :func:`zonotope_facet_normals` so scaled, in its order, and
+    the second half their negatives.
     """
     normals = zonotope_facet_normals(z)
     heights = z.supports(normals)
@@ -94,16 +80,19 @@ def polar_vertices(z: Zonotope) -> PolarVertexSet:
     verts = normals / heights[:, None]
     out = np.vstack([verts, -verts])
     out.setflags(write=False)
-    return PolarVertexSet(out)
+    return out
 
 
 @dataclass(frozen=True)
 class MinShadowReport:
-    """Smallest shadow of a body: direction, value, and how it was found."""
+    """Least support of a zonotope over the sphere, or smallest shadow of a body: direction and value.
+
+    The minimum is exact; ``candidates_checked`` counts the facet normals it
+    was taken over.
+    """
 
     direction: np.ndarray
     value: float
-    branch: str
     candidates_checked: int
 
 
@@ -116,7 +105,7 @@ def minimize_support(z: Zonotope) -> MinShadowReport:
     full-rank (n-1)-generator subsets (:func:`zonotope_facet_normals`) are
     the candidates and the minimum is exact for every zonotope within the
     capacity guard (24 generators, n <= 7); beyond it CapacityError is
-    raised.  ``branch`` is always "exact".  Values within ``TIE_TOLERANCE``
+    raised, so no minimum is estimated.  Values within ``TIE_TOLERANCE``
     relative of the least one tie, and the earliest tied candidate is
     reported, so the direction is deterministic.  See
     :func:`min_shadow_direction` for the shadow specialization.
@@ -138,7 +127,7 @@ def _least_support(z: Zonotope, candidates: np.ndarray) -> MinShadowReport:
     least = float(np.min(values))
     idx = int(np.argmax(values <= least * (1.0 + TIE_TOLERANCE)))
     direction = candidates[idx] * canonical_signs(candidates[idx])[0]
-    return MinShadowReport(direction, least, "exact", len(candidates))
+    return MinShadowReport(direction, least, len(candidates))
 
 
 def min_shadow_direction(body: SymmetricHPolytope) -> MinShadowReport:
@@ -169,7 +158,10 @@ class ShadowPositionReport:
     eps, ``DEFAULT_EPS`` = 1e-8, widened by the rounding of g, see
     :func:`mvee_symmetric`);
     ``candidates_checked`` counts the directions searched for the minimal
-    shadow.
+    shadow.  ``branch`` is always "exact": the minimal shadow is taken over
+    every facet normal of the projection body (:func:`minimize_support`).
+    The field stays because the CLI's schema-1 report carries it and the
+    benchmark's tracer reads it.
     """
 
     transform: np.ndarray
@@ -188,24 +180,6 @@ class ShadowPositionReport:
     residuals: dict[str, float]
     ok: bool
     diagnostics: str
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "min_shadow": self.min_shadow,
-            "min_direction": self.min_direction.tolist(),
-            "volume": self.volume,
-            "transform": self.transform.tolist(),
-            "branch": self.branch,
-            "mvee_iterations": self.mvee_iterations,
-            "kappa_min": self.kappa_min,
-            "kappa_max": self.kappa_max,
-            "kappa_tol": self.kappa_tol,
-            "candidates_checked": self.candidates_checked,
-            "residuals": dict(self.residuals),
-            "ok": self.ok,
-            "diagnostics": self.diagnostics,
-        }
 
 
 #: The shadow-position certificate: ratio >= 1 - RATIO_TOLERANCE, and ||det T| - 1| <= UNIMODULAR_TOLERANCE.
@@ -233,7 +207,7 @@ def shadow_position(body: SymmetricHPolytope, rng: RandomSource | None = None) -
     n = body.dim
     zono = projection_body(body)
     pv = polar_vertices(zono)
-    canonical = pv.vertices[: len(pv) // 2]  # the MVEE of {+/- v} needs one of each pair
+    canonical = pv[: len(pv) // 2]  # the MVEE of {+/- v} needs one of each pair
     mvee = mvee_symmetric(canonical)
     root = psd_sqrt(mvee.ellipsoid.shape)
     det = float(np.linalg.det(root))
@@ -271,7 +245,7 @@ def shadow_position(body: SymmetricHPolytope, rng: RandomSource | None = None) -
         min_direction=report.direction,
         volume=volume,
         ratio=ratio,
-        branch=report.branch,
+        branch="exact",
         mvee_iterations=mvee.iterations,
         kappa_min=mvee.kappa_min,
         kappa_max=mvee.kappa_max,

@@ -407,3 +407,46 @@ class TestOutputsAndDeterminism:
         assert rep["version"] == __version__
         assert rep["config"]["seed"] == 2
         assert rep["command"] == "ball-ratio"
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_seed1"
+
+
+class TestGoldenReports:
+    """Every subcommand at ``--seed 1`` against its committed report and CSV table.
+
+    ``tests/data/cli_seed1`` holds each ``<command>.json`` without its
+    ``meta`` field, written as the CLI writes it (``indent=2``, sorted keys),
+    and each CSV table as written.  A report must match its file in every
+    value and type, and a CSV byte for byte, so a change to a result record
+    or to its report shows here.  A change that moves results by rounding
+    regenerates the files (``shadowgeom <command> --seed 1 --format both``,
+    then drop ``meta``) and lists each moved value in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize(
+        "command, csv_stem",
+        [
+            ("shadow-position", None),
+            ("verify-t3", "verify_t3"),
+            ("zonotope", "zonotope"),
+            ("minkowski-solve", "minkowski_starts"),
+            ("pathological", "pathological"),
+            ("ball-ratio", "ball_ratio"),
+            ("cauchy-check", None),
+        ],
+    )
+    def test_report_and_table_match_the_committed_files(self, tmp_path, capsys, command, csv_stem):
+        assert main([command, "--seed", "1", "--out", str(tmp_path), "--format", "both"]) == EXIT_PASS
+        capsys.readouterr()
+        stem = command.replace("-", "_")
+        report = json.loads((tmp_path / f"{stem}.json").read_text())
+        del report["meta"]
+        expected = (GOLDEN / f"{stem}.json").read_text()
+        assert report == json.loads(expected)
+        # the text as well: it tells an int from an equal float
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == expected
+        tables = sorted(p.name for p in tmp_path.glob("*.csv"))
+        assert tables == ([] if csv_stem is None else [f"{csv_stem}.csv"])
+        for name in tables:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -197,9 +197,6 @@ class TestDiagnostics:
 
         monkeypatch.setattr(family, "_volume_derivatives", counted)
         details = maximize_volume_details(random_spec(4200), starts=4, rng=RandomSource(4201))
-        record = details.to_dict()
-        assert record["start_iterations"] == list(details.start_iterations)
-        assert record["start_volume_evals"] == list(details.start_volume_evals)
         assert len(details.start_iterations) == len(details.start_volume_evals) == 4
         assert details.iterations in details.start_iterations
         # one evaluation per Newton iterate plus the start's, each a row of one lockstep round
@@ -324,7 +321,6 @@ class TestFamilyMembership:
 class TestDirectionSpread:
     def test_orthonormal_plane_frame(self):
         rep = direction_spread(np.eye(2))
-        assert rep.branch == "exact"
         assert rep.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_doubled_frame_doubles(self):
@@ -335,13 +331,11 @@ class TestDirectionSpread:
         u = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         rep = direction_spread(u)
         assert rep.value == 0.0
-        assert rep.branch == "exact"
         assert np.allclose(u @ rep.direction, 0.0, atol=1e-12)
 
     def test_random_directions_in_four_dimensions(self):
         u = sample_unit_sphere(4, RandomSource(99).fork(1), count=8)
         rep = direction_spread(u)
-        assert rep.branch == "exact"
         assert rep.value == pytest.approx(0.9348148444080459, rel=1e-12)
 
 
@@ -367,8 +361,6 @@ class TestPathological:
         assert rep.vol_nth_root == pytest.approx(1.940839, abs=1e-5)
         assert rep.ratio == pytest.approx(0.818936, abs=1e-5)
         assert rep.floor == pytest.approx(0.596727, abs=1e-5)
-        assert rep.spread_branch == "exact"
-        assert rep.min_shadow_branch == "exact"
         assert rep.vol_nth_root >= math.sqrt(2.0) - 1e-9
         assert rep.ratio >= rep.floor - 1e-6
 
@@ -380,12 +372,6 @@ class TestPathological:
         assert rep.vol_nth_root == pytest.approx(2.688970, abs=1e-5)
         assert rep.ratio == pytest.approx(0.544889, abs=1e-5)
         assert rep.floor == pytest.approx(0.286574, abs=1e-5)
-
-    def test_report_dict_round_trip(self):
-        rep = construct_pathological(2, rng=RandomSource(7200))
-        d = rep.to_dict()
-        assert d["n"] == 2
-        assert d["ratio"] >= d["floor"] - 1e-6
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -416,9 +402,10 @@ class TestShephard:
         assert rep.shadow_ratio == pytest.approx(rep.min_shadow / rep.ball_shadow, rel=1e-12)
 
 
-def test_capacity_error_carries_best_body():
+def test_capacity_error_carries_best_body(monkeypatch):
     spec = random_spec(4150)
+    monkeypatch.setattr(family, "MAX_ASCENT_ITERATIONS", 2)
     with pytest.raises(CapacityError) as info:
-        maximize_volume_details(spec, tol=1e-10, rng=RandomSource(4151), max_iterations=2)
+        maximize_volume_details(spec, tol=1e-10, rng=RandomSource(4151))
     assert info.value.best is not None
     assert info.value.best.volume > 0.0

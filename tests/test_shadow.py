@@ -62,24 +62,23 @@ class TestPolarVertices:
         pv = polar_vertices(projection_body(cube(3)))
         # the cube's shadow norm ball: vertices +-e_i / 4
         assert len(pv) == 6
-        assert np.allclose(np.sort(np.linalg.norm(pv.vertices, axis=1)), 0.25)
+        assert np.allclose(np.sort(np.linalg.norm(pv, axis=1)), 0.25)
 
     def test_vertices_on_unit_shadow_sphere(self):
         z = random_zonotope(3, 5, RandomSource(702))
         pv = polar_vertices(z)
-        assert np.allclose(z.supports(pv.vertices), 1.0, atol=1e-9)
+        assert np.allclose(z.supports(pv), 1.0, atol=1e-9)
 
     def test_closed_under_negation(self):
         z = random_zonotope(2, 4, RandomSource(703))
-        v = pv = polar_vertices(z).vertices
-        for p in v:
+        pv = polar_vertices(z)
+        for p in pv:
             assert np.min(np.linalg.norm(pv + p, axis=1)) <= 1e-12
 
 
 class TestMinimizeSupport:
     def test_cube_minimum_is_axis_shadow(self):
         rep = min_shadow_direction(cube(3))
-        assert rep.branch == "exact"
         assert rep.value == pytest.approx(4.0, rel=1e-12)
         assert np.max(np.abs(rep.direction)) == pytest.approx(1.0, abs=1e-9)
 
@@ -90,7 +89,6 @@ class TestMinimizeSupport:
     def test_reported_value_is_attained_and_global(self):
         body = random_symmetric_polytope(3, 6, RandomSource(706))
         rep = min_shadow_direction(body)
-        assert rep.branch == "exact"
         assert body.shadow_area(rep.direction) == pytest.approx(rep.value, rel=1e-9)
         sampled = float(
             np.min(body.shadow_areas(sample_unit_sphere(3, RandomSource(708), count=20_000)))
@@ -111,7 +109,6 @@ def assert_matches_exhaustive_minimum(gens: np.ndarray, seed: int) -> None:
     starts = sample_unit_sphere(z.dim, RandomSource(seed + 1), count=50)
     _, ref = support_minimum_reference(z.generators, starts)
     scale = float(np.sum(np.linalg.norm(z.generators, axis=1)))
-    assert rep.branch == "exact"
     assert abs(rep.value - ref) <= 1e-12 * max(ref, 1e-3 * scale)
     assert float(np.linalg.norm(rep.direction)) == pytest.approx(1.0, abs=1e-12)
     assert abs(z.support(rep.direction) - rep.value) <= 1e-12 * max(rep.value, 1e-3 * scale)
@@ -240,7 +237,6 @@ class TestShadowPosition:
         rep = shadow_position(body)
         assert rep.kappa_tol > 1e-8
         assert n * (1.0 - rep.kappa_tol) <= rep.kappa_min <= rep.kappa_max <= n * (1.0 + rep.kappa_tol)
-        assert rep.to_dict()["kappa_tol"] == rep.kappa_tol
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("thickness", [1e-8, 1e-9])

@@ -2,7 +2,9 @@
 
 The tracer replaces cached properties, methods and entry points by name, so
 a rename in the library breaks a traced benchmark run.  These tests read the
-tracer's own tables, so that such a rename fails here first.
+tracer's own tables, so that such a rename fails here first.  Its hooks read
+fields of the returned records, so one op of each benchmark workload also
+runs under an installed tracer, so that a removed field fails here too.
 """
 
 import importlib.util
@@ -12,18 +14,19 @@ from pathlib import Path
 
 from shadowgeom import polytope
 
-TRACING = Path(__file__).resolve().parents[1] / "shadowbench" / "tracing.py"
+SHADOWBENCH = Path(__file__).resolve().parents[1] / "shadowbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("shadowbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"shadowbench_{name}", SHADOWBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 BODY = polytope.SymmetricHPolytope
 
 
@@ -52,3 +55,19 @@ def test_install_then_uninstall_restores_every_attribute():
         now = dict(vars(owner))
         assert now.keys() == saved.keys(), owner
         assert all(now[key] is saved[key] for key in saved), owner
+
+
+def test_the_hooks_read_the_records_of_one_op_of_each_workload():
+    tracer = tracing.Tracer()
+    with tracer:
+        for workload in workloads.WORKLOADS.values():
+            (op,) = workload.generate(3, 1)
+            tracer.run_op(op.index, workload.run, op)
+        body = op.inputs["body"]  # the measure op's body, whose measures build no vertex set
+        tracer.run_op(op.index + 1, lambda: (body.vertices, body.facets))
+    assert not [span.name for span in tracer.spans if span.error]
+    counts = tracer.counts
+    for name in ("shadow.shadow_position.reports", "shadow.min_support.exact", "shadow.polar_vertices.points",
+                 "ellipsoid.mvee.points", "ellipsoid.mvee.support", "family.maximize.iterations",
+                 "polytope.vertices.kept", "polytope.facets.builds"):
+        assert counts[name] > 0, name
