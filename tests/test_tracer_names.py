@@ -58,13 +58,13 @@ def test_install_then_uninstall_restores_every_attribute():
 
 
 def test_the_hooks_read_the_records_of_one_op_of_each_workload():
+    ops = {name: workload.generate(3, 1)[0] for name, workload in workloads.WORKLOADS.items()}
     tracer = tracing.Tracer()
     with tracer:
-        for workload in workloads.WORKLOADS.values():
-            (op,) = workload.generate(3, 1)
-            tracer.run_op(op.index, workload.run, op)
-        body = op.inputs["body"]  # the measure op's body, whose measures build no vertex set
-        tracer.run_op(op.index + 1, lambda: (body.vertices, body.facets))
+        for name, op in ops.items():
+            tracer.run_op(op.index, workloads.WORKLOADS[name].run, op)
+        body = ops["measure"].inputs["body"]  # its measures build no vertex set
+        body.vertices, body.facets
     assert not [span.name for span in tracer.spans if span.error]
     counts = tracer.counts
     for name in ("shadow.shadow_position.reports", "shadow.min_support.exact", "shadow.polar_vertices.points",
