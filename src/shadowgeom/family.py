@@ -28,18 +28,17 @@ the isoperimetric baseline by a dimension-dependent factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, newton_on_slice, sample_unit_sphere
 from .kernel import unit_ball_volume, unit_directions
 from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _read_only, _SlabPlan, _volume_derivatives
-from .shadow import TIE_TOLERANCE, ball_shadow_ratio, min_shadow_direction, minimize_support
+from .shadow import TIE_TOLERANCE, MinShadowReport, ball_shadow_ratio, min_shadow_direction, minimize_support
 from .zonotope import Zonotope
 
 __all__ = [
-    "DirectionSpreadReport",
     "FamilyOptimumReport",
     "FloorViolationError",
     "KKTReport",
@@ -420,23 +419,15 @@ def verify_projection_identity(
     return ProjectionIdentityReport(float(relative[worst]), sample_count, thetas[worst].copy())
 
 
-@dataclass(frozen=True)
-class DirectionSpreadReport:
-    """Spread constant of a direction set: min_theta sum_i |<theta,u_i>| / sqrt(n)."""
-
-    value: float
-    direction: np.ndarray
-
-
-def direction_spread(directions: np.ndarray) -> DirectionSpreadReport:
-    """Worst-case weighted alignment of a direction set, normalized by sqrt(n).
+def direction_spread(directions: np.ndarray) -> MinShadowReport:
+    """Worst-case weighted alignment of a direction set, ``min_theta sum_i |<theta, u_i>| / sqrt(n)``.
 
     The minimized sum is the support function of the zonotope generated by
     the directions, so :func:`minimize_support` gives it exactly over the
     zonotope's facet normals, for at most 24 directions and n <= 7 (the
     zonotope's capacity guard).  Duplicated directions count with
     multiplicity.  A non-spanning set has spread zero (witnessed by a
-    normal direction).
+    normal direction, with no candidate checked).
     """
     u = np.array(directions, dtype=float)
     if u.ndim != 2:
@@ -445,9 +436,9 @@ def direction_spread(directions: np.ndarray) -> DirectionSpreadReport:
     unit_directions(u, n)
     if np.linalg.matrix_rank(u, tol=1e-10) < n:
         _, _, vt = np.linalg.svd(u)
-        return DirectionSpreadReport(0.0, vt[-1].copy())
+        return MinShadowReport(vt[-1].copy(), 0.0, 0)
     report = minimize_support(Zonotope(u))
-    return DirectionSpreadReport(report.value / math.sqrt(n), report.direction)
+    return replace(report, value=report.value / math.sqrt(n))
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ body is a stack of one and keeps that triple, not the cones or the plan they
 were found over; the family solver keeps one plan per slab family and
 evaluates the stacked offsets of all its live starts over it in every round,
 each body getting the bits it gets alone, and hands the solved body the
-triple of its last round.  Each facet measure is half the volume's
-derivative in its slab's offset, and a shadow is Cauchy's ``0.5 * sum
-|<theta, n_F>| * |F|`` over two facets F, -F of normal ``+-u_j`` per slab.
+triple of its last round.  Slab j's two facets F, -F of normals ``+-u_j``
+each measure half the volume's derivative in t_j, one per-slab array
+(:attr:`SymmetricHPolytope._facet_measures`), and a shadow is Cauchy's
+formula with one term per antipodal pair, ``sum_j |<theta, u_j>| |F_j|``.
 The merged vertex set, over a plan of its own, and the facet record are
 built on request.
 
@@ -70,6 +71,8 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 VERTEX_MERGE_TOL = 1e-8
 MEASURE_FLOOR = 1e-12
+#: a facet measure below this times the largest one is refused as certainly wrong (correct bodies read >= -1.5e-16)
+NEGATIVE_MEASURE_TOL = 1e-9
 _DET_TOL = 1e-12
 #: slabs that every (subset, sign pattern) candidate of `vertices` is tested against before its
 #: coordinates are formed; on random bodies about 10 % of the candidates pass them
@@ -584,53 +587,51 @@ class SymmetricHPolytope:
 
         The plan and the cones are dropped once the triple is read.  The
         family solver seeds the body it reports with the triple of its last
-        round, the same bits.  The arrays are read-only.
+        round, the same bits.  The arrays are read-only.  A volume that is
+        not positive, or a facet measure below ``-NEGATIVE_MEASURE_TOL``
+        times the largest, is certainly wrong, and raises ``ValueError``.
         """
         (volume,), (gradient,), (hessian,) = _volume_derivatives(_SlabPlan(self._directions), self._offsets[None])
+        if not volume > 0.0 or gradient.min() < -NEGATIVE_MEASURE_TOL * gradient.max():
+            raise ValueError("the volume or a facet measure reads negative; body is numerically degenerate")
         _read_only(gradient, hessian)
         return float(volume), gradient, hessian
 
     @cached_property
-    def _slab_measures(self) -> np.ndarray:
-        """Each slab's one-sided facet measure, half the volume's gradient in its offset (:attr:`_measures`), unfloored."""
+    def _facet_measures(self) -> np.ndarray:
+        """Per slab j, the measure of each of its facets F, -F: half the volume's gradient in t_j (:attr:`_measures`).
+
+        Entries below ``MEASURE_FLOOR`` at unit scale are 0: that slab has
+        no facet.  Every shadow quantity, and the rows of :attr:`facets`,
+        read this one array.
+        """
         measures = 0.5 * self._measures[1]
+        measures[measures < MEASURE_FLOOR * self._scale ** (self.dim - 1)] = 0.0
         measures.setflags(write=False)
         return measures
 
-    # -- facet fan ---------------------------------------------------------
-
-    @cached_property
-    def _facet_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The facets from the vertex cones alone, as (slab, outward unit normal, (n-1)-measure) rows.
-
-        Two rows per slab whose measure (:attr:`_slab_measures`) is at least 1e-12
-        at unit scale, F on its positive side, then -F, by slab; the rows of :attr:`facets`.
-        """
-        slab_measures = self._slab_measures
-        slabs = np.flatnonzero(slab_measures >= MEASURE_FLOOR * self._scale ** (self.dim - 1))
-        first, side = np.repeat(slabs, 2), np.tile(np.array([1, -1], dtype=np.int8), len(slabs))
-        rows = (first, side[:, None] * self._directions[first], slab_measures[first])
-        _read_only(*rows)
-        return rows
+    # -- facet record ------------------------------------------------------
 
     @cached_property
     def facets(self) -> Facets:
         """Geometric facets with their (n-1)-measures, as one record of arrays, built only on request.
 
-        The normals and measures are :attr:`_facet_rows`; the record adds
-        what needs the vertex set.  A facet's vertices are those tight on
-        its slab's hyperplane, and its owners the signed slabs tight on all
-        of them, all within ``FEASIBILITY_TOL * scale``.
+        Two rows F, -F of normals +-u_j per slab j with a facet
+        (:attr:`_facet_measures`), by slab; the record adds what needs the
+        vertex set.  A facet's vertices are those tight on its slab's
+        hyperplane, and its owners the signed slabs tight on all of them,
+        all within ``FEASIBILITY_TOL * scale``.
         """
-        first, normals, measures = self._facet_rows
+        slabs = np.flatnonzero(self._facet_measures)
+        first, side = np.repeat(slabs, 2), np.tile(np.array([1, -1], dtype=np.int8), len(slabs))
         verts = self.vertices.points
         u, t, s, m = self._directions, self._offsets, self._scale, self.num_slabs
         dots = verts @ u.T
         tight = np.hstack([np.abs(dots - t) <= FEASIBILITY_TOL * s, np.abs(dots + t) <= FEASIBILITY_TOL * s])
-        owned = ~(tight.T[first[::2]] @ ~tight)  # the signed slabs tight on every vertex of the facet
+        owned = ~(tight.T[slabs] @ ~tight)  # the signed slabs tight on every vertex of the facet
         owners = owned[:, :m].astype(np.int8) - owned[:, m:]
-        side = np.tile(np.array([1, -1], dtype=np.int8), len(owners))
-        record = Facets(normals, t[first], measures, side[:, None] * np.repeat(owners, 2, axis=0), tight.T[first + m * (side < 0)])
+        signs = side[:, None] * np.repeat(owners, 2, axis=0)
+        record = Facets(side[:, None] * u[first], t[first], self._facet_measures[first], signs, tight.T[first + m * (side < 0)])
         _read_only(*vars(record).values())
         return record
 
@@ -658,10 +659,10 @@ class SymmetricHPolytope:
         """
         return self._measures[2]
 
-    @cached_property
+    @property
     def surface_area(self) -> float:
-        """Total (n-1)-measure of the facets, summed over the rows of :attr:`_facet_rows`."""
-        return float(self._facet_rows[2].sum())
+        """Total (n-1)-measure of the facets, ``2 sum`` of :attr:`_facet_measures`."""
+        return 2.0 * float(self._facet_measures.sum())
 
     def shadow_area(self, theta: np.ndarray) -> float:
         """(n-1)-volume of the orthogonal projection onto the hyperplane theta^perp."""
@@ -671,10 +672,9 @@ class SymmetricHPolytope:
         return float(self.shadow_areas(th[None, :])[0])
 
     def shadow_areas(self, thetas: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`shadow_area` over rows of unit directions, ``0.5 * sum |<theta, n_F>| |F|`` over :attr:`_facet_rows`."""
+        """Vectorised :meth:`shadow_area` over rows of unit directions: Cauchy's ``sum_j |<theta, u_j>| |F_j|`` over :attr:`_facet_measures`."""
         th = unit_directions(thetas, self.dim)
-        _, normals, measures = self._facet_rows
-        return 0.5 * (np.abs(th @ normals.T) @ measures)
+        return np.abs(th @ self._directions.T) @ self._facet_measures
 
     # -- transforms ---------------------------------------------------------
 

@@ -88,7 +88,8 @@ class MinShadowReport:
     """Least support of a zonotope over the sphere, or smallest shadow of a body: direction and value.
 
     The minimum is exact; ``candidates_checked`` counts the facet normals it
-    was taken over.
+    was taken over.  :func:`~shadowgeom.family.direction_spread` reports its
+    value divided by sqrt(n), and 0 with no candidate on a non-spanning set.
     """
 
     direction: np.ndarray

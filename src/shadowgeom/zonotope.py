@@ -210,15 +210,15 @@ def zonotope_volume_floor(weighted: WeightedDirections, alphas: np.ndarray) -> V
 def projection_body(body: SymmetricHPolytope) -> Zonotope:
     """The zonotope whose support function is the shadow area of ``body``.
 
-    One generator per antipodal facet pair of the body's cone rows, in slab
-    order, with no vertex set or facet record built: the facet's
-    (n-1)-measure times its unit normal, taken with canonical sign.  Then
-    ``support(result, theta) = shadow_area(body, theta)`` for every theta —
-    the defining contract, checked in tests on sampled directions.
+    One generator ``|F_j| u_j`` per slab j, in slab order and canonical
+    sign, read off the body's per-slab facet measures with no vertex set or
+    facet record built; the zero generators of slabs without a facet are
+    dropped.  Then ``support(result, theta) = sum_j |<theta, u_j>| |F_j| =
+    shadow_area(body, theta)`` for every theta — the defining contract,
+    checked in tests on sampled directions.
     """
-    _, normals, measures = body._facet_rows
-    keep = canonical_signs(normals) > 0
-    return Zonotope(measures[keep, None] * normals[keep])
+    u = body.directions
+    return Zonotope((body._facet_measures * canonical_signs(u))[:, None] * u)
 
 
 def mixed_volume_vn1(body: SymmetricHPolytope | Zonotope, z: Zonotope) -> float:

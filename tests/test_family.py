@@ -21,7 +21,8 @@ from shadowgeom.family import (
 )
 from shadowgeom.kernel import CapacityError, RandomSource, sample_unit_sphere
 from shadowgeom.polytope import SymmetricHPolytope, _volume_derivatives
-from shadowgeom.shadow import ball_shadow_ratio
+from shadowgeom.shadow import ball_shadow_ratio, minimize_support
+from shadowgeom.zonotope import Zonotope
 
 
 def hexagon_spec() -> SlabFamilySpec:
@@ -153,7 +154,8 @@ class TestSolvedBodyCones:
         assert kkt.max_relative_residual <= 1e-6 and ident.max_relative_error <= 1e-6
         body, fresh = details.body, SymmetricHPolytope(spec.directions, details.offsets)
         assert body.volume == fresh.volume == details.volume
-        assert np.array_equal(body._slab_measures, fresh._slab_measures)
+        assert np.array_equal(body._measures[1], fresh._measures[1])
+        assert np.array_equal(body._facet_measures, fresh._facet_measures)
         assert np.array_equal(body.volume_hessian, fresh.volume_hessian)
 
     def test_the_seeded_gradient_and_hessian_are_read_only_copies(self, monkeypatch):
@@ -330,13 +332,17 @@ class TestDirectionSpread:
     def test_non_spanning_set_is_zero(self):
         u = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         rep = direction_spread(u)
-        assert rep.value == 0.0
+        assert rep.value == 0.0 and rep.candidates_checked == 0
         assert np.allclose(u @ rep.direction, 0.0, atol=1e-12)
 
     def test_random_directions_in_four_dimensions(self):
         u = sample_unit_sphere(4, RandomSource(99).fork(1), count=8)
         rep = direction_spread(u)
         assert rep.value == pytest.approx(0.9348148444080459, rel=1e-12)
+        # the least support of the zonotope of the directions, over its C(8, 3) facet normals, divided by sqrt(n)
+        least = minimize_support(Zonotope(u))
+        assert rep.value == least.value / 2.0 and np.array_equal(rep.direction, least.direction)
+        assert rep.candidates_checked == least.candidates_checked == 56
 
 
 class TestVolumeFloor:
