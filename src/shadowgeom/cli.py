@@ -179,10 +179,16 @@ def load_body(path: str) -> SymmetricHPolytope:
 
     The document must match the polytope schema ``{"n", "directions",
     "offsets"}`` exactly; directions within 1e-6 of unit length are
-    normalized, anything further off is rejected, and non-spanning
-    direction sets are rejected as unbounded bodies.
+    normalized, anything further off is rejected, non-spanning direction
+    sets are rejected as unbounded bodies, and a body whose volume or facet
+    measures the library refuses as numerically degenerate is rejected too.
     """
-    return _read_document(path, "body", SymmetricHPolytope)
+    body = _read_document(path, "body", SymmetricHPolytope)
+    try:
+        body.volume
+    except ValueError as exc:
+        raise ConfigError(f"body file {path!r}: {exc}") from exc
+    return body
 
 
 def load_decomposition(path: str) -> WeightedDirections:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_polytope import near_coincident_body
 
 from shadowgeom import cli
 from shadowgeom.cli import (
@@ -23,6 +24,7 @@ from shadowgeom.cli import (
     parse_config,
 )
 from shadowgeom.family import FloorViolationError
+from shadowgeom.polytope import _DET_TOL
 from shadowgeom.shadow import RATIO_TOLERANCE, ProductInequalityReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -168,6 +170,18 @@ class TestRunsAndExitCodes:
         cfg = write_config(tmp_path, {"body": write_config(tmp_path, body, "body.json")})
         assert main(["shadow-position", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["shadow-position", "verify-t3"])
+    def test_a_body_the_library_refuses_is_a_config_error(self, tmp_path, capsys, command):
+        # two nearly parallel slabs at the singular threshold, whose facet split reads negative
+        body = near_coincident_body(_DET_TOL, 0.5)[0]
+        cfg = {"body": write_config(tmp_path, body.to_dict(), "body.json")}
+        if command == "verify-t3":
+            frame = {"n": 3, "directions": np.eye(3).tolist(), "weights": [1.0, 1.0, 1.0]}
+            cfg["decomposition"] = write_config(tmp_path, frame, "frame.json")
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and json.loads(err)["error"] == "config" and "reads negative" in err
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_weight_is_a_config_error(self, tmp_path, capsys, weight):

@@ -70,26 +70,25 @@ def near_coincident_body(eps: float, tilt: float = 0.0) -> tuple[SymmetricHPolyt
     return SymmetricHPolytope(u @ rotation.T, np.ones(4)), u[3, 0], u[3, 1]
 
 
-def degenerate_bodies() -> list[SymmetricHPolytope]:
-    """Bodies with vertices on more than n hyperplanes: coinciding, reversed, touching, near-coincident and thin slabs."""
-    bodies = [cube(n) for n in (2, 3, 4)] + [cross_polytope(n) for n in (3, 4)] + [coinciding_body()]
-    bodies.append(SymmetricHPolytope(np.vstack([np.eye(2), np.eye(2)[:1]]), np.ones(3)))
+def named_degenerate_bodies() -> dict[str, SymmetricHPolytope]:
+    """Bodies with vertices on more than n hyperplanes, by name: coinciding, reversed, touching, near-coincident and thin slabs."""
+    bodies = {f"cube-{n}": cube(n) for n in (2, 3, 4)} | {f"cross-{n}": cross_polytope(n) for n in (3, 4)}
+    bodies["coinciding"] = coinciding_body()
+    bodies["doubled-square"] = SymmetricHPolytope(np.vstack([np.eye(2), np.eye(2)[:1]]), np.ones(3))
     base = cube(4)
     theta = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
-    bodies.append(SymmetricHPolytope(np.vstack([base.directions, theta]), np.r_[base.offsets, base.support(theta)]))
-    bodies += [near_coincident_body(eps)[0] for eps in (1e-5, 1e-9, 1e-13)]
+    bodies["touching-2-faces"] = SymmetricHPolytope(np.vstack([base.directions, theta]), np.r_[base.offsets, base.support(theta)])
+    for eps in (1e-5, 1e-9, 1e-13):
+        bodies[f"near-coincident-{eps:g}"] = near_coincident_body(eps)[0]
     for n in (3, 4, 5):  # one offset at the family solver's floor: the two floors merge
         base = random_symmetric_polytope(n, n + 3, RandomSource(70 + 10 * n))
-        bodies.append(SymmetricHPolytope(base.directions, np.r_[OFFSET_FLOOR, base.offsets[1:]]))
+        bodies[f"floor-offset-{n}"] = SymmetricHPolytope(base.directions, np.r_[OFFSET_FLOOR, base.offsets[1:]])
     return bodies
 
 
-#: the bodies of :func:`degenerate_bodies`, by name, in order
-DEGENERATE_NAMES = (
-    ["cube-2", "cube-3", "cube-4", "cross-3", "cross-4", "coinciding", "doubled-square", "touching-2-faces"]
-    + [f"near-coincident-{eps:g}" for eps in (1e-5, 1e-9, 1e-13)]
-    + [f"floor-offset-{n}" for n in (3, 4, 5)]
-)
+def degenerate_bodies() -> list[SymmetricHPolytope]:
+    """The bodies of :func:`named_degenerate_bodies`, in order."""
+    return list(named_degenerate_bodies().values())
 
 
 def assert_vertices_match(body: SymmetricHPolytope, ref: np.ndarray, scale: float = 1.0) -> None:
@@ -377,11 +376,17 @@ class TestFacets:
         # it is tight at x2 = x* = (1 - a) / b, and each wedge has volume
         # b (1 - x*)^2 / a.  Around eps = _TIE_TOL the corner and the slab's
         # vertex next to it become one vertex, and below eps = _DET_TOL the
-        # slab's other vertex is no longer formed.  The volume is read off the
-        # cone pass, which the body refuses at eps = _DET_TOL, tilted (below).
+        # slab's other vertex is no longer formed.  The body refuses one case,
+        # eps = _DET_TOL tilted (pinned below), whose volume is read off the
+        # cone pass; every other case reads the body's own volume.
         body, a, b = near_coincident_body(eps, tilt)
         x = (1.0 - a) / b
-        (volume,), _, _ = _volume_derivatives(_SlabPlan(body.directions), body.offsets[None])
+        if eps == _DET_TOL and tilt == 0.5:
+            with pytest.raises(ValueError, match="reads negative"):
+                body.volume
+            (volume,), _, _ = _volume_derivatives(_SlabPlan(body.directions), body.offsets[None])
+        else:
+            volume = body.volume
         assert volume == pytest.approx(8.0 - 2.0 * b * (1.0 - x) ** 2 / a, rel=1e-11)
 
     def test_a_negative_facet_split_at_the_singular_threshold_is_refused(self):
@@ -961,22 +966,40 @@ class TestCertainlyWrongMeasures:
 
 
 class TestDegenerateShadows:
-    # qhull refuses the three floor-offset bodies, which are 2e-9 thick ("QH6154 initial simplex is flat"), so they
-    # are left out; test_floor_offset_facet_matches_hull checks their floor facet in a chart of its own.  On the
-    # near-coincident body at 1e-9 the hull oracle is off by up to about 1e-9 itself: its vertices merge within 1e-8,
-    # so it misses the wedges, while the exact facet areas give the library's shadows within 3e-16
+    # each body's shadows, in 5 sampled directions, and surface area against an oracle that does not read the
+    # library's facet measures
     @pytest.mark.parametrize(
-        "index", [pytest.param(i, id=name) for i, name in enumerate(DEGENERATE_NAMES) if not name.startswith("floor-offset")]
+        "index, name",
+        [pytest.param(i, name, id=name) for i, (name, body) in enumerate(named_degenerate_bodies().items()) if body.dim == 3],
+    )
+    def test_shadows_and_surface_area_in_r3_match_cauchy_over_the_exact_facets(self, index, name):
+        # Cauchy's formula over the exact facet areas of the rounded input, which merges no vertices, so it sees the
+        # near-coincident wedges that the hull misses.  Below eps = _DET_TOL the slab's own vertices are not formed and
+        # the 1e-13 body reads as the cube, off by wedges of measure about eps (8e-14 relative on its shadows)
+        body = degenerate_bodies()[index]
+        exact = exact_facet_areas(body.directions, body.offsets)
+        thetas = sample_unit_sphere(3, RandomSource(690 + index), count=5)
+        rel = 1e-12 if name == "near-coincident-1e-13" else 1e-14
+        assert body.shadow_areas(thetas) == pytest.approx(np.abs(thetas @ body.directions.T) @ exact, rel=rel)
+        assert body.surface_area == pytest.approx(2.0 * exact.sum(), rel=rel)
+
+    # qhull refuses the floor-offset bodies of n = 4, 5, which are 2e-9 thick ("QH6154 initial simplex is flat"), so
+    # they are left out; test_floor_offset_facet_matches_hull checks their floor facet in a chart of its own
+    @pytest.mark.parametrize(
+        "index",
+        [
+            pytest.param(i, id=name)
+            for i, (name, body) in enumerate(named_degenerate_bodies().items())
+            if body.dim != 3 and body.offsets.min() > OFFSET_FLOOR
+        ],
     )
     def test_shadows_and_surface_area_match_the_hull(self, index):
-        bodies = degenerate_bodies()
-        assert len(bodies) == len(DEGENERATE_NAMES)
-        body = bodies[index]
+        body = degenerate_bodies()[index]
         points = intersection_vertices(body.directions, body.offsets)
         thetas = sample_unit_sphere(body.dim, RandomSource(690 + index), count=5)
         ref = [shadow_area_oracle(points, theta) for theta in thetas]
-        assert body.shadow_areas(thetas) == pytest.approx(ref, rel=1e-9)
-        assert body.surface_area == pytest.approx(hull_surface_area(points), rel=1e-9)
+        assert body.shadow_areas(thetas) == pytest.approx(ref, rel=1e-12)
+        assert body.surface_area == pytest.approx(hull_surface_area(points), rel=1e-12)
 
 
 class TestShadowProperties:
