@@ -294,14 +294,6 @@ def _cube(n: int) -> SymmetricHPolytope:
     return SymmetricHPolytope(np.eye(n), np.ones(n))
 
 
-def _spanning_directions(n: int, m: int, rng: RandomSource) -> np.ndarray:
-    for attempt in range(16):
-        u = sample_unit_sphere(n, rng.fork(attempt), count=m)
-        if np.linalg.matrix_rank(u, tol=1e-10) == n:
-            return u
-    raise ConfigError(f"failed to sample {m} spanning directions in dimension {n}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners: each returns (results, assertions, tables) where tables
 # maps a file stem to (header, rows)
@@ -415,10 +407,13 @@ def _run_zonotope(cfg: ExperimentConfig):
 
 def _run_minkowski_solve(cfg: ExperimentConfig):
     rng = cfg.source()
-    directions = _spanning_directions(cfg.n, cfg.m, rng.fork(1))
+    directions = sample_unit_sphere(cfg.n, rng.fork(1).fork(0), count=cfg.m)
     raw = rng.fork(2).generator().uniform(0.5, 2.0, size=cfg.m)
     weights = raw / raw.sum()
-    spec = SlabFamilySpec(directions, weights)
+    try:
+        spec = SlabFamilySpec(directions, weights)
+    except ValueError as exc:
+        raise ConfigError(f"the {cfg.m} directions drawn in R^{cfg.n}: {exc}") from exc
     details = maximize_volume_details(spec, tol=cfg.tolerance, rng=rng.fork(3))
     kkt = kkt_report(details.body, spec)
     identity = verify_projection_identity(details.body, spec, sample_count=cfg.samples, rng=rng.fork(4))

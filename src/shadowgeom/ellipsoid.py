@@ -120,17 +120,21 @@ def _canonicalize_symmetric(points: np.ndarray) -> np.ndarray:
     return dedup_rows(keep * canonical_signs(keep, tol)[:, None], tol)
 
 
-def _spanning_basis(v: np.ndarray) -> np.ndarray:
+def _spanning_basis(v: np.ndarray, tol: float) -> np.ndarray:
     """Indices of n rows, each the farthest from the span of those before.
 
     Pivoted Gram-Schmidt: the Kumar-Yildirim core set of a centered set, on
-    which uniform weights give a nonsingular design.
+    which uniform weights give a nonsingular design.  It is also the span
+    test: when no row lies farther than `tol` from the span of those picked,
+    the points do not span R^n and ValueError is raised.
     """
     rest = v.copy()
     picked = []
     for _ in range(v.shape[1]):
         sq = np.einsum("ij,ij->i", rest, rest)
         j = int(np.argmax(sq))
+        if not sq[j] > tol * tol:
+            raise ValueError("points do not span R^n: the MVEE is degenerate")
         picked.append(j)
         q = rest[j] / np.sqrt(sq[j])
         rest -= np.outer(rest @ q, q)
@@ -237,9 +241,7 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
         raise ValueError("eps must lie in [1e-10, 1e-2]")
     v = _canonicalize_symmetric(points)
     m, n = v.shape
-    if np.linalg.matrix_rank(v, tol=1e-10 * float(np.linalg.norm(v, axis=1).max())) < n:
-        raise ValueError("points do not span R^n: the MVEE is degenerate")
-    active = _spanning_basis(v)
+    active = _spanning_basis(v, 1e-10 * float(np.linalg.norm(v, axis=1).max()))
     lam = np.full(n, 1.0 / n)  # optimal on n points: det M is then prod(lam) det(V_S)^2
     iterations = 0
     settled = True  # the Newton solve on the active set has converged

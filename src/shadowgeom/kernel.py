@@ -12,6 +12,13 @@ of polytopes and zonotopes with the one capacity guard they apply have one
 implementation each, here.  Every subset index of the last two, and the rank
 of every subset without one of its elements, comes from one cached lattice of
 the k-subsets in lexicographic order, each level built from the one below.
+
+A set that does not span R^n is refused in two places only: slab
+directions here, by :func:`check_slab_directions`, which every constructor
+that takes them calls, and the MVEE's points by the pivots of its core set
+(``ellipsoid._spanning_basis``).  There is no matrix square root here: the
+shadow position takes its one root from the eigendecomposition of the MVEE's
+shape, which ``Ellipsoid`` has already checked.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ __all__ = [
     "dedup_rows",
     "hyperplane_basis",
     "jacobi_eigh",
-    "psd_sqrt",
     "random_orthogonal",
     "sample_unit_sphere",
     "unit_ball_volume",
@@ -230,37 +236,10 @@ class RandomSource:
         return RandomSource(int(state[0]))
 
 
-def jacobi_eigh(matrix: np.ndarray):
-    """Symmetric eigendecomposition by LAPACK: ``(w, V)``, ``matrix = V @ diag(w) @ V.T``, w ascending.
-
-    The name outlives the Jacobi sweep it once ran because the benchmark's
-    tracer (``shadowbench/tracing.py``) wraps this function by name.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    return np.linalg.eigh(a)
-
-
-def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root: R with R @ R = matrix.
-
-    Rejects non-symmetric or indefinite input.  Eigenvalues within round-off
-    of zero are clamped to zero before the root is formed.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    if float(np.abs(m - m.T).max()) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    sym = 0.5 * (m + m.T)
-    w, v = jacobi_eigh(sym)
-    wscale = max(float(np.abs(w).max()), 1e-300)
-    if w[0] < -1e-10 * wscale:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return 0.5 * (root + root.T)
+#: Symmetric eigendecomposition by LAPACK: ``(w, V)``, ``matrix = V @ diag(w) @ V.T``, w ascending.  numpy
+#: refuses a matrix that is not square with ``LinAlgError``, a ValueError.  The name outlives the Jacobi sweep
+#: it once ran because the benchmark's tracer (``shadowbench/tracing.py``) wraps the eigensolver by this name.
+jacobi_eigh = np.linalg.eigh
 
 
 def sample_unit_sphere(n: int, rng: RandomSource, count: int | None = None) -> np.ndarray:

@@ -714,18 +714,16 @@ class SymmetricHPolytope:
 
 
 def random_symmetric_polytope(n: int, m: int, rng: RandomSource) -> SymmetricHPolytope:
-    """Random spanning slab body: uniform sphere directions, offsets uniform in [0.5, 1.5)."""
-    if m < n:
-        raise ValueError("need m >= n slabs")
-    for attempt in range(16):
-        src = rng.fork(attempt) if attempt else rng
-        gen = src.generator()
-        u = gen.standard_normal((m, n))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        t = gen.uniform(0.5, 1.5, size=m)
-        if np.linalg.matrix_rank(u, tol=1e-10) == n:
-            return SymmetricHPolytope(u, t)
-    raise ValueError("failed to draw spanning directions")
+    """Random slab body: uniform sphere directions, offsets uniform in [0.5, 1.5).
+
+    The directions are drawn once; the constructor refuses them if they do
+    not span R^n, which m >= n Gaussian rows do with probability one.
+    """
+    gen = rng.generator()
+    u = gen.standard_normal((m, n))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    t = gen.uniform(0.5, 1.5, size=m)
+    return SymmetricHPolytope(u, t)
 
 
 @dataclass(frozen=True)

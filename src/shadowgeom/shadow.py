@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsoid import extract_john_decomposition, mvee_symmetric
-from .kernel import RandomSource, WeightedDirections, canonical_signs, cofactor_table, dedup_rows, log_unit_ball_volume, psd_sqrt
+from .kernel import RandomSource, WeightedDirections, canonical_signs, cofactor_table, dedup_rows, jacobi_eigh, log_unit_ball_volume
 from .polytope import SymmetricHPolytope
 from .zonotope import Zonotope, projection_body
 
@@ -210,7 +210,10 @@ def shadow_position(body: SymmetricHPolytope, rng: RandomSource | None = None) -
     pv = polar_vertices(zono)
     canonical = pv[: len(pv) // 2]  # the MVEE of {+/- v} needs one of each pair
     mvee = mvee_symmetric(canonical)
-    root = psd_sqrt(mvee.ellipsoid.shape)
+    # the shape is symmetric positive definite (Ellipsoid checks it): its root needs only the eigenvalues clamped at 0
+    w, q = jacobi_eigh(mvee.ellipsoid.shape)
+    root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+    root = 0.5 * (root + root.T)
     det = float(np.linalg.det(root))
     if not (math.isfinite(det) and det > 0.0):
         raise ValueError(f"the minimal enclosing ellipsoid of the polar vertices is singular (det of its root {det!r}): the body is too thin")

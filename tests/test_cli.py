@@ -245,6 +245,14 @@ class TestRunsAndExitCodes:
         assert report["results"]["converged"] is True
         capsys.readouterr()
 
+    def test_minkowski_solve_directions_that_do_not_span_exit_config(self, tmp_path, capsys, monkeypatch):
+        # a draw that does not span R^n has probability 0; the spec refuses it, as a config error
+        monkeypatch.setattr(cli, "sample_unit_sphere", lambda n, rng, count: np.tile(np.eye(n)[0], (count, 1)))
+        code = main(["minkowski-solve", "--seed", "12", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "config" and "do not span" in diag["detail"]
+
     def test_cauchy_check_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"samples": 20000})
         code = main(["cauchy-check", "--config", cfg, "--seed", "4", "--out", str(tmp_path)])

@@ -197,7 +197,7 @@ class TestMveeNewtonSolve:
     def test_an_active_point_never_enters_again(self):
         v = ellipsoid_mod._canonicalize_symmetric(polar_cloud(4, 9, 581))
         n = v.shape[1]
-        active = ellipsoid_mod._spanning_basis(v)
+        active = ellipsoid_mod._spanning_basis(v, 0.0)
         lam = np.full(n, 1.0 / n)
         inv = np.linalg.inv((v[active].T * lam) @ v[active])
         g = np.einsum("ij,jk,ik->i", v, inv, v)
@@ -213,6 +213,24 @@ class TestMveeNewtonSolve:
         pts[4, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             mvee_symmetric(pts)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("noise", [0.0, 1e-13])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_points_in_a_hyperplane_are_refused(self, n, noise, scale):
+        # 3n points in a random hyperplane and their negatives, within `noise` of it: no pivot of the core set lies
+        # farther than 1e-10 of the largest norm from the span of those before it
+        gen = RandomSource(620 + n).generator()
+        normal = random_orthogonal(n, gen)[0]
+        pts = gen.standard_normal((3 * n, n))
+        pts -= np.outer(pts @ normal, normal)
+        pts += noise * gen.standard_normal(pts.shape)
+        with pytest.raises(ValueError, match="points do not span R\\^n: the MVEE is degenerate"):
+            mvee_symmetric(scale * np.vstack([pts, -pts]))
+
+    def test_zero_points_are_refused(self):
+        with pytest.raises(ValueError, match="no nonzero points given"):
+            mvee_symmetric(np.zeros((4, 3)))
 
     @pytest.mark.parametrize("thickness", [1e-7, 1e-8, 1e-9])
     def test_a_design_whose_g_has_no_correct_digit_is_refused(self, thickness):
@@ -270,7 +288,7 @@ class TestClosedForms:
         # the entries the solver makes from its first design, each candidate once, every candidate kept in `cross`
         v = ellipsoid_mod._canonicalize_symmetric(polar_cloud(5, 10, 577))
         n = v.shape[1]
-        active = ellipsoid_mod._spanning_basis(v)
+        active = ellipsoid_mod._spanning_basis(v, 0.0)
         lam = np.full(n, 1.0 / n)
         inv = np.linalg.inv((v[active].T * lam) @ v[active])
         worst = np.argsort(np.einsum("ij,jk,ik->i", v, inv, v))[::-1][:n]

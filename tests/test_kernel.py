@@ -20,7 +20,6 @@ from shadowgeom.kernel import (
     hyperplane_basis,
     jacobi_eigh,
     newton_on_slice,
-    psd_sqrt,
     random_orthogonal,
     sample_unit_sphere,
     subset_blocks,
@@ -282,20 +281,6 @@ class TestCofactorTable:
         ((subsets, ranks),) = subset_blocks(n + 3, n)
         laplace = np.sum(rows[subsets[:, 0]] * cofactor_table(rows)[ranks[:, 0]], axis=1)
         assert np.abs(laplace - np.linalg.det(rows[subsets])).max() <= 1e-14
-
-
-class TestPsdSqrt:
-    def test_square_of_root_recovers_matrix(self):
-        gen = RandomSource(11).generator()
-        a = gen.standard_normal((4, 4))
-        mat = a @ a.T + 0.1 * np.eye(4)
-        root = psd_sqrt(mat)
-        assert np.allclose(root @ root, mat, atol=1e-10)
-        assert np.allclose(root, root.T, atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(np.diag([1.0, -1.0]))
 
 
 class TestSphereSampling:

@@ -249,6 +249,18 @@ class TestShadowPosition:
             with pytest.raises(ValueError, match="the MVEE cannot decide the design"):
                 shadow_position(body)
 
+    @pytest.mark.parametrize("k", range(-1, 5))
+    def test_the_transform_is_the_unimodular_root_of_the_ellipsoid(self, k):
+        # the cube(3) at k = -1, then random bodies: T is symmetric and T T = H / det(H)^(1/n), with H the shape
+        # of the MVEE of the canonical polar vertices
+        body = cube(3) if k < 0 else random_symmetric_polytope(3 + k % 4, 7 + k, RandomSource(790 + k))
+        pv = polar_vertices(projection_body(body))
+        h = ellipsoid.mvee_symmetric(pv[: len(pv) // 2]).ellipsoid.shape
+        t = shadow_position(body).transform
+        assert np.array_equal(t, t.T)
+        expected = h / np.linalg.det(h) ** (1.0 / body.dim)
+        assert np.max(np.abs(t @ t - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_body_with_more_than_twenty_facet_pairs(self):
         # 24 slabs, 21 of them facets: past the facet-normal enumeration's old 20-generator guard
         body = random_symmetric_polytope(5, 24, RandomSource(4))
