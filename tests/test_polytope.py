@@ -462,14 +462,16 @@ class TestFacets:
         # floor-offset body, 2e-9 apart, are one set of vertices, and so are the points that the slab at angle
         # eps = 1e-9..1e-11 puts within 1e-8 of the cube's.  Merging at the cone pass's _TIE_TOL (1e-12) instead counts
         # 16/32/84 vertices on floor-offset-3/4/5 and 20 on the near-coincident bodies at eps = 1e-9..1e-11.
-        counts = {name: (len(body.vertices.points), len(body.facets)) for name, body in named_degenerate_bodies().items()}
-        sweep = {k: (len(body.vertices.points), len(body.facets)) for k in range(5, 14) for body in [near_coincident_body(10.0**-k)[0]]}
-        assert counts == {
+        def counts(body: SymmetricHPolytope) -> tuple[int, int]:
+            return len(body.vertices.points), len(body.facets)
+
+        assert {name: counts(body) for name, body in named_degenerate_bodies().items()} == {
             "cube-2": (4, 4), "cube-3": (8, 6), "cube-4": (16, 8), "cross-3": (6, 8), "cross-4": (8, 16),
             "coinciding": (36, 12), "doubled-square": (4, 4), "touching-2-faces": (16, 8),
             "near-coincident-1e-05": (12, 8), "near-coincident-1e-09": (12, 8), "near-coincident-1e-13": (8, 6),
             "floor-offset-3": (8, 10), "floor-offset-4": (16, 12), "floor-offset-5": (42, 16),
         }
+        sweep = {k: counts(near_coincident_body(10.0**-k)[0]) for k in range(5, 14)}
         assert sweep == {k: (12, 8) for k in range(5, 12)} | {12: (8, 6), 13: (8, 6)}
 
 
