@@ -47,6 +47,8 @@ DEFAULT_EPS = 1e-8
 _NEWTON_DONE = 1e-6
 #: The one refusal of a design whose g has no correct digit (see :func:`mvee_symmetric`).
 _UNDECIDED = "the MVEE cannot decide the design, the points are too thin"
+#: The refusal of points whose design M or its inverse overflows: largest norms outside about 1e-153 to 1e153.
+_OFF_SCALE = "the MVEE's design M or its inverse is not finite at the points' scale (largest norm {:.3g})"
 
 
 @dataclass(frozen=True)
@@ -105,18 +107,32 @@ class MveeResult:
     tol: float
 
 
+def _exponent(points: np.ndarray) -> int:
+    """The e with the largest entry of the points in ``[2^(e-1), 2^e)`` (0 for no nonzero entry).
+
+    The points scaled by ``2^-e`` lie in [-1, 1], so their squares neither
+    overflow nor underflow, and scaling by a power of two is exact: a norm,
+    pivot or tolerance read off the scaled points is the same bits, scaled,
+    as one read off the points wherever those neither overflow nor
+    underflow.
+    """
+    return int(np.frexp(np.abs(points).max(initial=0.0))[1])
+
+
 def _canonicalize_symmetric(points: np.ndarray) -> np.ndarray:
-    """One representative per antipodal pair, zero rows dropped; tolerances relative to the largest norm."""
+    """One representative per antipodal pair, zero rows dropped; tolerances relative to the largest norm, at any finite scale."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array (m, n)")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    norms = np.linalg.norm(pts, axis=1)
+    e = _exponent(pts)
+    norms = np.linalg.norm(np.ldexp(pts, -e), axis=1)
     tol = 1e-12 * float(norms.max(initial=0.0))
     keep = pts[norms > tol]
     if len(keep) == 0:
         raise ValueError("no nonzero points given")
+    tol = float(np.ldexp(tol, e))
     return dedup_rows(keep * canonical_signs(keep, tol)[:, None], tol)
 
 
@@ -219,11 +235,15 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     Antipodal pairs are collapsed to canonical representatives first (the
     design is even); the zero-row and duplicate tolerances and the span test
     are relative to the largest point norm, so scaling the points by s
-    scales the shape by ``1/s**2`` and changes nothing else.  Non-finite
-    points raise ValueError.  The weights start uniform on n spanning points
-    and are solved by damped Newton steps on the active set S, dropping
-    every point whose weight reaches 0.  When that solve has converged, g is
-    read over every point: the solve ends when every point satisfies
+    scales the shape by ``1/s**2`` and changes nothing else.  They are read
+    off the points scaled by a power of two, so they hold at any finite
+    scale; where M or its inverse overflows (largest norms outside about
+    1e-153 to 1e153) ValueError is raised, naming the points' scale.
+    Non-finite points raise ValueError.  The weights start uniform on n
+    spanning points and are solved by damped Newton steps on the active set
+    S, dropping every point whose weight reaches 0.  When that solve has
+    converged, g is read over every point: the solve ends when every point
+    satisfies
     ``v^T (nM)^{-1} v <= 1 + tol`` and every support point ``>= 1 - tol``;
     otherwise the worst violators enter S by Frank-Wolfe steps and the
     Newton solve resumes.  ``tol = eps + eps_mach tr(M) tr(M^-1)`` widens
@@ -241,7 +261,13 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
         raise ValueError("eps must lie in [1e-10, 1e-2]")
     v = _canonicalize_symmetric(points)
     m, n = v.shape
-    active = _spanning_basis(v, 1e-10 * float(np.linalg.norm(v, axis=1).max()))
+    e = _exponent(v)
+    unit = np.ldexp(v, -e)  # the pivots of v, at any finite scale
+    largest = float(np.linalg.norm(unit, axis=1).max())
+    active = _spanning_basis(unit, 1e-10 * largest)
+    scale = float(np.ldexp(largest, e))
+    if not scale * scale < np.inf:  # the entries of M are at most the largest squared norm
+        raise ValueError(_OFF_SCALE.format(scale))
     lam = np.full(n, 1.0 / n)  # optimal on n points: det M is then prod(lam) det(V_S)^2
     iterations = 0
     settled = True  # the Newton solve on the active set has converged
@@ -252,6 +278,8 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
             inv = np.linalg.inv(design)
         except np.linalg.LinAlgError:
             raise ValueError(f"{_UNDECIDED}: its design does not invert") from None
+        if not np.isfinite(inv).all():
+            raise ValueError(_OFF_SCALE.format(scale))
         if settled or iterations >= MAX_MVEE_ITERATIONS:
             spread = float(design.trace() * inv.trace())
             tol = eps + np.finfo(float).eps * spread

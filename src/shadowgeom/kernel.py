@@ -11,7 +11,9 @@ table, the slab-direction check, and the subset enumerator and cofactor table
 of polytopes and zonotopes with the one capacity guard they apply have one
 implementation each, here.  Every subset index of the last two, and the rank
 of every subset without one of its elements, comes from one cached lattice of
-the k-subsets in lexicographic order, each level built from the one below.
+the k-subsets in lexicographic order, each level built from the one below,
+and so do the first elements outside each subset, which the vertex
+enumeration tests its sign patterns against first (:func:`outside_blocks`).
 
 A set that does not span R^n is refused in two places only: slab
 directions here, by :func:`check_slab_directions`, which every constructor
@@ -61,10 +63,11 @@ class CapacityError(RuntimeError):
 MAX_ROWS = 24  # slabs or generators in any subset enumeration
 MAX_DIM = 7
 #: Rows per block, and the most subsets a slab plan keeps between evaluations.  At n = 6, m = 16 the
-#: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its
-#: survivors' slacks on the other slabs (1.9 MB), its inverses U_S^-1, its X_S and those gathered for
-#: its survivors (1.2 MB each) and its first-pass rows (0.8 MB).  One volume's traced peak is 11.5 MB
-#: when it builds the shape's lattice, and 11.0-11.2 MB once the lattice is cached.
+#: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its inverses
+#: U_S^-1 (1.2 MB), the X_S of its first-pass survivors and the U_S^-1 gathered for them (0.9 MB each), its
+#: first-pass rows and the rows u_J they are formed from (0.8 MB each) and its survivors' slacks on every
+#: slab (0.4 MB).  One volume's traced peak (random_symmetric_polytope(6, 16, RandomSource(5))) is 8.6 MB
+#: when it builds the shape's lattice, and 8.4 MB once the lattice is cached.
 SUBSET_BLOCK = 4096
 #: The most k-subsets that :func:`subset_blocks` slices from the cached :func:`_lattice`: C(16, 6), the
 #: largest shape a workload of the benchmark measures.  Larger shapes build their blocks one at a time,
@@ -119,6 +122,44 @@ def _lattice(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     rows.setflags(write=False)
     ranks.setflags(write=False)
     return rows, ranks
+
+
+def outside_blocks(m: int, k: int, count: int, stack: int = 1) -> Iterator[np.ndarray]:
+    """Per k-subset S of ``range(m)``, the first `count` elements not in S, in the order and blocks of :func:`subset_blocks`.
+
+    `count` is at most ``m - k``.  Each block is (rows, count), in the
+    smallest unsigned type that holds m.  A shape that :func:`subset_blocks`
+    slices from its cached lattice is sliced from its cached table
+    (:func:`_outside`); a larger one builds each block's table from the
+    block's rows when it is asked for.  The capacity guard is applied at the
+    call.
+    """
+    check_capacity(m, k)
+    size = max(1, SUBSET_BLOCK // stack)
+    total = math.comb(m, k)
+    if total <= INDEX_PLAN_SUBSETS:
+        table = _outside(m, k, count)
+        return (table[lo : lo + size] for lo in range(0, total, size))
+    return (_first_outside(rows, m, count) for rows, _ in subset_blocks(m, k, stack))
+
+
+@functools.lru_cache(maxsize=None)
+def _outside(m: int, k: int, count: int) -> np.ndarray:
+    """:func:`outside_blocks` of a shape that :func:`subset_blocks` slices, as one read-only table."""
+    table = _first_outside(_lattice(m, k)[0], m, count)
+    table.setflags(write=False)
+    return table
+
+
+def _first_outside(rows: np.ndarray, m: int, count: int) -> np.ndarray:
+    """The first `count` elements of ``range(m)`` outside each increasing row.
+
+    The j-th of them is j plus the number of i with ``rows[i] - i <= j``,
+    which does not decrease along a row.
+    """
+    lows = rows.astype(np.intp) - np.arange(rows.shape[1])
+    j = np.arange(count)
+    return (j + (lows[:, None, :] <= j[:, None]).sum(axis=2)).astype(np.min_scalar_type(m))
 
 
 def _extend(m: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,20 +8,20 @@ halves:
 * the half that depends on the directions alone, a plan
   (:class:`_SlabPlan`): the invertible ``n``-subsets S of the slab normals
   with ``|det U_S|`` and ``U_S^-1``, read from one Laplace table of the
-  cofactors of the (n-1)-subsets (no subset is factorised), the rows
-  ``u_j U_S^-1`` of the first four slabs, and, for each subset that holds
-  a kept vertex cone, ``U_S^-T c`` for every candidate direction c of the
-  cone formulas with the share of their rounding estimate that does not
-  depend on t;
+  cofactors of the (n-1)-subsets (no subset is factorised), the
+  first-pass slabs J(S), the first four slabs not in S, with their rows
+  ``u_j U_S^-1``, and, for each subset that holds a kept vertex cone,
+  ``U_S^-T c`` for every candidate direction c of the cone formulas with
+  the share of their rounding estimate that does not depend on t;
 * the half that scales the plan by the offsets t: each subset's 2^(n-1)
   sign patterns p filtered by feasibility of ``x = X_S p``, with
-  ``X_S = U_S^-1 diag(t_S)``, in two passes, the first four slabs for
-  every pattern and the other slabs for the survivors; then the volume,
-  the facet measures and the Hessian of the volume in the offsets in
-  closed form over the vertex cones of the surviving (subset, pattern)
-  pairs (Lawrence's formula and its derivatives), whose ``gamma = p *
-  U_S^-T c`` the plan holds, the ties of non-simple vertices broken by one
-  lexicographic perturbation decided once per vertex.
+  ``X_S = U_S^-1 diag(t_S)``, in two passes, the slabs J(S) for every
+  pattern and every slab for the survivors, whose X_S alone is formed;
+  then the volume, the facet measures and the Hessian of the volume in the
+  offsets in closed form over the vertex cones of the surviving (subset,
+  pattern) pairs (Lawrence's formula and its derivatives), whose ``gamma =
+  p * U_S^-T c`` the plan holds, the ties of non-simple vertices broken by
+  one lexicographic perturbation decided once per vertex.
 
 Every body is measured by one function, :func:`_volume_derivatives`, which
 reads the volume, its gradient and its Hessian in the offsets off the vertex
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_slab_directions, unit_directions
-from .kernel import cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
+from .kernel import cofactor_table, dedup_rows, outside_blocks, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
 
 __all__ = [
     "FacetData",
@@ -74,8 +74,8 @@ MEASURE_FLOOR = 1e-12
 #: a facet measure below this times the largest one is refused as certainly wrong (correct bodies read >= -1.5e-16)
 NEGATIVE_MEASURE_TOL = 1e-9
 _DET_TOL = 1e-12
-#: slabs that every (subset, sign pattern) candidate of `vertices` is tested against before its
-#: coordinates are formed; on random bodies about 10 % of the candidates pass them
+#: how many slabs outside its subset S every (subset, sign pattern) candidate is tested against before X_S is
+#: formed (all m - n of them when there are fewer); at (6, 16) about 2.5 % of the candidates pass them
 _FIRST_PASS_SLABS = 4
 #: candidates within this (times the scale) of each other are one vertex, and their slabs tie there
 _TIE_TOL = 1e-12
@@ -190,41 +190,43 @@ class _SubsetBlock(NamedTuple):
     ``keys`` is the row of S in its block of :func:`subset_blocks`, singular
     rows counted (in a stored plan's one block, the rank of S among all
     n-subsets in lexicographic order), and ``dets`` holds ``|det U_S|``.
-    ``inverses`` holds ``U_S^-1`` in C order, and ``first_rows`` the rows
-    ``u_j U_S^-1`` of the first ``_FIRST_PASS_SLABS`` slabs, where the row
-    of the subset's own slab s_i is exactly ``e_i``.
+    ``inverses`` holds ``U_S^-1`` in C order, ``outside`` the first-pass
+    slabs J(S), the first ``min(_FIRST_PASS_SLABS, m - n)`` slabs not in S
+    (:func:`outside_blocks`), and ``first_rows`` their rows ``u_J U_S^-1``.
     """
 
     keys: np.ndarray
     subsets: np.ndarray
     dets: np.ndarray
     inverses: np.ndarray
+    outside: np.ndarray
     first_rows: np.ndarray
 
 
-def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> _SubsetBlock:
-    """The nonsingular subsets of a block of :func:`subset_blocks` with their determinants and inverses.
+def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray], outside: np.ndarray) -> _SubsetBlock:
+    """The nonsingular subsets of a block of :func:`subset_blocks` with their determinants, inverses and first-pass rows.
 
     No subset is factorised: from the cofactor table of the (n-1)-subsets
     (:func:`cofactor_table`) and the block's ranks of each ``S without s_i``
     in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and column i of
     ``U_S^-1`` is ``(-1)^i c_(S without s_i) / det U_S``.  Subsets with
-    ``|det U_S| <= _DET_TOL`` are left out.
+    ``|det U_S| <= _DET_TOL`` are left out.  `outside` is the block's
+    first-pass slabs, of :func:`outside_blocks`.
     """
-    m, n = u.shape
+    n = u.shape[1]
     subsets, ranks = block
-    det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]  # along the first row
+    # rows are gathered by np.take, the same values as by fancy indexing, and faster on these arrays
+    det = (np.take(u, subsets[:, 0], axis=0)[:, None, :] @ np.take(cofactors, ranks[:, 0], axis=0)[:, :, None])[:, 0, 0]  # along the first row
     keep = np.abs(det) > _DET_TOL
-    subsets, det, ranks = subsets[keep].astype(np.intp, copy=False), det[keep], ranks[keep]
-    # one row take, then the columns in C order: with transposed strides a stacked body rounds differently
-    inverses = np.ascontiguousarray(np.take(cofactors, ranks, axis=0).transpose(0, 2, 1))
+    if not keep.all():
+        subsets, det, ranks, outside = subsets[keep], det[keep], ranks[keep], outside[keep]
+    subsets = subsets.astype(np.intp, copy=False)
+    # C order, one component of the cofactors gathered at a time: with transposed strides a stacked body rounds differently
+    inverses = np.empty((len(ranks), n, n))
+    for k, component in enumerate(cofactors.T):
+        np.take(component, ranks, out=inverses[:, k], mode="clip")  # the ranks are in range; "clip" writes unbuffered
     inverses *= (_ALTERNATING[:n] / det[:, None])[:, None, :]
-    first = min(m, _FIRST_PASS_SLABS)
-    rows = u[:first] @ inverses
-    b, i = np.nonzero(subsets < first)
-    rows[b, subsets[b, i]] = 0.0
-    rows[b, subsets[b, i], i] = 1.0
-    return _SubsetBlock(np.flatnonzero(keep), subsets, np.abs(det), inverses, rows)
+    return _SubsetBlock(np.flatnonzero(keep), subsets, np.abs(det), inverses, outside, np.take(u, outside, axis=0) @ inverses)
 
 
 def _cone_terms(inverses: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,11 +292,12 @@ class _SlabPlan:
         m, n = u.shape
         if self._block is None:
             cofactors = cofactor_table(u)  # first: it applies the capacity guard
+            first = min(_FIRST_PASS_SLABS, m - n)
             if not self.stored:
                 # by map, so that no block's index rows outlive the call that reads them
-                return map(partial(_subset_block, u, cofactors), subset_blocks(m, n, stack))
-            (block,) = subset_blocks(m, n)
-            self._block = _subset_block(u, cofactors, block)
+                return map(partial(_subset_block, u, cofactors), subset_blocks(m, n, stack), outside_blocks(m, n, first, stack))
+            ((block,), (outside,)) = subset_blocks(m, n), outside_blocks(m, n, first)
+            self._block = _subset_block(u, cofactors, block, outside)
             _read_only(*self._block)
         rows = max(1, kernel.SUBSET_BLOCK // stack)
         return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
@@ -330,52 +333,53 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     enumerated alone, so each body's rows are the same bits inside a stack
     as alone.  ``X_S = U_S^-1 diag(t_S)`` scales the plan's inverses, which
     are in C order, so that the products with it are the same bits in a
-    stack as alone.  The first sign of p is +1.  Every pair is tested
-    against the first ``_FIRST_PASS_SLABS`` slabs at once, by the plan's
-    first-pass rows scaled by ``t_S``; only the survivors' coordinates are
-    formed and tested against the other slabs, both with the bound
-    ``t + FEASIBILITY_TOL * scale`` of their body.  The subset's own slabs
-    read as exactly tight, and the kept points take one step of iterative
-    refinement: where U_S is ill-conditioned, ``X_S p`` cancels large
-    entries, and its slack on them is off by about eps cond(U_S) (1e-9 at
-    cond 1e8).  The bodies share each block of subsets, so a block holds
-    ``SUBSET_BLOCK`` (subset, body) rows at most.
+    stack as alone.  The first sign of p is +1.  Every pair is first
+    tested against the first-pass slabs J(S) of its subset at once, by the
+    plan's first-pass rows scaled by ``t_S``: a subset's own slabs always
+    pass, so it is the slabs outside it that filter.  X_S is formed for the
+    survivors only, and ``X_S p`` is tested against every slab, the
+    subset's own read as exactly tight; both passes use the bound
+    ``t + FEASIBILITY_TOL * scale`` of their body.  The kept points take
+    one step of iterative refinement: where U_S is ill-conditioned,
+    ``X_S p`` cancels large entries, and its slack on them is off by about
+    eps cond(U_S) (1e-9 at cond 1e8).  The bodies share each block of
+    subsets, so a block holds ``SUBSET_BLOCK`` (subset, body) rows at
+    most.
     """
     u = plan.directions
     count = len(t)
-    m, n = u.shape
     blocks = plan.blocks(count)  # first: it applies the capacity guard before 2^(n-1) patterns are formed
+    n = u.shape[1]
     patterns = _sign_patterns(n)  # (P, n)
     bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
-    first = min(m, _FIRST_PASS_SLABS)
-    bound_first = bound[:, :first].T[:, :, None, None]
     found: list[tuple[np.ndarray, ...]] = []
-    for keys, subsets, dets, inverses, first_rows in blocks:
-        size = len(keys)
-        ts = t[:, subsets]  # (K, B, n)
-        # one X_S per (body, subset), by body
-        x = (inverses * ts[:, :, None, :]).reshape(-1, n, n)
-        # the first-pass rows of X_S, by slab; those of the subset's own slabs are exactly t_i e_i
+    for keys, subsets, dets, inverses, outside, first_rows in blocks:
+        size, first = outside.shape
+        # the large gathers by np.take, the same values as by fancy indexing, and faster on these arrays
+        ts = np.take(t, subsets, axis=1)  # (K, B, n)
+        # the first-pass rows of X_S, by slab of J(S)
         rows = first_rows.transpose(1, 0, 2)[:, None] * ts
         # explicit sizes: a block whose subsets are all singular is empty
         dots = (rows.reshape(first, count * size, n) @ patterns.T).reshape(first, count, size, len(patterns))
-        ok = (np.abs(dots, out=dots) <= bound_first).all(axis=0).reshape(count * size, len(patterns))
+        ok = (np.abs(dots, out=dots) <= np.take(bound, outside, axis=1).transpose(2, 0, 1)[..., None]).all(axis=0)
         del dots  # the block's largest temporary, freed before the survivors' slacks are formed
-        row, pat = ok.nonzero()
+        row, pat = np.divmod(np.flatnonzero(ok), len(patterns))  # row = body * size + subset
         body, sub = np.divmod(row, size)
-        # in blocks of rows, so the X_S gathered for the first-pass survivors and their slacks stay small
+        ts = ts.reshape(count * size, n)
+        # X_S = U_S^-1 diag(t_S) of the first-pass survivors, in blocks of rows, so it and their slacks stay small
         cand, good = np.empty((len(row), n)), np.empty(len(row), dtype=bool)
         for lo in range(0, len(row), kernel.SUBSET_BLOCK):
             part = slice(lo, lo + kernel.SUBSET_BLOCK)
-            cand[part] = np.einsum("rij,rj->ri", x[row[part]], patterns[pat[part]])
+            x = np.take(inverses, sub[part], axis=0) * np.take(ts, row[part], axis=0)[:, None, :]
+            cand[part] = np.einsum("rij,rj->ri", x, np.take(patterns, pat[part], axis=0))
             dots = cand[part] @ u.T
-            dots[np.arange(len(dots))[:, None], subsets[sub[part]]] = 0.0  # the subset's own slabs are tight, so they pass
-            good[part] = (np.abs(dots[:, first:]) <= bound[body[part], first:]).all(axis=1)
+            dots[np.arange(len(dots))[:, None], np.take(subsets, sub[part], axis=0)] = 0.0  # the subset's own slabs are tight, so they pass
+            good[part] = (np.abs(dots) <= np.take(bound, body[part], axis=0)).all(axis=1)
         row, body, sub, pat, cand = row[good], body[good], sub[good], pat[good], cand[good]
         own = subsets[sub]
         # one step of iterative refinement against the subset's rows u_i / t_i
         residual = patterns[pat] - np.einsum("rij,rj->ri", u[own], cand) / t[body[:, None], own]
-        cand += np.einsum("rij,rj->ri", x[row], residual)
+        cand += np.einsum("rij,rj->ri", inverses[sub] * ts[row][:, None, :], residual)
         found.append((body, own, patterns[pat], inverses[sub], cand, dets[sub], keys[sub]))
     if not found or np.any(np.bincount(np.concatenate([block[0] for block in found]), minlength=count) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")

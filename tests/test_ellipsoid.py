@@ -1,6 +1,7 @@
 """Minimal enclosing ellipsoids and contact-point decompositions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,35 @@ class TestMveeNewtonSolve:
             expected = base.ellipsoid.shape / s**2
             assert np.max(np.abs(scaled.ellipsoid.shape - expected)) <= 1e-9 * np.max(np.abs(expected)), s
             assert scaled.iterations == base.iterations, s
+
+    @pytest.mark.parametrize("k", [-500, -40, -3, 3, 40, 500])
+    def test_a_power_of_two_scales_every_bit(self, k):
+        # 2^+-500 is about 3e+-150, near the ends of the range where M and its inverse are finite
+        pts = polar_cloud(4, 9, 3)
+        base, scaled = mvee_symmetric(pts), mvee_symmetric(2.0**k * pts)
+        assert np.array_equal(scaled.points, 2.0**k * base.points) and np.array_equal(scaled.weights, base.weights)
+        assert np.array_equal(scaled.ellipsoid.shape, base.ellipsoid.shape * 2.0 ** (-2 * k))
+        assert scaled.iterations == base.iterations
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_a_spanning_cloud_is_solved_near_the_ends_of_the_range(self, scale):
+        pts = RandomSource(3).generator().standard_normal((12, 4))
+        base, scaled = mvee_symmetric(pts), mvee_symmetric(scale * pts)
+        expected = base.ellipsoid.shape / scale**2
+        assert np.max(np.abs(scaled.ellipsoid.shape - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert scaled.iterations == base.iterations
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_a_spanning_cloud_past_the_range_is_refused_by_its_scale(self, scale):
+        # the rows' norms, the zero-row and duplicate tolerances and the pivots of the core set are read off the points
+        # scaled by a power of two, so the cloud is not taken for zero rows (the norms of the raw rows overflow at
+        # 1e160) nor refused as not spanning; its design M, of entries about scale^2, or the inverse overflows
+        pts = RandomSource(3).generator().standard_normal((12, 4))
+        v = ellipsoid_mod._canonicalize_symmetric(pts)
+        assert np.array_equal(ellipsoid_mod._canonicalize_symmetric(scale * pts), scale * v)
+        largest = scale * np.linalg.norm(v, axis=1).max()
+        with pytest.raises(ValueError, match=re.escape(f"not finite at the points' scale (largest norm {largest:.3g})")):
+            mvee_symmetric(scale * pts)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     @pytest.mark.parametrize("seed", range(3))

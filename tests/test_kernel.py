@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import canonical_sign_reference, cofactor_oracle, dedup_rows_reference, lex_ranks
-from shadowgeom import kernel
+from shadowgeom import kernel, polytope
 from shadowgeom.kernel import (
     CapacityError,
     RandomSource,
@@ -223,7 +223,52 @@ class TestLattice:
         fewer = {(rows, k) for n, m in shapes for rows in range(n, m + 1) for k in range(n + 1)}
         total = sum(array.nbytes for shape in fewer for array in kernel._lattice(*shape))
         assert kernel._lattice.cache_info().currsize == len(fewer)
+        # and the first-pass slabs of each vertex shape, at most four bytes per n-subset
+        total += sum(kernel._outside(m, n, min(polytope._FIRST_PASS_SLABS, m - n)).nbytes for n, m in shapes)
         assert total <= 1e6
+
+
+class TestOutsideBlocks:
+    """J(S), the first slabs outside each n-subset S, that the vertex enumeration tests every sign pattern of S against first."""
+
+    @pytest.mark.parametrize("m, k, count", [(16, 6, 4), (9, 4, 4), (7, 4, 3), (6, 5, 1), (5, 5, 0), (12, 1, 4)])
+    def test_the_first_elements_outside_each_subset(self, m, k, count):
+        rows = np.vstack([rows for rows, _ in subset_blocks(m, k)])
+        table = np.vstack(list(kernel.outside_blocks(m, k, count)))
+        assert table.shape == (len(rows), count)
+        assert table.tolist() == [[j for j in range(m) if j not in row][:count] for row in rows.tolist()]
+        assert not np.any(table[:, :, None] == rows[:, None, :])  # never a slab of S
+
+    def test_the_table_is_read_only_in_the_smallest_unsigned_type(self):
+        table = kernel._outside(16, 6, 4)
+        assert table.dtype == np.min_scalar_type(16) == np.uint8 and table.shape == (math.comb(16, 6), 4)
+        for array in (table, *kernel.outside_blocks(16, 6, 4)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_sliced_and_streamed_tables_are_equal_block_for_block(self, monkeypatch):
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
+        shapes = [(9, 4, 4, 1), (9, 4, 4, 3), (5, 2, 3, 8), (16, 6, 4, 1), (7, 7, 0, 1)]
+        sliced = [list(kernel.outside_blocks(m, k, count, stack)) for m, k, count, stack in shapes]
+        streamed(monkeypatch)
+        for (m, k, count, stack), blocks in zip(shapes, sliced, strict=True):
+            again = list(kernel.outside_blocks(m, k, count, stack))
+            assert [len(b) for b in blocks] == [len(b) for b in again] == [len(rows) for rows, _ in subset_blocks(m, k, stack)]
+            assert all(a.dtype == b.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip(blocks, again, strict=True))
+
+    def test_a_shape_over_the_bound_builds_its_blocks_from_their_rows(self):
+        assert math.comb(17, 6) > kernel.INDEX_PLAN_SUBSETS
+        kernel._outside.cache_clear()
+        for (rows, _), table in zip(subset_blocks(17, 6), kernel.outside_blocks(17, 6, 4), strict=True):
+            assert table.dtype == np.uint8
+            assert table.tolist() == [[j for j in range(17) if j not in row][:4] for row in rows.tolist()]
+        assert kernel._outside.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("m, k", [(25, 3), (10, 8)])
+    def test_guard_raises_at_the_call(self, m, k):
+        with pytest.raises(CapacityError, match="subset enumeration guard exceeded"):
+            kernel.outside_blocks(m, k, 1)
 
 
 def unit_rows(m: int, n: int, seed: int) -> np.ndarray:

@@ -741,8 +741,8 @@ class TestSlabPlan:
         u[-1] = u[0]  # so some subsets are singular and left out
         cofactors = cofactor_table(u)
         singular = 0
-        for subsets, ranks in kernel.subset_blocks(m, n):
-            block = polytope._subset_block(u, cofactors, (subsets, ranks))
+        for (subsets, ranks), outside in zip(kernel.subset_blocks(m, n), kernel.outside_blocks(m, n, 4)):
+            block = polytope._subset_block(u, cofactors, (subsets, ranks), outside)
             det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]
             kept = np.flatnonzero(np.abs(det) > _DET_TOL)
             assert np.array_equal(block.keys, kept)  # the rows of the block, whichever block it is
@@ -752,7 +752,83 @@ class TestSlabPlan:
             # U_S U_S^-1 = I to rounding, which grows with the condition of U_S
             residual = np.abs(u[block.subsets] @ block.inverses - np.eye(n)).max(axis=(1, 2))
             assert np.all(residual <= 1e-14 * np.linalg.cond(u[block.subsets]))
+            assert np.array_equal(block.outside, outside[kept]) and np.array_equal(block.first_rows, u[block.outside] @ block.inverses)
         assert singular == math.comb(m - 2, n - 2)
+
+
+def direct_candidates(u: np.ndarray, t: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per body of the stack `t`, the fields of :func:`_candidates` that a direct all-slab test of every ``X_S p`` keeps.
+
+    Each (subset, pattern) row of each block of the plan, in order, forms
+    ``X_S p`` by the product of :func:`_candidates` and is kept when its
+    slack on every slab outside S is within the bound, with no first pass;
+    the kept points take the same step of refinement.
+    """
+    patterns = polytope._sign_patterns(u.shape[1])
+    bound = t + FEASIBILITY_TOL * polytope._scales(t)[:, None]
+    found = []
+    for k in range(len(t)):
+        fields = []
+        for keys, subsets, dets, inverses, _, _ in _SlabPlan(u).blocks(len(t)):
+            sub, pat = np.divmod(np.arange(len(keys) * len(patterns)), len(patterns))
+            x = inverses[sub] * t[k, subsets[sub]][:, None, :]
+            pts = np.einsum("rij,rj->ri", x, patterns[pat])
+            slack = np.abs(pts @ u.T)
+            slack[np.arange(len(pts))[:, None], subsets[sub]] = 0.0
+            keep = (slack <= bound[k]).all(axis=1)
+            sub, pat, x, pts, own = sub[keep], pat[keep], x[keep], pts[keep], subsets[sub[keep]]
+            pts += np.einsum("rij,rj->ri", x, patterns[pat] - np.einsum("rij,rj->ri", u[own], pts) / t[k, own])
+            fields.append((own, patterns[pat], inverses[sub], pts, dets[sub], keys[sub]))
+        found.append(tuple(np.concatenate(field) for field in zip(*fields)))
+    return found
+
+
+def first_pass_survivors(body: SymmetricHPolytope) -> int:
+    """The (subset, pattern) rows of `body` that pass the first pass of :func:`_candidates`, from the fields of its plan's blocks."""
+    t = body.offsets
+    bound = t + FEASIBILITY_TOL * body._scale
+    patterns = polytope._sign_patterns(body.dim)
+    count = 0
+    for block in _SlabPlan(body.directions).blocks(1):
+        slacks = np.abs((block.first_rows * t[block.subsets][:, None, :]) @ patterns.T)  # (subsets, slabs of J(S), patterns)
+        count += np.count_nonzero((slacks <= bound[block.outside][:, :, None]).all(axis=1))
+    return count
+
+
+class TestFirstPass:
+    # random bodies of n = 2..6 with m - n = 0, 1, 3 and more slabs than the first pass tests, up to C(16, 6)
+    SHAPES = [(n, m) for n in range(2, 7) for m in sorted({n, n + 1, n + 3, min(2 * n + 4, 16)})]
+
+    @staticmethod
+    def assert_direct(u: np.ndarray, t: np.ndarray) -> None:
+        body, *fields = _candidates(_SlabPlan(u), t)
+        assert np.array_equal(body, np.repeat(np.arange(len(t)), np.bincount(body, minlength=len(t))))
+        for k, direct in enumerate(direct_candidates(u, t)):
+            mine = [field[body == k] for field in fields]
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(mine, direct, strict=True))
+
+    @pytest.mark.parametrize("index", range(len(degenerate_bodies())))
+    def test_degenerate_bodies_keep_the_rows_of_a_direct_test(self, index):
+        body = degenerate_bodies()[index]
+        self.assert_direct(body.directions, body.offsets[None])
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_random_bodies_keep_the_rows_of_a_direct_test(self, n, m):
+        body = random_symmetric_polytope(n, m, RandomSource(700 + 20 * n + m))
+        self.assert_direct(body.directions, body.offsets[None])
+        # a stack of three, whose bodies share each block
+        t = body.offsets * RandomSource(701 + 20 * n + m).generator().uniform(0.5, 2.0, size=(3, m))
+        self.assert_direct(body.directions, t)
+
+    def test_the_first_pass_slabs_are_outside_the_subset(self):
+        for n, m in self.SHAPES:
+            for block in _SlabPlan(random_symmetric_polytope(n, m, RandomSource(n + m)).directions).blocks(1):
+                assert block.outside.shape == (len(block.keys), min(polytope._FIRST_PASS_SLABS, m - n))
+                assert not np.any(block.outside[:, :, None] == block.subsets[:, None, :])
+
+    def test_survivors_of_the_first_pass(self):
+        # 8008 subsets x 32 patterns; testing slabs 0-3, which 88 % of the subsets hold one of, let 19 494 through
+        assert first_pass_survivors(random_symmetric_polytope(6, 16, RandomSource(5))) == 6314 <= 19494 // 3
 
 
 def chained_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np.ndarray:
