@@ -9,11 +9,15 @@ an active set S the gradient is ``g_k = v_k^T M^{-1} v_k`` and the Hessian
 family ascent's Newton step on a slice, and ``log det`` is self-concordant, so
 damping it by ``1/(1 + delta)`` (delta the Newton decrement) needs no line
 search.  The solve starts from n points spanning R^n (the Kumar-Yildirim core
-set) and, whenever the Newton solve on S has converged, reads g over every
-point and brings the worst violators into S by Frank-Wolfe steps, each a
-rank-one update of that inverse.  The iterate is an optimality certificate
-over all points, and the ellipsoid ``{x : x^T (n M)^{-1} x <= 1}`` is read
-from the inverse it certified.
+set) and, after every Newton step that drops no point, reads g over every
+point, as the row-wise dot of ``V M^{-1}`` with V, and brings the worst
+violators outside S into S at once by Frank-Wolfe steps, each a rank-one
+update of that inverse; it does not wait for the Newton solve on S to
+settle first.  It stops at the first exact iterate whose g certifies it:
+one whose last Newton step had a decrement of at most ``_NEWTON_DONE`` and
+dropped no point, with no point entered since.  That iterate is an
+optimality certificate over all points, and the ellipsoid
+``{x : x^T (n M)^{-1} x <= 1}`` is read from the inverse it certified.
 
 From an optimal design the contact-point decomposition is extracted: after
 mapping by ``(n M)^{-1/2}`` the support points become unit vectors ``u_i``
@@ -41,9 +45,10 @@ __all__ = [
 #: Cap on Newton steps.
 MAX_MVEE_ITERATIONS = 1_000_000
 DEFAULT_EPS = 1e-8
-#: A Newton step with a decrement below this, and no weight reaching 0, ends
-#: the solve on the active set: by quadratic convergence the next decrement
-#: would be below its square, so the weights are exact to rounding.
+#: A Newton step with a decrement below this, and no weight reaching 0, gives
+#: an exact iterate, the only kind the solve stops at: by quadratic
+#: convergence the next decrement would be below its square, so the weights
+#: are exact to rounding.
 _NEWTON_DONE = 1e-6
 #: The one refusal of a design whose g has no correct digit (see :func:`mvee_symmetric`).
 _UNDECIDED = "the MVEE cannot decide the design, the points are too thin"
@@ -209,24 +214,35 @@ def _add_violators(v: np.ndarray, g: np.ndarray, inv: np.ndarray, active: np.nda
     design, by the exact line search ``beta = (g_j - n) / (n (g_j - 1))``,
     after which that point has ``g_j = n``.  Their ``cross = V_W M^{-1} V_W^T``
     is read from the loop's `inv` and follows each design by Sherman-Morrison,
-    ``(cross - n beta c_j c_j^T / g_j) / (1 - beta)`` with c_j its column j.
-    A point already in S never enters again: its weight is the Newton
-    solve's to set.
+    ``(cross - n beta c_j c_j^T / g_j) / (1 - beta)`` with c_j its column j;
+    a point that has entered keeps its row and column and is masked out of
+    the choice.  A point already in S never enters again: its weight is the
+    Newton solve's to set.  Returns `active` and `lam` as given when no
+    point outside S reads above `bound`.
     """
     n = v.shape[1]
-    outside = np.ones(len(g), dtype=bool)
-    outside[active] = False
-    by_g = np.argsort(g)[::-1]
-    worst = by_g[outside[by_g]][:n]
-    worst = worst[g[worst] > bound]
+    above = g > bound
+    above[active] = False
+    worst = np.flatnonzero(above)
+    if not len(worst):
+        return active, lam
+    worst = worst[np.argsort(g[worst])[::-1][:n]]
     cross = v[worst] @ inv @ v[worst].T
     np.fill_diagonal(cross, g[worst])  # the g of the stopping test, so the worst of them enters
-    while len(worst) and cross.diagonal().max() > bound:
-        i = int(np.argmax(cross.diagonal()))
+    s = len(active)
+    active = np.concatenate([active, np.zeros(len(worst), dtype=active.dtype)])
+    lam = np.concatenate([lam, np.zeros(len(worst))])
+    entered = np.zeros(len(worst), dtype=bool)
+    while True:
+        left = np.where(entered, -np.inf, cross.diagonal())
+        i = int(np.argmax(left))
+        if not left[i] > bound:
+            return active[:s], lam[:s]
         beta, cross = _frank_wolfe_entry(cross, i, n)
-        active, lam = np.append(active, worst[i]), np.append(lam * (1.0 - beta), beta)
-        worst, cross = np.delete(worst, i), np.delete(np.delete(cross, i, 0), i, 1)
-    return active, lam
+        lam[:s] *= 1.0 - beta
+        active[s], lam[s] = worst[i], beta
+        entered[i] = True
+        s += 1
 
 
 def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
@@ -241,18 +257,21 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
     1e-153 to 1e153) ValueError is raised, naming the points' scale.
     Non-finite points raise ValueError.  The weights start uniform on n
     spanning points and are solved by damped Newton steps on the active set
-    S, dropping every point whose weight reaches 0.  When that solve has
-    converged, g is read over every point: the solve ends when every point
-    satisfies
-    ``v^T (nM)^{-1} v <= 1 + tol`` and every support point ``>= 1 - tol``;
-    otherwise the worst violators enter S by Frank-Wolfe steps and the
-    Newton solve resumes.  ``tol = eps + eps_mach tr(M) tr(M^-1)`` widens
-    eps by the rounding of g read through ``M^-1`` (the traces' product lies
+    S, dropping every point whose weight reaches 0.  After every step that
+    drops no point, and at the start, g is read over every point, and the
+    worst violators outside S, those above ``n (1 + tol)``, enter S by
+    Frank-Wolfe steps.  The solve ends at an exact iterate (the start, or
+    one whose last step had a decrement of at most ``_NEWTON_DONE`` and
+    dropped no point, with no point entered since) where every point
+    satisfies ``v^T (nM)^{-1} v <= 1 + tol`` and every support point
+    ``>= 1 - tol``.  ``tol = eps + eps_mach tr(M) tr(M^-1)`` widens eps by
+    the rounding of g read through ``M^-1`` (the traces' product lies
     between cond(M) and n^2 cond(M)).  The stopping test and the returned
     kappa range are exact over every point for the returned weights.  When
-    the design does not invert, or ``tol`` reaches 1, g has no correct digit
-    and ValueError is raised, naming the design as one the MVEE cannot
-    decide.
+    the design does not invert, or ``tol`` reaches 1 at an exact iterate,
+    g has no correct digit and ValueError is raised, naming the design as
+    one the MVEE cannot decide; at any other iterate such a ``tol`` only
+    skips the entries.
     ``MveeResult.iterations`` counts Newton steps; after
     ``MAX_MVEE_ITERATIONS`` of them :class:`CapacityError` is raised with
     the current iterate attached.
@@ -270,7 +289,7 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
         raise ValueError(_OFF_SCALE.format(scale))
     lam = np.full(n, 1.0 / n)  # optimal on n points: det M is then prod(lam) det(V_S)^2
     iterations = 0
-    settled = True  # the Newton solve on the active set has converged
+    exact = read = True  # the start is exact: it is optimal on its n points
     while True:
         w = v[active]
         design = (w.T * lam) @ w
@@ -280,24 +299,29 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
             raise ValueError(f"{_UNDECIDED}: its design does not invert") from None
         if not np.isfinite(inv).all():
             raise ValueError(_OFF_SCALE.format(scale))
-        if settled or iterations >= MAX_MVEE_ITERATIONS:
+        capped = iterations >= MAX_MVEE_ITERATIONS
+        if read or capped:
             spread = float(design.trace() * inv.trace())
             tol = eps + np.finfo(float).eps * spread
             # the spread is at least n^2 for a positive definite M, so tol <= eps says the inverse is rounding noise too
-            if not eps < tol < 1.0:
+            decided = eps < tol < 1.0
+            if not decided and (exact or capped):
                 raise ValueError(f"{_UNDECIDED}: tr(M) tr(M^-1) reads {spread:.3g}")
-            g = np.einsum("ij,jk,ik->i", v, inv, v)
-            k_max, k_min = float(g.max()), float(g[active].min())
-            converged = k_max <= n * (1.0 + tol) and k_min >= n * (1.0 - tol)
-            if converged or iterations >= MAX_MVEE_ITERATIONS:
-                break
-            active, lam = _add_violators(v, g, inv, active, lam, n * (1.0 + tol))
-            settled = False
-            continue
+            if decided:  # an inexact iterate whose g has no correct digit enters no point
+                g = np.einsum("ij,ij->i", v @ inv, v)
+                k_max, k_min = float(g.max()), float(g[active].min())
+                converged = k_max <= n * (1.0 + tol) and k_min >= n * (1.0 - tol)
+                if (exact and converged) or capped:
+                    break
+                grown, lam = _add_violators(v, g, inv, active, lam, n * (1.0 + tol))
+                if len(grown) > len(active):
+                    active, exact, read = grown, False, False
+                    continue
         lam, delta = _newton_step(w @ inv @ w.T, lam)
         iterations += 1
         kept = lam > 0.0
-        settled = delta <= _NEWTON_DONE and bool(kept.all())
+        read = bool(kept.all())
+        exact = delta <= _NEWTON_DONE and read
         active, lam = active[kept], lam[kept] / lam[kept].sum()
     weights = np.zeros(m)
     weights[active] = lam

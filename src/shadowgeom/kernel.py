@@ -209,12 +209,13 @@ def cofactor_table(rows: np.ndarray) -> np.ndarray:
         level = np.empty((cols.shape[1], len(first)))
         for lo in range(0, len(first), SUBSET_BLOCK):
             block = slice(lo, lo + SUBSET_BLOCK)
-            tails, heads = minors[:, rests[block]], w[first[block]].T
+            # the gathers by np.take, the same values as by fancy indexing, and faster on these index arrays
+            tails, heads = np.take(minors, rests[block], axis=1), np.take(w, first[block], axis=0).T
             # term by term with the signs (-1)^p, so no entry depends on the block's length
             out = level[:, block]
-            np.multiply(tails[without[0]], heads[cols[0]], out=out)
+            np.multiply(np.take(tails, without[0], axis=0), np.take(heads, cols[0], axis=0), out=out)
             for p in range(1, len(cols)):
-                term = tails[without[p]] * heads[cols[p]]
+                term = np.take(tails, without[p], axis=0) * np.take(heads, cols[p], axis=0)
                 if p % 2:
                     out -= term
                 else:

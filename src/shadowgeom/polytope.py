@@ -338,8 +338,9 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     plan's first-pass rows scaled by ``t_S``: a subset's own slabs always
     pass, so it is the slabs outside it that filter.  X_S is formed for the
     survivors only, and ``X_S p`` is tested against every slab, the
-    subset's own read as exactly tight; both passes use the bound
-    ``t + FEASIBILITY_TOL * scale`` of their body.  The kept points take
+    subset's own read as exactly tight, unless J(S) already holds every
+    slab outside S (``m - n <= _FIRST_PASS_SLABS``); both passes use the
+    bound ``t + FEASIBILITY_TOL * scale`` of their body.  The kept points take
     one step of iterative refinement: where U_S is ill-conditioned,
     ``X_S p`` cancels large entries, and its slack on them is off by about
     eps cond(U_S) (1e-9 at cond 1e8).  The bodies share each block of
@@ -349,7 +350,9 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     u = plan.directions
     count = len(t)
     blocks = plan.blocks(count)  # first: it applies the capacity guard before 2^(n-1) patterns are formed
-    n = u.shape[1]
+    m, n = u.shape
+    # J(S) holds every slab outside S when m - n <= _FIRST_PASS_SLABS: the first pass is then the whole test
+    whole = m - n <= _FIRST_PASS_SLABS
     patterns = _sign_patterns(n)  # (P, n)
     bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
     found: list[tuple[np.ndarray, ...]] = []
@@ -367,11 +370,13 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         body, sub = np.divmod(row, size)
         ts = ts.reshape(count * size, n)
         # X_S = U_S^-1 diag(t_S) of the first-pass survivors, in blocks of rows, so it and their slacks stay small
-        cand, good = np.empty((len(row), n)), np.empty(len(row), dtype=bool)
+        cand, good = np.empty((len(row), n)), np.full(len(row), whole)
         for lo in range(0, len(row), kernel.SUBSET_BLOCK):
             part = slice(lo, lo + kernel.SUBSET_BLOCK)
             x = np.take(inverses, sub[part], axis=0) * np.take(ts, row[part], axis=0)[:, None, :]
             cand[part] = np.einsum("rij,rj->ri", x, np.take(patterns, pat[part], axis=0))
+            if whole:
+                continue
             dots = cand[part] @ u.T
             dots[np.arange(len(dots))[:, None], np.take(subsets, sub[part], axis=0)] = 0.0  # the subset's own slabs are tight, so they pass
             good[part] = (np.abs(dots) <= np.take(bound, body[part], axis=0)).all(axis=1)

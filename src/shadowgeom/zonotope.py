@@ -52,7 +52,7 @@ def _volume_of_generators(gens: np.ndarray) -> float:
     m, n = gens.shape
     if m < n:
         return 0.0
-    dets = [np.abs(np.linalg.det(gens[subsets])) for subsets, _ in subset_blocks(m, n)]
+    dets = [np.abs(np.linalg.det(np.take(gens, subsets, axis=0))) for subsets, _ in subset_blocks(m, n)]
     return (2.0**n) * float(np.sum(np.concatenate(dets)))
 
 

@@ -106,6 +106,31 @@ def polar_cloud(n: int, m: int, seed: int) -> np.ndarray:
     return polar_vertices(projection_body(random_symmetric_polytope(n, m, RandomSource(seed))))
 
 
+def per_entry_violators(v, g, inv, active, lam, bound):
+    """The Frank-Wolfe entries of ``ellipsoid._add_violators`` one candidate at a time, with the betas of the entries.
+
+    The candidates are the n points outside `active` of largest g, those
+    above `bound`; each entered point is deleted from them and from their
+    ``cross``, and appended to `active` with its beta as weight.
+    """
+    n = v.shape[1]
+    outside = np.ones(len(g), dtype=bool)
+    outside[active] = False
+    by_g = np.argsort(g)[::-1]
+    worst = by_g[outside[by_g]][:n]
+    worst = worst[g[worst] > bound]
+    cross = v[worst] @ inv @ v[worst].T
+    np.fill_diagonal(cross, g[worst])
+    betas = []
+    while len(worst) and cross.diagonal().max() > bound:
+        i = int(np.argmax(cross.diagonal()))
+        beta, cross = ellipsoid_mod._frank_wolfe_entry(cross, i, n)
+        betas.append(beta)
+        active, lam = np.append(active, worst[i]), np.append(lam * (1.0 - beta), beta)
+        worst, cross = np.delete(worst, i), np.delete(np.delete(cross, i, 0), i, 1)
+    return active, lam, betas
+
+
 class TestMveeAgainstReference:
     """Active-set Newton against Wolfe-Atwood run to eps = 1e-12, and the certificate read back."""
 
@@ -132,6 +157,11 @@ class TestMveeAgainstReference:
 
     @pytest.mark.parametrize("n,m,seed", [(3, 7, 550), (4, 10, 551), (5, 12, 552), (6, 14, 553)])
     def test_polar_vertices_of_projection_bodies(self, n, m, seed):
+        self.check(polar_cloud(n, m, seed))
+
+    @pytest.mark.parametrize("n,m,seed", [(5, 9, 554), (6, 12, 555), (6, 14, 556)])
+    def test_polar_vertices_at_position_workload_shapes(self, n, m, seed):
+        # 126, 792 and 1287 canonical points; the solve reads g after every Newton step that drops no point
         self.check(polar_cloud(n, m, seed))
 
     @pytest.mark.parametrize("n,m,seed", [(2, 0, 560), (4, 9, 561), (6, 12, 562)])
@@ -222,7 +252,7 @@ class TestMveeNewtonSolve:
                 for k in range(3):
                     pv = polar_vertices(projection_body(random_symmetric_polytope(n, m, RandomSource(1000 * n + 50 * m + k))))
                     steps += mvee_symmetric(pv[: len(pv) // 2]).iterations
-        assert steps == 812
+        assert steps == 470
 
     def test_an_active_point_never_enters_again(self):
         v = ellipsoid_mod._canonicalize_symmetric(polar_cloud(4, 9, 581))
@@ -236,6 +266,37 @@ class TestMveeNewtonSolve:
         assert len(np.unique(grown)) == len(grown) == len(weights)
         assert np.array_equal(grown[:n], active)
         assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n,m,seed", [(4, 9, 581), (5, 10, 577), (6, 13, 579)])
+    def test_entries_are_those_of_a_per_entry_loop(self, monkeypatch, n, m, seed):
+        # the masked entries against the loop that deletes each entered point from the candidates and appends it to S,
+        # from a design on 2n points of random weights, which leaves points outside it above the bound
+        v = ellipsoid_mod._canonicalize_symmetric(polar_cloud(n, m, seed))
+        gen = RandomSource(seed).generator()
+        active = gen.choice(len(v), 2 * n, replace=False)
+        lam = gen.uniform(0.5, 1.5, 2 * n)
+        lam /= lam.sum()
+        given = lam.copy()
+        inv = np.linalg.inv((v[active].T * lam) @ v[active])
+        g = np.einsum("ij,jk,ik->i", v, inv, v)
+        g[active[0]] = 2.0 * n  # an active point that reads above the bound, as rounding can make it
+        bound = n * (1.0 + 1e-8)
+        expected, expected_weights, expected_betas = per_entry_violators(v, g, inv, active, lam, bound)
+        betas = []
+        entry = ellipsoid_mod._frank_wolfe_entry
+
+        def recorded(cross, i, n):
+            beta, cross = entry(cross, i, n)
+            betas.append(beta)
+            return beta, cross
+
+        monkeypatch.setattr(ellipsoid_mod, "_frank_wolfe_entry", recorded)
+        grown, weights = ellipsoid_mod._add_violators(v, g, inv, active, lam, bound)
+        assert len(expected_betas) >= 2
+        assert betas == expected_betas
+        assert grown.dtype == expected.dtype and np.array_equal(grown, expected)
+        assert np.array_equal(weights, expected_weights)
+        assert np.array_equal(lam, given)  # the caller's weights are not written
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_points(self, bad):
