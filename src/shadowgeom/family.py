@@ -34,7 +34,7 @@ import numpy as np
 
 from .kernel import CapacityError, RandomSource, check_slab_directions, hyperplane_basis, newton_on_slice, sample_unit_sphere
 from .kernel import unit_ball_volume, unit_directions
-from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _read_only, _SlabPlan, _volume_derivatives
+from .polytope import FEASIBILITY_TOL, SymmetricHPolytope, _seed_measures, _SlabPlan, _volume_derivatives
 from .shadow import TIE_TOLERANCE, MinShadowReport, ball_shadow_ratio, min_shadow_direction, minimize_support
 from .zonotope import Zonotope
 
@@ -325,9 +325,7 @@ def maximize_volume_details(
     if merged is spec:
         # the measures of the point the start returned, the bits a lone body of its offsets finds again;
         # copied, so that the body does not hold the arrays of the whole round
-        gradient, hessian = best.gradient.copy(), best.hessian.copy()
-        _read_only(gradient, hessian)
-        vars(body)["_measures"] = (best.volume, gradient, hessian)
+        _seed_measures(body, best.volume, best.gradient.copy(), best.hessian.copy())
     return FamilyOptimumReport(
         body=body,
         offsets=best.offsets[index],
@@ -566,6 +564,8 @@ def shephard_demonstration(
         rng = RandomSource(_PATHOLOGY_SEED + 1)
     if body is None:
         body = construct_pathological(n, rng=rng.fork(0xB0D)).body
+    elif body.dim != n:
+        raise ValueError(f"body has dimension {body.dim}, not n = {n}")
     volume = body.volume
     radius = (volume / unit_ball_volume(n)) ** (1.0 / n)
     ball_shadow = unit_ball_volume(n - 1) * radius ** (n - 1)

@@ -23,19 +23,20 @@ halves:
   p * U_S^-T c`` the plan holds, the ties of non-simple vertices broken by
   one lexicographic perturbation decided once per vertex.
 
-Every body is measured by one function, :func:`_volume_derivatives`, which
+Every cone pass is made by one function, :func:`_volume_derivatives`, which
 reads the volume, its gradient and its Hessian in the offsets off the vertex
 cones of a stack of bodies; the cone rows never leave this module.  A lone
 body is a stack of one and keeps that triple, not the cones or the plan they
 were found over; the family solver keeps one plan per slab family and
 evaluates the stacked offsets of all its live starts over it in every round,
 each body getting the bits it gets alone, and hands the solved body the
-triple of its last round.  Slab j's two facets F, -F of normals ``+-u_j``
-each measure half the volume's derivative in t_j, one per-slab array
-(:attr:`SymmetricHPolytope._facet_measures`), and a shadow is Cauchy's
-formula with one term per antipodal pair, ``sum_j |<theta, u_j>| |F_j|``.
-The merged vertex set, over a plan of its own, and the facet record are
-built on request.
+triple of its last round; a linear image made by :func:`_mapped_image` holds
+its source's triple mapped by the chain rule.  Slab j's two facets F, -F of
+normals ``+-u_j`` each measure half the volume's derivative in t_j, one
+per-slab array (:attr:`SymmetricHPolytope._facet_measures`), and a shadow is
+Cauchy's formula with one term per antipodal pair, ``sum_j |<theta, u_j>|
+|F_j|``.  The merged vertex set, over a plan of its own, and the facet record
+are built on request.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
 are given at unit scale and scaled with the body (see ``_scale``), and so is
@@ -492,6 +493,29 @@ def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.
     return volumes, 2.0 * measures, hessians
 
 
+def _seed_measures(body: SymmetricHPolytope, volume: float, gradient: np.ndarray, hessian: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Give ``body`` its (volume, gradient, Hessian) triple, read-only, unless the check of :attr:`~SymmetricHPolytope._measures` refuses it."""
+    if not volume > 0.0 or gradient.min() < -NEGATIVE_MEASURE_TOL * gradient.max():
+        raise ValueError("the volume or a facet measure reads negative; body is numerically degenerate")
+    _read_only(gradient, hessian)
+    vars(body)["_measures"] = triple = (float(volume), gradient, hessian)
+    return triple
+
+
+def _mapped_image(body: SymmetricHPolytope, matrix: np.ndarray) -> SymmetricHPolytope:
+    """``body.affine_image(matrix)`` holding the body's triple mapped by the chain rule, so that it makes no cone pass.
+
+    With ``r_j = |A^-T u_j|``, the image's offsets are ``t_j / r_j`` and its
+    triple is ``|det A|`` times ``V``, ``r_j dV/dt_j`` and ``r_j r_k
+    d2V/dt_j dt_k``.
+    """
+    image, r = body._image(matrix)
+    scale = abs(float(np.linalg.det(matrix)))
+    volume, gradient, hessian = body._measures
+    _seed_measures(image, scale * volume, scale * r * gradient, scale * np.outer(r, r) * hessian)
+    return image
+
+
 class SymmetricHPolytope:
     """Intersection of symmetric slabs ``|<x, u_i>| <= t_i``.
 
@@ -594,17 +618,16 @@ class SymmetricHPolytope:
     def _measures(self) -> tuple[float, np.ndarray, np.ndarray]:
         """The volume and its gradient and Hessian in the offsets: :func:`_volume_derivatives` of this body as a stack of one.
 
-        The plan and the cones are dropped once the triple is read.  The
-        family solver seeds the body it reports with the triple of its last
-        round, the same bits.  The arrays are read-only.  A volume that is
-        not positive, or a facet measure below ``-NEGATIVE_MEASURE_TOL``
-        times the largest, is certainly wrong, and raises ``ValueError``.
+        Unless the body was seeded: by the family solver, the same bits, or,
+        as a linear image TC, by :func:`_mapped_image` with C's triple mapped
+        by the chain rule, so TC is enumerated only when asked for its
+        vertices or facets.  The arrays are read-only.  A volume that is not
+        positive, or a facet measure below ``-NEGATIVE_MEASURE_TOL`` times the
+        largest, is certainly wrong, and raises ``ValueError`` however the
+        triple came (:func:`_seed_measures`).
         """
         (volume,), (gradient,), (hessian,) = _volume_derivatives(_SlabPlan(self._directions), self._offsets[None])
-        if not volume > 0.0 or gradient.min() < -NEGATIVE_MEASURE_TOL * gradient.max():
-            raise ValueError("the volume or a facet measure reads negative; body is numerically degenerate")
-        _read_only(gradient, hessian)
-        return float(volume), gradient, hessian
+        return _seed_measures(self, volume, gradient, hessian)
 
     @cached_property
     def _facet_measures(self) -> np.ndarray:
@@ -693,8 +716,13 @@ class SymmetricHPolytope:
         Slab normals map by the inverse transpose and are re-normalised;
         offsets are rescaled accordingly.  A is refused as singular when its
         smallest singular value is at most 1e-12 times its largest, a test
-        that does not depend on the scale of A.
+        that does not depend on the scale of A.  The image is measured afresh:
+        carrying P's measures would make its bits depend on the call order.
         """
+        return self._image(matrix)[0]
+
+    def _image(self, matrix: np.ndarray) -> tuple["SymmetricHPolytope", np.ndarray]:
+        """:meth:`affine_image`, and the norms ``r_j = |A^-T u_j|`` its slab normals were divided by."""
         a = np.asarray(matrix, dtype=float)
         if a.shape != (self.dim, self.dim):
             raise ValueError("transform has wrong shape")
@@ -705,7 +733,7 @@ class SymmetricHPolytope:
             raise ValueError("transform is numerically singular")
         w = np.linalg.solve(a.T, self._directions.T).T  # rows A^{-T} u_i
         norms = np.linalg.norm(w, axis=1)
-        return SymmetricHPolytope(w / norms[:, None], self._offsets / norms)
+        return SymmetricHPolytope(w / norms[:, None], self._offsets / norms), norms
 
     # -- serialization ------------------------------------------------------
 

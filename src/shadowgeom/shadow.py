@@ -9,12 +9,12 @@ shadows.  In that position every (n-1)-dimensional shadow is at least
 
 This module builds that pipeline end to end and provides the verifiers for
 the product-of-shadows inequality (its orthonormal special case included)
-and the Euclidean ball's shadow ratio.  The polytope is enumerated once per
-pipeline run: a linear map T keeps the combinatorial type, the projection body
-transforms as ``Pi(TC) = |det T| T^{-T} Pi C`` (Petty, "Projection bodies",
-1967; Schneider, *Convex Bodies*, section 10.9) and ``|TC| = |det T| |C|``,
-so the certificate of the repositioned body is read off the input body's
-projection body and polar vertices.
+and the Euclidean ball's shadow ratio.  The polytope is measured once per
+pipeline run: a linear map T keeps the combinatorial type, so the
+repositioned body TC holds C's measures mapped by the chain rule, which
+gives ``|TC| = |det T| |C|`` and ``Pi(TC) = |det T| T^{-T} Pi C`` (Petty,
+"Projection bodies", 1967; Schneider, *Convex Bodies*, section 10.9).  TC is
+enumerated only when a caller asks for its vertices or facets.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .ellipsoid import extract_john_decomposition, mvee_symmetric
 from .kernel import RandomSource, WeightedDirections, canonical_signs, cofactor_table, dedup_rows, jacobi_eigh, log_unit_ball_volume
-from .polytope import SymmetricHPolytope
+from .polytope import SymmetricHPolytope, _mapped_image
 from .zonotope import Zonotope, projection_body
 
 __all__ = [
@@ -149,9 +149,9 @@ class ShadowPositionReport:
     which case ``diagnostics`` says what was measured.  The attached
     decomposition certifies the position: its contact directions all attain
     the minimal shadow.  ``volume``, ``min_shadow``, ``min_direction`` and the
-    contact shadows are those of ``body``, computed from the input body
-    through the linear-image identities; ``body`` itself is enumerated only
-    if a caller asks for its vertices, facets or measures.
+    contact shadows are read off ``body``, which holds the input body's
+    measures mapped by the chain rule and is enumerated only if a caller
+    asks for its vertices or facets.
     ``mvee_iterations`` counts the Newton steps of the ellipsoid solve, and
     the kappa range is its certificate (every polar vertex has
     ``v^T M^{-1} v <= kappa_max``, every support point ``>= kappa_min``,
@@ -196,11 +196,11 @@ def shadow_position(body: SymmetricHPolytope, rng: RandomSource | None = None) -
     ellipsoid's contact decomposition is attached; each contact direction
     attains the minimal shadow of the repositioned body TC.
 
-    The body is enumerated once.  The certificate of TC comes from the
-    identities ``Pi(TC) = |det T| T^{-T} Pi C`` and ``|TC| = |det T| |C|``:
-    shadows of TC are supports of the mapped generators, and since a facet
-    normal nu of ``Pi C`` becomes ``T nu`` (up to scale) on ``T^{-T} Pi C``,
-    the minimal shadow is searched over the polar vertices mapped by T.
+    The body is measured once: TC holds its measures mapped by the chain
+    rule, and the volume and shadows are read off TC and ``Pi(TC)``.  A
+    facet normal nu of ``Pi C`` becomes ``T nu`` (up to scale) on ``Pi(TC) =
+    |det T| T^{-T} Pi C``, so the minimal shadow is searched over the polar
+    vertices mapped by T.
     ``rng`` is unused: the pipeline draws no random numbers.  Raises
     ValueError when the ellipsoid's root is singular (its determinant not
     finite and positive), as on bodies too thin for the solve.
@@ -222,10 +222,11 @@ def shadow_position(body: SymmetricHPolytope, rng: RandomSource | None = None) -
     # contacts were whitened with the same matrix up to the determinant
     # factor, so they are unit directions in the image frame already
     det_t = abs(float(np.linalg.det(transform)))
-    image_zono = Zonotope(det_t * np.linalg.solve(transform.T, zono.generators.T).T)  # rows |det T| T^{-T} g
+    image = _mapped_image(body, transform)
+    image_zono = projection_body(image)
     normals = canonical @ transform.T
     report = _least_support(image_zono, normals / np.linalg.norm(normals, axis=1)[:, None])
-    volume = det_t * body.volume
+    volume = image.volume
     ratio = report.value / volume ** ((n - 1) / n)
     contact_shadows = image_zono.supports(john.directions)
     contact_err = float(np.max(np.abs(contact_shadows - report.value)) / report.value)
@@ -244,7 +245,7 @@ def shadow_position(body: SymmetricHPolytope, rng: RandomSource | None = None) -
     )
     return ShadowPositionReport(
         transform=transform,
-        body=body.affine_image(transform),
+        body=image,
         min_shadow=report.value,
         min_direction=report.direction,
         volume=volume,

@@ -407,6 +407,11 @@ class TestShephard:
         assert rep.ball_shadow == pytest.approx(2.0 * radius, rel=1e-12)
         assert rep.shadow_ratio == pytest.approx(rep.min_shadow / rep.ball_shadow, rel=1e-12)
 
+    def test_a_body_of_another_dimension_is_refused(self):
+        # a 4-cube given for n = 3 used to mix its 4-d volume and shadow with the 3-d ball's (shadow_ratio 1.042)
+        with pytest.raises(ValueError, match="dimension 4, not n = 3"):
+            shephard_demonstration(3, body=SymmetricHPolytope(np.eye(4), np.ones(4)))
+
 
 def test_capacity_error_carries_best_body(monkeypatch):
     spec = random_spec(4150)

@@ -1057,6 +1057,14 @@ class TestCertainlyWrongMeasures:
         with pytest.raises(ValueError, match="reads negative"):
             image.shadow_areas(np.eye(n))
 
+    @pytest.mark.parametrize("volume, gradient", [(8.0, [4.0, 4.0, -1e-8]), (0.0, [4.0, 4.0, 4.0]), (-8.0, [4.0, 4.0, 4.0])])
+    def test_a_seeded_triple_is_refused_by_the_same_check(self, volume, gradient):
+        # the family solver and the linear-image map seed their bodies through _seed_measures, the check of a cone pass
+        body = cube(3)
+        with pytest.raises(ValueError, match="reads negative"):
+            polytope._seed_measures(body, volume, np.array(gradient), np.zeros((3, 3)))
+        assert "_measures" not in vars(body)
+
 
 class TestDegenerateShadows:
     # each body's shadows, in 5 sampled directions, and surface area against an oracle that does not read the
