@@ -352,7 +352,9 @@ def newton_on_slice(basis: np.ndarray, slope: np.ndarray, curvature: np.ndarray)
 
     `slope` and `curvature` are the gradient and Hessian in the orthonormal `basis`
     of the slice.  Curvature eigenvalues are clamped at ``-CURVATURE_FLOOR`` times
-    the largest magnitude so the step ascends; an empty slice gives a zero step.
+    the largest magnitude so the step ascends, also where the function is not
+    concave on the slice, as a slab family's volume is not; an empty slice gives
+    a zero step.
     """
     lam, vecs = np.linalg.eigh(curvature)
     lam = np.minimum(lam, -CURVATURE_FLOOR * float(np.abs(lam).max(initial=0.0)))
