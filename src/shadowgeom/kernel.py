@@ -14,6 +14,8 @@ of every subset without one of its elements, comes from one cached lattice of
 the k-subsets in lexicographic order, each level built from the one below,
 and so do the first elements outside each subset, which the vertex
 enumeration tests its sign patterns against first (:func:`outside_blocks`).
+The vertex walk, which visits a few subsets out of all of them, reads the
+same ranks in closed form (:func:`subset_ranks`).
 
 A set that does not span R^n is refused in two places only: slab
 directions here, by :func:`check_slab_directions`, which every constructor
@@ -66,8 +68,10 @@ MAX_DIM = 7
 #: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its inverses
 #: U_S^-1 (1.2 MB), the X_S of its first-pass survivors and the U_S^-1 gathered for them (0.9 MB each), its
 #: first-pass rows and the rows u_J they are formed from (0.8 MB each) and its survivors' slacks on every
-#: slab (0.4 MB).  One volume's traced peak (random_symmetric_polytope(6, 16, RandomSource(5))) is 8.6 MB
-#: when it builds the shape's lattice, and 8.4 MB once the lattice is cached.
+#: slab (0.4 MB).  A lone body of that shape walks its vertex graph instead and builds no block: one
+#: volume's traced peak (random_symmetric_polytope(6, 16, RandomSource(5)), in a fresh process) is 3.7 MB
+#: when it builds the shape's lattice and 2.5 MB once the lattice is cached, against 9.4 and 9.1 MB through
+#: the blocks, which its vertex set, a stack and a walk that is not certified still build.
 SUBSET_BLOCK = 4096
 #: The most k-subsets that :func:`subset_blocks` slices from the cached :func:`_lattice`: C(16, 6), the
 #: largest shape a workload of the benchmark measures.  Larger shapes build their blocks one at a time,
@@ -122,6 +126,33 @@ def _lattice(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     rows.setflags(write=False)
     ranks.setflags(write=False)
     return rows, ranks
+
+
+def subset_ranks(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks of the increasing k-element rows among the subsets of ``range(m)``, as :func:`subset_blocks` gives them.
+
+    Per row S, its rank among the k-subsets in lexicographic order, and at
+    ``[r, i]`` the rank of S without its i-th element among the
+    (k-1)-subsets.  In closed form, a subset's rank is ``C(m, k) - 1 - sum_i
+    C(m - 1 - s_i, k - i)``: the subsets after it in that order, counted by
+    their first element that differs, are subtracted from the last rank.
+    """
+    k = rows.shape[1]
+    table = _binomials(m, k)
+    below = m - 1 - np.asarray(rows, dtype=np.intp)
+    terms = table[below, np.arange(k, 0, -1)]
+    # without s_i, the elements before it keep their place and those after it move one down
+    kept = table[below, np.arange(k - 1, -1, -1)]
+    before, after = np.cumsum(kept, axis=1) - kept, terms.sum(axis=1, keepdims=True) - np.cumsum(terms, axis=1)
+    return math.comb(m, k) - 1 - terms.sum(axis=1), math.comb(m, k - 1) - 1 - before - after
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(m: int, k: int) -> np.ndarray:
+    """``C(a, b)`` at ``[a, b]`` for ``a < m`` and ``b <= k``, read-only."""
+    table = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(m)], dtype=np.intp)
+    table.setflags(write=False)
+    return table
 
 
 def outside_blocks(m: int, k: int, count: int, stack: int = 1) -> Iterator[np.ndarray]:

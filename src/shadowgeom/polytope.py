@@ -2,8 +2,7 @@
 
 A body is the set ``{x : |<x, u_i>| <= t_i, i = 1..m}`` for unit directions
 ``u_i`` and positive offsets ``t_i``.  All derived data (vertices, facets,
-volume, shadows) is computed by explicit brute-force geometry, in two
-halves:
+volume, shadows) is computed by explicit geometry, in two halves:
 
 * the half that depends on the directions alone, a plan
   (:class:`_SlabPlan`): the invertible ``n``-subsets S of the slab normals
@@ -13,15 +12,19 @@ halves:
   ``u_j U_S^-1``, and, for each subset that holds a kept vertex cone,
   ``U_S^-T c`` for every candidate direction c of the cone formulas with
   the share of their rounding estimate that does not depend on t;
-* the half that scales the plan by the offsets t: each subset's 2^(n-1)
-  sign patterns p filtered by feasibility of ``x = X_S p``, with
-  ``X_S = U_S^-1 diag(t_S)``, in two passes, the slabs J(S) for every
-  pattern and every slab for the survivors, whose X_S alone is formed;
-  then the volume, the facet measures and the Hessian of the volume in the
-  offsets in closed form over the vertex cones of the surviving (subset,
-  pattern) pairs (Lawrence's formula and its derivatives), whose ``gamma =
-  p * U_S^-T c`` the plan holds, the ties of non-simple vertices broken by
-  one lexicographic perturbation decided once per vertex.
+* the half that scales the plan by the offsets t: by brute force, each
+  subset's 2^(n-1) sign patterns p filtered by feasibility of ``x = X_S
+  p``, with ``X_S = U_S^-1 diag(t_S)``, in two passes, the slabs J(S) for
+  every pattern and every slab for the survivors, whose X_S alone is
+  formed; or, for a lone body whose plan streams its blocks, the same rows
+  found by walking the body's vertex graph from one vertex, one simplex
+  pivot per edge (:func:`_walk`), which falls back to the brute force
+  unless it certifies the body non-degenerate; then the volume, the facet
+  measures and the Hessian of the volume in the offsets in closed form over
+  the vertex cones of the feasible (subset, pattern) pairs (Lawrence's
+  formula and its derivatives), whose ``gamma = p * U_S^-T c`` the plan
+  holds, the ties of non-simple vertices broken by one lexicographic
+  perturbation decided once per vertex.
 
 Every cone pass is made by one function, :func:`_volume_derivatives`, which
 reads the volume, its gradient and its Hessian in the offsets off the vertex
@@ -325,6 +328,17 @@ class _SlabPlan:
         return self._terms, at
 
 
+def _refined_points(u: np.ndarray, own: np.ndarray, x: np.ndarray, patterns: np.ndarray, t_own: np.ndarray) -> np.ndarray:
+    """The points ``X_S p`` of the rows (subsets `own`, ``X_S``, patterns, ``t_S``), after one step of iterative refinement.
+
+    The step is taken against the subset's rows ``u_i / t_i``.  Every row is
+    the same bits whichever rows it is computed with.
+    """
+    points = np.einsum("rij,rj->ri", x, patterns)
+    points += np.einsum("rij,rj->ri", x, patterns - np.einsum("rij,rj->ri", u[own], points) / t_own)
+    return points
+
+
 def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """The feasible (subset S, sign pattern p) pairs of each body of a stack over the directions of `plan`.
 
@@ -370,22 +384,18 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         row, pat = np.divmod(np.flatnonzero(ok), len(patterns))  # row = body * size + subset
         body, sub = np.divmod(row, size)
         ts = ts.reshape(count * size, n)
-        # X_S = U_S^-1 diag(t_S) of the first-pass survivors, in blocks of rows, so it and their slacks stay small
-        cand, good = np.empty((len(row), n)), np.full(len(row), whole)
-        for lo in range(0, len(row), kernel.SUBSET_BLOCK):
-            part = slice(lo, lo + kernel.SUBSET_BLOCK)
-            x = np.take(inverses, sub[part], axis=0) * np.take(ts, row[part], axis=0)[:, None, :]
-            cand[part] = np.einsum("rij,rj->ri", x, np.take(patterns, pat[part], axis=0))
-            if whole:
-                continue
-            dots = cand[part] @ u.T
-            dots[np.arange(len(dots))[:, None], np.take(subsets, sub[part], axis=0)] = 0.0  # the subset's own slabs are tight, so they pass
-            good[part] = (np.abs(dots) <= np.take(bound, body[part], axis=0)).all(axis=1)
-        row, body, sub, pat, cand = row[good], body[good], sub[good], pat[good], cand[good]
+        if not whole:
+            # X_S = U_S^-1 diag(t_S) of the first-pass survivors, in blocks of rows, so it and their slacks stay small
+            good = np.empty(len(row), dtype=bool)
+            for lo in range(0, len(row), kernel.SUBSET_BLOCK):
+                part = slice(lo, lo + kernel.SUBSET_BLOCK)
+                x = np.take(inverses, sub[part], axis=0) * np.take(ts, row[part], axis=0)[:, None, :]
+                dots = np.einsum("rij,rj->ri", x, np.take(patterns, pat[part], axis=0)) @ u.T
+                dots[np.arange(len(dots))[:, None], np.take(subsets, sub[part], axis=0)] = 0.0  # the subset's own slabs are tight, so they pass
+                good[part] = (np.abs(dots) <= np.take(bound, body[part], axis=0)).all(axis=1)
+            row, body, sub, pat = row[good], body[good], sub[good], pat[good]
         own = subsets[sub]
-        # one step of iterative refinement against the subset's rows u_i / t_i
-        residual = patterns[pat] - np.einsum("rij,rj->ri", u[own], cand) / t[body[:, None], own]
-        cand += np.einsum("rij,rj->ri", inverses[sub] * ts[row][:, None, :], residual)
+        cand = _refined_points(u, own, inverses[sub] * ts[row][:, None, :], patterns[pat], t[body[:, None], own])
         found.append((body, own, patterns[pat], inverses[sub], cand, dets[sub], keys[sub]))
     if not found or np.any(np.bincount(np.concatenate([block[0] for block in found]), minlength=count) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")
@@ -396,33 +406,170 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(field[order] for field in fields)
 
 
-def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The kept vertex cones of each lexicographically perturbed body of a stack, as (bodies, subsets, h, gamma, weight).
+def _ratio_test(t: np.ndarray, dots: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """Per edge, the first slab it meets, its step and the side it meets it on; None unless every such step is certain.
 
-    Candidates of one body (:func:`_candidates`) in canonical sign within
-    ``_TIE_TOL * scale`` of each other are one vertex, whose tight set is the
-    union of their subsets.  A candidate (S, p) is kept when the exact sign
-    of its slack admits it on every slab outside that set, and the
-    perturbation ``t_j + eps^(m - j)`` on every slab j of the set outside S:
-    the slack that adds, ``sum_i a_i eps^(m - S_i) - eps^(m - j)`` with
-    ``a = q p * (U_S^-T u_j)`` on side q of slab j, must have a negative
-    coefficient at its highest index whose coefficient is above
-    ``_TIE_TOL`` relative.  So ties are decided once per vertex, and the
-    lowest of coinciding slabs owns their facet.
-
-    For a direction c, ``h = <c, x>``, ``gamma = p * (U_S^-T c)`` and
-    ``weight = 1 / (|det U_S| prod(gamma))``, and the volume is
-    ``2 sum h^n weight / n!`` (Lawrence, "Polytope volume computation",
-    Math. Comp. 57, 1991), the 2 counting each cone's mirror -x.  Each
-    body's c is the column of :func:`_direction_table` with the least
-    estimated rounding error of its sum; the plan supplies the half of that
-    estimate that does not depend on t, and ``U_S^-T c`` for every column
-    (:meth:`_SlabPlan.cone_terms`), from which gamma is read.  The tie rule
-    runs only when some vertex of the stack has two or more candidates; on
-    a body without one it finds no tied slab.
+    The points have the products `dots` with the slab normals, and each edge
+    moves them at `rate` (slabs on the last axis; 0 where it never meets
+    the slab).  Slab k is met at the step ``(t_k - sign(rate) dots) /
+    |rate|``.  The least step is certain when it is positive and below the
+    runner-up by more than ``FEASIBILITY_TOL`` relative.
     """
-    body, sub, pat, inverses, pts, dets, keys = _candidates(plan, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = ((t - np.sign(rate) * dots) / np.abs(rate)).reshape(-1, len(t))
+    j, edges = np.argmin(steps, axis=1), np.arange(len(steps))
+    step = steps[edges, j]
+    steps[edges, j] = np.inf
+    if not np.all((step > 0.0) & (steps.min(axis=1) - step > FEASIBILITY_TOL * step)):
+        return None
+    shape = rate.shape[:-1]
+    return j.reshape(shape), step.reshape(shape), np.sign(rate.reshape(-1, len(t))[edges, j]).reshape(shape)
+
+
+def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The kept (S, p) rows of a lone body, the fields of :func:`_candidates`, found by walking its vertex graph; or None.
+
+    `t` is one row of offsets.  The walk visits the canonical vertices
+    (first sign of p +1), each (S, p) with its point ``X_S p``:
+
+    * **Start.** A ray from the origin along column 0 of
+      :func:`_direction_table` is cut by the first slab it meets, then
+      followed inside the face found so far, n ratio tests in all, to a
+      first vertex.
+    * **Edges.** Edge i of (S, p) leaves slab s_i along ``-p_i U_S^-1 e_i``,
+      with the other slabs of S tight; its ratio test runs over the slabs
+      outside S and the far side of s_i, and its least step names the
+      neighbour: S with s_i replaced by the slab it meets (or p_i flipped,
+      on the far side), in canonical sign.
+    * **Layers.** The neighbours not seen before, keyed by (lexicographic
+      rank of S, pattern index) in a sorted array of the keys seen, are the
+      next layer.  Each takes ``U_S^-1`` and ``|det U_S|`` from the cofactor
+      table by :func:`_subset_block`, and its point from
+      :func:`_refined_points`, so every row is the bits of the brute force's
+      row, and the rows come in its order (subset rank, then pattern).  The
+      keys are the subsets' ranks, those of a stored plan; a streamed plan
+      does not read them.
+
+    **Completeness.** The certificate below makes every visited vertex
+    strictly non-degenerate: it lies on exactly the n hyperplanes of S, its
+    edges are the n directions above, and each ratio test's least step is
+    unique, so each pivot names the true neighbour.  The visited set is
+    closed under edges, and under negation, since the neighbours of -x are
+    the negated neighbours of x, so it is a union of components of the
+    vertex graph.  That graph is connected (Balinski, "On the graph
+    structure of convex polyhedra in n-space", Pacific J. Math. 11, 1961),
+    so the walk visits every vertex.
+
+    **Certificate.** None, so that the caller falls back to the brute force,
+    unless every ratio test's least step is below its runner-up by more than
+    ``FEASIBILITY_TOL`` relative, and every vertex clears every slab k
+    outside S by more than the margin ``FEASIBILITY_TOL * scale * (1 +
+    |u_k U_S^-1|_1)``.  The margin makes the brute force keep the same rows:
+
+    * it keeps every walked vertex: both its passes admit slacks down to
+      ``-FEASIBILITY_TOL * scale``, and the rounding of a slack of ``X_S
+      p``, about ``n eps (1 + |u_k U_S^-1|_1) scale``, is far below the
+      margin;
+    * no candidate ties with a walked vertex: one within ``_TIE_TOL *
+      scale`` of it in every coordinate would be tight on a slab that the
+      vertex clears by far more than ``sqrt(n) _TIE_TOL * scale``;
+    * it keeps no (S, p) that is not a vertex: were the slabs such a point
+      violates moved out by at most δ until it is feasible, it would become
+      a vertex, so the type would change on the way, and the slack of a
+      vertex on slab k moves by at most ``δ (1 + |u_k U_S^-1|_1)``; every
+      such point is therefore more than ``FEASIBILITY_TOL * scale`` outside
+      some slab, which neither pass admits (up to the rounding of the brute
+      force's own slacks on that point's subset).
+
+    Singular subsets (``|det U_S| <= _DET_TOL``), which the brute force
+    leaves out, also return None.  Memory is O(vertices): nothing of size
+    C(m, n) 2^(n-1) is formed, only the cofactor table.
+    """
     u = plan.directions
+    cofactors = cofactor_table(u)  # first: it applies the capacity guard
+    m, n = u.shape
+    (t,) = t
+    tol = FEASIBILITY_TOL * float(_scales(t[None])[0])
+    bits = 1 << np.arange(n - 2, -1, -1)  # a pattern's index sums these over its entries -1 after the first
+    # the start: a ray from the origin, followed inside the face of the slabs it has met
+    c, x, tight, sides = _direction_table(n)[:, 0], np.zeros(n), [], []
+    for _ in range(n):
+        d = c
+        if tight:
+            q = np.linalg.qr(u[tight].T)[0]
+            d = c - q @ (q.T @ c)
+        rate = u @ d
+        rate[tight] = 0.0
+        if (pivot := _ratio_test(t, u @ x, rate)) is None:
+            return None
+        j, step, side = pivot
+        x, tight, sides = x + step * d, tight + [int(j)], sides + [side]
+    order = np.argsort(tight)
+    subsets, signs = np.array(tight, dtype=np.intp)[order][None], np.array(sides)[order][None]
+    signs *= signs[:, :1]
+    seen = np.array([np.iinfo(np.intp).max])  # the keys seen, sorted, over a sentinel above every key: a search always lands on an entry
+    found: list[tuple[np.ndarray, ...]] = []
+    rows = np.arange(n)
+    while True:
+        ranks, without = kernel.subset_ranks(subsets, m)
+        keys, index = np.unique(ranks << (n - 1) | ((signs[:, 1:] < 0.0) @ bits), return_index=True)
+        place = np.searchsorted(seen, keys)
+        new = seen[place] != keys
+        if not new.any():
+            break
+        seen = np.insert(seen, place[new], keys[new])
+        keys, index = keys[new], index[new]
+        subsets, signs, without = subsets[index], signs[index], without[index]
+        block = _subset_block(u, cofactors, (subsets, without), np.empty((len(subsets), 0), dtype=np.intp))
+        if len(block.keys) < len(subsets):
+            return None
+        ts = t[subsets]
+        points = _refined_points(u, subsets, block.inverses * ts[:, None, :], signs, ts)
+        found.append((keys, subsets, signs, block.inverses, points, block.dets))
+        # the tableau (u_k U_S^-1)_i of every slab k, by vertex and i, in one product: (F, n, m)
+        tableau = (block.inverses.transpose(0, 2, 1).reshape(-1, n) @ u.T).reshape(len(subsets), n, m)
+        # each vertex's slack on every slab outside S, against its margin
+        dots = points @ u.T
+        at = np.arange(len(subsets))[:, None]
+        clear = t - np.abs(dots) > tol * (1.0 + np.abs(tableau).sum(axis=1))
+        clear[at, subsets] = True
+        if not clear.all():
+            return None
+        # edge i moves u_k . x at the rate -p_i (u_k U_S^-1)_i: on S exactly 0, but -p_i on s_i, whose far side it meets
+        rate = -signs[:, :, None] * tableau
+        rate[at[:, :, None], rows[:, None], subsets[:, None, :]] = np.where(rows[:, None] == rows, -signs[:, :, None], 0.0)
+        dots[at, subsets] = signs * ts
+        if (pivot := _ratio_test(t, dots[:, None, :], rate)) is None:
+            return None
+        j, _, side = pivot
+        # the neighbour across edge i: the slab met in place of s_i, on the side it is met, in canonical sign
+        subsets, signs = np.repeat(subsets[:, None], n, axis=1), np.repeat(signs[:, None], n, axis=1)
+        subsets[:, rows, rows], signs[:, rows, rows] = j, side
+        subsets, signs = subsets.reshape(-1, n), signs.reshape(-1, n)
+        order = np.argsort(subsets, axis=1)
+        subsets, signs = np.take_along_axis(subsets, order, axis=1), np.take_along_axis(signs, order, axis=1)
+        signs *= signs[:, :1]
+    keys, *fields = (np.concatenate(field) for field in zip(*found))
+    order = np.argsort(keys)
+    return (np.zeros(len(keys), dtype=np.intp), *(field[order] for field in fields), keys[order] >> (n - 1))
+
+
+def _kept(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Of the candidate rows of a stack (the fields of :func:`_candidates`), those whose vertex cones are kept.
+
+    Candidates of one body in canonical sign within ``_TIE_TOL * scale`` of
+    each other are one vertex, whose tight set is the union of their
+    subsets.  A candidate (S, p) is kept when the exact sign of its slack
+    admits it on every slab outside that set, and the perturbation ``t_j +
+    eps^(m - j)`` on every slab j of the set outside S: the slack that adds,
+    ``sum_i a_i eps^(m - S_i) - eps^(m - j)`` with ``a = q p * (U_S^-T
+    u_j)`` on side q of slab j, must have a negative coefficient at its
+    highest index whose coefficient is above ``_TIE_TOL`` relative.  So ties
+    are decided once per vertex, and the lowest of coinciding slabs owns
+    their facet.  The tie rule runs only when some vertex of the stack has
+    two or more candidates; on a body without one it finds no tied slab.
+    """
+    body, sub, pat, inverses, pts, dets, keys = candidates
     m, n = u.shape
     s = _scales(t)[body]
     dots = pts @ u.T
@@ -442,10 +589,31 @@ def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
         last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
         ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
-    if not ok.all():
-        body, sub, pat, inverses, pts, dets, keys = (field[ok] for field in (body, sub, pat, inverses, pts, dets, keys))
-        if np.any(np.bincount(body, minlength=len(t)) == 0):
-            raise ValueError("no vertex cone kept; body is numerically degenerate")
+    if ok.all():
+        return candidates
+    if np.any(np.bincount(body[ok], minlength=len(t)) == 0):
+        raise ValueError("no vertex cone kept; body is numerically degenerate")
+    return tuple(field[ok] for field in candidates)
+
+
+def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kept vertex cones of each lexicographically perturbed body of a stack, as (bodies, subsets, h, gamma, weight).
+
+    The cones are those of the rows that :func:`_kept` keeps of the
+    candidates: of :func:`_walk` for a lone body whose plan streams its
+    blocks, unless the walk is not certified, and of :func:`_candidates`
+    otherwise.  For a direction c, ``h = <c, x>``, ``gamma = p * (U_S^-T
+    c)`` and ``weight = 1 / (|det U_S| prod(gamma))``, and the volume is
+    ``2 sum h^n weight / n!`` (Lawrence, "Polytope volume computation",
+    Math. Comp. 57, 1991), the 2 counting each cone's mirror -x.  Each
+    body's c is the column of :func:`_direction_table` with the least
+    estimated rounding error of its sum; the plan supplies the half of that
+    estimate that does not depend on t, and ``U_S^-T c`` for every column
+    (:meth:`_SlabPlan.cone_terms`), from which gamma is read.
+    """
+    rows = _walk(plan, t) if not plan.stored and len(t) == 1 else None
+    body, sub, pat, inverses, pts, dets, keys = _kept(plan.directions, t, rows or _candidates(plan, t))
+    n = sub.shape[1]
     (cond, scale, products), at = plan.cone_terms(keys, inverses, dets)
     hc = pts @ _direction_table(n)
     size = np.abs(hc)

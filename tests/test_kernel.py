@@ -153,6 +153,17 @@ class TestLattice:
             assert rows.tolist() == [list(c) for c in ref]
             assert ranks.tolist() == lex_ranks(rows, m)
 
+    @pytest.mark.parametrize("m, k", [(5, 1), (9, 4), (16, 6), (20, 7), (24, 7), (7, 7)])
+    def test_closed_form_ranks_are_those_of_the_blocks(self, m, k):
+        # each shape's first block (the whole shape where it fits in one), then 50 random subsets
+        rows, ranks = next(subset_blocks(m, k, max(1, kernel.SUBSET_BLOCK // math.comb(m, k))))
+        mine, without = kernel.subset_ranks(rows, m)
+        assert np.array_equal(mine, np.arange(len(rows))) and np.array_equal(without, ranks)
+        picked = np.sort(np.random.default_rng(m + k).random((50, m)).argsort(axis=1)[:, :k], axis=1)
+        mine, without = kernel.subset_ranks(picked, m)
+        lex = {c: r for r, c in enumerate(itertools.combinations(range(m), k))}
+        assert mine.tolist() == [lex[tuple(row)] for row in picked.tolist()] and without.tolist() == lex_ranks(picked, m)
+
     def test_lattices_are_read_only(self):
         for array in kernel._lattice(9, 4):
             assert not array.flags.writeable
@@ -215,6 +226,7 @@ class TestLattice:
         shapes = {(n, m) for n in (3, 4, 5, 6) for m in range(n + 2, min(16, 2 * n + 4) + 1)}
         shapes |= {(n, m) for n in (4, 5, 6) for m in range(n + 3, 15)}
         kernel._lattice.cache_clear()
+        kernel._binomials.cache_clear()
         for n, m in sorted(shapes):
             body = random_symmetric_polytope(n, m, RandomSource(10 * n + m))
             body.volume, projection_body(body).volume
@@ -225,6 +237,10 @@ class TestLattice:
         assert kernel._lattice.cache_info().currsize == len(fewer)
         # and the first-pass slabs of each vertex shape, at most four bytes per n-subset
         total += sum(kernel._outside(m, n, min(polytope._FIRST_PASS_SLABS, m - n)).nbytes for n, m in shapes)
+        # and the binomial table of each shape whose lone bodies walk their vertex graph, those that stream
+        walked = {(m, n) for n, m in shapes if math.comb(m, n) > kernel.SUBSET_BLOCK}
+        assert kernel._binomials.cache_info().currsize == len(walked) == 2
+        total += sum(kernel._binomials(*shape).nbytes for shape in walked)
         assert total <= 1e6
 
 

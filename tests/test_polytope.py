@@ -831,6 +831,65 @@ class TestFirstPass:
         assert first_pass_survivors(random_symmetric_polytope(6, 16, RandomSource(5))) == 6314 <= 19494 // 3
 
 
+def walks_to_the_kept_rows(u: np.ndarray, t: np.ndarray) -> bool:
+    """Whether the walk of the body (u, t) is certified; if it is, its rows are the bits of the brute force's kept rows.
+
+    The kept rows are those of :func:`_candidates` that ``polytope._kept``
+    keeps, the rows the cone formulas read; the walk's keys are the subsets'
+    lexicographic ranks, the rows of a streamed block are counted from the
+    block's first subset.  Every walked row is kept.
+    """
+    plan = _SlabPlan(u)
+    walked = polytope._walk(plan, t[None])
+    if walked is None:
+        return False
+    *fields, keys = polytope._kept(u, t[None], _candidates(_SlabPlan(u), t[None]))
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(walked[:-1], fields, strict=True))
+    assert np.array_equal(walked[-1] if plan.stored else walked[-1] % kernel.SUBSET_BLOCK, keys)
+    assert polytope._kept(u, t[None], walked) is walked
+    return True
+
+
+def through_a_vertex(base: SymmetricHPolytope, src: RandomSource) -> SymmetricHPolytope:
+    """`base` and one more slab, whose hyperplane supports it at a vertex: a vertex on n + 1 hyperplanes."""
+    theta = sample_unit_sphere(base.dim, src)
+    return SymmetricHPolytope(np.vstack([base.directions, theta]), np.r_[base.offsets, base.support(theta)])
+
+
+class TestVertexWalk:
+    # n = 3..7 with m from n + 2 to 20, stored plans included; about 1 s in all, most of it the brute force at m = 20
+    SHAPES = [(n, m) for n in range(3, 8) for m in sorted({n + 2, n + 5, 2 * n + 4, 20})]
+    #: the bodies of the degenerate suite whose walk is not certified: ties in a ratio test, or a vertex on a slab outside S
+    FALLBACKS = {"cross-3", "cross-4", "coinciding", "doubled-square", "touching-2-faces", "near-coincident-1e-09", "near-coincident-1e-13"}
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_random_bodies_walk_to_the_rows_of_the_brute_force(self, n, m):
+        body = random_symmetric_polytope(n, m, RandomSource(900 + 20 * n + m))
+        assert walks_to_the_kept_rows(body.directions, body.offsets)
+
+    @pytest.mark.parametrize("name", list(named_degenerate_bodies()))
+    def test_degenerate_bodies_walk_to_the_same_rows_or_fall_back(self, name):
+        body = named_degenerate_bodies()[name]
+        assert walks_to_the_kept_rows(body.directions, body.offsets) == (name not in self.FALLBACKS)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("tilt", [0.0, 0.5])
+    def test_near_coincident_slabs_walk_to_the_same_rows_or_fall_back(self, eps, tilt):
+        body = near_coincident_body(eps, tilt)[0]
+        # the wedge the fourth slab cuts off is about eps deep: from 1e-9 its vertices clear no margin
+        assert walks_to_the_kept_rows(body.directions, body.offsets) == (eps > FEASIBILITY_TOL)
+
+    def test_a_streamed_body_with_a_slab_through_a_vertex_falls_back(self, monkeypatch):
+        body = through_a_vertex(random_symmetric_polytope(6, 15, RandomSource(960)), RandomSource(961))
+        assert not _SlabPlan(body.directions).stored
+        assert not walks_to_the_kept_rows(body.directions, body.offsets)
+        walks = []
+        walk = polytope._walk
+        monkeypatch.setattr(polytope, "_walk", lambda plan, t: (walks.append(walk(plan, t)), walks[-1])[1])
+        # the brute force's volume, as before the walk
+        assert body.volume == float.fromhex("0x1.d1898e8212f91p+3") and walks == [None]
+
+
 def chained_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """The partition of ``polytope._cluster_labels`` from its per-coordinate chains alone, with no early exit."""
     ids = np.empty((len(points), points.shape[1] + 1), dtype=np.intp)
@@ -917,6 +976,32 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= ceiling_mb * 1e6
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_lone_streamed_volume_builds_no_block(self):
+        # C(16, 6) = 8008 subsets: the body walks its vertex graph; a first-pass block alone would take 4.2 MB
+        body = random_symmetric_polytope(6, 16, RandomSource(5))
+        assert self.traced_peak(lambda: body.volume) <= 8.4e6
+
+    def test_the_walk_at_the_guard_holds_less_than_a_bit_per_pattern_beyond_its_cofactor_table(self):
+        # C(20, 7) 2^6 = 4.96 M (subset, pattern) pairs, of which 1148 are vertices; the cofactor table's own peak is
+        # about 7.6 MB, and every array of the walk past it (keys, rows, ratio tests) is far smaller
+        n, m = 7, 20
+        body = random_symmetric_polytope(n, m, RandomSource(5))
+        plan, t = _SlabPlan(body.directions), body.offsets[None]
+        table = self.traced_peak(lambda: cofactor_table(body.directions))
+        walked = []
+        peak = self.traced_peak(lambda: walked.append(polytope._walk(plan, t)))
+        assert walked[0] is not None and len(walked[0][0]) == 1148
+        assert peak <= table + math.comb(m, n) * 2 ** (n - 1) // 8
 
     def test_an_evaluated_body_keeps_its_measures_not_its_cones(self):
         # C(14, 6) = 3003 subsets: a body that kept the plan of its cones would hold its stored block, about 2 MB,

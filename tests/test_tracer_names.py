@@ -5,14 +5,20 @@ a rename in the library breaks a traced benchmark run.  These tests read the
 tracer's own tables, so that such a rename fails here first.  Its hooks read
 fields of the returned records, so one op of each benchmark workload also
 runs under an installed tracer, so that a removed field fails here too.
+One round of each workload also records which of its bodies walk their
+vertex graph, so that a workload that changes its vertex enumeration fails
+here.
 """
 
 import importlib.util
+import math
 import sys
 from functools import cached_property
 from pathlib import Path
 
-from shadowgeom import polytope
+import pytest
+
+from shadowgeom import kernel, polytope
 
 SHADOWBENCH = Path(__file__).resolve().parents[1] / "shadowbench"
 
@@ -71,3 +77,33 @@ def test_the_hooks_read_the_records_of_one_op_of_each_workload():
                  "ellipsoid.mvee.points", "ellipsoid.mvee.support", "family.maximize.iterations",
                  "polytope.vertices.kept", "polytope.facets.builds"):
         assert counts[name] > 0, name
+
+
+def counted_walks(monkeypatch) -> list[tuple[tuple[int, int], bool]]:
+    """Patch ``polytope._walk`` to record, per call, the body's (n, m) and whether the walk was certified."""
+    walks = []
+    walk = polytope._walk
+
+    def recorded(plan, t):
+        rows = walk(plan, t)
+        walks.append((plan.directions.shape[::-1], rows is not None))
+        return rows
+
+    monkeypatch.setattr(polytope, "_walk", recorded)
+    return walks
+
+
+#: per workload, the (n, m) of the bodies of one round that walk: the measure shapes with more than SUBSET_BLOCK
+#: subsets; the position and family bodies have stored plans, so those workloads enumerate as before the walk
+WALKED = {"measure": [(6, 15), (6, 16)], "position": [], "family": []}
+
+
+@pytest.mark.parametrize("name", list(WALKED))
+def test_the_lone_bodies_whose_plans_stream_walk_and_no_other(monkeypatch, name):
+    walks = counted_walks(monkeypatch)
+    workload = workloads.WORKLOADS[name]
+    for op in workload.generate(3, len(workload.shapes)):
+        workload.run(op)
+    assert walks == [(shape, True) for shape in WALKED[name]]
+    if name == "measure":
+        assert [(n, m) for n, m in workload.shapes if math.comb(m, n) > kernel.SUBSET_BLOCK] == WALKED[name]
