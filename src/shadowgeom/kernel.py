@@ -13,9 +13,11 @@ implementation each, here.  Every subset index of the last two, and the rank
 of every subset without one of its elements, comes from one cached lattice of
 the k-subsets in lexicographic order, each level built from the one below,
 and so do the first elements outside each subset, which the vertex
-enumeration tests its sign patterns against first (:func:`outside_blocks`).
-The vertex walk, which visits a few subsets out of all of them, reads the
-same ranks in closed form (:func:`subset_ranks`).
+enumeration tests its sign patterns against first (:func:`_first_outside`).
+A block holds no stack: a streamed slab plan enumerates one body at a time,
+where its walk is not certified (``polytope._kept_rows``).  The walk, which
+visits a few subsets out of all of them, reads the same ranks in closed form
+(:func:`subset_ranks`).
 
 A set that does not span R^n is refused in two places only: slab
 directions here, by :func:`check_slab_directions`, which every constructor
@@ -68,10 +70,10 @@ MAX_DIM = 7
 #: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its inverses
 #: U_S^-1 (1.2 MB), the X_S of its first-pass survivors and the U_S^-1 gathered for them (0.9 MB each), its
 #: first-pass rows and the rows u_J they are formed from (0.8 MB each) and its survivors' slacks on every
-#: slab (0.4 MB).  A lone body of that shape walks its vertex graph instead and builds no block: one
-#: volume's traced peak (random_symmetric_polytope(6, 16, RandomSource(5)), in a fresh process) is 3.7 MB
-#: when it builds the shape's lattice and 2.5 MB once the lattice is cached, against 9.4 and 9.1 MB through
-#: the blocks, which its vertex set, a stack and a walk that is not certified still build.
+#: slab (0.4 MB).  A body of that shape walks its vertex graph instead and builds no block: one volume's
+#: traced peak (random_symmetric_polytope(6, 16, RandomSource(5)), in a fresh process) is 3.7 MB when it
+#: builds the shape's lattice and 2.5 MB once the lattice is cached, against 9.4 and 9.1 MB through the
+#: blocks, which only a body whose walk is not certified still builds, alone.
 SUBSET_BLOCK = 4096
 #: The most k-subsets that :func:`subset_blocks` slices from the cached :func:`_lattice`: C(16, 6), the
 #: largest shape a workload of the benchmark measures.  Larger shapes build their blocks one at a time,
@@ -89,22 +91,20 @@ def check_capacity(m: int, n: int) -> None:
         raise CapacityError(f"subset enumeration guard exceeded: m={m} (max {MAX_ROWS}), n={n} (max {MAX_DIM})")
 
 
-def subset_blocks(m: int, k: int, stack: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK // stack`` rows at a time.
+def subset_blocks(m: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK`` rows at a time.
 
     Each block comes as ``(rows, ranks)``: at ``[r, i]`` of ``ranks`` the
     row of :func:`cofactor_table` that holds subset r without its i-th
     element.  A shape of at most ``INDEX_PLAN_SUBSETS`` subsets is sliced
     from its cached :func:`_lattice`, in its unsigned types; a larger one
     builds each block when it is asked for (:func:`_extend`), as ``intp``,
-    so that peak memory is one block for each of the `stack` bodies that
-    share it, whatever C(m, k) is.  The block size is read at the call, and
-    the capacity guard is applied there, before any block or lattice is
-    built.
+    so that peak memory is one block whatever C(m, k) is.  The block size is
+    read at the call, and the capacity guard is applied there, before any
+    block or lattice is built.
     """
     check_capacity(m, k)
-    size = max(1, SUBSET_BLOCK // stack)
-    total = math.comb(m, k)
+    size, total = SUBSET_BLOCK, math.comb(m, k)
     if total <= INDEX_PLAN_SUBSETS:
         rows, ranks = _lattice(m, k)
         return ((rows[lo : lo + size], ranks[lo : lo + size]) for lo in range(0, total, size))
@@ -155,28 +155,9 @@ def _binomials(m: int, k: int) -> np.ndarray:
     return table
 
 
-def outside_blocks(m: int, k: int, count: int, stack: int = 1) -> Iterator[np.ndarray]:
-    """Per k-subset S of ``range(m)``, the first `count` elements not in S, in the order and blocks of :func:`subset_blocks`.
-
-    `count` is at most ``m - k``.  Each block is (rows, count), in the
-    smallest unsigned type that holds m.  A shape that :func:`subset_blocks`
-    slices from its cached lattice is sliced from its cached table
-    (:func:`_outside`); a larger one builds each block's table from the
-    block's rows when it is asked for.  The capacity guard is applied at the
-    call.
-    """
-    check_capacity(m, k)
-    size = max(1, SUBSET_BLOCK // stack)
-    total = math.comb(m, k)
-    if total <= INDEX_PLAN_SUBSETS:
-        table = _outside(m, k, count)
-        return (table[lo : lo + size] for lo in range(0, total, size))
-    return (_first_outside(rows, m, count) for rows, _ in subset_blocks(m, k, stack))
-
-
 @functools.lru_cache(maxsize=None)
 def _outside(m: int, k: int, count: int) -> np.ndarray:
-    """:func:`outside_blocks` of a shape that :func:`subset_blocks` slices, as one read-only table."""
+    """:func:`_first_outside` of every row of the cached :func:`_lattice` ``(m, k)``, read-only: a stored slab plan's J(S)."""
     table = _first_outside(_lattice(m, k)[0], m, count)
     table.setflags(write=False)
     return table

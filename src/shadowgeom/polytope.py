@@ -12,19 +12,19 @@ volume, shadows) is computed by explicit geometry, in two halves:
   ``u_j U_S^-1``, and, for each subset that holds a kept vertex cone,
   ``U_S^-T c`` for every candidate direction c of the cone formulas with
   the share of their rounding estimate that does not depend on t;
-* the half that scales the plan by the offsets t: by brute force, each
-  subset's 2^(n-1) sign patterns p filtered by feasibility of ``x = X_S
-  p``, with ``X_S = U_S^-1 diag(t_S)``, in two passes, the slabs J(S) for
-  every pattern and every slab for the survivors, whose X_S alone is
-  formed; or, for a lone body whose plan streams its blocks, the same rows
-  found by walking the body's vertex graph from one vertex, one simplex
-  pivot per edge (:func:`_walk`), which falls back to the brute force
-  unless it certifies the body non-degenerate; then the volume, the facet
-  measures and the Hessian of the volume in the offsets in closed form over
-  the vertex cones of the feasible (subset, pattern) pairs (Lawrence's
-  formula and its derivatives), whose ``gamma = p * U_S^-T c`` the plan
-  holds, the ties of non-simple vertices broken by one lexicographic
-  perturbation decided once per vertex.
+* the half that scales the plan by the offsets t, one row source
+  (:func:`_kept_rows`): by brute force, each subset's 2^(n-1) sign patterns
+  p filtered by feasibility of ``x = X_S p``, with ``X_S = U_S^-1
+  diag(t_S)``, in two passes, the slabs J(S) for every pattern and every
+  slab for the survivors, whose X_S alone is formed; or, for each body of
+  a plan that streams its blocks, the same rows found by walking its vertex
+  graph, one simplex pivot per edge (:func:`_walk`), which falls back to
+  that body's brute force unless it certifies it non-degenerate; then the
+  volume, the facet measures and the Hessian of the volume in the offsets
+  in closed form over the vertex cones of the feasible (subset, pattern)
+  pairs (Lawrence's formula and its derivatives), whose ``gamma = p * U_S^-T
+  c`` the plan holds, the ties of non-simple vertices broken by one
+  lexicographic perturbation decided once per vertex.
 
 Every cone pass is made by one function, :func:`_volume_derivatives`, which
 reads the volume, its gradient and its Hessian in the offsets off the vertex
@@ -38,8 +38,8 @@ its source's triple mapped by the chain rule.  Slab j's two facets F, -F of
 normals ``+-u_j`` each measure half the volume's derivative in t_j, one
 per-slab array (:attr:`SymmetricHPolytope._facet_measures`), and a shadow is
 Cauchy's formula with one term per antipodal pair, ``sum_j |<theta, u_j>|
-|F_j|``.  The merged vertex set, over a plan of its own, and the facet record
-are built on request.
+|F_j|``.  The merged vertex set, the points of the same kept rows over a plan
+of its own, and the facet record are built on request.
 
 The feasibility, merge and sign tolerances and the negligible-facet floor
 are given at unit scale and scaled with the body (see ``_scale``), and so is
@@ -54,14 +54,14 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
 from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_slab_directions, unit_directions
-from .kernel import cofactor_table, dedup_rows, outside_blocks, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
+from .kernel import cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
 
 __all__ = [
     "FacetData",
@@ -196,7 +196,7 @@ class _SubsetBlock(NamedTuple):
     n-subsets in lexicographic order), and ``dets`` holds ``|det U_S|``.
     ``inverses`` holds ``U_S^-1`` in C order, ``outside`` the first-pass
     slabs J(S), the first ``min(_FIRST_PASS_SLABS, m - n)`` slabs not in S
-    (:func:`outside_blocks`), and ``first_rows`` their rows ``u_J U_S^-1``.
+    (``kernel._first_outside``), and ``first_rows`` their rows ``u_J U_S^-1``.
     """
 
     keys: np.ndarray
@@ -215,7 +215,7 @@ def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray,
     in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and column i of
     ``U_S^-1`` is ``(-1)^i c_(S without s_i) / det U_S``.  Subsets with
     ``|det U_S| <= _DET_TOL`` are left out.  `outside` is the block's
-    first-pass slabs, of :func:`outside_blocks`.
+    first-pass slabs.
     """
     n = u.shape[1]
     subsets, ranks = block
@@ -267,17 +267,18 @@ class _SlabPlan:
     directions, and every evaluation over offsets (:func:`_candidates`,
     :func:`_cones`) only scales it by t.
 
-    When there are at most ``SUBSET_BLOCK`` subsets, the plan keeps its one
-    block from the first evaluation on, and the cone terms of each subset
-    from the first evaluation that keeps a cone of it; every array it keeps
-    is read-only.  Otherwise each evaluation streams its blocks, built from
-    one cofactor table, and computes the cone terms of the kept rows, so
-    that it holds one block at a time.  A family solve keeps its plan over
-    its rounds; a lone body drops its plan once its measures are read.
+    Its one cofactor table, built at construction (where the capacity guard
+    applies), serves every block and walk.  Up to ``SUBSET_BLOCK`` subsets,
+    the plan keeps its one block from the first evaluation on, and the cone
+    terms of each subset from the first evaluation that keeps a cone of it,
+    all read-only; otherwise each body walks (:func:`_kept_rows`) and each
+    evaluation computes the cone terms of the kept rows.  A family solve
+    keeps its plan over its rounds; a lone body drops it with its cones.
     """
 
     def __init__(self, directions: np.ndarray):
         self.directions = directions
+        self.cofactors = cofactor_table(directions)
         m, n = directions.shape
         subsets = math.comb(m, n)
         self.stored = subsets <= kernel.SUBSET_BLOCK
@@ -285,23 +286,22 @@ class _SlabPlan:
         # by key, the row of each subset's cone terms, -1 until a cone of it is kept
         self._slots = np.full(subsets if self.stored else 0, -1)
         self._terms = (np.empty((0, _DIRECTIONS)), np.empty((0, _DIRECTIONS)), np.empty((0, n, _DIRECTIONS)))
-        _read_only(self._slots, *self._terms)
+        _read_only(self.cofactors, self._slots, *self._terms)
 
     def blocks(self, stack: int) -> Iterator[_SubsetBlock]:
-        """The nonsingular subsets in lexicographic order, ``SUBSET_BLOCK // stack`` subsets at a time.
+        """The nonsingular subsets in lexicographic order, ``SUBSET_BLOCK // stack`` at a time; a streamed plan serves one body.
 
-        The capacity guard is applied at the call, before any block is built.
+        J(S) is read from the shape's cached table, or computed from a streamed block's rows.
         """
         u = self.directions
         m, n = u.shape
+        first = min(_FIRST_PASS_SLABS, m - n)
+        if not self.stored:
+            # by map, so that no block's index rows outlive the call that reads them
+            return map(lambda block: _subset_block(u, self.cofactors, block, kernel._first_outside(block[0], m, first)), subset_blocks(m, n))
         if self._block is None:
-            cofactors = cofactor_table(u)  # first: it applies the capacity guard
-            first = min(_FIRST_PASS_SLABS, m - n)
-            if not self.stored:
-                # by map, so that no block's index rows outlive the call that reads them
-                return map(partial(_subset_block, u, cofactors), subset_blocks(m, n, stack), outside_blocks(m, n, first, stack))
-            ((block,), (outside,)) = subset_blocks(m, n), outside_blocks(m, n, first)
-            self._block = _subset_block(u, cofactors, block, outside)
+            (block,) = subset_blocks(m, n)
+            self._block = _subset_block(u, self.cofactors, block, kernel._outside(m, n, first))
             _read_only(*self._block)
         rows = max(1, kernel.SUBSET_BLOCK // stack)
         return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
@@ -358,20 +358,20 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     bound ``t + FEASIBILITY_TOL * scale`` of their body.  The kept points take
     one step of iterative refinement: where U_S is ill-conditioned,
     ``X_S p`` cancels large entries, and its slack on them is off by about
-    eps cond(U_S) (1e-9 at cond 1e8).  The bodies share each block of
-    subsets, so a block holds ``SUBSET_BLOCK`` (subset, body) rows at
-    most.
+    eps cond(U_S) (1e-9 at cond 1e8).  The bodies of a stored plan share
+    each slice of its block, and a streamed plan enumerates one body, so a
+    block holds ``SUBSET_BLOCK`` (subset, body) rows at most.
     """
     u = plan.directions
     count = len(t)
-    blocks = plan.blocks(count)  # first: it applies the capacity guard before 2^(n-1) patterns are formed
+    assert plan.stored or count == 1, "a streamed plan enumerates one body at a time"
     m, n = u.shape
     # J(S) holds every slab outside S when m - n <= _FIRST_PASS_SLABS: the first pass is then the whole test
     whole = m - n <= _FIRST_PASS_SLABS
     patterns = _sign_patterns(n)  # (P, n)
     bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
     found: list[tuple[np.ndarray, ...]] = []
-    for keys, subsets, dets, inverses, outside, first_rows in blocks:
+    for keys, subsets, dets, inverses, outside, first_rows in plan.blocks(count):
         size, first = outside.shape
         # the large gathers by np.take, the same values as by fancy indexing, and faster on these arrays
         ts = np.take(t, subsets, axis=1)  # (K, B, n)
@@ -460,7 +460,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...] | None:
     structure of convex polyhedra in n-space", Pacific J. Math. 11, 1961),
     so the walk visits every vertex.
 
-    **Certificate.** None, so that the caller falls back to the brute force,
+    **Certificate.** None, so that the body falls back to the brute force,
     unless every ratio test's least step is below its runner-up by more than
     ``FEASIBILITY_TOL`` relative, and every vertex clears every slab k
     outside S by more than the margin ``FEASIBILITY_TOL * scale * (1 +
@@ -482,11 +482,10 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...] | None:
       force's own slacks on that point's subset).
 
     Singular subsets (``|det U_S| <= _DET_TOL``), which the brute force
-    leaves out, also return None.  Memory is O(vertices): nothing of size
-    C(m, n) 2^(n-1) is formed, only the cofactor table.
+    leaves out, also return None.  Memory is O(vertices) besides the plan's
+    cofactor table: nothing of size C(m, n) 2^(n-1) is formed.
     """
-    u = plan.directions
-    cofactors = cofactor_table(u)  # first: it applies the capacity guard
+    u, cofactors = plan.directions, plan.cofactors
     m, n = u.shape
     (t,) = t
     tol = FEASIBILITY_TOL * float(_scales(t[None])[0])
@@ -596,14 +595,26 @@ def _kept(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> t
     return tuple(field[ok] for field in candidates)
 
 
+def _kept_rows(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of :func:`_candidates` that :func:`_kept` keeps, for each body of a stack: what the cones and vertex set read.
+
+    A streamed plan walks each body instead (:func:`_walk`), whose certified
+    rows are those, bit for bit; only a body whose walk is not certified is
+    enumerated by the brute force, alone.
+    """
+    if plan.stored:
+        return _kept(plan.directions, t, _candidates(plan, t))
+    found = [_walk(plan, alone) or _kept(plan.directions, alone, _candidates(plan, alone)) for alone in t[:, None]]
+    bodies = np.repeat(np.arange(len(t)), [len(rows[0]) for rows in found])
+    return bodies, *(np.concatenate(field) for field in list(zip(*found))[1:])
+
+
 def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """The kept vertex cones of each lexicographically perturbed body of a stack, as (bodies, subsets, h, gamma, weight).
 
-    The cones are those of the rows that :func:`_kept` keeps of the
-    candidates: of :func:`_walk` for a lone body whose plan streams its
-    blocks, unless the walk is not certified, and of :func:`_candidates`
-    otherwise.  For a direction c, ``h = <c, x>``, ``gamma = p * (U_S^-T
-    c)`` and ``weight = 1 / (|det U_S| prod(gamma))``, and the volume is
+    The cones are those of the rows of :func:`_kept_rows`.  For a direction
+    c, ``h = <c, x>``, ``gamma = p * (U_S^-T c)`` and ``weight = 1 / (|det
+    U_S| prod(gamma))``, and the volume is
     ``2 sum h^n weight / n!`` (Lawrence, "Polytope volume computation",
     Math. Comp. 57, 1991), the 2 counting each cone's mirror -x.  Each
     body's c is the column of :func:`_direction_table` with the least
@@ -611,8 +622,7 @@ def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     estimate that does not depend on t, and ``U_S^-T c`` for every column
     (:meth:`_SlabPlan.cone_terms`), from which gamma is read.
     """
-    rows = _walk(plan, t) if not plan.stored and len(t) == 1 else None
-    body, sub, pat, inverses, pts, dets, keys = _kept(plan.directions, t, rows or _candidates(plan, t))
+    body, sub, pat, inverses, pts, dets, keys = _kept_rows(plan, t)
     n = sub.shape[1]
     (cond, scale, products), at = plan.cone_terms(keys, inverses, dets)
     hc = pts @ _direction_table(n)
@@ -767,12 +777,12 @@ class SymmetricHPolytope:
 
     @cached_property
     def vertices(self) -> VertexSet:
-        """All vertices: the feasible candidates (:func:`_candidates`) over a plan of its own, merged within ``VERTEX_MERGE_TOL * scale``.
+        """All vertices: the points of the kept rows (:func:`_kept_rows`) over a plan of its own, merged within ``VERTEX_MERGE_TOL * scale``.
 
         Mirrored solutions are added after the merge, so the set is exactly
         closed under negation.
         """
-        raw, s = _candidates(_SlabPlan(self._directions), self._offsets[None])[4], self._scale
+        raw, s = _kept_rows(_SlabPlan(self._directions), self._offsets[None])[4], self._scale
         # canonicalise sign so each antipodal pair is represented once
         canon = dedup_rows(raw * canonical_signs(raw, 1e-9 * s)[:, None], VERTEX_MERGE_TOL * s)
         both = np.concatenate([canon, -canon])

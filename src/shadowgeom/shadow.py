@@ -277,8 +277,9 @@ def verify_product_inequality(body: SymmetricHPolytope, decomposition: WeightedD
 
     ``decomposition`` is validated first (unit directions, positive weights
     resolving the identity); an MVEE's contact decomposition is one such.
-    Both sides are computed in log space; the report carries rhs/lhs, which
-    the inequality guarantees to be at least one.
+    Both sides are computed in log space (one that overflows a float raises
+    ValueError); the report carries rhs/lhs, read from the logs, which the
+    inequality guarantees to be at least one.
     """
     decomposition.validate()
     u = decomposition.directions
@@ -291,7 +292,10 @@ def verify_product_inequality(body: SymmetricHPolytope, decomposition: WeightedD
         raise ValueError("degenerate shadow encountered")
     log_lhs = (n - 1) * math.log(body.volume)
     log_rhs = float(np.sum(c * np.log(shadows)))
-    return ProductInequalityReport(math.exp(log_lhs), math.exp(log_rhs), math.exp(log_rhs - log_lhs))
+    try:
+        return ProductInequalityReport(math.exp(log_lhs), math.exp(log_rhs), math.exp(log_rhs - log_lhs))
+    except OverflowError:
+        raise ValueError(f"a side of the product inequality overflows a float: log lhs {log_lhs:.6g}, log rhs {log_rhs:.6g}") from None
 
 
 def loomis_whitney_check(body: SymmetricHPolytope) -> ProductInequalityReport:

@@ -169,10 +169,11 @@ def volume_formula_check(z: Zonotope) -> VolumeFormulaReport:
     (:func:`cofactor_table`, no factorisation), dotted with each unit
     generator (one call of :meth:`Zonotope.shadow_areas`).  They are the
     same sum in exact arithmetic (Cauchy-Binet), so agreement is a
-    consistency certificate of both.
+    consistency certificate of both; a volume of 0 or inf raises ValueError.
     """
-    lhs = z.volume
-    rhs = mixed_volume_vn1(z, z)
+    lhs, rhs = z.volume, mixed_volume_vn1(z, z)
+    if not (0.0 < lhs < np.inf and 0.0 < rhs < np.inf):
+        raise ValueError(f"the volumes read {lhs!r} and {rhs!r}: they under- or overflow a float, and would check nothing")
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return VolumeFormulaReport(lhs, rhs, gap)
 

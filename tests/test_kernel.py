@@ -89,13 +89,6 @@ class TestSubsetBlocks:
         assert [len(b) for b in rows] == [7] * 18
         assert np.vstack(rows).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
 
-    def test_stacked_bodies_share_a_block(self, monkeypatch):
-        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
-        rows = [b for b, _ in subset_blocks(9, 4, 3)]
-        assert [len(b) for b in rows] == [2] * 63
-        assert np.vstack(rows).tolist() == [list(c) for c in itertools.combinations(range(9), 4)]
-        assert [len(b) for b, _ in subset_blocks(5, 2, 8)] == [1] * 10
-
     @pytest.mark.parametrize("m, k", [(25, 3), (10, 8)])
     def test_guard_raises_at_the_call(self, m, k):
         # before any block is built or the first one is asked for
@@ -156,7 +149,7 @@ class TestLattice:
     @pytest.mark.parametrize("m, k", [(5, 1), (9, 4), (16, 6), (20, 7), (24, 7), (7, 7)])
     def test_closed_form_ranks_are_those_of_the_blocks(self, m, k):
         # each shape's first block (the whole shape where it fits in one), then 50 random subsets
-        rows, ranks = next(subset_blocks(m, k, max(1, kernel.SUBSET_BLOCK // math.comb(m, k))))
+        rows, ranks = next(subset_blocks(m, k))
         mine, without = kernel.subset_ranks(rows, m)
         assert np.array_equal(mine, np.arange(len(rows))) and np.array_equal(without, ranks)
         picked = np.sort(np.random.default_rng(m + k).random((50, m)).argsort(axis=1)[:, :k], axis=1)
@@ -191,7 +184,7 @@ class TestLattice:
 
         def blocks():
             # each block's rows and ranks, in turn
-            return [[field for block in subset_blocks(m, k, stack) for field in block] for m, k, stack in [(9, 4, 1), (9, 4, 3), (5, 2, 8), (16, 6, 1)]]
+            return [[field for block in subset_blocks(m, k) for field in block] for m, k in [(9, 4), (5, 2), (16, 6)]]
 
         kernel._lattice.cache_clear()
         cold, warm = blocks(), blocks()
@@ -244,47 +237,52 @@ class TestLattice:
         assert total <= 1e6
 
 
-class TestOutsideBlocks:
+class TestFirstOutside:
     """J(S), the first slabs outside each n-subset S, that the vertex enumeration tests every sign pattern of S against first."""
 
     @pytest.mark.parametrize("m, k, count", [(16, 6, 4), (9, 4, 4), (7, 4, 3), (6, 5, 1), (5, 5, 0), (12, 1, 4)])
     def test_the_first_elements_outside_each_subset(self, m, k, count):
         rows = np.vstack([rows for rows, _ in subset_blocks(m, k)])
-        table = np.vstack(list(kernel.outside_blocks(m, k, count)))
+        table = kernel._first_outside(rows, m, count)
         assert table.shape == (len(rows), count)
         assert table.tolist() == [[j for j in range(m) if j not in row][:count] for row in rows.tolist()]
         assert not np.any(table[:, :, None] == rows[:, None, :])  # never a slab of S
+        assert np.array_equal(kernel._outside(m, k, count), table)
 
     def test_the_table_is_read_only_in_the_smallest_unsigned_type(self):
         table = kernel._outside(16, 6, 4)
         assert table.dtype == np.min_scalar_type(16) == np.uint8 and table.shape == (math.comb(16, 6), 4)
-        for array in (table, *kernel.outside_blocks(16, 6, 4)):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+        # a streamed block's rows are intp, and its own table is in the same type as the cached one
+        rows, _ = kernel._extend(16, 6, 0, 5)
+        assert rows.dtype == np.intp and kernel._first_outside(rows, 16, 4).dtype == np.uint8
 
-    def test_sliced_and_streamed_tables_are_equal_block_for_block(self, monkeypatch):
+    @pytest.mark.parametrize("n, m", [(4, 9), (2, 5), (6, 16), (3, 7)])
+    def test_a_streamed_plan_reads_the_first_pass_slabs_of_a_stored_one(self, monkeypatch, n, m):
+        # the stored plan slices the cached table; the streamed one computes each block's from its rows, built by _extend
+        u = sample_unit_sphere(n, RandomSource(280 + 20 * n + m), count=m)
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", math.comb(m, n))
+        stored = polytope._SlabPlan(u)
+        (whole,) = stored.blocks(1)
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
-        shapes = [(9, 4, 4, 1), (9, 4, 4, 3), (5, 2, 3, 8), (16, 6, 4, 1), (7, 7, 0, 1)]
-        sliced = [list(kernel.outside_blocks(m, k, count, stack)) for m, k, count, stack in shapes]
         streamed(monkeypatch)
-        for (m, k, count, stack), blocks in zip(shapes, sliced, strict=True):
-            again = list(kernel.outside_blocks(m, k, count, stack))
-            assert [len(b) for b in blocks] == [len(b) for b in again] == [len(rows) for rows, _ in subset_blocks(m, k, stack)]
-            assert all(a.dtype == b.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip(blocks, again, strict=True))
+        plan = polytope._SlabPlan(u)
+        assert stored.stored and not plan.stored
+        blocks = list(plan.blocks(1))
+        assert [len(block.keys) for block in blocks] == [len(rows) for rows, _ in subset_blocks(m, n)]
+        outside = np.concatenate([block.outside for block in blocks])
+        assert outside.dtype == whole.outside.dtype == np.uint8 and np.array_equal(outside, whole.outside)
 
     def test_a_shape_over_the_bound_builds_its_blocks_from_their_rows(self):
         assert math.comb(17, 6) > kernel.INDEX_PLAN_SUBSETS
         kernel._outside.cache_clear()
-        for (rows, _), table in zip(subset_blocks(17, 6), kernel.outside_blocks(17, 6, 4), strict=True):
-            assert table.dtype == np.uint8
-            assert table.tolist() == [[j for j in range(17) if j not in row][:4] for row in rows.tolist()]
+        blocks = polytope._SlabPlan(sample_unit_sphere(6, RandomSource(279), count=17)).blocks(1)
+        for block in blocks:
+            assert block.outside.dtype == np.uint8
+            assert block.outside.tolist() == [[j for j in range(17) if j not in row][:4] for row in block.subsets.tolist()]
         assert kernel._outside.cache_info().currsize == 0
-
-    @pytest.mark.parametrize("m, k", [(25, 3), (10, 8)])
-    def test_guard_raises_at_the_call(self, m, k):
-        with pytest.raises(CapacityError, match="subset enumeration guard exceeded"):
-            kernel.outside_blocks(m, k, 1)
 
 
 def unit_rows(m: int, n: int, seed: int) -> np.ndarray:

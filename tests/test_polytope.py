@@ -664,7 +664,7 @@ def assert_stack_is_its_bodies_alone(u: np.ndarray, t: np.ndarray, plan: _SlabPl
 class TestStackedBodies:
     @pytest.mark.parametrize("n, m", [(n, m) for n in (3, 4, 5, 6) for m in range(n + 2, min(16, 2 * n + 4) + 1)])
     def test_each_body_of_a_stack_is_the_same_bits_as_alone(self, n, m):
-        # the shapes of the measure workload; at n = 6, m = 16 the three bodies split the subset blocks
+        # the shapes of the measure workload; at n = 6, m = 15 and 16 the plan streams, and each body walks alone
         body = random_symmetric_polytope(n, m, RandomSource(640 + 20 * n + m))
         t = body.offsets * RandomSource(641 + 20 * n + m).generator().uniform(0.5, 2.0, size=(3, m))
         assert_stack_is_its_bodies_alone(body.directions, t)
@@ -741,7 +741,8 @@ class TestSlabPlan:
         u[-1] = u[0]  # so some subsets are singular and left out
         cofactors = cofactor_table(u)
         singular = 0
-        for (subsets, ranks), outside in zip(kernel.subset_blocks(m, n), kernel.outside_blocks(m, n, 4)):
+        for subsets, ranks in kernel.subset_blocks(m, n):
+            outside = kernel._first_outside(subsets, m, 4)
             block = polytope._subset_block(u, cofactors, (subsets, ranks), outside)
             det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]
             kept = np.flatnonzero(np.abs(det) > _DET_TOL)
@@ -754,6 +755,25 @@ class TestSlabPlan:
             assert np.all(residual <= 1e-14 * np.linalg.cond(u[block.subsets]))
             assert np.array_equal(block.outside, outside[kept]) and np.array_equal(block.first_rows, u[block.outside] @ block.inverses)
         assert singular == math.comb(m - 2, n - 2)
+
+    def test_a_stored_plan_slices_its_block_for_a_stack(self, monkeypatch):
+        # C(9, 4) = 126 subsets, none singular, kept in one block and served SUBSET_BLOCK // stack at a time, at least one
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 126)
+        plan = _SlabPlan(sample_unit_sphere(4, RandomSource(666), count=9))
+        assert plan.stored
+        for stack, sizes in [(1, [126]), (3, [42] * 3), (5, [25] * 5 + [1]), (200, [1] * 126)]:
+            blocks = list(plan.blocks(stack))
+            assert [len(block.keys) for block in blocks] == sizes
+            assert all(np.array_equal(np.concatenate(sliced), whole) for sliced, whole in zip(zip(*blocks), plan._block, strict=True))
+
+    @pytest.mark.parametrize("n, m", [(3, 25), (8, 10)])
+    def test_the_guard_raises_when_the_plan_is_built(self, n, m):
+        # the plan builds its cofactor table first, which applies the guard before any lattice is built
+        u = sample_unit_sphere(n, RandomSource(667), count=m)
+        kernel._lattice.cache_clear()
+        with pytest.raises(CapacityError, match=f"subset enumeration guard exceeded: m={m} \\(max 24\\), n={n} \\(max 7\\)"):
+            _SlabPlan(u)
+        assert kernel._lattice.cache_info().currsize == 0
 
 
 def direct_candidates(u: np.ndarray, t: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -801,11 +821,13 @@ class TestFirstPass:
 
     @staticmethod
     def assert_direct(u: np.ndarray, t: np.ndarray) -> None:
-        body, *fields = _candidates(_SlabPlan(u), t)
-        assert np.array_equal(body, np.repeat(np.arange(len(t)), np.bincount(body, minlength=len(t))))
-        for k, direct in enumerate(direct_candidates(u, t)):
-            mine = [field[body == k] for field in fields]
-            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(mine, direct, strict=True))
+        # a stored plan enumerates the stack at once, a streamed plan one body at a time
+        for stack in [t] if _SlabPlan(u).stored else t[:, None]:
+            body, *fields = _candidates(_SlabPlan(u), stack)
+            assert np.array_equal(body, np.repeat(np.arange(len(stack)), np.bincount(body, minlength=len(stack))))
+            for k, direct in enumerate(direct_candidates(u, stack)):
+                mine = [field[body == k] for field in fields]
+                assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(mine, direct, strict=True))
 
     @pytest.mark.parametrize("index", range(len(degenerate_bodies())))
     def test_degenerate_bodies_keep_the_rows_of_a_direct_test(self, index):
@@ -816,7 +838,7 @@ class TestFirstPass:
     def test_random_bodies_keep_the_rows_of_a_direct_test(self, n, m):
         body = random_symmetric_polytope(n, m, RandomSource(700 + 20 * n + m))
         self.assert_direct(body.directions, body.offsets[None])
-        # a stack of three, whose bodies share each block
+        # a stack of three, whose bodies share each slice of a stored plan's block
         t = body.offsets * RandomSource(701 + 20 * n + m).generator().uniform(0.5, 2.0, size=(3, m))
         self.assert_direct(body.directions, t)
 
@@ -883,11 +905,47 @@ class TestVertexWalk:
         body = through_a_vertex(random_symmetric_polytope(6, 15, RandomSource(960)), RandomSource(961))
         assert not _SlabPlan(body.directions).stored
         assert not walks_to_the_kept_rows(body.directions, body.offsets)
-        walks = []
+        walks, tables = [], []
         walk = polytope._walk
         monkeypatch.setattr(polytope, "_walk", lambda plan, t: (walks.append(walk(plan, t)), walks[-1])[1])
-        # the brute force's volume, as before the walk
-        assert body.volume == float.fromhex("0x1.d1898e8212f91p+3") and walks == [None]
+        monkeypatch.setattr(polytope, "cofactor_table", lambda rows: (tables.append(len(rows)), cofactor_table(rows))[1])
+        # the brute force's volume, as before the walk; the walk and the brute force read the plan's one cofactor table
+        assert body.volume == float.fromhex("0x1.d1898e8212f91p+3") and walks == [None] and tables == [16]
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.5, 1.1])
+    def test_the_vertex_set_of_a_thin_wedge_holds_no_point_outside_the_body(self, tilt):
+        # the fourth slab cuts off a wedge about 1e-9 deep: a candidate 1e-9 outside it passes both feasibility passes,
+        # but not the exact slacks that the kept rows are decided on, so the vertex set holds the wedge's own vertices
+        body = near_coincident_body(1e-9, tilt)[0]
+        points = body.vertices.points
+        assert len(points) == 12 and (np.abs(points @ body.directions.T) - body.offsets).max() <= 1e-14
+
+    @staticmethod
+    def recorded(monkeypatch) -> tuple[list, list]:
+        """Record each walk's result, and the stack of each brute-force enumeration, of the calls that follow."""
+        walks, stacks = [], []
+        walk, candidates = polytope._walk, polytope._candidates
+        monkeypatch.setattr(polytope, "_walk", lambda plan, t: (walks.append(walk(plan, t)), walks[-1])[1])
+        monkeypatch.setattr(polytope, "_candidates", lambda plan, t: (stacks.append(len(t)), candidates(plan, t))[1])
+        return walks, stacks
+
+    def test_a_streamed_stack_walks_each_body_and_builds_no_block(self, monkeypatch):
+        body = random_symmetric_polytope(6, 16, RandomSource(962))
+        t = body.offsets * RandomSource(963).generator().uniform(0.5, 2.0, size=(3, 16))
+        walks, stacks = self.recorded(monkeypatch)
+        _volume_derivatives(_SlabPlan(body.directions), t)
+        assert len(walks) == 3 and all(rows is not None for rows in walks) and stacks == []
+
+    def test_the_vertex_set_of_a_streamed_body_is_walked_to_that_of_a_stored_plan(self, monkeypatch):
+        body = random_symmetric_polytope(6, 16, RandomSource(964))
+        walks, stacks = self.recorded(monkeypatch)
+        points = SymmetricHPolytope(body.directions, body.offsets).vertices.points
+        assert len(walks) == 1 and walks[0] is not None and stacks == []
+        # C(16, 6) = 8008 subsets in one stored block: the brute force over the stack of one
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 8008)
+        assert _SlabPlan(body.directions).stored
+        assert np.array_equal(SymmetricHPolytope(body.directions, body.offsets).vertices.points, points)
+        assert len(walks) == 1 and stacks == [1]
 
 
 def chained_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np.ndarray:

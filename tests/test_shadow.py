@@ -443,6 +443,21 @@ class TestProductInequality:
         rep = loomis_whitney_check(body)
         assert abs(rep.ratio - 1.0) <= 1e-9
 
+    def test_a_side_that_overflows_is_refused(self):
+        # ROADMAP item 24: at offsets x 1e10 the logs of the sides read 712.9 and 718.2, past log(max float) = 709.8
+        from shadowgeom.zonotope import random_weighted_directions
+
+        body = random_symmetric_polytope(6, 10, RandomSource(5))
+        dec = random_weighted_directions(6, RandomSource(1), bases=2)
+        scaled = SymmetricHPolytope(body.directions, 1e10 * body.offsets)
+        with pytest.raises(ValueError, match="overflows a float: log lhs 712.878, log rhs 718.19"):
+            verify_product_inequality(scaled, dec)
+        with pytest.raises(ValueError, match="overflows a float"):
+            loomis_whitney_check(scaled)
+        # at unit scale the ratio, read from the logs, keeps its bits
+        assert verify_product_inequality(body, dec).ratio == float.fromhex("0x1.95644b46a0a39p+7")
+        assert loomis_whitney_check(body).ratio == float.fromhex("0x1.76e0605c522b9p+7")
+
     def test_perturbed_decomposition_rejected(self):
         dec = WeightedDirections(np.eye(3), np.array([1.0, 1.0, 1.001]))
         with pytest.raises(ValueError):

@@ -74,6 +74,14 @@ class TestVolumeAgainstOracles:
         rep = volume_formula_check(z)
         assert rep.relative_gap <= 1e-9
 
+    @pytest.mark.parametrize("s, reads", [(1e-30, "0.0 and 0.0"), (1e10, "inf and inf")])
+    def test_a_volume_that_is_not_finite_and_positive_is_refused(self, s, reads):
+        # the projection body of a (6, 10) body whose offsets are scaled by s: its volume scales as s^30
+        body = random_symmetric_polytope(6, 10, RandomSource(5))
+        z = projection_body(SymmetricHPolytope(body.directions, s * body.offsets))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"the volumes read {reads}: they under- or overflow a float"):
+            volume_formula_check(z)
+
     def test_capacity_guard(self):
         gen = RandomSource(81).generator()
         z = Zonotope(gen.standard_normal((25, 3)))
