@@ -13,11 +13,11 @@ implementation each, here.  Every subset index of the last two, and the rank
 of every subset without one of its elements, comes from one cached lattice of
 the k-subsets in lexicographic order, each level built from the one below,
 and so do the first elements outside each subset, which the vertex
-enumeration tests its sign patterns against first (:func:`_first_outside`).
-A block holds no stack: a streamed slab plan enumerates one body at a time,
-where its walk is not certified (``polytope._kept_rows``).  The walk, which
-visits a few subsets out of all of them, reads the same ranks in closed form
-(:func:`subset_ranks`).
+enumeration tests its sign patterns against first (:func:`_outside`).  A
+slab plan over more than ``SUBSET_BLOCK`` subsets builds no block: it walks
+the vertex graph of each body (``polytope._walk``), which visits a few
+subsets out of all of them and reads the same ranks in closed form
+(:func:`subset_ranks`); the zonotope's volume streams its blocks.
 
 A set that does not span R^n is refused in two places only: slab
 directions here, by :func:`check_slab_directions`, which every constructor
@@ -66,14 +66,8 @@ class CapacityError(RuntimeError):
 
 MAX_ROWS = 24  # slabs or generators in any subset enumeration
 MAX_DIM = 7
-#: Rows per block, and the most subsets a slab plan keeps between evaluations.  At n = 6, m = 16 the
-#: largest temporary is a vertex block's first-pass slab-pattern products (4.2 MB); then come its inverses
-#: U_S^-1 (1.2 MB), the X_S of its first-pass survivors and the U_S^-1 gathered for them (0.9 MB each), its
-#: first-pass rows and the rows u_J they are formed from (0.8 MB each) and its survivors' slacks on every
-#: slab (0.4 MB).  A body of that shape walks its vertex graph instead and builds no block: one volume's
-#: traced peak (random_symmetric_polytope(6, 16, RandomSource(5)), in a fresh process) is 3.7 MB when it
-#: builds the shape's lattice and 2.5 MB once the lattice is cached, against 9.4 and 9.1 MB through the
-#: blocks, which only a body whose walk is not certified still builds, alone.
+#: Rows per block, and the most subsets a slab plan keeps between evaluations; a larger plan walks each body's
+#: vertex graph and builds no block (a (6, 16) volume's traced peak is 2.5 MB, 3.7 MB building the lattice).
 SUBSET_BLOCK = 4096
 #: The most k-subsets that :func:`subset_blocks` slices from the cached :func:`_lattice`: C(16, 6), the
 #: largest shape a workload of the benchmark measures.  Larger shapes build their blocks one at a time,
@@ -157,21 +151,16 @@ def _binomials(m: int, k: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _outside(m: int, k: int, count: int) -> np.ndarray:
-    """:func:`_first_outside` of every row of the cached :func:`_lattice` ``(m, k)``, read-only: a stored slab plan's J(S)."""
-    table = _first_outside(_lattice(m, k)[0], m, count)
-    table.setflags(write=False)
-    return table
-
-
-def _first_outside(rows: np.ndarray, m: int, count: int) -> np.ndarray:
-    """The first `count` elements of ``range(m)`` outside each increasing row.
+    """The first `count` elements of ``range(m)`` outside each row of the cached :func:`_lattice` ``(m, k)``, read-only: a stored slab plan's J(S).
 
     The j-th of them is j plus the number of i with ``rows[i] - i <= j``,
     which does not decrease along a row.
     """
-    lows = rows.astype(np.intp) - np.arange(rows.shape[1])
+    lows = _lattice(m, k)[0].astype(np.intp) - np.arange(k)
     j = np.arange(count)
-    return (j + (lows[:, None, :] <= j[:, None]).sum(axis=2)).astype(np.min_scalar_type(m))
+    table = (j + (lows[:, None, :] <= j[:, None]).sum(axis=2)).astype(np.min_scalar_type(m))
+    table.setflags(write=False)
+    return table
 
 
 def _extend(m: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ volume, shadows) is computed by explicit geometry, in two halves:
 * the half that depends on the directions alone, a plan
   (:class:`_SlabPlan`): the invertible ``n``-subsets S of the slab normals
   with ``|det U_S|`` and ``U_S^-1``, read from one Laplace table of the
-  cofactors of the (n-1)-subsets (no subset is factorised), the
+  cofactors of the (n-1)-subsets (no subset is factorised, and nearly
+  parallel pairs are decided once, :meth:`_SlabPlan.nonsingular`), the
   first-pass slabs J(S), the first four slabs not in S, with their rows
   ``u_j U_S^-1``, and, for each subset that holds a kept vertex cone,
   ``U_S^-T c`` for every candidate direction c of the cone formulas with
@@ -17,14 +18,13 @@ volume, shadows) is computed by explicit geometry, in two halves:
   p filtered by feasibility of ``x = X_S p``, with ``X_S = U_S^-1
   diag(t_S)``, in two passes, the slabs J(S) for every pattern and every
   slab for the survivors, whose X_S alone is formed; or, for each body of
-  a plan that streams its blocks, the same rows found by walking its vertex
-  graph, one simplex pivot per edge (:func:`_walk`), which falls back to
-  that body's brute force unless it certifies it non-degenerate; then the
-  volume, the facet measures and the Hessian of the volume in the offsets
-  in closed form over the vertex cones of the feasible (subset, pattern)
-  pairs (Lawrence's formula and its derivatives), whose ``gamma = p * U_S^-T
-  c`` the plan holds, the ties of non-simple vertices broken by one
-  lexicographic perturbation decided once per vertex.
+  a plan over more than ``SUBSET_BLOCK`` subsets, the same rows found by
+  walking its vertex graph, one simplex pivot per edge (:func:`_walk`);
+  then the volume, the facet measures and the Hessian of the volume in the
+  offsets in closed form over the vertex cones of the feasible (subset,
+  pattern) pairs (Lawrence's formula and its derivatives), whose ``gamma =
+  p * U_S^-T c`` the plan holds, the ties of non-simple vertices broken by
+  one lexicographic perturbation, which the walk pivots by.
 
 Every cone pass is made by one function, :func:`_volume_derivatives`, which
 reads the volume, its gradient and its Hessian in the offsets off the vertex
@@ -78,6 +78,10 @@ MEASURE_FLOOR = 1e-12
 #: a facet measure below this times the largest one is refused as certainly wrong (correct bodies read >= -1.5e-16)
 NEGATIVE_MEASURE_TOL = 1e-9
 _DET_TOL = 1e-12
+#: a pair of normals at distance min(|u_i - u_j|, |u_i + u_j|) within this is one slab (:meth:`_SlabPlan.nonsingular`), and
+#: within _PAIR_TOL the subsets holding it are decided by their exact determinants, each ridge's together
+_ONE_SLAB_TOL = 1.75e-12
+_PAIR_TOL = 1e-9
 #: how many slabs outside its subset S every (subset, sign pattern) candidate is tested against before X_S is
 #: formed (all m - n of them when there are fewer); at (6, 16) about 2.5 % of the candidates pass them
 _FIRST_PASS_SLABS = 4
@@ -191,12 +195,12 @@ def _cluster_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np
 class _SubsetBlock(NamedTuple):
     """The offset-free data of a block of nonsingular n-subsets S of the directions, one row per subset.
 
-    ``keys`` is the row of S in its block of :func:`subset_blocks`, singular
+    ``keys`` is the row of S in the rows the block was built from, singular
     rows counted (in a stored plan's one block, the rank of S among all
     n-subsets in lexicographic order), and ``dets`` holds ``|det U_S|``.
     ``inverses`` holds ``U_S^-1`` in C order, ``outside`` the first-pass
     slabs J(S), the first ``min(_FIRST_PASS_SLABS, m - n)`` slabs not in S
-    (``kernel._first_outside``), and ``first_rows`` their rows ``u_J U_S^-1``.
+    (``kernel._outside``), and ``first_rows`` their rows ``u_J U_S^-1``.
     """
 
     keys: np.ndarray
@@ -207,21 +211,22 @@ class _SubsetBlock(NamedTuple):
     first_rows: np.ndarray
 
 
-def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray], outside: np.ndarray) -> _SubsetBlock:
-    """The nonsingular subsets of a block of :func:`subset_blocks` with their determinants, inverses and first-pass rows.
+def _subset_block(plan: _SlabPlan, block: tuple[np.ndarray, np.ndarray], outside: np.ndarray) -> _SubsetBlock:
+    """The nonsingular subsets of a block of :func:`subset_blocks` over the directions of `plan`, with their determinants, inverses and first-pass rows.
 
-    No subset is factorised: from the cofactor table of the (n-1)-subsets
-    (:func:`cofactor_table`) and the block's ranks of each ``S without s_i``
-    in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and column i of
-    ``U_S^-1`` is ``(-1)^i c_(S without s_i) / det U_S``.  Subsets with
-    ``|det U_S| <= _DET_TOL`` are left out.  `outside` is the block's
-    first-pass slabs.
+    No subset is factorised: from the plan's cofactor table of the
+    (n-1)-subsets (:func:`cofactor_table`) and the block's ranks of each ``S
+    without s_i`` in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and
+    column i of ``U_S^-1`` is ``(-1)^i c_(S without s_i) / det U_S``.  The
+    subsets that :meth:`_SlabPlan.nonsingular` refuses are left out.
+    `outside` is the block's first-pass slabs.
     """
+    u, cofactors = plan.directions, plan.cofactors
     n = u.shape[1]
     subsets, ranks = block
     # rows are gathered by np.take, the same values as by fancy indexing, and faster on these arrays
     det = (np.take(u, subsets[:, 0], axis=0)[:, None, :] @ np.take(cofactors, ranks[:, 0], axis=0)[:, :, None])[:, 0, 0]  # along the first row
-    keep = np.abs(det) > _DET_TOL
+    keep = plan.nonsingular(subsets, det)
     if not keep.all():
         subsets, det, ranks, outside = subsets[keep], det[keep], ranks[keep], outside[keep]
     subsets = subsets.astype(np.intp, copy=False)
@@ -267,13 +272,13 @@ class _SlabPlan:
     directions, and every evaluation over offsets (:func:`_candidates`,
     :func:`_cones`) only scales it by t.
 
-    Its one cofactor table, built at construction (where the capacity guard
-    applies), serves every block and walk.  Up to ``SUBSET_BLOCK`` subsets,
-    the plan keeps its one block from the first evaluation on, and the cone
-    terms of each subset from the first evaluation that keeps a cone of it,
-    all read-only; otherwise each body walks (:func:`_kept_rows`) and each
-    evaluation computes the cone terms of the kept rows.  A family solve
-    keeps its plan over its rounds; a lone body drops it with its cones.
+    Its cofactor table and nearly parallel pairs, found at construction
+    (where the capacity guard applies), serve the block and every walk.  Up
+    to ``SUBSET_BLOCK`` subsets, the plan is stored: it keeps its one block
+    from the first evaluation on, and the cone terms of each subset from the
+    first evaluation that keeps a cone of it, all read-only; otherwise each
+    body walks (:func:`_kept_rows`) and each evaluation computes the cone
+    terms of the kept rows.  A family solve keeps its plan, a lone body drops it.
     """
 
     def __init__(self, directions: np.ndarray):
@@ -286,22 +291,35 @@ class _SlabPlan:
         # by key, the row of each subset's cone terms, -1 until a cone of it is kept
         self._slots = np.full(subsets if self.stored else 0, -1)
         self._terms = (np.empty((0, _DIRECTIONS)), np.empty((0, _DIRECTIONS)), np.empty((0, n, _DIRECTIONS)))
+        # the slabs a lower one stands for, and the table of the other pairs within _PAIR_TOL (or None); only pairs with
+        # |<u_i, u_j>| near 1 are measured, since it is 1 - d^2 / 2 at distance d
+        self.merged, self.near = np.zeros(m, dtype=bool), None
+        gram = np.abs(directions @ directions.T)
+        gram.flat[:: m + 1] = 0.0
+        if gram.max() > 1.0 - 1e-12:
+            i, j = np.nonzero(np.triu(gram > 1.0 - 1e-12))
+            gaps = np.minimum(*(np.linalg.norm(directions[i] + sign * directions[j], axis=1) for sign in (1.0, -1.0)))
+            self.merged[j[gaps <= _ONE_SLAB_TOL]] = True
+            self.near = np.zeros((m, m), dtype=bool)
+            self.near[i, j] = self.near[j, i] = (gaps > _ONE_SLAB_TOL) & (gaps < _PAIR_TOL)
         _read_only(self.cofactors, self._slots, *self._terms)
 
-    def blocks(self, stack: int) -> Iterator[_SubsetBlock]:
-        """The nonsingular subsets in lexicographic order, ``SUBSET_BLOCK // stack`` at a time; a streamed plan serves one body.
+    def nonsingular(self, subsets: np.ndarray, det: np.ndarray) -> np.ndarray:
+        """Which subsets (slab rows, determinants ``det U_S``) are nonsingular: none holding a merged slab, those holding a near pair when ``det U_S != 0``, else ``|det U_S| > _DET_TOL``."""
+        keep = np.abs(det) > _DET_TOL
+        if self.near is not None:
+            i, j = np.triu_indices(subsets.shape[1], 1)
+            keep = np.where(self.near[subsets[:, i], subsets[:, j]].any(axis=1), det != 0.0, keep)
+            keep &= ~self.merged[subsets].any(axis=1)
+        return keep
 
-        J(S) is read from the shape's cached table, or computed from a streamed block's rows.
-        """
+    def blocks(self, stack: int) -> Iterator[_SubsetBlock]:
+        """The nonsingular subsets of a stored plan in lexicographic order, ``SUBSET_BLOCK // stack`` at a time; J(S) is read from the shape's cached table."""
         u = self.directions
         m, n = u.shape
-        first = min(_FIRST_PASS_SLABS, m - n)
-        if not self.stored:
-            # by map, so that no block's index rows outlive the call that reads them
-            return map(lambda block: _subset_block(u, self.cofactors, block, kernel._first_outside(block[0], m, first)), subset_blocks(m, n))
         if self._block is None:
             (block,) = subset_blocks(m, n)
-            self._block = _subset_block(u, self.cofactors, block, kernel._outside(m, n, first))
+            self._block = _subset_block(self, block, kernel._outside(m, n, min(_FIRST_PASS_SLABS, m - n)))
             _read_only(*self._block)
         rows = max(1, kernel.SUBSET_BLOCK // stack)
         return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
@@ -340,7 +358,7 @@ def _refined_points(u: np.ndarray, own: np.ndarray, x: np.ndarray, patterns: np.
 
 
 def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The feasible (subset S, sign pattern p) pairs of each body of a stack over the directions of `plan`.
+    """The feasible (subset S, sign pattern p) pairs of each body of a stack over the directions of a stored `plan`.
 
     `t` holds one row of offsets per body.  Arrays (bodies, subsets,
     patterns, ``U_S^-1``, points ``X_S p``, ``|det U_S|``, subset keys), one
@@ -358,13 +376,12 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     bound ``t + FEASIBILITY_TOL * scale`` of their body.  The kept points take
     one step of iterative refinement: where U_S is ill-conditioned,
     ``X_S p`` cancels large entries, and its slack on them is off by about
-    eps cond(U_S) (1e-9 at cond 1e8).  The bodies of a stored plan share
-    each slice of its block, and a streamed plan enumerates one body, so a
-    block holds ``SUBSET_BLOCK`` (subset, body) rows at most.
+    eps cond(U_S) (1e-9 at cond 1e8).  The bodies share each slice of the
+    plan's block, so a slice holds ``SUBSET_BLOCK`` (subset, body) rows at
+    most.
     """
     u = plan.directions
     count = len(t)
-    assert plan.stored or count == 1, "a streamed plan enumerates one body at a time"
     m, n = u.shape
     # J(S) holds every slab outside S when m - n <= _FIRST_PASS_SLABS: the first pass is then the whole test
     whole = m - n <= _FIRST_PASS_SLABS
@@ -406,154 +423,142 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(field[order] for field in fields)
 
 
-def _ratio_test(t: np.ndarray, dots: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """Per edge, the first slab it meets, its step and the side it meets it on; None unless every such step is certain.
+def _ratio_test(t: np.ndarray, dots: np.ndarray, rate: np.ndarray, tie: float, perturbation) -> tuple[np.ndarray, ...]:
+    """Per line (row of `rate`), the slab it meets first, the step and the side; an infinite step where it meets none.
 
-    The points have the products `dots` with the slab normals, and each edge
-    moves them at `rate` (slabs on the last axis; 0 where it never meets
-    the slab).  Slab k is met at the step ``(t_k - sign(rate) dots) /
-    |rate|``.  The least step is certain when it is positive and below the
-    runner-up by more than ``FEASIBILITY_TOL`` relative.
+    Line r moves the dots ``dots[r]`` of its point at ``rate[r]``, so it meets slab k at ``(t_k - sign(rate) dots) /
+    |rate|``.  Slabs whose slack at the least step is within `tie` tie, and the least step of the body perturbed as in
+    :func:`_kept` wins, the dots' coefficients in the perturbation ``perturbation(r, k)`` read from the highest slab down.
     """
+    size = np.abs(rate)
     with np.errstate(divide="ignore", invalid="ignore"):
-        steps = ((t - np.sign(rate) * dots) / np.abs(rate)).reshape(-1, len(t))
-    j, edges = np.argmin(steps, axis=1), np.arange(len(steps))
-    step = steps[edges, j]
-    steps[edges, j] = np.inf
-    if not np.all((step > 0.0) & (steps.min(axis=1) - step > FEASIBILITY_TOL * step)):
-        return None
-    shape = rate.shape[:-1]
-    return j.reshape(shape), step.reshape(shape), np.sign(rate.reshape(-1, len(t))[edges, j]).reshape(shape)
+        steps = ((t - np.sign(rate) * dots) / size).reshape(-1, len(t))  # t / 0 = inf where rate is 0
+        rate, size = rate.reshape(steps.shape), size.reshape(steps.shape)
+        lines = np.arange(len(steps))
+        j = np.argmin(steps, axis=1)
+        step = steps[lines, j]
+        tied = (steps - step[:, None]) * size <= tie
+    # a line that meets a slab ties at least with itself, so only a count above that calls for the tie rule
+    for line in np.flatnonzero(np.count_nonzero(tied, axis=1) > 1) if np.count_nonzero(tied) > np.count_nonzero(step < np.inf) else ():
+        k = np.flatnonzero(tied[line])
+        coefficients = (np.eye(len(t))[k] - np.sign(rate[line, k, None]) * perturbation(line, k)) / size[line, k, None]
+        floor = _TIE_TOL * max(np.abs(coefficients).max(), 1.0)  # within this of the line's largest (or of 1), equal
+        for c in range(len(t) - 1, -1, -1):
+            k, coefficients = k[keep := coefficients[:, c] <= coefficients[:, c].min() + floor], coefficients[keep]
+            if len(k) == 1:
+                break
+        j[line] = k[0]
+    return j, steps[lines, j], np.sign(rate[lines, j])
 
 
-def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """The kept (S, p) rows of a lone body, the fields of :func:`_candidates`, found by walking its vertex graph; or None.
+def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of :func:`_candidates` that :func:`_kept` keeps for a lone body (`t` one row of offsets), by walking its vertex graph.
 
-    `t` is one row of offsets.  The walk visits the canonical vertices
-    (first sign of p +1), each (S, p) with its point ``X_S p``:
-
-    * **Start.** A ray from the origin along column 0 of
-      :func:`_direction_table` is cut by the first slab it meets, then
-      followed inside the face found so far, n ratio tests in all, to a
-      first vertex.
-    * **Edges.** Edge i of (S, p) leaves slab s_i along ``-p_i U_S^-1 e_i``,
-      with the other slabs of S tight; its ratio test runs over the slabs
-      outside S and the far side of s_i, and its least step names the
-      neighbour: S with s_i replaced by the slab it meets (or p_i flipped,
-      on the far side), in canonical sign.
-    * **Layers.** The neighbours not seen before, keyed by (lexicographic
-      rank of S, pattern index) in a sorted array of the keys seen, are the
-      next layer.  Each takes ``U_S^-1`` and ``|det U_S|`` from the cofactor
-      table by :func:`_subset_block`, and its point from
-      :func:`_refined_points`, so every row is the bits of the brute force's
-      row, and the rows come in its order (subset rank, then pattern).  The
-      keys are the subsets' ranks, those of a stored plan; a streamed plan
-      does not read them.
-
-    **Completeness.** The certificate below makes every visited vertex
-    strictly non-degenerate: it lies on exactly the n hyperplanes of S, its
-    edges are the n directions above, and each ratio test's least step is
-    unique, so each pivot names the true neighbour.  The visited set is
-    closed under edges, and under negation, since the neighbours of -x are
-    the negated neighbours of x, so it is a union of components of the
-    vertex graph.  That graph is connected (Balinski, "On the graph
-    structure of convex polyhedra in n-space", Pacific J. Math. 11, 1961),
-    so the walk visits every vertex.
-
-    **Certificate.** None, so that the body falls back to the brute force,
-    unless every ratio test's least step is below its runner-up by more than
-    ``FEASIBILITY_TOL`` relative, and every vertex clears every slab k
-    outside S by more than the margin ``FEASIBILITY_TOL * scale * (1 +
-    |u_k U_S^-1|_1)``.  The margin makes the brute force keep the same rows:
-
-    * it keeps every walked vertex: both its passes admit slacks down to
-      ``-FEASIBILITY_TOL * scale``, and the rounding of a slack of ``X_S
-      p``, about ``n eps (1 + |u_k U_S^-1|_1) scale``, is far below the
-      margin;
-    * no candidate ties with a walked vertex: one within ``_TIE_TOL *
-      scale`` of it in every coordinate would be tight on a slab that the
-      vertex clears by far more than ``sqrt(n) _TIE_TOL * scale``;
-    * it keeps no (S, p) that is not a vertex: were the slabs such a point
-      violates moved out by at most δ until it is feasible, it would become
-      a vertex, so the type would change on the way, and the slack of a
-      vertex on slab k moves by at most ``δ (1 + |u_k U_S^-1|_1)``; every
-      such point is therefore more than ``FEASIBILITY_TOL * scale`` outside
-      some slab, which neither pass admits (up to the rounding of the brute
-      force's own slacks on that point's subset).
-
-    Singular subsets (``|det U_S| <= _DET_TOL``), which the brute force
-    leaves out, also return None.  Memory is O(vertices) besides the plan's
-    cofactor table: nothing of size C(m, n) 2^(n-1) is formed.
+    The walk visits the canonical vertices (p_0 = +1) of the body perturbed as in :func:`_kept`.  A ray from the
+    origin along column 0 of :func:`_direction_table`, followed inside the face found so far, reaches a first vertex.
+    Edge i of (S, p) leaves slab s_i along ``-p_i U_S^-1 e_i``, and its ratio test (:func:`_ratio_test`) names the
+    neighbour; one that :meth:`_SlabPlan.nonsingular` refuses is left out, and the edge tested again.  On a slab
+    outside S tight at the vertex, a rate within ``_TIE_TOL`` of its tableau column's largest entry (or of 1) is 0, as
+    in :func:`_kept`.  New vertices, keyed by (rank of S, pattern index), take the brute force's bits from
+    :func:`_subset_block` and :func:`_refined_points`.  The perturbed body is simple, its vertices are the kept rows,
+    and its graph is connected (Balinski 1961), so the lexicographic pivots (Avis and Fukuda 1992) visit every kept
+    row, in O(vertices) memory besides the cofactor table.
     """
-    u, cofactors = plan.directions, plan.cofactors
+    u = plan.directions
     m, n = u.shape
     (t,) = t
-    tol = FEASIBILITY_TOL * float(_scales(t[None])[0])
-    bits = 1 << np.arange(n - 2, -1, -1)  # a pattern's index sums these over its entries -1 after the first
+    tie = _TIE_TOL * float(_scales(t[None])[0])
+
+    def keyed(subsets: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
+        # (S, p) rows made canonical (S increasing, p_0 = +1), keyed by (rank of S, pattern index), with S's ranks without each s_i
+        order = np.argsort(subsets, axis=1)
+        subsets, signs = np.take_along_axis(subsets, order, axis=1), np.take_along_axis(signs, order, axis=1)
+        signs *= signs[:, :1]
+        ranks, without = kernel.subset_ranks(subsets, m)
+        return ranks << (n - 1) | ((signs[:, 1:] < 0.0) @ (1 << np.arange(n - 2, -1, -1))), subsets, signs, without
+
+    def start_perturbation(line: int, k: np.ndarray) -> np.ndarray:
+        # the start point's coefficients in the perturbation of each slab's offset, from its moves, dotted with u_k
+        coefficients = np.zeros((n, m))
+        for d, j, side, size in moves:
+            coefficients += np.outer(d, (np.eye(m)[j] - side * (u[j] @ coefficients)) / size)
+        return u[k] @ coefficients
+
     # the start: a ray from the origin, followed inside the face of the slabs it has met
-    c, x, tight, sides = _direction_table(n)[:, 0], np.zeros(n), [], []
+    c, x, moves, tight, sides = _direction_table(n)[:, 0], np.zeros(n), [], [], []
     for _ in range(n):
         d = c
         if tight:
             q = np.linalg.qr(u[tight].T)[0]
             d = c - q @ (q.T @ c)
         rate = u @ d
-        rate[tight] = 0.0
-        if (pivot := _ratio_test(t, u @ x, rate)) is None:
-            return None
-        j, step, side = pivot
-        x, tight, sides = x + step * d, tight + [int(j)], sides + [side]
-    order = np.argsort(tight)
-    subsets, signs = np.array(tight, dtype=np.intp)[order][None], np.array(sides)[order][None]
-    signs *= signs[:, :1]
-    seen = np.array([np.iinfo(np.intp).max])  # the keys seen, sorted, over a sentinel above every key: a search always lands on an entry
-    found: list[tuple[np.ndarray, ...]] = []
-    rows = np.arange(n)
-    while True:
-        ranks, without = kernel.subset_ranks(subsets, m)
-        keys, index = np.unique(ranks << (n - 1) | ((signs[:, 1:] < 0.0) @ bits), return_index=True)
-        place = np.searchsorted(seen, keys)
-        new = seen[place] != keys
-        if not new.any():
+        rate[np.abs(rate) <= _TIE_TOL * np.linalg.norm(d)] = 0.0
+        rate[tight] = rate[plan.merged] = 0.0
+        (j,), (step,), (side,) = _ratio_test(t, u @ x, rate[None], tie, start_perturbation)
+        if step == np.inf:
             break
-        seen = np.insert(seen, place[new], keys[new])
-        keys, index = keys[new], index[new]
-        subsets, signs, without = subsets[index], signs[index], without[index]
-        block = _subset_block(u, cofactors, (subsets, without), np.empty((len(subsets), 0), dtype=np.intp))
-        if len(block.keys) < len(subsets):
-            return None
+        moves.append((d, j, side, abs(rate[j])))
+        x, tight, sides = x + step * d, tight + [j], sides + [side]
+    keys, subsets, signs, without = keyed(np.array([tight]), np.array([sides]))
+    if len(tight) < n or not len((block := _subset_block(plan, (subsets, without), np.empty((1, 0), dtype=np.intp))).keys):
+        raise ValueError("no vertices found; body is numerically degenerate")
+    seen = np.r_[keys, np.iinfo(np.intp).max]  # the keys seen, sorted, over a sentinel above every key
+    layer, found, rows = [(keys, subsets, signs, block.inverses, block.dets)], [], np.arange(n)
+    while layer:
+        keys, subsets, signs, inverses, dets = layer[0] if len(layer) == 1 else (np.concatenate(field) for field in zip(*layer))
         ts = t[subsets]
-        points = _refined_points(u, subsets, block.inverses * ts[:, None, :], signs, ts)
-        found.append((keys, subsets, signs, block.inverses, points, block.dets))
-        # the tableau (u_k U_S^-1)_i of every slab k, by vertex and i, in one product: (F, n, m)
-        tableau = (block.inverses.transpose(0, 2, 1).reshape(-1, n) @ u.T).reshape(len(subsets), n, m)
-        # each vertex's slack on every slab outside S, against its margin
-        dots = points @ u.T
+        points = _refined_points(u, subsets, inverses * ts[:, None, :], signs, ts)
+        found.append((keys, subsets, signs, inverses, points, dets))
         at = np.arange(len(subsets))[:, None]
-        clear = t - np.abs(dots) > tol * (1.0 + np.abs(tableau).sum(axis=1))
-        clear[at, subsets] = True
-        if not clear.all():
-            return None
+        # the tableau (u_k U_S^-1)_i of every slab k, by vertex and i, in one product, exact on S: (F, n, m)
+        tableau = (inverses.transpose(0, 2, 1).reshape(-1, n) @ u.T).reshape(len(subsets), n, m)
+        tableau[at[:, :, None], rows[:, None], subsets[:, None, :]] = rows[:, None] == rows
         # edge i moves u_k . x at the rate -p_i (u_k U_S^-1)_i: on S exactly 0, but -p_i on s_i, whose far side it meets
         rate = -signs[:, :, None] * tableau
-        rate[at[:, :, None], rows[:, None], subsets[:, None, :]] = np.where(rows[:, None] == rows, -signs[:, :, None], 0.0)
+        rate[:, :, plan.merged] = 0.0
+        dots = points @ u.T
         dots[at, subsets] = signs * ts
-        if (pivot := _ratio_test(t, dots[:, None, :], rate)) is None:
-            return None
-        j, _, side = pivot
-        # the neighbour across edge i: the slab met in place of s_i, on the side it is met, in canonical sign
-        subsets, signs = np.repeat(subsets[:, None], n, axis=1), np.repeat(signs[:, None], n, axis=1)
-        subsets[:, rows, rows], signs[:, rows, rows] = j, side
-        subsets, signs = subsets.reshape(-1, n), signs.reshape(-1, n)
-        order = np.argsort(subsets, axis=1)
-        subsets, signs = np.take_along_axis(subsets, order, axis=1), np.take_along_axis(signs, order, axis=1)
-        signs *= signs[:, :1]
+        slack = t - np.abs(dots)
+        slack[at, subsets] = np.inf
+        if len((fk := np.nonzero(slack <= tie))[0]):
+            column = np.abs(tableau[fk[0], :, fk[1]])
+            rate[fk[0], :, fk[1]] *= column > _TIE_TOL * np.maximum(column.max(axis=1, keepdims=True), 1.0)
+
+        def perturbation(f: int, k: np.ndarray) -> np.ndarray:
+            out = np.zeros((len(k), m))  # slab k's dot at vertex f moves with the offset of s_l by (u_k U_S^-1)_l p_l
+            out[:, subsets[f]] = (tableau[f][:, k] * signs[f, :, None]).T
+            return out
+
+        # every edge meets the far side of its own slab, so every ratio test finds a slab
+        lines, layer = np.arange(len(subsets) * n), []
+        j, _, side = _ratio_test(t, dots[:, None, :], rate, tie, lambda r, k: perturbation(r // n, k))
+        while True:
+            # the neighbour across edge i: the slab met in place of s_i, on the side it is met, in canonical sign
+            f, i = np.divmod(lines, n)
+            adjacent, adjacent_signs = subsets[f], signs[f]
+            adjacent[np.arange(len(f)), i], adjacent_signs[np.arange(len(f)), i] = j, side
+            adjacent_keys, adjacent, adjacent_signs, without = keyed(adjacent, adjacent_signs)
+            unique, index = np.unique(adjacent_keys, return_index=True)
+            place = np.searchsorted(seen, unique)
+            new = np.flatnonzero(seen[place] != unique)
+            block = _subset_block(plan, (adjacent[index[new]], without[index[new]]), np.empty((len(new), 0), dtype=np.intp))
+            kept = new[block.keys]
+            seen = np.insert(seen, place[kept], unique[kept])
+            if len(kept):
+                layer.append((unique[kept], block.subsets, adjacent_signs[index[kept]], block.inverses, block.dets))
+            if len(kept) == len(new):
+                break
+            # an edge onto a refused subset is tested again without that slab
+            again = np.isin(adjacent_keys, np.delete(unique[new], block.keys))
+            lines, f, i, j = lines[again], f[again], i[again], j[again]
+            rate[f, i, j] = 0.0
+            j, _, side = _ratio_test(t, dots[f], rate[f, i], tie, lambda r, k: perturbation(f[r], k))
     keys, *fields = (np.concatenate(field) for field in zip(*found))
     order = np.argsort(keys)
     return (np.zeros(len(keys), dtype=np.intp), *(field[order] for field in fields), keys[order] >> (n - 1))
 
 
-def _kept(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _kept(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Of the candidate rows of a stack (the fields of :func:`_candidates`), those whose vertex cones are kept.
 
     Candidates of one body in canonical sign within ``_TIE_TOL * scale`` of
@@ -567,8 +572,10 @@ def _kept(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> t
     are decided once per vertex, and the lowest of coinciding slabs owns
     their facet.  The tie rule runs only when some vertex of the stack has
     two or more candidates; on a body without one it finds no tied slab.
+    A slab that a lower one stands for (:class:`_SlabPlan`) is not read.
     """
     body, sub, pat, inverses, pts, dets, keys = candidates
+    u = plan.directions
     m, n = u.shape
     s = _scales(t)[body]
     dots = pts @ u.T
@@ -576,6 +583,7 @@ def _kept(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> t
     rows = np.arange(len(pts))[:, None]
     loose = np.abs(dots) > t[body]
     loose[rows, sub] = False  # the subset's own slabs
+    loose[:, plan.merged] = False
     ok = ~loose.any(axis=1)
     if labels.max() + 1 < len(labels):  # some vertex holds two or more candidates: break their ties
         tied = np.zeros((len(pts), m), dtype=bool)
@@ -598,13 +606,12 @@ def _kept(u: np.ndarray, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> t
 def _kept_rows(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows of :func:`_candidates` that :func:`_kept` keeps, for each body of a stack: what the cones and vertex set read.
 
-    A streamed plan walks each body instead (:func:`_walk`), whose certified
-    rows are those, bit for bit; only a body whose walk is not certified is
-    enumerated by the brute force, alone.
+    A stored plan enumerates the stack by brute force; a larger plan walks
+    each body alone (:func:`_walk`) to the same rows.
     """
     if plan.stored:
-        return _kept(plan.directions, t, _candidates(plan, t))
-    found = [_walk(plan, alone) or _kept(plan.directions, alone, _candidates(plan, alone)) for alone in t[:, None]]
+        return _kept(plan, t, _candidates(plan, t))
+    found = [_walk(plan, alone) for alone in t[:, None]]
     bodies = np.repeat(np.arange(len(t)), [len(rows[0]) for rows in found])
     return bodies, *(np.concatenate(field) for field in list(zip(*found))[1:])
 

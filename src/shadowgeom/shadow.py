@@ -20,6 +20,7 @@ enumerated only when a caller asks for its vertices or facets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,9 +278,10 @@ def verify_product_inequality(body: SymmetricHPolytope, decomposition: WeightedD
 
     ``decomposition`` is validated first (unit directions, positive weights
     resolving the identity); an MVEE's contact decomposition is one such.
-    Both sides are computed in log space (one that overflows a float raises
-    ValueError); the report carries rhs/lhs, read from the logs, which the
-    inequality guarantees to be at least one.
+    Both sides are computed in log space (one that overflows a float, or
+    underflows below the least normal float, raises ValueError); the report
+    carries rhs/lhs, read from the logs, which the inequality guarantees to
+    be at least one.
     """
     decomposition.validate()
     u = decomposition.directions
@@ -292,10 +294,9 @@ def verify_product_inequality(body: SymmetricHPolytope, decomposition: WeightedD
         raise ValueError("degenerate shadow encountered")
     log_lhs = (n - 1) * math.log(body.volume)
     log_rhs = float(np.sum(c * np.log(shadows)))
-    try:
-        return ProductInequalityReport(math.exp(log_lhs), math.exp(log_rhs), math.exp(log_rhs - log_lhs))
-    except OverflowError:
-        raise ValueError(f"a side of the product inequality overflows a float: log lhs {log_lhs:.6g}, log rhs {log_rhs:.6g}") from None
+    if not (min(log_lhs, log_rhs) >= math.log(sys.float_info.min) and max(log_lhs, log_rhs, log_rhs - log_lhs) < math.log(sys.float_info.max)):
+        raise ValueError(f"a side of the product inequality under- or overflows a float: log lhs {log_lhs:.6g}, log rhs {log_rhs:.6g}")
+    return ProductInequalityReport(math.exp(log_lhs), math.exp(log_rhs), math.exp(log_rhs - log_lhs))
 
 
 def loomis_whitney_check(body: SymmetricHPolytope) -> ProductInequalityReport:

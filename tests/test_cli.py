@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_polytope import near_coincident_body
 
 from shadowgeom import cli
 from shadowgeom.cli import (
@@ -24,7 +23,8 @@ from shadowgeom.cli import (
     parse_config,
 )
 from shadowgeom.family import FloorViolationError
-from shadowgeom.polytope import _DET_TOL
+from shadowgeom.kernel import RandomSource, random_orthogonal
+from shadowgeom.polytope import random_symmetric_polytope
 from shadowgeom.shadow import RATIO_TOLERANCE, ProductInequalityReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -173,11 +173,13 @@ class TestRunsAndExitCodes:
 
     @pytest.mark.parametrize("command", ["shadow-position", "verify-t3"])
     def test_a_body_the_library_refuses_is_a_config_error(self, tmp_path, capsys, command):
-        # two nearly parallel slabs at the singular threshold, whose facet split reads negative
-        body = near_coincident_body(_DET_TOL, 0.5)[0]
+        # ROADMAP item 17's recipe: a (6, 10) body under a map of condition 1e3 crowds its normals, so that subsets
+        # holding real vertices fall below _DET_TOL (its closest pair of normals is 1.4e-3 apart, far from the pair rule)
+        a = random_orthogonal(6, np.random.default_rng(2)) @ np.diag([1.0] * 5 + [1e-3]) @ random_orthogonal(6, np.random.default_rng(52))
+        body = random_symmetric_polytope(6, 10, RandomSource(762)).affine_image(a)
         cfg = {"body": write_config(tmp_path, body.to_dict(), "body.json")}
         if command == "verify-t3":
-            frame = {"n": 3, "directions": np.eye(3).tolist(), "weights": [1.0, 1.0, 1.0]}
+            frame = {"n": 6, "directions": np.eye(6).tolist(), "weights": [1.0] * 6}
             cfg["decomposition"] = write_config(tmp_path, frame, "frame.json")
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -240,14 +240,15 @@ class TestLattice:
 class TestFirstOutside:
     """J(S), the first slabs outside each n-subset S, that the vertex enumeration tests every sign pattern of S against first."""
 
-    @pytest.mark.parametrize("m, k, count", [(16, 6, 4), (9, 4, 4), (7, 4, 3), (6, 5, 1), (5, 5, 0), (12, 1, 4)])
+    @pytest.mark.parametrize("m, k, count", [(16, 6, 4), (9, 4, 4), (7, 4, 3), (6, 5, 1), (5, 5, 0), (12, 1, 4), (17, 6, 4)])
     def test_the_first_elements_outside_each_subset(self, m, k, count):
+        # (17, 6) is past INDEX_PLAN_SUBSETS, where subset_blocks builds its blocks one at a time: a plan stored at that
+        # shape (SUBSET_BLOCK raised) reads its table off the lattice all the same
         rows = np.vstack([rows for rows, _ in subset_blocks(m, k)])
-        table = kernel._first_outside(rows, m, count)
+        table = kernel._outside(m, k, count)
         assert table.shape == (len(rows), count)
         assert table.tolist() == [[j for j in range(m) if j not in row][:count] for row in rows.tolist()]
         assert not np.any(table[:, :, None] == rows[:, None, :])  # never a slab of S
-        assert np.array_equal(kernel._outside(m, k, count), table)
 
     def test_the_table_is_read_only_in_the_smallest_unsigned_type(self):
         table = kernel._outside(16, 6, 4)
@@ -255,34 +256,6 @@ class TestFirstOutside:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
-        # a streamed block's rows are intp, and its own table is in the same type as the cached one
-        rows, _ = kernel._extend(16, 6, 0, 5)
-        assert rows.dtype == np.intp and kernel._first_outside(rows, 16, 4).dtype == np.uint8
-
-    @pytest.mark.parametrize("n, m", [(4, 9), (2, 5), (6, 16), (3, 7)])
-    def test_a_streamed_plan_reads_the_first_pass_slabs_of_a_stored_one(self, monkeypatch, n, m):
-        # the stored plan slices the cached table; the streamed one computes each block's from its rows, built by _extend
-        u = sample_unit_sphere(n, RandomSource(280 + 20 * n + m), count=m)
-        monkeypatch.setattr(kernel, "SUBSET_BLOCK", math.comb(m, n))
-        stored = polytope._SlabPlan(u)
-        (whole,) = stored.blocks(1)
-        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 7)
-        streamed(monkeypatch)
-        plan = polytope._SlabPlan(u)
-        assert stored.stored and not plan.stored
-        blocks = list(plan.blocks(1))
-        assert [len(block.keys) for block in blocks] == [len(rows) for rows, _ in subset_blocks(m, n)]
-        outside = np.concatenate([block.outside for block in blocks])
-        assert outside.dtype == whole.outside.dtype == np.uint8 and np.array_equal(outside, whole.outside)
-
-    def test_a_shape_over_the_bound_builds_its_blocks_from_their_rows(self):
-        assert math.comb(17, 6) > kernel.INDEX_PLAN_SUBSETS
-        kernel._outside.cache_clear()
-        blocks = polytope._SlabPlan(sample_unit_sphere(6, RandomSource(279), count=17)).blocks(1)
-        for block in blocks:
-            assert block.outside.dtype == np.uint8
-            assert block.outside.tolist() == [[j for j in range(17) if j not in row][:4] for row in block.subsets.tolist()]
-        assert kernel._outside.cache_info().currsize == 0
 
 
 def unit_rows(m: int, n: int, seed: int) -> np.ndarray:

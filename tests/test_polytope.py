@@ -27,6 +27,7 @@ from shadowgeom.family import OFFSET_FLOOR, SlabFamilySpec, _volume_gradient, kk
 from shadowgeom.kernel import CapacityError, RandomSource, canonical_signs, cofactor_table, random_orthogonal, sample_unit_sphere
 from shadowgeom.polytope import (
     _DET_TOL,
+    _ONE_SLAB_TOL,
     _TIE_TOL,
     FEASIBILITY_TOL,
     MEASURE_FLOOR,
@@ -375,29 +376,25 @@ class TestFacets:
         # the slab (a, b, 0) cuts two wedges off the cube: on the facet x1 = 1
         # it is tight at x2 = x* = (1 - a) / b, and each wedge has volume
         # b (1 - x*)^2 / a.  Around eps = _TIE_TOL the corner and the slab's
-        # vertex next to it become one vertex, and below eps = _DET_TOL the
-        # slab's other vertex is no longer formed.  The body refuses one case,
-        # eps = _DET_TOL tilted (pinned below), whose volume is read off the
-        # cone pass; every other case reads the body's own volume.
+        # vertex next to it become one vertex, and up to eps = _ONE_SLAB_TOL
+        # the two slabs are one, which moves the volume by about eps / 4
+        # relative.  No case is refused.
         body, a, b = near_coincident_body(eps, tilt)
         x = (1.0 - a) / b
-        if eps == _DET_TOL and tilt == 0.5:
-            with pytest.raises(ValueError, match="reads negative"):
-                body.volume
-            (volume,), _, _ = _volume_derivatives(_SlabPlan(body.directions), body.offsets[None])
-        else:
-            volume = body.volume
-        assert volume == pytest.approx(8.0 - 2.0 * b * (1.0 - x) ** 2 / a, rel=1e-11)
+        assert body.volume == pytest.approx(8.0 - 2.0 * b * (1.0 - x) ** 2 / a, rel=1e-11)
 
-    def test_a_negative_facet_split_at_the_singular_threshold_is_refused(self):
-        # at eps = _DET_TOL, tilted, some subsets of the two nearly parallel slabs are dropped as singular and some
-        # kept: the volume reads right, but their facets split as 5.549 and -1.549 against the exact 2.0001 and
-        # 1.9999, so the surface area would read 27.1 against 24
-        body, _, _ = near_coincident_body(_DET_TOL, 0.5)
-        (volume,), (gradient,), _ = _volume_derivatives(_SlabPlan(body.directions), body.offsets[None])
-        assert volume == pytest.approx(8.0, rel=1e-11) and gradient[3] < -0.2 * gradient.max()
-        with pytest.raises(ValueError, match="reads negative"):
-            body.volume
+    @pytest.mark.parametrize("tilt", [0.0, 0.3, 0.5, 0.8, 1.1])
+    @pytest.mark.parametrize("factor", [1.0, 1.01, 1.05, 1.1, 1.25])
+    def test_the_band_at_the_singular_threshold_is_one_slab(self, factor, tilt):
+        # eps = 1e-12 to 1.25e-12, where the subsets of the pair's ridge fell on both sides of _DET_TOL: three of these
+        # bodies were refused ("reads negative") and the rest read volumes within 2.5e-13.  The pair is within
+        # _ONE_SLAB_TOL, so slab 0 stands for both: its facets take the pair's measure, and no body is refused.
+        body, a, b = near_coincident_body(factor * _DET_TOL, tilt)
+        x = (1.0 - a) / b
+        exact = exact_facet_areas(body.directions, body.offsets)
+        assert body.volume == pytest.approx(8.0 - 2.0 * b * (1.0 - x) ** 2 / a, rel=1e-11)
+        measures = body._facet_measures
+        assert measures[3] == 0.0 and measures[0] == pytest.approx(exact[0] + exact[3], rel=1e-11)
 
     @pytest.mark.parametrize("eps", [2e-12, 1e-10, 1e-8])
     def test_near_parallel_facet_split_is_conditioned_by_the_angle(self, eps):
@@ -432,8 +429,13 @@ class TestFacets:
         assert np.abs(laplace - lu).max() <= 1e-15
         _, kept, _, _, _, dets, _ = _candidates(_SlabPlan(u), body.offsets[None])
         assert np.abs(dets - np.abs(np.linalg.det(u[kept]))).max() <= 1e-15
-        formed = {tuple(s) for s in kept.tolist()}
-        assert formed <= {tuple(s) for s in subsets[np.abs(lu) > _DET_TOL].tolist()}
+        # the pair rule: within _ONE_SLAB_TOL slab 0 stands for slab 3, so no subset holding slab 3 is nonsingular;
+        # past it, a subset holding both is nonsingular when its determinant is nonzero, the others above _DET_TOL.
+        # At factor 2, {0, 1, 3} is singular (three normals in the plane x3 = 0 before the tilt), but the tilt leaves
+        # its Laplace determinant at rounding size, not 0, so it is kept; its candidates lie far outside the body
+        one = factor * _DET_TOL <= _ONE_SLAB_TOL
+        rule = [(3 not in s or not one) and (d != 0.0 if {0, 3} <= set(s) else abs(d) > _DET_TOL) for s, d in zip(subsets.tolist(), laplace)]
+        assert next(_SlabPlan(u).blocks(1)).subsets.tolist() == subsets[rule].tolist()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_floor_offset_facet_matches_hull(self, n):
@@ -725,7 +727,7 @@ class TestSlabPlan:
 
     @pytest.mark.parametrize("n, m", [(3, 7), (6, 16)])
     def test_the_measures_build_one_plan_and_the_vertices_their_own(self, monkeypatch, n, m):
-        # the measures all read the cones, found over one plan; (6, 16) streams its blocks
+        # the measures all read the cones, found over one plan; (6, 16) walks
         built = []
         init = _SlabPlan.__init__
         monkeypatch.setattr(_SlabPlan, "__init__", lambda plan, directions: (built.append(plan), init(plan, directions))[1])
@@ -736,25 +738,25 @@ class TestSlabPlan:
         assert len(built) == 2
 
     @pytest.mark.parametrize("n, m", [(3, 7), (4, 9), (6, 16)])
-    def test_inverses_are_c_contiguous_and_invert_each_subset(self, n, m):
+    def test_inverses_are_c_contiguous_and_invert_each_subset(self, monkeypatch, n, m):
         u = sample_unit_sphere(n, RandomSource(664 + n), count=m)
-        u[-1] = u[0]  # so some subsets are singular and left out
+        u[-1] = u[0]  # so slab 0 stands for slab m - 1, and every subset holding m - 1 is singular and left out
+        u[-2] = 0.5 * (u[1] + u[2]) / np.linalg.norm(0.5 * (u[1] + u[2]))  # and a few more, of three normals in a plane
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", math.comb(m, n))  # one stored block
         cofactors = cofactor_table(u)
-        singular = 0
-        for subsets, ranks in kernel.subset_blocks(m, n):
-            outside = kernel._first_outside(subsets, m, 4)
-            block = polytope._subset_block(u, cofactors, (subsets, ranks), outside)
-            det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]
-            kept = np.flatnonzero(np.abs(det) > _DET_TOL)
-            assert np.array_equal(block.keys, kept)  # the rows of the block, whichever block it is
-            singular += len(subsets) - len(kept)
-            assert block.subsets.dtype == np.intp and np.array_equal(block.subsets, subsets[kept])
-            assert block.inverses.flags.c_contiguous and block.inverses.shape == (len(kept), n, n)
-            # U_S U_S^-1 = I to rounding, which grows with the condition of U_S
-            residual = np.abs(u[block.subsets] @ block.inverses - np.eye(n)).max(axis=(1, 2))
-            assert np.all(residual <= 1e-14 * np.linalg.cond(u[block.subsets]))
-            assert np.array_equal(block.outside, outside[kept]) and np.array_equal(block.first_rows, u[block.outside] @ block.inverses)
-        assert singular == math.comb(m - 2, n - 2)
+        subsets, ranks = kernel._lattice(m, n)
+        block = next(_SlabPlan(u).blocks(1))
+        det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]
+        kept = np.flatnonzero((np.abs(det) > _DET_TOL) & np.all(subsets != m - 1, axis=1))
+        assert np.array_equal(block.keys, kept)  # the ranks of the subsets
+        assert len(subsets) - len(kept) == math.comb(m - 1, n - 1) + math.comb(m - 4, n - 3) > math.comb(m - 1, n - 1)
+        assert block.subsets.dtype == np.intp and np.array_equal(block.subsets, subsets[kept])
+        assert block.inverses.flags.c_contiguous and block.inverses.shape == (len(kept), n, n)
+        # U_S U_S^-1 = I to rounding, which grows with the condition of U_S
+        residual = np.abs(u[block.subsets] @ block.inverses - np.eye(n)).max(axis=(1, 2))
+        assert np.all(residual <= 1e-14 * np.linalg.cond(u[block.subsets]))
+        outside = kernel._outside(m, n, 4)
+        assert np.array_equal(block.outside, outside[kept]) and np.array_equal(block.first_rows, u[block.outside] @ block.inverses)
 
     def test_a_stored_plan_slices_its_block_for_a_stack(self, monkeypatch):
         # C(9, 4) = 126 subsets, none singular, kept in one block and served SUBSET_BLOCK // stack at a time, at least one
@@ -779,7 +781,7 @@ class TestSlabPlan:
 def direct_candidates(u: np.ndarray, t: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Per body of the stack `t`, the fields of :func:`_candidates` that a direct all-slab test of every ``X_S p`` keeps.
 
-    Each (subset, pattern) row of each block of the plan, in order, forms
+    Each (subset, pattern) row of each slice of the stored plan, in order, forms
     ``X_S p`` by the product of :func:`_candidates` and is kept when its
     slack on every slab outside S is within the bound, with no first pass;
     the kept points take the same step of refinement.
@@ -816,18 +818,21 @@ def first_pass_survivors(body: SymmetricHPolytope) -> int:
 
 
 class TestFirstPass:
-    # random bodies of n = 2..6 with m - n = 0, 1, 3 and more slabs than the first pass tests, up to C(16, 6)
+    # random bodies of n = 2..6 with m - n = 0, 1, 3 and more slabs than the first pass tests, up to C(16, 6), over
+    # stored plans: a larger plan walks, and the brute force is read over a plan that SUBSET_BLOCK lets store
     SHAPES = [(n, m) for n in range(2, 7) for m in sorted({n, n + 1, n + 3, min(2 * n + 4, 16)})]
+
+    @pytest.fixture(autouse=True)
+    def stored(self, monkeypatch):
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", math.comb(16, 6))
 
     @staticmethod
     def assert_direct(u: np.ndarray, t: np.ndarray) -> None:
-        # a stored plan enumerates the stack at once, a streamed plan one body at a time
-        for stack in [t] if _SlabPlan(u).stored else t[:, None]:
-            body, *fields = _candidates(_SlabPlan(u), stack)
-            assert np.array_equal(body, np.repeat(np.arange(len(stack)), np.bincount(body, minlength=len(stack))))
-            for k, direct in enumerate(direct_candidates(u, stack)):
-                mine = [field[body == k] for field in fields]
-                assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(mine, direct, strict=True))
+        body, *fields = _candidates(_SlabPlan(u), t)
+        assert np.array_equal(body, np.repeat(np.arange(len(t)), np.bincount(body, minlength=len(t))))
+        for k, direct in enumerate(direct_candidates(u, t)):
+            mine = [field[body == k] for field in fields]
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(mine, direct, strict=True))
 
     @pytest.mark.parametrize("index", range(len(degenerate_bodies())))
     def test_degenerate_bodies_keep_the_rows_of_a_direct_test(self, index):
@@ -853,23 +858,23 @@ class TestFirstPass:
         assert first_pass_survivors(random_symmetric_polytope(6, 16, RandomSource(5))) == 6314 <= 19494 // 3
 
 
-def walks_to_the_kept_rows(u: np.ndarray, t: np.ndarray) -> bool:
-    """Whether the walk of the body (u, t) is certified; if it is, its rows are the bits of the brute force's kept rows.
+def brute_force_rows(u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kept rows of the body (u, t) by the brute force, ``polytope._kept`` of :func:`_candidates`, over a stored plan.
 
-    The kept rows are those of :func:`_candidates` that ``polytope._kept``
-    keeps, the rows the cone formulas read; the walk's keys are the subsets'
-    lexicographic ranks, the rows of a streamed block are counted from the
-    block's first subset.  Every walked row is kept.
+    The plan stores its one block whatever C(m, n) is, and its slices are
+    ``SUBSET_BLOCK`` rows as usual.
     """
-    plan = _SlabPlan(u)
-    walked = polytope._walk(plan, t[None])
-    if walked is None:
-        return False
-    *fields, keys = polytope._kept(u, t[None], _candidates(_SlabPlan(u), t[None]))
-    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(walked[:-1], fields, strict=True))
-    assert np.array_equal(walked[-1] if plan.stored else walked[-1] % kernel.SUBSET_BLOCK, keys)
-    assert polytope._kept(u, t[None], walked) is walked
-    return True
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "SUBSET_BLOCK", max(kernel.SUBSET_BLOCK, math.comb(*u.shape)))
+        plan = _SlabPlan(u)
+        next(plan.blocks(1))
+    return polytope._kept(plan, t[None], _candidates(plan, t[None]))
+
+
+def assert_walks_to_the_kept_rows(u: np.ndarray, t: np.ndarray) -> None:
+    """The walk of the body (u, t) gives the bits of the brute force's kept rows, keys (the subsets' ranks) included."""
+    walked = polytope._walk(_SlabPlan(u), t[None])
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(walked, brute_force_rows(u, t), strict=True))
 
 
 def through_a_vertex(base: SymmetricHPolytope, src: RandomSource) -> SymmetricHPolytope:
@@ -879,38 +884,55 @@ def through_a_vertex(base: SymmetricHPolytope, src: RandomSource) -> SymmetricHP
 
 
 class TestVertexWalk:
-    # n = 3..7 with m from n + 2 to 20, stored plans included; about 1 s in all, most of it the brute force at m = 20
+    # n = 3..7 with m from n + 2 to 20, stored plans included; most of the time is the brute force at m = 20
     SHAPES = [(n, m) for n in range(3, 8) for m in sorted({n + 2, n + 5, 2 * n + 4, 20})]
-    #: the bodies of the degenerate suite whose walk is not certified: ties in a ratio test, or a vertex on a slab outside S
-    FALLBACKS = {"cross-3", "cross-4", "coinciding", "doubled-square", "touching-2-faces", "near-coincident-1e-09", "near-coincident-1e-13"}
 
     @pytest.mark.parametrize("n, m", SHAPES)
     def test_random_bodies_walk_to_the_rows_of_the_brute_force(self, n, m):
         body = random_symmetric_polytope(n, m, RandomSource(900 + 20 * n + m))
-        assert walks_to_the_kept_rows(body.directions, body.offsets)
+        assert_walks_to_the_kept_rows(body.directions, body.offsets)
 
     @pytest.mark.parametrize("name", list(named_degenerate_bodies()))
-    def test_degenerate_bodies_walk_to_the_same_rows_or_fall_back(self, name):
+    def test_degenerate_bodies_walk_to_the_rows_of_the_brute_force(self, name):
+        # ties in ratio tests (the cross-polytopes, coinciding, doubled and touching slabs) and vertices that clear a
+        # slab outside S by less than FEASIBILITY_TOL (near-coincident slabs) are decided by the tie rule of _kept
         body = named_degenerate_bodies()[name]
-        assert walks_to_the_kept_rows(body.directions, body.offsets) == (name not in self.FALLBACKS)
+        assert_walks_to_the_kept_rows(body.directions, body.offsets)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13])
     @pytest.mark.parametrize("tilt", [0.0, 0.5])
-    def test_near_coincident_slabs_walk_to_the_same_rows_or_fall_back(self, eps, tilt):
+    def test_near_coincident_slabs_walk_to_the_rows_of_the_brute_force(self, eps, tilt):
         body = near_coincident_body(eps, tilt)[0]
-        # the wedge the fourth slab cuts off is about eps deep: from 1e-9 its vertices clear no margin
-        assert walks_to_the_kept_rows(body.directions, body.offsets) == (eps > FEASIBILITY_TOL)
+        assert_walks_to_the_kept_rows(body.directions, body.offsets)
 
-    def test_a_streamed_body_with_a_slab_through_a_vertex_falls_back(self, monkeypatch):
+    @pytest.mark.parametrize("tilt", [0.0, 0.3, 0.5, 0.8, 1.1])
+    @pytest.mark.parametrize("factor", [1.0, 1.01, 1.05, 1.1, 1.25])
+    def test_the_band_at_the_singular_threshold_walks_to_the_rows_of_the_brute_force(self, factor, tilt):
+        # where the walk with the tie rule read volumes 7e-2 to 1.0 off while _DET_TOL kept some subsets of the
+        # pair's ridge and dropped others; the pair is now one slab for both (TestFacets checks the measures)
+        body = near_coincident_body(factor * _DET_TOL, tilt)[0]
+        assert_walks_to_the_kept_rows(body.directions, body.offsets)
+
+    def test_the_cross_polytope_in_five_dimensions_walks(self, monkeypatch):
+        # C(16, 5) = 4368 subsets, and every vertex is tight on all 16 slabs: the brute force kept 120 of 15040
+        # candidate rows in 0.23 s of CPU; the walk breaks every tie of its ratio tests by the tie rule of _kept
+        body = cross_polytope(5)
+        assert not _SlabPlan(body.directions).stored
+        walks, stacks = self.recorded(monkeypatch)
+        assert body.volume == pytest.approx(2.0**5 / math.factorial(5), rel=1e-14, abs=0.0)
+        assert len(walks) == 1 and stacks == []
+        assert len(walks[0][0]) == 120
+        assert_walks_to_the_kept_rows(body.directions, body.offsets)
+
+    def test_a_streamed_body_with_a_slab_through_a_vertex_walks(self, monkeypatch):
         body = through_a_vertex(random_symmetric_polytope(6, 15, RandomSource(960)), RandomSource(961))
         assert not _SlabPlan(body.directions).stored
-        assert not walks_to_the_kept_rows(body.directions, body.offsets)
-        walks, tables = [], []
-        walk = polytope._walk
-        monkeypatch.setattr(polytope, "_walk", lambda plan, t: (walks.append(walk(plan, t)), walks[-1])[1])
+        assert_walks_to_the_kept_rows(body.directions, body.offsets)
+        walks, stacks = self.recorded(monkeypatch)
+        tables = []
         monkeypatch.setattr(polytope, "cofactor_table", lambda rows: (tables.append(len(rows)), cofactor_table(rows))[1])
-        # the brute force's volume, as before the walk; the walk and the brute force read the plan's one cofactor table
-        assert body.volume == float.fromhex("0x1.d1898e8212f91p+3") and walks == [None] and tables == [16]
+        # the brute force's volume, as before the walk; the walk reads the plan's one cofactor table
+        assert body.volume == float.fromhex("0x1.d1898e8212f91p+3") and len(walks) == 1 and stacks == [] and tables == [16]
 
     @pytest.mark.parametrize("tilt", [0.0, 0.5, 1.1])
     def test_the_vertex_set_of_a_thin_wedge_holds_no_point_outside_the_body(self, tilt):
@@ -922,7 +944,7 @@ class TestVertexWalk:
 
     @staticmethod
     def recorded(monkeypatch) -> tuple[list, list]:
-        """Record each walk's result, and the stack of each brute-force enumeration, of the calls that follow."""
+        """Record each walk's rows, and the stack of each brute-force enumeration, of the calls that follow."""
         walks, stacks = [], []
         walk, candidates = polytope._walk, polytope._candidates
         monkeypatch.setattr(polytope, "_walk", lambda plan, t: (walks.append(walk(plan, t)), walks[-1])[1])
@@ -934,13 +956,13 @@ class TestVertexWalk:
         t = body.offsets * RandomSource(963).generator().uniform(0.5, 2.0, size=(3, 16))
         walks, stacks = self.recorded(monkeypatch)
         _volume_derivatives(_SlabPlan(body.directions), t)
-        assert len(walks) == 3 and all(rows is not None for rows in walks) and stacks == []
+        assert len(walks) == 3 and stacks == []
 
     def test_the_vertex_set_of_a_streamed_body_is_walked_to_that_of_a_stored_plan(self, monkeypatch):
         body = random_symmetric_polytope(6, 16, RandomSource(964))
         walks, stacks = self.recorded(monkeypatch)
         points = SymmetricHPolytope(body.directions, body.offsets).vertices.points
-        assert len(walks) == 1 and walks[0] is not None and stacks == []
+        assert len(walks) == 1 and stacks == []
         # C(16, 6) = 8008 subsets in one stored block: the brute force over the stack of one
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", 8008)
         assert _SlabPlan(body.directions).stored

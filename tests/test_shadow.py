@@ -444,16 +444,19 @@ class TestProductInequality:
         assert abs(rep.ratio - 1.0) <= 1e-9
 
     def test_a_side_that_overflows_is_refused(self):
-        # ROADMAP item 24: at offsets x 1e10 the logs of the sides read 712.9 and 718.2, past log(max float) = 709.8
+        # ROADMAP item 24: at offsets x 1e10 the logs of the sides read 712.9 and 718.2, past log(max float) = 709.8;
+        # at offsets x 1e-30 they read -2050.2 and -2044.9, below log(least normal float) = -708.4, where both sides
+        # would report 0.0 while the ratio, read from the logs, reads 202.7
         from shadowgeom.zonotope import random_weighted_directions
 
         body = random_symmetric_polytope(6, 10, RandomSource(5))
         dec = random_weighted_directions(6, RandomSource(1), bases=2)
-        scaled = SymmetricHPolytope(body.directions, 1e10 * body.offsets)
-        with pytest.raises(ValueError, match="overflows a float: log lhs 712.878, log rhs 718.19"):
-            verify_product_inequality(scaled, dec)
-        with pytest.raises(ValueError, match="overflows a float"):
-            loomis_whitney_check(scaled)
+        for s, logs in [(1e10, "log lhs 712.878, log rhs 718.19"), (1e-30, "log lhs -2050.22, log rhs -2044.91")]:
+            scaled = SymmetricHPolytope(body.directions, s * body.offsets)
+            with pytest.raises(ValueError, match=f"under- or overflows a float: {logs}"):
+                verify_product_inequality(scaled, dec)
+            with pytest.raises(ValueError, match="under- or overflows a float"):
+                loomis_whitney_check(scaled)
         # at unit scale the ratio, read from the logs, keeps its bits
         assert verify_product_inequality(body, dec).ratio == float.fromhex("0x1.95644b46a0a39p+7")
         assert loomis_whitney_check(body).ratio == float.fromhex("0x1.76e0605c522b9p+7")
