@@ -7,8 +7,8 @@ volume, shadows) is computed by explicit geometry, in two halves:
 * the half that depends on the directions alone, a plan
   (:class:`_SlabPlan`): the invertible ``n``-subsets S of the slab normals
   with ``|det U_S|`` and ``U_S^-1``, read from one Laplace table of the
-  cofactors of the (n-1)-subsets (no subset is factorised, and nearly
-  parallel pairs are decided once, :meth:`_SlabPlan.nonsingular`), the
+  cofactors of the (n-1)-subsets (no subset is factorised), the nearly
+  parallel pairs, each one slab in every body (:meth:`_SlabPlan.hidden`), the
   first-pass slabs J(S), the first four slabs not in S, with their rows
   ``u_j U_S^-1``, and, for each subset that holds a kept vertex cone,
   ``U_S^-T c`` for every candidate direction c of the cone formulas with
@@ -78,10 +78,9 @@ MEASURE_FLOOR = 1e-12
 #: a facet measure below this times the largest one is refused as certainly wrong (correct bodies read >= -1.5e-16)
 NEGATIVE_MEASURE_TOL = 1e-9
 _DET_TOL = 1e-12
-#: a pair of normals at distance min(|u_i - u_j|, |u_i + u_j|) within this is one slab (:meth:`_SlabPlan.nonsingular`), and
-#: within _PAIR_TOL the subsets holding it are decided by their exact determinants, each ridge's together
+#: a pair of normals at distance min(|u_i - u_j|, |u_i + u_j|) within this is one slab, in each body the one of
+#: smaller offset (:meth:`_SlabPlan.hidden`)
 _ONE_SLAB_TOL = 1.75e-12
-_PAIR_TOL = 1e-9
 #: how many slabs outside its subset S every (subset, sign pattern) candidate is tested against before X_S is
 #: formed (all m - n of them when there are fewer); at (6, 16) about 2.5 % of the candidates pass them
 _FIRST_PASS_SLABS = 4
@@ -211,22 +210,21 @@ class _SubsetBlock(NamedTuple):
     first_rows: np.ndarray
 
 
-def _subset_block(plan: _SlabPlan, block: tuple[np.ndarray, np.ndarray], outside: np.ndarray) -> _SubsetBlock:
-    """The nonsingular subsets of a block of :func:`subset_blocks` over the directions of `plan`, with their determinants, inverses and first-pass rows.
+def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray], outside: np.ndarray) -> _SubsetBlock:
+    """The nonsingular subsets of a block of :func:`subset_blocks` with their determinants, inverses and first-pass rows.
 
-    No subset is factorised: from the plan's cofactor table of the
-    (n-1)-subsets (:func:`cofactor_table`) and the block's ranks of each ``S
-    without s_i`` in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and
-    column i of ``U_S^-1`` is ``(-1)^i c_(S without s_i) / det U_S``.  The
-    subsets that :meth:`_SlabPlan.nonsingular` refuses are left out.
-    `outside` is the block's first-pass slabs.
+    No subset is factorised: from the cofactor table of the (n-1)-subsets
+    (:func:`cofactor_table`) and the block's ranks of each ``S without s_i``
+    in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and column i of
+    ``U_S^-1`` is ``(-1)^i c_(S without s_i) / det U_S``.  Subsets with
+    ``|det U_S| <= _DET_TOL`` are left out.  `outside` is the block's
+    first-pass slabs.
     """
-    u, cofactors = plan.directions, plan.cofactors
     n = u.shape[1]
     subsets, ranks = block
     # rows are gathered by np.take, the same values as by fancy indexing, and faster on these arrays
     det = (np.take(u, subsets[:, 0], axis=0)[:, None, :] @ np.take(cofactors, ranks[:, 0], axis=0)[:, :, None])[:, 0, 0]  # along the first row
-    keep = plan.nonsingular(subsets, det)
+    keep = np.abs(det) > _DET_TOL
     if not keep.all():
         subsets, det, ranks, outside = subsets[keep], det[keep], ranks[keep], outside[keep]
     subsets = subsets.astype(np.intp, copy=False)
@@ -291,27 +289,23 @@ class _SlabPlan:
         # by key, the row of each subset's cone terms, -1 until a cone of it is kept
         self._slots = np.full(subsets if self.stored else 0, -1)
         self._terms = (np.empty((0, _DIRECTIONS)), np.empty((0, _DIRECTIONS)), np.empty((0, n, _DIRECTIONS)))
-        # the slabs a lower one stands for, and the table of the other pairs within _PAIR_TOL (or None); only pairs with
-        # |<u_i, u_j>| near 1 are measured, since it is 1 - d^2 / 2 at distance d
-        self.merged, self.near = np.zeros(m, dtype=bool), None
+        # the pairs (i < j) within _ONE_SLAB_TOL, of those whose |<u_i, u_j>| = 1 - d^2 / 2 at distance d is near 1
         gram = np.abs(directions @ directions.T)
         gram.flat[:: m + 1] = 0.0
-        if gram.max() > 1.0 - 1e-12:
+        self.pairs = np.empty((0, 2), dtype=np.intp)
+        if gram.max() > 1.0 - 1e-12:  # rare, so a plan without such a pair pays for this test alone
             i, j = np.nonzero(np.triu(gram > 1.0 - 1e-12))
             gaps = np.minimum(*(np.linalg.norm(directions[i] + sign * directions[j], axis=1) for sign in (1.0, -1.0)))
-            self.merged[j[gaps <= _ONE_SLAB_TOL]] = True
-            self.near = np.zeros((m, m), dtype=bool)
-            self.near[i, j] = self.near[j, i] = (gaps > _ONE_SLAB_TOL) & (gaps < _PAIR_TOL)
-        _read_only(self.cofactors, self._slots, *self._terms)
+            self.pairs = np.column_stack([i, j])[gaps <= _ONE_SLAB_TOL]
+        _read_only(self.cofactors, self._slots, self.pairs, *self._terms)
 
-    def nonsingular(self, subsets: np.ndarray, det: np.ndarray) -> np.ndarray:
-        """Which subsets (slab rows, determinants ``det U_S``) are nonsingular: none holding a merged slab, those holding a near pair when ``det U_S != 0``, else ``|det U_S| > _DET_TOL``."""
-        keep = np.abs(det) > _DET_TOL
-        if self.near is not None:
-            i, j = np.triu_indices(subsets.shape[1], 1)
-            keep = np.where(self.near[subsets[:, i], subsets[:, j]].any(axis=1), det != 0.0, keep)
-            keep &= ~self.merged[subsets].any(axis=1)
-        return keep
+    def hidden(self, t: np.ndarray) -> np.ndarray:
+        """Per body of a (K, m) stack, the slabs another stands for, held by no kept row: of each pair, the one of larger offset, or the higher on a tie."""
+        hidden = np.zeros(t.shape, dtype=bool)
+        for i, j in self.pairs:
+            looser = t[:, j] >= t[:, i]
+            hidden[looser, j] = hidden[~looser, i] = True
+        return hidden
 
     def blocks(self, stack: int) -> Iterator[_SubsetBlock]:
         """The nonsingular subsets of a stored plan in lexicographic order, ``SUBSET_BLOCK // stack`` at a time; J(S) is read from the shape's cached table."""
@@ -319,7 +313,7 @@ class _SlabPlan:
         m, n = u.shape
         if self._block is None:
             (block,) = subset_blocks(m, n)
-            self._block = _subset_block(self, block, kernel._outside(m, n, min(_FIRST_PASS_SLABS, m - n)))
+            self._block = _subset_block(u, self.cofactors, block, kernel._outside(m, n, min(_FIRST_PASS_SLABS, m - n)))
             _read_only(*self._block)
         rows = max(1, kernel.SUBSET_BLOCK // stack)
         return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
@@ -439,15 +433,17 @@ def _ratio_test(t: np.ndarray, dots: np.ndarray, rate: np.ndarray, tie: float, p
         step = steps[lines, j]
         tied = (steps - step[:, None]) * size <= tie
     # a line that meets a slab ties at least with itself, so only a count above that calls for the tie rule
-    for line in np.flatnonzero(np.count_nonzero(tied, axis=1) > 1) if np.count_nonzero(tied) > np.count_nonzero(step < np.inf) else ():
-        k = np.flatnonzero(tied[line])
-        coefficients = (np.eye(len(t))[k] - np.sign(rate[line, k, None]) * perturbation(line, k)) / size[line, k, None]
-        floor = _TIE_TOL * max(np.abs(coefficients).max(), 1.0)  # within this of the line's largest (or of 1), equal
-        for c in range(len(t) - 1, -1, -1):
-            k, coefficients = k[keep := coefficients[:, c] <= coefficients[:, c].min() + floor], coefficients[keep]
-            if len(k) == 1:
-                break
-        j[line] = k[0]
+    if np.count_nonzero(tied) > np.count_nonzero(step < np.inf):
+        for line in np.flatnonzero(np.count_nonzero(tied, axis=1) > 1):
+            k = np.flatnonzero(tied[line])
+            coefficients = (np.eye(len(t))[k] - np.sign(rate[line, k, None]) * perturbation(line, k)) / size[line, k, None]
+            floor = _TIE_TOL * max(np.abs(coefficients).max(), 1.0)  # within this of the line's largest (or of 1), equal
+            for c in range(len(t) - 1, -1, -1):
+                keep = coefficients[:, c] <= coefficients[:, c].min() + floor
+                k, coefficients = k[keep], coefficients[keep]
+                if len(k) == 1:
+                    break
+            j[line] = k[0]
     return j, steps[lines, j], np.sign(rate[lines, j])
 
 
@@ -457,16 +453,16 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     The walk visits the canonical vertices (p_0 = +1) of the body perturbed as in :func:`_kept`.  A ray from the
     origin along column 0 of :func:`_direction_table`, followed inside the face found so far, reaches a first vertex.
     Edge i of (S, p) leaves slab s_i along ``-p_i U_S^-1 e_i``, and its ratio test (:func:`_ratio_test`) names the
-    neighbour; one that :meth:`_SlabPlan.nonsingular` refuses is left out, and the edge tested again.  On a slab
-    outside S tight at the vertex, a rate within ``_TIE_TOL`` of its tableau column's largest entry (or of 1) is 0, as
-    in :func:`_kept`.  New vertices, keyed by (rank of S, pattern index), take the brute force's bits from
-    :func:`_subset_block` and :func:`_refined_points`.  The perturbed body is simple, its vertices are the kept rows,
-    and its graph is connected (Balinski 1961), so the lexicographic pivots (Avis and Fukuda 1992) visit every kept
-    row, in O(vertices) memory besides the cofactor table.
+    neighbour; one onto a singular subset (:func:`_subset_block`) is left out, and the edge tested again.  A slab that
+    another stands for (:meth:`_SlabPlan.hidden`) is never met.  On a slab outside S tight at the vertex, a rate
+    within ``_TIE_TOL`` of its tableau column's largest entry (or of 1) is 0, as in :func:`_kept`.  New vertices, keyed
+    by (rank of S, pattern index), take the brute force's bits from :func:`_subset_block` and :func:`_refined_points`.
+    The perturbed body is simple, its vertices are the kept rows, and its graph is connected (Balinski 1961), so the
+    lexicographic pivots (Avis and Fukuda 1992) visit every kept row, in O(vertices) memory besides the cofactor table.
     """
     u = plan.directions
     m, n = u.shape
-    (t,) = t
+    (hidden,), (t,) = plan.hidden(t), t
     tie = _TIE_TOL * float(_scales(t[None])[0])
 
     def keyed(subsets: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -493,14 +489,14 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
             d = c - q @ (q.T @ c)
         rate = u @ d
         rate[np.abs(rate) <= _TIE_TOL * np.linalg.norm(d)] = 0.0
-        rate[tight] = rate[plan.merged] = 0.0
+        rate[tight] = rate[hidden] = 0.0
         (j,), (step,), (side,) = _ratio_test(t, u @ x, rate[None], tie, start_perturbation)
         if step == np.inf:
             break
         moves.append((d, j, side, abs(rate[j])))
         x, tight, sides = x + step * d, tight + [j], sides + [side]
     keys, subsets, signs, without = keyed(np.array([tight]), np.array([sides]))
-    if len(tight) < n or not len((block := _subset_block(plan, (subsets, without), np.empty((1, 0), dtype=np.intp))).keys):
+    if len(tight) < n or not len((block := _subset_block(u, plan.cofactors, (subsets, without), np.empty((1, 0), dtype=np.intp))).keys):
         raise ValueError("no vertices found; body is numerically degenerate")
     seen = np.r_[keys, np.iinfo(np.intp).max]  # the keys seen, sorted, over a sentinel above every key
     layer, found, rows = [(keys, subsets, signs, block.inverses, block.dets)], [], np.arange(n)
@@ -515,7 +511,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         tableau[at[:, :, None], rows[:, None], subsets[:, None, :]] = rows[:, None] == rows
         # edge i moves u_k . x at the rate -p_i (u_k U_S^-1)_i: on S exactly 0, but -p_i on s_i, whose far side it meets
         rate = -signs[:, :, None] * tableau
-        rate[:, :, plan.merged] = 0.0
+        rate[:, :, hidden] = 0.0
         dots = points @ u.T
         dots[at, subsets] = signs * ts
         slack = t - np.abs(dots)
@@ -541,7 +537,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
             unique, index = np.unique(adjacent_keys, return_index=True)
             place = np.searchsorted(seen, unique)
             new = np.flatnonzero(seen[place] != unique)
-            block = _subset_block(plan, (adjacent[index[new]], without[index[new]]), np.empty((len(new), 0), dtype=np.intp))
+            block = _subset_block(u, plan.cofactors, (adjacent[index[new]], without[index[new]]), np.empty((len(new), 0), dtype=np.intp))
             kept = new[block.keys]
             seen = np.insert(seen, place[kept], unique[kept])
             if len(kept):
@@ -572,8 +568,14 @@ def _kept(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) ->
     are decided once per vertex, and the lowest of coinciding slabs owns
     their facet.  The tie rule runs only when some vertex of the stack has
     two or more candidates; on a body without one it finds no tied slab.
-    A slab that a lower one stands for (:class:`_SlabPlan`) is not read.
+    A slab that another stands for (:meth:`_SlabPlan.hidden`) is not read,
+    and no candidate on it is kept.
     """
+    bound = t
+    if len(plan.pairs):
+        hidden = plan.hidden(t)
+        candidates = tuple(field[~hidden[candidates[0][:, None], candidates[1]].any(axis=1)] for field in candidates)
+        bound = np.where(hidden, np.inf, t)
     body, sub, pat, inverses, pts, dets, keys = candidates
     u = plan.directions
     m, n = u.shape
@@ -581,9 +583,8 @@ def _kept(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) ->
     dots = pts @ u.T
     labels = _cluster_labels(body, pts * canonical_signs(pts, 1e-9 * s[:, None])[:, None], _TIE_TOL * s)
     rows = np.arange(len(pts))[:, None]
-    loose = np.abs(dots) > t[body]
+    loose = np.abs(dots) > bound[body]
     loose[rows, sub] = False  # the subset's own slabs
-    loose[:, plan.merged] = False
     ok = ~loose.any(axis=1)
     if labels.max() + 1 < len(labels):  # some vertex holds two or more candidates: break their ties
         tied = np.zeros((len(pts), m), dtype=bool)

@@ -20,7 +20,6 @@ enumerated only when a caller asks for its vertices or facets.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,7 +293,7 @@ def verify_product_inequality(body: SymmetricHPolytope, decomposition: WeightedD
         raise ValueError("degenerate shadow encountered")
     log_lhs = (n - 1) * math.log(body.volume)
     log_rhs = float(np.sum(c * np.log(shadows)))
-    if not (min(log_lhs, log_rhs) >= math.log(sys.float_info.min) and max(log_lhs, log_rhs, log_rhs - log_lhs) < math.log(sys.float_info.max)):
+    if not (min(log_lhs, log_rhs) >= math.log(np.finfo(float).tiny) and max(log_lhs, log_rhs, log_rhs - log_lhs) < math.log(np.finfo(float).max)):
         raise ValueError(f"a side of the product inequality under- or overflows a float: log lhs {log_lhs:.6g}, log rhs {log_rhs:.6g}")
     return ProductInequalityReport(math.exp(log_lhs), math.exp(log_rhs), math.exp(log_rhs - log_lhs))
 

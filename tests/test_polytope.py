@@ -71,6 +71,20 @@ def near_coincident_body(eps: float, tilt: float = 0.0) -> tuple[SymmetricHPolyt
     return SymmetricHPolytope(u @ rotation.T, np.ones(4)), u[3, 0], u[3, 1]
 
 
+def doubled_at_half_offset(base: SymmetricHPolytope, eps: float, last: bool) -> tuple[SymmetricHPolytope, SymmetricHPolytope]:
+    """`base` with a copy of its slab 0 at half the offset, turned by the angle eps, as the last slab or the first; and the same without slab 0."""
+    u, t = base.directions, base.offsets
+    w = u[1] - (u[1] @ u[0]) * u[0]
+    copy = math.cos(eps) * u[0] + math.sin(eps) * w / np.linalg.norm(w)
+
+    def body(rows: np.ndarray, offsets: np.ndarray) -> SymmetricHPolytope:
+        if last:
+            return SymmetricHPolytope(np.vstack([rows, copy]), np.r_[offsets, t[0] / 2.0])
+        return SymmetricHPolytope(np.vstack([copy, rows]), np.r_[t[0] / 2.0, offsets])
+
+    return body(u, t), body(u[1:], t[1:])
+
+
 def named_degenerate_bodies() -> dict[str, SymmetricHPolytope]:
     """Bodies with vertices on more than n hyperplanes, by name: coinciding, reversed, touching, near-coincident and thin slabs."""
     bodies = {f"cube-{n}": cube(n) for n in (2, 3, 4)} | {f"cross-{n}": cross_polytope(n) for n in (3, 4)}
@@ -429,13 +443,11 @@ class TestFacets:
         assert np.abs(laplace - lu).max() <= 1e-15
         _, kept, _, _, _, dets, _ = _candidates(_SlabPlan(u), body.offsets[None])
         assert np.abs(dets - np.abs(np.linalg.det(u[kept]))).max() <= 1e-15
-        # the pair rule: within _ONE_SLAB_TOL slab 0 stands for slab 3, so no subset holding slab 3 is nonsingular;
-        # past it, a subset holding both is nonsingular when its determinant is nonzero, the others above _DET_TOL.
-        # At factor 2, {0, 1, 3} is singular (three normals in the plane x3 = 0 before the tilt), but the tilt leaves
-        # its Laplace determinant at rounding size, not 0, so it is kept; its candidates lie far outside the body
-        one = factor * _DET_TOL <= _ONE_SLAB_TOL
-        rule = [(3 not in s or not one) and (d != 0.0 if {0, 3} <= set(s) else abs(d) > _DET_TOL) for s, d in zip(subsets.tolist(), laplace)]
-        assert next(_SlabPlan(u).blocks(1)).subsets.tolist() == subsets[rule].tolist()
+        # the plan keeps the subsets whose determinants are above _DET_TOL; within _ONE_SLAB_TOL slab 0 stands for slab
+        # 3, and no kept row holds it
+        assert next(_SlabPlan(u).blocks(1)).subsets.tolist() == subsets[np.abs(laplace) > _DET_TOL].tolist()
+        rows = polytope._kept_rows(_SlabPlan(u), body.offsets[None])[1]
+        assert (factor * _DET_TOL <= _ONE_SLAB_TOL) == (3 not in rows)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_floor_offset_facet_matches_hull(self, n):
@@ -451,6 +463,21 @@ class TestFacets:
         assert floor.measure == pytest.approx(ref, rel=1e-9)
         # a prism of height 2 t_0 over its section, up to O(t_0) relative
         assert body.volume == pytest.approx(2.0 * OFFSET_FLOOR * ref, rel=1e-5)
+
+    @pytest.mark.parametrize("last", [True, False])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12])
+    @pytest.mark.parametrize("n, m", [(2, 2), (4, 8)])
+    def test_a_doubled_slab_is_the_one_of_smaller_offset(self, n, m, eps, last):
+        # slab 0 again, at half its offset and within _ONE_SLAB_TOL of it, after the body's slabs or before them: the
+        # copy binds, so it stands for the pair whichever index it has, and the body is the one without slab 0
+        base = cube(2) if n == 2 else random_symmetric_polytope(n, m, RandomSource(71))
+        body, ref = doubled_at_half_offset(base, eps, last)
+        assert _SlabPlan(body.directions).stored
+        assert body.volume == pytest.approx(ref.volume, rel=1e-14)
+        assert body.vertices.points == pytest.approx(ref.vertices.points, abs=1e-14)
+        looser = 0 if last else 1
+        assert body._facet_measures[looser] == 0.0
+        assert np.delete(body._facet_measures, looser) == pytest.approx(ref._facet_measures, rel=1e-12)
 
     def test_redundant_slab_has_no_facet(self):
         u = np.vstack([np.eye(2), [[math.sqrt(0.5), math.sqrt(0.5)]]])
@@ -740,16 +767,15 @@ class TestSlabPlan:
     @pytest.mark.parametrize("n, m", [(3, 7), (4, 9), (6, 16)])
     def test_inverses_are_c_contiguous_and_invert_each_subset(self, monkeypatch, n, m):
         u = sample_unit_sphere(n, RandomSource(664 + n), count=m)
-        u[-1] = u[0]  # so slab 0 stands for slab m - 1, and every subset holding m - 1 is singular and left out
-        u[-2] = 0.5 * (u[1] + u[2]) / np.linalg.norm(0.5 * (u[1] + u[2]))  # and a few more, of three normals in a plane
+        u[-1] = u[0]  # so some subsets are singular and left out
         monkeypatch.setattr(kernel, "SUBSET_BLOCK", math.comb(m, n))  # one stored block
         cofactors = cofactor_table(u)
         subsets, ranks = kernel._lattice(m, n)
         block = next(_SlabPlan(u).blocks(1))
         det = (u[subsets[:, 0], None, :] @ cofactors[ranks[:, 0], :, None])[:, 0, 0]
-        kept = np.flatnonzero((np.abs(det) > _DET_TOL) & np.all(subsets != m - 1, axis=1))
+        kept = np.flatnonzero(np.abs(det) > _DET_TOL)
         assert np.array_equal(block.keys, kept)  # the ranks of the subsets
-        assert len(subsets) - len(kept) == math.comb(m - 1, n - 1) + math.comb(m - 4, n - 3) > math.comb(m - 1, n - 1)
+        assert len(subsets) - len(kept) == math.comb(m - 2, n - 2)
         assert block.subsets.dtype == np.intp and np.array_equal(block.subsets, subsets[kept])
         assert block.inverses.flags.c_contiguous and block.inverses.shape == (len(kept), n, n)
         # U_S U_S^-1 = I to rounding, which grows with the condition of U_S
@@ -933,6 +959,17 @@ class TestVertexWalk:
         monkeypatch.setattr(polytope, "cofactor_table", lambda rows: (tables.append(len(rows)), cofactor_table(rows))[1])
         # the brute force's volume, as before the walk; the walk reads the plan's one cofactor table
         assert body.volume == float.fromhex("0x1.d1898e8212f91p+3") and len(walks) == 1 and stacks == [] and tables == [16]
+
+    @pytest.mark.parametrize("last", [True, False])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12])
+    def test_a_streamed_body_walks_on_the_doubled_slab_of_smaller_offset(self, eps, last):
+        # a (6, 14) body and a copy of its slab 0 at half the offset: the copy stands for the pair, so the walk meets
+        # it and not slab 0, and reads the body without slab 0
+        body, ref = doubled_at_half_offset(random_symmetric_polytope(6, 14, RandomSource(965)), eps, last)
+        assert not _SlabPlan(body.directions).stored
+        assert_walks_to_the_kept_rows(body.directions, body.offsets)
+        assert body.volume == pytest.approx(ref.volume, rel=1e-14)
+        assert body.vertices.points == pytest.approx(ref.vertices.points, abs=1e-14)
 
     @pytest.mark.parametrize("tilt", [0.0, 0.5, 1.1])
     def test_the_vertex_set_of_a_thin_wedge_holds_no_point_outside_the_body(self, tilt):
