@@ -446,7 +446,8 @@ def direction_spread(directions: np.ndarray) -> MinShadowReport:
         raise ValueError("directions must be a 2-d array (m, n)")
     n = u.shape[1]
     unit_directions(u, n)
-    _, sv, vt = np.linalg.svd(u)
+    # only a set of fewer than n directions needs the full V, for its witness normal to their span; U is never full
+    _, sv, vt = np.linalg.svd(u, full_matrices=len(u) < n)
     if len(sv) < n or not sv[-1] > 1e-10:  # the rank test of check_slab_directions, and its witness
         return MinShadowReport(vt[-1].copy(), 0.0, 0)
     report = minimize_support(Zonotope(u))

@@ -14,10 +14,12 @@ of every subset without one of its elements, comes from one cached lattice of
 the k-subsets in lexicographic order, each level built from the one below,
 and so do the first elements outside each subset, which the vertex
 enumeration tests its sign patterns against first (:func:`_outside`).  A
-slab plan over more than ``SUBSET_BLOCK`` subsets builds no block: it walks
-the vertex graph of each body (``polytope._walk``), which visits a few
-subsets out of all of them and reads the same ranks in closed form
-(:func:`subset_ranks`); the zonotope's volume streams its blocks.
+slab plan of at most ``SUBSET_BLOCK`` subsets reads its one block off the
+lattice; a larger one walks the vertex graph of each body
+(``polytope._walk``), which visits a few subsets out of all of them and
+reads the same ranks in closed form (:func:`subset_ranks`).  Only the
+zonotope's volume reads blocks (:func:`subset_blocks`), streamed past
+``INDEX_PLAN_SUBSETS`` subsets.
 
 A set that does not span R^n is refused in two places only: slab
 directions here, by :func:`check_slab_directions`, which every constructor
@@ -66,12 +68,13 @@ class CapacityError(RuntimeError):
 
 MAX_ROWS = 24  # slabs or generators in any subset enumeration
 MAX_DIM = 7
-#: Rows per block, and the most subsets a slab plan keeps between evaluations; a larger plan walks each body's
-#: vertex graph and builds no block (a (6, 16) volume's traced peak is 2.5 MB, 3.7 MB building the lattice).
+#: Rows per block, the most subsets of a stored slab plan's one block and the most (subset, body) rows a brute-force
+#: run tests; a larger plan walks each body's vertex graph (a (6, 16) volume's traced peak is 2.5 MB, 3.7 MB building
+#: the lattice).
 SUBSET_BLOCK = 4096
-#: The most k-subsets that :func:`subset_blocks` slices from the cached :func:`_lattice`: C(16, 6), the
-#: largest shape a workload of the benchmark measures.  Larger shapes build their blocks one at a time,
-#: each from the cached lattice of the (k-1)-subsets.
+#: The most k-subsets that :func:`subset_blocks`, which only the zonotope's LU determinants read, slices from the
+#: cached :func:`_lattice`: C(16, 6), the largest shape a workload of the benchmark measures.  Larger shapes
+#: build their blocks one at a time, each from the cached lattice of the (k-1)-subsets.
 INDEX_PLAN_SUBSETS = math.comb(16, 6)
 CURVATURE_FLOOR = 1e-6
 
@@ -86,7 +89,7 @@ def check_capacity(m: int, n: int) -> None:
 
 
 def subset_blocks(m: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK`` rows at a time.
+    """The k-subsets of ``range(m)`` as index rows in lexicographic order, ``SUBSET_BLOCK`` rows at a time: the zonotope's LU determinants.
 
     Each block comes as ``(rows, ranks)``: at ``[r, i]`` of ``ranks`` the
     row of :func:`cofactor_table` that holds subset r without its i-th

@@ -5,21 +5,22 @@ A body is the set ``{x : |<x, u_i>| <= t_i, i = 1..m}`` for unit directions
 volume, shadows) is computed by explicit geometry, in two halves:
 
 * the half that depends on the directions alone, a plan
-  (:class:`_SlabPlan`): the invertible ``n``-subsets S of the slab normals
-  with ``|det U_S|`` and ``U_S^-1``, read from one Laplace table of the
-  cofactors of the (n-1)-subsets (no subset is factorised), the nearly
-  parallel pairs, each one slab in every body (:meth:`_SlabPlan.hidden`), the
-  first-pass slabs J(S), the first four slabs not in S, with their rows
-  ``u_j U_S^-1``, and, for each subset that holds a kept vertex cone,
+  (:class:`_SlabPlan`): one Laplace table of the cofactors of the
+  (n-1)-subsets, from which ``|det U_S|`` and ``U_S^-1`` of an invertible
+  ``n``-subset S are read (no subset is factorised), the nearly parallel
+  pairs, each one slab in every body (:meth:`_SlabPlan.hidden`), and, up to
+  ``SUBSET_BLOCK`` subsets, one block of every invertible S, built with the
+  plan, with the first-pass slabs J(S), the first four slabs not in S, and
+  their rows ``u_j U_S^-1``, and, for each subset that holds a kept vertex cone,
   ``U_S^-T c`` for every candidate direction c of the cone formulas with
   the share of their rounding estimate that does not depend on t;
 * the half that scales the plan by the offsets t, one row source
-  (:func:`_kept_rows`): by brute force, each subset's 2^(n-1) sign patterns
-  p filtered by feasibility of ``x = X_S p``, with ``X_S = U_S^-1
-  diag(t_S)``, in two passes, the slabs J(S) for every pattern and every
-  slab for the survivors, whose X_S alone is formed; or, for each body of
-  a plan over more than ``SUBSET_BLOCK`` subsets, the same rows found by
-  walking its vertex graph, one simplex pivot per edge (:func:`_walk`);
+  (:func:`_kept_rows`): by brute force over the block, each subset's
+  2^(n-1) sign patterns p filtered by feasibility of ``x = X_S p``, with
+  ``X_S = U_S^-1 diag(t_S)``, in two passes, the slabs J(S) for every
+  pattern and every slab for the survivors, whose X_S alone is formed; or,
+  for each body of a plan with no block, the same rows found by walking its
+  vertex graph, one simplex pivot per edge (:func:`_walk`);
   then the volume, the facet measures and the Hessian of the volume in the
   offsets in closed form over the vertex cones of the feasible (subset,
   pattern) pairs (Lawrence's formula and its derivatives), whose ``gamma =
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -61,7 +62,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import _ALTERNATING, RandomSource, _read_unit_rows, canonical_signs, check_slab_directions, unit_directions
-from .kernel import cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, subset_blocks, unit_ball_volume
+from .kernel import cofactor_table, dedup_rows, sample_unit_sphere, sign_patterns, unit_ball_volume
 
 __all__ = [
     "FacetData",
@@ -82,7 +83,7 @@ _DET_TOL = 1e-12
 #: smaller offset (:meth:`_SlabPlan.hidden`)
 _ONE_SLAB_TOL = 1.75e-12
 #: how many slabs outside its subset S every (subset, sign pattern) candidate is tested against before X_S is
-#: formed (all m - n of them when there are fewer); at (6, 16) about 2.5 % of the candidates pass them
+#: formed (all m - n of them when there are fewer); at (6, 14) about 1.6 % of the candidates pass them
 _FIRST_PASS_SLABS = 4
 #: candidates within this (times the scale) of each other are one vertex, and their slabs tie there
 _TIE_TOL = 1e-12
@@ -195,45 +196,39 @@ class _SubsetBlock(NamedTuple):
     """The offset-free data of a block of nonsingular n-subsets S of the directions, one row per subset.
 
     ``keys`` is the row of S in the rows the block was built from, singular
-    rows counted (in a stored plan's one block, the rank of S among all
-    n-subsets in lexicographic order), and ``dets`` holds ``|det U_S|``.
-    ``inverses`` holds ``U_S^-1`` in C order, ``outside`` the first-pass
-    slabs J(S), the first ``min(_FIRST_PASS_SLABS, m - n)`` slabs not in S
-    (``kernel._outside``), and ``first_rows`` their rows ``u_J U_S^-1``.
+    rows counted (in a stored plan's block, the rank of S among all n-subsets
+    in lexicographic order), ``dets`` holds ``|det U_S|`` and ``inverses``
+    holds ``U_S^-1`` in C order.
     """
 
     keys: np.ndarray
     subsets: np.ndarray
     dets: np.ndarray
     inverses: np.ndarray
-    outside: np.ndarray
-    first_rows: np.ndarray
 
 
-def _subset_block(u: np.ndarray, cofactors: np.ndarray, block: tuple[np.ndarray, np.ndarray], outside: np.ndarray) -> _SubsetBlock:
-    """The nonsingular subsets of a block of :func:`subset_blocks` with their determinants, inverses and first-pass rows.
+def _subset_block(u: np.ndarray, cofactors: np.ndarray, subsets: np.ndarray, ranks: np.ndarray) -> _SubsetBlock:
+    """The nonsingular ones of the n-subsets `subsets`, with their determinants and inverses.
 
     No subset is factorised: from the cofactor table of the (n-1)-subsets
-    (:func:`cofactor_table`) and the block's ranks of each ``S without s_i``
-    in it, ``det U_S = <u_(s_0), c_(S without s_0)>`` and column i of
-    ``U_S^-1`` is ``(-1)^i c_(S without s_i) / det U_S``.  Subsets with
-    ``|det U_S| <= _DET_TOL`` are left out.  `outside` is the block's
-    first-pass slabs.
+    (:func:`cofactor_table`) and the `ranks` of each ``S without s_i`` in it
+    (as :func:`kernel.subset_ranks` gives them), ``det U_S = <u_(s_0),
+    c_(S without s_0)>`` and column i of ``U_S^-1`` is ``(-1)^i c_(S without
+    s_i) / det U_S``.  Subsets with ``|det U_S| <= _DET_TOL`` are left out.
     """
     n = u.shape[1]
-    subsets, ranks = block
     # rows are gathered by np.take, the same values as by fancy indexing, and faster on these arrays
     det = (np.take(u, subsets[:, 0], axis=0)[:, None, :] @ np.take(cofactors, ranks[:, 0], axis=0)[:, :, None])[:, 0, 0]  # along the first row
     keep = np.abs(det) > _DET_TOL
     if not keep.all():
-        subsets, det, ranks, outside = subsets[keep], det[keep], ranks[keep], outside[keep]
+        subsets, det, ranks = subsets[keep], det[keep], ranks[keep]
     subsets = subsets.astype(np.intp, copy=False)
     # C order, one component of the cofactors gathered at a time: with transposed strides a stacked body rounds differently
     inverses = np.empty((len(ranks), n, n))
     for k, component in enumerate(cofactors.T):
         np.take(component, ranks, out=inverses[:, k], mode="clip")  # the ranks are in range; "clip" writes unbuffered
     inverses *= (_ALTERNATING[:n] / det[:, None])[:, None, :]
-    return _SubsetBlock(np.flatnonzero(keep), subsets, np.abs(det), inverses, outside, np.take(u, outside, axis=0) @ inverses)
+    return _SubsetBlock(np.flatnonzero(keep), subsets, np.abs(det), inverses)
 
 
 def _cone_terms(inverses: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,22 +256,24 @@ def _read_only(*arrays: np.ndarray) -> None:
 class _SlabPlan:
     """The half of the vertex enumeration and of the cone formulas that depends on the directions alone.
 
-    The nonsingular n-subsets S, ``|det U_S|``, ``U_S^-1`` and the
-    first-pass rows (:class:`_SubsetBlock`) do not depend on the offsets t,
-    and neither do the terms of :func:`_cone_terms`: ``X_S = U_S^-1
-    diag(t_S)`` scales the columns of ``U_S^-1``, the first-pass slacks, the
-    points and ``h`` are linear in t, and ``gamma`` and the tie
+    The nonsingular n-subsets S with ``|det U_S|`` and ``U_S^-1``
+    (:class:`_SubsetBlock`) and the first-pass rows do not depend on the
+    offsets t, and neither do the terms of :func:`_cone_terms`: ``X_S =
+    U_S^-1 diag(t_S)`` scales the columns of ``U_S^-1``, the first-pass
+    slacks, the points and ``h`` are linear in t, and ``gamma`` and the tie
     coefficients read ``U_S^-1`` alone.  So a plan is built from the
     directions, and every evaluation over offsets (:func:`_candidates`,
     :func:`_cones`) only scales it by t.
 
     Its cofactor table and nearly parallel pairs, found at construction
     (where the capacity guard applies), serve the block and every walk.  Up
-    to ``SUBSET_BLOCK`` subsets, the plan is stored: it keeps its one block
-    from the first evaluation on, and the cone terms of each subset from the
-    first evaluation that keeps a cone of it, all read-only; otherwise each
-    body walks (:func:`_kept_rows`) and each evaluation computes the cone
-    terms of the kept rows.  A family solve keeps its plan, a lone body drops it.
+    to ``SUBSET_BLOCK`` subsets, the plan is stored: at construction it builds
+    its one ``block`` of every nonsingular subset, the first-pass slabs J(S)
+    (``outside``) and their rows ``u_J U_S^-1`` (``first_rows``), and it keeps
+    the cone terms of each subset from the first evaluation that keeps a cone
+    of it, all read-only; otherwise it builds no block, each body walks
+    (:func:`_kept_rows`) and each evaluation computes the cone terms of the
+    kept rows.  A family solve keeps its plan, a lone body drops it.
     """
 
     def __init__(self, directions: np.ndarray):
@@ -285,7 +282,6 @@ class _SlabPlan:
         m, n = directions.shape
         subsets = math.comb(m, n)
         self.stored = subsets <= kernel.SUBSET_BLOCK
-        self._block: _SubsetBlock | None = None
         # by key, the row of each subset's cone terms, -1 until a cone of it is kept
         self._slots = np.full(subsets if self.stored else 0, -1)
         self._terms = (np.empty((0, _DIRECTIONS)), np.empty((0, _DIRECTIONS)), np.empty((0, n, _DIRECTIONS)))
@@ -298,6 +294,13 @@ class _SlabPlan:
             gaps = np.minimum(*(np.linalg.norm(directions[i] + sign * directions[j], axis=1) for sign in (1.0, -1.0)))
             self.pairs = np.column_stack([i, j])[gaps <= _ONE_SLAB_TOL]
         _read_only(self.cofactors, self._slots, self.pairs, *self._terms)
+        if self.stored:
+            # built last: built before the arrays above, the same operations left the (6, 14) ops of the `measure`
+            # benchmark about 25 % slower on a 2-core x86-64 host, most likely through the heap's layout
+            self.block = _subset_block(directions, self.cofactors, *kernel._lattice(m, n))
+            self.outside = kernel._outside(m, n, min(_FIRST_PASS_SLABS, m - n))[self.block.keys]
+            self.first_rows = np.take(directions, self.outside, axis=0) @ self.block.inverses
+            _read_only(*self.block, self.outside, self.first_rows)
 
     def hidden(self, t: np.ndarray) -> np.ndarray:
         """Per body of a (K, m) stack, the slabs another stands for, held by no kept row: of each pair, the one of larger offset, or the higher on a tie."""
@@ -306,17 +309,6 @@ class _SlabPlan:
             looser = t[:, j] >= t[:, i]
             hidden[looser, j] = hidden[~looser, i] = True
         return hidden
-
-    def blocks(self, stack: int) -> Iterator[_SubsetBlock]:
-        """The nonsingular subsets of a stored plan in lexicographic order, ``SUBSET_BLOCK // stack`` at a time; J(S) is read from the shape's cached table."""
-        u = self.directions
-        m, n = u.shape
-        if self._block is None:
-            (block,) = subset_blocks(m, n)
-            self._block = _subset_block(u, self.cofactors, block, kernel._outside(m, n, min(_FIRST_PASS_SLABS, m - n)))
-            _read_only(*self._block)
-        rows = max(1, kernel.SUBSET_BLOCK // stack)
-        return (_SubsetBlock._make(field[lo : lo + rows] for field in self._block) for lo in range(0, len(self._block.keys), rows))
 
     def cone_terms(self, keys: np.ndarray, inverses: np.ndarray, dets: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """:func:`_cone_terms` of the subsets of the rows (block rows ``keys``, ``U_S^-1``, ``|det U_S|``), and the row of each in them.
@@ -370,51 +362,52 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     bound ``t + FEASIBILITY_TOL * scale`` of their body.  The kept points take
     one step of iterative refinement: where U_S is ill-conditioned,
     ``X_S p`` cancels large entries, and its slack on them is off by about
-    eps cond(U_S) (1e-9 at cond 1e8).  The bodies share each slice of the
-    plan's block, so a slice holds ``SUBSET_BLOCK`` (subset, body) rows at
-    most.
+    eps cond(U_S) (1e-9 at cond 1e8).  The stack is cut into runs of
+    ``SUBSET_BLOCK // len(block)`` whole bodies (one at least), each tested
+    over the whole block, so a run holds ``SUBSET_BLOCK`` (subset, body)
+    rows at most, and its rows already come by body.
     """
     u = plan.directions
-    count = len(t)
     m, n = u.shape
     # J(S) holds every slab outside S when m - n <= _FIRST_PASS_SLABS: the first pass is then the whole test
     whole = m - n <= _FIRST_PASS_SLABS
     patterns = _sign_patterns(n)  # (P, n)
     bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
-    found: list[tuple[np.ndarray, ...]] = []
-    for keys, subsets, dets, inverses, outside, first_rows in plan.blocks(count):
-        size, first = outside.shape
+    keys, subsets, dets, inverses = plan.block
+    size, first = plan.outside.shape
+    bodies = max(1, kernel.SUBSET_BLOCK // max(size, 1))  # a block whose subsets are all singular is empty
+    found = []
+    for lo in range(0, len(t), bodies):
+        run, limit = t[lo : lo + bodies], bound[lo : lo + bodies]
+        count = len(run)
         # the large gathers by np.take, the same values as by fancy indexing, and faster on these arrays
-        ts = np.take(t, subsets, axis=1)  # (K, B, n)
+        ts = np.take(run, subsets, axis=1)  # (K, B, n)
         # the first-pass rows of X_S, by slab of J(S)
-        rows = first_rows.transpose(1, 0, 2)[:, None] * ts
-        # explicit sizes: a block whose subsets are all singular is empty
+        rows = plan.first_rows.transpose(1, 0, 2)[:, None] * ts
+        # explicit sizes, for an empty block
         dots = (rows.reshape(first, count * size, n) @ patterns.T).reshape(first, count, size, len(patterns))
-        ok = (np.abs(dots, out=dots) <= np.take(bound, outside, axis=1).transpose(2, 0, 1)[..., None]).all(axis=0)
-        del dots  # the block's largest temporary, freed before the survivors' slacks are formed
+        ok = (np.abs(dots, out=dots) <= np.take(limit, plan.outside, axis=1).transpose(2, 0, 1)[..., None]).all(axis=0)
+        del dots  # the run's largest temporary, freed before the survivors' slacks are formed
         row, pat = np.divmod(np.flatnonzero(ok), len(patterns))  # row = body * size + subset
         body, sub = np.divmod(row, size)
         ts = ts.reshape(count * size, n)
         if not whole:
             # X_S = U_S^-1 diag(t_S) of the first-pass survivors, in blocks of rows, so it and their slacks stay small
             good = np.empty(len(row), dtype=bool)
-            for lo in range(0, len(row), kernel.SUBSET_BLOCK):
-                part = slice(lo, lo + kernel.SUBSET_BLOCK)
+            for at in range(0, len(row), kernel.SUBSET_BLOCK):
+                part = slice(at, at + kernel.SUBSET_BLOCK)
                 x = np.take(inverses, sub[part], axis=0) * np.take(ts, row[part], axis=0)[:, None, :]
                 dots = np.einsum("rij,rj->ri", x, np.take(patterns, pat[part], axis=0)) @ u.T
                 dots[np.arange(len(dots))[:, None], np.take(subsets, sub[part], axis=0)] = 0.0  # the subset's own slabs are tight, so they pass
-                good[part] = (np.abs(dots) <= np.take(bound, body[part], axis=0)).all(axis=1)
+                good[part] = (np.abs(dots) <= np.take(limit, body[part], axis=0)).all(axis=1)
             row, body, sub, pat = row[good], body[good], sub[good], pat[good]
         own = subsets[sub]
-        cand = _refined_points(u, own, inverses[sub] * ts[row][:, None, :], patterns[pat], t[body[:, None], own])
-        found.append((body, own, patterns[pat], inverses[sub], cand, dets[sub], keys[sub]))
-    if not found or np.any(np.bincount(np.concatenate([block[0] for block in found]), minlength=count) == 0):
+        cand = _refined_points(u, own, inverses[sub] * ts[row][:, None, :], patterns[pat], run[body[:, None], own])
+        found.append((lo + body, own, patterns[pat], inverses[sub], cand, dets[sub], keys[sub]))
+    fields = tuple(np.concatenate(field) for field in zip(*found))
+    if np.any(np.bincount(fields[0], minlength=len(t)) == 0):
         raise ValueError("no vertices found; body is numerically degenerate")
-    if len(found) == 1:  # one block's rows already come by body
-        return found[0]
-    fields = [np.concatenate(field) for field in zip(*found)]
-    order = np.argsort(fields[0], kind="stable")
-    return tuple(field[order] for field in fields)
+    return fields
 
 
 def _ratio_test(t: np.ndarray, dots: np.ndarray, rate: np.ndarray, tie: float, perturbation) -> tuple[np.ndarray, ...]:
@@ -496,7 +489,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         moves.append((d, j, side, abs(rate[j])))
         x, tight, sides = x + step * d, tight + [j], sides + [side]
     keys, subsets, signs, without = keyed(np.array([tight]), np.array([sides]))
-    if len(tight) < n or not len((block := _subset_block(u, plan.cofactors, (subsets, without), np.empty((1, 0), dtype=np.intp))).keys):
+    if len(tight) < n or not len((block := _subset_block(u, plan.cofactors, subsets, without)).keys):
         raise ValueError("no vertices found; body is numerically degenerate")
     seen = np.r_[keys, np.iinfo(np.intp).max]  # the keys seen, sorted, over a sentinel above every key
     layer, found, rows = [(keys, subsets, signs, block.inverses, block.dets)], [], np.arange(n)
@@ -537,7 +530,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
             unique, index = np.unique(adjacent_keys, return_index=True)
             place = np.searchsorted(seen, unique)
             new = np.flatnonzero(seen[place] != unique)
-            block = _subset_block(u, plan.cofactors, (adjacent[index[new]], without[index[new]]), np.empty((len(new), 0), dtype=np.intp))
+            block = _subset_block(u, plan.cofactors, adjacent[index[new]], without[index[new]])
             kept = new[block.keys]
             seen = np.insert(seen, place[kept], unique[kept])
             if len(kept):

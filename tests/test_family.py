@@ -1,6 +1,7 @@
 """Slab-family volume maximization, certified floors, pathological bodies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,18 @@ class TestDirectionSpread:
         rep = direction_spread(u)
         assert rep.value == 0.0 and rep.candidates_checked == 0
         assert np.allclose(u @ rep.direction, 0.0, atol=1e-12)
+
+    def test_too_many_directions_are_refused_before_any_m_by_m_matrix(self):
+        # 3000 directions in R^3: the full U of their SVD alone would take 72 MB before the zonotope's guard refuses
+        u = sample_unit_sphere(3, RandomSource(98), count=3000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="guard exceeded"):
+                direction_spread(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
     def test_random_directions_in_four_dimensions(self):
         u = sample_unit_sphere(4, RandomSource(99).fork(1), count=8)
