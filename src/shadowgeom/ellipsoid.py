@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, WeightedDirections, canonical_signs, dedup_rows, hyperplane_basis, jacobi_eigh, newton_on_slice, unit_ball_volume
+from .kernel import CapacityError, WeightedDirections, binary_exponent, canonical_signs, dedup_rows, hyperplane_basis, jacobi_eigh, newton_on_slice, unit_ball_volume
 
 __all__ = [
     "Ellipsoid",
@@ -112,18 +112,6 @@ class MveeResult:
     tol: float
 
 
-def _exponent(points: np.ndarray) -> int:
-    """The e with the largest entry of the points in ``[2^(e-1), 2^e)`` (0 for no nonzero entry).
-
-    The points scaled by ``2^-e`` lie in [-1, 1], so their squares neither
-    overflow nor underflow, and scaling by a power of two is exact: a norm,
-    pivot or tolerance read off the scaled points is the same bits, scaled,
-    as one read off the points wherever those neither overflow nor
-    underflow.
-    """
-    return int(np.frexp(np.abs(points).max(initial=0.0))[1])
-
-
 def _canonicalize_symmetric(points: np.ndarray) -> np.ndarray:
     """One representative per antipodal pair, zero rows dropped; tolerances relative to the largest norm, at any finite scale."""
     pts = np.asarray(points, dtype=float)
@@ -131,7 +119,7 @@ def _canonicalize_symmetric(points: np.ndarray) -> np.ndarray:
         raise ValueError("points must be a 2-d array (m, n)")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    e = _exponent(pts)
+    e = binary_exponent(pts)
     norms = np.linalg.norm(np.ldexp(pts, -e), axis=1)
     tol = 1e-12 * float(norms.max(initial=0.0))
     keep = pts[norms > tol]
@@ -280,7 +268,7 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
         raise ValueError("eps must lie in [1e-10, 1e-2]")
     v = _canonicalize_symmetric(points)
     m, n = v.shape
-    e = _exponent(v)
+    e = binary_exponent(v)
     unit = np.ldexp(v, -e)  # the pivots of v, at any finite scale
     largest = float(np.linalg.norm(unit, axis=1).max())
     active = _spanning_basis(unit, 1e-10 * largest)

@@ -7,7 +7,9 @@ bit-identically.  :class:`WeightedDirections` is the one type for an
 isotropic decomposition (the MVEE's contact points included), and
 ``_read_unit_rows`` the one validator for the JSON documents that carry
 unit direction rows.  The eigensolver, the Newton step on a slice, the sign
-table, the slab-direction check, and the subset enumerator and cofactor table
+table, the power-of-two frame of a body or point set
+(:func:`binary_exponent`), the slab-direction check, and the subset
+enumerator and cofactor table
 of polytopes and zonotopes with the one capacity guard they apply have one
 implementation each, here.  Every subset index of the last two, and the rank
 of every subset without one of its elements, comes from one cached lattice of
@@ -364,6 +366,15 @@ def newton_on_slice(basis: np.ndarray, slope: np.ndarray, curvature: np.ndarray)
     lam = np.minimum(lam, -CURVATURE_FLOOR * float(np.abs(lam).max(initial=0.0)))
     delta = vecs @ ((vecs.T @ slope) / -lam)
     return basis @ delta, float(slope @ delta)
+
+
+def binary_exponent(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The e with the largest magnitude of `values` (or along `axis`) in ``[2^(e-1), 2^e)``, 0 where all are 0.
+
+    Scaled by ``2^-e``, the values lie in [-1, 1]; a power of two scales
+    without rounding wherever nothing overflows or underflows.
+    """
+    return np.frexp(np.abs(values).max(axis=axis, initial=0.0))[1]
 
 
 def canonical_signs(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:

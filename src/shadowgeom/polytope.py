@@ -42,11 +42,11 @@ Cauchy's formula with one term per antipodal pair, ``sum_j |<theta, u_j>|
 |F_j|``.  The merged vertex set, the points of the same kept rows over a plan
 of its own, and the facet record are built on request.
 
-The feasibility, merge and sign tolerances and the negligible-facet floor
-are given at unit scale and scaled with the body (see ``_scale``), and so is
-the tolerance of :meth:`SymmetricHPolytope.contains`.  The enumeration cost
-is combinatorial, so the one guard of the kernel, which zonotopes share,
-rejects ``m > 24`` slabs or dimension ``n > 7``.
+The cone pass and the vertex set measure a body in its frame, its offsets
+scaled by the power of two that brings the largest into [1, 2), where the
+enumeration's tolerances are given, and map back exactly (see ``_scale``).
+The enumeration cost is combinatorial, so the one guard of the kernel,
+which zonotopes share, rejects ``m > 24`` slabs or dimension ``n > 7``.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ _ONE_SLAB_TOL = 1.75e-12
 #: how many slabs outside its subset S every (subset, sign pattern) candidate is tested against before X_S is
 #: formed (all m - n of them when there are fewer); at (6, 14) about 1.6 % of the candidates pass them
 _FIRST_PASS_SLABS = 4
-#: candidates within this (times the scale) of each other are one vertex, and their slabs tie there
+#: candidates within this of each other, at unit scale, are one vertex, and their slabs tie there
 _TIE_TOL = 1e-12
 #: the candidates for the direction c of the vertex-cone formulas: their number, and the seed they are drawn from
 _DIRECTIONS = 64
@@ -160,16 +160,11 @@ def _direction_table(n: int) -> np.ndarray:
     return table
 
 
-def _scales(t: np.ndarray) -> np.ndarray:
-    """Per body of the (K, m) offset stack, its largest offset rounded down to a power of two."""
-    return np.ldexp(1.0, np.frexp(t.max(axis=1))[1] - 1)
+def _cluster_labels(body: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """One label per row, shared by rows of one body that chain within ``_TIE_TOL`` of each other in every coordinate.
 
-
-def _cluster_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """One label per row, shared by rows of one body that chain within its `tol` of each other in every coordinate.
-
-    Rows of one body within its `tol` (one entry per row) of each other
-    always share a label.  When the sort along the first coordinate already
+    Rows of one body within ``_TIE_TOL`` (at unit scale) of each other always
+    share a label.  When the sort along the first coordinate already
     separates every row from its neighbours, each row is its own label.
     """
     ids = np.empty((len(points), points.shape[1] + 1), dtype=np.intp)
@@ -178,9 +173,9 @@ def _cluster_labels(body: np.ndarray, points: np.ndarray, tol: np.ndarray) -> np
         order = np.lexsort((points[:, d], body))
         x = points[order, d]
         gap = np.empty(len(order), dtype=bool)
-        gap[0] = True
+        gap[:1] = True
         # a change of body is a gap too: rows of two bodies never share a label, and a stack's rows pass the test below
-        gap[1:] = (x[1:] - x[:-1] > tol[order[1:]]) | (body[order[1:]] != body[order[:-1]])
+        gap[1:] = (x[1:] - x[:-1] > _TIE_TOL) | (body[order[1:]] != body[order[:-1]])
         if d == 0 and gap.all():
             return np.arange(len(points))
         ids[order, d + 1] = np.cumsum(gap)
@@ -359,8 +354,8 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     survivors only, and ``X_S p`` is tested against every slab, the
     subset's own read as exactly tight, unless J(S) already holds every
     slab outside S (``m - n <= _FIRST_PASS_SLABS``); both passes use the
-    bound ``t + FEASIBILITY_TOL * scale`` of their body.  The kept points take
-    one step of iterative refinement: where U_S is ill-conditioned,
+    bound ``t + FEASIBILITY_TOL`` at unit scale.  The kept points take one
+    step of iterative refinement: where U_S is ill-conditioned,
     ``X_S p`` cancels large entries, and its slack on them is off by about
     eps cond(U_S) (1e-9 at cond 1e8).  The stack is cut into runs of
     ``SUBSET_BLOCK // len(block)`` whole bodies (one at least), each tested
@@ -372,7 +367,7 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     # J(S) holds every slab outside S when m - n <= _FIRST_PASS_SLABS: the first pass is then the whole test
     whole = m - n <= _FIRST_PASS_SLABS
     patterns = _sign_patterns(n)  # (P, n)
-    bound = t + FEASIBILITY_TOL * _scales(t)[:, None]
+    bound = t + FEASIBILITY_TOL
     keys, subsets, dets, inverses = plan.block
     size, first = plan.outside.shape
     bodies = max(1, kernel.SUBSET_BLOCK // max(size, 1))  # a block whose subsets are all singular is empty
@@ -404,17 +399,14 @@ def _candidates(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         own = subsets[sub]
         cand = _refined_points(u, own, inverses[sub] * ts[row][:, None, :], patterns[pat], run[body[:, None], own])
         found.append((lo + body, own, patterns[pat], inverses[sub], cand, dets[sub], keys[sub]))
-    fields = tuple(np.concatenate(field) for field in zip(*found))
-    if np.any(np.bincount(fields[0], minlength=len(t)) == 0):
-        raise ValueError("no vertices found; body is numerically degenerate")
-    return fields
+    return tuple(np.concatenate(field) for field in zip(*found))
 
 
-def _ratio_test(t: np.ndarray, dots: np.ndarray, rate: np.ndarray, tie: float, perturbation) -> tuple[np.ndarray, ...]:
+def _ratio_test(t: np.ndarray, dots: np.ndarray, rate: np.ndarray, perturbation) -> tuple[np.ndarray, ...]:
     """Per line (row of `rate`), the slab it meets first, the step and the side; an infinite step where it meets none.
 
     Line r moves the dots ``dots[r]`` of its point at ``rate[r]``, so it meets slab k at ``(t_k - sign(rate) dots) /
-    |rate|``.  Slabs whose slack at the least step is within `tie` tie, and the least step of the body perturbed as in
+    |rate|``.  Slabs whose slack at the least step is within ``_TIE_TOL`` tie, and the least step of the body perturbed as in
     :func:`_kept` wins, the dots' coefficients in the perturbation ``perturbation(r, k)`` read from the highest slab down.
     """
     size = np.abs(rate)
@@ -424,7 +416,7 @@ def _ratio_test(t: np.ndarray, dots: np.ndarray, rate: np.ndarray, tie: float, p
         lines = np.arange(len(steps))
         j = np.argmin(steps, axis=1)
         step = steps[lines, j]
-        tied = (steps - step[:, None]) * size <= tie
+        tied = (steps - step[:, None]) * size <= _TIE_TOL
     # a line that meets a slab ties at least with itself, so only a count above that calls for the tie rule
     if np.count_nonzero(tied) > np.count_nonzero(step < np.inf):
         for line in np.flatnonzero(np.count_nonzero(tied, axis=1) > 1):
@@ -456,7 +448,6 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     u = plan.directions
     m, n = u.shape
     (hidden,), (t,) = plan.hidden(t), t
-    tie = _TIE_TOL * float(_scales(t[None])[0])
 
     def keyed(subsets: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
         # (S, p) rows made canonical (S increasing, p_0 = +1), keyed by (rank of S, pattern index), with S's ranks without each s_i
@@ -483,7 +474,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         rate = u @ d
         rate[np.abs(rate) <= _TIE_TOL * np.linalg.norm(d)] = 0.0
         rate[tight] = rate[hidden] = 0.0
-        (j,), (step,), (side,) = _ratio_test(t, u @ x, rate[None], tie, start_perturbation)
+        (j,), (step,), (side,) = _ratio_test(t, u @ x, rate[None], start_perturbation)
         if step == np.inf:
             break
         moves.append((d, j, side, abs(rate[j])))
@@ -509,7 +500,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         dots[at, subsets] = signs * ts
         slack = t - np.abs(dots)
         slack[at, subsets] = np.inf
-        if len((fk := np.nonzero(slack <= tie))[0]):
+        if len((fk := np.nonzero(slack <= _TIE_TOL))[0]):
             column = np.abs(tableau[fk[0], :, fk[1]])
             rate[fk[0], :, fk[1]] *= column > _TIE_TOL * np.maximum(column.max(axis=1, keepdims=True), 1.0)
 
@@ -520,7 +511,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
 
         # every edge meets the far side of its own slab, so every ratio test finds a slab
         lines, layer = np.arange(len(subsets) * n), []
-        j, _, side = _ratio_test(t, dots[:, None, :], rate, tie, lambda r, k: perturbation(r // n, k))
+        j, _, side = _ratio_test(t, dots[:, None, :], rate, lambda r, k: perturbation(r // n, k))
         while True:
             # the neighbour across edge i: the slab met in place of s_i, on the side it is met, in canonical sign
             f, i = np.divmod(lines, n)
@@ -541,7 +532,7 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
             again = np.isin(adjacent_keys, np.delete(unique[new], block.keys))
             lines, f, i, j = lines[again], f[again], i[again], j[again]
             rate[f, i, j] = 0.0
-            j, _, side = _ratio_test(t, dots[f], rate[f, i], tie, lambda r, k: perturbation(f[r], k))
+            j, _, side = _ratio_test(t, dots[f], rate[f, i], lambda r, k: perturbation(f[r], k))
     keys, *fields = (np.concatenate(field) for field in zip(*found))
     order = np.argsort(keys)
     return (np.zeros(len(keys), dtype=np.intp), *(field[order] for field in fields), keys[order] >> (n - 1))
@@ -550,9 +541,9 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
 def _kept(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Of the candidate rows of a stack (the fields of :func:`_candidates`), those whose vertex cones are kept.
 
-    Candidates of one body in canonical sign within ``_TIE_TOL * scale`` of
-    each other are one vertex, whose tight set is the union of their
-    subsets.  A candidate (S, p) is kept when the exact sign of its slack
+    Candidates of one body in canonical sign within ``_TIE_TOL`` (at unit
+    scale) of each other are one vertex, whose tight set is the union of
+    their subsets.  A candidate (S, p) is kept when the exact sign of its slack
     admits it on every slab outside that set, and the perturbation ``t_j +
     eps^(m - j)`` on every slab j of the set outside S: the slack that adds,
     ``sum_i a_i eps^(m - S_i) - eps^(m - j)`` with ``a = q p * (U_S^-T
@@ -572,14 +563,13 @@ def _kept(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) ->
     body, sub, pat, inverses, pts, dets, keys = candidates
     u = plan.directions
     m, n = u.shape
-    s = _scales(t)[body]
     dots = pts @ u.T
-    labels = _cluster_labels(body, pts * canonical_signs(pts, 1e-9 * s[:, None])[:, None], _TIE_TOL * s)
+    labels = _cluster_labels(body, pts * canonical_signs(pts, 1e-9)[:, None])
     rows = np.arange(len(pts))[:, None]
     loose = np.abs(dots) > bound[body]
     loose[rows, sub] = False  # the subset's own slabs
     ok = ~loose.any(axis=1)
-    if labels.max() + 1 < len(labels):  # some vertex holds two or more candidates: break their ties
+    if labels.max(initial=-1) + 1 < len(labels):  # some vertex holds two or more candidates: break their ties
         tied = np.zeros((len(pts), m), dtype=bool)
         tied[labels[:, None], sub] = True
         tied = tied[labels]
@@ -590,11 +580,9 @@ def _kept(plan: _SlabPlan, t: np.ndarray, candidates: tuple[np.ndarray, ...]) ->
         lead = (np.abs(a) > _TIE_TOL * np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]) & (sub[k] > j[:, None])
         last = n - 1 - np.argmax(lead[:, ::-1], axis=1)
         ok[k[lead.any(axis=1) & (a[np.arange(len(k)), last] > 0.0)]] = False
-    if ok.all():
-        return candidates
     if np.any(np.bincount(body[ok], minlength=len(t)) == 0):
         raise ValueError("no vertex cone kept; body is numerically degenerate")
-    return tuple(field[ok] for field in candidates)
+    return candidates if ok.all() else tuple(field[ok] for field in candidates)
 
 
 def _kept_rows(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -640,8 +628,10 @@ def _cones(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
 def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The volumes (K,), their gradients (K, m) and Hessians (K, m, m) in the offsets of a (K, m) stack of bodies.
 
-    One pass of vertex cones (:func:`_cones`) over the stack, over the
-    directions of `plan`, read as sums over each body's cones:
+    In each body's frame (:attr:`SymmetricHPolytope._scale`), the offsets
+    ``2^-e t``, one pass of vertex cones (:func:`_cones`) over the stack,
+    over the directions of `plan`, read as sums over each body's cones, and
+    mapped back by ``2^(ne)``, ``2^((n-1)e)`` and ``2^((n-2)e)``:
 
     * the volume ``2 sum h^n weight / n!``, one dot product over the body's
       run of rows;
@@ -654,10 +644,12 @@ def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.
     The directions are taken as checked and the offsets as positive.  Each
     body's values are the same bits inside a stack as alone, and the same
     whether the plan was used before or not.  The cone rows do not outlive
-    the call.
+    the call.  A value past the largest double maps back to inf, which
+    :func:`_seed_measures` refuses.
     """
     count, m = t.shape
-    body, sub, h, gamma, weight = _cones(plan, t)
+    e = kernel.binary_exponent(t, axis=1) - 1
+    body, sub, h, gamma, weight = _cones(plan, np.ldexp(t, -e[:, None]))
     n = sub.shape[1]
     powers = h**n
     ends = np.searchsorted(body, np.arange(count + 1))
@@ -669,12 +661,19 @@ def _volume_derivatives(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, np.
     keys = (body[:, None, None] * m + sub[:, :, None]) * m + sub[:, None, :]
     terms = scale[:, None, None] * (gamma[:, :, None] * gamma[:, None, :])
     hessians = np.bincount(keys.ravel(), weights=terms.ravel(), minlength=count * m * m).reshape(count, m, m)
-    return volumes, 2.0 * measures, hessians
+    with np.errstate(over="ignore"):
+        return np.ldexp(volumes, n * e), np.ldexp(2.0 * measures, (n - 1) * e[:, None]), np.ldexp(hessians, (n - 2) * e[:, None, None])
 
 
 def _seed_measures(body: SymmetricHPolytope, volume: float, gradient: np.ndarray, hessian: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Give ``body`` its (volume, gradient, Hessian) triple, read-only, unless the check of :attr:`~SymmetricHPolytope._measures` refuses it."""
-    if not volume > 0.0 or gradient.min() < -NEGATIVE_MEASURE_TOL * gradient.max():
+    if not (np.isfinite(volume) and np.isfinite(gradient).all() and np.isfinite(hessian).all()):
+        raise ValueError("the volume or a facet measure overflows a float; the body is too large to measure")
+    negative, tiny = gradient.min() < -NEGATIVE_MEASURE_TOL * gradient.max(), np.finfo(float).tiny
+    # a volume below the least normal float has underflowed when the facet measures agree, by n V = sum_j t_j dV/dt_j
+    if volume < tiny and not negative and body.offsets @ gradient < body.dim * tiny:
+        raise ValueError(f"the volume underflows a float (below {tiny:.3g}); the body is too small to measure")
+    if not volume > 0.0 or negative:
         raise ValueError("the volume or a facet measure reads negative; body is numerically degenerate")
     _read_only(gradient, hessian)
     vars(body)["_measures"] = triple = (float(volume), gradient, hessian)
@@ -749,14 +748,14 @@ class SymmetricHPolytope:
 
     @cached_property
     def _scale(self) -> float:
-        """The largest offset rounded down to a power of two.
+        """The largest offset rounded down to a power of two, 2^e: the body's frame is its offsets times ``2^-e``.
 
-        The vertex and facet tolerances are multiplied by it (the measure
-        floor by its (n-1)-th power), so that they scale with the body; a
-        power of two scales them without rounding, and bodies whose largest
-        offset lies in [1, 2) keep the unscaled tolerances.
+        The cone pass and the vertex set measure in the frame and map back
+        exactly; the tolerances that compare with the caller's coordinates
+        (:meth:`contains`, :attr:`facets`, the measure floor by its (n-1)-th
+        power) are multiplied by 2^e instead.
         """
-        return float(_scales(self._offsets[None])[0])
+        return float(np.ldexp(1.0, kernel.binary_exponent(self._offsets) - 1))
 
     # -- membership / support --------------------------------------------
 
@@ -780,14 +779,16 @@ class SymmetricHPolytope:
     def vertices(self) -> VertexSet:
         """All vertices: the points of the kept rows (:func:`_kept_rows`) over a plan of its own, merged within ``VERTEX_MERGE_TOL * scale``.
 
+        Found and merged in the body's frame (:attr:`_scale`): the offsets
+        divided by 2^e and the points multiplied by it, both exactly.
         Mirrored solutions are added after the merge, so the set is exactly
         closed under negation.
         """
-        raw, s = _kept_rows(_SlabPlan(self._directions), self._offsets[None])[4], self._scale
+        raw, s = _kept_rows(_SlabPlan(self._directions), self._offsets[None] / self._scale)[4], self._scale
         # canonicalise sign so each antipodal pair is represented once
-        canon = dedup_rows(raw * canonical_signs(raw, 1e-9 * s)[:, None], VERTEX_MERGE_TOL * s)
+        canon = dedup_rows(raw * canonical_signs(raw, 1e-9)[:, None], VERTEX_MERGE_TOL)
         both = np.concatenate([canon, -canon])
-        pts = both[np.lexsort(both.T[::-1])]
+        pts = both[np.lexsort(both.T[::-1])] * s
         pts.setflags(write=False)
         return VertexSet(pts)
 

@@ -47,6 +47,12 @@ class TestZonotopeBasics:
         with pytest.raises(ValueError, match="finite"):
             Zonotope(np.array([[1.0, 0.0], [bad, 1.0]]))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fewer_generators_than_the_dimension_have_no_volume(self, m):
+        # m < n segments span at most an m-flat of R^3
+        z = Zonotope(RandomSource(62).generator().standard_normal((m, 3)))
+        assert z.num_generators == m and z.volume == 0.0
+
     def test_floor_is_relative_to_the_largest_generator(self):
         assert Zonotope(np.array([[1e-15, 0.0]])).num_generators == 1
         assert Zonotope(np.array([[1e6, 0.0], [0.0, 1e6], [1e-7, 0.0]])).num_generators == 2
