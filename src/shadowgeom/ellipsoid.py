@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CapacityError, WeightedDirections, binary_exponent, canonical_signs, dedup_rows, hyperplane_basis, jacobi_eigh, newton_on_slice, unit_ball_volume
+from .kernel import CapacityError, WeightedDirections, canonical_signs, dedup_rows, hyperplane_basis, jacobi_eigh, newton_on_slice, row_norms, unit_ball_volume
 
 __all__ = [
     "Ellipsoid",
@@ -119,8 +119,7 @@ def _canonicalize_symmetric(points: np.ndarray) -> np.ndarray:
         raise ValueError("points must be a 2-d array (m, n)")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    e = binary_exponent(pts)
-    norms = np.linalg.norm(np.ldexp(pts, -e), axis=1)
+    norms, e = row_norms(pts)
     tol = 1e-12 * float(norms.max(initial=0.0))
     keep = pts[norms > tol]
     if len(keep) == 0:
@@ -268,9 +267,9 @@ def mvee_symmetric(points: np.ndarray, eps: float = DEFAULT_EPS) -> MveeResult:
         raise ValueError("eps must lie in [1e-10, 1e-2]")
     v = _canonicalize_symmetric(points)
     m, n = v.shape
-    e = binary_exponent(v)
+    norms, e = row_norms(v)
     unit = np.ldexp(v, -e)  # the pivots of v, at any finite scale
-    largest = float(np.linalg.norm(unit, axis=1).max())
+    largest = float(norms.max())
     active = _spanning_basis(unit, 1e-10 * largest)
     scale = float(np.ldexp(largest, e))
     if not scale * scale < np.inf:  # the entries of M are at most the largest squared norm

@@ -7,11 +7,10 @@ bit-identically.  :class:`WeightedDirections` is the one type for an
 isotropic decomposition (the MVEE's contact points included), and
 ``_read_unit_rows`` the one validator for the JSON documents that carry
 unit direction rows.  The eigensolver, the Newton step on a slice, the sign
-table, the power-of-two frame of a body or point set
-(:func:`binary_exponent`), the slab-direction check, and the subset
-enumerator and cofactor table
-of polytopes and zonotopes with the one capacity guard they apply have one
-implementation each, here.  Every subset index of the last two, and the rank
+table, the power-of-two frame of a body or point set (:func:`binary_exponent`)
+and the row norms taken in it (:func:`row_norms`), the slab-direction check,
+and the subset enumerator and cofactor table of polytopes and zonotopes with
+the one capacity guard they apply have one implementation each, here.  Every subset index of the last two, and the rank
 of every subset without one of its elements, comes from one cached lattice of
 the k-subsets in lexicographic order, each level built from the one below,
 and so do the first elements outside each subset, which the vertex
@@ -375,6 +374,16 @@ def binary_exponent(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     without rounding wherever nothing overflows or underflows.
     """
     return np.frexp(np.abs(values).max(axis=axis, initial=0.0))[1]
+
+
+def row_norms(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows' Euclidean norms in their power-of-two frame (:func:`binary_exponent`), ``|r| 2^-e``, and e.
+
+    There the largest square neither overflows nor underflows; ``np.ldexp(*row_norms(rows))`` reads the norms at any
+    finite scale, the bits of ``np.linalg.norm`` wherever its squares stay in the double range.
+    """
+    e = int(binary_exponent(rows))
+    return np.linalg.norm(np.ldexp(rows, -e), axis=1), e
 
 
 def canonical_signs(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -20,7 +20,9 @@ volume, shadows) is computed by explicit geometry, in two halves:
   ``X_S = U_S^-1 diag(t_S)``, in two passes, the slabs J(S) for every
   pattern and every slab for the survivors, whose X_S alone is formed; or,
   for each body of a plan with no block, the same rows found by walking its
-  vertex graph, one simplex pivot per edge (:func:`_walk`);
+  vertex graph, one simplex pivot per edge (:func:`_walk`), which refuses
+  the body where it reaches a singular subset, at its start or across an
+  edge;
   then the volume, the facet measures and the Hessian of the volume in the
   offsets in closed form over the vertex cones of the feasible (subset,
   pattern) pairs (Lawrence's formula and its derivatives), whose ``gamma =
@@ -438,24 +440,17 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
     The walk visits the canonical vertices (p_0 = +1) of the body perturbed as in :func:`_kept`.  A ray from the
     origin along column 0 of :func:`_direction_table`, followed inside the face found so far, reaches a first vertex.
     Edge i of (S, p) leaves slab s_i along ``-p_i U_S^-1 e_i``, and its ratio test (:func:`_ratio_test`) names the
-    neighbour; one onto a singular subset (:func:`_subset_block`) is left out, and the edge tested again.  A slab that
-    another stands for (:meth:`_SlabPlan.hidden`) is never met.  On a slab outside S tight at the vertex, a rate
-    within ``_TIE_TOL`` of its tableau column's largest entry (or of 1) is 0, as in :func:`_kept`.  New vertices, keyed
-    by (rank of S, pattern index), take the brute force's bits from :func:`_subset_block` and :func:`_refined_points`.
-    The perturbed body is simple, its vertices are the kept rows, and its graph is connected (Balinski 1961), so the
-    lexicographic pivots (Avis and Fukuda 1992) visit every kept row, in O(vertices) memory besides the cofactor table.
+    neighbour.  A slab that another stands for (:meth:`_SlabPlan.hidden`) is never met.  On a slab outside S tight at
+    the vertex, a rate within ``_TIE_TOL`` of its tableau column's largest entry (or of 1) is 0, as in :func:`_kept`.
+    Each layer, the start's one row and then the neighbours across every edge of the layer before, is keyed by (rank
+    of S, pattern index), and the rows not seen before take the brute force's bits from one :func:`_subset_block`
+    call and :func:`_refined_points`; a singular one, at the start or across an edge, refuses the body.  The perturbed
+    body is simple, its vertices are the kept rows, and its graph is connected (Balinski 1961), so the lexicographic
+    pivots (Avis and Fukuda 1992) visit every kept row, in O(vertices) memory besides the cofactor table.
     """
     u = plan.directions
     m, n = u.shape
     (hidden,), (t,) = plan.hidden(t), t
-
-    def keyed(subsets: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
-        # (S, p) rows made canonical (S increasing, p_0 = +1), keyed by (rank of S, pattern index), with S's ranks without each s_i
-        order = np.argsort(subsets, axis=1)
-        subsets, signs = np.take_along_axis(subsets, order, axis=1), np.take_along_axis(signs, order, axis=1)
-        signs *= signs[:, :1]
-        ranks, without = kernel.subset_ranks(subsets, m)
-        return ranks << (n - 1) | ((signs[:, 1:] < 0.0) @ (1 << np.arange(n - 2, -1, -1))), subsets, signs, without
 
     def start_perturbation(line: int, k: np.ndarray) -> np.ndarray:
         # the start point's coefficients in the perturbation of each slab's offset, from its moves, dotted with u_k
@@ -464,7 +459,8 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
             coefficients += np.outer(d, (np.eye(m)[j] - side * (u[j] @ coefficients)) / size)
         return u[k] @ coefficients
 
-    # the start: a ray from the origin, followed inside the face of the slabs it has met
+    # the start: a ray from the origin, followed inside the face of the slabs it has met; every ray meets a slab, since
+    # the directions span R^n with singular values above 1e-10 (:func:`check_slab_directions`), far above _TIE_TOL
     c, x, moves, tight, sides = _direction_table(n)[:, 0], np.zeros(n), [], [], []
     for _ in range(n):
         d = c
@@ -475,17 +471,27 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
         rate[np.abs(rate) <= _TIE_TOL * np.linalg.norm(d)] = 0.0
         rate[tight] = rate[hidden] = 0.0
         (j,), (step,), (side,) = _ratio_test(t, u @ x, rate[None], start_perturbation)
-        if step == np.inf:
-            break
         moves.append((d, j, side, abs(rate[j])))
         x, tight, sides = x + step * d, tight + [j], sides + [side]
-    keys, subsets, signs, without = keyed(np.array([tight]), np.array([sides]))
-    if len(tight) < n or not len((block := _subset_block(u, plan.cofactors, subsets, without)).keys):
-        raise ValueError("no vertices found; body is numerically degenerate")
-    seen = np.r_[keys, np.iinfo(np.intp).max]  # the keys seen, sorted, over a sentinel above every key
-    layer, found, rows = [(keys, subsets, signs, block.inverses, block.dets)], [], np.arange(n)
-    while layer:
-        keys, subsets, signs, inverses, dets = layer[0] if len(layer) == 1 else (np.concatenate(field) for field in zip(*layer))
+    # the (S, p) rows the walk has reached, and the keys seen, sorted, over a sentinel above every key
+    subsets, signs, seen, found, rows = np.array([tight]), np.array([sides]), np.array([np.iinfo(np.intp).max]), [], np.arange(n)
+    while True:
+        # the rows made canonical (S increasing, p_0 = +1), keyed by (rank of S, pattern index), with S's ranks without each s_i
+        order = np.argsort(subsets, axis=1)
+        subsets, signs = np.take_along_axis(subsets, order, axis=1), np.take_along_axis(signs, order, axis=1)
+        signs *= signs[:, :1]
+        ranks, without = kernel.subset_ranks(subsets, m)
+        unique, index = np.unique(ranks << (n - 1) | ((signs[:, 1:] < 0.0) @ (1 << np.arange(n - 2, -1, -1))), return_index=True)
+        place = np.searchsorted(seen, unique)
+        new = np.flatnonzero(seen[place] != unique)
+        if not len(new):
+            break
+        keys, index = unique[new], index[new]
+        block = _subset_block(u, plan.cofactors, subsets[index], without[index])
+        if len(block.keys) < len(new):
+            raise ValueError("the walk meets a singular subset; body is numerically degenerate")
+        seen = np.insert(seen, place[new], keys)
+        subsets, signs, inverses, dets = block.subsets, signs[index], block.inverses, block.dets
         ts = t[subsets]
         points = _refined_points(u, subsets, inverses * ts[:, None, :], signs, ts)
         found.append((keys, subsets, signs, inverses, points, dets))
@@ -509,30 +515,13 @@ def _walk(plan: _SlabPlan, t: np.ndarray) -> tuple[np.ndarray, ...]:
             out[:, subsets[f]] = (tableau[f][:, k] * signs[f, :, None]).T
             return out
 
-        # every edge meets the far side of its own slab, so every ratio test finds a slab
-        lines, layer = np.arange(len(subsets) * n), []
+        # every edge meets the far side of its own slab, so every ratio test finds a slab; the neighbour across edge i
+        # holds the slab met in place of s_i, on the side it is met
         j, _, side = _ratio_test(t, dots[:, None, :], rate, lambda r, k: perturbation(r // n, k))
-        while True:
-            # the neighbour across edge i: the slab met in place of s_i, on the side it is met, in canonical sign
-            f, i = np.divmod(lines, n)
-            adjacent, adjacent_signs = subsets[f], signs[f]
-            adjacent[np.arange(len(f)), i], adjacent_signs[np.arange(len(f)), i] = j, side
-            adjacent_keys, adjacent, adjacent_signs, without = keyed(adjacent, adjacent_signs)
-            unique, index = np.unique(adjacent_keys, return_index=True)
-            place = np.searchsorted(seen, unique)
-            new = np.flatnonzero(seen[place] != unique)
-            block = _subset_block(u, plan.cofactors, adjacent[index[new]], without[index[new]])
-            kept = new[block.keys]
-            seen = np.insert(seen, place[kept], unique[kept])
-            if len(kept):
-                layer.append((unique[kept], block.subsets, adjacent_signs[index[kept]], block.inverses, block.dets))
-            if len(kept) == len(new):
-                break
-            # an edge onto a refused subset is tested again without that slab
-            again = np.isin(adjacent_keys, np.delete(unique[new], block.keys))
-            lines, f, i, j = lines[again], f[again], i[again], j[again]
-            rate[f, i, j] = 0.0
-            j, _, side = _ratio_test(t, dots[f], rate[f, i], lambda r, k: perturbation(f[r], k))
+        edges = np.arange(len(subsets) * n)
+        f, i = np.divmod(edges, n)
+        subsets, signs = subsets[f], signs[f]
+        subsets[edges, i], signs[edges, i] = j, side
     keys, *fields = (np.concatenate(field) for field in zip(*found))
     order = np.argsort(keys)
     return (np.zeros(len(keys), dtype=np.intp), *(field[order] for field in fields), keys[order] >> (n - 1))
@@ -912,7 +901,7 @@ class SymmetricHPolytope:
         if not sv[-1] > 1e-12 * sv[0]:
             raise ValueError("transform is numerically singular")
         w = np.linalg.solve(a.T, self._directions.T).T  # rows A^{-T} u_i
-        norms = np.linalg.norm(w, axis=1)
+        norms = np.ldexp(*kernel.row_norms(w))
         return SymmetricHPolytope(w / norms[:, None], self._offsets / norms), norms
 
     # -- serialization ------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import RandomSource, WeightedDirections, canonical_signs, cofactor_table, random_orthogonal, subset_blocks
-from .kernel import unit_directions
+from .kernel import row_norms, unit_directions
 from .polytope import FEASIBILITY_TOL, SymmetricHPolytope
 
 __all__ = [
@@ -78,7 +78,7 @@ class Zonotope:
             raise ValueError("dimension must be at least 1")
         if not np.all(np.isfinite(w)):
             raise ValueError("generators must be finite")
-        norms = np.linalg.norm(w, axis=1)
+        norms = row_norms(w)[0]
         w = w[norms > GENERATOR_FLOOR * np.max(norms, initial=0.0)]
         if len(w) == 0:
             raise ValueError("no nonzero generators")
@@ -99,7 +99,7 @@ class Zonotope:
 
     @property
     def alphas(self) -> np.ndarray:
-        return np.linalg.norm(self._generators, axis=1)
+        return np.ldexp(*row_norms(self._generators))
 
     @property
     def unit_directions(self) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Symmetric slab bodies: exact volumes, facets, shadows, and validation."""
 
+import dis
 import itertools
 import math
+import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -928,6 +931,57 @@ def through_a_vertex(base: SymmetricHPolytope, src: RandomSource) -> SymmetricHP
     return SymmetricHPolytope(np.vstack([base.directions, theta]), np.r_[base.offsets, base.support(theta)])
 
 
+def swap_onto_a_singular_subset(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-cube and the slab w ~ (1e-12, 1, 1, 0, ...) just inside its edge x_1 = x_2 = 1, whose swap for x_1 is singular.
+
+    In R^6 eight more slabs, which do not cut the cube, make a (6, 15) body,
+    whose plan streams.
+    """
+    w = np.r_[1e-12, 1.0, 1.0, np.zeros(n - 3)]
+    w /= np.linalg.norm(w)
+    u, t = [np.eye(n), w[None]], [np.ones(n), [w @ np.r_[0.3, np.ones(n - 1)] * (1.0 - 1e-12)]]
+    if n == 6:
+        far = sample_unit_sphere(n, RandomSource(19), count=8)
+        u, t = u + [far], t + [1.5 * np.abs(far).sum(axis=1)]
+    return np.vstack(u), np.concatenate(t)
+
+
+def item_17_recipe_image() -> SymmetricHPolytope:
+    """ROADMAP item 17's recipe: a (6, 10) body under a map of condition 1e3, whose subset determinants crowd below _DET_TOL."""
+    a = random_orthogonal(6, np.random.default_rng(2)) @ np.diag([1.0] * 5 + [1e-3]) @ random_orthogonal(6, np.random.default_rng(52))
+    return random_symmetric_polytope(6, 10, RandomSource(762)).affine_image(a)
+
+
+def unexecuted_lines(functions: list, run) -> list[str]:
+    """The lines of `functions`, and of the functions nested in them, on which no line event fires while `run()` runs.
+
+    Each is given as ``name:line``.  The lines are those where the compiled
+    code starts one (``dis.findlinestarts``), without each function's own
+    first line, which fires a call event; the events come from
+    ``sys.settrace``, restored afterwards.
+    """
+    codes, stack = set(), [f.__code__ for f in functions]
+    while stack:
+        code = stack.pop()
+        codes.add(code)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    ran = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code, frame.f_lineno))
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code in codes else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    lines = {(code, n) for code in codes for _, n in dis.findlinestarts(code) if n is not None and n != code.co_firstlineno}
+    return sorted(f"{code.co_name}:{n}" for code, n in lines - ran)
+
+
 class TestVertexWalk:
     # n = 3..7 with m from n + 2 to 20, stored plans included; most of the time is the brute force at m = 20
     SHAPES = [(n, m) for n in range(3, 8) for m in sorted({n + 2, n + 5, 2 * n + 4, 20})]
@@ -1007,27 +1061,46 @@ class TestVertexWalk:
         monkeypatch.setattr(polytope, "_candidates", lambda plan, t: (stacks.append(len(t)), candidates(plan, t))[1])
         return walks, stacks
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 27: an edge that meets a slab whose swap is singular is tested again, and the walk reads a wrong volume")
-    def test_an_edge_onto_a_singular_swap_gives_the_volume_or_a_refusal(self):
+    def test_an_edge_onto_a_singular_swap_gives_the_volume_or_a_refusal(self, monkeypatch):
         # the cube and the slab w ~ (1e-12, 1, 1, 0, ...) 1.7e-12 inside its edge x_1 = x_2 = 1, which cuts off less than
-        # 1e-20; in R^6 with eight slabs that do not cut the cube, (6, 15), whose plan streams, the walk refuses 13
-        # subsets and reads 39.331, and in R^3, walked with SUBSET_BLOCK = 1, 7.454 on 8 rows where the brute force keeps 5
-        for n, block in [(6, kernel.SUBSET_BLOCK), (3, 1)]:
-            w = np.r_[1e-12, 1.0, 1.0, np.zeros(n - 3)]
-            w /= np.linalg.norm(w)
-            u, t = [np.eye(n), w[None]], [np.ones(n), [w @ np.r_[0.3, np.ones(n - 1)] * (1.0 - 1e-12)]]
-            if n == 6:
-                far = sample_unit_sphere(n, RandomSource(19), count=8)
-                u, t = u + [far], t + [1.5 * np.abs(far).sum(axis=1)]
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kernel, "SUBSET_BLOCK", block)
-                body = SymmetricHPolytope(np.vstack(u), np.concatenate(t))
-                assert not _SlabPlan(body.directions).stored
+        # 1e-20; in R^6 with eight slabs that do not cut the cube, (6, 15), whose plan streams, and in R^3 walked with
+        # SUBSET_BLOCK = 1.  An edge meets w where its swap is singular: the walk refuses the body there (where testing
+        # the edge again without w read 39.331 and 7.454), and the brute force, over a stored plan, reads the cube
+        for n, block, volume in [(6, kernel.SUBSET_BLOCK, 63.99999999999995), (3, 1, 7.999999999999997)]:
+            body = SymmetricHPolytope(*swap_onto_a_singular_subset(n))
+            monkeypatch.setattr(kernel, "SUBSET_BLOCK", block)
+            assert not _SlabPlan(body.directions).stored
+            with pytest.raises(ValueError, match="the walk meets a singular subset; body is numerically degenerate"):
+                body.volume
+            monkeypatch.setattr(kernel, "SUBSET_BLOCK", 10**6)
+            assert SymmetricHPolytope(body.directions, body.offsets).volume == volume
+
+    def test_a_singular_start_is_refused_by_the_same_gate(self, monkeypatch):
+        # ROADMAP item 17's recipe image: the walk's first vertex lies on a subset below _DET_TOL, so the one
+        # _subset_block call of the first layer refuses the body, as across an edge
+        image = item_17_recipe_image()
+        calls = []
+        subset_block = polytope._subset_block
+        monkeypatch.setattr(polytope, "_subset_block", lambda *args: (calls.append(len(args[2])), subset_block(*args))[1])
+        monkeypatch.setattr(kernel, "SUBSET_BLOCK", 1)
+        with pytest.raises(ValueError, match="the walk meets a singular subset; body is numerically degenerate"):
+            image.volume
+        assert calls == [1]
+
+    def test_every_line_of_the_walk_runs(self):
+        # a line trace over the walk, its nested functions and its ratio test: a branch that none of these bodies
+        # reaches fails here, so each rule of the walk has a body in tier-1 that takes it
+        bodies = [*named_degenerate_bodies().values(), cross_polytope(5), item_17_recipe_image()]
+        bodies += [SymmetricHPolytope(*swap_onto_a_singular_subset(n)) for n in (6, 3)]
+
+        def walk_all():
+            for body in bodies:
                 try:
-                    volume = body.volume
-                except ValueError:
-                    continue
-            assert volume == pytest.approx(2.0**n, rel=1e-9)
+                    polytope._walk(_SlabPlan(body.directions), body.offsets[None] / body._scale)
+                except ValueError as error:
+                    assert "the walk meets a singular subset" in str(error)
+
+        assert unexecuted_lines([polytope._walk, polytope._ratio_test], walk_all) == []
 
     def test_a_streamed_stack_walks_each_body_and_builds_no_block(self, monkeypatch):
         body = random_symmetric_polytope(6, 16, RandomSource(962))
@@ -1262,6 +1335,22 @@ class TestTransforms:
         assert scaled.volume == pytest.approx(scale**n * body.volume, rel=1e-9)
         assert np.allclose(scaled.shadow_areas(thetas), scale ** (n - 1) * body.shadow_areas(thetas), rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("e", [530, -530, -565, -660])
+    def test_an_image_under_a_power_of_two_scales_every_bit(self, e):
+        # the image's normals A^-T u_j are normalised in their power-of-two frame: at 2^e their squares over- or
+        # underflow a double, and the normals were refused as not unit
+        body = random_symmetric_polytope(3, 6, RandomSource(46))
+        mat = np.array([[2.0, 0.3, 0.0], [0.0, 1.0, -0.2], [0.1, 0.0, 0.5]])
+        image, scaled = body.affine_image(mat), body.affine_image(np.ldexp(mat, e))
+        assert np.array_equal(scaled.directions, image.directions)
+        assert np.array_equal(scaled.offsets, np.ldexp(image.offsets, e))
+
+    def test_the_image_of_a_square_below_1e_300_is_measured(self):
+        # A^-T u_j reads 1e155 and 1e150, whose squares overflow: the normals were refused as not unit
+        image = SymmetricHPolytope(np.eye(2), np.ones(2)).affine_image(np.diag([1e-155, 1e-150]))
+        assert image.volume == pytest.approx(4e-305, rel=1e-13, abs=0.0)
+        assert image.surface_area == pytest.approx(4e-155 + 4e-150, rel=1e-13, abs=0.0)
+
     def test_support_and_contains(self):
         body = cube(3)
         assert body.support(np.array([1.0, 1.0, 1.0])) == pytest.approx(3.0, rel=1e-12)
@@ -1383,6 +1472,19 @@ class TestCertainlyWrongMeasures:
             except ValueError:
                 continue
             assert volume == pytest.approx(base.volume, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17: a thin body's volume is off by more than rounding")
+    def test_a_thin_rectangle_gives_its_area_or_a_refusal(self):
+        # item 17's thin-body class in its smallest form: the area reads -9.7e-11, 3.2e-10 and -2.0e-6 relative off 4 r,
+        # while the perimeter, from the facet measures, is exact
+        for r in [1e-8, 1e-10, 1e-12]:
+            body = SymmetricHPolytope(np.eye(2), np.array([1.0, r]))
+            assert body.surface_area == 4.0 + 4.0 * r
+            try:
+                area = body.volume
+            except ValueError:
+                continue
+            assert area == pytest.approx(4.0 * r, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("volume, gradient", [(8.0, [4.0, 4.0, -1e-8]), (0.0, [4.0, 4.0, 4.0]), (-8.0, [4.0, 4.0, 4.0])])
     def test_a_seeded_triple_is_refused_by_the_same_check(self, volume, gradient):

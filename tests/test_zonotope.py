@@ -53,6 +53,16 @@ class TestZonotopeBasics:
         z = Zonotope(RandomSource(62).generator().standard_normal((m, 3)))
         assert z.num_generators == m and z.volume == 0.0
 
+    @pytest.mark.parametrize("e", [530, -530, -565, -660])
+    def test_the_generator_norms_hold_at_a_power_of_two(self, e):
+        # the norms are taken in the generators' power-of-two frame; at 2^e their squares over- or underflow a double,
+        # which dropped every generator ("no nonzero generators") or read alphas 1.1e-4 off sqrt(1.23) at 2^-530
+        w = np.eye(3) + 0.1
+        unit, scaled = Zonotope(w), Zonotope(np.ldexp(w, e))
+        assert scaled.num_generators == 3
+        assert np.array_equal(scaled.alphas, np.ldexp(unit.alphas, e))
+        assert np.array_equal(scaled.unit_directions, unit.unit_directions)
+
     def test_floor_is_relative_to_the_largest_generator(self):
         assert Zonotope(np.array([[1e-15, 0.0]])).num_generators == 1
         assert Zonotope(np.array([[1e6, 0.0], [0.0, 1e6], [1e-7, 0.0]])).num_generators == 2
@@ -260,6 +270,13 @@ class TestProjectionBody:
         thetas = sample_unit_sphere(n, RandomSource(94 + seed), count=20)
         for theta in thetas:
             assert z.support(theta) == pytest.approx(body.shadow_area(theta), rel=1e-10)
+
+    def test_a_small_body_keeps_its_generators(self):
+        # offsets times 1e-36 give facet measures near 1e-180, whose squares underflow: every generator was dropped
+        body = random_symmetric_polytope(6, 10, RandomSource(5))
+        small, unit = projection_body(SymmetricHPolytope(body.directions, 1e-36 * body.offsets)), projection_body(body)
+        assert small.num_generators == unit.num_generators
+        assert np.allclose(small.generators, 1e-180 * unit.generators, rtol=1e-13, atol=0.0)
 
 
 class TestMixedVolume:
